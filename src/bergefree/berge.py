@@ -8,6 +8,15 @@ vertex, oriented so v2 < vk), and then asks whether the k pair-slots admit
 k distinct covering hyperedges -- a system of distinct representatives over
 the slot-to-hyperedge bipartite graph, decided by backtracking.
 
+For k = 4 detection runs in two phases.  A 2-path scan (the C4 case of
+Alon, Yuster and Zwick, "Finding and counting given length cycles") first
+finds the smallest vertex a that is the minimum of some Berge-C4: every
+pair of Berge 2-paths a-b-c and a-d-c through vertices above a is tested
+with Hall's condition on its four slot masks, so a free hypergraph is
+decided without a single SDR call.  Only when such an a exists does the
+canonical enumerator run, from v1 = a alone, which yields the same witness
+as enumerating from every v1 in ascending order.
+
 Every witness a search returns is re-validated against the definition
 before it is handed out, independently of how it was found.
 """
@@ -18,7 +27,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .core import Graph, Hypergraph, iter_bits, shadow
+from .core import Graph, Hypergraph, iter_bits
 
 
 @dataclass(frozen=True)
@@ -99,9 +108,20 @@ def find_berge_cycle(hypergraph: Hypergraph, k: int) -> Optional[BergeCycleWitne
     if k > n or k > m:
         return None
 
+    # cover_masks[u][v]: bitmask of the hyperedges holding both u and v
     cover = hypergraph.pair_cover
-    adj = shadow(hypergraph).adjacency_masks
-    cover_masks = {pair: _ids_mask(ids) for pair, ids in cover.items()}
+    cover_masks: list[dict[int, int]] = [{} for _ in range(n)]
+    adj = [0] * n
+    for (u, v), ids in cover.items():
+        cover_masks[u][v] = cover_masks[v][u] = _ids_mask(ids)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    first = range(n)
+    if k == 4:
+        a = _first_c4_minimum(adj, cover_masks)
+        if a is None:
+            return None
+        first = (a,)
 
     path = [0] * k
 
@@ -117,10 +137,9 @@ def find_berge_cycle(hypergraph: Hypergraph, k: int) -> Optional[BergeCycleWitne
                 return None
             if k > 2 and path[1] > last:
                 return None  # orientation: keep only v2 < vk
-            closing = key(last, v1)
-            if (union_mask | cover_masks[closing]).bit_count() < k:
+            if (union_mask | cover_masks[last][v1]).bit_count() < k:
                 return None
-            slots = [key(path[i], path[i + 1]) for i in range(k - 1)] + [closing]
+            slots = [key(path[i], path[(i + 1) % k]) for i in range(k)]
             assignment = distinct_representatives([cover[s] for s in slots])
             if assignment is None:
                 return None
@@ -128,8 +147,7 @@ def find_berge_cycle(hypergraph: Hypergraph, k: int) -> Optional[BergeCycleWitne
             validate_witness(hypergraph, witness)
             return witness
         for w in iter_bits(adj[last] & allowed & ~used_mask):
-            slot_mask = cover_masks[key(last, w)]
-            new_union = union_mask | slot_mask
+            new_union = union_mask | cover_masks[last][w]
             if new_union.bit_count() < depth:
                 continue  # fewer distinct hyperedges than slots: dead prefix
             path[depth] = w
@@ -138,13 +156,57 @@ def find_berge_cycle(hypergraph: Hypergraph, k: int) -> Optional[BergeCycleWitne
                 return found
         return None
 
-    for v1 in range(n):
+    for v1 in first:
         allowed = ~((1 << (v1 + 1)) - 1)  # cycle vertices other than v1 exceed it
         path[0] = v1
         found = extend(1, 1 << v1, allowed, 0)
         if found is not None:
             return found
     return None
+
+
+def _first_c4_minimum(adj: Sequence[int], cover_masks: Sequence[dict[int, int]]) -> Optional[int]:
+    """Smallest vertex that is the minimum of some Berge-C4, or None.
+
+    A Berge-C4 a,b,c,d with minimum a is a pair of Berge 2-paths a-b-c and
+    a-d-c through middles b != d, all above a, whose four slots
+    ab, bc, cd, da admit distinct hyperedges.  For each a the scan groups
+    the middles by their far end c, drops a middle whose two slots hold a
+    single hyperedge between them (no Berge 2-path runs through it), and
+    tests each pair of middles with Hall's condition.
+    """
+    for a in range(len(adj)):
+        above = ~((1 << (a + 1)) - 1)
+        middles: dict[int, list[tuple[int, int, int]]] = {}
+        for b in iter_bits(adj[a] & above):
+            ab = cover_masks[a][b]
+            at_b = cover_masks[b]
+            for c in iter_bits(adj[b] & above):
+                bc = at_b[c]
+                both = ab | bc
+                if both.bit_count() < 2:
+                    continue
+                paths = middles.setdefault(c, [])
+                for da, cd, other in paths:
+                    # the union test alone rejects most pairs, and cheaply
+                    if (both | other).bit_count() >= 4 and _hall4(ab, bc, cd, da):
+                        return a
+                paths.append((ab, bc, both))
+    return None
+
+
+def _hall4(m0: int, m1: int, m2: int, m3: int) -> bool:
+    """True iff four slots with these hyperedge masks admit distinct
+    representatives.  By Hall's theorem that holds iff every set of j slots
+    covers at least j hyperedges, checked here for j = 1, 2, 3, 4."""
+    if not (m0 and m1 and m2 and m3):
+        return False
+    if min((m0 | m1).bit_count(), (m0 | m2).bit_count(), (m0 | m3).bit_count(),
+           (m1 | m2).bit_count(), (m1 | m3).bit_count(), (m2 | m3).bit_count()) < 2:
+        return False
+    return (min((m0 | m1 | m2).bit_count(), (m0 | m1 | m3).bit_count(),
+                (m0 | m2 | m3).bit_count(), (m1 | m2 | m3).bit_count()) >= 3
+            and (m0 | m1 | m2 | m3).bit_count() >= 4)
 
 
 def _ids_mask(ids: Sequence[int]) -> int:

@@ -10,7 +10,16 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations, permutations, product
 
-from bergefree import Digraph, Graph, Hypergraph, Pattern, is_berge_c4_free, weight
+from bergefree import (
+    BergeCycleWitness,
+    Digraph,
+    Graph,
+    Hypergraph,
+    Pattern,
+    is_berge_c4_free,
+    weight,
+)
+from bergefree.berge import distinct_representatives
 
 
 def bfs_neighborhoods(graph: Graph, v: int) -> tuple[frozenset[int], frozenset[int]]:
@@ -118,3 +127,40 @@ def max_weight_by_multisets(n: int, max_mult: int = 3) -> int:
         if is_berge_c4_free(candidate):
             best = max(best, weight(candidate))
     return best
+
+
+def canonical_c4_by_enumeration(hypergraph: Hypergraph):
+    """First Berge-C4 in canonical order, or None, by trying every 4-tuple.
+
+    Tuples (v1, v2, v3, v4) come in lexicographic order with v1 the minimum
+    and v2 < v4; each slot lists the hyperedges holding its pair, in id
+    order, and distinct_representatives picks the hyperedges in slot order.
+    """
+    n = hypergraph.n
+    for v1 in range(n):
+        for v2, v3, v4 in permutations(range(v1 + 1, n), 3):
+            if v2 > v4:
+                continue
+            cycle = (v1, v2, v3, v4)
+            slots = [[hid for hid, h in enumerate(hypergraph.hyperedges)
+                      if cycle[i] in h and cycle[(i + 1) % 4] in h]
+                     for i in range(4)]
+            chosen = distinct_representatives(slots)
+            if chosen is not None:
+                return BergeCycleWitness(cycle, tuple(chosen))
+    return None
+
+
+def plane_incidence_by_dot_products(q: int) -> frozenset[tuple[int, int]]:
+    """Incidence edges of PG(2, q): point i meets line j iff their
+    normalized coordinate triples have dot product 0 mod q."""
+    triples = [(1, a, b) for a in range(q) for b in range(q)]
+    triples.extend((0, 1, b) for b in range(q))
+    triples.append((0, 0, 1))
+    count = len(triples)
+    return frozenset(
+        (i, count + j)
+        for i, p in enumerate(triples)
+        for j, line in enumerate(triples)
+        if (p[0] * line[0] + p[1] * line[1] + p[2] * line[2]) % q == 0
+    )

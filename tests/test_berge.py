@@ -1,11 +1,17 @@
 """Berge cycle detection: examples, oracle agreement, and witness validity."""
 
+import random
+from itertools import combinations, combinations_with_replacement, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bergefree as bf
+from bergefree.berge import _hall4, distinct_representatives
+from bergefree.search import SearchState, incremental_c4_check
 from conftest import hypergraphs
+from oracles import canonical_c4_by_enumeration
 
 
 def test_loose_four_cycle_witness(loose_four_cycle):
@@ -118,6 +124,72 @@ def test_found_cycle_survives_hyperedge_addition(h, extra):
         return
     bigger = bf.Hypergraph(h.n, h.hyperedges + (extra,))
     assert bf.find_berge_cycle(bigger, 4) is not None
+
+
+def test_c4_detector_is_canonical_on_exhaustive_family():
+    # multisets of up to 5 hyperedges of size 2..4 on 4 vertices, and of
+    # up to 4 hyperedges of size 2..3 on 5 vertices
+    found = 0
+    for n, sizes, most in ((4, (2, 3, 4), 5), (5, (2, 3), 4)):
+        universe = [frozenset(c) for size in sizes for c in combinations(range(n), size)]
+        for count in range(most + 1):
+            for combo in combinations_with_replacement(universe, count):
+                h = bf.Hypergraph(n, combo)
+                expected = canonical_c4_by_enumeration(h)
+                assert bf.find_berge_cycle(h, 4) == expected, combo
+                found += expected is not None
+    assert found > 0
+
+
+def test_c4_detector_is_canonical_on_seeded_instances():
+    rng = random.Random(20240)
+    found = 0
+    for _ in range(2000):
+        n = rng.randint(4, 9)
+        h = bf.Hypergraph(n, tuple(
+            frozenset(rng.sample(range(n), rng.randint(2, min(n, 5))))
+            for _ in range(rng.randint(1, 8))))
+        expected = canonical_c4_by_enumeration(h)
+        assert bf.find_berge_cycle(h, 4) == expected, h
+        found += expected is not None
+    assert 200 < found < 1800  # both verdicts well represented
+
+
+def _replay_has_c4(h: bf.Hypergraph) -> bool:
+    # incremental_c4_check assumes the state before each push is free
+    state = SearchState(h.n)
+    return any(incremental_c4_check(state, state.push(e)) for e in h.hyperedges)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("planted", [False, True])
+def test_c4_detector_agrees_with_incremental_replay(q, planted):
+    rng = random.Random(q * 10 + planted)
+    blown = bf.blow_up(bf.projective_plane_incidence(q).graph(), 3)
+    verdicts = set()
+    for _ in range(25):
+        n = rng.randint(blown.n, 100)
+        relabel = rng.sample(range(n), blown.n)
+        kept = [frozenset(relabel[v] for v in e)
+                for e in blown.hyperedges if rng.random() < 0.7]
+        if planted:
+            cycle = rng.sample(range(n), 4)
+            for i in range(4):
+                pair = {cycle[i], cycle[(i + 1) % 4]}
+                kept.append(frozenset(pair | set(rng.sample(range(n), rng.randint(0, 3)))))
+        rng.shuffle(kept)
+        h = bf.Hypergraph(n, tuple(kept))
+        verdict = bf.find_berge_cycle(h, 4) is not None
+        assert verdict == _replay_has_c4(h)
+        verdicts.add(verdict)
+    assert verdicts == {planted}
+
+
+def test_hall4_matches_distinct_representatives():
+    # every 4-tuple of slot masks over hyperedge ids 0..3
+    for masks in product(range(16), repeat=4):
+        slots = [[hid for hid in range(4) if mask >> hid & 1] for mask in masks]
+        assert _hall4(*masks) == (distinct_representatives(slots) is not None), masks
 
 
 def test_find_c4_in_k22():

@@ -126,6 +126,14 @@ def test_lemmas_sampled_run_is_seed_deterministic(tmp_path, capsys):
     assert other["lemma_suite"]["checked_vertices"] != doc["lemma_suite"]["checked_vertices"]
 
 
+def test_lemmas_rejects_negative_sample(tmp_path, capsys):
+    src = write_hypergraph(tmp_path, "h.json", bf.Hypergraph(4, ({0, 1, 2, 3},)))
+    assert main(["lemmas", "-i", src, "--sample", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
 def test_lemmas_respects_berge_threads_env(tmp_path, capsys, monkeypatch):
     src = write_hypergraph(tmp_path, "h.json", bf.Hypergraph(4, ({0, 1, 2, 3},)))
     outputs = []
@@ -167,3 +175,32 @@ def test_bounds_table(capsys):
 
 def test_bounds_rejects_garbage(capsys):
     assert main(["bounds", "--n", "1,two"]) == 2
+
+
+def test_bounds_rejects_negative_before_printing(capsys):
+    assert main(["bounds", "--n", "5,-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def _bounds_row(capsys, n):
+    assert main(["bounds", "--n", str(n)]) == 0
+    return capsys.readouterr().out.splitlines()[1].split()
+
+
+@pytest.mark.parametrize("n", [42, 100, 798, 6000])
+def test_bounds_construction_column_matches_built_construction(capsys, n):
+    built = bf.lower_bound_construction(n)
+    assert _bounds_row(capsys, n)[-2:] == [str(built.weight), f"{built.achieved_ratio:.4f}"]
+
+
+def test_bounds_builds_no_plane(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("bounds must not build a plane")
+
+    import bergefree.cli
+    monkeypatch.setattr(bergefree.cli, "lower_bound_construction", refuse)
+    monkeypatch.setattr(bergefree.cli, "projective_plane_incidence", refuse)
+    # q = 97 is the largest prime with 6(q^2+q+1) <= 60000
+    assert _bounds_row(capsys, 60000)[-2] == str(3 * (97 * 97 + 97 + 1) * 98)

@@ -7,7 +7,7 @@ from hypothesis import given
 
 import bergefree as bf
 from conftest import graphs
-from oracles import has_c4_by_common_neighbors
+from oracles import has_c4_by_common_neighbors, plane_incidence_by_dot_products
 
 
 def test_prime_detection():
@@ -60,6 +60,11 @@ def test_heawood_girth_is_six(heawood_graph):
                     cycle_len = dist[x] + dist[y] + 1
                     best = cycle_len if best is None else min(best, cycle_len)
     assert best == 6
+
+
+@pytest.mark.parametrize("q", [q for q in range(32) if bf.is_prime(q)])
+def test_plane_incidence_matches_dot_product_definition(q):
+    assert bf.projective_plane_incidence(q).incidence.edges == plane_incidence_by_dot_products(q)
 
 
 def test_plane_rejects_non_primes():
