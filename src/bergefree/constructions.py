@@ -158,14 +158,20 @@ class LowerBoundConstruction(NamedTuple):
 
 
 def largest_fitting_prime(n: int) -> Optional[int]:
-    """Largest prime q with 6(q^2+q+1) <= n, or None."""
-    best = None
-    q = 2
-    while 6 * (q * q + q + 1) <= n:
+    """Largest prime q with 6(q^2+q+1) <= n, or None.
+
+    Starts from the largest q that fits and walks down to the first prime,
+    so the cost is one prime gap of trial divisions, not a walk from 2.
+    """
+    budget = n // 6
+    q = math.isqrt(max(budget, 0))
+    while q >= 2 and q * q + q + 1 > budget:
+        q -= 1
+    while q >= 2:
         if is_prime(q):
-            best = q
-        q += 1
-    return best
+            return q
+        q -= 1
+    return None
 
 
 def lower_bound_construction(n: int) -> LowerBoundConstruction:

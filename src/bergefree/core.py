@@ -378,11 +378,17 @@ def loads_document(text: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise FormatError("JSON nested too deeply") from exc
 
 
 def load_hypergraph(path: str) -> Hypergraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return Hypergraph.from_json_dict(loads_document(fh.read()))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    return Hypergraph.from_json_dict(loads_document(text))
 
 
 def save_hypergraph(hypergraph: Hypergraph, path: str) -> None:

@@ -6,7 +6,7 @@ import random
 from typing import Union
 
 from .core import Hypergraph
-from .search import SearchState, incremental_c4_check
+from .search import SearchState, _closes_c4
 
 
 def random_greedy_hypergraph(
@@ -30,7 +30,6 @@ def random_greedy_hypergraph(
     for _ in range(trials):
         size = rng.randint(lo, hi)
         candidate = frozenset(rng.sample(range(n), size))
-        hid = state.push(candidate)
-        if incremental_c4_check(state, hid):
-            state.pop()
+        if not _closes_c4(state, sorted(candidate), -1):
+            state.push(candidate)
     return state.to_hypergraph()

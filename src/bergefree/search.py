@@ -5,83 +5,122 @@ The search universe for n vertices is every vertex subset of size >= 4
 at most 3: a fourth copy of any such set always closes a Berge-C4, so the
 cap loses no optimum.  Candidates are ordered canonically (larger sets
 first, lexicographic within a size); a depth-first search walks multisets
-as non-decreasing candidate-index sequences, checks each added hyperedge
-incrementally for a Berge-C4 through it, and prunes with the admissible
-remaining-weight bound.  The first optimum reached in this preorder is the
-lexicographically least one under the canonical order, so results and
-witnesses are deterministic.  The search is sequential, which makes runs
-trivially independent of any worker-count setting.
+as non-decreasing candidate-index sequences and prunes with the admissible
+remaining-weight bound.  Before a candidate is pushed, one scan over the
+state's pair-coverage bitmasks decides whether it would close a Berge-C4
+with three chosen hyperedges (Hall's condition on three slot masks); the
+scan does not touch the state, so a rejected candidate is never pushed.
+The first optimum reached in this preorder is the lexicographically least
+one under the canonical order, so results and witnesses are deterministic.
+The search is sequential, which makes runs trivially independent of any
+worker-count setting.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .berge import is_berge_c4_free
 from .constructions import theoretical_bounds
-from .core import Hypergraph, iter_bits
+from .core import Hypergraph
 
 
 class SearchState:
-    """Mutable multiset of hyperedges with a pair-coverage index.
+    """Mutable multiset of hyperedges with a pair-coverage bitmask index.
 
-    push/pop maintain, per sorted vertex pair, the list of hyperedge ids
-    covering it, plus shadow adjacency bitmasks.  Ids are positions in the
-    current hyperedge list, exactly as in Hypergraph.
+    cover[u][v] == cover[v][u] is the bitmask of the ids of the hyperedges
+    holding both u and v, and adj[u] the bitmask of u's shadow neighbours.
+    Ids are positions in the current hyperedge list, exactly as in
+    Hypergraph, so pop (always of the last hyperedge) clears one bit.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.hyperedges: list[frozenset[int]] = []
-        self.cover: dict[tuple[int, int], list[int]] = {}
+        self.cover: list[list[int]] = [[0] * n for _ in range(n)]
         self.adj: list[int] = [0] * n
 
     def push(self, hyperedge: Iterable[int]) -> int:
         h = frozenset(hyperedge)
         hid = len(self.hyperedges)
         self.hyperedges.append(h)
+        bit = 1 << hid
+        cover, adj = self.cover, self.adj
         for a, b in combinations(sorted(h), 2):
-            ids = self.cover.setdefault((a, b), [])
-            ids.append(hid)
-            if len(ids) == 1:
-                self.adj[a] |= 1 << b
-                self.adj[b] |= 1 << a
+            mask = cover[a][b] | bit
+            cover[a][b] = cover[b][a] = mask
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
         return hid
 
     def pop(self) -> frozenset[int]:
         h = self.hyperedges.pop()
+        keep = ~(1 << len(self.hyperedges))
+        cover, adj = self.cover, self.adj
         for a, b in combinations(sorted(h), 2):
-            ids = self.cover[(a, b)]
-            ids.pop()
-            if not ids:
-                self.adj[a] &= ~(1 << b)
-                self.adj[b] &= ~(1 << a)
+            mask = cover[a][b] & keep
+            cover[a][b] = cover[b][a] = mask
+            if not mask:
+                adj[a] &= ~(1 << b)
+                adj[b] &= ~(1 << a)
         return h
 
     def to_hypergraph(self) -> Hypergraph:
         return Hypergraph(self.n, tuple(self.hyperedges))
 
 
-def _without(ids: list[int], hid: int) -> list[int]:
-    if not ids:
-        return ids
-    if ids[-1] == hid:
-        return ids[:-1]
-    if hid in ids:
-        return [i for i in ids if i != hid]
-    return ids
+def _closes_c4(state: SearchState, hyperedge: Sequence[int], keep_mask: int) -> bool:
+    """True iff the hyperedge (vertices ascending) on one slot and three
+    distinct state hyperedges among keep_mask close a Berge-C4.
 
-
-def _three_distinct(c1: list[int], c2: list[int], c3: list[int]) -> bool:
-    for i1 in c1:
-        for i2 in c2:
-            if i2 == i1:
+    Reads the state and never changes it.  For each pair {a, b} of the
+    hyperedge it walks the paths b - v3 - v4 - a of the shadow and accepts
+    one when the three slot masks have a system of distinct
+    representatives: Hall's condition for three sets is that each is
+    non-empty, each union of two has 2 bits and the union of all three
+    has 3.  Any Berge-C4 through the hyperedge rotates to this form.
+    """
+    adj = state.adj
+    cover = state.cover
+    for a, b in combinations(hyperedge, 2):
+        excl = (1 << a) | (1 << b)
+        row_a = cover[a]
+        row_b = cover[b]
+        adj_a = adj[a] & ~excl
+        rest3 = adj[b] & ~excl
+        while rest3:
+            low3 = rest3 & -rest3
+            rest3 ^= low3
+            v3 = low3.bit_length() - 1
+            c1 = row_b[v3] & keep_mask
+            if not c1:
                 continue
-            for i3 in c3:
-                if i3 != i1 and i3 != i2:
+            row_3 = cover[v3]
+            rest4 = adj[v3] & adj_a  # adj[v3] never holds v3 itself
+            while rest4:
+                low4 = rest4 & -rest4
+                rest4 ^= low4
+                v4 = low4.bit_length() - 1
+                c2 = row_3[v4] & keep_mask
+                if not c2:
+                    continue
+                c3 = row_a[v4] & keep_mask
+                if not c3:
+                    continue
+                pair = c1 | c2
+                if not pair & (pair - 1):
+                    continue
+                pair = c1 | c3
+                if not pair & (pair - 1):
+                    continue
+                pair = c2 | c3
+                if not pair & (pair - 1):
+                    continue
+                union = c1 | c2 | c3
+                union &= union - 1
+                if union & (union - 1):
                     return True
     return False
 
@@ -90,34 +129,10 @@ def incremental_c4_check(state: SearchState, new_hyperedge_id: int) -> bool:
     """True iff some Berge-C4 of the state uses the given hyperedge.
 
     Assumes the state without that hyperedge is Berge-C4-free, so this is
-    equivalent to a full Berge-C4 search on the whole state.  Rotating any
-    such cycle puts the new hyperedge on the slot {a, b}; the remaining
-    path b - v3 - v4 - a needs three distinct other hyperedges covering its
-    slots, checked by brute force over the pair-coverage lists.
+    equivalent to a full Berge-C4 search on the whole state.
     """
-    h = state.hyperedges[new_hyperedge_id]
-    adj = state.adj
-    cover = state.cover
-    verts = sorted(h)
-    for a, b in combinations(verts, 2):
-        excl = (1 << a) | (1 << b)
-        for v3 in iter_bits(adj[b] & ~excl):
-            key1 = (b, v3) if b < v3 else (v3, b)
-            c1 = _without(cover[key1], new_hyperedge_id)
-            if not c1:
-                continue
-            for v4 in iter_bits(adj[v3] & adj[a] & ~excl & ~(1 << v3)):
-                key2 = (v3, v4) if v3 < v4 else (v4, v3)
-                c2 = _without(cover[key2], new_hyperedge_id)
-                if not c2:
-                    continue
-                key3 = (v4, a) if v4 < a else (a, v4)
-                c3 = _without(cover[key3], new_hyperedge_id)
-                if not c3:
-                    continue
-                if _three_distinct(c1, c2, c3):
-                    return True
-    return False
+    return _closes_c4(state, sorted(state.hyperedges[new_hyperedge_id]),
+                      ~(1 << new_hyperedge_id))
 
 
 @dataclass(frozen=True)
@@ -169,6 +184,7 @@ def max_weight_exact(
         raise ValueError(f"max_mult must be >= 1, got {max_mult}")
 
     cands = candidate_universe(n)
+    cand_verts = [tuple(sorted(c)) for c in cands]
     weights = [len(c) - 3 for c in cands]
     m = len(cands)
     suffix = [0] * (m + 1)
@@ -191,10 +207,9 @@ def max_weight_exact(
                 continue
             if first_level_orbit_reps and not chosen and not is_rep[j]:
                 continue
-            hid = state.push(cands[j])
-            if incremental_c4_check(state, hid):
-                state.pop()
+            if _closes_c4(state, cand_verts[j], -1):
                 continue
+            state.push(cands[j])
             nodes += 1
             used[j] += 1
             chosen.append(j)
@@ -235,9 +250,3 @@ def compare_to_bounds(result: SearchResult) -> BoundsRow:
     """
     upper, lower = theoretical_bounds(result.n)
     return BoundsRow(result.n, result.best_weight, upper, lower)
-
-
-def timed_search(n: int, **kwargs) -> tuple[SearchResult, float]:
-    start = time.perf_counter()
-    result = max_weight_exact(n, **kwargs)
-    return result, time.perf_counter() - start

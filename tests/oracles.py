@@ -164,3 +164,36 @@ def plane_incidence_by_dot_products(q: int) -> frozenset[tuple[int, int]]:
         for j, line in enumerate(triples)
         if (p[0] * line[0] + p[1] * line[1] + p[2] * line[2]) % q == 0
     )
+
+
+
+def largest_fitting_prime_upward(n: int):
+    """Largest prime q with 6(q^2+q+1) <= n, or None, by walking every q
+    upward from 2 and reading primality off a sieve of Eratosthenes."""
+    limit = int((max(n, 0) / 6) ** 0.5) + 2  # above any fitting q
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0] = sieve[1] = 0
+    for f in range(2, limit + 1):
+        if f * f > limit:
+            break
+        if sieve[f]:
+            sieve[f * f::f] = bytes(len(range(f * f, limit + 1, f)))
+    best = None
+    q = 2
+    while 6 * (q * q + q + 1) <= n:
+        if sieve[q]:
+            best = q
+        q += 1
+    return best
+
+
+def greedy_by_full_recheck(n: int, size_range: tuple[int, int], trials: int, rng) -> Hypergraph:
+    """The greedy generator's draws, keeping each candidate only when the
+    whole hypergraph with it added passes a full Berge-C4 check."""
+    kept: tuple[frozenset[int], ...] = ()
+    for _ in range(trials):
+        size = rng.randint(*size_range)
+        candidate = frozenset(rng.sample(range(n), size))
+        if is_berge_c4_free(Hypergraph(n, kept + (candidate,))):
+            kept += (candidate,)
+    return Hypergraph(n, kept)

@@ -1,11 +1,19 @@
 """Command-line surface: exit statuses, file formats, determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
+import traceback
+from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import bergefree as bf
 from bergefree.cli import main
+from conftest import hypergraphs
 
 
 def write_hypergraph(tmp_path, name, h):
@@ -204,3 +212,100 @@ def test_bounds_builds_no_plane(capsys, monkeypatch):
     monkeypatch.setattr(bergefree.cli, "projective_plane_incidence", refuse)
     # q = 97 is the largest prime with 6(q^2+q+1) <= 60000
     assert _bounds_row(capsys, 60000)[-2] == str(3 * (97 * 97 + 97 + 1) * 98)
+
+
+# -- drawn arguments -------------------------------------------------------
+
+HUGE = [10**12, 10**18, 2**63, -(10**18)]
+ints = st.one_of(st.integers(-3, 12), st.sampled_from(HUGE))
+# plane orders and sizes stay small or non-prime: a large plane is real work
+plane_ints = st.one_of(st.integers(-3, 6), st.sampled_from([-(10**18), 10**18, 2**64]))
+plane_sizes = st.one_of(st.integers(-3, 60), st.just(-(10**18)))
+
+malformed_files = st.one_of(
+    st.binary(max_size=40),
+    st.text(max_size=40).map(str.encode),
+    st.sampled_from([
+        b"", b"[]", b"3", b"null", b'"n"', b"{}", b'{"n": 3}', b'{"hyperedges": []}',
+        b'{"n": -1, "hyperedges": []}', b'{"n": 3, "hyperedges": [[0, 3]]}',
+        b'{"n": 3, "hyperedges": [[0, 0]]}', b'{"n": 3, "hyperedges": [[true, 1]]}',
+        b'{"n": 3, "hyperedges": [[0.5, 1]]}', b'{"n": 3, "hyperedges": [["0", 1]]}',
+        b'{"n": 3, "hyperedges": {"0": [0, 1]}}', b'{"n": 3, "hyperedges": [7]}',
+        b'{"n": "3", "hyperedges": []}', b'{"n": 3, "hyperedges": [[0, 1]]',
+        b"\xff\xfe{", b"[" * 5000 + b"]" * 5000,
+    ]),
+)
+valid_files = hypergraphs(max_n=7, max_m=5, min_size=2, max_size=5).map(
+    lambda h: json.dumps(h.to_json_dict()).encode())
+files = st.one_of(valid_files, malformed_files, st.sampled_from(["missing", "directory"]))
+
+
+@st.composite
+def cli_arguments(draw):
+    """(argv with FILE/OUT placeholders, input file content or kind,
+    output file name)."""
+    command = draw(st.sampled_from(["construct", "verify", "embed", "lemmas",
+                                    "search", "bounds", "nonsense"]))
+    argv = [command]
+    if command == "construct":
+        flag, values = draw(st.sampled_from([("--q", plane_ints), ("--n", plane_sizes)]))
+        argv += [flag, str(draw(values))]
+        if draw(st.booleans()):
+            argv.append("--certify")
+        argv += ["-o", "OUT"]
+    elif command == "verify":
+        argv += ["-i", "FILE"]
+        if draw(st.booleans()):
+            argv += ["--k", str(draw(ints))]
+    elif command == "embed":
+        argv += ["-i", "FILE", "-o", "OUT"]
+    elif command == "lemmas":
+        argv += ["-i", "FILE"]
+        if draw(st.booleans()):
+            argv += ["--sample", str(draw(ints))]
+        if draw(st.booleans()):
+            argv += ["--seed", str(draw(ints))]
+    elif command == "search":
+        argv += ["--n", str(draw(st.one_of(st.integers(-3, 6), st.just(-(10**18)))))]
+        if draw(st.booleans()):
+            argv += ["--max-mult", str(draw(ints))]
+        if draw(st.booleans()):
+            argv.append("--unpruned")
+        if draw(st.booleans()):
+            argv.append("--allow-large")
+        argv += ["-o", "OUT"]
+    elif command == "bounds":
+        parts = draw(st.lists(st.one_of(ints.map(str), st.sampled_from(["", "x", "1.5", " 7"])),
+                              max_size=4))
+        argv += ["--n", ",".join(parts)]
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-o"])))
+    return argv, draw(files), draw(st.sampled_from(["out.json", "no/such/dir/out.json"]))
+
+
+@settings(max_examples=300)
+@given(cli_arguments())
+def test_cli_exit_contract_on_drawn_arguments(drawn):
+    argv, content, output = drawn
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        path = root / "input.json"
+        if content == "directory":
+            path.mkdir()
+        elif content != "missing":
+            path.write_bytes(content)
+        argv = [str(path) if a == "FILE" else str(root / output) if a == "OUT" else a
+                for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception:
+                pytest.fail(f"{argv} raised:\n{traceback.format_exc()}")
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert out.getvalue() == "", argv

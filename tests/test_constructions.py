@@ -6,13 +6,30 @@ import pytest
 from hypothesis import given
 
 import bergefree as bf
+from bergefree.constructions import largest_fitting_prime
 from conftest import graphs
-from oracles import has_c4_by_common_neighbors, plane_incidence_by_dot_products
+from oracles import (
+    has_c4_by_common_neighbors,
+    largest_fitting_prime_upward,
+    plane_incidence_by_dot_products,
+)
 
 
 def test_prime_detection():
     primes = [q for q in range(30) if bf.is_prime(q)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_largest_fitting_prime_matches_upward_walk_to_20000():
+    for n in range(-6, 20001):
+        assert largest_fitting_prime(n) == largest_fitting_prime_upward(n), n
+
+
+# 408241 is prime and 6(q^2+q+1) = 999_966_733_938 for it.
+@pytest.mark.parametrize("n", [10**8, 10**10 + 7, 999_966_733_937, 999_966_733_938,
+                               999_999_999_999, 10**12])
+def test_largest_fitting_prime_matches_upward_walk_large(n):
+    assert largest_fitting_prime(n) == largest_fitting_prime_upward(n)
 
 
 def test_plane_q2_is_heawood(heawood_graph):

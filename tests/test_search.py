@@ -1,12 +1,13 @@
 """Exact extremal search: frozen small values, oracle equality, determinism."""
 
+import copy
 import random
 
 import pytest
 
 import bergefree as bf
-from bergefree.search import SearchState, candidate_universe, incremental_c4_check
-from oracles import max_weight_by_multisets
+from bergefree.search import SearchState, _closes_c4, candidate_universe, incremental_c4_check
+from oracles import greedy_by_full_recheck, max_weight_by_multisets
 
 
 def test_candidate_universe_order():
@@ -23,12 +24,23 @@ def test_candidate_universe_order():
 def test_search_state_push_pop_roundtrip():
     state = SearchState(5)
     state.push({0, 1, 2, 3})
-    snapshot_cover = {k: list(v) for k, v in state.cover.items() if v}
+    snapshot_cover = copy.deepcopy(state.cover)
     snapshot_adj = list(state.adj)
     state.push({1, 2, 3, 4})
     state.pop()
-    assert {k: list(v) for k, v in state.cover.items() if v} == snapshot_cover
+    assert state.cover == snapshot_cover
     assert state.adj == snapshot_adj
+
+
+def test_search_state_cover_is_symmetric_bitmask_index():
+    state = SearchState(5)
+    state.push({0, 1, 2, 3})
+    state.push({1, 2, 4})
+    assert state.cover[1][2] == state.cover[2][1] == 0b11
+    assert state.cover[0][3] == 0b01
+    assert state.cover[2][4] == state.cover[4][1] == 0b10
+    assert state.cover[0][4] == 0
+    assert state.adj[4] == (1 << 1) | (1 << 2)
 
 
 def test_incremental_check_disjoint_addition():
@@ -60,6 +72,30 @@ def test_incremental_check_matches_full_recheck():
             assert incremental == full
             if incremental:
                 state.pop()  # keep the precondition: state stays free
+
+
+def test_check_before_push_matches_check_after_push():
+    """The non-mutating scan leaves the state as it was and agrees with
+    incremental_c4_check after a push and with a full recheck; states grow
+    past 64 hyperedges so the id masks pass one machine word."""
+    rng = random.Random(20261018)
+    largest = 0
+    for _ in range(24):
+        n = rng.randint(4, 60)
+        state = SearchState(n)
+        for _ in range(rng.randint(1, 150)):
+            size = rng.randint(2, min(3 if n > 30 else 5, n))
+            candidate = frozenset(rng.sample(range(n), size))
+            cover, adj = copy.deepcopy(state.cover), list(state.adj)
+            before = _closes_c4(state, sorted(candidate), -1)
+            assert state.cover == cover and state.adj == adj
+            hid = state.push(candidate)
+            assert before == incremental_c4_check(state, hid)
+            assert before == (not bf.is_berge_c4_free(state.to_hypergraph()))
+            if before:
+                state.pop()
+        largest = max(largest, len(state.hyperedges))
+    assert largest > 64
 
 
 def test_exact_value_n4():
@@ -120,6 +156,48 @@ def test_first_level_orbit_reps_preserves_value():
     pruned = bf.max_weight_exact(5, first_level_orbit_reps=True)
     assert plain.best_weight == pruned.best_weight
     assert pruned.nodes_explored <= plain.nodes_explored
+
+
+# (n, max_mult, pruned) -> (best_weight, nodes_explored, witness); the node
+# counts pin the search order, not only its result.
+PINNED_SEARCHES = {
+    (5, 1, True): (4, 13, ((0, 1, 2, 3, 4), (0, 1, 2, 3), (0, 1, 2, 4))),
+    (5, 1, False): (4, 41, ((0, 1, 2, 3, 4), (0, 1, 2, 3), (0, 1, 2, 4))),
+    (5, 2, True): (5, 43, ((0, 1, 2, 3, 4), (0, 1, 2, 3, 4), (0, 1, 2, 3))),
+    (5, 2, False): (5, 77, ((0, 1, 2, 3, 4), (0, 1, 2, 3, 4), (0, 1, 2, 3))),
+    (5, 3, True): (6, 53, ((0, 1, 2, 3, 4),) * 3),
+    (5, 3, False): (6, 83, ((0, 1, 2, 3, 4),) * 3),
+    (6, 1, True): (7, 952, ((0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4), (0, 1, 2, 3, 5))),
+    (6, 1, False): (7, 1793, ((0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4), (0, 1, 2, 3, 5))),
+    (6, 2, True): (8, 1639, ((0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4))),
+    (6, 2, False): (8, 2277, ((0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4))),
+    (6, 3, True): (9, 1808, ((0, 1, 2, 3, 4, 5),) * 3),
+    (6, 3, False): (9, 2299, ((0, 1, 2, 3, 4, 5),) * 3),
+}
+
+
+def _summary(result):
+    witness = tuple(tuple(sorted(h)) for h in result.witness.hyperedges)
+    return result.best_weight, result.nodes_explored, witness
+
+
+@pytest.mark.parametrize("n,max_mult,pruned", sorted(PINNED_SEARCHES))
+def test_search_pinned_results(n, max_mult, pruned):
+    result = bf.max_weight_exact(n, max_mult=max_mult, pruned=pruned)
+    assert _summary(result) == PINNED_SEARCHES[n, max_mult, pruned]
+
+
+def test_search_pinned_n7_orbit_reps():
+    result = bf.max_weight_exact(7, max_mult=3, first_level_orbit_reps=True)
+    assert _summary(result) == (12, 6058, ((0, 1, 2, 3, 4, 5, 6),) * 3)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_greedy_generator_matches_full_recheck_oracle(seed):
+    n = 8 + 2 * seed
+    size_range = (2, 4) if seed % 2 else (3, 6)
+    expected = greedy_by_full_recheck(n, size_range, 60, random.Random(seed))
+    assert bf.random_greedy_hypergraph(n, size_range, trials=60, rng=seed) == expected
 
 
 def test_small_hyperedges_never_help():
