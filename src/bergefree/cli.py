@@ -9,7 +9,9 @@ Commands:
     bounds    --n a,b,c
 
 Exit status is the only success/failure channel: 0 means free/pass,
-1 means a cycle or violation was found, 2 means an I/O or format problem.
+1 means a cycle or violation was found, 2 means an I/O or format problem
+or an argument too large to answer (a plane order above MAX_PLANE_ORDER,
+a bounds n beyond the proven range of is_prime).
 The BERGE_THREADS environment variable caps worker counts where the
 underlying operation supports them.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -28,12 +31,12 @@ from .constructions import (
     blow_up,
     certify_blowup_free,
     largest_fitting_prime,
-    lower_bound_construction,
     projective_plane_incidence,
     theoretical_bounds,
 )
 from .core import (
     FormatError,
+    Hypergraph,
     dumps_canonical,
     load_hypergraph,
     save_hypergraph,
@@ -49,26 +52,46 @@ EXIT_ERROR = 2
 # Run the direct Berge detector on constructions up to this many vertices.
 DETECTOR_SIZE_CAP = 100
 
+# Largest plane order construct builds: q = 97 gives about 10^6 hyperedges
+# (q = 61 already takes seconds and hundreds of MB).
+MAX_PLANE_ORDER = 97
+
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_ERROR
 
 
+def _plane_order(args: argparse.Namespace) -> int:
+    """Order of the plane construct builds: --q, or the largest prime that
+    fits on --n vertices.  Raises ValueError above MAX_PLANE_ORDER, checked
+    before any primality test on a large value."""
+    if args.q is not None:
+        if args.q > MAX_PLANE_ORDER:
+            raise ValueError(f"plane order {args.q} is above the largest supported "
+                             f"order {MAX_PLANE_ORDER}")
+        return args.q
+    # No order above isqrt(n // 6) fits; at more than twice the cap a prime
+    # between the two fits (Bertrand's postulate), so the answer is too big.
+    if math.isqrt(max(args.n, 0) // 6) <= 2 * MAX_PLANE_ORDER:
+        q = largest_fitting_prime(args.n)
+        if q is None:
+            raise ValueError(f"need n >= 42 for the smallest plane blow-up, got {args.n}")
+        if q <= MAX_PLANE_ORDER:
+            return q
+    raise ValueError(f"n={args.n} fits a plane above the largest supported "
+                     f"order {MAX_PLANE_ORDER}")
+
+
 def cmd_construct(args: argparse.Namespace) -> int:
     try:
-        if args.q is not None:
-            plane = projective_plane_incidence(args.q)
-            base = plane.graph()
-            hypergraph = blow_up(base, 3)
-            q = args.q
-        else:
-            built = lower_bound_construction(args.n)
-            hypergraph = built.hypergraph
-            q = built.q
-            base = projective_plane_incidence(q).graph()
+        q = _plane_order(args)
+        base = projective_plane_incidence(q).graph()
     except ValueError as exc:
         return _fail(str(exc))
+    hypergraph = blow_up(base, 3)
+    if args.n is not None:
+        hypergraph = Hypergraph(args.n, hypergraph.hyperedges)  # isolated padding
     if args.certify:
         certificate = certify_blowup_free(base)
         print(f"certificate: {json.dumps(certificate.to_json_dict())}", file=sys.stderr)
@@ -178,6 +201,25 @@ def cmd_search(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _bounds_row(n: int) -> str:
+    """One row of the bounds table; ValueError for an n whose plane order
+    is beyond the range is_prime decides.  That check comes first, and it
+    keeps n ** 1.5 far inside float range."""
+    construction = ""
+    ratio = ""
+    if n >= 42:
+        # weight of lower_bound_construction(n): 3 per edge of PG(2, q)
+        q = largest_fitting_prime(n)
+        built_weight = 3 * (q * q + q + 1) * (q + 1)
+        construction = str(built_weight)
+        ratio = f"{built_weight / n ** 1.5:.4f}"
+    upper, lower = theoretical_bounds(n)
+    exact = ""
+    if n <= 5:
+        exact = str(max_weight_exact(n).best_weight)
+    return f"{n:>6} {upper:>12.2f} {lower:>12.2f} {exact:>7} {construction:>13} {ratio:>8}"
+
+
 def cmd_bounds(args: argparse.Namespace) -> int:
     try:
         values = [int(part) for part in args.n.split(",") if part != ""]
@@ -186,23 +228,17 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     for n in values:
         if n < 0:
             return _fail(f"n must be >= 0, got {n}")
+    rows = []
+    for n in values:  # every row is computed before anything is printed
+        try:
+            rows.append(_bounds_row(n))
+        except ValueError as exc:
+            return _fail(f"n={n}: {exc}")
     print("asymptotic comparators (o(1) terms dropped)", file=sys.stderr)
     header = f"{'n':>6} {'upper':>12} {'lower':>12} {'exact':>7} {'construction':>13} {'ratio':>8}"
     print(header)
-    for n in values:
-        upper, lower = theoretical_bounds(n)
-        exact = ""
-        if n <= 5:
-            exact = str(max_weight_exact(n).best_weight)
-        construction = ""
-        ratio = ""
-        if n >= 42:
-            # weight of lower_bound_construction(n): 3 per edge of PG(2, q)
-            q = largest_fitting_prime(n)
-            built_weight = 3 * (q * q + q + 1) * (q + 1)
-            construction = str(built_weight)
-            ratio = f"{built_weight / n ** 1.5:.4f}"
-        print(f"{n:>6} {upper:>12.2f} {lower:>12.2f} {exact:>7} {construction:>13} {ratio:>8}")
+    for row in rows:
+        print(row)
     return EXIT_OK
 
 

@@ -21,14 +21,40 @@ from .berge import find_c4_in_graph, find_triangle
 from .core import BipartiteGraph, Graph, Hypergraph, weight
 
 
+# The strong probable-prime test to the 13 prime bases 2..41 has no
+# pseudoprime below this bound (Sorenson and Webster, "Strong pseudoprimes
+# to twelve prime bases", Math. Comp. 86 (2017)).
+PRIME_TEST_LIMIT = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(q: int) -> bool:
+    """Deterministic Miller-Rabin primality for q < PRIME_TEST_LIMIT.
+
+    Raises ValueError at or above the limit, where these bases are no
+    longer proven to decide primality.
+    """
     if q < 2:
         return False
-    f = 2
-    while f * f <= q:
-        if q % f == 0:
+    if q >= PRIME_TEST_LIMIT:
+        raise ValueError(f"primality of {q} is beyond the proven range q < {PRIME_TEST_LIMIT}")
+    for p in _PRIME_BASES:
+        if q % p == 0:
+            return q == p
+    d, s = q - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
             return False
-        f += 1
     return True
 
 
@@ -82,8 +108,8 @@ def projective_plane_incidence(q: int, verify_c4_free: bool = False) -> PlaneInc
 
     A point P lies on a line L iff the dot product P . L vanishes mod q;
     each line lists its q+1 points directly, so the build is O(q^3).
-    With verify_c4_free=True the full pair scan re-checks that no C4 slipped
-    in (it never should; a failure raises AssertionError).
+    With verify_c4_free=True the 2-path scan of find_c4_in_graph re-checks
+    that no C4 slipped in (it never should; a failure raises AssertionError).
     """
     if not is_prime(q):
         raise ValueError(f"q must be prime (prime powers unsupported), got {q}")
@@ -140,7 +166,14 @@ class BlowupCertificate:
 
 def certify_blowup_free(graph: Graph) -> BlowupCertificate:
     """Certify that blow_up(graph, 3) is Berge-C4-free, or return the
-    offending C3/C4 of the base graph."""
+    offending C3/C4 of the base graph.
+
+    Both scans walk edges rather than vertex pairs: find_triangle meets
+    each edge once and find_c4_in_graph each edge from both ends, so a
+    plane of order q costs O(q^3) mask operations.  The obstruction is the
+    first triangle (u < v, by edge order) or the C4 with the least pair
+    x < y, as a scan over every edge or vertex pair would report.
+    """
     triangle = find_triangle(graph)
     if triangle is not None:
         return BlowupCertificate(False, "triangle", triangle)
@@ -161,7 +194,8 @@ def largest_fitting_prime(n: int) -> Optional[int]:
     """Largest prime q with 6(q^2+q+1) <= n, or None.
 
     Starts from the largest q that fits and walks down to the first prime,
-    so the cost is one prime gap of trial divisions, not a walk from 2.
+    so the cost is one prime gap of primality tests, not a walk from 2.
+    Raises ValueError (from is_prime) when that q reaches PRIME_TEST_LIMIT.
     """
     budget = n // 6
     q = math.isqrt(max(budget, 0))

@@ -8,7 +8,7 @@ enumeration.  None of it shares code with the implementations it checks.
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations, permutations, product
+from itertools import combinations, compress, permutations, product
 
 from bergefree import (
     BergeCycleWitness,
@@ -85,6 +85,37 @@ def has_c4_by_common_neighbors(graph: Graph) -> bool:
             if common >= 2:
                 return True
     return False
+
+
+def c4_by_pair_scan(graph: Graph):
+    """First C4 (x, a, y, b) of a pair scan, or None: the least pair x < y
+    with two common neighbors, and its two least common neighbors a < b."""
+    nbrs = _neighbor_sets(graph)
+    for x in range(graph.n):
+        for y in range(x + 1, graph.n):
+            common = sorted(nbrs[x] & nbrs[y])
+            if len(common) >= 2:
+                return (x, common[0], y, common[1])
+    return None
+
+
+def triangle_by_sorted_edges(graph: Graph):
+    """First triangle (u, v, w) over the sorted edge list, or None: w is
+    the least common neighbor of the first edge u < v that has one."""
+    nbrs = _neighbor_sets(graph)
+    for u, v in sorted(graph.edges):
+        common = nbrs[u] & nbrs[v]
+        if common:
+            return (u, v, min(common))
+    return None
+
+
+def _neighbor_sets(graph: Graph) -> list[set[int]]:
+    nbrs = [set() for _ in range(graph.n)]
+    for u, v in graph.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
 
 
 def aux_sets_by_definition(projection: Graph, v: int) -> dict[str, set]:
@@ -166,25 +197,57 @@ def plane_incidence_by_dot_products(q: int) -> frozenset[tuple[int, int]]:
     )
 
 
-
-def largest_fitting_prime_upward(n: int):
-    """Largest prime q with 6(q^2+q+1) <= n, or None, by walking every q
-    upward from 2 and reading primality off a sieve of Eratosthenes."""
-    limit = int((max(n, 0) / 6) ** 0.5) + 2  # above any fitting q
+def prime_sieve(limit: int) -> bytearray:
+    """sieve[q] == 1 iff q is prime, for 0 <= q <= limit (Eratosthenes)."""
     sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
+    sieve[0] = 0
+    if limit >= 1:
+        sieve[1] = 0
     for f in range(2, limit + 1):
         if f * f > limit:
             break
         if sieve[f]:
             sieve[f * f::f] = bytes(len(range(f * f, limit + 1, f)))
+    return sieve
+
+
+def largest_fitting_prime_upward(n: int, start: int = 2):
+    """Largest prime q >= start with 6(q^2+q+1) <= n, or None, by walking
+    every q upward from start and reading primality off a sieve of
+    Eratosthenes over [start, limit] (segmented by the primes up to
+    sqrt(limit) when start > 2)."""
+    limit = int((max(n, 0) / 6) ** 0.5) + 2  # above any fitting q
+    start = max(start, 2)
+    if start > limit:
+        return None
+    window = bytearray([1]) * (limit - start + 1)  # window[i]: is start + i prime
+    for f in primes_up_to(int(limit ** 0.5) + 1):
+        first = max(f * f, -(-start // f) * f)
+        window[first - start::f] = bytes(len(range(first, limit + 1, f)))
     best = None
-    q = 2
+    q = start
     while 6 * (q * q + q + 1) <= n:
-        if sieve[q]:
+        if window[q - start]:
             best = q
         q += 1
     return best
+
+
+def primes_up_to(limit: int) -> list[int]:
+    return list(compress(range(limit + 1), prime_sieve(limit)))
+
+
+def is_prime_by_trial_division(q: int, primes: list[int]) -> bool:
+    """Primality of q by division by every prime up to sqrt(q); primes must
+    list, in ascending order, every prime up to sqrt(q)."""
+    if q < 2:
+        return False
+    for f in primes:
+        if f * f > q:
+            break
+        if q % f == 0:
+            return False
+    return True
 
 
 def greedy_by_full_recheck(n: int, size_range: tuple[int, int], trials: int, rng) -> Hypergraph:

@@ -56,7 +56,7 @@ def test_criterion_2_construction_identities():
         assert len(g.edges) == count * (q + 1)
         degrees, _ = bf.degree_stats(g)
         assert set(degrees) == {q + 1}
-        assert bf.find_c4_in_graph(g) is None  # full pair scan
+        assert bf.find_c4_in_graph(g) is None  # 2-path scan over every vertex
         if q <= 3:  # independent cubic-time oracle where affordable
             assert not has_c4_by_common_neighbors(g)
         blown = bf.blow_up(g, 3)

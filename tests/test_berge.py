@@ -11,7 +11,7 @@ import bergefree as bf
 from bergefree.berge import _hall4, distinct_representatives
 from bergefree.search import SearchState, incremental_c4_check
 from conftest import hypergraphs
-from oracles import canonical_c4_by_enumeration
+from oracles import c4_by_pair_scan, canonical_c4_by_enumeration, triangle_by_sorted_edges
 
 
 def test_loose_four_cycle_witness(loose_four_cycle):
@@ -220,3 +220,74 @@ def test_find_triangle():
 
 def test_heawood_graph_is_triangle_free(heawood_graph):
     assert bf.find_triangle(heawood_graph) is None
+
+
+# -- certificate scans against the pair-scan and sorted-edge oracles --------
+
+def _assert_scans_match_oracles(g):
+    """find_c4_in_graph, find_triangle and certify_blowup_free return the
+    exact tuples of the oracles; returns (triangle, c4)."""
+    triangle = triangle_by_sorted_edges(g)
+    cycle = c4_by_pair_scan(g)
+    assert bf.find_triangle(g) == triangle, g
+    assert bf.find_c4_in_graph(g) == cycle, g
+    if triangle is not None:
+        want = bf.BlowupCertificate(False, "triangle", triangle)
+    elif cycle is not None:
+        want = bf.BlowupCertificate(False, "four_cycle", cycle)
+    else:
+        want = bf.BlowupCertificate(True)
+    assert bf.certify_blowup_free(g) == want, g
+    return triangle, cycle
+
+
+def test_certificate_scans_match_oracles_on_every_small_graph():
+    outcomes = set()
+    for n in range(7):
+        pairs = list(combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            edges = frozenset(p for i, p in enumerate(pairs) if chosen >> i & 1)
+            triangle, cycle = _assert_scans_match_oracles(bf.Graph(n, edges))
+            outcomes.add((triangle is None, cycle is None))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_certificate_scans_match_oracles_on_seeded_graphs():
+    rng = random.Random(20260418)
+    found = 0
+    for _ in range(2000):
+        n = rng.randint(0, 40)
+        density = rng.choice([0.02, 0.05, 0.1, 0.2, 0.4])
+        edges = frozenset((u, v) for u, v in combinations(range(n), 2) if rng.random() < density)
+        triangle, cycle = _assert_scans_match_oracles(bf.Graph(n, edges))
+        found += cycle is not None
+    assert 200 < found < 1800  # both verdicts are well represented
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+def test_certificate_scans_match_oracles_on_planted_planes(q):
+    base = bf.projective_plane_incidence(q).graph()
+    count = q * q + q + 1  # points are 0..count-1, lines count..2count-1
+    lines_of = [[] for _ in range(count)]
+    for point, line in base.edges:
+        lines_of[point].append(line)
+    rng = random.Random(q)
+    for plant in ("none", "triangle", "four_cycle", "both", "two_cycles"):
+        edges = set(base.edges)
+        if plant in ("triangle", "both"):
+            # two points on a common line, joined: point-line-point-point
+            line = rng.choice(lines_of[rng.randrange(count)])
+            p1, p2 = rng.sample([p for p in range(count) if line in lines_of[p]], 2)
+            edges.add((min(p1, p2), max(p1, p2)))
+        for _ in range({"four_cycle": 1, "both": 1, "two_cycles": 2}.get(plant, 0)):
+            # a point joined to a line missing it: point-line-point-line
+            point = rng.randrange(count)
+            edges.add((point, rng.choice([line for line in range(count, 2 * count)
+                                          if line not in lines_of[point]])))
+        relabel = list(range(2 * count))
+        rng.shuffle(relabel)
+        g = bf.Graph(2 * count, frozenset((relabel[u], relabel[v]) for u, v in edges))
+        triangle, cycle = _assert_scans_match_oracles(g)
+        assert (triangle is not None) == (plant in ("triangle", "both"))
+        assert (cycle is not None) == (plant in ("four_cycle", "both", "two_cycles"))
+

@@ -1,9 +1,12 @@
 """Command-line surface: exit statuses, file formats, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
+import math
 import tempfile
+import time
 import traceback
 from pathlib import Path
 
@@ -12,8 +15,10 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import bergefree as bf
-from bergefree.cli import main
+from bergefree.cli import MAX_PLANE_ORDER, _plane_order, main
+from bergefree.constructions import largest_fitting_prime
 from conftest import hypergraphs
+from oracles import largest_fitting_prime_upward
 
 
 def write_hypergraph(tmp_path, name, h):
@@ -208,19 +213,85 @@ def test_bounds_builds_no_plane(capsys, monkeypatch):
         raise AssertionError("bounds must not build a plane")
 
     import bergefree.cli
-    monkeypatch.setattr(bergefree.cli, "lower_bound_construction", refuse)
+    monkeypatch.setattr(bergefree.cli, "blow_up", refuse)
     monkeypatch.setattr(bergefree.cli, "projective_plane_incidence", refuse)
     # q = 97 is the largest prime with 6(q^2+q+1) <= 60000
     assert _bounds_row(capsys, 60000)[-2] == str(3 * (97 * 97 + 97 + 1) * 98)
+
+
+def test_bounds_huge_n_matches_upward_walk(capsys):
+    n = 10**30
+    # walk upward through a window below isqrt(n / 6), where the answer lies
+    q = largest_fitting_prime_upward(n, start=math.isqrt(n // 6) - 2000)
+    assert q is not None
+    built_weight = 3 * (q * q + q + 1) * (q + 1)
+    scale = n ** 1.5
+    assert _bounds_row(capsys, n) == [str(n), f"{0.5 * scale:.2f}",
+                                      f"{scale / (2 * math.sqrt(6)):.2f}",
+                                      str(built_weight), f"{built_weight / scale:.4f}"]
+
+
+def test_bounds_refuses_n_beyond_the_primality_range_before_printing(capsys):
+    # 10^210 also overflows n ** 1.5 as a float
+    assert main(["bounds", "--n", f"42,{10**210}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+# 2^61 - 1 is prime; trial division on it ran for more than 10 s.
+HUGE_PRIME = 2**61 - 1
+
+
+@pytest.mark.parametrize("argv", [["--q", str(HUGE_PRIME)], ["--q", str(10**210)],
+                                  ["--n", str(10**30)], ["--q", "101"], ["--n", "61818"]])
+def test_construct_refuses_orders_above_the_guard(tmp_path, capsys, argv):
+    out = tmp_path / "big.json"
+    start = time.perf_counter()
+    assert main(["construct", *argv, "--certify", "-o", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error:") and str(MAX_PLANE_ORDER) in captured.err
+
+
+def test_construct_guard_runs_before_any_primality_test(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no primality test or plane build above the guard")
+
+    import bergefree.cli
+    import bergefree.constructions
+    monkeypatch.setattr(bergefree.constructions, "is_prime", refuse)
+    monkeypatch.setattr(bergefree.cli, "projective_plane_incidence", refuse)
+    for argv in (["--q", str(HUGE_PRIME)], ["--n", str(10**210)]):
+        assert main(["construct", *argv, "-o", str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_construct_guard_refuses_exactly_the_orders_above_it():
+    # 61817 is the last n whose largest fitting prime is 97 (the next is 101)
+    for n in [*range(-6, 240000, 7), 61817, 61818]:
+        args = argparse.Namespace(q=None, n=n)
+        q = largest_fitting_prime(n)
+        if q is not None and q <= MAX_PLANE_ORDER:
+            assert _plane_order(args) == q, n
+        else:
+            with pytest.raises(ValueError):
+                _plane_order(args)
 
 
 # -- drawn arguments -------------------------------------------------------
 
 HUGE = [10**12, 10**18, 2**63, -(10**18)]
 ints = st.one_of(st.integers(-3, 12), st.sampled_from(HUGE))
-# plane orders and sizes stay small or non-prime: a large plane is real work
-plane_ints = st.one_of(st.integers(-3, 6), st.sampled_from([-(10**18), 10**18, 2**64]))
-plane_sizes = st.one_of(st.integers(-3, 60), st.just(-(10**18)))
+# beyond the construct size guard, and for bounds up to beyond float range
+GUARDED = [HUGE_PRIME, 10**30, 10**210]
+bounds_ints = st.one_of(ints, st.sampled_from(GUARDED))
+# plane orders and sizes stay small, non-prime or above the size guard: a
+# large plane is real work
+plane_ints = st.one_of(st.integers(-3, 6),
+                       st.sampled_from([-(10**18), 10**18, 2**64, *GUARDED]))
+plane_sizes = st.one_of(st.integers(-3, 60), st.sampled_from([-(10**18), *GUARDED]))
 
 malformed_files = st.one_of(
     st.binary(max_size=40),
@@ -275,7 +346,8 @@ def cli_arguments(draw):
             argv.append("--allow-large")
         argv += ["-o", "OUT"]
     elif command == "bounds":
-        parts = draw(st.lists(st.one_of(ints.map(str), st.sampled_from(["", "x", "1.5", " 7"])),
+        parts = draw(st.lists(st.one_of(bounds_ints.map(str),
+                                        st.sampled_from(["", "x", "1.5", " 7"])),
                               max_size=4))
         argv += ["--n", ",".join(parts)]
     if draw(st.integers(0, 9)) == 0:

@@ -1,23 +1,70 @@
 """Projective plane incidence graphs, blow-ups, and bound comparators."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given
 
 import bergefree as bf
-from bergefree.constructions import largest_fitting_prime
+from bergefree.constructions import PRIME_TEST_LIMIT, largest_fitting_prime
 from conftest import graphs
 from oracles import (
     has_c4_by_common_neighbors,
+    is_prime_by_trial_division,
     largest_fitting_prime_upward,
     plane_incidence_by_dot_products,
+    prime_sieve,
+    primes_up_to,
 )
 
 
 def test_prime_detection():
     primes = [q for q in range(30) if bf.is_prime(q)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_is_prime_matches_sieve_to_one_million():
+    sieve = prime_sieve(10**6)
+    assert [q for q in range(-5, 10**6 + 1) if bf.is_prime(q)] == \
+        [q for q in range(10**6 + 1) if sieve[q]]
+
+
+def test_is_prime_matches_trial_division_to_10_12():
+    primes = primes_up_to(10**6)
+    rng = random.Random(12)
+    draws = [rng.randrange(10**6, 10**12) for _ in range(300)]
+    # products of two primes near 10^6 have no small factor at all
+    draws += [rng.choice(primes[-5000:]) * rng.choice(primes[-5000:]) for _ in range(50)]
+    draws += [999_999_999_989, 10**12, 408241, 999_966_733_937]
+    for q in draws:
+        assert bf.is_prime(q) == is_prime_by_trial_division(q, primes), q
+
+
+# Strong pseudoprimes to every prime base up to 2, 3, 5, 7, 11, 13, 17, 23
+# and 37 in turn; all composite, so bases 2..41 must reject each of them.
+STRONG_PSEUDOPRIMES = [2047, 1373653, 25326001, 3215031751, 2152302898747,
+                       3474749660383, 341550071728321, 3825123056546413051,
+                       318665857834031151167461]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    for q in STRONG_PSEUDOPRIMES:
+        assert not bf.is_prime(q), q
+    # the two factors of the last one, and the Mersenne prime 2^61 - 1
+    assert 399165290221 * 798330580441 == STRONG_PSEUDOPRIMES[-1]
+    assert bf.is_prime(2**61 - 1)
+
+
+def test_is_prime_refuses_beyond_its_proven_range():
+    assert 1287836182261 * 2575672364521 == PRIME_TEST_LIMIT  # a pseudoprime to 2..41
+    with pytest.raises(ValueError, match="proven range"):
+        bf.is_prime(PRIME_TEST_LIMIT)
+    # the first n on which the limit itself fits, and the n just below it
+    first = 6 * (PRIME_TEST_LIMIT ** 2 + PRIME_TEST_LIMIT + 1)
+    with pytest.raises(ValueError, match="proven range"):
+        largest_fitting_prime(first)
+    assert largest_fitting_prime(first - 1) < PRIME_TEST_LIMIT
 
 
 def test_largest_fitting_prime_matches_upward_walk_to_20000():
