@@ -42,7 +42,7 @@ busiest = max(report.rows, key=lambda row: row["d"])
 print("busiest vertex:", json.dumps(busiest))
 
 # Around one vertex, the bundle exposes the auxiliary graphs directly.
-bundle = bf.build_aux_bundle(blowup, bf.build_embedded_graph(blowup), busiest["v"])
+bundle = bf.build_aux_bundle(bf.build_embedded_graph(blowup), busiest["v"])
 print(f"v={bundle.v}: |N1|={len(bundle.n1)} |N2|={len(bundle.n2)} "
       f"|G|={len(bundle.g.edges)} |G_aux|={len(bundle.g_aux.edges)} "
       f"|B|={len(bundle.b.edges)} |B'|={len(bundle.b_prime.edges)}")

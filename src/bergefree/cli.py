@@ -12,8 +12,6 @@ Exit status is the only success/failure channel: 0 means free/pass,
 1 means a cycle or violation was found, 2 means an I/O or format problem
 or an argument too large to answer (a plane order above MAX_PLANE_ORDER,
 a bounds n beyond the proven range of is_prime).
-The BERGE_THREADS environment variable caps worker counts where the
-underlying operation supports them.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Vertices are dense integer indices 0..n-1.  A hypergraph is an ordered list
 of vertex sets; the position of a set is its stable hyperedge id, so
 multiple copies of the same set stay distinguishable (Berge cycles require
 distinct hyperedges, not distinct sets).  All types are frozen after
-construction and safe for concurrent reads.
+construction.
 
 JSON interchange formats:
 
@@ -20,7 +20,6 @@ order) so a write/read/write round trip is byte-stable.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -39,15 +38,6 @@ def iter_bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def worker_count() -> int:
-    """Worker cap from the BERGE_THREADS environment variable (default 1)."""
-    raw = os.environ.get("BERGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +328,13 @@ def _projection(graph_like: GraphLike) -> Graph:
     return graph_like
 
 
-def neighborhoods(graph_like: GraphLike, v: int) -> tuple[frozenset[int], frozenset[int]]:
-    """First and second neighborhood of v: (N1, N2).
+def neighborhood_masks(graph: Graph, v: int) -> tuple[int, int]:
+    """First and second neighborhood of v as bitmasks: (n1_mask, n2_mask).
 
-    N1 holds the vertices adjacent to v, N2 those at distance exactly two.
-    A ColoredGraph is measured through its simple projection.
+    Bit x of n1_mask is set when x is adjacent to v, bit x of n2_mask when
+    x is at distance exactly two.  Raises ValueError for a vertex outside
+    0..n-1.
     """
-    graph = _projection(graph_like)
     if not 0 <= v < graph.n:
         raise ValueError(f"vertex {v} out of range for n={graph.n}")
     masks = graph.adjacency_masks
@@ -352,7 +342,16 @@ def neighborhoods(graph_like: GraphLike, v: int) -> tuple[frozenset[int], frozen
     n2_mask = 0
     for x in iter_bits(n1_mask):
         n2_mask |= masks[x]
-    n2_mask &= ~n1_mask & ~(1 << v)
+    return n1_mask, n2_mask & ~n1_mask & ~(1 << v)
+
+
+def neighborhoods(graph_like: GraphLike, v: int) -> tuple[frozenset[int], frozenset[int]]:
+    """First and second neighborhood of v: (N1, N2).
+
+    N1 holds the vertices adjacent to v, N2 those at distance exactly two.
+    A ColoredGraph is measured through its simple projection.
+    """
+    n1_mask, n2_mask = neighborhood_masks(_projection(graph_like), v)
     return frozenset(iter_bits(n1_mask)), frozenset(iter_bits(n2_mask))
 
 

@@ -26,7 +26,6 @@ legal and only multiplicity-blind statements are asserted about them.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
@@ -39,7 +38,7 @@ from .core import (
     Graph,
     Hypergraph,
     iter_bits,
-    worker_count,
+    neighborhood_masks,
 )
 from .patterns import contains_kst
 
@@ -214,27 +213,20 @@ class AuxBundle:
     g_aux_prime: Graph
     b: BipartiteGraph
     b_prime: BipartiteGraph
-    d: Optional[Digraph] = None
 
 
-def build_aux_bundle(hypergraph: Hypergraph, colored_graph: ColoredGraph, v: int) -> AuxBundle:
+def build_aux_bundle(colored_graph: ColoredGraph, v: int) -> AuxBundle:
     """Build G, G_aux, G'_aux, B, B' around v from the colored graph.
 
     Everything is measured on the simple projection; the graphs keep the
-    hypergraph's vertex labels (vertices outside N1(v) are just isolated).
+    colored graph's vertex labels (vertices outside N1(v) are just
+    isolated).  N1(v) and N2(v) come from core.neighborhood_masks, which
+    raises ValueError for a vertex outside 0..n-1.
     """
-    if hypergraph.n != colored_graph.n:
-        raise ValueError("hypergraph and colored graph disagree on vertex count")
     proj = colored_graph.simple_projection
-    if not 0 <= v < proj.n:
-        raise ValueError(f"vertex {v} out of range for n={proj.n}")
+    n1_mask, n2_mask = neighborhood_masks(proj, v)
     masks = proj.adjacency_masks
-    n1_mask = masks[v]
     n1 = tuple(iter_bits(n1_mask))
-    n2_mask = 0
-    for x in n1:
-        n2_mask |= masks[x]
-    n2_mask &= ~n1_mask & ~(1 << v)
     n2 = tuple(iter_bits(n2_mask))
 
     g_edges = set()
@@ -344,7 +336,7 @@ def _vertex_checks(
     proj_masks: tuple[int, ...],
     v: int,
 ) -> tuple[dict, list[dict]]:
-    bundle = build_aux_bundle(hypergraph, colored_graph, v)
+    bundle = build_aux_bundle(colored_graph, v)
     d = len(bundle.n1)
     violations: list[dict] = []
     checks: dict[str, bool] = {}
@@ -417,7 +409,6 @@ def _vertex_checks(
 def verify_lemma_suite(
     hypergraph: Hypergraph,
     vertices: Optional[Iterable[int]] = None,
-    workers: Optional[int] = None,
 ) -> LemmaSuiteReport:
     """Replay the structural lemma assertions on a Berge-C4-free hypergraph.
 
@@ -426,7 +417,8 @@ def verify_lemma_suite(
     K_{2,7}-freeness of its simple projection, and per checked vertex v:
     |G| <= 3 d(v), K_{5,5}-freeness of G'_aux, |G'_aux| < d(v)^{9/5},
     the color-inclusion rule on G'_aux edges, the one-loose-edge rule on
-    N2(v), and the 2-path count identity |B| + 2|G|.
+    N2(v), and the 2-path count identity |B| + 2|G|.  A checked vertex
+    outside 0..n-1 raises ValueError.
     """
     cycle = find_berge_cycle(hypergraph, 4)
     if cycle is not None:
@@ -436,9 +428,6 @@ def verify_lemma_suite(
     masks = proj.adjacency_masks
 
     checked = tuple(sorted(set(range(proj.n) if vertices is None else vertices)))
-    for v in checked:
-        if not 0 <= v < proj.n:
-            raise ValueError(f"vertex {v} out of range for n={proj.n}")
 
     k27 = contains_kst(proj, 2, 7)
     violations: list[dict] = []
@@ -446,17 +435,9 @@ def verify_lemma_suite(
         violations.append({"check": "k27_freeness",
                            "parts": [list(k27[0]), list(k27[1])]})
 
-    workers = worker_count() if workers is None else max(1, workers)
-    if workers == 1 or len(checked) < 2:
-        results = [_vertex_checks(hypergraph, colored_graph, masks, v) for v in checked]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda v: _vertex_checks(hypergraph, colored_graph, masks, v),
-                checked,
-            ))
     rows = []
-    for row, vertex_violations in results:
+    for v in checked:
+        row, vertex_violations = _vertex_checks(hypergraph, colored_graph, masks, v)
         rows.append(row)
         violations.extend(vertex_violations)
     return LemmaSuiteReport(

@@ -12,8 +12,6 @@ with three chosen hyperedges (Hall's condition on three slot masks); the
 scan does not touch the state, so a rejected candidate is never pushed.
 The first optimum reached in this preorder is the lexicographically least
 one under the canonical order, so results and witnesses are deterministic.
-The search is sequential, which makes runs trivially independent of any
-worker-count setting.
 """
 
 from __future__ import annotations

@@ -112,7 +112,7 @@ def test_criterion_4_lemma_suite_zero_violations():
           f"{checked} random greedy instances ({elapsed:.1f}s)")
 
 
-def test_criterion_5_exact_extremal_values(monkeypatch):
+def test_criterion_5_exact_extremal_values():
     start = time.perf_counter()
     four = bf.max_weight_exact(4)
     assert four.best_weight == 3
@@ -132,10 +132,9 @@ def test_criterion_5_exact_extremal_values(monkeypatch):
                 assert bf.naive_berge_oracle(result.witness, 4) is None
     assert values[4] <= values[5] <= values[6]
 
-    # determinism across worker-count settings (the search is sequential)
+    # determinism across repeated runs
     results = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("BERGE_THREADS", threads)
+    for _ in range(2):
         results.append(bf.max_weight_exact(6))
     assert results[0] == results[1]
     elapsed = time.perf_counter() - start
@@ -161,7 +160,7 @@ def test_criterion_6_multiplicity_cap():
           f"three do not ({elapsed:.1f}s)")
 
 
-def test_criterion_7_round_trip_and_determinism(tmp_path, capsys, monkeypatch):
+def test_criterion_7_round_trip_and_determinism(tmp_path, capsys):
     start = time.perf_counter()
     # construct -> write -> read -> verify, byte-stable
     first = tmp_path / "c.json"
@@ -172,10 +171,9 @@ def test_criterion_7_round_trip_and_determinism(tmp_path, capsys, monkeypatch):
     assert main(["verify", "-i", str(first)]) == 0
     capsys.readouterr()
 
-    # seeded lemma reports: identical across executions and worker counts
+    # seeded lemma reports: identical across executions
     outputs = []
-    for threads in ("1", "1", "4"):
-        monkeypatch.setenv("BERGE_THREADS", threads)
+    for _ in range(3):
         assert main(["lemmas", "-i", str(first), "--sample", "10", "--seed", "5"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == outputs[2]
@@ -191,4 +189,4 @@ def test_criterion_7_round_trip_and_determinism(tmp_path, capsys, monkeypatch):
     assert records[0] == records[1]
     elapsed = time.perf_counter() - start
     print(f"[criterion 7] PASS: byte-stable round trip, seeded reports "
-          f"identical across runs and BERGE_THREADS in (1, 4) ({elapsed:.1f}s)")
+          f"identical across three runs ({elapsed:.1f}s)")

@@ -231,13 +231,3 @@ def test_invalid_json_reports_position():
     with pytest.raises(bf.FormatError, match="line 1"):
         bf.core.loads_document("{nope}")
 
-
-def test_worker_count_env_parsing(monkeypatch):
-    monkeypatch.delenv("BERGE_THREADS", raising=False)
-    assert bf.core.worker_count() == 1
-    monkeypatch.setenv("BERGE_THREADS", "4")
-    assert bf.core.worker_count() == 4
-    monkeypatch.setenv("BERGE_THREADS", "0")
-    assert bf.core.worker_count() == 1
-    monkeypatch.setenv("BERGE_THREADS", "many")
-    assert bf.core.worker_count() == 1

@@ -164,19 +164,17 @@ def _star_instance():
 
 
 def test_bundle_of_a_star_is_empty():
-    h, cg = _star_instance()
-    bundle = bf.build_aux_bundle(h, cg, 0)
+    _, cg = _star_instance()
+    bundle = bf.build_aux_bundle(cg, 0)
     assert bundle.n1 == (1, 2, 3, 4) and bundle.n2 == ()
     assert bundle.g.edges == bundle.g_aux.edges == frozenset()
     assert bundle.b.edges == bundle.b_prime.edges == frozenset()
-    assert bundle.d is None
 
 
 def test_bundle_of_a_single_two_path():
     # v=0 - x=1 - w=2
-    h = bf.Hypergraph(3, (frozenset({0, 1, 2}),))
     cg = bf.ColoredGraph(3, ((0, 1, 0), (1, 2, 0)))
-    bundle = bf.build_aux_bundle(h, cg, 0)
+    bundle = bf.build_aux_bundle(cg, 0)
     assert bundle.b.edges == frozenset({(1, 2)})
     assert bundle.b_prime.edges == frozenset()
     assert bundle.g_aux.edges == frozenset()
@@ -184,9 +182,8 @@ def test_bundle_of_a_single_two_path():
 
 def test_bundle_of_two_paths_sharing_the_far_end():
     # v=0 - x=1 - w=3 and v=0 - z=2 - w=3
-    h = bf.Hypergraph(4, (frozenset({0, 1, 3}), frozenset({0, 2, 3})))
     cg = bf.ColoredGraph(4, ((0, 1, 0), (1, 3, 0), (0, 2, 1), (2, 3, 1)))
-    bundle = bf.build_aux_bundle(h, cg, 0)
+    bundle = bf.build_aux_bundle(cg, 0)
     assert bundle.g_aux.edges == frozenset({(1, 2)})
     assert bundle.g_aux_prime.edges == frozenset({(1, 2)})
     assert bundle.b_prime.edges == frozenset({(1, 3), (2, 3)})
@@ -194,8 +191,10 @@ def test_bundle_of_two_paths_sharing_the_far_end():
 
 def test_bundle_rejects_out_of_range_vertex():
     h, cg = _star_instance()
-    with pytest.raises(ValueError):
-        bf.build_aux_bundle(h, cg, 5)
+    with pytest.raises(ValueError, match="vertex 5 out of range for n=5"):
+        bf.build_aux_bundle(cg, 5)
+    with pytest.raises(ValueError, match="vertex 5 out of range for n=5"):
+        bf.verify_lemma_suite(h, vertices=[0, 5])
 
 
 @settings(max_examples=120)
@@ -204,7 +203,7 @@ def test_bundle_matches_definition_scan(h):
     cg = bf.build_embedded_graph(h)
     proj = cg.simple_projection
     for v in range(h.n):
-        bundle = bf.build_aux_bundle(h, cg, v)
+        bundle = bf.build_aux_bundle(cg, v)
         want = aux_sets_by_definition(proj, v)
         assert set(bundle.n1) == want["n1"]
         assert set(bundle.n2) == want["n2"]
@@ -353,12 +352,6 @@ def test_lemma_suite_vertex_subset_and_order():
     report = bf.verify_lemma_suite(h, vertices=[3, 1])
     assert report.checked_vertices == (1, 3)
     assert [row["v"] for row in report.rows] == [1, 3]
-
-
-def test_lemma_suite_identical_across_worker_counts(heawood_blowup):
-    one = bf.verify_lemma_suite(heawood_blowup, workers=1)
-    four = bf.verify_lemma_suite(heawood_blowup, workers=4)
-    assert one.to_json_dict() == four.to_json_dict()
 
 
 def test_lemma_suite_report_json_shape(heawood_blowup):
