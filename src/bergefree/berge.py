@@ -8,26 +8,39 @@ vertex, oriented so v2 < vk), and then asks whether the k pair-slots admit
 k distinct covering hyperedges -- a system of distinct representatives over
 the slot-to-hyperedge bipartite graph, decided by backtracking.
 
-For k = 4 detection runs in two phases.  A 2-path scan (the C4 case of
-Alon, Yuster and Zwick, "Finding and counting given length cycles") first
-finds the smallest vertex a that is the minimum of some Berge-C4: every
-pair of Berge 2-paths a-b-c and a-d-c through vertices above a is tested
-with Hall's condition on its four slot masks, so a free hypergraph is
-decided without a single SDR call.  Only when such an a exists does the
-canonical enumerator run, from v1 = a alone, which yields the same witness
-as enumerating from every v1 in ascending order.
+For k = 4 detection runs in three steps.  The first two are 2-path scans
+(the C4 case of Alon, Yuster and Zwick, "Finding and counting given length
+cycles") that test pairs of Berge 2-paths with Hall's condition on their
+four slot masks, so a free hypergraph is decided without a single SDR call:
 
-Every witness a search returns is re-validated against the definition
-before it is handed out, independently of how it was found.
+1. Quotient.  Twins are vertices that lie in exactly the same hyperedges
+   (equal incidence masks); every vertex of a blow-up has two.  A Berge-C4
+   maps to a closed 4-walk on the twin classes that uses each class at
+   most as often as it has members, and every such walk whose slots admit
+   distinct hyperedges lifts back to a Berge-C4.  Scanning the classes
+   decides freeness without walking each twin's copy of every 2-path.
+   Inputs without twins skip this step.
+2. Vertex scan.  When a cycle exists, a scan over the vertices finds the
+   smallest vertex a that is the minimum of some Berge-C4.
+3. Canonical enumerator.  It runs from v1 = a alone, which yields the same
+   witness as enumerating from every v1 in ascending order.
+
+Every Berge-C4 scan lives here: the whole-hypergraph scans above and the
+exact search's check of one candidate hyperedge against its state
+(_closes_c4).  Every witness a search returns is re-validated against the
+definition before it is handed out, independently of how it was found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Optional, Sequence
+from itertools import combinations, permutations
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .core import Graph, Hypergraph, iter_bits
+
+if TYPE_CHECKING:
+    from .search import SearchState
 
 
 @dataclass(frozen=True)
@@ -107,15 +120,13 @@ def find_berge_cycle(hypergraph: Hypergraph, k: int) -> Optional[BergeCycleWitne
     m = len(hypergraph.hyperedges)
     if k > n or k > m:
         return None
+    if k == 4:
+        classes = _twin_classes(hypergraph)
+        if classes is not None and not _twin_quotient_has_c4(*classes):
+            return None
 
-    # cover_masks[u][v]: bitmask of the hyperedges holding both u and v
     cover = hypergraph.pair_cover
-    cover_masks: list[dict[int, int]] = [{} for _ in range(n)]
-    adj = [0] * n
-    for (u, v), ids in cover.items():
-        cover_masks[u][v] = cover_masks[v][u] = _ids_mask(ids)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj, cover_masks = _shadow_masks(hypergraph)
     first = range(n)
     if k == 4:
         a = _first_c4_minimum(adj, cover_masks)
@@ -165,6 +176,95 @@ def find_berge_cycle(hypergraph: Hypergraph, k: int) -> Optional[BergeCycleWitne
     return None
 
 
+def _shadow_masks(hypergraph: Hypergraph) -> tuple[list[int], list[dict[int, int]]]:
+    """Shadow adjacency masks adj and, as cover_masks[u][v], the bitmask of
+    the hyperedges holding both u and v, built from pair_cover."""
+    adj = [0] * hypergraph.n
+    cover_masks: list[dict[int, int]] = [{} for _ in range(hypergraph.n)]
+    for (u, v), ids in hypergraph.pair_cover.items():
+        cover_masks[u][v] = cover_masks[v][u] = _ids_mask(ids)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj, cover_masks
+
+
+def _twin_classes(hypergraph: Hypergraph) -> Optional[tuple[list[int], list[int], list[int]]]:
+    """Twin classes as (masks, sizes, adj), or None when no class has two
+    members.
+
+    masks[i] is the incidence mask shared by the members of class i (bit h
+    set when they lie in hyperedge h) and sizes[i] their number; vertices in
+    no hyperedge form no class.  adj[i] has bit j set when classes i != j
+    share a hyperedge, and bit i set when class i has two members, which
+    then share every hyperedge of the class.
+    """
+    incidence = [0] * hypergraph.n
+    for hid, h in enumerate(hypergraph.hyperedges):
+        bit = 1 << hid
+        for v in h:
+            incidence[v] |= bit
+    classes: dict[int, list[int]] = {}
+    for v, mask in enumerate(incidence):
+        if mask:
+            classes.setdefault(mask, []).append(v)
+    sizes = [len(members) for members in classes.values()]
+    if max(sizes, default=0) < 2:
+        return None
+    of_vertex = [0] * hypergraph.n
+    for i, members in enumerate(classes.values()):
+        for v in members:
+            of_vertex[v] = i
+    adj = [0] * len(sizes)
+    for h in hypergraph.hyperedges:
+        touched = 0
+        for v in h:
+            touched |= 1 << of_vertex[v]
+        for i in iter_bits(touched):
+            adj[i] |= touched
+    for i, size in enumerate(sizes):
+        if size < 2:
+            adj[i] &= ~(1 << i)
+    return list(classes), sizes, adj
+
+
+def _twin_quotient_has_c4(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int]) -> bool:
+    """True iff the hypergraph whose twin classes these are has a Berge-C4.
+
+    A Berge-C4 is a closed walk a, b, c, d on the classes that uses each
+    class at most as often as it has members, whose slots admit distinct
+    hyperedges.  The slot mask of two classes is masks[i] & masks[j], which
+    for two members of one class is masks[i].  Rotated so that its least
+    class a comes first, the walk is a pair of 2-paths a-b-c and a-d-c
+    through classes not below a; the two middles may be the same class,
+    so each 2-path is also paired with itself.
+    """
+    for a in range(len(masks)):
+        not_below = -1 << a
+        mask_a = masks[a]
+        middles: dict[int, list[tuple[int, int, int, int]]] = {}
+        for b in iter_bits(adj[a] & not_below):
+            mask_b = masks[b]
+            ab = mask_a & mask_b
+            for c in iter_bits(adj[b] & not_below):
+                bc = mask_b & masks[c]
+                both = ab | bc
+                if both.bit_count() < 2:
+                    continue
+                paths = middles.setdefault(c, [])
+                paths.append((b, ab, bc, both))
+                for d, da, cd, other in paths:
+                    if ((both | other).bit_count() >= 4
+                            and _fits_classes((a, b, c, d), sizes)
+                            and _hall4(ab, bc, cd, da)):
+                        return True
+    return False
+
+
+def _fits_classes(walk: tuple[int, ...], sizes: Sequence[int]) -> bool:
+    """True iff no class occurs in the walk more often than it has members."""
+    return all(walk.count(i) <= sizes[i] for i in walk)
+
+
 def _first_c4_minimum(adj: Sequence[int], cover_masks: Sequence[dict[int, int]]) -> Optional[int]:
     """Smallest vertex that is the minimum of some Berge-C4, or None.
 
@@ -207,6 +307,60 @@ def _hall4(m0: int, m1: int, m2: int, m3: int) -> bool:
     return (min((m0 | m1 | m2).bit_count(), (m0 | m1 | m3).bit_count(),
                 (m0 | m2 | m3).bit_count(), (m1 | m2 | m3).bit_count()) >= 3
             and (m0 | m1 | m2 | m3).bit_count() >= 4)
+
+
+def _closes_c4(state: SearchState, hyperedge: Sequence[int], keep_mask: int) -> bool:
+    """True iff the hyperedge (vertices ascending) on one slot and three
+    distinct state hyperedges among keep_mask close a Berge-C4.
+
+    Reads the state and never changes it.  For each pair {a, b} of the
+    hyperedge it walks the paths b - v3 - v4 - a of the shadow and accepts
+    one when the three slot masks have a system of distinct
+    representatives: Hall's condition for three sets is that each is
+    non-empty, each union of two has 2 bits and the union of all three
+    has 3.  Any Berge-C4 through the hyperedge rotates to this form.
+    """
+    adj = state.adj
+    cover = state.cover
+    for a, b in combinations(hyperedge, 2):
+        excl = (1 << a) | (1 << b)
+        row_a = cover[a]
+        row_b = cover[b]
+        adj_a = adj[a] & ~excl
+        rest3 = adj[b] & ~excl
+        while rest3:
+            low3 = rest3 & -rest3
+            rest3 ^= low3
+            v3 = low3.bit_length() - 1
+            c1 = row_b[v3] & keep_mask
+            if not c1:
+                continue
+            row_3 = cover[v3]
+            rest4 = adj[v3] & adj_a  # adj[v3] never holds v3 itself
+            while rest4:
+                low4 = rest4 & -rest4
+                rest4 ^= low4
+                v4 = low4.bit_length() - 1
+                c2 = row_3[v4] & keep_mask
+                if not c2:
+                    continue
+                c3 = row_a[v4] & keep_mask
+                if not c3:
+                    continue
+                pair = c1 | c2
+                if not pair & (pair - 1):
+                    continue
+                pair = c1 | c3
+                if not pair & (pair - 1):
+                    continue
+                pair = c2 | c3
+                if not pair & (pair - 1):
+                    continue
+                union = c1 | c2 | c3
+                union &= union - 1
+                if union & (union - 1):
+                    return True
+    return False
 
 
 def _ids_mask(ids: Sequence[int]) -> int:

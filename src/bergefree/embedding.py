@@ -304,13 +304,18 @@ def build_D(
 
 @dataclass(frozen=True)
 class LemmaSuiteReport:
-    """Per-vertex counts plus any violated structural assertion."""
+    """Per-vertex counts plus any violated structural assertion.
+
+    observation1 is the same-color check on the colored graph the suite
+    built; it has its own verdict and is left out of ok and to_json_dict.
+    """
 
     n: int
     checked_vertices: tuple[int, ...]
     k27_free: bool
     k27_witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]]
     rows: tuple[dict, ...]
+    observation1: ObservationReport
     violations: tuple[dict, ...] = field(default=())
 
     @property
@@ -413,8 +418,9 @@ def verify_lemma_suite(
     """Replay the structural lemma assertions on a Berge-C4-free hypergraph.
 
     Raises NotBergeC4FreeError (with the witness) if the input has a
-    Berge-C4.  Otherwise builds the colored graph and asserts, globally,
-    K_{2,7}-freeness of its simple projection, and per checked vertex v:
+    Berge-C4.  Otherwise builds the colored graph once, runs observation 1
+    on it, and asserts, globally, K_{2,7}-freeness of its simple
+    projection, and per checked vertex v:
     |G| <= 3 d(v), K_{5,5}-freeness of G'_aux, |G'_aux| < d(v)^{9/5},
     the color-inclusion rule on G'_aux edges, the one-loose-edge rule on
     N2(v), and the 2-path count identity |B| + 2|G|.  A checked vertex
@@ -446,5 +452,6 @@ def verify_lemma_suite(
         k27_free=k27 is None,
         k27_witness=k27,
         rows=tuple(rows),
+        observation1=verify_observation1(colored_graph),
         violations=tuple(violations),
     )

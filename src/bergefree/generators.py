@@ -6,7 +6,8 @@ import random
 from typing import Union
 
 from .core import Hypergraph
-from .search import SearchState, _closes_c4
+from .berge import _closes_c4
+from .search import SearchState
 
 
 def random_greedy_hypergraph(

@@ -7,9 +7,10 @@ cap loses no optimum.  Candidates are ordered canonically (larger sets
 first, lexicographic within a size); a depth-first search walks multisets
 as non-decreasing candidate-index sequences and prunes with the admissible
 remaining-weight bound.  Before a candidate is pushed, one scan over the
-state's pair-coverage bitmasks decides whether it would close a Berge-C4
-with three chosen hyperedges (Hall's condition on three slot masks); the
-scan does not touch the state, so a rejected candidate is never pushed.
+state's pair-coverage bitmasks (berge._closes_c4) decides whether it would
+close a Berge-C4 with three chosen hyperedges (Hall's condition on three
+slot masks); the scan does not touch the state, so a rejected candidate is
+never pushed.
 The first optimum reached in this preorder is the lexicographically least
 one under the canonical order, so results and witnesses are deterministic.
 """
@@ -18,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
-from .berge import is_berge_c4_free
+from .berge import _closes_c4, is_berge_c4_free
 from .constructions import theoretical_bounds
 from .core import Hypergraph
 
@@ -67,60 +68,6 @@ class SearchState:
 
     def to_hypergraph(self) -> Hypergraph:
         return Hypergraph(self.n, tuple(self.hyperedges))
-
-
-def _closes_c4(state: SearchState, hyperedge: Sequence[int], keep_mask: int) -> bool:
-    """True iff the hyperedge (vertices ascending) on one slot and three
-    distinct state hyperedges among keep_mask close a Berge-C4.
-
-    Reads the state and never changes it.  For each pair {a, b} of the
-    hyperedge it walks the paths b - v3 - v4 - a of the shadow and accepts
-    one when the three slot masks have a system of distinct
-    representatives: Hall's condition for three sets is that each is
-    non-empty, each union of two has 2 bits and the union of all three
-    has 3.  Any Berge-C4 through the hyperedge rotates to this form.
-    """
-    adj = state.adj
-    cover = state.cover
-    for a, b in combinations(hyperedge, 2):
-        excl = (1 << a) | (1 << b)
-        row_a = cover[a]
-        row_b = cover[b]
-        adj_a = adj[a] & ~excl
-        rest3 = adj[b] & ~excl
-        while rest3:
-            low3 = rest3 & -rest3
-            rest3 ^= low3
-            v3 = low3.bit_length() - 1
-            c1 = row_b[v3] & keep_mask
-            if not c1:
-                continue
-            row_3 = cover[v3]
-            rest4 = adj[v3] & adj_a  # adj[v3] never holds v3 itself
-            while rest4:
-                low4 = rest4 & -rest4
-                rest4 ^= low4
-                v4 = low4.bit_length() - 1
-                c2 = row_3[v4] & keep_mask
-                if not c2:
-                    continue
-                c3 = row_a[v4] & keep_mask
-                if not c3:
-                    continue
-                pair = c1 | c2
-                if not pair & (pair - 1):
-                    continue
-                pair = c1 | c3
-                if not pair & (pair - 1):
-                    continue
-                pair = c2 | c3
-                if not pair & (pair - 1):
-                    continue
-                union = c1 | c2 | c3
-                union &= union - 1
-                if union & (union - 1):
-                    return True
-    return False
 
 
 def incremental_c4_check(state: SearchState, new_hyperedge_id: int) -> bool:

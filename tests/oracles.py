@@ -2,7 +2,11 @@
 
 Everything here is deliberately naive: breadth-first distance classes,
 quadratic pair scans, full subset/permutation enumeration, and multiset
-enumeration.  None of it shares code with the implementations it checks.
+enumeration.  What is shared with the library is named where it is used:
+the data types, distinct_representatives (which test_berge checks against
+_hall4 on every mask 4-tuple), and, in greedy_by_full_recheck, the
+detector's vertex-level Berge-C4 scan, which neither the twin-class
+quotient nor the search's candidate scan uses.
 """
 
 from __future__ import annotations
@@ -16,10 +20,9 @@ from bergefree import (
     Graph,
     Hypergraph,
     Pattern,
-    is_berge_c4_free,
     weight,
 )
-from bergefree.berge import distinct_representatives
+from bergefree.berge import _first_c4_minimum, _shadow_masks, distinct_representatives
 
 
 def bfs_neighborhoods(graph: Graph, v: int) -> tuple[frozenset[int], frozenset[int]]:
@@ -146,7 +149,8 @@ def aux_sets_by_definition(projection: Graph, v: int) -> dict[str, set]:
 
 def max_weight_by_multisets(n: int, max_mult: int = 3) -> int:
     """Best Berge-C4-free weight by enumerating every multiplicity vector
-    over the size >= 4 subsets; feasible only for n <= 5."""
+    over the size >= 4 subsets, each decided by canonical_c4_by_enumeration;
+    feasible only for n <= 5."""
     cands = [frozenset(c) for size in range(4, n + 1)
              for c in combinations(range(n), size)]
     best = 0
@@ -155,7 +159,7 @@ def max_weight_by_multisets(n: int, max_mult: int = 3) -> int:
         for cand, mult in zip(cands, mults):
             hyperedges.extend([cand] * mult)
         candidate = Hypergraph(n, tuple(hyperedges))
-        if is_berge_c4_free(candidate):
+        if canonical_c4_by_enumeration(candidate) is None:
             best = max(best, weight(candidate))
     return best
 
@@ -252,11 +256,12 @@ def is_prime_by_trial_division(q: int, primes: list[int]) -> bool:
 
 def greedy_by_full_recheck(n: int, size_range: tuple[int, int], trials: int, rng) -> Hypergraph:
     """The greedy generator's draws, keeping each candidate only when the
-    whole hypergraph with it added passes a full Berge-C4 check."""
+    whole hypergraph with it added passes a full Berge-C4 check by the
+    detector's vertex-level scan."""
     kept: tuple[frozenset[int], ...] = ()
     for _ in range(trials):
         size = rng.randint(*size_range)
         candidate = frozenset(rng.sample(range(n), size))
-        if is_berge_c4_free(Hypergraph(n, kept + (candidate,))):
+        if _first_c4_minimum(*_shadow_masks(Hypergraph(n, kept + (candidate,)))) is None:
             kept += (candidate,)
     return Hypergraph(n, kept)

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bergefree as bf
-from bergefree.berge import _hall4, distinct_representatives
+from bergefree.berge import (
+    _first_c4_minimum,
+    _hall4,
+    _shadow_masks,
+    _twin_classes,
+    _twin_quotient_has_c4,
+    distinct_representatives,
+)
 from bergefree.search import SearchState, incremental_c4_check
 from conftest import hypergraphs
 from oracles import c4_by_pair_scan, canonical_c4_by_enumeration, triangle_by_sorted_edges
@@ -291,3 +298,115 @@ def test_certificate_scans_match_oracles_on_planted_planes(q):
         assert (triangle is not None) == (plant in ("triangle", "both"))
         assert (cycle is not None) == (plant in ("four_cycle", "both", "two_cycles"))
 
+
+
+# -- the twin-class quotient against the vertex-level scan ------------------
+
+def _vertex_scan_has_c4(h: bf.Hypergraph) -> bool:
+    return _first_c4_minimum(*_shadow_masks(h)) is not None
+
+
+def _assert_quotient_agrees(h: bf.Hypergraph, enumerate_witness: bool = False) -> bool:
+    """The quotient (when it runs) and find_berge_cycle agree with the
+    vertex-level scan; with enumerate_witness the witness also equals the
+    canonical enumerator's.  Returns whether h has a Berge-C4."""
+    expected = _vertex_scan_has_c4(h)
+    classes = _twin_classes(h)
+    if classes is not None:
+        assert _twin_quotient_has_c4(*classes) == expected, h
+    witness = bf.find_berge_cycle(h, 4)
+    assert (witness is not None) == expected, h
+    if enumerate_witness:
+        assert witness == canonical_c4_by_enumeration(h), h
+    return expected
+
+
+def _blow_classes(sizes, base_edges, rng):
+    """Hypergraph whose base vertex i becomes a class of sizes[i] twins, each
+    base hyperedge the union of its classes; vertex labels are shuffled."""
+    n = sum(sizes)
+    labels = rng.sample(range(n), n)
+    members, start = [], 0
+    for size in sizes:
+        members.append(labels[start:start + size])
+        start += size
+    return bf.Hypergraph(n, tuple(
+        frozenset(v for i in edge for v in members[i]) for edge in base_edges))
+
+
+def test_twin_classes_skip_isolated_vertices():
+    # vertices 3, 4, 5 lie in no hyperedge: equal (zero) masks, but no class
+    h = bf.Hypergraph(6, (frozenset({0, 1}), frozenset({1, 2})))
+    assert _twin_classes(h) is None
+    h = bf.Hypergraph(7, (frozenset({0, 1, 2}), frozenset({2, 3})))
+    masks, sizes, adj = _twin_classes(h)
+    assert masks == [0b01, 0b11, 0b10] and sizes == [2, 1, 1]
+    assert adj == [0b011, 0b101, 0b010]  # only class 0 has a loop
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_quotient_on_copies_of_one_hyperedge(size):
+    # every vertex is a twin of every other; a cycle needs 4 members and 4
+    # copies, so the class may not be used more often than it has members
+    for copies in range(1, 7):
+        h = bf.Hypergraph(size, (frozenset(range(size)),) * copies)
+        assert _assert_quotient_agrees(h, enumerate_witness=True) == (size >= 4 and copies >= 4)
+
+
+def test_quotient_on_exhaustive_class_family():
+    """Up to 3 twin classes of 1-4 members (at most 8 vertices) under every
+    multiset of up to 4 hyperedges drawn from the 7 unions of classes, so a
+    cycle may use one class up to 4 times, a class more often than it has
+    members, the same middle class on both sides, or two members of a class
+    next to each other."""
+    rng = random.Random(6)
+    unions = [edge for r in (1, 2, 3) for edge in combinations(range(3), r)]
+    bases = [combo for count in range(5)
+             for combo in combinations_with_replacement(unions, count)]
+    shapes = [sizes for sizes in product(range(1, 5), repeat=3) if sum(sizes) <= 8]
+    verdicts = set()
+    for sizes in shapes:
+        for base in bases:
+            h = _blow_classes(sizes, base, rng)
+            verdicts.add(_assert_quotient_agrees(h, enumerate_witness=h.n <= 5))
+    assert verdicts == {False, True}
+
+
+def test_quotient_on_seeded_planted_twins():
+    """Random hypergraphs whose vertices are copied into twin classes, with
+    isolated vertices and duplicated hyperedges mixed in."""
+    rng = random.Random(20261018)
+    verdicts = {False: 0, True: 0}
+    for _ in range(2000):
+        base_n = rng.randint(2, 6)
+        sizes = [rng.choice((1, 1, 2, 3, 4)) for _ in range(base_n)] + [0] * rng.randint(0, 2)
+        base = [rng.sample(range(base_n), rng.randint(1, min(base_n, 3)))
+                for _ in range(rng.randint(1, 6))]
+        base += rng.sample(base, rng.randint(0, len(base) // 2))  # duplicates
+        h = _blow_classes(sizes, base, rng)
+        verdicts[_assert_quotient_agrees(h, enumerate_witness=h.n <= 9)] += 1
+    assert min(verdicts.values()) > 400  # both verdicts well represented
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_quotient_on_relabelled_blowups(q):
+    base = bf.projective_plane_incidence(q).graph()
+    count = q * q + q + 1  # points are 0..count-1, lines count..2count-1
+    rng = random.Random(q)
+    relabel = rng.sample(range(3 * 2 * count), 3 * 2 * count)
+    edges = sorted(base.edges)
+
+    def blown(extra=()):
+        # base vertex x is the class {3x, 3x+1, 3x+2}, relabelled
+        hyperedges = [frozenset(relabel[3 * x + i] for x in edge for i in range(3))
+                      for edge in list(edges) + list(extra)]
+        rng.shuffle(hyperedges)
+        return bf.Hypergraph(6 * count, tuple(hyperedges))
+
+    assert not _assert_quotient_agrees(blown())
+    edges.pop(rng.randrange(len(edges)))
+    assert not _assert_quotient_agrees(blown())
+    # two points share a line; one more hyperedge on their classes closes
+    # a Berge-C4 that passes through two members of one class
+    p1, p2 = rng.sample(range(count), 2)
+    assert _assert_quotient_agrees(blown([(p1, p2)]))

@@ -6,7 +6,8 @@ import random
 import pytest
 
 import bergefree as bf
-from bergefree.search import SearchState, _closes_c4, candidate_universe, incremental_c4_check
+from bergefree.berge import _closes_c4
+from bergefree.search import SearchState, candidate_universe, incremental_c4_check
 from oracles import greedy_by_full_recheck, max_weight_by_multisets
 
 
