@@ -7,6 +7,14 @@ every vertex up into 3 identical copies turns each edge into a 6-vertex
 hyperedge; the resulting 6-uniform hypergraph is Berge-C4-free whenever the
 base graph has neither a C3 nor a C4, and its weight is 3 |E(G)|.
 
+Points and lines share one list of normalized triples, and P . L = 0 is
+symmetric, so the points on line j are, by index, the lines through point
+j.  projective_plane_incidence keeps these per-point line lists, ascending,
+and derives the incidence edges from them; plane_blow_up_rows walks the same
+lists, points ascending, to emit the blow-up's hyperedges as sorted rows in
+blow_up's order without building a graph, a set or a sort.  blow_up stays
+the general builder for any graph and the oracle for those rows.
+
 Only prime orders are generated; prime-power fields are out of scope and
 primes already realize the asymptotic edge density.
 """
@@ -65,13 +73,15 @@ class PlaneIncidence:
     Points and lines are nonzero coordinate triples over the q-element
     field, normalized so the first nonzero coordinate is 1.  In the
     incidence graph, point i is vertex i and line j is vertex N + j with
-    N = q^2 + q + 1.
+    N = q^2 + q + 1.  lines_through[i] lists the lines through point i in
+    ascending order; the incidence edges are derived from it.
     """
 
     q: int
     points: tuple[tuple[int, int, int], ...]
     lines: tuple[tuple[int, int, int], ...]
     incidence: BipartiteGraph
+    lines_through: tuple[tuple[int, ...], ...]
 
     def graph(self) -> Graph:
         return self.incidence.to_graph()
@@ -85,9 +95,10 @@ def _projective_triples(q: int) -> list[tuple[int, int, int]]:
 
 
 def _points_on(line: tuple[int, int, int], q: int) -> list[int]:
-    """Indices (in _projective_triples order) of the q+1 points P with
-    P . line = 0 mod q, found by solving the line equation for the last
-    free coordinate of each point form (1, a, b), (0, 1, b), (0, 0, 1)."""
+    """Ascending indices (in _projective_triples order) of the q+1 points P
+    with P . line = 0 mod q, found by solving the line equation for the
+    last free coordinate of each point form (1, a, b), (0, 1, b), (0, 0, 1).
+    By duality, passing a point gives the lines through it."""
     l0, l1, l2 = line
     square = q * q
     if l2:
@@ -115,13 +126,14 @@ def projective_plane_incidence(q: int, verify_c4_free: bool = False) -> PlaneInc
         raise ValueError(f"q must be prime (prime powers unsupported), got {q}")
     reps = _projective_triples(q)
     count = q * q + q + 1
-    edges = {(i, count + j) for j, line in enumerate(reps) for i in _points_on(line, q)}
+    lines_through = tuple(tuple(_points_on(point, q)) for point in reps)
     incidence = BipartiteGraph(
         left=tuple(range(count)),
         right=tuple(range(count, 2 * count)),
-        edges=frozenset(edges),
+        edges=frozenset((i, count + j) for i, lines in enumerate(lines_through) for j in lines),
     )
-    plane = PlaneIncidence(q=q, points=tuple(reps), lines=tuple(reps), incidence=incidence)
+    plane = PlaneIncidence(q=q, points=tuple(reps), lines=tuple(reps), incidence=incidence,
+                           lines_through=lines_through)
     if verify_c4_free:
         cycle = find_c4_in_graph(plane.graph())
         if cycle is not None:
@@ -132,7 +144,11 @@ def projective_plane_incidence(q: int, verify_c4_free: bool = False) -> PlaneInc
 def blow_up(graph: Graph, r: int) -> Hypergraph:
     """Replace each vertex u by r copies r*u..r*u+r-1; each edge uv becomes
     the 2r-vertex hyperedge copies(u) | copies(v).  Hyperedge order follows
-    the sorted edge list of the graph."""
+    the sorted edge list of the graph.
+
+    For a plane, plane_blow_up_rows owns the order of the written rows: by
+    duality its per-point line lists already list the edges sorted, and
+    blow_up(plane.graph(), 3) is the oracle it is tested against."""
     if r < 1:
         raise ValueError(f"blow-up factor must be >= 1, got {r}")
     hyperedges = []
@@ -140,6 +156,20 @@ def blow_up(graph: Graph, r: int) -> Hypergraph:
         copies = frozenset(range(r * u, r * u + r)) | frozenset(range(r * v, r * v + r))
         hyperedges.append(copies)
     return Hypergraph(r * graph.n, tuple(hyperedges))
+
+
+def plane_blow_up_rows(plane: PlaneIncidence) -> list[tuple[int, ...]]:
+    """Hyperedges of blow_up(plane.graph(), 3) as sorted vertex tuples, in
+    the same order, read straight off plane.lines_through.
+
+    Walking points i ascending and, per point, its lines j ascending lists
+    the edges (i, N + j) in sorted order.  As i < N <= N + j, the copies
+    3i..3i+2 come before 3(N+j)..3(N+j)+2, so every row is sorted too.
+    """
+    count = len(plane.points)
+    copies = [(3 * u, 3 * u + 1, 3 * u + 2) for u in range(2 * count)]
+    return [copies[i] + copies[count + j]
+            for i, lines in enumerate(plane.lines_through) for j in lines]
 
 
 @dataclass(frozen=True)
@@ -214,9 +244,7 @@ def lower_bound_construction(n: int) -> LowerBoundConstruction:
     q = largest_fitting_prime(n)
     if q is None:
         raise ValueError(f"need n >= 42 for the smallest plane blow-up, got {n}")
-    plane = projective_plane_incidence(q)
-    blown = blow_up(plane.graph(), 3)
-    padded = Hypergraph(n, blown.hyperedges)
+    padded = Hypergraph(n, plane_blow_up_rows(projective_plane_incidence(q)))
     w = weight(padded)
     return LowerBoundConstruction(padded, w / n ** 1.5, q, w)
 

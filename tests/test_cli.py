@@ -64,6 +64,92 @@ def test_construct_rejects_non_prime(tmp_path, capsys):
     assert "prime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("q", ["4", "9"])
+def test_construct_refuses_prime_powers_with_empty_stdout(tmp_path, capsys, q):
+    out = tmp_path / "x.json"
+    assert main(["construct", "--q", q, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: q must be prime (prime powers unsupported), got {q}\n"
+
+
+CERTIFIED = 'certificate: {"certified": true, "obstruction_kind": null, "obstruction": null}\n'
+DETECTED = "detector: Berge-C4-free confirmed\n"
+
+
+CONSTRUCT_PINS = [
+    (["--q", "2"], "1f1981b7636f009408159e901481052e8a85e837111eb9d9d703136e84354f6c",
+     "", "n=42 hyperedges=21 weight=63 (q=2)"),
+    (["--q", "2", "--certify"], "1f1981b7636f009408159e901481052e8a85e837111eb9d9d703136e84354f6c",
+     CERTIFIED + DETECTED, "n=42 hyperedges=21 weight=63 (q=2)"),
+    (["--q", "3"], "bba0423db920e9e008837e1bc8b01356375895ce72bac07e3d6e05d594fc761a",
+     "", "n=78 hyperedges=52 weight=156 (q=3)"),
+    (["--q", "3", "--certify"], "bba0423db920e9e008837e1bc8b01356375895ce72bac07e3d6e05d594fc761a",
+     CERTIFIED + DETECTED, "n=78 hyperedges=52 weight=156 (q=3)"),
+    (["--q", "5"], "7d1e6ec9d5dcb4187a14b8e060f13b9fc257edc3b4dbab26f055ca99ad10d4dc",
+     "", "n=186 hyperedges=186 weight=558 (q=5)"),
+    (["--q", "5", "--certify"], "7d1e6ec9d5dcb4187a14b8e060f13b9fc257edc3b4dbab26f055ca99ad10d4dc",
+     CERTIFIED, "n=186 hyperedges=186 weight=558 (q=5)"),
+    (["--q", "7"], "b91e26e5a4a00ce5ebc7484731f4ca7fd3fd3ccdb7dcdb0c7f31e2ad7c7e3d01",
+     "", "n=342 hyperedges=456 weight=1368 (q=7)"),
+    (["--q", "7", "--certify"], "b91e26e5a4a00ce5ebc7484731f4ca7fd3fd3ccdb7dcdb0c7f31e2ad7c7e3d01",
+     CERTIFIED, "n=342 hyperedges=456 weight=1368 (q=7)"),
+    (["--q", "13"], "d9a5edb971ede2777141456aea09e42bd50196103111da57d3839fe4e90804e6",
+     "", "n=1098 hyperedges=2562 weight=7686 (q=13)"),
+    (["--q", "13", "--certify"], "d9a5edb971ede2777141456aea09e42bd50196103111da57d3839fe4e90804e6",
+     CERTIFIED, "n=1098 hyperedges=2562 weight=7686 (q=13)"),
+    (["--q", "23"], "20e886491b7a6cd39c7d2ff828d03f9c8b3ab8a150cdb2758ff54f069841945f",
+     "", "n=3318 hyperedges=13272 weight=39816 (q=23)"),
+    (["--q", "23", "--certify"], "20e886491b7a6cd39c7d2ff828d03f9c8b3ab8a150cdb2758ff54f069841945f",
+     CERTIFIED, "n=3318 hyperedges=13272 weight=39816 (q=23)"),
+    (["--q", "31"], "a0a4c848dd31ba5922d57e13c8386fa187070cecfcf280721a46efbbd5b8a689",
+     "", "n=5958 hyperedges=31776 weight=95328 (q=31)"),
+    (["--q", "31", "--certify"], "a0a4c848dd31ba5922d57e13c8386fa187070cecfcf280721a46efbbd5b8a689",
+     CERTIFIED, "n=5958 hyperedges=31776 weight=95328 (q=31)"),
+    (["--n", "42"], "1f1981b7636f009408159e901481052e8a85e837111eb9d9d703136e84354f6c",
+     "", "n=42 hyperedges=21 weight=63 (q=2)"),
+    (["--n", "50"], "e681cf5250f84eff3efa591e7516d096f7dfaf3e59690c8eae208a97cf80fcdc",
+     "", "n=50 hyperedges=21 weight=63 (q=2)"),
+    (["--n", "100"], "64567c06ae886f78865dff0babcac442dc47a419be46ccf313020230d2c407ee",
+     "", "n=100 hyperedges=52 weight=156 (q=3)"),
+    (["--n", "100", "--certify"], "64567c06ae886f78865dff0babcac442dc47a419be46ccf313020230d2c407ee",
+     CERTIFIED + DETECTED, "n=100 hyperedges=52 weight=156 (q=3)"),
+    (["--n", "798"], "f118352516a84223805af7ea329e1904582d88e422d19f6ef5e1c5d4f83adfa6",
+     "", "n=798 hyperedges=1596 weight=4788 (q=11)"),
+    (["--n", "5000"], "d5dd33aa6d897d48db398f37032dc465f9566ff643da3b9603851e20caeb66d4",
+     "", "n=5000 hyperedges=13272 weight=39816 (q=23)"),
+]
+
+
+@pytest.mark.parametrize("argv, digest, checks, wrote", CONSTRUCT_PINS,
+                         ids=["_".join(arg.lstrip("-") for arg in case[0])
+                              for case in CONSTRUCT_PINS])
+def test_construct_bytes_are_pinned(tmp_path, capsys, argv, digest, checks, wrote):
+    """The written file and the stderr report are byte-stable; the digests
+    were recorded before construct wrote its rows straight from the plane."""
+    out = tmp_path / "plane.json"
+    assert main(["construct", *argv, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{checks}wrote {wrote} to {out}\n"
+
+
+def test_construct_writes_rows_without_building_a_hypergraph(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("construct above the detector cap writes the rows directly")
+
+    import bergefree.cli
+    import bergefree.constructions
+    import bergefree.core
+    monkeypatch.setattr(bergefree.constructions, "blow_up", refuse)
+    monkeypatch.setattr(bergefree.core, "save_hypergraph", refuse)
+    monkeypatch.setattr(bergefree.cli, "Hypergraph", refuse)
+    out = tmp_path / "q5.json"
+    assert main(["construct", "--q", "5", "--certify", "-o", str(out)]) == 0
+    assert bf.weight(bf.load_hypergraph(str(out))) == 558
+
+
 def test_construct_round_trip_is_byte_stable(tmp_path):
     first = tmp_path / "a.json"
     assert main(["construct", "--q", "3", "-o", str(first)]) == 0
@@ -221,7 +307,10 @@ def test_bounds_builds_no_plane(capsys, monkeypatch):
         raise AssertionError("bounds must not build a plane")
 
     import bergefree.cli
-    monkeypatch.setattr(bergefree.cli, "blow_up", refuse)
+    import bergefree.constructions
+    monkeypatch.setattr(bergefree.constructions, "blow_up", refuse)
+    monkeypatch.setattr(bergefree.constructions, "projective_plane_incidence", refuse)
+    monkeypatch.setattr(bergefree.cli, "plane_blow_up_rows", refuse)
     monkeypatch.setattr(bergefree.cli, "projective_plane_incidence", refuse)
     # q = 97 is the largest prime with 6(q^2+q+1) <= 60000
     assert _bounds_row(capsys, 60000)[-2] == str(3 * (97 * 97 + 97 + 1) * 98)
@@ -271,6 +360,7 @@ def test_construct_guard_runs_before_any_primality_test(tmp_path, capsys, monkey
     import bergefree.constructions
     monkeypatch.setattr(bergefree.constructions, "is_prime", refuse)
     monkeypatch.setattr(bergefree.cli, "projective_plane_incidence", refuse)
+    monkeypatch.setattr(bergefree.cli, "plane_blow_up_rows", refuse)
     for argv in (["--q", str(HUGE_PRIME)], ["--n", str(10**210)]):
         assert main(["construct", *argv, "-o", str(tmp_path / "x.json")]) == 2
     assert capsys.readouterr().out == ""

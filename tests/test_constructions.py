@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 
 import bergefree as bf
-from bergefree.constructions import PRIME_TEST_LIMIT, largest_fitting_prime
+from bergefree.constructions import PRIME_TEST_LIMIT, _points_on, largest_fitting_prime
 from conftest import graphs
 from oracles import (
     has_c4_by_common_neighbors,
@@ -126,9 +126,33 @@ def test_heawood_girth_is_six(heawood_graph):
     assert best == 6
 
 
-@pytest.mark.parametrize("q", [q for q in range(32) if bf.is_prime(q)])
+PRIMES_TO_31 = [q for q in range(32) if bf.is_prime(q)]
+
+
+@pytest.mark.parametrize("q", PRIMES_TO_31)
 def test_plane_incidence_matches_dot_product_definition(q):
     assert bf.projective_plane_incidence(q).incidence.edges == plane_incidence_by_dot_products(q)
+
+
+@pytest.mark.parametrize("q", PRIMES_TO_31)
+def test_lines_through_a_point_are_the_points_on_its_dual_line(q):
+    plane = bf.projective_plane_incidence(q)
+    count = len(plane.points)
+    by_point = [[] for _ in range(count)]
+    for i, line_vertex in plane.incidence.edges:
+        by_point[i].append(line_vertex - count)
+    for i, point in enumerate(plane.points):
+        lines = _points_on(point, q)
+        assert lines == sorted(by_point[i])
+        assert plane.lines_through[i] == tuple(lines)
+
+
+@pytest.mark.parametrize("q", PRIMES_TO_31)
+def test_plane_blow_up_rows_match_blow_up_oracle(q):
+    plane = bf.projective_plane_incidence(q)
+    rows = bf.plane_blow_up_rows(plane)
+    oracle = bf.blow_up(plane.graph(), 3)
+    assert [list(row) for row in rows] == [sorted(h) for h in oracle.hyperedges]
 
 
 def test_plane_rejects_non_primes():
