@@ -8,22 +8,26 @@ vertex, oriented so v2 < vk), and then asks whether the k pair-slots admit
 k distinct covering hyperedges -- a system of distinct representatives over
 the slot-to-hyperedge bipartite graph, decided by backtracking.
 
-For k = 4 detection runs in three steps.  The first two are 2-path scans
-(the C4 case of Alon, Yuster and Zwick, "Finding and counting given length
-cycles") that test pairs of Berge 2-paths with Hall's condition on their
-four slot masks, so a free hypergraph is decided without a single SDR call:
+Every k runs through one twin gate before that enumeration:
 
-1. Quotient.  Twins are vertices that lie in exactly the same hyperedges
-   (equal incidence masks); every vertex of a blow-up has two.  A Berge-C4
-   maps to a closed 4-walk on the twin classes that uses each class at
+1. Twin gate.  Twins are vertices that lie in exactly the same hyperedges
+   (equal incidence masks); every vertex of a blow-up has two.  A Berge-Ck
+   maps to a closed k-walk on the twin classes that uses each class at
    most as often as it has members, and every such walk whose slots admit
-   distinct hyperedges lifts back to a Berge-C4.  Scanning the classes
-   decides freeness without walking each twin's copy of every 2-path.
-   Inputs without twins skip this step.
-2. Vertex scan.  When a cycle exists, a scan over the vertices finds the
-   smallest vertex a that is the minimum of some Berge-C4.
-3. Canonical enumerator.  It runs from v1 = a alone, which yields the same
-   witness as enumerating from every v1 in ascending order.
+   distinct hyperedges lifts back to a Berge-Ck.  Searching the walks on
+   the classes decides freeness without walking each twin's copy of every
+   vertex path.  For k = 4 the search is a 2-path scan (the C4 case of
+   Alon, Yuster and Zwick, "Finding and counting given length cycles")
+   that tests pairs of class 2-paths with Hall's condition on their four
+   slot masks, so a free input needs no SDR call; for every other k it is
+   a depth-first search over closed walks that asks for an SDR only when
+   a walk's slots cover k hyperedges.  Inputs without twins skip the gate.
+2. Vertex search.  When the gate finds a cycle, or was skipped, the
+   enumeration above builds the witness, so witnesses do not depend on
+   the gate.  For k = 4 a 2-path scan over the vertices first finds the
+   smallest vertex a that is the minimum of some Berge-C4, and the
+   enumeration runs from v1 = a alone, which yields the same witness as
+   enumerating from every v1 in ascending order.
 
 Every Berge-C4 scan lives here: the whole-hypergraph scans above and the
 exact search's check of one candidate hyperedge against its state
@@ -112,22 +116,26 @@ def find_berge_cycle(hypergraph: Hypergraph, k: int) -> Optional[BergeCycleWitne
 
     Canonical order: cycles are keyed by their vertex sequence with the
     minimum vertex first and v2 < vk; sequences are generated
-    lexicographically, so the returned witness is deterministic.
+    lexicographically, so the returned witness is deterministic.  When the
+    hypergraph has twins, its twin classes decide freeness first, and only
+    an input they find a cycle in is searched vertex by vertex.
     """
     if k < 2:
         raise ValueError(f"Berge cycle length must be >= 2, got {k}")
-    n = hypergraph.n
-    m = len(hypergraph.hyperedges)
-    if k > n or k > m:
+    if k > hypergraph.n or k > len(hypergraph.hyperedges):
         return None
-    if k == 4:
-        classes = _twin_classes(hypergraph)
-        if classes is not None and not _twin_quotient_has_c4(*classes):
-            return None
+    classes = _twin_classes(hypergraph)
+    if classes is not None and not _twin_quotient_has_cycle(*classes, k):
+        return None
+    return _first_vertex_cycle(hypergraph, k)
 
+
+def _first_vertex_cycle(hypergraph: Hypergraph, k: int) -> Optional[BergeCycleWitness]:
+    """find_berge_cycle without the twin-class gate: the vertex-level
+    search, for k = 4 started at the minimum _first_c4_minimum finds."""
     cover = hypergraph.pair_cover
     adj, cover_masks = _shadow_masks(hypergraph)
-    first = range(n)
+    first = range(hypergraph.n)
     if k == 4:
         a = _first_c4_minimum(adj, cover_masks)
         if a is None:
@@ -225,6 +233,82 @@ def _twin_classes(hypergraph: Hypergraph) -> Optional[tuple[list[int], list[int]
         if size < 2:
             adj[i] &= ~(1 << i)
     return list(classes), sizes, adj
+
+
+def _twin_quotient_has_cycle(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int],
+                             k: int) -> bool:
+    """True iff the hypergraph whose twin classes these are has a Berge-Ck:
+    the 2-path Hall scan for k = 4, the closed-walk search otherwise."""
+    if k == 4:
+        return _twin_quotient_has_c4(masks, sizes, adj)
+    return _twin_quotient_has_walk(masks, sizes, adj, k)
+
+
+def _twin_quotient_has_walk(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int],
+                            k: int) -> bool:
+    """True iff the hypergraph whose twin classes these are has a Berge-Ck.
+
+    A Berge-Ck is a closed walk c1, ..., ck on the classes that uses each
+    class at most as often as it has members, whose slots admit distinct
+    hyperedges: its vertices are distinct and h_i lies in the incidence
+    masks of both ends of slot i.  Conversely distinct members can be given
+    to the occurrences of each class.  The slot mask of two classes is
+    masks[i] & masks[j], which for two members of one class is masks[i]
+    (reached through the loop bit of adj).  Rotated so that its least class
+    a comes first, and of its two directions the one with c2 <= ck, the
+    walk runs through classes not below a.  A prefix whose slots cover
+    fewer hyperedges than it has slots is cut.
+    """
+    walk = [0] * k
+    slots = [0] * k
+    count = [0] * len(masks)
+
+    def extend(depth: int, not_below: int, union: int) -> bool:
+        # walk[0..depth-1] fixed; slots[0..depth-2] hold its slots, union their union.
+        last = walk[depth - 1]
+        mask_last = masks[last]
+        candidates = adj[last] & not_below
+        if depth == k - 1:
+            a = walk[0]
+            candidates &= adj[a]  # the last class closes the walk
+            if k > 2:
+                candidates &= -1 << walk[1]  # orientation: keep only c2 <= ck
+            mask_a = masks[a]
+            for c in iter_bits(candidates):
+                if count[c] == sizes[c]:
+                    continue
+                slot = mask_last & masks[c]
+                closing = masks[c] & mask_a
+                if (union | slot | closing).bit_count() < k:
+                    continue
+                slots[depth - 1] = slot
+                slots[depth] = closing
+                if distinct_representatives([list(iter_bits(s)) for s in slots]) is not None:
+                    return True
+            return False
+        for c in iter_bits(candidates):
+            if count[c] == sizes[c]:
+                continue
+            slot = mask_last & masks[c]
+            new_union = union | slot
+            if new_union.bit_count() < depth:
+                continue  # fewer distinct hyperedges than slots: dead prefix
+            walk[depth] = c
+            slots[depth - 1] = slot
+            count[c] += 1
+            found = extend(depth + 1, not_below, new_union)
+            count[c] -= 1
+            if found:
+                return True
+        return False
+
+    for a in range(len(masks)):
+        walk[0] = a
+        count[a] = 1
+        if extend(1, -1 << a, 0):
+            return True
+        count[a] = 0
+    return False
 
 
 def _twin_quotient_has_c4(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int]) -> bool:

@@ -165,21 +165,28 @@ def max_weight_by_multisets(n: int, max_mult: int = 3) -> int:
 
 
 def canonical_c4_by_enumeration(hypergraph: Hypergraph):
-    """First Berge-C4 in canonical order, or None, by trying every 4-tuple.
+    """First Berge-C4 in canonical order, or None; see
+    canonical_cycle_by_enumeration."""
+    return canonical_cycle_by_enumeration(hypergraph, 4)
 
-    Tuples (v1, v2, v3, v4) come in lexicographic order with v1 the minimum
-    and v2 < v4; each slot lists the hyperedges holding its pair, in id
-    order, and distinct_representatives picks the hyperedges in slot order.
+
+def canonical_cycle_by_enumeration(hypergraph: Hypergraph, k: int):
+    """First Berge-Ck in canonical order, or None, by trying every k-tuple.
+
+    Tuples (v1, ..., vk) come in lexicographic order with v1 the minimum
+    and v2 < vk when k > 2; each slot lists the hyperedges holding its
+    pair, in id order, and distinct_representatives picks the hyperedges
+    in slot order.
     """
     n = hypergraph.n
     for v1 in range(n):
-        for v2, v3, v4 in permutations(range(v1 + 1, n), 3):
-            if v2 > v4:
+        for rest in permutations(range(v1 + 1, n), k - 1):
+            if k > 2 and rest[0] > rest[-1]:
                 continue
-            cycle = (v1, v2, v3, v4)
+            cycle = (v1,) + rest
             slots = [[hid for hid, h in enumerate(hypergraph.hyperedges)
-                      if cycle[i] in h and cycle[(i + 1) % 4] in h]
-                     for i in range(4)]
+                      if cycle[i] in h and cycle[(i + 1) % k] in h]
+                     for i in range(k)]
             chosen = distinct_representatives(slots)
             if chosen is not None:
                 return BergeCycleWitness(cycle, tuple(chosen))

@@ -1,24 +1,29 @@
 """Berge cycle detection: examples, oracle agreement, and witness validity."""
 
 import random
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bergefree as bf
+from bergefree import berge
 from bergefree.berge import (
-    _first_c4_minimum,
+    _first_vertex_cycle,
     _hall4,
-    _shadow_masks,
     _twin_classes,
-    _twin_quotient_has_c4,
+    _twin_quotient_has_cycle,
     distinct_representatives,
 )
 from bergefree.search import SearchState, incremental_c4_check
 from conftest import hypergraphs
-from oracles import c4_by_pair_scan, canonical_c4_by_enumeration, triangle_by_sorted_edges
+from oracles import (
+    c4_by_pair_scan,
+    canonical_c4_by_enumeration,
+    canonical_cycle_by_enumeration,
+    triangle_by_sorted_edges,
+)
 
 
 def test_loose_four_cycle_witness(loose_four_cycle):
@@ -300,31 +305,34 @@ def test_certificate_scans_match_oracles_on_planted_planes(q):
 
 
 
-# -- the twin-class quotient against the vertex-level scan ------------------
+# -- the twin-class gate against the vertex-level search -------------------
 
-def _vertex_scan_has_c4(h: bf.Hypergraph) -> bool:
-    return _first_c4_minimum(*_shadow_masks(h)) is not None
+CYCLE_LENGTHS = (2, 3, 4, 5, 6)
 
 
-def _assert_quotient_agrees(h: bf.Hypergraph, enumerate_witness: bool = False) -> bool:
-    """The quotient (when it runs) and find_berge_cycle agree with the
-    vertex-level scan; with enumerate_witness the witness also equals the
-    canonical enumerator's.  Returns whether h has a Berge-C4."""
-    expected = _vertex_scan_has_c4(h)
+def _assert_quotient_agrees(h: bf.Hypergraph, k: int = 4, oracle: bool = False) -> bool:
+    """The twin gate (when it runs) agrees with the vertex-level search,
+    which never runs it, and find_berge_cycle returns that search's witness;
+    with oracle the witness also equals the canonical enumerator's and, up
+    to 7 vertices, the verdict naive_berge_oracle's.  Returns whether h has
+    a Berge-Ck."""
+    expected = _first_vertex_cycle(h, k)
     classes = _twin_classes(h)
     if classes is not None:
-        assert _twin_quotient_has_c4(*classes) == expected, h
-    witness = bf.find_berge_cycle(h, 4)
-    assert (witness is not None) == expected, h
-    if enumerate_witness:
-        assert witness == canonical_c4_by_enumeration(h), h
-    return expected
+        assert _twin_quotient_has_cycle(*classes, k) == (expected is not None), (k, h)
+    assert bf.find_berge_cycle(h, k) == expected, (k, h)
+    if oracle:
+        assert canonical_cycle_by_enumeration(h, k) == expected, (k, h)
+        if h.n <= 7:
+            assert (bf.naive_berge_oracle(h, k) is None) == (expected is None), (k, h)
+    return expected is not None
 
 
-def _blow_classes(sizes, base_edges, rng):
+def _blow_classes(sizes, base_edges, rng, isolated=0):
     """Hypergraph whose base vertex i becomes a class of sizes[i] twins, each
-    base hyperedge the union of its classes; vertex labels are shuffled."""
-    n = sum(sizes)
+    base hyperedge the union of its classes, plus isolated vertices; vertex
+    labels are shuffled."""
+    n = sum(sizes) + isolated
     labels = rng.sample(range(n), n)
     members, start = [], 0
     for size in sizes:
@@ -346,11 +354,27 @@ def test_twin_classes_skip_isolated_vertices():
 
 @pytest.mark.parametrize("size", range(1, 7))
 def test_quotient_on_copies_of_one_hyperedge(size):
-    # every vertex is a twin of every other; a cycle needs 4 members and 4
-    # copies, so the class may not be used more often than it has members
-    for copies in range(1, 7):
-        h = bf.Hypergraph(size, (frozenset(range(size)),) * copies)
-        assert _assert_quotient_agrees(h, enumerate_witness=True) == (size >= 4 and copies >= 4)
+    # every vertex is a twin of every other; a Berge-Ck needs k members and
+    # k copies, so the class may not be used more often than it has members
+    for k in CYCLE_LENGTHS:
+        for copies in range(1, 7):
+            h = bf.Hypergraph(size, (frozenset(range(size)),) * copies)
+            assert _assert_quotient_agrees(h, k, oracle=True) == (size >= k and copies >= k)
+
+
+@pytest.mark.parametrize("hyperedges, classes", [
+    # {0, 1} are twins in all three hyperedges, {2} in the first two: the
+    # only Berge-C3, 0 -2- 1 -0- 2 -1- 0, walks class 0 twice in a row
+    (({0, 1, 2}, {0, 1, 2}, {0, 1}), ([0b111, 0b011], [2, 1])),
+    # the same with the classes swapped: the only closed 3-walk from the
+    # least class, 0 1 1, ties c2 == c3
+    (({0, 1, 2}, {0, 1, 2}, {1, 2}), ([0b011, 0b111], [1, 2])),
+])
+def test_quotient_walks_two_members_of_one_class_in_a_row(hyperedges, classes):
+    h = bf.Hypergraph(4, tuple(frozenset(e) for e in hyperedges))  # vertex 3 isolated
+    masks, sizes, _ = _twin_classes(h)
+    assert (masks, sizes) == classes
+    assert _assert_quotient_agrees(h, 3, oracle=True)
 
 
 def test_quotient_on_exhaustive_class_family():
@@ -368,33 +392,80 @@ def test_quotient_on_exhaustive_class_family():
     for sizes in shapes:
         for base in bases:
             h = _blow_classes(sizes, base, rng)
-            verdicts.add(_assert_quotient_agrees(h, enumerate_witness=h.n <= 5))
+            verdicts.add(_assert_quotient_agrees(h, 4, oracle=h.n <= 5))
+    assert verdicts == {False, True}
+
+
+def _class_family(largest, counts, fewest_vertices):
+    """(sizes, base) for 3 twin classes of 1 to largest members, at least
+    fewest_vertices and at most 8 vertices in all, under every multiset of
+    hyperedges (unions of classes) whose size is in counts: one pair per
+    orbit under renaming the classes, which only relabels vertices."""
+    unions = [edge for r in (1, 2, 3) for edge in combinations(range(3), r)]
+    renamings = list(permutations(range(3)))
+
+    def renamed(sizes, base, to):
+        moved = [0] * 3
+        for i, size in enumerate(sizes):
+            moved[to[i]] = size
+        return tuple(moved), tuple(sorted(tuple(sorted(to[i] for i in e)) for e in base))
+
+    for sizes in product(range(1, largest + 1), repeat=3):
+        if not fewest_vertices <= sum(sizes) <= 8:
+            continue
+        for count in counts:
+            for base in combinations_with_replacement(unions, count):
+                key = renamed(sizes, base, (0, 1, 2))
+                if all(key <= renamed(sizes, base, to) for to in renamings):
+                    yield sizes, base
+
+
+@pytest.mark.parametrize("k, largest, counts", [
+    (2, 2, range(5)), (3, 3, range(5)), (5, 3, (5,)), (6, 3, (6,))])
+def test_quotient_walks_on_exhaustive_class_family(k, largest, counts):
+    """The family above at the other cycle lengths, up to renaming the
+    classes: classes of 1 to largest members (a Berge-Ck uses a class at
+    most k times), and for k >= 5 exactly the k hyperedges a Berge-Ck uses
+    on at least k vertices."""
+    rng = random.Random(k)
+    verdicts = set()
+    for sizes, base in _class_family(largest, counts, min(counts)):
+        h = _blow_classes(sizes, base, rng)
+        verdicts.add(_assert_quotient_agrees(h, k, oracle=h.n <= 5))
     assert verdicts == {False, True}
 
 
 def test_quotient_on_seeded_planted_twins():
     """Random hypergraphs whose vertices are copied into twin classes, with
-    isolated vertices and duplicated hyperedges mixed in."""
-    rng = random.Random(20261018)
-    verdicts = {False: 0, True: 0}
-    for _ in range(2000):
-        base_n = rng.randint(2, 6)
-        sizes = [rng.choice((1, 1, 2, 3, 4)) for _ in range(base_n)] + [0] * rng.randint(0, 2)
-        base = [rng.sample(range(base_n), rng.randint(1, min(base_n, 3)))
-                for _ in range(rng.randint(1, 6))]
-        base += rng.sample(base, rng.randint(0, len(base) // 2))  # duplicates
-        h = _blow_classes(sizes, base, rng)
-        verdicts[_assert_quotient_agrees(h, enumerate_witness=h.n <= 9)] += 1
-    assert min(verdicts.values()) > 400  # both verdicts well represented
+    isolated vertices and duplicated hyperedges mixed in, at every cycle
+    length; the brute-force oracles run where they are cheap."""
+    for k, runs, most_edges, oracle_n in ((2, 800, 6, 7), (3, 800, 6, 7), (4, 2000, 6, 9),
+                                          (5, 600, 8, 6), (6, 400, 8, 5)):
+        rng = random.Random(20261018 + k)
+        verdicts = {False: 0, True: 0}
+        for _ in range(runs):
+            base_n = rng.randint(2, 6)
+            sizes = [rng.choice((1, 1, 2, 3, 4)) for _ in range(base_n)]
+            base = [rng.sample(range(base_n), rng.randint(1, min(base_n, 3)))
+                    for _ in range(rng.randint(1, most_edges))]
+            base += rng.sample(base, rng.randint(0, len(base) // 2))  # duplicates
+            h = _blow_classes(sizes, base, rng, isolated=rng.randint(0, 2))
+            oracle = h.n <= oracle_n and len(h.hyperedges) <= 12
+            verdicts[_assert_quotient_agrees(h, k, oracle=oracle)] += 1
+        assert min(verdicts.values()) > runs // 5, k  # both verdicts well represented
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_quotient_on_relabelled_blowups(q):
+    """Blow-ups are Berge-C4- and C5-free, with and without one hyperedge,
+    and have cycles of lengths 2, 3 and 6; every length is checked up to
+    q = 3, where the vertex-level search still decides C5-freeness quickly."""
     base = bf.projective_plane_incidence(q).graph()
     count = q * q + q + 1  # points are 0..count-1, lines count..2count-1
     rng = random.Random(q)
     relabel = rng.sample(range(3 * 2 * count), 3 * 2 * count)
     edges = sorted(base.edges)
+    lengths = CYCLE_LENGTHS if q <= 3 else (4,)
 
     def blown(extra=()):
         # base vertex x is the class {3x, 3x+1, 3x+2}, relabelled
@@ -403,10 +474,56 @@ def test_quotient_on_relabelled_blowups(q):
         rng.shuffle(hyperedges)
         return bf.Hypergraph(6 * count, tuple(hyperedges))
 
-    assert not _assert_quotient_agrees(blown())
+    h = blown()
+    for k in lengths:
+        assert _assert_quotient_agrees(h, k) == (k not in (4, 5))
     edges.pop(rng.randrange(len(edges)))
-    assert not _assert_quotient_agrees(blown())
+    h = blown()
+    for k in lengths:
+        assert _assert_quotient_agrees(h, k) == (k not in (4, 5))
     # two points share a line; one more hyperedge on their classes closes
-    # a Berge-C4 that passes through two members of one class
+    # a Berge-C4 that passes through two members of one class, and a
+    # Berge-C5 through all three members of one point's class
     p1, p2 = rng.sample(range(count), 2)
-    assert _assert_quotient_agrees(blown([(p1, p2)]))
+    h = blown([(p1, p2)])
+    for k in lengths:
+        assert _assert_quotient_agrees(h, k)
+
+
+# -- where the twin gate runs ----------------------------------------------
+
+@pytest.mark.parametrize("k", CYCLE_LENGTHS)
+def test_twin_free_input_never_enters_the_class_search(k, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("class search ran on a twin-free input")
+
+    monkeypatch.setattr(berge, "_twin_quotient_has_walk", refuse)
+    monkeypatch.setattr(berge, "_twin_quotient_has_c4", refuse)
+    # loose cycles: every vertex lies in its own set of hyperedges
+    for length in range(3, 9):
+        h = bf.Hypergraph(2 * length, tuple(
+            frozenset({i, (i + 1) % length, length + i}) for i in range(length)))
+        assert _twin_classes(h) is None
+        witness = bf.find_berge_cycle(h, k)
+        assert (witness is not None) == (length == k)
+        assert witness == _first_vertex_cycle(h, k)
+    rng = random.Random(k)
+    checked = 0
+    while checked < 50:
+        n = rng.randint(max(k, 4), 9)
+        h = bf.Hypergraph(n, tuple(frozenset(rng.sample(range(n), rng.randint(2, 4)))
+                                   for _ in range(rng.randint(k, 8))))
+        if _twin_classes(h) is None:
+            assert bf.find_berge_cycle(h, k) == _first_vertex_cycle(h, k)
+            checked += 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("k", [4, 5])
+def test_free_blowup_never_reaches_the_vertex_search(q, k, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the vertex-level search ran on a free blow-up")
+
+    monkeypatch.setattr(berge, "_shadow_masks", refuse)
+    h = bf.blow_up(bf.projective_plane_incidence(q).graph(), 3)
+    assert bf.find_berge_cycle(h, k) is None

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import random
 import tempfile
 import time
 import traceback
@@ -168,6 +169,86 @@ def test_verify_reports_witness_with_status_one(loose_file, capsys):
 def test_verify_other_cycle_lengths(loose_file):
     assert main(["verify", "-i", loose_file, "--k", "3"]) == 0
     assert main(["verify", "-i", loose_file, "--k", "8"]) == 0
+
+
+def _relabelled_blowup(q):
+    """The 3-fold blow-up of PG(2, q) with shuffled vertex labels and
+    hyperedge order."""
+    blown = bf.blow_up(bf.projective_plane_incidence(q).graph(), 3)
+    rng = random.Random(q)
+    image = rng.sample(range(blown.n), blown.n)
+    hyperedges = [frozenset(image[v] for v in h) for h in blown.hyperedges]
+    rng.shuffle(hyperedges)
+    return bf.Hypergraph(blown.n, tuple(hyperedges))
+
+
+def _planted(k, seed):
+    """About 70% of the q = 3 blow-up's hyperedges on 78 to 100 shuffled
+    vertices, plus a Berge-Ck whose hyperedges carry 0-3 extra vertices."""
+    rng = random.Random(seed)
+    blown = bf.blow_up(bf.projective_plane_incidence(3).graph(), 3)
+    n = rng.randint(blown.n, 100)
+    image = rng.sample(range(n), blown.n)
+    kept = [frozenset(image[v] for v in h) for h in blown.hyperedges if rng.random() < 0.7]
+    cycle = rng.sample(range(n), k)
+    for i in range(k):
+        pair = {cycle[i], cycle[(i + 1) % k]}
+        kept.append(frozenset(pair | set(rng.sample(range(n), rng.randint(0, 3)))))
+    rng.shuffle(kept)
+    return bf.Hypergraph(n, tuple(kept))
+
+
+@pytest.fixture(scope="module")
+def pinned_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pinned")
+    built = {"q3": _relabelled_blowup(3), "q5": _relabelled_blowup(5)}
+    for k in (3, 5):
+        for seed in (1, 2):
+            built[f"c{k}s{seed}"] = _planted(k, seed)
+    return {name: write_hypergraph(root, f"{name}.json", h) for name, h in built.items()}
+
+
+@pytest.mark.parametrize("name, k, status, digest", [
+    ("q3", 2, 1, "8bed82414167d8d83e08830c22d824131bb73aa8bbac0a7b181612c253ff2f30"),
+    ("q3", 3, 1, "db2b091bd4ec2955c62791eae0304207bcd03eeae3c7b4e417351f2f1241aa39"),
+    ("q3", 5, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("q3", 6, 1, "de4a1c580e843de81bdc2bd846778b7c7b82774525ccb461d657a93cddad8059"),
+    ("q5", 2, 1, "13113711d5b0c1682fe53f9f0d2b13f8c1325ede03ffd3979a70f254ad0754eb"),
+    ("q5", 3, 1, "958da93d750c7825cda983366adeec73c1da3d90b963d74c442263e9c78556e5"),
+    ("q5", 5, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("q5", 6, 1, "5de4448afe61cd077af63c6070b005c7a7cd27906d93ff59ff6db0a65a3d5eda"),
+    ("c3s1", 2, 1, "6a0084c05c7fd95f83b14ac9fbef6a2a1db6c9a4f459d3532e75b70d55242429"),
+    ("c3s1", 3, 1, "4fcaf642b03cdec7124c59b8c00ca8109aa3623dbabb72f95eba08aaf6db4f82"),
+    ("c3s1", 5, 1, "b3041150bda210e4295fcec666096d091597c681f03a6174bf21000daaef03b1"),
+    ("c3s1", 6, 1, "589badd37b0a73685ffd4d52b411023599bd2a018a566dc93e6e6b4e330e2535"),
+    ("c3s2", 2, 1, "f6aa0f8c0a60b64e9c05957def0ab2e452885a0b8ffd4b130f12a795dbad6ac9"),
+    ("c3s2", 3, 1, "66ef85b13a6bf98e1432bfc5275bf3ce8a715c75f0c221ca47f3ba433ab5f686"),
+    ("c3s2", 5, 1, "66139e8c3590f1e3f2df3b1d4547f68d62719992fe8e3a6f8e7accd1ecf3d86a"),
+    ("c3s2", 6, 1, "e174c4a671f4565e31e13992cdaa674b79505f9c199ab993ec7a6a654b012646"),
+    ("c5s1", 2, 1, "ae0caf95335a7d49241cf84be660d7210c82d8fc8fa0ffdbe8817f0e6385037a"),
+    ("c5s1", 3, 1, "7aab9ccfcd0d4993efcc95e7552fd075abc77583ea651449ccb6ad8d470985ff"),
+    ("c5s1", 5, 1, "51b787b62fb11b175f659cb39be9fbdfceec1759c94b4fdaec34f59ff33edae6"),
+    ("c5s1", 6, 1, "6fc4fb2dc15ecf6c3d051b7dbd5a0cd3dfc0dad2429a306c4345f1cd83b3e2c9"),
+    ("c5s2", 2, 1, "5e11d6552c49e4dafdbabdd3f7f406ea457e2079a620eea4a800176cb85ee512"),
+    ("c5s2", 3, 1, "9a187cbc5e497d491192284ca492d9b4a7479901640a65129930103903a4b4d5"),
+    ("c5s2", 5, 1, "6c0c50db01b9c431fbbc39791638826e0314c6a73d9e125255772f343bca5719"),
+    ("c5s2", 6, 1, "246d8767a78b1a790aa2dd2ababc7e4200561316fe975bcdacbfafc93c9091dc"),
+])
+def test_verify_witness_bytes_are_pinned(pinned_inputs, capsys, name, k, status, digest):
+    """verify --k K prints the same witness bytes and exit status as before
+    the twin-class gate ran for every k: q3/q5 are relabelled blow-ups,
+    cKsS a planted Berge-Ck on a subset of the q = 3 blow-up."""
+    assert main(["verify", "-i", pinned_inputs[name], "--k", str(k)]) == status
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_decides_the_q7_blowup_c5_free(tmp_path, capsys):
+    src = write_hypergraph(tmp_path, "q7.json", _relabelled_blowup(7))
+    assert main(["verify", "-i", src, "--k", "5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Berge-C5-free" in captured.err
 
 
 def test_verify_missing_file(tmp_path, capsys):
