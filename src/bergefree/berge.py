@@ -30,9 +30,14 @@ Every k runs through one twin gate before that enumeration:
    enumerating from every v1 in ascending order.
 
 Every Berge-C4 scan lives here: the whole-hypergraph scans above and the
-exact search's check of one candidate hyperedge against its state
-(_closes_c4).  Every witness a search returns is re-validated against the
-definition before it is handed out, independently of how it was found.
+scans of a search state's pair-coverage bitmasks.  Both state scans walk
+the shadow paths b - v3 - v4 - a that a pair {a, b} would close
+(_pair_closes).  _closing_pairs marks every pair that closes one, once per
+node of the exact search, which then tests each candidate with one AND;
+_closes_c4 checks one hyperedge's pairs and serves the greedy generator and
+search.incremental_c4_check, and is the oracle for _closing_pairs.  Every
+witness a search returns is re-validated against the definition before it
+is handed out, independently of how it was found.
 """
 
 from __future__ import annotations
@@ -397,53 +402,90 @@ def _closes_c4(state: SearchState, hyperedge: Sequence[int], keep_mask: int) -> 
     """True iff the hyperedge (vertices ascending) on one slot and three
     distinct state hyperedges among keep_mask close a Berge-C4.
 
-    Reads the state and never changes it.  For each pair {a, b} of the
-    hyperedge it walks the paths b - v3 - v4 - a of the shadow and accepts
-    one when the three slot masks have a system of distinct
-    representatives: Hall's condition for three sets is that each is
-    non-empty, each union of two has 2 bits and the union of all three
-    has 3.  Any Berge-C4 through the hyperedge rotates to this form.
+    Reads the state and never changes it.  Any Berge-C4 through the
+    hyperedge rotates to a path b - v3 - v4 - a of the shadow closed by a
+    pair {a, b} of the hyperedge (see _pair_closes).
     """
     adj = state.adj
     cover = state.cover
     for a, b in combinations(hyperedge, 2):
-        excl = (1 << a) | (1 << b)
-        row_a = cover[a]
-        row_b = cover[b]
-        adj_a = adj[a] & ~excl
-        rest3 = adj[b] & ~excl
-        while rest3:
-            low3 = rest3 & -rest3
-            rest3 ^= low3
-            v3 = low3.bit_length() - 1
-            c1 = row_b[v3] & keep_mask
-            if not c1:
+        if _pair_closes(cover, adj, a, b, keep_mask):
+            return True
+    return False
+
+
+def _closing_pairs(state: SearchState, known: int) -> int:
+    """Bitmask of the vertex pairs that close a Berge-C4 with three
+    distinct state hyperedges: bit a*n + b (a < b) is set iff some path
+    b - v3 - v4 - a passes _pair_closes.  A new hyperedge closes a
+    Berge-C4 with the state iff it holds one of these pairs, so the exact
+    search computes the mask once per node and tests each candidate's
+    pairs against it with one AND.
+
+    Pairs set in known are kept and not scanned again.  The set only grows
+    as hyperedges are pushed (ids are list positions, so a state's paths
+    survive in every state grown from it), so the mask of any prefix state
+    is a valid seed.  Reads the state and never changes it.
+    """
+    n = state.n
+    adj = state.adj
+    cover = state.cover
+    closing = known
+    for a in range(n - 1):
+        if not adj[a]:
+            continue
+        base = a * n
+        for b in range(a + 1, n):
+            bit = 1 << (base + b)
+            if not closing & bit and _pair_closes(cover, adj, a, b, -1):
+                closing |= bit
+    return closing
+
+
+def _pair_closes(cover: Sequence[Sequence[int]], adj: Sequence[int], a: int, b: int,
+                 keep_mask: int) -> bool:
+    """True iff some path b - v3 - v4 - a of the shadow has three slot
+    masks (restricted to keep_mask) with a system of distinct
+    representatives, so a hyperedge holding a and b closes a Berge-C4.
+    Hall's condition for three sets is that each is non-empty, each union
+    of two has 2 bits and the union of all three has 3."""
+    excl = (1 << a) | (1 << b)
+    row_a = cover[a]
+    row_b = cover[b]
+    adj_a = adj[a] & ~excl
+    rest3 = adj[b] & ~excl
+    while rest3:
+        low3 = rest3 & -rest3
+        rest3 ^= low3
+        v3 = low3.bit_length() - 1
+        c1 = row_b[v3] & keep_mask
+        if not c1:
+            continue
+        row_3 = cover[v3]
+        rest4 = adj[v3] & adj_a  # adj[v3] never holds v3 itself
+        while rest4:
+            low4 = rest4 & -rest4
+            rest4 ^= low4
+            v4 = low4.bit_length() - 1
+            c2 = row_3[v4] & keep_mask
+            if not c2:
                 continue
-            row_3 = cover[v3]
-            rest4 = adj[v3] & adj_a  # adj[v3] never holds v3 itself
-            while rest4:
-                low4 = rest4 & -rest4
-                rest4 ^= low4
-                v4 = low4.bit_length() - 1
-                c2 = row_3[v4] & keep_mask
-                if not c2:
-                    continue
-                c3 = row_a[v4] & keep_mask
-                if not c3:
-                    continue
-                pair = c1 | c2
-                if not pair & (pair - 1):
-                    continue
-                pair = c1 | c3
-                if not pair & (pair - 1):
-                    continue
-                pair = c2 | c3
-                if not pair & (pair - 1):
-                    continue
-                union = c1 | c2 | c3
-                union &= union - 1
-                if union & (union - 1):
-                    return True
+            c3 = row_a[v4] & keep_mask
+            if not c3:
+                continue
+            pair = c1 | c2
+            if not pair & (pair - 1):
+                continue
+            pair = c1 | c3
+            if not pair & (pair - 1):
+                continue
+            pair = c2 | c3
+            if not pair & (pair - 1):
+                continue
+            union = c1 | c2 | c3
+            union &= union - 1
+            if union & (union - 1):
+                return True
     return False
 
 

@@ -34,7 +34,7 @@ from .constructions import (
 )
 from .core import FormatError, Hypergraph, dumps_canonical, load_hypergraph
 from .embedding import NotBergeC4FreeError, build_embedded_graph, verify_lemma_suite
-from .search import max_weight_exact
+from .search import GUARD_MAX_N, max_weight_exact
 
 EXIT_OK = 0
 EXIT_FOUND = 1
@@ -169,6 +169,9 @@ def cmd_lemmas(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    if args.n > GUARD_MAX_N and not args.allow_large:
+        return _fail(f"n={args.n} exceeds the guard n <= {GUARD_MAX_N}; "
+                     "pass --allow-large to override")
     try:
         start = time.perf_counter()
         result = max_weight_exact(
@@ -281,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unpruned", action="store_true",
                    help="disable the admissible bound (cross-check mode)")
     p.add_argument("--allow-large", action="store_true",
-                   help="override the n <= 7 guard")
+                   help=f"override the n <= {GUARD_MAX_N} guard")
     p.add_argument("-o", "--output", default="search_results.jsonl",
                    help="JSON-lines results file (appended)")
     p.set_defaults(func=cmd_search)

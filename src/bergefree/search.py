@@ -6,11 +6,14 @@ at most 3: a fourth copy of any such set always closes a Berge-C4, so the
 cap loses no optimum.  Candidates are ordered canonically (larger sets
 first, lexicographic within a size); a depth-first search walks multisets
 as non-decreasing candidate-index sequences and prunes with the admissible
-remaining-weight bound.  Before a candidate is pushed, one scan over the
-state's pair-coverage bitmasks (berge._closes_c4) decides whether it would
-close a Berge-C4 with three chosen hyperedges (Hall's condition on three
-slot masks); the scan does not touch the state, so a rejected candidate is
-never pushed.
+remaining-weight bound.  A candidate closes a Berge-C4 with three chosen
+hyperedges exactly when one of its vertex pairs {a, b} ends a shadow path
+b - v3 - v4 - a whose three slot masks pass Hall's condition, and that set
+of closing pairs does not depend on the candidate.  So each node scans the
+state's pair-coverage bitmasks once for it (berge._closing_pairs, starting
+from the parent node's mask, since the set only grows) and rejects a
+candidate with one AND of its pair bitmask against the node's mask, before
+the candidate is ever pushed.
 The first optimum reached in this preorder is the lexicographically least
 one under the canonical order, so results and witnesses are deterministic.
 """
@@ -21,9 +24,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .berge import _closes_c4, is_berge_c4_free
+from .berge import _closes_c4, _closing_pairs, is_berge_c4_free
 from .constructions import theoretical_bounds
 from .core import Hypergraph
+
+
+GUARD_MAX_N = 7  # largest n max_weight_exact searches without allow_large
 
 
 class SearchState:
@@ -109,11 +115,15 @@ def max_weight_exact(
 ) -> SearchResult:
     """Exact extremal weight on n vertices with a witness hypergraph.
 
-    Guarded to n <= 7 unless allow_large is set (the universe grows as
-    2^n and the search is exponential on top of that).  n < 4 has an empty
+    Guarded to n <= GUARD_MAX_N (7) unless allow_large is set (the universe
+    grows as 2^n and the search is exponential on top of that).  n < 4 has an empty
     universe and answers trivially.  pruned=False disables the admissible
     remaining-weight bound and enumerates every Berge-C4-free multiset,
     which serves as the cross-check oracle at small n.
+    Each node computes its closing-pair mask (berge._closing_pairs, seeded
+    with the parent node's mask) once, at its first candidate that passes
+    the bound, multiplicity and orbit tests; a candidate is rejected when
+    one of its vertex pairs is in the mask.
     first_level_orbit_reps restricts the first (canonically smallest)
     candidate to one representative per size class -- a relabeling argument
     shows some optimum survives; the best weight is unchanged but the
@@ -121,15 +131,15 @@ def max_weight_exact(
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n > 7 and not allow_large:
+    if n > GUARD_MAX_N and not allow_large:
         raise ValueError(
-            f"n={n} exceeds the guard (4 <= n <= 7); pass allow_large=True to override"
+            f"n={n} exceeds the guard n <= {GUARD_MAX_N}; pass allow_large=True to override"
         )
     if max_mult < 1:
         raise ValueError(f"max_mult must be >= 1, got {max_mult}")
 
     cands = candidate_universe(n)
-    cand_verts = [tuple(sorted(c)) for c in cands]
+    pair_bits = [sum(1 << (a * n + b) for a, b in combinations(sorted(c), 2)) for c in cands]
     weights = [len(c) - 3 for c in cands]
     m = len(cands)
     suffix = [0] * (m + 1)
@@ -143,8 +153,9 @@ def max_weight_exact(
     best = {"weight": 0, "multiset": ()}
     nodes = 0
 
-    def walk(min_idx: int, current_weight: int) -> None:
+    def walk(min_idx: int, current_weight: int, parent_closing: int) -> None:
         nonlocal nodes
+        closing = None
         for j in range(min_idx, m):
             if pruned and current_weight + suffix[j] <= best["weight"]:
                 break
@@ -152,7 +163,9 @@ def max_weight_exact(
                 continue
             if first_level_orbit_reps and not chosen and not is_rep[j]:
                 continue
-            if _closes_c4(state, cand_verts[j], -1):
+            if closing is None:
+                closing = _closing_pairs(state, parent_closing)
+            if pair_bits[j] & closing:
                 continue
             state.push(cands[j])
             nodes += 1
@@ -162,12 +175,12 @@ def max_weight_exact(
             if new_weight > best["weight"]:
                 best["weight"] = new_weight
                 best["multiset"] = tuple(chosen)
-            walk(j, new_weight)
+            walk(j, new_weight, closing)
             chosen.pop()
             used[j] -= 1
             state.pop()
 
-    walk(0, 0)
+    walk(0, 0, 0)
     witness = Hypergraph(n, tuple(cands[j] for j in best["multiset"]))
     if not is_berge_c4_free(witness):
         raise AssertionError("search produced a witness with a Berge-C4")

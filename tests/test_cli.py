@@ -347,7 +347,9 @@ def test_search_appends_jsonl(tmp_path, capsys):
 
 def test_search_guard_maps_to_exit_two(tmp_path, capsys):
     assert main(["search", "--n", "9", "-o", str(tmp_path / "r.jsonl")]) == 2
-    assert "allow_large" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--allow-large" in err and "n <= 7" in err
+    assert "Traceback" not in err
 
 
 def test_bounds_table(capsys):

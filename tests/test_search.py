@@ -2,11 +2,12 @@
 
 import copy
 import random
+from itertools import combinations
 
 import pytest
 
 import bergefree as bf
-from bergefree.berge import _closes_c4
+from bergefree.berge import _closes_c4, _closing_pairs
 from bergefree.search import SearchState, candidate_universe, incremental_c4_check
 from oracles import greedy_by_full_recheck, max_weight_by_multisets
 
@@ -99,6 +100,66 @@ def test_check_before_push_matches_check_after_push():
     assert largest > 64
 
 
+def _pair_bits(verts, n):
+    return sum(1 << (a * n + b) for a, b in combinations(sorted(verts), 2))
+
+
+def _assert_closing_pairs_agree(state, prefix_masks, candidates):
+    """The state's closing-pair mask, seeded with 0 or with the mask of any
+    prefix state, answers _closes_c4 for every candidate and every pair."""
+    n = state.n
+    closing = _closing_pairs(state, 0)
+    assert closing < 1 << (n * n)
+    for known in prefix_masks:
+        assert _closing_pairs(state, known) == closing
+    for a, b in combinations(range(n), 2):
+        assert bool(closing >> (a * n + b) & 1) == _closes_c4(state, (a, b), -1)
+    for cand in candidates:
+        verts = sorted(cand)
+        assert bool(_pair_bits(verts, n) & closing) == _closes_c4(state, verts, -1)
+
+
+def test_closing_pairs_matches_closes_c4():
+    """The per-node mask the exact search tests candidates against is the
+    oracle's predicate, on states grown by random pushes that keep them
+    free; each state is checked after every push."""
+    rng = random.Random(20261019)
+    for _ in range(30):
+        n = rng.randint(4, 9)
+        candidates = candidate_universe(n)
+        state = SearchState(n)
+        prefix_masks = [0]
+        for _ in range(rng.randint(1, 8)):
+            hid = state.push(frozenset(rng.sample(range(n), rng.randint(2, n))))
+            if incremental_c4_check(state, hid):
+                state.pop()
+                continue
+            _assert_closing_pairs_agree(state, prefix_masks, candidates)
+            prefix_masks.append(_closing_pairs(state, 0))
+
+
+def test_closing_pairs_past_one_machine_word():
+    """Hyperedge ids pass one machine word: 64 copies of star edges (a
+    star has no path of three edges, so they close nothing) take ids 0-63,
+    and every closing pair of the small hyperedges pushed after them uses
+    an id above 63."""
+    rng = random.Random(7)
+    n = 20
+    state = SearchState(n)
+    for i in range(64):
+        state.push((0, 1 + i % 16))
+    prefix_masks = [_closing_pairs(state, 0)]
+    assert prefix_masks == [0]
+    while len(state.hyperedges) < 100:
+        candidate = sorted(rng.sample(range(n), rng.randint(2, 3)))
+        if not _closes_c4(state, candidate, -1):
+            state.push(candidate)
+            if len(state.hyperedges) % 8 == 0:
+                prefix_masks.append(_closing_pairs(state, 0))
+    samples = [rng.sample(range(n), rng.randint(2, 6)) for _ in range(300)]
+    _assert_closing_pairs_agree(state, prefix_masks, samples)
+
+
 def test_exact_value_n4():
     result = bf.max_weight_exact(4)
     assert result.best_weight == 3
@@ -188,9 +249,25 @@ def test_search_pinned_results(n, max_mult, pruned):
     assert _summary(result) == PINNED_SEARCHES[n, max_mult, pruned]
 
 
+# (max_mult, first_level_orbit_reps) -> (best_weight, nodes_explored,
+# witness) at n = 7; the orbit-rep rows are the search workload's n = 7 jobs.
+PINNED_N7_SEARCHES = {
+    (1, True): (10, 4926, ((0, 1, 2, 3, 4, 5, 6), (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 6))),
+    (2, True): (11, 5859, ((0, 1, 2, 3, 4, 5, 6), (0, 1, 2, 3, 4, 5, 6), (0, 1, 2, 3, 4, 5))),
+    (3, True): (12, 6058, ((0, 1, 2, 3, 4, 5, 6),) * 3),
+    (3, False): (12, 42735, ((0, 1, 2, 3, 4, 5, 6),) * 3),
+}
+
+
 def test_search_pinned_n7_orbit_reps():
     result = bf.max_weight_exact(7, max_mult=3, first_level_orbit_reps=True)
-    assert _summary(result) == (12, 6058, ((0, 1, 2, 3, 4, 5, 6),) * 3)
+    assert _summary(result) == PINNED_N7_SEARCHES[3, True]
+
+
+@pytest.mark.parametrize("max_mult,orbit_reps", [(1, True), (2, True), (3, False)])
+def test_search_pinned_n7(max_mult, orbit_reps):
+    result = bf.max_weight_exact(7, max_mult=max_mult, first_level_orbit_reps=orbit_reps)
+    assert _summary(result) == PINNED_N7_SEARCHES[max_mult, orbit_reps]
 
 
 @pytest.mark.parametrize("seed", range(20))
