@@ -1,10 +1,11 @@
 """Exact extremal values at small n by exhaustive branch-and-bound.
 
 The search walks multisets of size >= 4 vertex subsets (multiplicity at
-most 3: a fourth copy always closes a Berge-C4).  Before adding a
-candidate it checks, on the bitmask pair index and without touching the
-search state, whether the candidate closes a Berge-C4 with three chosen
-hyperedges; it adds only candidates that pass, and prunes with the
+most 3: a fourth copy always closes a Berge-C4).  Each node marks once
+the vertex pairs {a, b} that close a Berge-C4 with three chosen
+hyperedges: some ordered triple (X, Y, Z) of them has b in X, a in Z and
+room for distinct v3 in X & Y and v4 in Y & Z outside {a, b}.  The search
+adds only candidates that hold none of those pairs, and prunes with the
 admissible remaining-weight bound.  Unpruned mode enumerates every
 Berge-C4-free multiset and is the cross-check oracle.
 

@@ -29,12 +29,15 @@ Every k runs through one twin gate before that enumeration:
    enumeration runs from v1 = a alone, which yields the same witness as
    enumerating from every v1 in ascending order.
 
-Every Berge-C4 scan lives here: the whole-hypergraph scans above and the
-scans of a search state's pair-coverage bitmasks.  Both state scans walk
-the shadow paths b - v3 - v4 - a that a pair {a, b} would close
-(_pair_closes).  _closing_pairs marks every pair that closes one, once per
-node of the exact search, which then tests each candidate with one AND;
-_closes_c4 checks one hyperedge's pairs and serves the greedy generator and
+Every Berge-C4 scan lives here: the whole-hypergraph scans above, the
+exact search's per-node closing-pair mask and the checks of one
+hyperedge against a search state.  _closing_pairs reads only the chosen
+hyperedges' vertex masks: a pair {a, b} closes a Berge-C4 exactly when
+some ordered triple (X, Y, Z) of chosen hyperedges has b in X, a in Z and
+room for v3 in X & Y and v4 in Y & Z, distinct and outside {a, b}, so the
+search tests each candidate with one AND against that mask.  _closes_c4
+walks the shadow paths b - v3 - v4 - a of a state's pair-coverage
+bitmasks (_pair_closes), serves the greedy generator and
 search.incremental_c4_check, and is the oracle for _closing_pairs.  Every
 witness a search returns is re-validated against the definition before it
 is handed out, independently of how it was found.
@@ -414,31 +417,67 @@ def _closes_c4(state: SearchState, hyperedge: Sequence[int], keep_mask: int) -> 
     return False
 
 
-def _closing_pairs(state: SearchState, known: int) -> int:
+def _closing_pairs(masks: Sequence[int], n: int) -> int:
     """Bitmask of the vertex pairs that close a Berge-C4 with three
-    distinct state hyperedges: bit a*n + b (a < b) is set iff some path
-    b - v3 - v4 - a passes _pair_closes.  A new hyperedge closes a
-    Berge-C4 with the state iff it holds one of these pairs, so the exact
-    search computes the mask once per node and tests each candidate's
-    pairs against it with one AND.
+    distinct hyperedges of a multiset given by their vertex masks: bits
+    a*n + b and b*n + a (a != b) are set iff a hyperedge holding a and b
+    closes one.  The exact search computes the mask once per node and
+    tests each candidate's pairs (a < b) against it with one AND.
 
-    Pairs set in known are kept and not scanned again.  The set only grows
-    as hyperedges are pushed (ids are list positions, so a state's paths
-    survive in every state grown from it), so the mask of any prefix state
-    is a valid seed.  Reads the state and never changes it.
+    A Berge-C4 a - h - b - X - v3 - Y - v4 - Z - a through a new hyperedge
+    h is an ordered triple (X, Y, Z) of distinct hyperedges with b in X,
+    a in Z and v3 in P = X & Y, v4 in Q = Y & Z picked distinct and
+    outside {a, b}.  Hall's condition for those two slots is that P and Q
+    minus {a, b} are non-empty and their union minus {a, b} has 2 bits,
+    so for one a every b of X - {a} qualifies except at most three forced
+    exclusions: the member of P - {a} or of Q - {a} when it is alone, and
+    both members of (P | Q) - {a} when there are two.  None is forced for
+    any a when P and Q have 3 bits and P | Q has 4; those X are ORed
+    together and spread over the a of Z in one pass.  Every ordered triple
+    is walked, so the mask is symmetric.
     """
-    n = state.n
-    adj = state.adj
-    cover = state.cover
-    closing = known
-    for a in range(n - 1):
-        if not adj[a]:
-            continue
-        base = a * n
-        for b in range(a + 1, n):
-            bit = 1 << (base + b)
-            if not closing & bit and _pair_closes(cover, adj, a, b, -1):
-                closing |= bit
+    closing = 0
+    for y, mask_y in enumerate(masks):
+        meets = [(mask, mask & mask_y, i) for i, mask in enumerate(masks)
+                 if i != y and mask & mask_y]
+        for mask_z, q_all, z in meets:
+            q_wide = q_all.bit_count() >= 3
+            wide = 0
+            for mask_x, p_all, x in meets:
+                if x == z:
+                    continue
+                u_all = p_all | q_all
+                if q_wide and p_all.bit_count() >= 3 and u_all.bit_count() >= 4:
+                    wide |= mask_x
+                    continue
+                if not u_all & (u_all - 1):
+                    continue
+                rest = mask_z
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    p = p_all & ~low
+                    q = q_all & ~low
+                    if not (p and q):
+                        continue
+                    u = u_all & ~low
+                    pair = u & (u - 1)
+                    if not pair:
+                        continue
+                    allowed = mask_x & ~low
+                    if not p & (p - 1):
+                        allowed &= ~p
+                    if not q & (q - 1):
+                        allowed &= ~q
+                    if not pair & (pair - 1):
+                        allowed &= ~u
+                    closing |= allowed << ((low.bit_length() - 1) * n)
+            if wide:
+                rest = mask_z
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    closing |= (wide & ~low) << ((low.bit_length() - 1) * n)
     return closing
 
 

@@ -7,13 +7,13 @@ cap loses no optimum.  Candidates are ordered canonically (larger sets
 first, lexicographic within a size); a depth-first search walks multisets
 as non-decreasing candidate-index sequences and prunes with the admissible
 remaining-weight bound.  A candidate closes a Berge-C4 with three chosen
-hyperedges exactly when one of its vertex pairs {a, b} ends a shadow path
-b - v3 - v4 - a whose three slot masks pass Hall's condition, and that set
-of closing pairs does not depend on the candidate.  So each node scans the
-state's pair-coverage bitmasks once for it (berge._closing_pairs, starting
-from the parent node's mask, since the set only grows) and rejects a
-candidate with one AND of its pair bitmask against the node's mask, before
-the candidate is ever pushed.
+hyperedges exactly when it holds a vertex pair {a, b} for which some
+ordered triple (X, Y, Z) of distinct chosen hyperedges has b in X, a in Z,
+and a v3 in X & Y and a v4 in Y & Z that are distinct and outside {a, b}.
+That set of closing pairs does not depend on the candidate, so each node
+computes it once from the chosen hyperedges' vertex masks
+(berge._closing_pairs) and rejects a candidate with one AND of its pair
+bitmask against the node's mask, before the candidate is ever chosen.
 The first optimum reached in this preorder is the lexicographically least
 one under the canonical order, so results and witnesses are deterministic.
 """
@@ -39,6 +39,8 @@ class SearchState:
     holding both u and v, and adj[u] the bitmask of u's shadow neighbours.
     Ids are positions in the current hyperedge list, exactly as in
     Hypergraph, so pop (always of the last hyperedge) clears one bit.
+    The greedy generator and incremental_c4_check grow states with it;
+    max_weight_exact keeps only the chosen hyperedges' vertex masks.
     """
 
     def __init__(self, n: int):
@@ -120,10 +122,11 @@ def max_weight_exact(
     universe and answers trivially.  pruned=False disables the admissible
     remaining-weight bound and enumerates every Berge-C4-free multiset,
     which serves as the cross-check oracle at small n.
-    Each node computes its closing-pair mask (berge._closing_pairs, seeded
-    with the parent node's mask) once, at its first candidate that passes
-    the bound, multiplicity and orbit tests; a candidate is rejected when
-    one of its vertex pairs is in the mask.
+    Each node computes its closing-pair mask once, at its first candidate
+    that passes the bound, multiplicity and orbit tests, from the vertex
+    masks of the chosen hyperedges (berge._closing_pairs walks their
+    ordered triples); a candidate is rejected when one of its vertex pairs
+    is in the mask.
     first_level_orbit_reps restricts the first (canonically smallest)
     candidate to one representative per size class -- a relabeling argument
     shows some optimum survives; the best weight is unchanged but the
@@ -140,6 +143,7 @@ def max_weight_exact(
 
     cands = candidate_universe(n)
     pair_bits = [sum(1 << (a * n + b) for a, b in combinations(sorted(c), 2)) for c in cands]
+    vertex_masks = [sum(1 << v for v in c) for c in cands]
     weights = [len(c) - 3 for c in cands]
     m = len(cands)
     suffix = [0] * (m + 1)
@@ -147,13 +151,13 @@ def max_weight_exact(
         suffix[i] = suffix[i + 1] + max_mult * weights[i]
     is_rep = [c == frozenset(range(len(c))) for c in cands]
 
-    state = SearchState(n)
     used = [0] * m
     chosen: list[int] = []
+    chosen_masks: list[int] = []
     best = {"weight": 0, "multiset": ()}
     nodes = 0
 
-    def walk(min_idx: int, current_weight: int, parent_closing: int) -> None:
+    def walk(min_idx: int, current_weight: int) -> None:
         nonlocal nodes
         closing = None
         for j in range(min_idx, m):
@@ -164,23 +168,23 @@ def max_weight_exact(
             if first_level_orbit_reps and not chosen and not is_rep[j]:
                 continue
             if closing is None:
-                closing = _closing_pairs(state, parent_closing)
+                closing = _closing_pairs(chosen_masks, n)
             if pair_bits[j] & closing:
                 continue
-            state.push(cands[j])
             nodes += 1
             used[j] += 1
             chosen.append(j)
+            chosen_masks.append(vertex_masks[j])
             new_weight = current_weight + weights[j]
             if new_weight > best["weight"]:
                 best["weight"] = new_weight
                 best["multiset"] = tuple(chosen)
-            walk(j, new_weight, closing)
+            walk(j, new_weight)
+            chosen_masks.pop()
             chosen.pop()
             used[j] -= 1
-            state.pop()
 
-    walk(0, 0, 0)
+    walk(0, 0)
     witness = Hypergraph(n, tuple(cands[j] for j in best["multiset"]))
     if not is_berge_c4_free(witness):
         raise AssertionError("search produced a witness with a Berge-C4")

@@ -2,11 +2,12 @@
 
 import copy
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 import bergefree as bf
+from bergefree import search
 from bergefree.berge import _closes_c4, _closing_pairs
 from bergefree.search import SearchState, candidate_universe, incremental_c4_check
 from oracles import greedy_by_full_recheck, max_weight_by_multisets
@@ -104,16 +105,21 @@ def _pair_bits(verts, n):
     return sum(1 << (a * n + b) for a, b in combinations(sorted(verts), 2))
 
 
-def _assert_closing_pairs_agree(state, prefix_masks, candidates):
-    """The state's closing-pair mask, seeded with 0 or with the mask of any
-    prefix state, answers _closes_c4 for every candidate and every pair."""
+def _vertex_masks(state):
+    return [sum(1 << v for v in h) for h in state.hyperedges]
+
+
+def _assert_closing_pairs_agree(state, candidates):
+    """The closing-pair mask of the state's vertex masks answers
+    _closes_c4 for every ordered pair (bits a*n + b and b*n + a alike, no
+    bit a*n + a) and for every candidate."""
     n = state.n
-    closing = _closing_pairs(state, 0)
+    closing = _closing_pairs(_vertex_masks(state), n)
     assert closing < 1 << (n * n)
-    for known in prefix_masks:
-        assert _closing_pairs(state, known) == closing
-    for a, b in combinations(range(n), 2):
-        assert bool(closing >> (a * n + b) & 1) == _closes_c4(state, (a, b), -1)
+    for a in range(n):
+        for b in range(n):
+            expected = a != b and _closes_c4(state, sorted((a, b)), -1)
+            assert bool(closing >> (a * n + b) & 1) == expected
     for cand in candidates:
         verts = sorted(cand)
         assert bool(_pair_bits(verts, n) & closing) == _closes_c4(state, verts, -1)
@@ -128,36 +134,51 @@ def test_closing_pairs_matches_closes_c4():
         n = rng.randint(4, 9)
         candidates = candidate_universe(n)
         state = SearchState(n)
-        prefix_masks = [0]
         for _ in range(rng.randint(1, 8)):
             hid = state.push(frozenset(rng.sample(range(n), rng.randint(2, n))))
             if incremental_c4_check(state, hid):
                 state.pop()
                 continue
-            _assert_closing_pairs_agree(state, prefix_masks, candidates)
-            prefix_masks.append(_closing_pairs(state, 0))
+            _assert_closing_pairs_agree(state, candidates)
+
+
+def test_closing_pairs_every_three_hyperedges_on_five_vertices():
+    """Every ordered triple of vertex subsets of size >= 2 on 5 vertices
+    (three hyperedges never hold a Berge-C4 themselves), pair by pair
+    against _closes_c4."""
+    n = 5
+    subsets = [frozenset(c) for size in range(2, n + 1) for c in combinations(range(n), size)]
+    pairs = list(combinations(range(n), 2))
+    assert len(subsets) == 26
+    for triple in product(subsets, repeat=3):
+        state = SearchState(n)
+        for h in triple:
+            state.push(h)
+        closing = _closing_pairs(_vertex_masks(state), n)
+        for a, b in pairs:
+            expected = _closes_c4(state, (a, b), -1)
+            assert bool(closing >> (a * n + b) & 1) == expected
+            assert bool(closing >> (b * n + a) & 1) == expected
 
 
 def test_closing_pairs_past_one_machine_word():
-    """Hyperedge ids pass one machine word: 64 copies of star edges (a
-    star has no path of three edges, so they close nothing) take ids 0-63,
-    and every closing pair of the small hyperedges pushed after them uses
-    an id above 63."""
+    """The pair matrix passes one machine word (n = 20, 400 bits) on a
+    state of 100 hyperedges: 64 copies of star edges (a star has no path
+    of three edges, so they close nothing), then small hyperedges that
+    keep the state free."""
     rng = random.Random(7)
     n = 20
     state = SearchState(n)
     for i in range(64):
         state.push((0, 1 + i % 16))
-    prefix_masks = [_closing_pairs(state, 0)]
-    assert prefix_masks == [0]
+    assert _closing_pairs(_vertex_masks(state), n) == 0
     while len(state.hyperedges) < 100:
         candidate = sorted(rng.sample(range(n), rng.randint(2, 3)))
         if not _closes_c4(state, candidate, -1):
             state.push(candidate)
-            if len(state.hyperedges) % 8 == 0:
-                prefix_masks.append(_closing_pairs(state, 0))
     samples = [rng.sample(range(n), rng.randint(2, 6)) for _ in range(300)]
-    _assert_closing_pairs_agree(state, prefix_masks, samples)
+    _assert_closing_pairs_agree(state, samples)
+    assert _closing_pairs(_vertex_masks(state), n) >> 64
 
 
 def test_exact_value_n4():
@@ -268,6 +289,22 @@ def test_search_pinned_n7_orbit_reps():
 def test_search_pinned_n7(max_mult, orbit_reps):
     result = bf.max_weight_exact(7, max_mult=max_mult, first_level_orbit_reps=orbit_reps)
     assert _summary(result) == PINNED_N7_SEARCHES[max_mult, orbit_reps]
+
+
+def test_search_pinned_n8_orbit_reps():
+    result = bf.max_weight_exact(8, first_level_orbit_reps=True, allow_large=True)
+    assert _summary(result) == (15, 49387, (tuple(range(8)),) * 3)
+
+
+def test_search_needs_no_search_state(monkeypatch):
+    """The exact search keeps only the chosen hyperedges' vertex masks."""
+    class NoState:
+        def __init__(self, n):
+            raise AssertionError("max_weight_exact built a SearchState")
+
+    monkeypatch.setattr(search, "SearchState", NoState)
+    result = bf.max_weight_exact(6)
+    assert _summary(result) == PINNED_SEARCHES[6, 3, True]
 
 
 @pytest.mark.parametrize("seed", range(20))
