@@ -54,13 +54,3 @@ try:
 except bf.NotBergeC4FreeError as exc:
     print("\nrefused non-free input, witness:", exc.witness.to_json_dict())
 
-# The membership digraph between two color triples, and the two forbidden
-# patterns.  Any complete orientation of the 3x3 cross pairs contains F1 or
-# F2 (that is the point of the argument), so a valid D must stay sparse.
-spokes = tuple(frozenset({0, u}) for u in range(1, 7))
-hg = bf.Hypergraph(7, spokes)
-colored = bf.ColoredGraph(7, tuple((0, u, u - 1) for u in range(1, 7)))
-d = bf.build_D(hg, colored, 0, (1, 2, 3), (4, 5, 6))
-print("\nmembership digraph arcs:", sorted(d.arcs))
-print("contains F1:", bf.contains_pattern(d, bf.F1))
-print("contains F2:", bf.contains_pattern(d, bf.F2))

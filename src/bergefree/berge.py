@@ -24,35 +24,28 @@ Every k runs through one twin gate before that enumeration:
    a walk's slots cover k hyperedges.  Inputs without twins skip the gate.
 2. Vertex search.  When the gate finds a cycle, or was skipped, the
    enumeration above builds the witness, so witnesses do not depend on
-   the gate.  For k = 4 a 2-path scan over the vertices first finds the
-   smallest vertex a that is the minimum of some Berge-C4, and the
-   enumeration runs from v1 = a alone, which yields the same witness as
-   enumerating from every v1 in ascending order.
+   the gate.  The gate reports the least class whose smallest member is
+   the minimum of some Berge-Ck, and the enumeration runs from that v1
+   alone, which yields the same witness as enumerating from every v1 in
+   ascending order.  Without twins, k = 4 finds that v1 by a 2-path scan
+   over the vertices first; every other k enumerates from every v1.
 
-Every Berge-C4 scan lives here: the whole-hypergraph scans above, the
-exact search's per-node closing-pair mask and the checks of one
-hyperedge against a search state.  _closing_pairs reads only the chosen
-hyperedges' vertex masks: a pair {a, b} closes a Berge-C4 exactly when
-some ordered triple (X, Y, Z) of chosen hyperedges has b in X, a in Z and
-room for v3 in X & Y and v4 in Y & Z, distinct and outside {a, b}, so the
-search tests each candidate with one AND against that mask.  _closes_c4
-walks the shadow paths b - v3 - v4 - a of a state's pair-coverage
-bitmasks (_pair_closes), serves the greedy generator and
-search.incremental_c4_check, and is the oracle for _closing_pairs.  Every
-witness a search returns is re-validated against the definition before it
-is handed out, independently of how it was found.
+One mask engine serves the exact search and the greedy generator:
+_closing_pairs finds, from vertex masks alone, the pairs {a, b} that close
+a Berge-C4 with an ordered triple (X, Y, Z) of distinct hyperedges through
+the newest one (b in X, a in Z, room for v3 in X & Y and v4 in Y & Z,
+distinct and outside {a, b}); a caller ORs them into its running mask and
+tests each candidate with one AND.  Every witness a search returns is
+re-validated against the definition before it is handed out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from typing import TYPE_CHECKING, Optional, Sequence
+from itertools import permutations
+from typing import Optional, Sequence
 
 from .core import Graph, Hypergraph, iter_bits
-
-if TYPE_CHECKING:
-    from .search import SearchState
 
 
 @dataclass(frozen=True)
@@ -126,29 +119,36 @@ def find_berge_cycle(hypergraph: Hypergraph, k: int) -> Optional[BergeCycleWitne
     minimum vertex first and v2 < vk; sequences are generated
     lexicographically, so the returned witness is deterministic.  When the
     hypergraph has twins, its twin classes decide freeness first, and only
-    an input they find a cycle in is searched vertex by vertex.
+    an input they find a cycle in is searched vertex by vertex, from the
+    smallest member of the least class with a cycle.
     """
     if k < 2:
         raise ValueError(f"Berge cycle length must be >= 2, got {k}")
     if k > hypergraph.n or k > len(hypergraph.hyperedges):
         return None
     classes = _twin_classes(hypergraph)
-    if classes is not None and not _twin_quotient_has_cycle(*classes, k):
+    if classes is None:
+        return _first_vertex_cycle(hypergraph, k)
+    masks, sizes, adj, firsts = classes
+    a = _twin_quotient_has_cycle(masks, sizes, adj, k)
+    if a is None:
         return None
-    return _first_vertex_cycle(hypergraph, k)
+    return _first_vertex_cycle(hypergraph, k, firsts[a])
 
 
-def _first_vertex_cycle(hypergraph: Hypergraph, k: int) -> Optional[BergeCycleWitness]:
+def _first_vertex_cycle(hypergraph: Hypergraph, k: int,
+                        first: Optional[int] = None) -> Optional[BergeCycleWitness]:
     """find_berge_cycle without the twin-class gate: the vertex-level
-    search, for k = 4 started at the minimum _first_c4_minimum finds."""
+    search from v1 = first alone when given, else, for k = 4, from the
+    minimum _first_c4_minimum finds and, for other k, from every v1.
+    first must be the least vertex that is the minimum of a Berge-Ck."""
     cover = hypergraph.pair_cover
     adj, cover_masks = _shadow_masks(hypergraph)
-    first = range(hypergraph.n)
-    if k == 4:
-        a = _first_c4_minimum(adj, cover_masks)
-        if a is None:
+    if first is None and k == 4:
+        first = _first_c4_minimum(adj, cover_masks)
+        if first is None:
             return None
-        first = (a,)
+    starts = range(hypergraph.n) if first is None else (first,)
 
     path = [0] * k
 
@@ -183,7 +183,7 @@ def _first_vertex_cycle(hypergraph: Hypergraph, k: int) -> Optional[BergeCycleWi
                 return found
         return None
 
-    for v1 in first:
+    for v1 in starts:
         allowed = ~((1 << (v1 + 1)) - 1)  # cycle vertices other than v1 exceed it
         path[0] = v1
         found = extend(1, 1 << v1, allowed, 0)
@@ -204,15 +204,16 @@ def _shadow_masks(hypergraph: Hypergraph) -> tuple[list[int], list[dict[int, int
     return adj, cover_masks
 
 
-def _twin_classes(hypergraph: Hypergraph) -> Optional[tuple[list[int], list[int], list[int]]]:
-    """Twin classes as (masks, sizes, adj), or None when no class has two
-    members.
+def _twin_classes(hypergraph: Hypergraph) -> Optional[tuple[list[int], ...]]:
+    """Twin classes as (masks, sizes, adj, firsts), or None when no class
+    has two members.
 
     masks[i] is the incidence mask shared by the members of class i (bit h
-    set when they lie in hyperedge h) and sizes[i] their number; vertices in
-    no hyperedge form no class.  adj[i] has bit j set when classes i != j
-    share a hyperedge, and bit i set when class i has two members, which
-    then share every hyperedge of the class.
+    set when they lie in hyperedge h), sizes[i] their number and firsts[i]
+    the smallest of them; classes are numbered in the order of their
+    smallest members, and vertices in no hyperedge form no class.  adj[i]
+    has bit j set when classes i != j share a hyperedge, and bit i set when
+    class i has two members, which then share every hyperedge of the class.
     """
     incidence = [0] * hypergraph.n
     for hid, h in enumerate(hypergraph.hyperedges):
@@ -240,21 +241,29 @@ def _twin_classes(hypergraph: Hypergraph) -> Optional[tuple[list[int], list[int]
     for i, size in enumerate(sizes):
         if size < 2:
             adj[i] &= ~(1 << i)
-    return list(classes), sizes, adj
+    firsts = [members[0] for members in classes.values()]
+    return list(classes), sizes, adj, firsts
 
 
 def _twin_quotient_has_cycle(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int],
-                             k: int) -> bool:
-    """True iff the hypergraph whose twin classes these are has a Berge-Ck:
-    the 2-path Hall scan for k = 4, the closed-walk search otherwise."""
+                             k: int) -> Optional[int]:
+    """The least class a whose smallest member is the minimum of a Berge-Ck
+    of the hypergraph with these twin classes, or None: the 2-path Hall
+    scan for k = 4, the closed-walk search otherwise.  Both try each a in
+    ascending order as the least class of a closed walk.  A walk from a
+    lifts to a Berge-Ck on classes not below a, whose minimum is the
+    smallest member of a; and the least class c of any Berge-Ck's walk has
+    a walk, so a <= c and no Berge-Ck has a smaller minimum.
+    """
     if k == 4:
         return _twin_quotient_has_c4(masks, sizes, adj)
     return _twin_quotient_has_walk(masks, sizes, adj, k)
 
 
 def _twin_quotient_has_walk(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int],
-                            k: int) -> bool:
-    """True iff the hypergraph whose twin classes these are has a Berge-Ck.
+                            k: int) -> Optional[int]:
+    """The least class a of a Berge-Ck of the hypergraph whose twin classes
+    these are, or None.
 
     A Berge-Ck is a closed walk c1, ..., ck on the classes that uses each
     class at most as often as it has members, whose slots admit distinct
@@ -314,13 +323,15 @@ def _twin_quotient_has_walk(masks: Sequence[int], sizes: Sequence[int], adj: Seq
         walk[0] = a
         count[a] = 1
         if extend(1, -1 << a, 0):
-            return True
+            return a
         count[a] = 0
-    return False
+    return None
 
 
-def _twin_quotient_has_c4(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int]) -> bool:
-    """True iff the hypergraph whose twin classes these are has a Berge-C4.
+def _twin_quotient_has_c4(masks: Sequence[int], sizes: Sequence[int],
+                          adj: Sequence[int]) -> Optional[int]:
+    """The least class a of a Berge-C4 of the hypergraph whose twin classes
+    these are, or None.
 
     A Berge-C4 is a closed walk a, b, c, d on the classes that uses each
     class at most as often as it has members, whose slots admit distinct
@@ -348,8 +359,8 @@ def _twin_quotient_has_c4(masks: Sequence[int], sizes: Sequence[int], adj: Seque
                     if ((both | other).bit_count() >= 4
                             and _fits_classes((a, b, c, d), sizes)
                             and _hall4(ab, bc, cd, da)):
-                        return True
-    return False
+                        return a
+    return None
 
 
 def _fits_classes(walk: tuple[int, ...], sizes: Sequence[int]) -> bool:
@@ -401,28 +412,13 @@ def _hall4(m0: int, m1: int, m2: int, m3: int) -> bool:
             and (m0 | m1 | m2 | m3).bit_count() >= 4)
 
 
-def _closes_c4(state: SearchState, hyperedge: Sequence[int], keep_mask: int) -> bool:
-    """True iff the hyperedge (vertices ascending) on one slot and three
-    distinct state hyperedges among keep_mask close a Berge-C4.
-
-    Reads the state and never changes it.  Any Berge-C4 through the
-    hyperedge rotates to a path b - v3 - v4 - a of the shadow closed by a
-    pair {a, b} of the hyperedge (see _pair_closes).
-    """
-    adj = state.adj
-    cover = state.cover
-    for a, b in combinations(hyperedge, 2):
-        if _pair_closes(cover, adj, a, b, keep_mask):
-            return True
-    return False
-
-
 def _closing_pairs(masks: Sequence[int], n: int) -> int:
     """Bitmask of the vertex pairs that close a Berge-C4 with three
-    distinct hyperedges of a multiset given by their vertex masks: bits
-    a*n + b and b*n + a (a != b) are set iff a hyperedge holding a and b
-    closes one.  The exact search computes the mask once per node and
-    tests each candidate's pairs (a < b) against it with one AND.
+    distinct hyperedges, one of them the last, of a multiset given by their
+    vertex masks: bits a*n + b and b*n + a (a != b) are set iff a hyperedge
+    holding a and b closes one.  ORed into the pairs the earlier masks
+    close alone, it gives every closing pair, and a candidate is tested
+    with one AND of its pairs (a < b) against that.
 
     A Berge-C4 a - h - b - X - v3 - Y - v4 - Z - a through a new hyperedge
     h is an ordered triple (X, Y, Z) of distinct hyperedges with b in X,
@@ -434,16 +430,23 @@ def _closing_pairs(masks: Sequence[int], n: int) -> int:
     both members of (P | Q) - {a} when there are two.  None is forced for
     any a when P and Q have 3 bits and P | Q has 4; those X are ORed
     together and spread over the a of Z in one pass.  Every ordered triple
-    is walked, so the mask is symmetric.
+    that uses the last mask is walked, so the mask is symmetric.
     """
+    last = len(masks) - 1
+    if last < 2:
+        return 0  # fewer than three hyperedges close nothing
     closing = 0
     for y, mask_y in enumerate(masks):
+        every = last == 2 or y == last  # then every triple uses the last mask
+        if not (every or mask_y & masks[last]):
+            continue  # the last mask is X or Z, so it meets Y
         meets = [(mask, mask & mask_y, i) for i, mask in enumerate(masks)
                  if i != y and mask & mask_y]
         for mask_z, q_all, z in meets:
             q_wide = q_all.bit_count() >= 3
             wide = 0
-            for mask_x, p_all, x in meets:
+            # unless Y or Z is the last mask, X is: the last entry of meets
+            for mask_x, p_all, x in (meets if every or z == last else meets[-1:]):
                 if x == z:
                     continue
                 u_all = p_all | q_all
@@ -479,53 +482,6 @@ def _closing_pairs(masks: Sequence[int], n: int) -> int:
                     rest ^= low
                     closing |= (wide & ~low) << ((low.bit_length() - 1) * n)
     return closing
-
-
-def _pair_closes(cover: Sequence[Sequence[int]], adj: Sequence[int], a: int, b: int,
-                 keep_mask: int) -> bool:
-    """True iff some path b - v3 - v4 - a of the shadow has three slot
-    masks (restricted to keep_mask) with a system of distinct
-    representatives, so a hyperedge holding a and b closes a Berge-C4.
-    Hall's condition for three sets is that each is non-empty, each union
-    of two has 2 bits and the union of all three has 3."""
-    excl = (1 << a) | (1 << b)
-    row_a = cover[a]
-    row_b = cover[b]
-    adj_a = adj[a] & ~excl
-    rest3 = adj[b] & ~excl
-    while rest3:
-        low3 = rest3 & -rest3
-        rest3 ^= low3
-        v3 = low3.bit_length() - 1
-        c1 = row_b[v3] & keep_mask
-        if not c1:
-            continue
-        row_3 = cover[v3]
-        rest4 = adj[v3] & adj_a  # adj[v3] never holds v3 itself
-        while rest4:
-            low4 = rest4 & -rest4
-            rest4 ^= low4
-            v4 = low4.bit_length() - 1
-            c2 = row_3[v4] & keep_mask
-            if not c2:
-                continue
-            c3 = row_a[v4] & keep_mask
-            if not c3:
-                continue
-            pair = c1 | c2
-            if not pair & (pair - 1):
-                continue
-            pair = c1 | c3
-            if not pair & (pair - 1):
-                continue
-            pair = c2 | c3
-            if not pair & (pair - 1):
-                continue
-            union = c1 | c2 | c3
-            union &= union - 1
-            if union & (union - 1):
-                return True
-    return False
 
 
 def _ids_mask(ids: Sequence[int]) -> int:

@@ -23,7 +23,6 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Union
 
 HyperedgeId = int
 
@@ -137,12 +136,6 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return tuple(masks)
-
-    def degree(self, v: int) -> int:
-        return self.adjacency_masks[v].bit_count()
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(iter_bits(self.adjacency_masks[v]))
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": sorted([u, v] for u, v in self.edges)}
@@ -269,42 +262,6 @@ class BipartiteGraph:
         return Graph(n, frozenset(self.edges))
 
 
-@dataclass(frozen=True)
-class Digraph:
-    """Directed graph, no self-arcs, no duplicate arcs."""
-
-    n: int
-    arcs: frozenset[tuple[int, int]] = frozenset()
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {self.n}")
-        arcs = frozenset(tuple(a) for a in self.arcs)
-        object.__setattr__(self, "arcs", arcs)
-        for u, v in arcs:
-            if u == v:
-                raise ValueError(f"self-arc at {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"arc ({u},{v}) out of range for n={self.n}")
-
-    @cached_property
-    def out_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.n
-        for u, v in self.arcs:
-            masks[u] |= 1 << v
-        return tuple(masks)
-
-    @cached_property
-    def in_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.n
-        for u, v in self.arcs:
-            masks[v] |= 1 << u
-        return tuple(masks)
-
-
-GraphLike = Union[Graph, ColoredGraph]
-
-
 # ---------------------------------------------------------------------------
 # elementary statistics
 # ---------------------------------------------------------------------------
@@ -312,20 +269,6 @@ GraphLike = Union[Graph, ColoredGraph]
 def weight(hypergraph: Hypergraph) -> int:
     """Sum of (|h| - 3) over all hyperedges; may be negative, never clamped."""
     return sum(len(h) - 3 for h in hypergraph.hyperedges)
-
-
-def shadow(hypergraph: Hypergraph) -> Graph:
-    """Simple graph with an edge xy iff some hyperedge contains both x and y."""
-    edges = set()
-    for h in hypergraph.hyperedges:
-        edges.update(combinations(sorted(h), 2))
-    return Graph(hypergraph.n, frozenset(edges))
-
-
-def _projection(graph_like: GraphLike) -> Graph:
-    if isinstance(graph_like, ColoredGraph):
-        return graph_like.simple_projection
-    return graph_like
 
 
 def neighborhood_masks(graph: Graph, v: int) -> tuple[int, int]:
@@ -343,24 +286,6 @@ def neighborhood_masks(graph: Graph, v: int) -> tuple[int, int]:
     for x in iter_bits(n1_mask):
         n2_mask |= masks[x]
     return n1_mask, n2_mask & ~n1_mask & ~(1 << v)
-
-
-def neighborhoods(graph_like: GraphLike, v: int) -> tuple[frozenset[int], frozenset[int]]:
-    """First and second neighborhood of v: (N1, N2).
-
-    N1 holds the vertices adjacent to v, N2 those at distance exactly two.
-    A ColoredGraph is measured through its simple projection.
-    """
-    n1_mask, n2_mask = neighborhood_masks(_projection(graph_like), v)
-    return frozenset(iter_bits(n1_mask)), frozenset(iter_bits(n2_mask))
-
-
-def degree_stats(graph: Graph) -> tuple[list[int], float]:
-    """Degree sequence and average degree 2|E|/n.  Undefined for n=0."""
-    if graph.n == 0:
-        raise ValueError("average degree is undefined for a graph on 0 vertices")
-    degrees = [graph.degree(v) for v in range(graph.n)]
-    return degrees, 2 * len(graph.edges) / graph.n
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,6 @@ that multigraph:
     G'_aux   G_aux minus G
     B, B'    the 2-path bipartite graph between N1(v) and N2(v), and its
              subgraph of edges whose N2 endpoint has a second N1 neighbor
-    D        a 6-vertex digraph recording hyperedge membership between two
-             disjoint triples of colored neighbors of v
 
 plus verifiers that replay, on concrete instances, every structural
 statement the objects are supposed to satisfy.  All freeness and counting
@@ -28,13 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .berge import BergeCycleWitness, distinct_representatives, find_berge_cycle
+from .berge import BergeCycleWitness, find_berge_cycle
 from .core import (
     BipartiteGraph,
     ColoredGraph,
-    Digraph,
     Graph,
     Hypergraph,
     iter_bits,
@@ -49,14 +46,6 @@ class NotBergeC4FreeError(ValueError):
     def __init__(self, witness: BergeCycleWitness):
         super().__init__(f"input is not Berge-C4-free: {witness.to_json_dict()}")
         self.witness = witness
-
-
-class NonNeighborError(ValueError):
-    """A triple vertex for D has no colored edge to the center vertex."""
-
-
-class SharedColorError(ValueError):
-    """No way to pick six pairwise distinct colors for the two triples."""
 
 
 # ---------------------------------------------------------------------------
@@ -252,50 +241,6 @@ def build_aux_bundle(colored_graph: ColoredGraph, v: int) -> AuxBundle:
     b_prime = BipartiteGraph(n1, n2, frozenset(b_prime_edges))
     return AuxBundle(v=v, n1=n1, n2=n2, g=g, g_aux=g_aux,
                      g_aux_prime=g_aux_prime, b=b, b_prime=b_prime)
-
-
-def build_D(
-    hypergraph: Hypergraph,
-    colored_graph: ColoredGraph,
-    v: int,
-    triple_a: Sequence[int],
-    triple_b: Sequence[int],
-) -> Digraph:
-    """The membership digraph between two disjoint triples of neighbors of v.
-
-    The result has 6 vertices ordered tuple(triple_a) + tuple(triple_b);
-    position i maps to the i-th listed vertex.  Each listed vertex u must
-    carry a colored edge vu, and a system of six pairwise distinct colors
-    h_u must exist (chosen deterministically).  Arc i -> j is present iff
-    the vertices sit in different triples and vertex_i is inside the
-    hyperedge h_{vertex_j}.
-    """
-    a = tuple(triple_a)
-    b = tuple(triple_b)
-    if len(a) != 3 or len(b) != 3:
-        raise ValueError("both triples must have exactly 3 vertices")
-    order = a + b
-    if len(set(order)) != 6:
-        raise ValueError("triples must be disjoint and repetition-free")
-    color_choices = []
-    for u in order:
-        colors = colored_graph.colors_of(v, u)
-        if not colors:
-            raise NonNeighborError(f"vertex {u} has no colored edge to {v}")
-        color_choices.append(colors)
-    chosen = distinct_representatives(color_choices)
-    if chosen is None:
-        raise SharedColorError(
-            f"no six pairwise distinct colors exist for triples {a} and {b}"
-        )
-    arcs = set()
-    for i, u in enumerate(order):
-        for j, w in enumerate(order):
-            if (i < 3) == (j < 3):
-                continue
-            if u in hypergraph.hyperedges[chosen[j]]:
-                arcs.add((i, j))
-    return Digraph(6, frozenset(arcs))
 
 
 # ---------------------------------------------------------------------------

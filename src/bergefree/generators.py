@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from typing import Union
 
 from .core import Hypergraph
-from .berge import _closes_c4
-from .search import SearchState
+from .berge import _closing_pairs
 
 
 def random_greedy_hypergraph(
@@ -20,17 +20,24 @@ def random_greedy_hypergraph(
 
     Draws `trials` candidate hyperedges (size uniform in size_range,
     vertices a uniform sample) and keeps each one that leaves the running
-    hypergraph Berge-C4-free.  Deterministic for a fixed seed.
+    hypergraph Berge-C4-free: none of its pairs a < b may hold bit a*n + b
+    of the kept hyperedges' closing-pair mask (berge._closing_pairs), which
+    grows after each keep.  Deterministic for a fixed seed.
     """
     lo, hi = size_range
     if not 2 <= lo <= hi <= n:
         raise ValueError(f"need 2 <= lo <= hi <= n, got {size_range} with n={n}")
     if isinstance(rng, int):
         rng = random.Random(rng)
-    state = SearchState(n)
+    kept: list[frozenset[int]] = []
+    masks: list[int] = []
+    closing = 0
     for _ in range(trials):
         size = rng.randint(lo, hi)
         candidate = frozenset(rng.sample(range(n), size))
-        if not _closes_c4(state, sorted(candidate), -1):
-            state.push(candidate)
-    return state.to_hypergraph()
+        if sum(1 << (a * n + b) for a, b in combinations(sorted(candidate), 2)) & closing:
+            continue
+        kept.append(candidate)
+        masks.append(sum(1 << v for v in candidate))
+        closing |= _closing_pairs(masks, n)
+    return Hypergraph(n, tuple(kept))

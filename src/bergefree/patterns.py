@@ -1,49 +1,16 @@
-"""Forbidden-pattern detectors backing the lemma verifiers.
+"""Complete bipartite K_{s,t} detection backing the lemma verifiers.
 
-Two kinds of pattern matter here: complete bipartite K_{s,t} subgraphs of
-simple graphs (the K_{2,7} and K_{5,5} freeness checks), and two small
-directed patterns that are forbidden in the membership digraph built from
-two color triples:
-
-    F1:  y->x, z->x, w->z          on distinct {x, y, z, w}
-    F2:  y->x, z->x, z->w, u->w    on distinct {x, y, z, w, u}
-
-Containment is non-induced throughout: any occurrence violates the
-freeness claims, induced or not.
+The K_{2,7} and K_{5,5} freeness checks ask whether a simple graph
+contains a K_{s,t}.  Containment is non-induced: any occurrence violates
+the freeness claims, induced or not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .core import Digraph, Graph, iter_bits
-
-
-@dataclass(frozen=True)
-class Pattern:
-    """A small directed pattern on abstract vertex labels."""
-
-    name: str
-    vertices: tuple[str, ...]
-    arcs: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        labels = set(self.vertices)
-        if len(labels) != len(self.vertices):
-            raise ValueError("pattern vertices must be distinct")
-        for a, b in self.arcs:
-            if a not in labels or b not in labels:
-                raise ValueError(f"arc ({a},{b}) uses an unknown label")
-
-
-# Vertex order is chosen so each label after the first is constrained by an
-# arc to an earlier label, which keeps the matcher's branching tight.
-F1 = Pattern("F1", ("x", "y", "z", "w"),
-             (("y", "x"), ("z", "x"), ("w", "z")))
-F2 = Pattern("F2", ("x", "y", "z", "w", "u"),
-             (("y", "x"), ("z", "x"), ("z", "w"), ("u", "w")))
+from .core import Graph, iter_bits
 
 
 def contains_kst(graph: Graph, s: int, t: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -88,55 +55,3 @@ def _check_kst_witness(graph: Graph, witness: tuple[tuple[int, ...], tuple[int, 
         for b in t_side:
             if (min(a, b), max(a, b)) not in graph.edges:
                 raise AssertionError(f"claimed K_st pair ({a},{b}) is not an edge")
-
-
-def contains_pattern(digraph: Digraph, pattern: Pattern) -> Optional[dict[str, int]]:
-    """Injective map pattern vertices -> digraph vertices preserving arcs.
-
-    Non-induced containment; returns the lexicographically first embedding
-    under the pattern's fixed vertex order, or None.
-    """
-    out_masks = digraph.out_masks
-    in_masks = digraph.in_masks
-    order = pattern.vertices
-    image: dict[str, int] = {}
-    used = 0
-
-    def extend(i: int) -> Optional[dict[str, int]]:
-        nonlocal used
-        if i == len(order):
-            found = dict(image)
-            _check_pattern_witness(digraph, pattern, found)
-            return found
-        label = order[i]
-        candidates = -1  # all vertices
-        for a, b in pattern.arcs:
-            if a == label and b in image:
-                candidates &= in_masks[image[b]]
-            elif b == label and a in image:
-                candidates &= out_masks[image[a]]
-        if candidates == -1:
-            pool = range(digraph.n)
-        else:
-            pool = iter_bits(candidates & ~used & ((1 << digraph.n) - 1))
-        for v in pool:
-            if used >> v & 1:
-                continue
-            image[label] = v
-            used |= 1 << v
-            found = extend(i + 1)
-            if found is not None:
-                return found
-            used &= ~(1 << v)
-            del image[label]
-        return None
-
-    return extend(0)
-
-
-def _check_pattern_witness(digraph: Digraph, pattern: Pattern, image: dict[str, int]) -> None:
-    if len(set(image.values())) != len(pattern.vertices):
-        raise AssertionError("pattern embedding is not injective")
-    for a, b in pattern.arcs:
-        if (image[a], image[b]) not in digraph.arcs:
-            raise AssertionError(f"pattern arc ({a},{b}) not realized")

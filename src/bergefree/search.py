@@ -11,9 +11,10 @@ hyperedges exactly when it holds a vertex pair {a, b} for which some
 ordered triple (X, Y, Z) of distinct chosen hyperedges has b in X, a in Z,
 and a v3 in X & Y and a v4 in Y & Z that are distinct and outside {a, b}.
 That set of closing pairs does not depend on the candidate, so each node
-computes it once from the chosen hyperedges' vertex masks
-(berge._closing_pairs) and rejects a candidate with one AND of its pair
-bitmask against the node's mask, before the candidate is ever chosen.
+computes it once, as its parent's mask ORed with the pairs closed by
+triples through its own hyperedge (berge._closing_pairs), and rejects a
+candidate with one AND of its pair bitmask against it, before the
+candidate is ever chosen.
 The first optimum reached in this preorder is the lexicographically least
 one under the canonical order, so results and witnesses are deterministic.
 """
@@ -22,70 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .berge import _closes_c4, _closing_pairs, is_berge_c4_free
+from .berge import _closing_pairs, is_berge_c4_free
 from .constructions import theoretical_bounds
 from .core import Hypergraph
 
 
 GUARD_MAX_N = 7  # largest n max_weight_exact searches without allow_large
-
-
-class SearchState:
-    """Mutable multiset of hyperedges with a pair-coverage bitmask index.
-
-    cover[u][v] == cover[v][u] is the bitmask of the ids of the hyperedges
-    holding both u and v, and adj[u] the bitmask of u's shadow neighbours.
-    Ids are positions in the current hyperedge list, exactly as in
-    Hypergraph, so pop (always of the last hyperedge) clears one bit.
-    The greedy generator and incremental_c4_check grow states with it;
-    max_weight_exact keeps only the chosen hyperedges' vertex masks.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.hyperedges: list[frozenset[int]] = []
-        self.cover: list[list[int]] = [[0] * n for _ in range(n)]
-        self.adj: list[int] = [0] * n
-
-    def push(self, hyperedge: Iterable[int]) -> int:
-        h = frozenset(hyperedge)
-        hid = len(self.hyperedges)
-        self.hyperedges.append(h)
-        bit = 1 << hid
-        cover, adj = self.cover, self.adj
-        for a, b in combinations(sorted(h), 2):
-            mask = cover[a][b] | bit
-            cover[a][b] = cover[b][a] = mask
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        return hid
-
-    def pop(self) -> frozenset[int]:
-        h = self.hyperedges.pop()
-        keep = ~(1 << len(self.hyperedges))
-        cover, adj = self.cover, self.adj
-        for a, b in combinations(sorted(h), 2):
-            mask = cover[a][b] & keep
-            cover[a][b] = cover[b][a] = mask
-            if not mask:
-                adj[a] &= ~(1 << b)
-                adj[b] &= ~(1 << a)
-        return h
-
-    def to_hypergraph(self) -> Hypergraph:
-        return Hypergraph(self.n, tuple(self.hyperedges))
-
-
-def incremental_c4_check(state: SearchState, new_hyperedge_id: int) -> bool:
-    """True iff some Berge-C4 of the state uses the given hyperedge.
-
-    Assumes the state without that hyperedge is Berge-C4-free, so this is
-    equivalent to a full Berge-C4 search on the whole state.
-    """
-    return _closes_c4(state, sorted(state.hyperedges[new_hyperedge_id]),
-                      ~(1 << new_hyperedge_id))
 
 
 @dataclass(frozen=True)
@@ -123,10 +68,10 @@ def max_weight_exact(
     remaining-weight bound and enumerates every Berge-C4-free multiset,
     which serves as the cross-check oracle at small n.
     Each node computes its closing-pair mask once, at its first candidate
-    that passes the bound, multiplicity and orbit tests, from the vertex
-    masks of the chosen hyperedges (berge._closing_pairs walks their
-    ordered triples); a candidate is rejected when one of its vertex pairs
-    is in the mask.
+    that passes the bound, multiplicity and orbit tests: its parent's mask
+    ORed with berge._closing_pairs of the chosen hyperedges' vertex masks,
+    which walks the ordered triples that use the node's own hyperedge; a
+    candidate is rejected when one of its vertex pairs is in the mask.
     first_level_orbit_reps restricts the first (canonically smallest)
     candidate to one representative per size class -- a relabeling argument
     shows some optimum survives; the best weight is unchanged but the
@@ -157,7 +102,7 @@ def max_weight_exact(
     best = {"weight": 0, "multiset": ()}
     nodes = 0
 
-    def walk(min_idx: int, current_weight: int) -> None:
+    def walk(min_idx: int, current_weight: int, parent: int) -> None:
         nonlocal nodes
         closing = None
         for j in range(min_idx, m):
@@ -168,7 +113,7 @@ def max_weight_exact(
             if first_level_orbit_reps and not chosen and not is_rep[j]:
                 continue
             if closing is None:
-                closing = _closing_pairs(chosen_masks, n)
+                closing = parent | _closing_pairs(chosen_masks, n)
             if pair_bits[j] & closing:
                 continue
             nodes += 1
@@ -179,12 +124,12 @@ def max_weight_exact(
             if new_weight > best["weight"]:
                 best["weight"] = new_weight
                 best["multiset"] = tuple(chosen)
-            walk(j, new_weight)
+            walk(j, new_weight, closing)
             chosen_masks.pop()
             chosen.pop()
             used[j] -= 1
 
-    walk(0, 0)
+    walk(0, 0, 0)
     witness = Hypergraph(n, tuple(cands[j] for j in best["multiset"]))
     if not is_berge_c4_free(witness):
         raise AssertionError("search produced a witness with a Berge-C4")

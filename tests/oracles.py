@@ -1,25 +1,28 @@
-"""Independent brute-force recomputations used to cross-check the library.
+"""Independent recomputations used to cross-check the library.
 
-Everything here is deliberately naive: breadth-first distance classes,
+Most of this is deliberately naive: breadth-first distance classes,
 quadratic pair scans, full subset/permutation enumeration, and multiset
-enumeration.  What is shared with the library is named where it is used:
-the data types, distinct_representatives (which test_berge checks against
-_hall4 on every mask 4-tuple), and, in greedy_by_full_recheck, the
-detector's vertex-level Berge-C4 scan, which neither the twin-class
-quotient nor the search's candidate scan uses.
+enumeration.  It also owns the path-walk Berge-C4 state (SearchState,
+_closes_c4, _pair_closes, incremental_c4_check), the oracle for the
+library's closing-pair mask and greedy generator, and the directed
+patterns F1 and F2 of the K_{5,5} argument's endgame with the arc
+container they are matched in.  What is shared with the library is named
+where it is used: the data types, distinct_representatives (which
+test_berge checks against _hall4 on every mask 4-tuple), and, in
+greedy_by_full_recheck, the detector's vertex-level Berge-C4 scan, which
+neither the twin-class quotient nor the closing-pair mask uses.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import combinations, compress, permutations, product
+from typing import Iterable, NamedTuple, Sequence
 
 from bergefree import (
     BergeCycleWitness,
-    Digraph,
     Graph,
     Hypergraph,
-    Pattern,
     weight,
 )
 from bergefree.berge import _first_c4_minimum, _shadow_masks, distinct_representatives
@@ -51,6 +54,12 @@ def shadow_by_scan(hypergraph: Hypergraph) -> set[tuple[int, int]]:
     return out
 
 
+def degree_stats(graph: Graph) -> tuple[list[int], float]:
+    """Degree sequence from the adjacency masks and average degree 2|E|/n."""
+    degrees = [mask.bit_count() for mask in graph.adjacency_masks]
+    return degrees, 2 * len(graph.edges) / graph.n
+
+
 def has_kst_by_enumeration(graph: Graph, s: int, t: int) -> bool:
     """K_{s,t} containment by enumerating every (S, T) subset pair."""
     vertices = range(graph.n)
@@ -64,7 +73,30 @@ def has_kst_by_enumeration(graph: Graph, s: int, t: int) -> bool:
     return False
 
 
-def has_pattern_by_enumeration(digraph: Digraph, pattern: Pattern) -> bool:
+class Arcs(NamedTuple):
+    """Directed graph on vertices 0..n-1 given by its arcs (u, v)."""
+
+    n: int
+    arcs: frozenset[tuple[int, int]]
+
+
+class Pattern(NamedTuple):
+    """A small directed pattern on abstract vertex labels."""
+
+    name: str
+    vertices: tuple[str, ...]
+    arcs: tuple[tuple[str, str], ...]
+
+
+# The two patterns forbidden in the membership digraph between two triples
+# of colored neighbours of a vertex, non-induced, on distinct vertices.
+F1 = Pattern("F1", ("x", "y", "z", "w"),
+             (("y", "x"), ("z", "x"), ("w", "z")))
+F2 = Pattern("F2", ("x", "y", "z", "w", "u"),
+             (("y", "x"), ("z", "x"), ("z", "w"), ("u", "w")))
+
+
+def has_pattern_by_enumeration(digraph: Arcs, pattern: Pattern) -> bool:
     """Pattern containment by scanning all injective label maps."""
     k = len(pattern.vertices)
     for image in permutations(range(digraph.n), k):
@@ -272,3 +304,133 @@ def greedy_by_full_recheck(n: int, size_range: tuple[int, int], trials: int, rng
         if _first_c4_minimum(*_shadow_masks(Hypergraph(n, kept + (candidate,)))) is None:
             kept += (candidate,)
     return Hypergraph(n, kept)
+
+
+class SearchState:
+    """Mutable multiset of hyperedges with a pair-coverage bitmask index.
+
+    cover[u][v] == cover[v][u] is the bitmask of the ids of the hyperedges
+    holding both u and v, and adj[u] the bitmask of u's shadow neighbours.
+    Ids are positions in the current hyperedge list, exactly as in
+    Hypergraph, so pop (always of the last hyperedge) clears one bit.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.hyperedges: list[frozenset[int]] = []
+        self.cover: list[list[int]] = [[0] * n for _ in range(n)]
+        self.adj: list[int] = [0] * n
+
+    def push(self, hyperedge: Iterable[int]) -> int:
+        h = frozenset(hyperedge)
+        hid = len(self.hyperedges)
+        self.hyperedges.append(h)
+        bit = 1 << hid
+        cover, adj = self.cover, self.adj
+        for a, b in combinations(sorted(h), 2):
+            mask = cover[a][b] | bit
+            cover[a][b] = cover[b][a] = mask
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        return hid
+
+    def pop(self) -> frozenset[int]:
+        h = self.hyperedges.pop()
+        keep = ~(1 << len(self.hyperedges))
+        cover, adj = self.cover, self.adj
+        for a, b in combinations(sorted(h), 2):
+            mask = cover[a][b] & keep
+            cover[a][b] = cover[b][a] = mask
+            if not mask:
+                adj[a] &= ~(1 << b)
+                adj[b] &= ~(1 << a)
+        return h
+
+    def to_hypergraph(self) -> Hypergraph:
+        return Hypergraph(self.n, tuple(self.hyperedges))
+
+
+def incremental_c4_check(state: SearchState, new_hyperedge_id: int) -> bool:
+    """True iff some Berge-C4 of the state uses the given hyperedge.
+
+    Assumes the state without that hyperedge is Berge-C4-free, so this is
+    equivalent to a full Berge-C4 search on the whole state.
+    """
+    return _closes_c4(state, sorted(state.hyperedges[new_hyperedge_id]),
+                      ~(1 << new_hyperedge_id))
+
+
+def _closes_c4(state: SearchState, hyperedge: Sequence[int], keep_mask: int) -> bool:
+    """True iff the hyperedge (vertices ascending) on one slot and three
+    distinct state hyperedges among keep_mask close a Berge-C4.
+
+    Reads the state and never changes it.  Any Berge-C4 through the
+    hyperedge rotates to a path b - v3 - v4 - a of the shadow closed by a
+    pair {a, b} of the hyperedge (see _pair_closes).
+    """
+    adj = state.adj
+    cover = state.cover
+    for a, b in combinations(hyperedge, 2):
+        if _pair_closes(cover, adj, a, b, keep_mask):
+            return True
+    return False
+
+
+def _pair_closes(cover: Sequence[Sequence[int]], adj: Sequence[int], a: int, b: int,
+                 keep_mask: int) -> bool:
+    """True iff some path b - v3 - v4 - a of the shadow has three slot
+    masks (restricted to keep_mask) with a system of distinct
+    representatives, so a hyperedge holding a and b closes a Berge-C4.
+    Hall's condition for three sets is that each is non-empty, each union
+    of two has 2 bits and the union of all three has 3."""
+    excl = (1 << a) | (1 << b)
+    row_a = cover[a]
+    row_b = cover[b]
+    adj_a = adj[a] & ~excl
+    rest3 = adj[b] & ~excl
+    while rest3:
+        low3 = rest3 & -rest3
+        rest3 ^= low3
+        v3 = low3.bit_length() - 1
+        c1 = row_b[v3] & keep_mask
+        if not c1:
+            continue
+        row_3 = cover[v3]
+        rest4 = adj[v3] & adj_a  # adj[v3] never holds v3 itself
+        while rest4:
+            low4 = rest4 & -rest4
+            rest4 ^= low4
+            v4 = low4.bit_length() - 1
+            c2 = row_3[v4] & keep_mask
+            if not c2:
+                continue
+            c3 = row_a[v4] & keep_mask
+            if not c3:
+                continue
+            pair = c1 | c2
+            if not pair & (pair - 1):
+                continue
+            pair = c1 | c3
+            if not pair & (pair - 1):
+                continue
+            pair = c2 | c3
+            if not pair & (pair - 1):
+                continue
+            union = c1 | c2 | c3
+            union &= union - 1
+            if union & (union - 1):
+                return True
+    return False
+
+
+def greedy_by_search_state(n: int, size_range: tuple[int, int], trials: int, rng) -> Hypergraph:
+    """The greedy generator's draws, keeping each candidate that no pair
+    of its closes with three kept hyperedges by the path walk of
+    _closes_c4 on a SearchState."""
+    state = SearchState(n)
+    for _ in range(trials):
+        size = rng.randint(*size_range)
+        candidate = frozenset(rng.sample(range(n), size))
+        if not _closes_c4(state, sorted(candidate), -1):
+            state.push(candidate)
+    return state.to_hypergraph()

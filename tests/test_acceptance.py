@@ -14,7 +14,7 @@ from itertools import combinations, combinations_with_replacement
 
 import bergefree as bf
 from bergefree.cli import main
-from oracles import has_c4_by_common_neighbors, max_weight_by_multisets
+from oracles import degree_stats, has_c4_by_common_neighbors, max_weight_by_multisets
 
 LISTED_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -54,7 +54,7 @@ def test_criterion_2_construction_identities():
         g = plane.graph()
         assert len(plane.points) == len(plane.lines) == count
         assert len(g.edges) == count * (q + 1)
-        degrees, _ = bf.degree_stats(g)
+        degrees, _ = degree_stats(g)
         assert set(degrees) == {q + 1}
         assert bf.find_c4_in_graph(g) is None  # 2-path scan over every vertex
         if q <= 3:  # independent cubic-time oracle where affordable

@@ -1,0 +1,31 @@
+"""The package's public names: exported in order, and nothing removed comes back."""
+
+import importlib
+
+import pytest
+
+import bergefree as bf
+
+MODULES = ("bergefree",) + tuple(
+    f"bergefree.{name}" for name in ("berge", "cli", "constructions", "core", "embedding",
+                                     "generators", "patterns", "search"))
+
+# The path-walk Berge-C4 state and check, the membership digraph D with its
+# patterns and errors, and statistics only tests used; tests/oracles.py
+# keeps what the tests still need of them.
+REMOVED = ("SearchState", "incremental_c4_check", "Digraph", "Pattern", "F1", "F2",
+           "contains_pattern", "build_D", "NonNeighborError", "SharedColorError",
+           "shadow", "neighborhoods", "degree_stats")
+
+
+def test_public_api_is_sorted_and_resolves():
+    assert bf.__all__ == sorted(bf.__all__)
+    assert len(set(bf.__all__)) == len(bf.__all__)
+    for name in bf.__all__:
+        assert getattr(bf, name) is not None, name
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_removed_names_are_gone(module):
+    namespace = importlib.import_module(module)
+    assert [name for name in REMOVED if hasattr(namespace, name)] == []

@@ -16,12 +16,13 @@ from bergefree.berge import (
     _twin_quotient_has_cycle,
     distinct_representatives,
 )
-from bergefree.search import SearchState, incremental_c4_check
 from conftest import hypergraphs
 from oracles import (
+    SearchState,
     c4_by_pair_scan,
     canonical_c4_by_enumeration,
     canonical_cycle_by_enumeration,
+    incremental_c4_check,
     triangle_by_sorted_edges,
 )
 
@@ -312,14 +313,19 @@ CYCLE_LENGTHS = (2, 3, 4, 5, 6)
 
 def _assert_quotient_agrees(h: bf.Hypergraph, k: int = 4, oracle: bool = False) -> bool:
     """The twin gate (when it runs) agrees with the vertex-level search,
-    which never runs it, and find_berge_cycle returns that search's witness;
-    with oracle the witness also equals the canonical enumerator's and, up
-    to 7 vertices, the verdict naive_berge_oracle's.  Returns whether h has
-    a Berge-Ck."""
+    which never runs it, and the smallest member of the least class it
+    reports is the first vertex of that search's witness, which
+    find_berge_cycle returns; with oracle the witness also equals the
+    canonical enumerator's and, up to 7 vertices, the verdict
+    naive_berge_oracle's.  Returns whether h has a Berge-Ck."""
     expected = _first_vertex_cycle(h, k)
     classes = _twin_classes(h)
     if classes is not None:
-        assert _twin_quotient_has_cycle(*classes, k) == (expected is not None), (k, h)
+        masks, sizes, adj, firsts = classes
+        a = _twin_quotient_has_cycle(masks, sizes, adj, k)
+        assert (a is not None) == (expected is not None), (k, h)
+        if a is not None:
+            assert firsts[a] == expected.vertices[0], (k, h)
     assert bf.find_berge_cycle(h, k) == expected, (k, h)
     if oracle:
         assert canonical_cycle_by_enumeration(h, k) == expected, (k, h)
@@ -347,9 +353,10 @@ def test_twin_classes_skip_isolated_vertices():
     h = bf.Hypergraph(6, (frozenset({0, 1}), frozenset({1, 2})))
     assert _twin_classes(h) is None
     h = bf.Hypergraph(7, (frozenset({0, 1, 2}), frozenset({2, 3})))
-    masks, sizes, adj = _twin_classes(h)
+    masks, sizes, adj, firsts = _twin_classes(h)
     assert masks == [0b01, 0b11, 0b10] and sizes == [2, 1, 1]
     assert adj == [0b011, 0b101, 0b010]  # only class 0 has a loop
+    assert firsts == [0, 2, 3]
 
 
 @pytest.mark.parametrize("size", range(1, 7))
@@ -372,7 +379,7 @@ def test_quotient_on_copies_of_one_hyperedge(size):
 ])
 def test_quotient_walks_two_members_of_one_class_in_a_row(hyperedges, classes):
     h = bf.Hypergraph(4, tuple(frozenset(e) for e in hyperedges))  # vertex 3 isolated
-    masks, sizes, _ = _twin_classes(h)
+    masks, sizes, _, _ = _twin_classes(h)
     assert (masks, sizes) == classes
     assert _assert_quotient_agrees(h, 3, oracle=True)
 
@@ -527,3 +534,40 @@ def test_free_blowup_never_reaches_the_vertex_search(q, k, monkeypatch):
     monkeypatch.setattr(berge, "_shadow_masks", refuse)
     h = bf.blow_up(bf.projective_plane_incidence(q).graph(), 3)
     assert bf.find_berge_cycle(h, k) is None
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_twinned_cycle_search_tries_one_start_vertex(k, monkeypatch):
+    """On a twinned input with a cycle, the vertex-level search runs from
+    one v1, the smallest member of the least class the gate reports (for
+    k = 4 without the vertex-level 2-path scan): it never looks up a vertex
+    below that v1, and returns the witness of the search from every v1."""
+    base = bf.projective_plane_incidence(2).graph()
+    rng = random.Random(k)
+    relabel = rng.sample(range(42), 42)
+    # the blow-up is Berge-C4- and C5-free; points 0 and 1 of the plane
+    # share a line, so one more hyperedge on their classes closes both
+    edges = sorted(base.edges) + [(0, 1)]
+    h = bf.Hypergraph(42, tuple(frozenset(relabel[3 * x + i] for x in e for i in range(3))
+                                for e in edges))
+    everywhere = _first_vertex_cycle(h, k)
+    assert everywhere is not None and everywhere.vertices[0] > 0
+    shadow_masks = berge._shadow_masks
+    looked_up = set()
+
+    class Recorded(list):
+        def __getitem__(self, v):
+            looked_up.add(v)
+            return list.__getitem__(self, v)
+
+    def recording(hypergraph):
+        adj, cover_masks = shadow_masks(hypergraph)
+        return Recorded(adj), cover_masks
+
+    def refuse(*args):
+        raise AssertionError("the vertex-level 2-path scan ran on a twinned input")
+
+    monkeypatch.setattr(berge, "_shadow_masks", recording)
+    monkeypatch.setattr(berge, "_first_c4_minimum", refuse)
+    assert bf.find_berge_cycle(h, k) == everywhere
+    assert min(looked_up) == everywhere.vertices[0]

@@ -5,8 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bergefree as bf
+from bergefree.berge import _shadow_masks
+from bergefree.core import iter_bits, neighborhood_masks
 from conftest import graphs, hypergraphs
-from oracles import bfs_neighborhoods, shadow_by_scan
+from oracles import bfs_neighborhoods, degree_stats, shadow_by_scan
 
 
 # ---------------------------------------------------------------------------
@@ -45,24 +47,32 @@ def test_weight_equals_clamped_sum_for_big_hyperedges(h):
 # neighborhoods
 # ---------------------------------------------------------------------------
 
+def neighborhoods(graph, v):
+    n1_mask, n2_mask = neighborhood_masks(graph, v)
+    return frozenset(iter_bits(n1_mask)), frozenset(iter_bits(n2_mask))
+
+
 def test_neighborhoods_path():
     path = bf.Graph(3, frozenset({(0, 1), (1, 2)}))
-    assert bf.neighborhoods(path, 0) == (frozenset({1}), frozenset({2}))
+    assert neighborhoods(path, 0) == (frozenset({1}), frozenset({2}))
 
 
 def test_neighborhoods_isolated_vertex():
     g = bf.Graph(4, frozenset({(1, 2)}))
-    assert bf.neighborhoods(g, 0) == (frozenset(), frozenset())
+    assert neighborhoods(g, 0) == (frozenset(), frozenset())
 
 
 def test_neighborhoods_out_of_range():
     with pytest.raises(ValueError):
-        bf.neighborhoods(bf.Graph(3), 3)
+        neighborhoods(bf.Graph(3), 3)
 
 
 def test_neighborhoods_accepts_colored_graph():
-    cg = bf.ColoredGraph(3, ((0, 1, 0), (1, 2, 1)))
-    assert bf.neighborhoods(cg, 0) == (frozenset({1}), frozenset({2}))
+    # the lemma checks measure a colored graph through its simple projection
+    cg = bf.ColoredGraph(3, ((0, 1, 0), (1, 2, 1), (0, 1, 2)))
+    bundle = bf.build_aux_bundle(cg, 0)
+    assert (bundle.n1, bundle.n2) == ((1,), (2,))
+    assert neighborhoods(cg.simple_projection, 0) == (frozenset({1}), frozenset({2}))
 
 
 @given(graphs(), st.data())
@@ -70,29 +80,34 @@ def test_neighborhoods_match_bfs_distance_classes(g, data):
     if g.n == 0:
         return
     v = data.draw(st.integers(0, g.n - 1))
-    n1, n2 = bf.neighborhoods(g, v)
+    n1, n2 = neighborhoods(g, v)
     assert (n1, n2) == bfs_neighborhoods(g, v)
     assert not n1 & n2
     assert v not in n1 | n2
 
 
 # ---------------------------------------------------------------------------
-# shadow
+# shadow: the detector's shadow adjacency masks
 # ---------------------------------------------------------------------------
 
+def shadow_edges(hypergraph):
+    adj, _ = _shadow_masks(hypergraph)
+    return frozenset((u, v) for u in range(hypergraph.n) for v in iter_bits(adj[u]) if u < v)
+
+
 def test_shadow_single_hyperedge_is_clique():
-    g = bf.shadow(bf.Hypergraph(3, ({0, 1, 2},)))
-    assert g.edges == frozenset({(0, 1), (0, 2), (1, 2)})
+    edges = shadow_edges(bf.Hypergraph(3, ({0, 1, 2},)))
+    assert edges == frozenset({(0, 1), (0, 2), (1, 2)})
 
 
 def test_shadow_disjoint_hyperedges():
-    g = bf.shadow(bf.Hypergraph(4, ({0, 1}, {2, 3})))
-    assert g.edges == frozenset({(0, 1), (2, 3)})
+    edges = shadow_edges(bf.Hypergraph(4, ({0, 1}, {2, 3})))
+    assert edges == frozenset({(0, 1), (2, 3)})
 
 
 @given(hypergraphs())
 def test_shadow_matches_pair_scan(h):
-    assert bf.shadow(h).edges == frozenset(shadow_by_scan(h))
+    assert shadow_edges(h) == frozenset(shadow_by_scan(h))
 
 
 @given(hypergraphs(max_n=6), st.sets(st.integers(0, 5), min_size=2, max_size=4))
@@ -101,34 +116,29 @@ def test_shadow_monotone_under_hyperedge_addition(h, extra):
     if len(extra) < 2:
         return
     bigger = bf.Hypergraph(h.n, h.hyperedges + (extra,))
-    assert bf.shadow(h).edges <= bf.shadow(bigger).edges
+    assert shadow_edges(h) <= shadow_edges(bigger)
 
 
 # ---------------------------------------------------------------------------
-# degree_stats
+# degrees (adjacency masks)
 # ---------------------------------------------------------------------------
 
 def test_degree_stats_triangle():
-    degrees, avg = bf.degree_stats(bf.Graph(3, frozenset({(0, 1), (1, 2), (0, 2)})))
+    degrees, avg = degree_stats(bf.Graph(3, frozenset({(0, 1), (1, 2), (0, 2)})))
     assert degrees == [2, 2, 2]
     assert avg == 2.0
 
 
 def test_degree_stats_single_edge():
-    degrees, avg = bf.degree_stats(bf.Graph(2, frozenset({(0, 1)})))
+    degrees, avg = degree_stats(bf.Graph(2, frozenset({(0, 1)})))
     assert degrees == [1, 1]
     assert avg == 1.0
 
 
 def test_degree_stats_heawood_is_cubic(heawood_graph):
-    degrees, avg = bf.degree_stats(heawood_graph)
+    degrees, avg = degree_stats(heawood_graph)
     assert set(degrees) == {3}  # q + 1 with q = 2
     assert avg == 3.0
-
-
-def test_degree_stats_empty_graph_is_signaled():
-    with pytest.raises(ValueError):
-        bf.degree_stats(bf.Graph(0))
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +182,6 @@ def test_bipartite_graph_rejects_overlapping_parts():
 def test_bipartite_graph_rejects_non_crossing_edge():
     with pytest.raises(ValueError):
         bf.BipartiteGraph((0, 1), (2, 3), frozenset({(0, 1)}))
-
-
-def test_digraph_rejects_self_arc():
-    with pytest.raises(ValueError):
-        bf.Digraph(2, frozenset({(1, 1)}))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,11 @@
 """Edge embedding, the observation/lemma verifiers, and the proof bundles."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 
 import bergefree as bf
 from conftest import hypergraphs
-from oracles import aux_sets_by_definition
+from oracles import F1, F2, Arcs, aux_sets_by_definition, has_pattern_by_enumeration
 
 
 # ---------------------------------------------------------------------------
@@ -218,94 +216,15 @@ def test_bundle_matches_definition_scan(h):
 
 
 # ---------------------------------------------------------------------------
-# the membership digraph D
+# the K_{5,5} argument's endgame: the membership digraph between two
+# triples of colored neighbours must avoid F1 and F2
 # ---------------------------------------------------------------------------
-
-def _spoke_hypergraph(extra: dict[int, set[int]] = {}):
-    """v=0 plus six colored neighbors 1..6; hyperedge u-1 holds {0, u} plus extras."""
-    hyperedges = []
-    for u in range(1, 7):
-        hyperedges.append(frozenset({0, u} | extra.get(u, set())))
-    h = bf.Hypergraph(7, tuple(hyperedges))
-    cg = bf.ColoredGraph(7, tuple((0, u, u - 1) for u in range(1, 7)))
-    return h, cg
-
-
-def test_build_d_disjoint_hyperedges_give_no_arcs():
-    h, cg = _spoke_hypergraph()
-    d = bf.build_D(h, cg, 0, (1, 2, 3), (4, 5, 6))
-    assert d.arcs == frozenset()
-    assert d.n == 6
-
-
-def test_build_d_single_membership_gives_single_arc():
-    # hyperedge of w=4 (color 3) additionally contains u=1
-    h, cg = _spoke_hypergraph({4: {1}})
-    d = bf.build_D(h, cg, 0, (1, 2, 3), (4, 5, 6))
-    # vertex order is (1,2,3,4,5,6): u=1 is position 0, w=4 is position 3
-    assert d.arcs == frozenset({(0, 3)})
-
-
-def test_build_d_ignores_same_triple_membership():
-    # hyperedge of 2 contains 1, but both sit in the first triple
-    h, cg = _spoke_hypergraph({2: {1}})
-    d = bf.build_D(h, cg, 0, (1, 2, 3), (4, 5, 6))
-    assert d.arcs == frozenset()
-
-
-def test_build_d_matches_membership_scan_on_random_instances():
-    rng = random.Random(321)
-    for _ in range(50):
-        extra = {u: set(rng.sample(range(1, 7), rng.randint(0, 3)))
-                 for u in range(1, 7)}
-        h, cg = _spoke_hypergraph(extra)
-        d = bf.build_D(h, cg, 0, (1, 2, 3), (4, 5, 6))
-        order = (1, 2, 3, 4, 5, 6)
-        want = set()
-        for i, u in enumerate(order):
-            for j, w in enumerate(order):
-                if (i < 3) != (j < 3) and u in h.hyperedges[w - 1]:
-                    want.add((i, j))
-        assert d.arcs == frozenset(want)
-
-
-def test_build_d_signals_non_neighbor():
-    h, cg = _spoke_hypergraph()
-    with pytest.raises(bf.NonNeighborError):
-        bf.build_D(h, cg, 1, (0, 2, 3), (4, 5, 6))
-
-
-def test_build_d_signals_shared_colors():
-    # one big hyperedge colors every spoke, so six distinct colors cannot exist
-    h = bf.Hypergraph(7, (frozenset(range(7)),))
-    cg = bf.ColoredGraph(7, tuple((0, u, 0) for u in range(1, 7)))
-    with pytest.raises(bf.SharedColorError):
-        bf.build_D(h, cg, 0, (1, 2, 3), (4, 5, 6))
-
-
-def test_build_d_accepts_resolvable_color_clash():
-    # vertices 1 and 2 share color 0, but vertex 1 also carries color 5
-    hyperedges = (frozenset({0, 1, 2}), frozenset({0, 3}), frozenset({0, 4}),
-                  frozenset({0, 5}), frozenset({0, 6}), frozenset({0, 1}))
-    h = bf.Hypergraph(7, hyperedges)
-    cg = bf.ColoredGraph(7, ((0, 1, 0), (0, 2, 0), (0, 1, 5),
-                             (0, 3, 1), (0, 4, 2), (0, 5, 3), (0, 6, 4)))
-    d = bf.build_D(h, cg, 0, (1, 2, 3), (4, 5, 6))
-    assert d.n == 6
-    assert d.arcs == frozenset()
-
-
-def test_build_d_rejects_overlapping_triples():
-    h, cg = _spoke_hypergraph()
-    with pytest.raises(ValueError):
-        bf.build_D(h, cg, 0, (1, 2, 3), (3, 4, 5))
-
 
 def test_sparse_membership_digraph_is_pattern_free():
     # a matching orientation has all in/out degrees <= 1: no F1, no F2
-    d = bf.Digraph(6, frozenset({(0, 3), (1, 4), (2, 5)}))
-    assert bf.contains_pattern(d, bf.F1) is None
-    assert bf.contains_pattern(d, bf.F2) is None
+    d = Arcs(6, frozenset({(0, 3), (1, 4), (2, 5)}))
+    assert not has_pattern_by_enumeration(d, F1)
+    assert not has_pattern_by_enumeration(d, F2)
 
 
 def test_every_complete_k33_orientation_contains_f1_or_f2():
@@ -316,9 +235,8 @@ def test_every_complete_k33_orientation_contains_f1_or_f2():
     for signs in iproduct((0, 1), repeat=9):
         arcs = frozenset((a, b) if s == 0 else (b, a)
                          for (a, b), s in zip(pairs, signs))
-        d = bf.Digraph(6, arcs)
-        assert (bf.contains_pattern(d, bf.F1) is not None
-                or bf.contains_pattern(d, bf.F2) is not None)
+        d = Arcs(6, arcs)
+        assert has_pattern_by_enumeration(d, F1) or has_pattern_by_enumeration(d, F2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""K_{s,t} and directed-pattern detection against brute-force oracles."""
+"""K_{s,t} detection against brute-force oracles, and the directed patterns
+F1 and F2 under the brute-force matcher."""
 
 import random
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import bergefree as bf
 from conftest import graphs
-from oracles import has_kst_by_enumeration, has_pattern_by_enumeration
+from oracles import F1, F2, Arcs, Pattern, has_kst_by_enumeration, has_pattern_by_enumeration
 
 
 def complete_bipartite(s: int, t: int) -> bf.Graph:
@@ -71,66 +72,46 @@ def test_kst_monotone_under_edge_addition(g, data):
     assert bf.contains_kst(bigger, 2, 2) is not None
 
 
-def _digraph_from_pattern(pattern: bf.Pattern) -> bf.Digraph:
+def _digraph_from_pattern(pattern: Pattern) -> Arcs:
     index = {label: i for i, label in enumerate(pattern.vertices)}
-    return bf.Digraph(len(pattern.vertices),
-                      frozenset((index[a], index[b]) for a, b in pattern.arcs))
+    return Arcs(len(pattern.vertices),
+                frozenset((index[a], index[b]) for a, b in pattern.arcs))
 
 
-@pytest.mark.parametrize("pattern", [bf.F1, bf.F2], ids=lambda p: p.name)
+def _max_in_degree(d: Arcs) -> int:
+    return max(sum(1 for _, head in d.arcs if head == v) for v in range(d.n))
+
+
+# F1 and F2 are matched by the brute-force oracle the K_{3,3} endgame test
+# relies on; these pin the patterns and the oracle on known answers.
+
+@pytest.mark.parametrize("pattern", [F1, F2], ids=lambda p: p.name)
 def test_pattern_found_in_its_own_arc_set(pattern):
     d = _digraph_from_pattern(pattern)
-    image = bf.contains_pattern(d, pattern)
-    assert image is not None
-    for a, b in pattern.arcs:
-        assert (image[a], image[b]) in d.arcs
-    assert len(set(image.values())) == len(pattern.vertices)
+    assert has_pattern_by_enumeration(d, pattern)
+    smaller = Arcs(d.n, frozenset(sorted(d.arcs)[1:]))
+    assert not has_pattern_by_enumeration(smaller, pattern)
 
 
 def test_reversed_f1_contains_no_f1():
-    d = _digraph_from_pattern(bf.F1)
-    reversed_d = bf.Digraph(d.n, frozenset((b, a) for a, b in d.arcs))
+    d = _digraph_from_pattern(F1)
+    reversed_d = Arcs(d.n, frozenset((b, a) for a, b in d.arcs))
     # reversing kills the in-degree-2 vertex F1 needs
-    assert max(m.bit_count() for m in reversed_d.in_masks) < 2
-    assert bf.contains_pattern(reversed_d, bf.F1) is None
+    assert _max_in_degree(reversed_d) < 2
+    assert not has_pattern_by_enumeration(reversed_d, F1)
 
 
 def test_f1_and_f2_definitions_match_claimed_arcs():
-    assert set(bf.F1.arcs) == {("y", "x"), ("z", "x"), ("w", "z")}
-    assert set(bf.F2.arcs) == {("y", "x"), ("z", "x"), ("z", "w"), ("u", "w")}
+    assert set(F1.arcs) == {("y", "x"), ("z", "x"), ("w", "z")}
+    assert set(F2.arcs) == {("y", "x"), ("z", "x"), ("z", "w"), ("u", "w")}
 
 
-def _random_tournament(n: int, rng: random.Random) -> bf.Digraph:
+def _random_tournament(n: int, rng: random.Random) -> Arcs:
     arcs = set()
     for i in range(n):
         for j in range(i + 1, n):
             arcs.add((i, j) if rng.random() < 0.5 else (j, i))
-    return bf.Digraph(n, frozenset(arcs))
-
-
-@pytest.mark.parametrize("pattern", [bf.F1, bf.F2], ids=lambda p: p.name)
-def test_pattern_matcher_agrees_with_brute_force_on_tournaments(pattern):
-    rng = random.Random(20240814)
-    for _ in range(60):
-        n = rng.randint(2, 8)
-        d = _random_tournament(n, rng)
-        assert (bf.contains_pattern(d, pattern) is not None) == \
-            has_pattern_by_enumeration(d, pattern)
-
-
-def test_random_sparse_digraphs_agree_with_brute_force():
-    rng = random.Random(7)
-    for _ in range(80):
-        n = rng.randint(1, 6)
-        arcs = set()
-        for i in range(n):
-            for j in range(n):
-                if i != j and rng.random() < 0.3:
-                    arcs.add((i, j))
-        d = bf.Digraph(n, frozenset(arcs))
-        for pattern in (bf.F1, bf.F2):
-            assert (bf.contains_pattern(d, pattern) is not None) == \
-                has_pattern_by_enumeration(d, pattern)
+    return Arcs(n, frozenset(arcs))
 
 
 def test_f1_containment_implies_in_degree_two():
@@ -138,7 +119,7 @@ def test_f1_containment_implies_in_degree_two():
     hits = 0
     for _ in range(40):
         d = _random_tournament(rng.randint(4, 7), rng)
-        if bf.contains_pattern(d, bf.F1) is not None:
+        if has_pattern_by_enumeration(d, F1):
             hits += 1
-            assert max(m.bit_count() for m in d.in_masks) >= 2
+            assert _max_in_degree(d) >= 2
     assert hits > 0  # the property was actually exercised

@@ -7,10 +7,16 @@ from itertools import combinations, product
 import pytest
 
 import bergefree as bf
-from bergefree import search
-from bergefree.berge import _closes_c4, _closing_pairs
-from bergefree.search import SearchState, candidate_universe, incremental_c4_check
-from oracles import greedy_by_full_recheck, max_weight_by_multisets
+from bergefree.berge import _closing_pairs
+from bergefree.search import candidate_universe
+from oracles import (
+    SearchState,
+    _closes_c4,
+    greedy_by_full_recheck,
+    greedy_by_search_state,
+    incremental_c4_check,
+    max_weight_by_multisets,
+)
 
 
 def test_candidate_universe_order():
@@ -110,42 +116,60 @@ def _vertex_masks(state):
 
 
 def _assert_closing_pairs_agree(state, candidates):
-    """The closing-pair mask of the state's vertex masks answers
-    _closes_c4 for every ordered pair (bits a*n + b and b*n + a alike, no
-    bit a*n + a) and for every candidate."""
+    """The closing-pair mask, folded over the state's prefixes as a caller
+    keeps it (each step ORs _closing_pairs into the mask it had before the
+    last hyperedge), answers _closes_c4 for every ordered pair (bits
+    a*n + b and b*n + a alike, no bit a*n + a) and for every candidate.
+    On states of up to 8 hyperedges the last step holds exactly the pairs
+    that some triple through the last hyperedge closes."""
     n = state.n
-    closing = _closing_pairs(_vertex_masks(state), n)
+    masks = _vertex_masks(state)
+    last = len(masks) - 1
+    parent = 0
+    for i in range(last):
+        parent |= _closing_pairs(masks[:i + 1], n)
+    step = _closing_pairs(masks, n)
+    closing = parent | step
     assert closing < 1 << (n * n)
+    triples = [1 << last | 1 << i | 1 << j for i, j in combinations(range(last), 2)]
     for a in range(n):
         for b in range(n):
-            expected = a != b and _closes_c4(state, sorted((a, b)), -1)
+            pair = sorted((a, b))
+            expected = a != b and _closes_c4(state, pair, -1)
             assert bool(closing >> (a * n + b) & 1) == expected
+            if last < 8:
+                through = a != b and any(_closes_c4(state, pair, keep) for keep in triples)
+                assert bool(step >> (a * n + b) & 1) == through
     for cand in candidates:
         verts = sorted(cand)
         assert bool(_pair_bits(verts, n) & closing) == _closes_c4(state, verts, -1)
 
 
 def test_closing_pairs_matches_closes_c4():
-    """The per-node mask the exact search tests candidates against is the
-    oracle's predicate, on states grown by random pushes that keep them
-    free; each state is checked after every push."""
-    rng = random.Random(20261019)
-    for _ in range(30):
-        n = rng.randint(4, 9)
-        candidates = candidate_universe(n)
-        state = SearchState(n)
-        for _ in range(rng.randint(1, 8)):
-            hid = state.push(frozenset(rng.sample(range(n), rng.randint(2, n))))
-            if incremental_c4_check(state, hid):
-                state.pop()
-                continue
-            _assert_closing_pairs_agree(state, candidates)
+    """The running mask the exact search and the greedy generator test
+    candidates against is the oracle's predicate, on states grown by random
+    pushes that keep them free; each state is checked after every push.
+    The second family pushes only 2- and 3-sets, so a new hyperedge often
+    misses pairs that earlier ones close."""
+    for seed, largest in ((20261019, None), (20261020, 3)):
+        rng = random.Random(seed)
+        for _ in range(30):
+            n = rng.randint(4, 9)
+            candidates = candidate_universe(n)
+            state = SearchState(n)
+            for _ in range(rng.randint(1, 8)):
+                size = rng.randint(2, largest or n)
+                hid = state.push(frozenset(rng.sample(range(n), size)))
+                if incremental_c4_check(state, hid):
+                    state.pop()
+                    continue
+                _assert_closing_pairs_agree(state, candidates)
 
 
 def test_closing_pairs_every_three_hyperedges_on_five_vertices():
     """Every ordered triple of vertex subsets of size >= 2 on 5 vertices
-    (three hyperedges never hold a Berge-C4 themselves), pair by pair
-    against _closes_c4."""
+    (three hyperedges never hold a Berge-C4 themselves, and every triple of
+    them uses the last), pair by pair against _closes_c4."""
     n = 5
     subsets = [frozenset(c) for size in range(2, n + 1) for c in combinations(range(n), size)]
     pairs = list(combinations(range(n), 2))
@@ -296,23 +320,27 @@ def test_search_pinned_n8_orbit_reps():
     assert _summary(result) == (15, 49387, (tuple(range(8)),) * 3)
 
 
-def test_search_needs_no_search_state(monkeypatch):
-    """The exact search keeps only the chosen hyperedges' vertex masks."""
-    class NoState:
-        def __init__(self, n):
-            raise AssertionError("max_weight_exact built a SearchState")
-
-    monkeypatch.setattr(search, "SearchState", NoState)
-    result = bf.max_weight_exact(6)
-    assert _summary(result) == PINNED_SEARCHES[6, 3, True]
-
-
 @pytest.mark.parametrize("seed", range(20))
 def test_greedy_generator_matches_full_recheck_oracle(seed):
     n = 8 + 2 * seed
     size_range = (2, 4) if seed % 2 else (3, 6)
     expected = greedy_by_full_recheck(n, size_range, 60, random.Random(seed))
     assert bf.random_greedy_hypergraph(n, size_range, trials=60, rng=seed) == expected
+
+
+@pytest.mark.parametrize("n, seeds", [(None, range(48)), (30, range(500))],
+                         ids=["corpus", "acceptance"])
+def test_greedy_generator_matches_search_state_oracle(n, seeds):
+    """The generator's running closing-pair mask keeps exactly what the
+    path walk on a SearchState keeps, byte for byte, with the parameters
+    the benchmark corpus (n = 20..60) and the acceptance suite (n = 30)
+    draw with: sizes 4..8, 150 trials."""
+    for seed in seeds:
+        size = 20 + (seed * 17) % 41 if n is None else n
+        expected = greedy_by_search_state(size, (4, 8), 150, random.Random(seed))
+        got = bf.random_greedy_hypergraph(size, (4, 8), trials=150, rng=seed)
+        assert got == expected, (size, seed)
+        assert got.to_json_dict() == expected.to_json_dict()
 
 
 def test_small_hyperedges_never_help():
