@@ -8,7 +8,7 @@ vertex, oriented so v2 < vk), and then asks whether the k pair-slots admit
 k distinct covering hyperedges -- a system of distinct representatives over
 the slot-to-hyperedge bipartite graph, decided by backtracking.
 
-Every k runs through one twin gate before that enumeration:
+Every input runs through one twin gate before that enumeration, at every k:
 
 1. Twin gate.  Twins are vertices that lie in exactly the same hyperedges
    (equal incidence masks); every vertex of a blow-up has two.  A Berge-Ck
@@ -21,14 +21,13 @@ Every k runs through one twin gate before that enumeration:
    that tests pairs of class 2-paths with Hall's condition on their four
    slot masks, so a free input needs no SDR call; for every other k it is
    a depth-first search over closed walks that asks for an SDR only when
-   a walk's slots cover k hyperedges.  Inputs without twins skip the gate.
-2. Vertex search.  When the gate finds a cycle, or was skipped, the
-   enumeration above builds the witness, so witnesses do not depend on
-   the gate.  The gate reports the least class whose smallest member is
-   the minimum of some Berge-Ck, and the enumeration runs from that v1
-   alone, which yields the same witness as enumerating from every v1 in
-   ascending order.  Without twins, k = 4 finds that v1 by a 2-path scan
-   over the vertices first; every other k enumerates from every v1.
+   a walk's slots cover k hyperedges.  A vertex without a twin is a class
+   of one.
+2. Vertex search.  When the gate finds a cycle, the enumeration above
+   builds the witness, so witnesses do not depend on the gate.  The gate
+   reports the least class whose smallest member is the minimum of some
+   Berge-Ck, and the enumeration runs from that v1 alone, which yields the
+   same witness as enumerating from every v1 in ascending order.
 
 One mask engine serves the exact search and the greedy generator:
 _closing_pairs finds, from vertex masks alone, the pairs {a, b} that close
@@ -117,43 +116,30 @@ def find_berge_cycle(hypergraph: Hypergraph, k: int) -> Optional[BergeCycleWitne
 
     Canonical order: cycles are keyed by their vertex sequence with the
     minimum vertex first and v2 < vk; sequences are generated
-    lexicographically, so the returned witness is deterministic.  When the
-    hypergraph has twins, its twin classes decide freeness first, and only
-    an input they find a cycle in is searched vertex by vertex, from the
-    smallest member of the least class with a cycle.
+    lexicographically, so the returned witness is deterministic.  The twin
+    classes decide freeness first, and only an input they find a cycle in
+    is searched vertex by vertex, from the smallest member of the least
+    class with a cycle.
     """
     if k < 2:
         raise ValueError(f"Berge cycle length must be >= 2, got {k}")
     if k > hypergraph.n or k > len(hypergraph.hyperedges):
         return None
-    classes = _twin_classes(hypergraph)
-    if classes is None:
-        return _first_vertex_cycle(hypergraph, k)
-    masks, sizes, adj, firsts = classes
+    incidence = _incidence(hypergraph)
+    masks, sizes, adj, firsts = _twin_classes(hypergraph, incidence)
     a = _twin_quotient_has_cycle(masks, sizes, adj, k)
     if a is None:
         return None
-    return _first_vertex_cycle(hypergraph, k, firsts[a])
+    return _first_vertex_cycle(hypergraph, k, incidence, firsts[a])
 
 
-def _first_vertex_cycle(hypergraph: Hypergraph, k: int,
-                        first: Optional[int] = None) -> Optional[BergeCycleWitness]:
-    """find_berge_cycle without the twin-class gate: the vertex-level
-    search from v1 = first alone when given, else, for k = 4, from the
-    minimum _first_c4_minimum finds and, for other k, from every v1.
-    first must be the least vertex that is the minimum of a Berge-Ck."""
-    cover = hypergraph.pair_cover
-    adj, cover_masks = _shadow_masks(hypergraph)
-    if first is None and k == 4:
-        first = _first_c4_minimum(adj, cover_masks)
-        if first is None:
-            return None
-    starts = range(hypergraph.n) if first is None else (first,)
-
+def _first_vertex_cycle(hypergraph: Hypergraph, k: int, incidence: Sequence[int],
+                        first: int) -> Optional[BergeCycleWitness]:
+    """The vertex-level search from v1 = first alone, which must be the
+    least vertex that is the minimum of a Berge-Ck.  The slot of u and v
+    holds the hyperedges of incidence[u] & incidence[v], in id order."""
+    adj = _shadow_adjacency(hypergraph)
     path = [0] * k
-
-    def key(a: int, b: int) -> tuple[int, int]:
-        return (a, b) if a < b else (b, a)
 
     def extend(depth: int, used_mask: int, allowed: int, union_mask: int) -> Optional[BergeCycleWitness]:
         # path[0..depth-1] fixed; union_mask covers the depth-1 slots so far.
@@ -164,17 +150,19 @@ def _first_vertex_cycle(hypergraph: Hypergraph, k: int,
                 return None
             if k > 2 and path[1] > last:
                 return None  # orientation: keep only v2 < vk
-            if (union_mask | cover_masks[last][v1]).bit_count() < k:
+            if (union_mask | (incidence[last] & incidence[v1])).bit_count() < k:
                 return None
-            slots = [key(path[i], path[(i + 1) % k]) for i in range(k)]
-            assignment = distinct_representatives([cover[s] for s in slots])
+            slots = [list(iter_bits(incidence[path[i]] & incidence[path[(i + 1) % k]]))
+                     for i in range(k)]
+            assignment = distinct_representatives(slots)
             if assignment is None:
                 return None
             witness = BergeCycleWitness(tuple(path), tuple(assignment))
             validate_witness(hypergraph, witness)
             return witness
+        at_last = incidence[last]
         for w in iter_bits(adj[last] & allowed & ~used_mask):
-            new_union = union_mask | cover_masks[last][w]
+            new_union = union_mask | (at_last & incidence[w])
             if new_union.bit_count() < depth:
                 continue  # fewer distinct hyperedges than slots: dead prefix
             path[depth] = w
@@ -183,30 +171,40 @@ def _first_vertex_cycle(hypergraph: Hypergraph, k: int,
                 return found
         return None
 
-    for v1 in starts:
-        allowed = ~((1 << (v1 + 1)) - 1)  # cycle vertices other than v1 exceed it
-        path[0] = v1
-        found = extend(1, 1 << v1, allowed, 0)
-        if found is not None:
-            return found
-    return None
+    path[0] = first
+    # cycle vertices other than v1 exceed it
+    return extend(1, 1 << first, ~((1 << (first + 1)) - 1), 0)
 
 
-def _shadow_masks(hypergraph: Hypergraph) -> tuple[list[int], list[dict[int, int]]]:
-    """Shadow adjacency masks adj and, as cover_masks[u][v], the bitmask of
-    the hyperedges holding both u and v, built from pair_cover."""
+def _incidence(hypergraph: Hypergraph) -> list[int]:
+    """Per-vertex incidence masks: bit h of entry v is set when v lies in
+    hyperedge h."""
+    incidence = [0] * hypergraph.n
+    for hid, h in enumerate(hypergraph.hyperedges):
+        bit = 1 << hid
+        for v in h:
+            incidence[v] |= bit
+    return incidence
+
+
+def _shadow_adjacency(hypergraph: Hypergraph) -> list[int]:
+    """Shadow adjacency masks: bit v of entry u is set when u != v lie in a
+    common hyperedge."""
     adj = [0] * hypergraph.n
-    cover_masks: list[dict[int, int]] = [{} for _ in range(hypergraph.n)]
-    for (u, v), ids in hypergraph.pair_cover.items():
-        cover_masks[u][v] = cover_masks[v][u] = _ids_mask(ids)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj, cover_masks
+    for h in hypergraph.hyperedges:
+        mask = 0
+        for v in h:
+            mask |= 1 << v
+        for v in h:
+            adj[v] |= mask
+    for v in range(hypergraph.n):
+        adj[v] &= ~(1 << v)
+    return adj
 
 
-def _twin_classes(hypergraph: Hypergraph) -> Optional[tuple[list[int], ...]]:
-    """Twin classes as (masks, sizes, adj, firsts), or None when no class
-    has two members.
+def _twin_classes(hypergraph: Hypergraph, incidence: Sequence[int]) -> tuple[list[int], ...]:
+    """Twin classes as (masks, sizes, adj, firsts), from the per-vertex
+    incidence masks; a vertex without a twin is a class of one.
 
     masks[i] is the incidence mask shared by the members of class i (bit h
     set when they lie in hyperedge h), sizes[i] their number and firsts[i]
@@ -215,18 +213,11 @@ def _twin_classes(hypergraph: Hypergraph) -> Optional[tuple[list[int], ...]]:
     has bit j set when classes i != j share a hyperedge, and bit i set when
     class i has two members, which then share every hyperedge of the class.
     """
-    incidence = [0] * hypergraph.n
-    for hid, h in enumerate(hypergraph.hyperedges):
-        bit = 1 << hid
-        for v in h:
-            incidence[v] |= bit
     classes: dict[int, list[int]] = {}
     for v, mask in enumerate(incidence):
         if mask:
             classes.setdefault(mask, []).append(v)
     sizes = [len(members) for members in classes.values()]
-    if max(sizes, default=0) < 2:
-        return None
     of_vertex = [0] * hypergraph.n
     for i, members in enumerate(classes.values()):
         for v in members:
@@ -368,36 +359,6 @@ def _fits_classes(walk: tuple[int, ...], sizes: Sequence[int]) -> bool:
     return all(walk.count(i) <= sizes[i] for i in walk)
 
 
-def _first_c4_minimum(adj: Sequence[int], cover_masks: Sequence[dict[int, int]]) -> Optional[int]:
-    """Smallest vertex that is the minimum of some Berge-C4, or None.
-
-    A Berge-C4 a,b,c,d with minimum a is a pair of Berge 2-paths a-b-c and
-    a-d-c through middles b != d, all above a, whose four slots
-    ab, bc, cd, da admit distinct hyperedges.  For each a the scan groups
-    the middles by their far end c, drops a middle whose two slots hold a
-    single hyperedge between them (no Berge 2-path runs through it), and
-    tests each pair of middles with Hall's condition.
-    """
-    for a in range(len(adj)):
-        above = ~((1 << (a + 1)) - 1)
-        middles: dict[int, list[tuple[int, int, int]]] = {}
-        for b in iter_bits(adj[a] & above):
-            ab = cover_masks[a][b]
-            at_b = cover_masks[b]
-            for c in iter_bits(adj[b] & above):
-                bc = at_b[c]
-                both = ab | bc
-                if both.bit_count() < 2:
-                    continue
-                paths = middles.setdefault(c, [])
-                for da, cd, other in paths:
-                    # the union test alone rejects most pairs, and cheaply
-                    if (both | other).bit_count() >= 4 and _hall4(ab, bc, cd, da):
-                        return a
-                paths.append((ab, bc, both))
-    return None
-
-
 def _hall4(m0: int, m1: int, m2: int, m3: int) -> bool:
     """True iff four slots with these hyperedge masks admit distinct
     representatives.  By Hall's theorem that holds iff every set of j slots
@@ -482,13 +443,6 @@ def _closing_pairs(masks: Sequence[int], n: int) -> int:
                     rest ^= low
                     closing |= (wide & ~low) << ((low.bit_length() - 1) * n)
     return closing
-
-
-def _ids_mask(ids: Sequence[int]) -> int:
-    mask = 0
-    for hid in ids:
-        mask |= 1 << hid
-    return mask
 
 
 def is_berge_c4_free(hypergraph: Hypergraph) -> bool:

@@ -22,9 +22,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-
-HyperedgeId = int
 
 
 class FormatError(ValueError):
@@ -64,15 +61,6 @@ class Hypergraph:
 
     def __len__(self) -> int:
         return len(self.hyperedges)
-
-    @cached_property
-    def pair_cover(self) -> dict[tuple[int, int], tuple[HyperedgeId, ...]]:
-        """Map from a sorted vertex pair to the ids of hyperedges containing it."""
-        cover: dict[tuple[int, int], list[int]] = {}
-        for hid, h in enumerate(self.hyperedges):
-            for pair in combinations(sorted(h), 2):
-                cover.setdefault(pair, []).append(hid)
-        return {pair: tuple(ids) for pair, ids in cover.items()}
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "hyperedges": [sorted(h) for h in self.hyperedges]}

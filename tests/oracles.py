@@ -8,9 +8,11 @@ library's closing-pair mask and greedy generator, and the directed
 patterns F1 and F2 of the K_{5,5} argument's endgame with the arc
 container they are matched in.  What is shared with the library is named
 where it is used: the data types, distinct_representatives (which
-test_berge checks against _hall4 on every mask 4-tuple), and, in
-greedy_by_full_recheck, the detector's vertex-level Berge-C4 scan, which
-neither the twin-class quotient nor the closing-pair mask uses.
+test_berge checks against _hall4 on every mask 4-tuple), in
+first_cycle_by_vertex_classes the detector's gate and vertex search, run
+on one class per vertex instead of the twin classes, and, in
+greedy_by_full_recheck, the full detector, which the closing-pair mask
+does not use.
 """
 
 from __future__ import annotations
@@ -23,9 +25,14 @@ from bergefree import (
     BergeCycleWitness,
     Graph,
     Hypergraph,
+    is_berge_c4_free,
     weight,
 )
-from bergefree.berge import _first_c4_minimum, _shadow_masks, distinct_representatives
+from bergefree.berge import (
+    _first_vertex_cycle,
+    _twin_quotient_has_cycle,
+    distinct_representatives,
+)
 
 
 def bfs_neighborhoods(graph: Graph, v: int) -> tuple[frozenset[int], frozenset[int]]:
@@ -225,6 +232,27 @@ def canonical_cycle_by_enumeration(hypergraph: Hypergraph, k: int):
     return None
 
 
+def first_cycle_by_vertex_classes(hypergraph: Hypergraph, k: int):
+    """First Berge-Ck in canonical order, or None: the detector's class
+    gate on one class per vertex, whatever its twins, then its vertex search
+    from the vertex the gate reports.  Incidence and adjacency masks are
+    built here from the hyperedge lists; a vertex in no hyperedge is a class
+    with no neighbours, so class i is vertex i."""
+    n = hypergraph.n
+    incidence = [0] * n
+    adj = [0] * n
+    for hid, h in enumerate(hypergraph.hyperedges):
+        for v in h:
+            incidence[v] |= 1 << hid
+            for w in h:
+                if w != v:
+                    adj[v] |= 1 << w
+    first = _twin_quotient_has_cycle(incidence, [1] * n, adj, k)
+    if first is None:
+        return None
+    return _first_vertex_cycle(hypergraph, k, incidence, first)
+
+
 def plane_incidence_by_dot_products(q: int) -> frozenset[tuple[int, int]]:
     """Incidence edges of PG(2, q): point i meets line j iff their
     normalized coordinate triples have dot product 0 mod q."""
@@ -296,12 +324,12 @@ def is_prime_by_trial_division(q: int, primes: list[int]) -> bool:
 def greedy_by_full_recheck(n: int, size_range: tuple[int, int], trials: int, rng) -> Hypergraph:
     """The greedy generator's draws, keeping each candidate only when the
     whole hypergraph with it added passes a full Berge-C4 check by the
-    detector's vertex-level scan."""
+    detector."""
     kept: tuple[frozenset[int], ...] = ()
     for _ in range(trials):
         size = rng.randint(*size_range)
         candidate = frozenset(rng.sample(range(n), size))
-        if _first_c4_minimum(*_shadow_masks(Hypergraph(n, kept + (candidate,)))) is None:
+        if is_berge_c4_free(Hypergraph(n, kept + (candidate,))):
             kept += (candidate,)
     return Hypergraph(n, kept)
 

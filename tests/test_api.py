@@ -11,11 +11,18 @@ MODULES = ("bergefree",) + tuple(
                                      "generators", "patterns", "search"))
 
 # The path-walk Berge-C4 state and check, the membership digraph D with its
-# patterns and errors, and statistics only tests used; tests/oracles.py
-# keeps what the tests still need of them.
+# patterns and errors, statistics only tests used, and the hyperedge-id
+# alias of the removed pair_cover; tests/oracles.py keeps what the tests
+# still need of them.
 REMOVED = ("SearchState", "incremental_c4_check", "Digraph", "Pattern", "F1", "F2",
            "contains_pattern", "build_D", "NonNeighborError", "SharedColorError",
-           "shadow", "neighborhoods", "degree_stats")
+           "shadow", "neighborhoods", "degree_stats", "HyperedgeId")
+
+
+def test_hypergraph_has_no_pair_cover():
+    # the detector reads a pair's hyperedges off two incidence masks
+    assert not hasattr(bf.Hypergraph, "pair_cover")
+    assert not hasattr(bf.Hypergraph(3, ({0, 1, 2},)), "pair_cover")
 
 
 def test_public_api_is_sorted_and_resolves():

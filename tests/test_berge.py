@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import bergefree as bf
 from bergefree import berge
 from bergefree.berge import (
-    _first_vertex_cycle,
     _hall4,
+    _incidence,
     _twin_classes,
     _twin_quotient_has_cycle,
     distinct_representatives,
@@ -22,6 +22,7 @@ from oracles import (
     c4_by_pair_scan,
     canonical_c4_by_enumeration,
     canonical_cycle_by_enumeration,
+    first_cycle_by_vertex_classes,
     incremental_c4_check,
     triangle_by_sorted_edges,
 )
@@ -306,26 +307,28 @@ def test_certificate_scans_match_oracles_on_planted_planes(q):
 
 
 
-# -- the twin-class gate against the vertex-level search -------------------
+# -- the twin-class gate against the vertex-level reference ----------------
 
 CYCLE_LENGTHS = (2, 3, 4, 5, 6)
 
 
+def twin_classes(h: bf.Hypergraph):
+    return _twin_classes(h, _incidence(h))
+
+
 def _assert_quotient_agrees(h: bf.Hypergraph, k: int = 4, oracle: bool = False) -> bool:
-    """The twin gate (when it runs) agrees with the vertex-level search,
-    which never runs it, and the smallest member of the least class it
-    reports is the first vertex of that search's witness, which
-    find_berge_cycle returns; with oracle the witness also equals the
+    """The gate on the twin classes agrees with the vertex-level reference,
+    which runs it on one class per vertex, and the smallest member of the
+    least class it reports is the first vertex of the reference's witness,
+    which find_berge_cycle returns; with oracle the witness also equals the
     canonical enumerator's and, up to 7 vertices, the verdict
     naive_berge_oracle's.  Returns whether h has a Berge-Ck."""
-    expected = _first_vertex_cycle(h, k)
-    classes = _twin_classes(h)
-    if classes is not None:
-        masks, sizes, adj, firsts = classes
-        a = _twin_quotient_has_cycle(masks, sizes, adj, k)
-        assert (a is not None) == (expected is not None), (k, h)
-        if a is not None:
-            assert firsts[a] == expected.vertices[0], (k, h)
+    expected = first_cycle_by_vertex_classes(h, k)
+    masks, sizes, adj, firsts = twin_classes(h)
+    a = _twin_quotient_has_cycle(masks, sizes, adj, k)
+    assert (a is not None) == (expected is not None), (k, h)
+    if a is not None:
+        assert firsts[a] == expected.vertices[0], (k, h)
     assert bf.find_berge_cycle(h, k) == expected, (k, h)
     if oracle:
         assert canonical_cycle_by_enumeration(h, k) == expected, (k, h)
@@ -349,11 +352,15 @@ def _blow_classes(sizes, base_edges, rng, isolated=0):
 
 
 def test_twin_classes_skip_isolated_vertices():
-    # vertices 3, 4, 5 lie in no hyperedge: equal (zero) masks, but no class
+    # vertices 3, 4, 5 lie in no hyperedge: equal (zero) masks, but no
+    # class; each of 0, 1, 2 has no twin and is a class of one
     h = bf.Hypergraph(6, (frozenset({0, 1}), frozenset({1, 2})))
-    assert _twin_classes(h) is None
+    masks, sizes, adj, firsts = twin_classes(h)
+    assert masks == [0b01, 0b11, 0b10] and sizes == [1, 1, 1]
+    assert adj == [0b010, 0b101, 0b010]  # no class has a loop
+    assert firsts == [0, 1, 2]
     h = bf.Hypergraph(7, (frozenset({0, 1, 2}), frozenset({2, 3})))
-    masks, sizes, adj, firsts = _twin_classes(h)
+    masks, sizes, adj, firsts = twin_classes(h)
     assert masks == [0b01, 0b11, 0b10] and sizes == [2, 1, 1]
     assert adj == [0b011, 0b101, 0b010]  # only class 0 has a loop
     assert firsts == [0, 2, 3]
@@ -379,7 +386,7 @@ def test_quotient_on_copies_of_one_hyperedge(size):
 ])
 def test_quotient_walks_two_members_of_one_class_in_a_row(hyperedges, classes):
     h = bf.Hypergraph(4, tuple(frozenset(e) for e in hyperedges))  # vertex 3 isolated
-    masks, sizes, _, _ = _twin_classes(h)
+    masks, sizes, _, _ = twin_classes(h)
     assert (masks, sizes) == classes
     assert _assert_quotient_agrees(h, 3, oracle=True)
 
@@ -500,29 +507,52 @@ def test_quotient_on_relabelled_blowups(q):
 # -- where the twin gate runs ----------------------------------------------
 
 @pytest.mark.parametrize("k", CYCLE_LENGTHS)
-def test_twin_free_input_never_enters_the_class_search(k, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("class search ran on a twin-free input")
+def test_twin_free_input_enters_the_class_search(k, monkeypatch):
+    """Inputs without twins go through the class search, on classes of one
+    member each, and find_berge_cycle returns the canonical witness: the
+    loose cycles, whose only cycle is known, and seeded random inputs,
+    checked against the canonical enumerator up to 9 vertices and the
+    naive oracle up to 12."""
+    entered = []
 
-    monkeypatch.setattr(berge, "_twin_quotient_has_walk", refuse)
-    monkeypatch.setattr(berge, "_twin_quotient_has_c4", refuse)
+    def counted(search):
+        def run(*args):
+            entered.append(search.__name__)
+            return search(*args)
+        return run
+
+    monkeypatch.setattr(berge, "_twin_quotient_has_walk", counted(berge._twin_quotient_has_walk))
+    monkeypatch.setattr(berge, "_twin_quotient_has_c4", counted(berge._twin_quotient_has_c4))
+
+    def assert_canonical(h):
+        _, sizes, _, _ = twin_classes(h)
+        assert sizes == [1] * len(sizes)
+        entered.clear()
+        witness = bf.find_berge_cycle(h, k)
+        if k <= len(h.hyperedges):  # else there is nothing to search
+            assert entered == ["_twin_quotient_has_c4" if k == 4 else "_twin_quotient_has_walk"]
+        if h.n <= 9:
+            assert witness == canonical_cycle_by_enumeration(h, k), (k, h)
+        elif h.n <= 12:
+            assert (witness is None) == (bf.naive_berge_oracle(h, k) is None), (k, h)
+        return witness
+
     # loose cycles: every vertex lies in its own set of hyperedges
     for length in range(3, 9):
         h = bf.Hypergraph(2 * length, tuple(
             frozenset({i, (i + 1) % length, length + i}) for i in range(length)))
-        assert _twin_classes(h) is None
-        witness = bf.find_berge_cycle(h, k)
-        assert (witness is not None) == (length == k)
-        assert witness == _first_vertex_cycle(h, k)
+        witness = assert_canonical(h)
+        cycle = tuple(range(length))
+        assert witness == (bf.BergeCycleWitness(cycle, cycle) if length == k else None)
     rng = random.Random(k)
-    checked = 0
-    while checked < 50:
+    verdicts = {False: 0, True: 0}
+    while sum(verdicts.values()) < 50:
         n = rng.randint(max(k, 4), 9)
         h = bf.Hypergraph(n, tuple(frozenset(rng.sample(range(n), rng.randint(2, 4)))
                                    for _ in range(rng.randint(k, 8))))
-        if _twin_classes(h) is None:
-            assert bf.find_berge_cycle(h, k) == _first_vertex_cycle(h, k)
-            checked += 1
+        if max(twin_classes(h)[1]) == 1:
+            verdicts[assert_canonical(h) is not None] += 1
+    assert min(verdicts.values()) > 0, verdicts
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -531,7 +561,7 @@ def test_free_blowup_never_reaches_the_vertex_search(q, k, monkeypatch):
     def refuse(*args):
         raise AssertionError("the vertex-level search ran on a free blow-up")
 
-    monkeypatch.setattr(berge, "_shadow_masks", refuse)
+    monkeypatch.setattr(berge, "_shadow_adjacency", refuse)
     h = bf.blow_up(bf.projective_plane_incidence(q).graph(), 3)
     assert bf.find_berge_cycle(h, k) is None
 
@@ -539,9 +569,9 @@ def test_free_blowup_never_reaches_the_vertex_search(q, k, monkeypatch):
 @pytest.mark.parametrize("k", [4, 5])
 def test_twinned_cycle_search_tries_one_start_vertex(k, monkeypatch):
     """On a twinned input with a cycle, the vertex-level search runs from
-    one v1, the smallest member of the least class the gate reports (for
-    k = 4 without the vertex-level 2-path scan): it never looks up a vertex
-    below that v1, and returns the witness of the search from every v1."""
+    one v1, the smallest member of the least class the gate reports: it
+    never looks up a vertex below that v1, and returns the witness of the
+    vertex-level reference, which finds v1 on one class per vertex."""
     base = bf.projective_plane_incidence(2).graph()
     rng = random.Random(k)
     relabel = rng.sample(range(42), 42)
@@ -550,9 +580,9 @@ def test_twinned_cycle_search_tries_one_start_vertex(k, monkeypatch):
     edges = sorted(base.edges) + [(0, 1)]
     h = bf.Hypergraph(42, tuple(frozenset(relabel[3 * x + i] for x in e for i in range(3))
                                 for e in edges))
-    everywhere = _first_vertex_cycle(h, k)
-    assert everywhere is not None and everywhere.vertices[0] > 0
-    shadow_masks = berge._shadow_masks
+    expected = first_cycle_by_vertex_classes(h, k)
+    assert expected is not None and expected.vertices[0] > 0
+    shadow_adjacency = berge._shadow_adjacency
     looked_up = set()
 
     class Recorded(list):
@@ -560,14 +590,6 @@ def test_twinned_cycle_search_tries_one_start_vertex(k, monkeypatch):
             looked_up.add(v)
             return list.__getitem__(self, v)
 
-    def recording(hypergraph):
-        adj, cover_masks = shadow_masks(hypergraph)
-        return Recorded(adj), cover_masks
-
-    def refuse(*args):
-        raise AssertionError("the vertex-level 2-path scan ran on a twinned input")
-
-    monkeypatch.setattr(berge, "_shadow_masks", recording)
-    monkeypatch.setattr(berge, "_first_c4_minimum", refuse)
-    assert bf.find_berge_cycle(h, k) == everywhere
-    assert min(looked_up) == everywhere.vertices[0]
+    monkeypatch.setattr(berge, "_shadow_adjacency", lambda h: Recorded(shadow_adjacency(h)))
+    assert bf.find_berge_cycle(h, k) == expected
+    assert min(looked_up) == expected.vertices[0]

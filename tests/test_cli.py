@@ -243,6 +243,66 @@ def test_verify_witness_bytes_are_pinned(pinned_inputs, capsys, name, k, status,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _loose_cycle(length):
+    """A loose C_length whose hyperedge i holds i, i + 1 and a private
+    vertex, with shuffled vertex labels and hyperedge order."""
+    rng = random.Random(length)
+    image = rng.sample(range(2 * length), 2 * length)
+    hyperedges = [frozenset({image[i], image[(i + 1) % length], image[length + i]})
+                  for i in range(length)]
+    rng.shuffle(hyperedges)
+    return bf.Hypergraph(2 * length, tuple(hyperedges))
+
+
+def _relabelled_plane_with_chord(q):
+    """The incidence graph of PG(2, q) as 2-sets, plus a 2-set joining two
+    points (which share a line), with shuffled vertex labels and hyperedge
+    order."""
+    base = bf.projective_plane_incidence(q).graph()
+    count = q * q + q + 1  # points are 0..count-1
+    rng = random.Random(q)
+    edges = sorted(base.edges) + [tuple(rng.sample(range(count), 2))]
+    image = rng.sample(range(base.n), base.n)
+    hyperedges = [frozenset(image[v] for v in edge) for edge in edges]
+    rng.shuffle(hyperedges)
+    return bf.Hypergraph(base.n, tuple(hyperedges))
+
+
+@pytest.fixture(scope="module")
+def twin_free_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("twin_free")
+    built = {"loose4": _loose_cycle(4), "loose5": _loose_cycle(5),
+             "q3chord": _relabelled_plane_with_chord(3)}
+    return {name: write_hypergraph(root, f"{name}.json", h) for name, h in built.items()}
+
+
+@pytest.mark.parametrize("name, k, status, digest", [
+    ("loose4", 2, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("loose4", 3, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("loose4", 4, 1, "dc75fb05208916b6062bd4fc37483de33ab2075021e694007a042ee4e8987072"),
+    ("loose4", 5, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("loose4", 6, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("loose5", 2, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("loose5", 3, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("loose5", 4, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("loose5", 5, 1, "fb38c72b4fb1438b8e2fe54e1a1f7dca957a8a40b6171109bdb23f7211a42b99"),
+    ("loose5", 6, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("q3chord", 2, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("q3chord", 3, 1, "f23ef7cc1bc727b14966022e028deb6575a853446eb1f0bcce0cbbeecc1c7193"),
+    ("q3chord", 4, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("q3chord", 5, 1, "b1187d617709df0a1d5657e06b7e143c48502ab9bdbfb08057ce65e1c7021184"),
+    ("q3chord", 6, 1, "8c50023fac146e9dc27d25c2ce6d212daeae9b177b78878c7421cf5b4e8ddf54"),
+])
+def test_verify_twin_free_witness_bytes_are_pinned(twin_free_inputs, capsys, name, k,
+                                                   status, digest):
+    """verify --k K prints the same witness bytes and exit status as when
+    inputs without twins skipped the twin-class gate: no two vertices of
+    these inputs lie in the same hyperedges."""
+    assert main(["verify", "-i", twin_free_inputs[name], "--k", str(k)]) == status
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_decides_the_q7_blowup_c5_free(tmp_path, capsys):
     src = write_hypergraph(tmp_path, "q7.json", _relabelled_blowup(7))
     assert main(["verify", "-i", src, "--k", "5"]) == 0

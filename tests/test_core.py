@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bergefree as bf
-from bergefree.berge import _shadow_masks
+from bergefree.berge import _shadow_adjacency
 from bergefree.core import iter_bits, neighborhood_masks
 from conftest import graphs, hypergraphs
 from oracles import bfs_neighborhoods, degree_stats, shadow_by_scan
@@ -91,7 +91,7 @@ def test_neighborhoods_match_bfs_distance_classes(g, data):
 # ---------------------------------------------------------------------------
 
 def shadow_edges(hypergraph):
-    adj, _ = _shadow_masks(hypergraph)
+    adj = _shadow_adjacency(hypergraph)
     return frozenset((u, v) for u in range(hypergraph.n) for v in iter_bits(adj[u]) if u < v)
 
 
