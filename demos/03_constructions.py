@@ -26,6 +26,8 @@ for q in (2, 3, 5, 7, 11, 13):
 # the blow-up without running the (more expensive) Berge detector.
 heawood = bf.projective_plane_incidence(2).graph()
 print("\nq=2 certificate:", bf.certify_blowup_free(heawood).to_json_dict())
+print("the same certificate from the q=2 line lists:",
+      bf.certify_plane_blowup_free(bf.projective_plane_incidence(2)).to_json_dict())
 print("direct detector on the q=2 blow-up:",
       bf.is_berge_c4_free(bf.blow_up(heawood, 3)))
 

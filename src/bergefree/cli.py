@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from .berge import find_berge_cycle, is_berge_c4_free
 from .constructions import (
-    certify_blowup_free,
+    certify_plane_blowup_free,
     largest_fitting_prime,
     plane_blow_up_rows,
     projective_plane_incidence,
@@ -44,8 +44,8 @@ EXIT_ERROR = 2
 DETECTOR_SIZE_CAP = 100
 
 # Largest plane order construct builds: q = 97 gives about 10^6 hyperedges,
-# written in about 4 s at a peak RSS of about 335 MB as a process (Python
-# 3.11, 2-vCPU host); with --certify, whose C4 scan dominates, about 14 s.
+# written in about 2 s at a peak RSS of about 215 MB as a process (Python
+# 3.11, 2-vCPU host); --certify's line-list C4 scan adds about 1 s.
 MAX_PLANE_ORDER = 97
 
 
@@ -79,9 +79,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
     """Write the 3-fold blow-up of PG(2, q) as canonical JSON.
 
     The rows come from plane_blow_up_rows, already sorted and in canonical
-    order, so no Hypergraph is built except for the direct detector.  The
-    plane's BipartiteGraph is the one validation: every plane vertex u is
-    below 2N (N = q^2 + q + 1), so every copy 3u + 2 is below 6N <= n.
+    order, so no Hypergraph is built except for the direct detector, and
+    certify_plane_blowup_free reads the same line lists, so the plane's
+    graph is never built either.  PlaneIncidence's check of its line lists
+    is the one validation: every line index is below N = q^2 + q + 1, so
+    every plane vertex u is below 2N and every copy 3u + 2 below 6N <= n.
     """
     try:
         q = _plane_order(args)
@@ -91,7 +93,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     rows = plane_blow_up_rows(plane)
     n = 6 * len(plane.points) if args.n is None else args.n  # isolated padding
     if args.certify:
-        certificate = certify_blowup_free(plane.graph())
+        certificate = certify_plane_blowup_free(plane)
         print(f"certificate: {json.dumps(certificate.to_json_dict())}", file=sys.stderr)
         if not certificate.certified:
             return EXIT_FOUND

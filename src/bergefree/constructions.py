@@ -10,10 +10,13 @@ base graph has neither a C3 nor a C4, and its weight is 3 |E(G)|.
 Points and lines share one list of normalized triples, and P . L = 0 is
 symmetric, so the points on line j are, by index, the lines through point
 j.  projective_plane_incidence keeps these per-point line lists, ascending,
-and derives the incidence edges from them; plane_blow_up_rows walks the same
-lists, points ascending, to emit the blow-up's hyperedges as sorted rows in
-blow_up's order without building a graph, a set or a sort.  blow_up stays
-the general builder for any graph and the oracle for those rows.
+and everything downstream reads them: plane_blow_up_rows walks them, points
+ascending, to emit the blow-up's hyperedges as sorted rows in blow_up's
+order without building a graph, a set or a sort, and
+certify_plane_blowup_free scans them for a C4.  The incidence edges and the
+plane's Graph are built only when asked for (PlaneIncidence.incidence and
+.graph()).  blow_up and certify_blowup_free stay the general builder and
+certificate for any graph, and the oracles for the plane's fast paths.
 
 Only prime orders are generated; prime-power fields are out of scope and
 primes already realize the asymptotic edge density.
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .berge import find_c4_in_graph, find_triangle
@@ -74,14 +78,39 @@ class PlaneIncidence:
     field, normalized so the first nonzero coordinate is 1.  In the
     incidence graph, point i is vertex i and line j is vertex N + j with
     N = q^2 + q + 1.  lines_through[i] lists the lines through point i in
-    ascending order; the incidence edges are derived from it.
+    strictly ascending order, each in range(len(lines)); construction
+    checks this in one pass over the lists and raises ValueError
+    otherwise.  The incidence edges are derived from the lists on first
+    use of incidence (or graph()); construct never asks for them.
     """
 
     q: int
     points: tuple[tuple[int, int, int], ...]
     lines: tuple[tuple[int, int, int], ...]
-    incidence: BipartiteGraph
     lines_through: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if len(self.lines_through) != len(self.points):
+            raise ValueError(f"lines_through lists {len(self.lines_through)} points, "
+                             f"the plane has {len(self.points)}")
+        count = len(self.lines)
+        for i, lines in enumerate(self.lines_through):
+            if not lines:
+                continue
+            if lines[0] < 0 or lines[-1] >= count:
+                raise ValueError(f"point {i}: line index out of range(0, {count}) in {lines}")
+            if any(a >= b for a, b in zip(lines, lines[1:])):
+                raise ValueError(f"point {i}: line indices must strictly ascend, got {lines}")
+
+    @cached_property
+    def incidence(self) -> BipartiteGraph:
+        count = len(self.points)
+        return BipartiteGraph(
+            left=tuple(range(count)),
+            right=tuple(range(count, count + len(self.lines))),
+            edges=frozenset((i, count + j)
+                            for i, lines in enumerate(self.lines_through) for j in lines),
+        )
 
     def graph(self) -> Graph:
         return self.incidence.to_graph()
@@ -119,25 +148,20 @@ def projective_plane_incidence(q: int, verify_c4_free: bool = False) -> PlaneInc
 
     A point P lies on a line L iff the dot product P . L vanishes mod q;
     each line lists its q+1 points directly, so the build is O(q^3).
-    With verify_c4_free=True the 2-path scan of find_c4_in_graph re-checks
-    that no C4 slipped in (it never should; a failure raises AssertionError).
+    With verify_c4_free=True the line-list scan of certify_plane_blowup_free
+    re-checks that no C4 slipped in (it never should; a failure raises
+    AssertionError).
     """
     if not is_prime(q):
         raise ValueError(f"q must be prime (prime powers unsupported), got {q}")
-    reps = _projective_triples(q)
-    count = q * q + q + 1
-    lines_through = tuple(tuple(_points_on(point, q)) for point in reps)
-    incidence = BipartiteGraph(
-        left=tuple(range(count)),
-        right=tuple(range(count, 2 * count)),
-        edges=frozenset((i, count + j) for i, lines in enumerate(lines_through) for j in lines),
-    )
-    plane = PlaneIncidence(q=q, points=tuple(reps), lines=tuple(reps), incidence=incidence,
-                           lines_through=lines_through)
+    reps = tuple(_projective_triples(q))
+    plane = PlaneIncidence(q=q, points=reps, lines=reps,
+                           lines_through=tuple(tuple(_points_on(point, q)) for point in reps))
     if verify_c4_free:
-        cycle = find_c4_in_graph(plane.graph())
-        if cycle is not None:
-            raise AssertionError(f"incidence graph of order {q} contains a C4: {cycle}")
+        certificate = certify_plane_blowup_free(plane)
+        if not certificate.certified:
+            raise AssertionError(f"incidence graph of order {q} contains a C4: "
+                                 f"{certificate.obstruction}")
     return plane
 
 
@@ -200,9 +224,11 @@ def certify_blowup_free(graph: Graph) -> BlowupCertificate:
 
     Both scans walk edges rather than vertex pairs: find_triangle meets
     each edge once and find_c4_in_graph each edge from both ends, so a
-    plane of order q costs O(q^3) mask operations.  The obstruction is the
+    graph with m edges costs O(m) mask operations.  The obstruction is the
     first triangle (u < v, by edge order) or the C4 with the least pair
-    x < y, as a scan over every edge or vertex pair would report.
+    x < y, as a scan over every edge or vertex pair would report.  A plane
+    is certified from its line lists by certify_plane_blowup_free, which
+    this function is the oracle for.
     """
     triangle = find_triangle(graph)
     if triangle is not None:
@@ -210,6 +236,38 @@ def certify_blowup_free(graph: Graph) -> BlowupCertificate:
     cycle = find_c4_in_graph(graph)
     if cycle is not None:
         return BlowupCertificate(False, "four_cycle", cycle)
+    return BlowupCertificate(True)
+
+
+def certify_plane_blowup_free(plane: PlaneIncidence) -> BlowupCertificate:
+    """certify_blowup_free(plane.graph()), read off plane.lines_through
+    without building the graph.
+
+    Every incidence edge joins a point i < N to a line N + j, so the graph
+    has no triangle, and a C4 has two points and two lines: its least
+    vertex is a point.  The line lists are transposed into per-line point
+    masks; for each point x, the points above x on its lines are folded
+    into seen (met once) and dup (met twice), as find_c4_in_graph folds
+    2-paths.  The first x with a dup gives the same obstruction
+    (x, N + a, y, N + b): y the least point above x on two of x's lines,
+    a < b the two least of them.
+    """
+    count = len(plane.points)
+    points_on = [0] * len(plane.lines)
+    for i, lines in enumerate(plane.lines_through):
+        bit = 1 << i
+        for j in lines:
+            points_on[j] |= bit
+    for x, lines in enumerate(plane.lines_through):
+        seen = dup = 0
+        for j in lines:
+            ends = points_on[j] >> (x + 1)
+            dup |= seen & ends
+            seen |= ends
+        if dup:
+            y = x + (dup & -dup).bit_length()
+            a, b = [j for j in lines if points_on[j] >> y & 1][:2]
+            return BlowupCertificate(False, "four_cycle", (x, count + a, y, count + b))
     return BlowupCertificate(True)
 
 

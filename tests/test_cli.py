@@ -151,6 +151,26 @@ def test_construct_writes_rows_without_building_a_hypergraph(tmp_path, monkeypat
     assert bf.weight(bf.load_hypergraph(str(out))) == 558
 
 
+def test_construct_builds_no_graph_and_runs_no_graph_scan(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("construct reads the plane's line lists, not its graph")
+
+    import bergefree.berge
+    import bergefree.constructions
+    import bergefree.core
+    monkeypatch.setattr(bergefree.core.Graph, "__post_init__", refuse)
+    monkeypatch.setattr(bergefree.core.BipartiteGraph, "__post_init__", refuse)
+    for module in (bergefree.berge, bergefree.constructions, bf):
+        monkeypatch.setattr(module, "find_c4_in_graph", refuse)
+        monkeypatch.setattr(module, "find_triangle", refuse)
+    certified = tmp_path / "q5c.json"
+    plain = tmp_path / "q5.json"
+    assert main(["construct", "--q", "5", "--certify", "-o", str(certified)]) == 0
+    assert main(["construct", "--q", "5", "-o", str(plain)]) == 0
+    assert certified.read_bytes() == plain.read_bytes()
+    assert bf.lower_bound_construction(200).weight == 558
+
+
 def test_construct_round_trip_is_byte_stable(tmp_path):
     first = tmp_path / "a.json"
     assert main(["construct", "--q", "3", "-o", str(first)]) == 0

@@ -1,5 +1,6 @@
 """Projective plane incidence graphs, blow-ups, and bound comparators."""
 
+import json
 import math
 import random
 
@@ -155,6 +156,68 @@ def test_plane_blow_up_rows_match_blow_up_oracle(q):
     rows = bf.plane_blow_up_rows(plane)
     oracle = bf.blow_up(plane.graph(), 3)
     assert [list(row) for row in rows] == [sorted(h) for h in oracle.hyperedges]
+
+
+@pytest.mark.parametrize("q", PRIMES_TO_31)
+def test_plane_certificate_matches_graph_certificate(q):
+    plane = bf.projective_plane_incidence(q)
+    certificate = bf.certify_plane_blowup_free(plane)
+    assert certificate.certified
+    assert json.dumps(certificate.to_json_dict()) == \
+        json.dumps(bf.certify_blowup_free(plane.graph()).to_json_dict())
+
+
+def _corrupted_plane(q, seed):
+    """PG(2, q) with a few line lists changed: lines dropped from some
+    points (no C4 can appear) and, in about half the seeds, a line added
+    to a point off it, which then shares two lines with every other point
+    of that line."""
+    plane = bf.projective_plane_incidence(q)
+    count = len(plane.points)
+    rng = random.Random(seed)
+    lists = [set(lines) for lines in plane.lines_through]
+    for _ in range(rng.randint(0, 3)):
+        lists[rng.randrange(count)].discard(rng.randrange(count))
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        lists[rng.randrange(count)].add(rng.randrange(count))
+    return bf.PlaneIncidence(q, plane.points, plane.lines,
+                             tuple(tuple(sorted(lines)) for lines in lists))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_plane_certificate_matches_graph_certificate_on_corrupted_planes(q):
+    verdicts = []
+    for seed in range(200):
+        plane = _corrupted_plane(q, seed)
+        certificate = bf.certify_plane_blowup_free(plane)
+        assert certificate == bf.certify_blowup_free(plane.graph()), (q, seed)
+        verdicts.append(certificate.certified)
+    assert 20 < verdicts.count(False) < 180  # both verdicts are well represented
+
+
+def _q2_plane_with(point, lines):
+    plane = bf.projective_plane_incidence(2)
+    lines_through = list(plane.lines_through)
+    lines_through[point] = lines
+    return bf.PlaneIncidence(2, plane.points, plane.lines, tuple(lines_through))
+
+
+@pytest.mark.parametrize("lines,match", [
+    ((0, 3, 7), "out of range"),     # N = 7 lines
+    ((-1, 3, 5), "out of range"),
+    ((0, 3, 3), "ascend"),
+    ((5, 3, 0), "ascend"),
+    ((0, 5, 3), "ascend"),
+])
+def test_plane_rejects_malformed_line_lists(lines, match):
+    with pytest.raises(ValueError, match=match):
+        _q2_plane_with(4, lines)
+
+
+def test_plane_rejects_a_line_list_per_point_mismatch():
+    plane = bf.projective_plane_incidence(2)
+    with pytest.raises(ValueError, match="lines_through"):
+        bf.PlaneIncidence(2, plane.points, plane.lines, plane.lines_through[:-1])
 
 
 def test_plane_rejects_non_primes():
