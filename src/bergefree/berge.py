@@ -30,18 +30,23 @@ Every input runs through one twin gate before that enumeration, at every k:
    same witness as enumerating from every v1 in ascending order.
 
 One mask engine serves the exact search and the greedy generator:
-_closing_pairs finds, from vertex masks alone, the pairs {a, b} that close
-a Berge-C4 with an ordered triple (X, Y, Z) of distinct hyperedges through
-the newest one (b in X, a in Z, room for v3 in X & Y and v4 in Y & Z,
-distinct and outside {a, b}); a caller ORs them into its running mask and
-tests each candidate with one AND.  Every witness a search returns is
-re-validated against the definition before it is handed out.
+_closing_pairs finds, from vertex masks and their spreads (bit a*n for each
+vertex a), the pairs {a, b} that close a Berge-C4 with a triple (X, Y, Z) of
+distinct hyperedges through the newest one (b in X, a in Z, room for v3 in
+X & Y and v4 in Y & Z, distinct and outside {a, b}); a caller ORs them into
+its running mask and tests each candidate with one AND.  It has no loop
+over vertices: the a of a triple fall into four classes by whether they lie
+in X, Y and Z, every a of a class has the same b, and one product of the
+class's spread with those b sets all of its rows of the n x n pair matrix.
+Every witness a search returns is re-validated against the definition
+before it is handed out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from functools import cache
+from itertools import combinations, permutations, repeat
 from typing import Optional, Sequence
 
 from .core import Graph, Hypergraph, iter_bits
@@ -373,25 +378,40 @@ def _hall4(m0: int, m1: int, m2: int, m3: int) -> bool:
             and (m0 | m1 | m2 | m3).bit_count() >= 4)
 
 
-def _closing_pairs(masks: Sequence[int], n: int) -> int:
+@cache
+def _diagonal(n: int) -> int:
+    """The bits a*n + a of an n-vertex pair mask, one per vertex a."""
+    return sum(1 << (a * (n + 1)) for a in range(n))
+
+
+def _closing_pairs(masks: Sequence[int], spreads: Sequence[int], n: int) -> int:
     """Bitmask of the vertex pairs that close a Berge-C4 with three
     distinct hyperedges, one of them the last, of a multiset given by their
-    vertex masks: bits a*n + b and b*n + a (a != b) are set iff a hyperedge
+    vertex masks and spreads (spreads[i] has bit a*n for each bit a of
+    masks[i]): bits a*n + b and b*n + a (a != b) are set iff a hyperedge
     holding a and b closes one.  ORed into the pairs the earlier masks
     close alone, it gives every closing pair, and a candidate is tested
     with one AND of its pairs (a < b) against that.
 
     A Berge-C4 a - h - b - X - v3 - Y - v4 - Z - a through a new hyperedge
-    h is an ordered triple (X, Y, Z) of distinct hyperedges with b in X,
-    a in Z and v3 in P = X & Y, v4 in Q = Y & Z picked distinct and
-    outside {a, b}.  Hall's condition for those two slots is that P and Q
-    minus {a, b} are non-empty and their union minus {a, b} has 2 bits,
-    so for one a every b of X - {a} qualifies except at most three forced
-    exclusions: the member of P - {a} or of Q - {a} when it is alone, and
-    both members of (P | Q) - {a} when there are two.  None is forced for
-    any a when P and Q have 3 bits and P | Q has 4; those X are ORed
-    together and spread over the a of Z in one pass.  Every ordered triple
-    that uses the last mask is walked, so the mask is symmetric.
+    h is a triple (X, Y, Z) of distinct hyperedges with b in X, a in Z and
+    v3 in P = X & Y, v4 in Q = Y & Z picked distinct and outside {a, b}.
+    Hall's condition for those two slots is that P and Q minus {a, b} are
+    non-empty and their union U minus {a, b} has 2 bits, so for one a
+    every b of X - {a} qualifies except at most three forced exclusions:
+    P - {a} or Q - {a} when it has one member, and U - {a} when it has
+    two.  Which apply depends only on the class of a: in X & Y & Z, in
+    X & Y alone, in Y & Z alone, or outside Y.  Each pair {X, Z} is walked
+    once per middle Y, both ways round (a in X and b in Z as well), and
+    each class is one product: spread(S) * T sets bit a*n + b for every a
+    in S and b in T, with no carry since b < n.  A class's spread comes
+    from the triple's spreads by AND and XOR, because spreading moves each
+    bit a to its own bit a*n, so spread(S & T) = spread(S) & spread(T).
+    No exclusion is forced for any a when P and Q have 3 bits and U has 4.
+    The exclusions are taken whole (P, not P - {a}) from X or Z whole, so
+    a product may also set a*n + a for a member a of its class; no closing
+    pair has that bit, so the diagonal is cleared once, at the end, in
+    place of once per a.
     """
     last = len(masks) - 1
     if last < 2:
@@ -401,48 +421,40 @@ def _closing_pairs(masks: Sequence[int], n: int) -> int:
         every = last == 2 or y == last  # then every triple uses the last mask
         if not (every or mask_y & masks[last]):
             continue  # the last mask is X or Z, so it meets Y
-        meets = [(mask, mask & mask_y, i) for i, mask in enumerate(masks)
+        spread_y = spreads[y]
+        meets = [(mask, spreads[i], mask & mask_y) for i, mask in enumerate(masks)
                  if i != y and mask & mask_y]
-        for mask_z, q_all, z in meets:
-            q_wide = q_all.bit_count() >= 3
-            wide = 0
-            # unless Y or Z is the last mask, X is: the last entry of meets
-            for mask_x, p_all, x in (meets if every or z == last else meets[-1:]):
-                if x == z:
+        # unless Y is the last mask, X or Z is: the last entry of meets
+        for (mask_x, spread_x, p_all), (mask_z, spread_z, q_all) in (
+                combinations(meets, 2) if every else zip(repeat(meets[-1]), meets[:-1])):
+            p_count = p_all.bit_count()
+            q_count = q_all.bit_count()
+            u_all = p_all | q_all
+            u_count = u_all.bit_count()
+            if p_count >= 3 and q_count >= 3 and u_count >= 4:
+                closing |= spread_z * mask_x | spread_x * mask_z
+                continue
+            if u_count < 2:
+                continue  # no class keeps two members of U
+            in_p = spread_x & spread_y
+            in_q = spread_z & spread_y
+            in_both = in_p & in_q
+            for spread_a, p, q, u, mask_b in (
+                    (in_both, p_count - 1, q_count - 1, u_count - 1, mask_x | mask_z),
+                    (in_p ^ in_both, p_count - 1, q_count, u_count - 1, mask_z),
+                    (in_q ^ in_both, p_count, q_count - 1, u_count - 1, mask_x),
+                    (spread_z ^ in_q, p_count, q_count, u_count, mask_x),
+                    (spread_x ^ in_p, p_count, q_count, u_count, mask_z)):
+                if not spread_a or p < 1 or q < 1 or u < 2:
                     continue
-                u_all = p_all | q_all
-                if q_wide and p_all.bit_count() >= 3 and u_all.bit_count() >= 4:
-                    wide |= mask_x
-                    continue
-                if not u_all & (u_all - 1):
-                    continue
-                rest = mask_z
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    p = p_all & ~low
-                    q = q_all & ~low
-                    if not (p and q):
-                        continue
-                    u = u_all & ~low
-                    pair = u & (u - 1)
-                    if not pair:
-                        continue
-                    allowed = mask_x & ~low
-                    if not p & (p - 1):
-                        allowed &= ~p
-                    if not q & (q - 1):
-                        allowed &= ~q
-                    if not pair & (pair - 1):
-                        allowed &= ~u
-                    closing |= allowed << ((low.bit_length() - 1) * n)
-            if wide:
-                rest = mask_z
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    closing |= (wide & ~low) << ((low.bit_length() - 1) * n)
-    return closing
+                if p == 1:
+                    mask_b &= ~p_all
+                if q == 1:
+                    mask_b &= ~q_all
+                if u == 2:
+                    mask_b &= ~u_all
+                closing |= spread_a * mask_b
+    return closing & ~_diagonal(n)
 
 
 def is_berge_c4_free(hypergraph: Hypergraph) -> bool:

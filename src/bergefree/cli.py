@@ -22,6 +22,7 @@ import math
 import random
 import sys
 import time
+from functools import cache
 from typing import Optional, Sequence
 
 from .berge import find_berge_cycle, is_berge_c4_free
@@ -247,7 +248,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `berge` parser, built once per process: parse_args keeps no
+    state between calls and returns a new namespace each time."""
     parser = argparse.ArgumentParser(
         prog="berge",
         description="Construct, detect, and verify Berge-C4-free hypergraphs.",
@@ -261,24 +265,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certify", action="store_true",
                    help="run the blow-up certificate and, size permitting, the direct detector")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="exit 0 iff the hypergraph is Berge-Ck-free")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--k", type=int, default=4)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("embed", help="write the embedded colored graph as JSON")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("lemmas", help="run the observation and lemma verifiers")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--sample", type=int, default=None,
                    help="check a seeded sample of this many vertices instead of all")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_lemmas)
 
     p = sub.add_parser("search", help="exact extremal weight for small n")
     p.add_argument("--n", type=int, required=True)
@@ -289,18 +289,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"override the n <= {GUARD_MAX_N} guard")
     p.add_argument("-o", "--output", default="search_results.jsonl",
                    help="JSON-lines results file (appended)")
-    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("bounds", help="tabulate asymptotic comparators per n")
     p.add_argument("--n", required=True, help="comma-separated vertex counts")
-    p.set_defaults(func=cmd_bounds)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # looked up at each call, so the parser holds no command function
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

@@ -21,8 +21,9 @@ def random_greedy_hypergraph(
     Draws `trials` candidate hyperedges (size uniform in size_range,
     vertices a uniform sample) and keeps each one that leaves the running
     hypergraph Berge-C4-free: none of its pairs a < b may hold bit a*n + b
-    of the kept hyperedges' closing-pair mask (berge._closing_pairs), which
-    grows after each keep.  Deterministic for a fixed seed.
+    of the kept hyperedges' closing-pair mask (berge._closing_pairs of
+    their vertex masks and spreads), which grows after each keep.
+    Deterministic for a fixed seed.
     """
     lo, hi = size_range
     if not 2 <= lo <= hi <= n:
@@ -31,6 +32,7 @@ def random_greedy_hypergraph(
         rng = random.Random(rng)
     kept: list[frozenset[int]] = []
     masks: list[int] = []
+    spreads: list[int] = []
     closing = 0
     for _ in range(trials):
         size = rng.randint(lo, hi)
@@ -39,5 +41,6 @@ def random_greedy_hypergraph(
             continue
         kept.append(candidate)
         masks.append(sum(1 << v for v in candidate))
-        closing |= _closing_pairs(masks, n)
+        spreads.append(sum(1 << (v * n) for v in candidate))
+        closing |= _closing_pairs(masks, spreads, n)
     return Hypergraph(n, tuple(kept))

@@ -14,7 +14,9 @@ That set of closing pairs does not depend on the candidate, so each node
 computes it once, as its parent's mask ORed with the pairs closed by
 triples through its own hyperedge (berge._closing_pairs), and rejects a
 candidate with one AND of its pair bitmask against it, before the
-candidate is ever chosen.
+candidate is ever chosen.  Every candidate's vertex mask and spread (bit
+a*n for each vertex a, which _closing_pairs multiplies by vertex masks to
+fill rows of the pair matrix) are computed once, before the walk.
 The first optimum reached in this preorder is the lexicographically least
 one under the canonical order, so results and witnesses are deterministic.
 """
@@ -69,8 +71,8 @@ def max_weight_exact(
     which serves as the cross-check oracle at small n.
     Each node computes its closing-pair mask once, at its first candidate
     that passes the bound, multiplicity and orbit tests: its parent's mask
-    ORed with berge._closing_pairs of the chosen hyperedges' vertex masks,
-    which walks the ordered triples that use the node's own hyperedge; a
+    ORed with berge._closing_pairs of the chosen hyperedges' vertex masks
+    and spreads, which walks the triples that use the node's own hyperedge; a
     candidate is rejected when one of its vertex pairs is in the mask.
     first_level_orbit_reps restricts the first (canonically smallest)
     candidate to one representative per size class -- a relabeling argument
@@ -89,6 +91,7 @@ def max_weight_exact(
     cands = candidate_universe(n)
     pair_bits = [sum(1 << (a * n + b) for a, b in combinations(sorted(c), 2)) for c in cands]
     vertex_masks = [sum(1 << v for v in c) for c in cands]
+    spreads = [sum(1 << (v * n) for v in c) for c in cands]
     weights = [len(c) - 3 for c in cands]
     m = len(cands)
     suffix = [0] * (m + 1)
@@ -99,6 +102,7 @@ def max_weight_exact(
     used = [0] * m
     chosen: list[int] = []
     chosen_masks: list[int] = []
+    chosen_spreads: list[int] = []
     best = {"weight": 0, "multiset": ()}
     nodes = 0
 
@@ -113,18 +117,20 @@ def max_weight_exact(
             if first_level_orbit_reps and not chosen and not is_rep[j]:
                 continue
             if closing is None:
-                closing = parent | _closing_pairs(chosen_masks, n)
+                closing = parent | _closing_pairs(chosen_masks, chosen_spreads, n)
             if pair_bits[j] & closing:
                 continue
             nodes += 1
             used[j] += 1
             chosen.append(j)
             chosen_masks.append(vertex_masks[j])
+            chosen_spreads.append(spreads[j])
             new_weight = current_weight + weights[j]
             if new_weight > best["weight"]:
                 best["weight"] = new_weight
                 best["multiset"] = tuple(chosen)
             walk(j, new_weight, closing)
+            chosen_spreads.pop()
             chosen_masks.pop()
             chosen.pop()
             used[j] -= 1

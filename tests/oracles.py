@@ -4,7 +4,9 @@ Most of this is deliberately naive: breadth-first distance classes,
 quadratic pair scans, full subset/permutation enumeration, and multiset
 enumeration.  It also owns the path-walk Berge-C4 state (SearchState,
 _closes_c4, _pair_closes, incremental_c4_check), the oracle for the
-library's closing-pair mask and greedy generator, and the directed
+library's closing-pair mask and greedy generator, the same mask built
+one shifted row per end vertex a (closing_pairs_by_vertex_loop, which the
+library's class products must equal bit for bit), and the directed
 patterns F1 and F2 of the K_{5,5} argument's endgame with the arc
 container they are matched in.  What is shared with the library is named
 where it is used: the data types, distinct_representatives (which
@@ -449,6 +451,78 @@ def _pair_closes(cover: Sequence[Sequence[int]], adj: Sequence[int], a: int, b: 
             if union & (union - 1):
                 return True
     return False
+
+
+def closing_pairs_by_vertex_loop(masks: Sequence[int], n: int) -> int:
+    """Bitmask of the vertex pairs that close a Berge-C4 with three
+    distinct hyperedges, one of them the last, of a multiset given by their
+    vertex masks: bits a*n + b and b*n + a (a != b) are set iff a hyperedge
+    holding a and b closes one.  ORed into the pairs the earlier masks
+    close alone, it gives every closing pair, and a candidate is tested
+    with one AND of its pairs (a < b) against that.
+
+    A Berge-C4 a - h - b - X - v3 - Y - v4 - Z - a through a new hyperedge
+    h is an ordered triple (X, Y, Z) of distinct hyperedges with b in X,
+    a in Z and v3 in P = X & Y, v4 in Q = Y & Z picked distinct and
+    outside {a, b}.  Hall's condition for those two slots is that P and Q
+    minus {a, b} are non-empty and their union minus {a, b} has 2 bits,
+    so for one a every b of X - {a} qualifies except at most three forced
+    exclusions: the member of P - {a} or of Q - {a} when it is alone, and
+    both members of (P | Q) - {a} when there are two.  None is forced for
+    any a when P and Q have 3 bits and P | Q has 4; those X are ORed
+    together and spread over the a of Z in one pass.  Every ordered triple
+    that uses the last mask is walked, so the mask is symmetric.
+    """
+    last = len(masks) - 1
+    if last < 2:
+        return 0  # fewer than three hyperedges close nothing
+    closing = 0
+    for y, mask_y in enumerate(masks):
+        every = last == 2 or y == last  # then every triple uses the last mask
+        if not (every or mask_y & masks[last]):
+            continue  # the last mask is X or Z, so it meets Y
+        meets = [(mask, mask & mask_y, i) for i, mask in enumerate(masks)
+                 if i != y and mask & mask_y]
+        for mask_z, q_all, z in meets:
+            q_wide = q_all.bit_count() >= 3
+            wide = 0
+            # unless Y or Z is the last mask, X is: the last entry of meets
+            for mask_x, p_all, x in (meets if every or z == last else meets[-1:]):
+                if x == z:
+                    continue
+                u_all = p_all | q_all
+                if q_wide and p_all.bit_count() >= 3 and u_all.bit_count() >= 4:
+                    wide |= mask_x
+                    continue
+                if not u_all & (u_all - 1):
+                    continue
+                rest = mask_z
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    p = p_all & ~low
+                    q = q_all & ~low
+                    if not (p and q):
+                        continue
+                    u = u_all & ~low
+                    pair = u & (u - 1)
+                    if not pair:
+                        continue
+                    allowed = mask_x & ~low
+                    if not p & (p - 1):
+                        allowed &= ~p
+                    if not q & (q - 1):
+                        allowed &= ~q
+                    if not pair & (pair - 1):
+                        allowed &= ~u
+                    closing |= allowed << ((low.bit_length() - 1) * n)
+            if wide:
+                rest = mask_z
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    closing |= (wide & ~low) << ((low.bit_length() - 1) * n)
+    return closing
 
 
 def greedy_by_search_state(n: int, size_range: tuple[int, int], trials: int, rng) -> Hypergraph:

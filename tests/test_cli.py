@@ -6,7 +6,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import time
 import traceback
@@ -402,6 +405,48 @@ def test_lemmas_report_bytes_are_pinned(tmp_path, capsys, q, sample, digest):
     capsys.readouterr()
     assert main(["lemmas", "-i", str(src), *sample]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run_alone(argv, cwd):
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys; from bergefree.cli import main; sys.exit(main())",
+         *argv],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=120)
+    return result.returncode, result.stdout, result.stderr
+
+
+def test_calls_in_one_process_match_calls_alone(tmp_path):
+    """The parser is built once per process: a lemmas run without --sample
+    after one with it, and a good call after an argument error (exit 2),
+    give the exit code, stdout and stderr each gives in a process of its
+    own."""
+    src = write_hypergraph(tmp_path, "h.json", bf.lower_bound_construction(42).hypergraph)
+    calls = [
+        ["lemmas", "-i", src, "--sample", "3"],
+        ["lemmas", "-i", src],
+        ["lemmas", "-i", src, "--sample", "three"],
+        ["verify", "-i", src, "--k", "3"],
+        ["construct", "--q", "2", "--n", "50", "-o", str(tmp_path / "out.json")],
+        ["lemmas", "-i", src, "--sample", "3", "--seed", "1"],
+    ]
+    assert bf.cli.build_parser() is bf.cli.build_parser()
+    in_process = [_run_in_process(argv) for argv in calls]
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 1, 2, 0]
+    for argv, got in zip(calls, in_process):
+        assert got == _run_alone(argv, tmp_path), argv
 
 
 def test_lemmas_rejects_negative_sample(tmp_path, capsys):

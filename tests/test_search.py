@@ -2,7 +2,7 @@
 
 import copy
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -12,6 +12,7 @@ from bergefree.search import candidate_universe
 from oracles import (
     SearchState,
     _closes_c4,
+    closing_pairs_by_vertex_loop,
     greedy_by_full_recheck,
     greedy_by_search_state,
     incremental_c4_check,
@@ -115,6 +116,15 @@ def _vertex_masks(state):
     return [sum(1 << v for v in h) for h in state.hyperedges]
 
 
+def _spreads(masks, n):
+    """Bit a*n for each bit a, per mask: the spreads _closing_pairs takes."""
+    return [sum(1 << (a * n) for a in range(n) if mask >> a & 1) for mask in masks]
+
+
+def _closing(masks, n):
+    return _closing_pairs(masks, _spreads(masks, n), n)
+
+
 def _assert_closing_pairs_agree(state, candidates):
     """The closing-pair mask, folded over the state's prefixes as a caller
     keeps it (each step ORs _closing_pairs into the mask it had before the
@@ -127,8 +137,8 @@ def _assert_closing_pairs_agree(state, candidates):
     last = len(masks) - 1
     parent = 0
     for i in range(last):
-        parent |= _closing_pairs(masks[:i + 1], n)
-    step = _closing_pairs(masks, n)
+        parent |= _closing(masks[:i + 1], n)
+    step = _closing(masks, n)
     closing = parent | step
     assert closing < 1 << (n * n)
     triples = [1 << last | 1 << i | 1 << j for i, j in combinations(range(last), 2)]
@@ -178,7 +188,7 @@ def test_closing_pairs_every_three_hyperedges_on_five_vertices():
         state = SearchState(n)
         for h in triple:
             state.push(h)
-        closing = _closing_pairs(_vertex_masks(state), n)
+        closing = _closing(_vertex_masks(state), n)
         for a, b in pairs:
             expected = _closes_c4(state, (a, b), -1)
             assert bool(closing >> (a * n + b) & 1) == expected
@@ -195,14 +205,66 @@ def test_closing_pairs_past_one_machine_word():
     state = SearchState(n)
     for i in range(64):
         state.push((0, 1 + i % 16))
-    assert _closing_pairs(_vertex_masks(state), n) == 0
+    assert _closing(_vertex_masks(state), n) == 0
     while len(state.hyperedges) < 100:
         candidate = sorted(rng.sample(range(n), rng.randint(2, 3)))
         if not _closes_c4(state, candidate, -1):
             state.push(candidate)
     samples = [rng.sample(range(n), rng.randint(2, 6)) for _ in range(300)]
     _assert_closing_pairs_agree(state, samples)
-    assert _closing_pairs(_vertex_masks(state), n) >> 64
+    assert _closing(_vertex_masks(state), n) >> 64
+
+
+def test_closing_pairs_matches_vertex_loop_on_seeded_masks():
+    """The class products set exactly the bits the per-vertex loop sets, on
+    seeded lists of 0-7 masks of any size (the empty mask too) at n = 2..14."""
+    rng = random.Random(20261018)
+    for _ in range(6000):
+        n = rng.randint(2, 14)
+        masks = [rng.getrandbits(n) for _ in range(rng.randint(0, 7))]
+        assert _closing(masks, n) == closing_pairs_by_vertex_loop(masks, n), (n, masks)
+
+
+def test_closing_pairs_matches_vertex_loop_past_one_machine_word():
+    """Every prefix of an n = 20 state grown to 100 hyperedges, whose pair
+    matrix and spreads (400 bits) pass one machine word."""
+    rng = random.Random(11)
+    n = 20
+    state = SearchState(n)
+    while len(state.hyperedges) < 100:
+        candidate = sorted(rng.sample(range(n), rng.randint(2, 5)))
+        if not _closes_c4(state, candidate, -1):
+            state.push(candidate)
+    masks = _vertex_masks(state)
+    for i in range(1, len(masks) + 1):
+        assert _closing(masks[:i], n) == closing_pairs_by_vertex_loop(masks[:i], n)
+    assert _closing(masks, n) >> 64
+
+
+def test_closing_pairs_matches_vertex_loop_at_class_boundaries():
+    """Triples (X, Y, Z) with |P|, |Q| in {1, 2, 3} and |P | Q| in
+    {1, .., 4} (P = X & Y, Q = Y & Z), built from vertices in every region
+    of X, Y and Z, so an end vertex a lies in P and Q, in P alone, in Q
+    alone or in neither; each in all six orders, so each of X, Y and Z is
+    the last mask, and with a fourth mask beside them."""
+    checked = 0
+    for both, p_only, q_only in product(range(4), repeat=3):
+        size_p, size_q = both + p_only, both + q_only
+        if not (1 <= size_p <= 3 and 1 <= size_q <= 3 and both + p_only + q_only <= 4):
+            continue
+        for x_and_z, x_only, z_only, y_only in product(range(2), range(3), range(3), range(2)):
+            regions = [both, p_only, q_only, x_and_z, x_only, z_only, y_only]
+            n = sum(regions)
+            vertices = iter(range(n))
+            both_m, p_m, q_m, xz_m, x_m, z_m, y_m = (
+                sum(1 << next(vertices) for _ in range(count)) for count in regions)
+            triple = (both_m | p_m | xz_m | x_m, both_m | p_m | q_m | y_m,
+                      both_m | q_m | xz_m | z_m)
+            for order in permutations(triple):
+                for masks in (list(order), [x_m | z_m | y_m, *order], [*order, both_m | z_m]):
+                    assert _closing(masks, n) == closing_pairs_by_vertex_loop(masks, n), masks
+                    checked += 1
+    assert checked > 1000
 
 
 def test_exact_value_n4():
