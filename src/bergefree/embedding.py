@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .berge import BergeCycleWitness, find_berge_cycle
 from .core import (
@@ -37,7 +37,7 @@ from .core import (
     iter_bits,
     neighborhood_masks,
 )
-from .patterns import contains_kst
+from .patterns import _kst_in_rows, contains_kst
 
 
 class NotBergeC4FreeError(ValueError):
@@ -204,43 +204,72 @@ class AuxBundle:
     b_prime: BipartiteGraph
 
 
+class _VertexRows(NamedTuple):
+    """The proof objects around v as adjacency rows of the simple projection.
+
+    For x in N1(v), in ascending order, g[x], aux[x] and gap[x] are x's full
+    rows (neighbours below and above x) in G, G_aux and G'_aux.  For y in
+    N2(v), in ascending order, sides[y] = N(y) & N1(v) is y's row in B; its
+    edges are in B' when it has two bits or more.
+    """
+
+    g: dict[int, int]
+    aux: dict[int, int]
+    gap: dict[int, int]
+    sides: dict[int, int]
+
+
+def _vertex_rows(projection: Graph, v: int) -> _VertexRows:
+    """The one owner of the G, G_aux, G'_aux, B and B' definitions.
+
+    N1(v) and N2(v) come from core.neighborhood_masks, which raises
+    ValueError for a vertex outside 0..n-1.  G_aux is gathered from the N2
+    side: the N1 neighbours of each y in N2(v) are pairwise joined.
+    """
+    n1_mask, n2_mask = neighborhood_masks(projection, v)
+    masks = projection.adjacency_masks
+    shared = dict.fromkeys(iter_bits(n1_mask), 0)
+    sides = {}
+    for y in iter_bits(n2_mask):
+        side = sides[y] = masks[y] & n1_mask
+        if side & (side - 1):
+            for x in iter_bits(side):
+                shared[x] |= side
+    aux = {x: row & ~(1 << x) for x, row in shared.items()}
+    g = {x: masks[x] & n1_mask for x in aux}
+    gap = {x: row & ~masks[x] for x, row in aux.items()}
+    return _VertexRows(g, aux, gap, sides)
+
+
+def _upper_edges(rows: dict[int, int]):
+    """Edges (x, y), x < y, of symmetric rows, in ascending order."""
+    for x, row in rows.items():
+        for y in iter_bits(row & -(2 << x)):
+            yield x, y
+
+
 def build_aux_bundle(colored_graph: ColoredGraph, v: int) -> AuxBundle:
     """Build G, G_aux, G'_aux, B, B' around v from the colored graph.
 
     Everything is measured on the simple projection; the graphs keep the
     colored graph's vertex labels (vertices outside N1(v) are just
-    isolated).  N1(v) and N2(v) come from core.neighborhood_masks, which
-    raises ValueError for a vertex outside 0..n-1.
+    isolated).  The edge sets are read off the same rows the lemma suite
+    checks.  Raises ValueError for a vertex outside 0..n-1.
     """
     proj = colored_graph.simple_projection
-    n1_mask, n2_mask = neighborhood_masks(proj, v)
-    masks = proj.adjacency_masks
-    n1 = tuple(iter_bits(n1_mask))
-    n2 = tuple(iter_bits(n2_mask))
-
-    g_edges = set()
-    g_aux_edges = set()
-    for x, y in combinations(n1, 2):
-        if masks[x] >> y & 1:
-            g_edges.add((x, y))
-        if masks[x] & masks[y] & n2_mask:
-            g_aux_edges.add((x, y))
-    g = Graph(proj.n, frozenset(g_edges))
-    g_aux = Graph(proj.n, frozenset(g_aux_edges))
-    g_aux_prime = Graph(proj.n, frozenset(g_aux_edges - g_edges))
-
-    b_edges = set()
-    for x in n1:
-        for y in iter_bits(masks[x] & n2_mask):
-            b_edges.add((x, y))
-    b_prime_edges = {
-        (x, y) for x, y in b_edges
-        if masks[y] & n1_mask & ~(1 << x)
-    }
-    b = BipartiteGraph(n1, n2, frozenset(b_edges))
-    b_prime = BipartiteGraph(n1, n2, frozenset(b_prime_edges))
-    return AuxBundle(v=v, n1=n1, n2=n2, g=g, g_aux=g_aux,
-                     g_aux_prime=g_aux_prime, b=b, b_prime=b_prime)
+    rows = _vertex_rows(proj, v)
+    n1 = tuple(rows.g)
+    n2 = tuple(rows.sides)
+    b_edges = [(x, y) for y, side in rows.sides.items() for x in iter_bits(side)]
+    return AuxBundle(
+        v=v, n1=n1, n2=n2,
+        g=Graph(proj.n, frozenset(_upper_edges(rows.g))),
+        g_aux=Graph(proj.n, frozenset(_upper_edges(rows.aux))),
+        g_aux_prime=Graph(proj.n, frozenset(_upper_edges(rows.gap))),
+        b=BipartiteGraph(n1, n2, frozenset(b_edges)),
+        b_prime=BipartiteGraph(n1, n2, frozenset(
+            (x, y) for x, y in b_edges if rows.sides[y] & ~(1 << x))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +315,19 @@ def _vertex_checks(
     proj_masks: tuple[int, ...],
     v: int,
 ) -> tuple[dict, list[dict]]:
-    bundle = build_aux_bundle(colored_graph, v)
-    d = len(bundle.n1)
+    rows = _vertex_rows(colored_graph.simple_projection, v)
+    d = len(rows.g)
     violations: list[dict] = []
     checks: dict[str, bool] = {}
 
-    g_count = len(bundle.g.edges)
+    g_count = sum(map(int.bit_count, rows.g.values())) // 2
     checks["g_size_vs_degree"] = g_count <= 3 * d
     if not checks["g_size_vs_degree"]:
         violations.append({"check": "g_size_vs_degree", "v": v,
                            "g_edges": g_count, "bound": 3 * d})
 
-    gap_count = len(bundle.g_aux_prime.edges)
-    k55 = contains_kst(bundle.g_aux_prime, 5, 5)
+    gap_count = sum(map(int.bit_count, rows.gap.values())) // 2
+    k55 = _kst_in_rows(rows.gap, gap_count, 5, 5)
     checks["k55_freeness"] = k55 is None
     if k55 is not None:
         violations.append({"check": "k55_freeness", "v": v,
@@ -310,7 +339,7 @@ def _vertex_checks(
                            "bound": math.pow(d, 9 / 5)})
 
     checks["inclusion"] = True
-    for x, y in sorted(bundle.g_aux_prime.edges):
+    for x, y in _upper_edges(rows.gap):
         cx = colored_graph.colors_of(v, x)
         cy = colored_graph.colors_of(v, y)
         admissible = [(hx, hy) for hx in cx for hy in cy if hx != hy]
@@ -325,31 +354,32 @@ def _vertex_checks(
             violations.append({"check": "inclusion", "v": v, "edge": [x, y],
                                "colors_x": list(cx), "colors_y": list(cy)})
 
-    loose = {}
-    for x, y in bundle.b.edges - bundle.b_prime.edges:
-        loose[y] = loose.get(y, 0) + 1
+    b_count = b_prime_count = 0
     checks["b_minus_bprime_degree"] = True
-    for y, count in sorted(loose.items()):
-        if count > 1:
+    for y, side in rows.sides.items():
+        incident = side.bit_count()
+        in_b_prime = incident if incident > 1 else 0
+        b_count += incident
+        b_prime_count += in_b_prime
+        if incident - in_b_prime > 1:
             checks["b_minus_bprime_degree"] = False
             violations.append({"check": "b_minus_bprime_degree", "v": v,
-                               "n2_vertex": y, "incident": count})
-
-    two_paths = sum(proj_masks[x].bit_count() - 1 for x in bundle.n1)
-    checks["two_path_count"] = len(bundle.b.edges) + 2 * g_count == two_paths
+                               "n2_vertex": y, "incident": incident - in_b_prime})
+    two_paths = sum(proj_masks[x].bit_count() - 1 for x in rows.g)
+    checks["two_path_count"] = b_count + 2 * g_count == two_paths
     if not checks["two_path_count"]:
         violations.append({"check": "two_path_count", "v": v,
-                           "b_edges": len(bundle.b.edges), "g_edges": g_count,
+                           "b_edges": b_count, "g_edges": g_count,
                            "two_paths": two_paths})
 
     row = {
         "v": v,
         "d": d,
         "g_edges": g_count,
-        "g_aux_edges": len(bundle.g_aux.edges),
+        "g_aux_edges": sum(map(int.bit_count, rows.aux.values())) // 2,
         "g_aux_prime_edges": gap_count,
-        "b_edges": len(bundle.b.edges),
-        "b_prime_edges": len(bundle.b_prime.edges),
+        "b_edges": b_count,
+        "b_prime_edges": b_prime_count,
         "checks": checks,
         "ok": not violations,
     }
@@ -368,8 +398,14 @@ def verify_lemma_suite(
     projection, and per checked vertex v:
     |G| <= 3 d(v), K_{5,5}-freeness of G'_aux, |G'_aux| < d(v)^{9/5},
     the color-inclusion rule on G'_aux edges, the one-loose-edge rule on
-    N2(v), and the 2-path count identity |B| + 2|G|.  A checked vertex
-    outside 0..n-1 raises ValueError.
+    N2(v), and the 2-path count identity |B| + 2|G| = sum over x in N1(v)
+    of (d(x) - 1).  A checked vertex outside 0..n-1 raises ValueError.
+
+    Each vertex is checked on adjacency rows (_vertex_rows); no Graph or
+    BipartiteGraph is built for it.  The last two rules hold by the
+    definitions of B and B' (two_path_count and b_minus_bprime_degree).
+    They stay as cross-checks: |G| is counted on the N1(v) rows, |B| and
+    |B'| from the N2(v) side, and the identity ties the two to the degrees.
     """
     cycle = find_berge_cycle(hypergraph, 4)
     if cycle is not None:

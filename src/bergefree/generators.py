@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
 from typing import Union
 
 from .core import Hypergraph
@@ -20,10 +19,13 @@ def random_greedy_hypergraph(
 
     Draws `trials` candidate hyperedges (size uniform in size_range,
     vertices a uniform sample) and keeps each one that leaves the running
-    hypergraph Berge-C4-free: none of its pairs a < b may hold bit a*n + b
+    hypergraph Berge-C4-free: none of its pairs a != b may hold bit a*n + b
     of the kept hyperedges' closing-pair mask (berge._closing_pairs of
-    their vertex masks and spreads), which grows after each keep.
-    Deterministic for a fixed seed.
+    their vertex masks and spreads), which grows after each keep.  A draw
+    is tested with one product, spread * mask & closing: spread * mask
+    sets bit a*n + b for every a and b of the draw, a = b too.  That is
+    exact because the closing mask is symmetric (a*n + b with b*n + a) and
+    its diagonal bits a*n + a are clear.  Deterministic for a fixed seed.
     """
     lo, hi = size_range
     if not 2 <= lo <= hi <= n:
@@ -37,10 +39,12 @@ def random_greedy_hypergraph(
     for _ in range(trials):
         size = rng.randint(lo, hi)
         candidate = frozenset(rng.sample(range(n), size))
-        if sum(1 << (a * n + b) for a, b in combinations(sorted(candidate), 2)) & closing:
+        mask = sum(1 << v for v in candidate)
+        spread = sum(1 << (v * n) for v in candidate)
+        if spread * mask & closing:
             continue
         kept.append(candidate)
-        masks.append(sum(1 << v for v in candidate))
-        spreads.append(sum(1 << (v * n) for v in candidate))
+        masks.append(mask)
+        spreads.append(spread)
         closing |= _closing_pairs(masks, spreads, n)
     return Hypergraph(n, tuple(kept))

@@ -8,8 +8,14 @@ library's closing-pair mask and greedy generator, the same mask built
 one shifted row per end vertex a (closing_pairs_by_vertex_loop, which the
 library's class products must equal bit for bit), and the directed
 patterns F1 and F2 of the K_{5,5} argument's endgame with the arc
-container they are matched in.  What is shared with the library is named
-where it is used: the data types, distinct_representatives (which
+container they are matched in.  The lemma suite's per-vertex checks
+before they ran on adjacency rows are kept here as edge sets
+(aux_bundle_by_pair_scan, vertex_checks_on_bundle), with a set-based
+first K_{s,t} (first_kst_by_neighbor_sets) in place of the row engine.
+What is shared with the library is named where it is used: the data
+types, core.neighborhood_masks for N1(v) and N2(v) in
+aux_bundle_by_pair_scan (test_core checks it against bfs_neighborhoods),
+distinct_representatives (which
 test_berge checks against _hall4 on every mask 4-tuple), in
 first_cycle_by_vertex_classes the detector's gate and vertex search, run
 on one class per vertex instead of the twin classes, and, in
@@ -19,12 +25,16 @@ does not use.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from itertools import combinations, compress, permutations, product
 from typing import Iterable, NamedTuple, Sequence
 
 from bergefree import (
+    AuxBundle,
     BergeCycleWitness,
+    BipartiteGraph,
+    ColoredGraph,
     Graph,
     Hypergraph,
     is_berge_c4_free,
@@ -35,6 +45,7 @@ from bergefree.berge import (
     _twin_quotient_has_cycle,
     distinct_representatives,
 )
+from bergefree.core import iter_bits, neighborhood_masks
 
 
 def bfs_neighborhoods(graph: Graph, v: int) -> tuple[frozenset[int], frozenset[int]]:
@@ -186,6 +197,134 @@ def aux_sets_by_definition(projection: Graph, v: int) -> dict[str, set]:
                if any(z != x and (z, y) in b for z in n1)}
     return {"n1": n1, "n2": n2, "g": g, "g_aux": g_aux,
             "g_aux_prime": g_aux - g, "b": b, "b_prime": b_prime}
+
+
+def first_kst_by_neighbor_sets(graph: Graph, s: int, t: int):
+    """The first K_{s,t} in lexicographic order: the first s-subset S, in
+    combinations order, with t common neighbours, and T the t smallest of
+    them; None when there is none.  A vertex of S has degree >= t, so only
+    those vertices are enumerated."""
+    nbrs = _neighbor_sets(graph)
+    heavy = [v for v in range(graph.n) if len(nbrs[v]) >= t]
+    for s_side in combinations(heavy, s):
+        common = set.intersection(*(nbrs[v] for v in s_side))
+        if len(common) >= t:
+            return s_side, tuple(sorted(common)[:t])
+    return None
+
+
+def aux_bundle_by_pair_scan(colored_graph: ColoredGraph, v: int) -> AuxBundle:
+    """G, G_aux, G'_aux, B, B' around v as edge sets: G and G_aux by a scan
+    of the N1(v) pairs, B by the N1-N2 adjacencies, B' by testing each B
+    edge's N2 end for a second N1 neighbour."""
+    proj = colored_graph.simple_projection
+    n1_mask, n2_mask = neighborhood_masks(proj, v)
+    masks = proj.adjacency_masks
+    n1 = tuple(iter_bits(n1_mask))
+    n2 = tuple(iter_bits(n2_mask))
+
+    g_edges = set()
+    g_aux_edges = set()
+    for x, y in combinations(n1, 2):
+        if masks[x] >> y & 1:
+            g_edges.add((x, y))
+        if masks[x] & masks[y] & n2_mask:
+            g_aux_edges.add((x, y))
+    g = Graph(proj.n, frozenset(g_edges))
+    g_aux = Graph(proj.n, frozenset(g_aux_edges))
+    g_aux_prime = Graph(proj.n, frozenset(g_aux_edges - g_edges))
+
+    b_edges = set()
+    for x in n1:
+        for y in iter_bits(masks[x] & n2_mask):
+            b_edges.add((x, y))
+    b_prime_edges = {
+        (x, y) for x, y in b_edges
+        if masks[y] & n1_mask & ~(1 << x)
+    }
+    b = BipartiteGraph(n1, n2, frozenset(b_edges))
+    b_prime = BipartiteGraph(n1, n2, frozenset(b_prime_edges))
+    return AuxBundle(v=v, n1=n1, n2=n2, g=g, g_aux=g_aux,
+                     g_aux_prime=g_aux_prime, b=b, b_prime=b_prime)
+
+
+def vertex_checks_on_bundle(
+    hypergraph: Hypergraph,
+    colored_graph: ColoredGraph,
+    proj_masks: tuple[int, ...],
+    v: int,
+) -> tuple[dict, list[dict]]:
+    """One checked vertex's row and violations, as the lemma suite reports
+    them, read off aux_bundle_by_pair_scan's edge sets, with the K_{5,5}
+    witness from first_kst_by_neighbor_sets."""
+    bundle = aux_bundle_by_pair_scan(colored_graph, v)
+    d = len(bundle.n1)
+    violations: list[dict] = []
+    checks: dict[str, bool] = {}
+
+    g_count = len(bundle.g.edges)
+    checks["g_size_vs_degree"] = g_count <= 3 * d
+    if not checks["g_size_vs_degree"]:
+        violations.append({"check": "g_size_vs_degree", "v": v,
+                           "g_edges": g_count, "bound": 3 * d})
+
+    gap_count = len(bundle.g_aux_prime.edges)
+    k55 = first_kst_by_neighbor_sets(bundle.g_aux_prime, 5, 5)
+    checks["k55_freeness"] = k55 is None
+    if k55 is not None:
+        violations.append({"check": "k55_freeness", "v": v,
+                           "parts": [list(k55[0]), list(k55[1])]})
+    checks["g_aux_prime_bound"] = d < 1 or gap_count < math.pow(d, 9 / 5)
+    if not checks["g_aux_prime_bound"]:
+        violations.append({"check": "g_aux_prime_bound", "v": v,
+                           "g_aux_prime_edges": gap_count,
+                           "bound": math.pow(d, 9 / 5)})
+
+    checks["inclusion"] = True
+    for x, y in sorted(bundle.g_aux_prime.edges):
+        cx = colored_graph.colors_of(v, x)
+        cy = colored_graph.colors_of(v, y)
+        admissible = [(hx, hy) for hx in cx for hy in cy if hx != hy]
+        if not admissible:
+            checks["inclusion"] = False
+            violations.append({"check": "inclusion_no_distinct_colors", "v": v,
+                               "edge": [x, y], "colors_x": list(cx),
+                               "colors_y": list(cy)})
+        elif not any(x in hypergraph.hyperedges[hy] or y in hypergraph.hyperedges[hx]
+                     for hx, hy in admissible):
+            checks["inclusion"] = False
+            violations.append({"check": "inclusion", "v": v, "edge": [x, y],
+                               "colors_x": list(cx), "colors_y": list(cy)})
+
+    loose = {}
+    for x, y in bundle.b.edges - bundle.b_prime.edges:
+        loose[y] = loose.get(y, 0) + 1
+    checks["b_minus_bprime_degree"] = True
+    for y, count in sorted(loose.items()):
+        if count > 1:
+            checks["b_minus_bprime_degree"] = False
+            violations.append({"check": "b_minus_bprime_degree", "v": v,
+                               "n2_vertex": y, "incident": count})
+
+    two_paths = sum(proj_masks[x].bit_count() - 1 for x in bundle.n1)
+    checks["two_path_count"] = len(bundle.b.edges) + 2 * g_count == two_paths
+    if not checks["two_path_count"]:
+        violations.append({"check": "two_path_count", "v": v,
+                           "b_edges": len(bundle.b.edges), "g_edges": g_count,
+                           "two_paths": two_paths})
+
+    row = {
+        "v": v,
+        "d": d,
+        "g_edges": g_count,
+        "g_aux_edges": len(bundle.g_aux.edges),
+        "g_aux_prime_edges": gap_count,
+        "b_edges": len(bundle.b.edges),
+        "b_prime_edges": len(bundle.b_prime.edges),
+        "checks": checks,
+        "ok": not violations,
+    }
+    return row, violations
 
 
 def max_weight_by_multisets(n: int, max_mult: int = 3) -> int:

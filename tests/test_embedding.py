@@ -1,11 +1,23 @@
 """Edge embedding, the observation/lemma verifiers, and the proof bundles."""
 
+import json
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
 import bergefree as bf
+from bergefree.embedding import _vertex_checks
 from conftest import hypergraphs
-from oracles import F1, F2, Arcs, aux_sets_by_definition, has_pattern_by_enumeration
+from oracles import (
+    F1,
+    F2,
+    Arcs,
+    aux_bundle_by_pair_scan,
+    aux_sets_by_definition,
+    has_pattern_by_enumeration,
+    vertex_checks_on_bundle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +225,127 @@ def test_bundle_matches_definition_scan(h):
         # structural invariants
         assert bundle.g_aux_prime.edges == bundle.g_aux.edges - bundle.g.edges
         assert bundle.b_prime.edges <= bundle.b.edges
+        assert bundle == aux_bundle_by_pair_scan(cg, v)
+
+
+# ---------------------------------------------------------------------------
+# per-vertex checks on adjacency rows against the edge-set oracle
+# ---------------------------------------------------------------------------
+
+def _vertex_reports(hypergraph, colored_graph, v):
+    """v's row and violations from the library and from the oracle, each as
+    JSON text, so key order counts too."""
+    masks = colored_graph.simple_projection.adjacency_masks
+    return tuple(json.dumps(check(hypergraph, colored_graph, masks, v))
+                 for check in (_vertex_checks, vertex_checks_on_bundle))
+
+
+@settings(max_examples=150)
+@given(hypergraphs(max_n=9, max_m=8, max_size=9))
+def test_vertex_checks_match_bundle_oracle(h):
+    # no Berge-C4 precondition here, so the inputs reach the violation code
+    cg = bf.build_embedded_graph(h)
+    for v in range(h.n):
+        fast, oracle = _vertex_reports(h, cg, v)
+        assert fast == oracle
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_vertex_checks_match_bundle_oracle_on_blowups(q):
+    h = bf.blow_up(bf.projective_plane_incidence(q).graph(), 3)
+    cg = bf.build_embedded_graph(h)
+    for v in range(h.n):
+        fast, oracle = _vertex_reports(h, cg, v)
+        assert fast == oracle
+
+
+def _pair_hypergraph(n, colored_edges):
+    """Each colored edge's color names a hyperedge holding just its ends."""
+    hyperedges = [frozenset()] * (max(c for _, _, c in colored_edges) + 1)
+    for u, w, c in colored_edges:
+        hyperedges[c] = frozenset({u, w})
+    return bf.Hypergraph(n, tuple(hyperedges)), bf.ColoredGraph(n, tuple(colored_edges))
+
+
+def _hub_n1(d, g_edges=()):
+    # v = 0, N1 = 1..d, one N2 hub d+1 seeing all of N1: G_aux = K_d, and
+    # G'_aux is K_d minus the G edges given
+    edges = [(0, x) for x in range(1, d + 1)] + [(x, d + 1) for x in range(1, d + 1)]
+    edges += list(g_edges)
+    return _pair_hypergraph(d + 2, [(u, w, c) for c, (u, w) in enumerate(edges)])
+
+
+def _dense_g_under_hub():
+    # G joins 1..6 to 7..12, and 1 to 2: |G| = 37 > 3d = 36, and G'_aux, two
+    # 6-cliques less one edge (29 edges), has no K_{5,5} though G_aux = K_12 has
+    g_edges = [(x, y) for x in range(1, 7) for y in range(7, 13)] + [(1, 2)]
+    return _hub_n1(12, g_edges)
+
+
+def _k55_in_gap():
+    # v = 0, N1 = 1..10; each even x has its own N2 hub seeing x and every odd
+    # vertex, so G'_aux is K_{5,5} between odds and evens plus K_5 on the odds
+    odds, evens = range(1, 11, 2), range(2, 11, 2)
+    edges = [(0, x) for x in range(1, 11)]
+    for hub, x in enumerate(evens, start=11):
+        edges += [(x, hub)] + [(y, hub) for y in odds]
+    return _pair_hypergraph(16, [(u, w, c) for c, (u, w) in enumerate(edges)])
+
+
+def _shared_spoke_color():
+    # spokes 0-1 and 0-2 carry only color 0; 1 and 2 share the N2 vertex 3
+    h = bf.Hypergraph(4, ({0, 1, 2}, {1, 3}, {2, 3}))
+    return h, bf.ColoredGraph(4, ((0, 1, 0), (0, 2, 0), (1, 3, 1), (2, 3, 2)))
+
+
+def _spokes_miss_each_other():
+    # spokes 0-1 (color 0) and 0-2 (color 1): 2 is not in hyperedge 0, nor 1 in 1
+    return _pair_hypergraph(4, [(0, 1, 0), (0, 2, 1), (1, 3, 2), (2, 3, 3)])
+
+
+@pytest.mark.parametrize("build, kind", [
+    (_dense_g_under_hub, "g_size_vs_degree"),
+    (_k55_in_gap, "k55_freeness"),
+    # |G'_aux| = d(d-1)/2 reaches d^{9/5} at d = 40
+    (lambda: _hub_n1(40), "g_aux_prime_bound"),
+    (_spokes_miss_each_other, "inclusion"),
+    (_shared_spoke_color, "inclusion_no_distinct_colors"),
+], ids=["g_size_vs_degree", "k55_freeness", "g_aux_prime_bound", "inclusion",
+        "inclusion_no_distinct_colors"])
+def test_vertex_checks_match_bundle_oracle_on_each_violation(build, kind):
+    h, cg = build()
+    fast, oracle = _vertex_reports(h, cg, 0)
+    assert fast == oracle
+    row, violations = json.loads(fast)
+    assert kind in {violation["check"] for violation in violations}
+    assert not row["ok"]
+
+
+def test_k55_check_reads_g_aux_prime_and_names_the_first_witness():
+    h, cg = _k55_in_gap()
+    _, violations = _vertex_checks(h, cg, cg.simple_projection.adjacency_masks, 0)
+    assert [v["parts"] for v in violations if v["check"] == "k55_freeness"] == \
+        [[[1, 3, 5, 7, 9], [2, 4, 6, 8, 10]]]
+    h, cg = _dense_g_under_hub()
+    row, _ = _vertex_checks(h, cg, cg.simple_projection.adjacency_masks, 0)
+    assert row["checks"]["k55_freeness"] and row["g_aux_prime_edges"] == 29
+
+
+def test_lemma_suite_builds_no_graph_per_checked_vertex(monkeypatch):
+    h = bf.blow_up(bf.projective_plane_incidence(3).graph(), 3)
+    built = Counter()
+    for cls in (bf.Graph, bf.BipartiteGraph):
+        def counting(self, original=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            original(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    bf.verify_lemma_suite(h, vertices=[])
+    unchecked = dict(built)
+    built.clear()
+    report = bf.verify_lemma_suite(h)
+    assert len(report.rows) == h.n == 78
+    assert built == unchecked
+    assert built["BipartiteGraph"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,16 @@ from hypothesis import strategies as st
 
 import bergefree as bf
 from conftest import graphs
-from oracles import F1, F2, Arcs, Pattern, has_kst_by_enumeration, has_pattern_by_enumeration
+from bergefree.patterns import _check_kst_witness
+from oracles import (
+    F1,
+    F2,
+    Arcs,
+    Pattern,
+    first_kst_by_neighbor_sets,
+    has_kst_by_enumeration,
+    has_pattern_by_enumeration,
+)
 
 
 def complete_bipartite(s: int, t: int) -> bf.Graph:
@@ -42,7 +51,9 @@ def test_kst_rejects_bad_sides():
 @given(graphs(max_n=9), st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]))
 def test_kst_agrees_with_subset_enumeration(g, sides):
     s, t = sides
-    assert (bf.contains_kst(g, s, t) is not None) == has_kst_by_enumeration(g, s, t)
+    found = bf.contains_kst(g, s, t)
+    assert (found is not None) == has_kst_by_enumeration(g, s, t)
+    assert found == first_kst_by_neighbor_sets(g, s, t)
 
 
 def test_kst_agrees_with_enumeration_at_verifier_sides():
@@ -55,8 +66,26 @@ def test_kst_agrees_with_enumeration_at_verifier_sides():
                           if rng.random() < density)
         g = bf.Graph(n, edges)
         for s, t in ((2, 7), (5, 5)):
-            assert (bf.contains_kst(g, s, t) is not None) == \
-                has_kst_by_enumeration(g, s, t)
+            found = bf.contains_kst(g, s, t)
+            assert (found is not None) == has_kst_by_enumeration(g, s, t)
+            assert found == first_kst_by_neighbor_sets(g, s, t)
+
+
+def test_kst_checks_the_witness_it_returns(monkeypatch):
+    checked = []
+    monkeypatch.setattr(bf.patterns, "_check_kst_witness",
+                        lambda rows, witness: checked.append(witness))
+    found = bf.contains_kst(complete_bipartite(2, 7), 2, 7)
+    assert checked == [found]
+
+
+def test_kst_witness_check_refuses_a_missing_pair_or_an_overlap():
+    rows = {0: 0b110, 1: 0b001, 2: 0b001}  # the star 0-1, 0-2
+    _check_kst_witness(rows, ((0,), (1, 2)))
+    with pytest.raises(AssertionError, match=r"pair \(1,2\) is not an edge"):
+        _check_kst_witness(rows, ((1,), (2,)))
+    with pytest.raises(AssertionError, match="overlap"):
+        _check_kst_witness(rows, ((0,), (0, 1)))
 
 
 @settings(max_examples=100)
