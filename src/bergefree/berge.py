@@ -17,12 +17,21 @@ Every input runs through one twin gate before that enumeration, at every k:
    distinct hyperedges lifts back to a Berge-Ck.  Searching the walks on
    the classes decides freeness without walking each twin's copy of every
    vertex path.  For k = 4 the search is a 2-path scan (the C4 case of
-   Alon, Yuster and Zwick, "Finding and counting given length cycles")
-   that tests pairs of class 2-paths with Hall's condition on their four
-   slot masks, so a free input needs no SDR call; for every other k it is
-   a depth-first search over closed walks that asks for an SDR only when
-   a walk's slots cover k hyperedges.  A vertex without a twin is a class
-   of one.
+   Alon, Yuster and Zwick, "Finding and counting given length cycles",
+   Algorithmica 1997) run as a seen/dup fold: for each class a, one pass
+   over its neighbours above a in the class graph without loops marks the
+   far ends of 2-paths seen once and twice, and Hall's condition on four
+   slot masks is tested only for the middles of an end seen twice.  That
+   covers walks on four distinct classes.  A walk that repeats a class
+   needs one of three triggers on classes not below a: a triangle through
+   a class of two or more members, two classes that share two or more
+   hyperedges, or a class of four or more members.  One pass over the
+   class edges finds the largest least class of a trigger, and every a up
+   to it falls back to pairing all its class 2-paths.  A free blow-up has
+   no trigger and no end seen twice, so it needs no Hall test and no SDR
+   call.  For every other k the search is a depth-first search over
+   closed walks that asks for an SDR only when a walk's slots cover k
+   hyperedges.  A vertex without a twin is a class of one.
 2. Vertex search.  When the gate finds a cycle, the enumeration above
    builds the witness, so witnesses do not depend on the gate.  The gate
    reports the least class whose smallest member is the minimum of some
@@ -142,7 +151,9 @@ def _first_vertex_cycle(hypergraph: Hypergraph, k: int, incidence: Sequence[int]
                         first: int) -> Optional[BergeCycleWitness]:
     """The vertex-level search from v1 = first alone, which must be the
     least vertex that is the minimum of a Berge-Ck.  The slot of u and v
-    holds the hyperedges of incidence[u] & incidence[v], in id order."""
+    holds the hyperedges of incidence[u] & incidence[v], in id order.  It
+    still reads the full-width incidence masks, but runs only after the
+    gate has found a cycle, so a free input never pays for it."""
     adj = _shadow_adjacency(hypergraph)
     path = [0] * k
 
@@ -244,12 +255,12 @@ def _twin_classes(hypergraph: Hypergraph, incidence: Sequence[int]) -> tuple[lis
 def _twin_quotient_has_cycle(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int],
                              k: int) -> Optional[int]:
     """The least class a whose smallest member is the minimum of a Berge-Ck
-    of the hypergraph with these twin classes, or None: the 2-path Hall
-    scan for k = 4, the closed-walk search otherwise.  Both try each a in
-    ascending order as the least class of a closed walk.  A walk from a
-    lifts to a Berge-Ck on classes not below a, whose minimum is the
-    smallest member of a; and the least class c of any Berge-Ck's walk has
-    a walk, so a <= c and no Berge-Ck has a smaller minimum.
+    of the hypergraph with these twin classes, or None: the seen/dup fold
+    over class 2-paths for k = 4, the closed-walk search otherwise.  Both
+    decide each a in ascending order as the least class of a closed walk.
+    A walk from a lifts to a Berge-Ck on classes not below a, whose minimum
+    is the smallest member of a; and the least class c of any Berge-Ck's
+    walk has a walk, so a <= c and no Berge-Ck has a smaller minimum.
     """
     if k == 4:
         return _twin_quotient_has_c4(masks, sizes, adj)
@@ -331,32 +342,96 @@ def _twin_quotient_has_c4(masks: Sequence[int], sizes: Sequence[int],
 
     A Berge-C4 is a closed walk a, b, c, d on the classes that uses each
     class at most as often as it has members, whose slots admit distinct
-    hyperedges.  The slot mask of two classes is masks[i] & masks[j], which
-    for two members of one class is masks[i].  Rotated so that its least
-    class a comes first, the walk is a pair of 2-paths a-b-c and a-d-c
-    through classes not below a; the two middles may be the same class,
-    so each 2-path is also paired with itself.
+    hyperedges; rotated so that its least class a comes first, it runs
+    through classes not below a.  A walk that repeats a class needs a
+    trigger on classes not below a (_last_trigger), so every a above the
+    last trigger has only walks on four distinct classes.  Their far ends c
+    are the dup bits of one fold over the neighbours b of a above a, in the
+    loop-free class graph: the fold of find_c4_in_graph, which keeps the
+    ends seen once (seen) and twice (dup).  Hall's condition is tested only
+    on the pairs of middles of a dup end.  Each a up to the last trigger is
+    decided by pairing its class 2-paths (_c4_by_path_pairs).
     """
-    for a in range(len(masks)):
-        not_below = -1 << a
+    free = [row & ~(1 << i) for i, row in enumerate(adj)]
+    last = _last_trigger(masks, sizes, free)
+    for a in range(last + 1):
+        if _c4_by_path_pairs(masks, sizes, adj, a):
+            return a
+    for a in range(last + 1, len(masks)):
+        above = a + 1
+        seen = dup = 0
+        for b in iter_bits(free[a] >> above):
+            ends = free[above + b] >> above
+            dup |= seen & ends
+            seen |= ends
         mask_a = masks[a]
-        middles: dict[int, list[tuple[int, int, int, int]]] = {}
-        for b in iter_bits(adj[a] & not_below):
-            mask_b = masks[b]
-            ab = mask_a & mask_b
-            for c in iter_bits(adj[b] & not_below):
-                bc = mask_b & masks[c]
-                both = ab | bc
-                if both.bit_count() < 2:
-                    continue
-                paths = middles.setdefault(c, [])
-                paths.append((b, ab, bc, both))
-                for d, da, cd, other in paths:
-                    if ((both | other).bit_count() >= 4
-                            and _fits_classes((a, b, c, d), sizes)
-                            and _hall4(ab, bc, cd, da)):
-                        return a
+        for c in iter_bits(dup):
+            c += above
+            mask_c = masks[c]
+            middles = [masks[above + b] for b in iter_bits((free[a] & free[c]) >> above)]
+            for mask_b, mask_d in combinations(middles, 2):
+                if _hall4(mask_a & mask_b, mask_b & mask_c, mask_c & mask_d, mask_d & mask_a):
+                    return a
     return None
+
+
+def _last_trigger(masks: Sequence[int], sizes: Sequence[int], free: Sequence[int]) -> int:
+    """The largest class that is the least class of a trigger, or -1.
+
+    A closed 4-walk from its least class a that repeats a class lifts to a
+    Berge-C4 only through a trigger on classes not below a:
+    - a triangle of the loop-free class graph through a class of two or
+      more members, for the walks a-a-c-d, a-b-b-d and a-b-c-c;
+    - two classes that share two or more hyperedges, for the walks a-b-a-d,
+      a-b-c-b, a-a-c-c and a-a-a-d, whose slots hold two hyperedges of one
+      class pair;
+    - a class of four or more members, for the walk a-a-a-a.
+    Classes u are tried from the last down, each with its edges uv to the
+    classes above it; a triangle with least class u has two such edges, so
+    a member of two or more on it is u or the v of one of them.
+    """
+    for u in range(len(masks) - 1, -1, -1):
+        if sizes[u] >= 4:
+            return u
+        above = free[u] >> (u + 1) << (u + 1)
+        twinned = sizes[u] >= 2
+        mask_u = masks[u]
+        for v in iter_bits(above):
+            if (mask_u & masks[v]).bit_count() >= 2:
+                return u
+            if (twinned or sizes[v] >= 2) and free[v] & above:
+                return u
+    return -1
+
+
+def _c4_by_path_pairs(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int],
+                      a: int) -> bool:
+    """True iff a Berge-C4 has least class a, by pairing its class 2-paths.
+
+    The walk a, b, c, d is a pair of 2-paths a-b-c and a-d-c through
+    classes not below a; the two middles may be the same class, so each
+    2-path is also paired with itself.  The slot mask of two classes is
+    masks[i] & masks[j], which for two members of one class is masks[i].
+    """
+    not_below = -1 << a
+    mask_a = masks[a]
+    middles: dict[int, list[tuple[int, int, int, int]]] = {}
+    for b in iter_bits(adj[a] & not_below):
+        mask_b = masks[b]
+        ab = mask_a & mask_b
+        for c in iter_bits(adj[b] & not_below):
+            bc = mask_b & masks[c]
+            both = ab | bc
+            if both.bit_count() < 2:
+                continue
+            paths = middles.setdefault(c, [])
+            paths.append((b, ab, bc, both))
+            for d, da, cd, other in paths:
+                if ((both | other).bit_count() >= 4
+                        and _fits_classes((a, b, c, d), sizes)
+                        and _hall4(ab, bc, cd, da)):
+                    return True
+    return False
 
 
 def _fits_classes(walk: tuple[int, ...], sizes: Sequence[int]) -> bool:

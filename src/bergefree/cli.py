@@ -11,7 +11,8 @@ Commands:
 Exit status is the only success/failure channel: 0 means free/pass,
 1 means a cycle or violation was found, 2 means an I/O or format problem
 or an argument too large to answer (a plane order above MAX_PLANE_ORDER,
-a bounds n beyond the proven range of is_prime).
+a bounds n beyond the proven range of is_prime, or a declared size whose
+allocation raises MemoryError, caught once in main).
 """
 
 from __future__ import annotations
@@ -298,8 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    # looked up at each call, so the parser holds no command function
-    return globals()[f"cmd_{args.command}"](args)
+    try:
+        # looked up at each call, so the parser holds no command function
+        return globals()[f"cmd_{args.command}"](args)
+    except MemoryError:
+        return _fail(f"{args.command} ran out of memory: the declared size is too large")
 
 
 if __name__ == "__main__":

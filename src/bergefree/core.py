@@ -53,11 +53,11 @@ class Hypergraph:
         edges = tuple(frozenset(h) for h in self.hyperedges)
         object.__setattr__(self, "hyperedges", edges)
         for i, h in enumerate(edges):
-            for v in h:
-                if not 0 <= v < self.n:
-                    raise ValueError(
-                        f"hyperedge {i} contains vertex {v}, out of range for n={self.n}"
-                    )
+            if h and (min(h) < 0 or max(h) >= self.n):
+                v = next(v for v in h if not 0 <= v < self.n)
+                raise ValueError(
+                    f"hyperedge {i} contains vertex {v}, out of range for n={self.n}"
+                )
 
     def __len__(self) -> int:
         return len(self.hyperedges)
@@ -79,14 +79,20 @@ class Hypergraph:
         for i, item in enumerate(raw):
             if not isinstance(item, list):
                 raise FormatError(f"hyperedges[{i}]: expected a list of vertices")
-            verts = [_as_int(v, f"hyperedges[{i}][{j}]") for j, v in enumerate(item)]
-            if len(set(verts)) != len(verts):
-                raise FormatError(f"hyperedges[{i}]: repeated vertex in {verts}")
-            edges.append(frozenset(verts))
-        try:
+            if not _INT.issuperset(map(type, item)):
+                for j, v in enumerate(item):  # names the first entry that is no int
+                    _as_int(v, f"hyperedges[{i}][{j}]")
+            verts = frozenset(item)
+            if len(verts) != len(item):
+                raise FormatError(f"hyperedges[{i}]: repeated vertex in {item}")
+            edges.append(verts)
+        try:  # the range is checked once, by __post_init__
             return cls(n, tuple(edges))
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
+
+
+_INT = frozenset({int})
 
 
 def _as_int(value: object, where: str) -> int:

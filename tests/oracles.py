@@ -17,8 +17,10 @@ types, core.neighborhood_masks for N1(v) and N2(v) in
 aux_bundle_by_pair_scan (test_core checks it against bfs_neighborhoods),
 distinct_representatives (which
 test_berge checks against _hall4 on every mask 4-tuple), in
-first_cycle_by_vertex_classes the detector's gate and vertex search, run
-on one class per vertex instead of the twin classes, and, in
+first_cycle_by_vertex_classes the detector's vertex search and, for
+k != 4, its walk gate, run on one class per vertex instead of the twin
+classes (for k = 4 it runs c4_class_by_path_pairs, the detector's gate
+before its seen/dup fold), and, in
 greedy_by_full_recheck, the full detector, which the closing-pair mask
 does not use.
 """
@@ -374,9 +376,10 @@ def canonical_cycle_by_enumeration(hypergraph: Hypergraph, k: int):
 
 
 def first_cycle_by_vertex_classes(hypergraph: Hypergraph, k: int):
-    """First Berge-Ck in canonical order, or None: the detector's class
-    gate on one class per vertex, whatever its twins, then its vertex search
-    from the vertex the gate reports.  Incidence and adjacency masks are
+    """First Berge-Ck in canonical order, or None: a class gate on one class
+    per vertex, whatever its twins (c4_class_by_path_pairs for k = 4, the
+    detector's walk gate otherwise), then the detector's vertex search from
+    the vertex the gate reports.  Incidence and adjacency masks are
     built here from the hyperedge lists; a vertex in no hyperedge is a class
     with no neighbours, so class i is vertex i."""
     n = hypergraph.n
@@ -388,10 +391,61 @@ def first_cycle_by_vertex_classes(hypergraph: Hypergraph, k: int):
             for w in h:
                 if w != v:
                     adj[v] |= 1 << w
-    first = _twin_quotient_has_cycle(incidence, [1] * n, adj, k)
+    sizes = [1] * n
+    if k == 4:
+        first = c4_class_by_path_pairs(incidence, sizes, adj)
+    else:
+        first = _twin_quotient_has_cycle(incidence, sizes, adj, k)
     if first is None:
         return None
     return _first_vertex_cycle(hypergraph, k, incidence, first)
+
+
+def c4_class_by_path_pairs(masks: Sequence[int], sizes: Sequence[int],
+                           adj: Sequence[int]):
+    """The least class a of a Berge-C4 on these twin classes (as
+    berge._twin_classes gives them), or None, by pairing every class
+    2-path: the detector's k = 4 gate before its seen/dup fold.
+
+    For each a in ascending order, the walk a, b, c, d is a pair of
+    2-paths a-b-c and a-d-c through classes not below a, each 2-path also
+    paired with itself (the middles may be one class); it must use no class
+    more often than it has members, and its four slot masks must pass
+    Hall's condition, checked here on every subset of slots.
+    """
+    for a in range(len(masks)):
+        not_below = -1 << a
+        mask_a = masks[a]
+        middles: dict[int, list[tuple[int, int, int, int]]] = {}
+        for b in iter_bits(adj[a] & not_below):
+            mask_b = masks[b]
+            ab = mask_a & mask_b
+            for c in iter_bits(adj[b] & not_below):
+                bc = mask_b & masks[c]
+                both = ab | bc
+                if both.bit_count() < 2:
+                    continue
+                paths = middles.setdefault(c, [])
+                paths.append((b, ab, bc, both))
+                for d, da, cd, other in paths:
+                    walk = (a, b, c, d)
+                    if ((both | other).bit_count() >= 4
+                            and all(walk.count(i) <= sizes[i] for i in walk)
+                            and _slots_pass_hall((ab, bc, cd, da))):
+                        return a
+    return None
+
+
+def _slots_pass_hall(slots: Sequence[int]) -> bool:
+    """True iff every set of j slot masks covers at least j hyperedges."""
+    for j in range(1, len(slots) + 1):
+        for subset in combinations(slots, j):
+            union = 0
+            for mask in subset:
+                union |= mask
+            if union.bit_count() < j:
+                return False
+    return True
 
 
 def plane_incidence_by_dot_products(q: int) -> frozenset[tuple[int, int]]:

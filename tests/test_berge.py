@@ -20,6 +20,7 @@ from conftest import hypergraphs
 from oracles import (
     SearchState,
     c4_by_pair_scan,
+    c4_class_by_path_pairs,
     canonical_c4_by_enumeration,
     canonical_cycle_by_enumeration,
     first_cycle_by_vertex_classes,
@@ -318,15 +319,19 @@ def twin_classes(h: bf.Hypergraph):
 
 def _assert_quotient_agrees(h: bf.Hypergraph, k: int = 4, oracle: bool = False) -> bool:
     """The gate on the twin classes agrees with the vertex-level reference,
-    which runs it on one class per vertex, and the smallest member of the
-    least class it reports is the first vertex of the reference's witness,
-    which find_berge_cycle returns; with oracle the witness also equals the
+    which runs a class gate on one class per vertex (for k = 4 the pairing
+    oracle c4_class_by_path_pairs, which must also report the gate's least
+    class on the twin classes), and the smallest member of the least class
+    it reports is the first vertex of the reference's witness, which
+    find_berge_cycle returns; with oracle the witness also equals the
     canonical enumerator's and, up to 7 vertices, the verdict
     naive_berge_oracle's.  Returns whether h has a Berge-Ck."""
     expected = first_cycle_by_vertex_classes(h, k)
     masks, sizes, adj, firsts = twin_classes(h)
     a = _twin_quotient_has_cycle(masks, sizes, adj, k)
     assert (a is not None) == (expected is not None), (k, h)
+    if k == 4:
+        assert a == c4_class_by_path_pairs(masks, sizes, adj), h
     if a is not None:
         assert firsts[a] == expected.vertices[0], (k, h)
     assert bf.find_berge_cycle(h, k) == expected, (k, h)
@@ -504,6 +509,111 @@ def test_quotient_on_relabelled_blowups(q):
         assert _assert_quotient_agrees(h, k)
 
 
+def test_quotient_on_relabelled_q7_blowups_with_planted_hyperedges():
+    """The q = 7 blow-up, relabelled, with one or two planted hyperedges: a
+    copy of a hyperedge (two classes then share two hyperedges), the union
+    of two whole classes, or a few vertices that split their classes."""
+    base = bf.projective_plane_incidence(7).graph()
+    classes = [range(3 * x, 3 * x + 3) for x in range(base.n)]
+    n = 3 * base.n
+    rng = random.Random(77)
+    verdicts = {False: 0, True: 0}
+    for _ in range(12):
+        hyperedges = [frozenset(v for x in edge for v in classes[x])
+                      for edge in sorted(base.edges)]
+        for _ in range(rng.randint(1, 2)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                hyperedges.append(rng.choice(hyperedges))
+            elif kind == 1:
+                hyperedges.append(frozenset(v for x in rng.sample(range(base.n), 2)
+                                            for v in classes[x]))
+            else:
+                hyperedges.append(frozenset(rng.sample(range(n), rng.randint(2, 4))))
+        relabel = rng.sample(range(n), n)
+        rng.shuffle(hyperedges)
+        h = bf.Hypergraph(n, tuple(frozenset(relabel[v] for v in e) for e in hyperedges))
+        verdicts[_assert_quotient_agrees(h, 4)] += 1
+    assert verdicts[True] > 0, verdicts
+
+
+def test_fold_alone_decides_linear_twin_free_inputs(monkeypatch):
+    """Without twins and with no two hyperedges sharing two vertices there
+    is no trigger, so the fold decides every class: the canonical witness
+    comes back whether Hall's condition holds at the first end seen twice
+    or fails there (one hyperedge covering three of the four slots)."""
+    def refuse_pairing(*args):
+        raise AssertionError("pairing ran on an input with no trigger")
+
+    hall_results = []
+
+    def recorded_hall4(*masks):
+        hall_results.append(_hall4(*masks))
+        return hall_results[-1]
+
+    monkeypatch.setattr(berge, "_c4_by_path_pairs", refuse_pairing)
+    monkeypatch.setattr(berge, "_hall4", recorded_hall4)
+    rng = random.Random(9)
+    verdicts = {False: 0, True: 0}
+    while sum(verdicts.values()) < 300:
+        n = rng.randint(5, 10)
+        edges = []
+        for _ in range(rng.randint(3, 9)):
+            edge = frozenset(rng.sample(range(n), rng.randint(2, 4)))
+            if all(len(edge & other) <= 1 for other in edges):
+                edges.append(edge)
+        h = bf.Hypergraph(n, tuple(edges))
+        if max(twin_classes(h)[1], default=1) > 1:
+            continue
+        witness = bf.find_berge_cycle(h, 4)
+        assert witness == canonical_c4_by_enumeration(h), h
+        verdicts[witness is not None] += 1
+    assert min(verdicts.values()) > 50, verdicts
+    assert True in hall_results and False in hall_results
+
+
+# Each input has a Berge-C4 of one repeated-class walk only, on the classes
+# of the vertices from 4 up; vertices 0-3 sit below it and carry either no
+# trigger (a path) or a trigger with no Berge-C4 through it (a triangle on
+# the twins {0, 1} whose class lies in only two hyperedges).
+PREFIXES = {
+    "path": ({0, 1}, {1, 2}, {2, 3}),
+    "free_trigger": ({0, 1, 2}, {2, 3}, {0, 1, 3}),
+}
+REPEATED_CLASS_WALKS = {
+    # a triangle of the loop-free class graph through a class of 2+ members
+    "a-a-c-d": ({4, 5, 6}, {6, 7}, {4, 5, 7}, {4, 5}),
+    "a-b-b-d": ({4, 5, 6}, {5, 6}, {5, 6, 7}, {4, 7}),
+    "a-b-c-c": ({4, 5}, {5, 6, 7}, {6, 7}, {4, 6, 7}),
+    # two classes that share two or more hyperedges
+    "a-b-a-d": ({4, 5, 6}, {4, 5, 6}, {4, 5, 7}, {4, 5, 7}),
+    "a-b-c-b": ({4, 5, 6}, {4, 5, 6}, {5, 6, 7}, {5, 6, 7}),
+    "a-a-c-c": ({4, 5, 6, 7}, {4, 5, 6, 7}, {4, 5}, {6, 7}),
+    "a-a-a-d": ({4, 5, 6, 7}, {4, 5, 6, 7}, {4, 5, 6}, {4, 5, 6}),
+    # a class of four or more members
+    "a-a-a-a": ({4, 5, 6, 7},) * 4,
+}
+
+
+@pytest.mark.parametrize("prefix", sorted(PREFIXES))
+@pytest.mark.parametrize("walk", sorted(REPEATED_CLASS_WALKS))
+def test_each_repeated_class_walk_is_found(walk, prefix):
+    """The gate finds a Berge-C4 whose least class is the class of vertex
+    4, above classes with no Berge-C4, for each walk that repeats a class;
+    the only Berge-C4 walk on the classes is the named one, so a gate that
+    overlooked its trigger would fold past it."""
+    h = bf.Hypergraph(8, tuple(frozenset(e) for e in
+                               PREFIXES[prefix] + REPEATED_CLASS_WALKS[walk]))
+    masks, sizes, adj, firsts = twin_classes(h)
+    a = firsts.index(4)
+    letters = walk.split("-")  # one class per letter, in order from a
+    assert sizes[a:] == [letters.count(x) for x in sorted(set(letters))], walk
+    assert berge._twin_quotient_has_c4(masks, sizes, adj) == a
+    witness = bf.find_berge_cycle(h, 4)
+    assert witness == canonical_c4_by_enumeration(h) and witness.vertices[0] == 4
+    assert _assert_quotient_agrees(h, 4)
+
+
 # -- where the twin gate runs ----------------------------------------------
 
 @pytest.mark.parametrize("k", CYCLE_LENGTHS)
@@ -558,12 +668,27 @@ def test_twin_free_input_enters_the_class_search(k, monkeypatch):
 @pytest.mark.parametrize("q", [2, 3, 5])
 @pytest.mark.parametrize("k", [4, 5])
 def test_free_blowup_never_reaches_the_vertex_search(q, k, monkeypatch):
+    """A free blow-up is decided by the gate alone; at k = 4 it has no
+    trigger and no two 2-paths of classes share both ends, so the gate
+    neither pairs class 2-paths nor tests Hall's condition."""
     def refuse(*args):
         raise AssertionError("the vertex-level search ran on a free blow-up")
 
+    def refuse_pairing(*args):
+        raise AssertionError("the k = 4 gate paired class 2-paths on a free blow-up")
+
+    hall_calls = []
+
+    def counted_hall4(*masks):
+        hall_calls.append(masks)
+        return _hall4(*masks)
+
     monkeypatch.setattr(berge, "_shadow_adjacency", refuse)
+    monkeypatch.setattr(berge, "_c4_by_path_pairs", refuse_pairing)
+    monkeypatch.setattr(berge, "_hall4", counted_hall4)
     h = bf.blow_up(bf.projective_plane_incidence(q).graph(), 3)
     assert bf.find_berge_cycle(h, k) is None
+    assert hall_calls == []
 
 
 @pytest.mark.parametrize("k", [4, 5])

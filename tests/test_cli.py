@@ -477,6 +477,31 @@ def test_search_guard_maps_to_exit_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_out_of_memory_maps_to_exit_two(tmp_path, capsys, monkeypatch):
+    """A declared size too large to allocate for ends in exit 2 with one
+    line on stderr and nothing on stdout.  The allocation that would fail
+    is patched to raise MemoryError, so no real size is ever allocated."""
+    import bergefree.search
+    reached = []
+
+    def out_of_memory(*args):
+        reached.append(True)
+        raise MemoryError
+
+    monkeypatch.setattr(bf.Graph, "adjacency_masks", property(out_of_memory))
+    monkeypatch.setattr(bergefree.search, "candidate_universe", out_of_memory)
+    big = tmp_path / "big.json"
+    big.write_text('{"n":99999999999,"hyperedges":[]}')
+    results = tmp_path / "r.jsonl"
+    for argv in (["lemmas", "-i", str(big)],
+                 ["search", "--n", "99999999999", "--allow-large", "-o", str(results)]):
+        reached.clear()
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert reached and captured.out == "" and not results.exists()
+        assert captured.err == f"error: {argv[0]} ran out of memory: the declared size is too large\n"
+
+
 def test_bounds_table(capsys):
     assert main(["bounds", "--n", "0,4,42"]) == 0
     captured = capsys.readouterr()

@@ -221,6 +221,44 @@ def test_hypergraph_json_rejects_malformed(doc):
         bf.Hypergraph.from_json_dict(doc)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ([], "expected a JSON object, got list"),
+    (None, "expected a JSON object, got NoneType"),
+    ({"n": 3}, 'hypergraph document needs fields "n" and "hyperedges"'),
+    ({"n": "3", "hyperedges": []}, "n: expected an integer, got '3'"),
+    ({"n": True, "hyperedges": []}, "n: expected an integer, got True"),
+    ({"n": -1, "hyperedges": [[0]]}, "vertex count must be >= 0, got -1"),
+    ({"n": 3, "hyperedges": "nope"}, 'field "hyperedges" must be a list of vertex lists'),
+    ({"n": 3, "hyperedges": [[0], 5]}, "hyperedges[1]: expected a list of vertices"),
+    ({"n": 3, "hyperedges": [[0], [1, "a"]]}, "hyperedges[1][1]: expected an integer, got 'a'"),
+    ({"n": 3, "hyperedges": [[0], [1, True]]}, "hyperedges[1][1]: expected an integer, got True"),
+    ({"n": 3, "hyperedges": [[0], [1, 2.0]]}, "hyperedges[1][1]: expected an integer, got 2.0"),
+    ({"n": 3, "hyperedges": [[0, 1, 0, [1]]]}, "hyperedges[0][3]: expected an integer, got [1]"),
+    ({"n": 3, "hyperedges": [[2, 0, 2]]}, "hyperedges[0]: repeated vertex in [2, 0, 2]"),
+    # rows are checked in order, and the range only after every row
+    ({"n": 3, "hyperedges": [[0, 0], [0, "a"]]}, "hyperedges[0]: repeated vertex in [0, 0]"),
+    ({"n": 3, "hyperedges": [[0, 5], [0, "a"]]}, "hyperedges[1][1]: expected an integer, got 'a'"),
+    ({"n": 3, "hyperedges": [[0, 1], [2, 5, -1]]},
+     "hyperedge 1 contains vertex 5, out of range for n=3"),
+    ({"n": 3, "hyperedges": [[0, 1], [-1, 2]]},
+     "hyperedge 1 contains vertex -1, out of range for n=3"),
+    ({"n": 40, "hyperedges": [[0, 1], [39, 40, 33, 41, 7]]},
+     "hyperedge 1 contains vertex 40, out of range for n=40"),
+])
+def test_hypergraph_json_error_texts_are_pinned(doc, message):
+    with pytest.raises(bf.FormatError) as caught:
+        bf.Hypergraph.from_json_dict(doc)
+    assert str(caught.value) == message
+
+
+def test_hypergraph_json_accepts_int_subclasses():
+    class Label(int):
+        pass
+
+    h = bf.Hypergraph.from_json_dict({"n": 3, "hyperedges": [[Label(2), 0]]})
+    assert h.hyperedges == (frozenset({0, 2}),)
+
+
 def test_graph_json_round_trip():
     g = bf.Graph(4, frozenset({(0, 3), (1, 2)}))
     assert bf.Graph.from_json_dict(g.to_json_dict()) == g
