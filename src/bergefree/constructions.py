@@ -12,11 +12,13 @@ symmetric, so the points on line j are, by index, the lines through point
 j.  projective_plane_incidence keeps these per-point line lists, ascending,
 and everything downstream reads them: plane_blow_up_rows walks them, points
 ascending, to emit the blow-up's hyperedges as sorted rows in blow_up's
-order without building a graph, a set or a sort, and
-certify_plane_blowup_free scans them for a C4.  The incidence edges and the
-plane's Graph are built only when asked for (PlaneIncidence.incidence and
-.graph()).  blow_up and certify_blowup_free stay the general builder and
-certificate for any graph, and the oracles for the plane's fast paths.
+order without building a graph, a set or a sort; plane_blow_up_json walks
+them the same way to write the blow-up's canonical JSON text from one
+"3u,3u+1,3u+2" string per plane vertex, with no row tuple and no JSON
+encoder; and certify_plane_blowup_free scans them for a C4.  The plane's
+Graph is built from the lists only when asked for (PlaneIncidence.graph()).
+blow_up and certify_blowup_free stay the general builder and certificate
+for any graph, and the oracles for the plane's fast paths.
 
 Only prime orders are generated; prime-power fields are out of scope and
 primes already realize the asymptotic edge density.
@@ -26,11 +28,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .berge import find_c4_in_graph, find_triangle
-from .core import BipartiteGraph, Graph, Hypergraph, weight
+from .core import Graph, Hypergraph, weight
 
 
 # The strong probable-prime test to the 13 prime bases 2..41 has no
@@ -80,8 +81,8 @@ class PlaneIncidence:
     N = q^2 + q + 1.  lines_through[i] lists the lines through point i in
     strictly ascending order, each in range(len(lines)); construction
     checks this in one pass over the lists and raises ValueError
-    otherwise.  The incidence edges are derived from the lists on first
-    use of incidence (or graph()); construct never asks for them.
+    otherwise.  graph() derives the incidence edges from the lists;
+    construct never asks for them.
     """
 
     q: int
@@ -102,18 +103,12 @@ class PlaneIncidence:
             if any(a >= b for a, b in zip(lines, lines[1:])):
                 raise ValueError(f"point {i}: line indices must strictly ascend, got {lines}")
 
-    @cached_property
-    def incidence(self) -> BipartiteGraph:
-        count = len(self.points)
-        return BipartiteGraph(
-            left=tuple(range(count)),
-            right=tuple(range(count, count + len(self.lines))),
-            edges=frozenset((i, count + j)
-                            for i, lines in enumerate(self.lines_through) for j in lines),
-        )
-
     def graph(self) -> Graph:
-        return self.incidence.to_graph()
+        """The incidence graph: point i is vertex i, line j is vertex N + j."""
+        count = len(self.points)
+        return Graph(count + len(self.lines),
+                     frozenset((i, count + j)
+                               for i, lines in enumerate(self.lines_through) for j in lines))
 
 
 def _projective_triples(q: int) -> list[tuple[int, int, int]]:
@@ -194,6 +189,27 @@ def plane_blow_up_rows(plane: PlaneIncidence) -> list[tuple[int, ...]]:
     copies = [(3 * u, 3 * u + 1, 3 * u + 2) for u in range(2 * count)]
     return [copies[i] + copies[count + j]
             for i, lines in enumerate(plane.lines_through) for j in lines]
+
+
+def plane_blow_up_json(plane: PlaneIncidence, n: int) -> str:
+    """dumps_canonical({"n": n, "hyperedges": plane_blow_up_rows(plane)}),
+    written as text straight from plane.lines_through.
+
+    Every row is copies(i) followed by copies(N + j), in the order of
+    plane_blow_up_rows, so one "3u,3u+1,3u+2" string per plane vertex and
+    one join per point give the same bytes with no row tuple and no JSON
+    encoder.
+    """
+    count = len(plane.points)
+    copies = [f"{3 * u},{3 * u + 1},{3 * u + 2}" for u in range(2 * count)]
+    line_copies = copies[count:]
+    chunks = []
+    for i, lines in enumerate(plane.lines_through):
+        if lines:
+            head = copies[i] + ","
+            chunks.append("[" + head + ("],[" + head).join(map(line_copies.__getitem__, lines))
+                          + "]")
+    return f'{{"n":{n},"hyperedges":[{",".join(chunks)}]}}\n'
 
 
 @dataclass(frozen=True)

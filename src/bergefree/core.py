@@ -250,11 +250,6 @@ class BipartiteGraph:
             if a not in lset or b not in rset:
                 raise ValueError(f"edge ({a},{b}) does not go from left to right")
 
-    def to_graph(self) -> Graph:
-        """Forget the bipartition; vertex labels are kept as-is."""
-        n = max(self.left + self.right, default=-1) + 1
-        return Graph(n, frozenset(self.edges))
-
 
 # ---------------------------------------------------------------------------
 # elementary statistics

@@ -25,6 +25,12 @@ def test_hypergraph_has_no_pair_cover():
     assert not hasattr(bf.Hypergraph(3, ({0, 1, 2},)), "pair_cover")
 
 
+def test_plane_graph_has_one_builder():
+    # PlaneIncidence.graph() reads the line lists; no bipartite detour
+    assert not hasattr(bf.PlaneIncidence, "incidence")
+    assert not hasattr(bf.BipartiteGraph, "to_graph")
+
+
 def test_public_api_is_sorted_and_resolves():
     assert bf.__all__ == sorted(bf.__all__)
     assert len(set(bf.__all__)) == len(bf.__all__)

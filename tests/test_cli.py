@@ -110,6 +110,10 @@ CONSTRUCT_PINS = [
      "", "n=5958 hyperedges=31776 weight=95328 (q=31)"),
     (["--q", "31", "--certify"], "a0a4c848dd31ba5922d57e13c8386fa187070cecfcf280721a46efbbd5b8a689",
      CERTIFIED, "n=5958 hyperedges=31776 weight=95328 (q=31)"),
+    (["--q", "97"], "b973c27f80d3ca793a345d4d51f7898a669cb3611f1fe3b6d9d0437bb495b8e2",
+     "", "n=57042 hyperedges=931686 weight=2795058 (q=97)"),
+    (["--q", "97", "--certify"], "b973c27f80d3ca793a345d4d51f7898a669cb3611f1fe3b6d9d0437bb495b8e2",
+     CERTIFIED, "n=57042 hyperedges=931686 weight=2795058 (q=97)"),
     (["--n", "42"], "1f1981b7636f009408159e901481052e8a85e837111eb9d9d703136e84354f6c",
      "", "n=42 hyperedges=21 weight=63 (q=2)"),
     (["--n", "50"], "e681cf5250f84eff3efa591e7516d096f7dfaf3e59690c8eae208a97cf80fcdc",
@@ -130,7 +134,8 @@ CONSTRUCT_PINS = [
                               for case in CONSTRUCT_PINS])
 def test_construct_bytes_are_pinned(tmp_path, capsys, argv, digest, checks, wrote):
     """The written file and the stderr report are byte-stable; the digests
-    were recorded before construct wrote its rows straight from the plane."""
+    were recorded before construct wrote its rows straight from the plane,
+    and the q = 97 ones before it wrote the JSON text from the line lists."""
     out = tmp_path / "plane.json"
     assert main(["construct", *argv, "-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -152,6 +157,24 @@ def test_construct_writes_rows_without_building_a_hypergraph(tmp_path, monkeypat
     out = tmp_path / "q5.json"
     assert main(["construct", "--q", "5", "--certify", "-o", str(out)]) == 0
     assert bf.weight(bf.load_hypergraph(str(out))) == 558
+
+
+def test_construct_writes_text_without_rows_or_the_json_encoder(tmp_path, monkeypatch):
+    """Above the detector cap (n = 186 > 100) construct --certify builds no
+    row tuple and never encodes JSON: the file is plane_blow_up_json's text."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("construct above the detector cap writes the text directly")
+
+    import bergefree.cli
+    import bergefree.core
+    for module in (bergefree.cli, bergefree.core):
+        monkeypatch.setattr(module, "dumps_canonical", refuse)
+    monkeypatch.setattr(bergefree.cli, "plane_blow_up_rows", refuse)
+    out = tmp_path / "q5.json"
+    assert main(["construct", "--q", "5", "--certify", "-o", str(out)]) == 0
+    monkeypatch.undo()
+    assert out.read_text() == bergefree.core.dumps_canonical(
+        {"n": 186, "hyperedges": bf.plane_blow_up_rows(bf.projective_plane_incidence(5))})
 
 
 def test_construct_builds_no_graph_and_runs_no_graph_scan(tmp_path, monkeypatch):
@@ -517,6 +540,14 @@ def test_bounds_rejects_garbage(capsys):
     assert main(["bounds", "--n", "1,two"]) == 2
 
 
+@pytest.mark.parametrize("values", [",,", ""])
+def test_bounds_rejects_an_empty_list(capsys, values):
+    assert main(["bounds", "--n", values]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --n wants at least one vertex count, got {values!r}\n"
+
+
 def test_bounds_rejects_negative_before_printing(capsys):
     assert main(["bounds", "--n", "5,-3"]) == 2
     captured = capsys.readouterr()
@@ -544,6 +575,7 @@ def test_bounds_builds_no_plane(capsys, monkeypatch):
     monkeypatch.setattr(bergefree.constructions, "blow_up", refuse)
     monkeypatch.setattr(bergefree.constructions, "projective_plane_incidence", refuse)
     monkeypatch.setattr(bergefree.cli, "plane_blow_up_rows", refuse)
+    monkeypatch.setattr(bergefree.cli, "plane_blow_up_json", refuse)
     monkeypatch.setattr(bergefree.cli, "projective_plane_incidence", refuse)
     # q = 97 is the largest prime with 6(q^2+q+1) <= 60000
     assert _bounds_row(capsys, 60000)[-2] == str(3 * (97 * 97 + 97 + 1) * 98)
@@ -594,6 +626,7 @@ def test_construct_guard_runs_before_any_primality_test(tmp_path, capsys, monkey
     monkeypatch.setattr(bergefree.constructions, "is_prime", refuse)
     monkeypatch.setattr(bergefree.cli, "projective_plane_incidence", refuse)
     monkeypatch.setattr(bergefree.cli, "plane_blow_up_rows", refuse)
+    monkeypatch.setattr(bergefree.cli, "plane_blow_up_json", refuse)
     for argv in (["--q", str(HUGE_PRIME)], ["--n", str(10**210)]):
         assert main(["construct", *argv, "-o", str(tmp_path / "x.json")]) == 2
     assert capsys.readouterr().out == ""

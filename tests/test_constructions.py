@@ -8,8 +8,13 @@ import pytest
 from hypothesis import given
 
 import bergefree as bf
-from bergefree.constructions import PRIME_TEST_LIMIT, _points_on, largest_fitting_prime
-from bergefree.core import iter_bits
+from bergefree.constructions import (
+    PRIME_TEST_LIMIT,
+    _points_on,
+    largest_fitting_prime,
+    plane_blow_up_json,
+)
+from bergefree.core import dumps_canonical, iter_bits
 from conftest import graphs
 from oracles import (
     degree_stats,
@@ -134,7 +139,7 @@ PRIMES_TO_31 = [q for q in range(32) if bf.is_prime(q)]
 
 @pytest.mark.parametrize("q", PRIMES_TO_31)
 def test_plane_incidence_matches_dot_product_definition(q):
-    assert bf.projective_plane_incidence(q).incidence.edges == plane_incidence_by_dot_products(q)
+    assert bf.projective_plane_incidence(q).graph().edges == plane_incidence_by_dot_products(q)
 
 
 @pytest.mark.parametrize("q", PRIMES_TO_31)
@@ -142,7 +147,7 @@ def test_lines_through_a_point_are_the_points_on_its_dual_line(q):
     plane = bf.projective_plane_incidence(q)
     count = len(plane.points)
     by_point = [[] for _ in range(count)]
-    for i, line_vertex in plane.incidence.edges:
+    for i, line_vertex in plane.graph().edges:
         by_point[i].append(line_vertex - count)
     for i, point in enumerate(plane.points):
         lines = _points_on(point, q)
@@ -156,6 +161,23 @@ def test_plane_blow_up_rows_match_blow_up_oracle(q):
     rows = bf.plane_blow_up_rows(plane)
     oracle = bf.blow_up(plane.graph(), 3)
     assert [list(row) for row in rows] == [sorted(h) for h in oracle.hyperedges]
+
+
+@pytest.mark.parametrize("q", PRIMES_TO_31)
+def test_plane_blow_up_json_matches_encoded_rows(q):
+    plane = bf.projective_plane_incidence(q)
+    rows = bf.plane_blow_up_rows(plane)
+    base = 6 * len(plane.points)
+    for n in (base, base + 1, base + 50):
+        assert plane_blow_up_json(plane, n) == dumps_canonical({"n": n, "hyperedges": rows})
+
+
+def test_plane_blow_up_json_skips_a_point_on_no_line():
+    plane = bf.PlaneIncidence(q=2, points=((1, 0, 0), (0, 1, 0)),
+                              lines=((1, 0, 0), (0, 1, 0)), lines_through=((), (0, 1)))
+    assert plane_blow_up_json(plane, 12) == \
+        dumps_canonical({"n": 12, "hyperedges": bf.plane_blow_up_rows(plane)}) == \
+        '{"n":12,"hyperedges":[[3,4,5,6,7,8],[3,4,5,9,10,11]]}\n'
 
 
 @pytest.mark.parametrize("q", PRIMES_TO_31)
@@ -234,7 +256,7 @@ def test_plane_normalization_and_incidence(q):
     for triple in plane.points:
         first = next(x for x in triple if x != 0)
         assert first == 1
-    for p, line_vertex in plane.incidence.edges:
+    for p, line_vertex in plane.graph().edges:
         line = plane.lines[line_vertex - count]
         point = plane.points[p]
         assert sum(a * b for a, b in zip(point, line)) % q == 0
