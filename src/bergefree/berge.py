@@ -43,10 +43,13 @@ _closing_pairs finds, from vertex masks and their spreads (bit a*n for each
 vertex a), the pairs {a, b} that close a Berge-C4 with a triple (X, Y, Z) of
 distinct hyperedges through the newest one (b in X, a in Z, room for v3 in
 X & Y and v4 in Y & Z, distinct and outside {a, b}); a caller ORs them into
-its running mask and tests each candidate with one AND.  It has no loop
-over vertices: the a of a triple fall into four classes by whether they lie
-in X, Y and Z, every a of a class has the same b, and one product of the
-class's spread with those b sets all of its rows of the n x n pair matrix.
+its running mask and tests each candidate with one AND.  Two index loops
+visit each such triple once, the newest hyperedge as its middle or as an
+end, and each triple is one straight-line call of _triple_pairs, which
+sets the triple's pairs both ways round.  There is no loop over vertices:
+the a of a triple fall into four classes by whether they lie in X, Y and
+Z, every a of a class has the same b, and one product of the class's
+spread with those b sets all of its rows of the n x n pair matrix.
 Every witness a search returns is re-validated against the definition
 before it is handed out.
 """
@@ -55,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, permutations, repeat
+from itertools import combinations, permutations
 from typing import Optional, Sequence
 
 from .core import Graph, Hypergraph, iter_bits
@@ -468,68 +471,93 @@ def _closing_pairs(masks: Sequence[int], spreads: Sequence[int], n: int) -> int:
     close alone, it gives every closing pair, and a candidate is tested
     with one AND of its pairs (a < b) against that.
 
-    A Berge-C4 a - h - b - X - v3 - Y - v4 - Z - a through a new hyperedge
-    h is a triple (X, Y, Z) of distinct hyperedges with b in X, a in Z and
-    v3 in P = X & Y, v4 in Q = Y & Z picked distinct and outside {a, b}.
-    Hall's condition for those two slots is that P and Q minus {a, b} are
-    non-empty and their union U minus {a, b} has 2 bits, so for one a
-    every b of X - {a} qualifies except at most three forced exclusions:
-    P - {a} or Q - {a} when it has one member, and U - {a} when it has
-    two.  Which apply depends only on the class of a: in X & Y & Z, in
-    X & Y alone, in Y & Z alone, or outside Y.  Each pair {X, Z} is walked
-    once per middle Y, both ways round (a in X and b in Z as well), and
-    each class is one product: spread(S) * T sets bit a*n + b for every a
-    in S and b in T, with no carry since b < n.  A class's spread comes
-    from the triple's spreads by AND and XOR, because spreading moves each
-    bit a to its own bit a*n, so spread(S & T) = spread(S) & spread(T).
-    No exclusion is forced for any a when P and Q have 3 bits and U has 4.
-    The exclusions are taken whole (P, not P - {a}) from X or Z whole, so
-    a product may also set a*n + a for a member a of its class; no closing
-    pair has that bit, so the diagonal is cleared once, at the end, in
-    place of once per a.
+    A triple (X, Y, Z) closes pairs only when Y meets both ends, so two
+    index loops visit each triple through the last mask once: the last
+    mask as the middle Y, with each unordered pair of earlier masks that
+    both meet it; and the last mask as an end, with each earlier middle
+    that meets it and each other end that meets that middle.  Each triple
+    is one call of _triple_pairs, which sets its pairs both ways round.
+    Its products may also set a*n + a for a vertex a; no closing pair has
+    that bit, so the diagonal is cleared once, at the end.
     """
     last = len(masks) - 1
     if last < 2:
         return 0  # fewer than three hyperedges close nothing
+    mask_l = masks[last]
+    spread_l = spreads[last]
+    meets = [i for i in range(last) if masks[i] & mask_l]
     closing = 0
-    for y, mask_y in enumerate(masks):
-        every = last == 2 or y == last  # then every triple uses the last mask
-        if not (every or mask_y & masks[last]):
-            continue  # the last mask is X or Z, so it meets Y
+    for pos, x in enumerate(meets):
+        mask_x = masks[x]
+        spread_x = spreads[x]
+        for z in meets[pos + 1:]:
+            closing |= _triple_pairs(mask_x, spread_x, mask_l, spread_l, masks[z], spreads[z])
+    for y in meets:
+        mask_y = masks[y]
         spread_y = spreads[y]
-        meets = [(mask, spreads[i], mask & mask_y) for i, mask in enumerate(masks)
-                 if i != y and mask & mask_y]
-        # unless Y is the last mask, X or Z is: the last entry of meets
-        for (mask_x, spread_x, p_all), (mask_z, spread_z, q_all) in (
-                combinations(meets, 2) if every else zip(repeat(meets[-1]), meets[:-1])):
-            p_count = p_all.bit_count()
-            q_count = q_all.bit_count()
-            u_all = p_all | q_all
-            u_count = u_all.bit_count()
-            if p_count >= 3 and q_count >= 3 and u_count >= 4:
-                closing |= spread_z * mask_x | spread_x * mask_z
-                continue
-            if u_count < 2:
-                continue  # no class keeps two members of U
-            in_p = spread_x & spread_y
-            in_q = spread_z & spread_y
-            in_both = in_p & in_q
-            for spread_a, p, q, u, mask_b in (
-                    (in_both, p_count - 1, q_count - 1, u_count - 1, mask_x | mask_z),
-                    (in_p ^ in_both, p_count - 1, q_count, u_count - 1, mask_z),
-                    (in_q ^ in_both, p_count, q_count - 1, u_count - 1, mask_x),
-                    (spread_z ^ in_q, p_count, q_count, u_count, mask_x),
-                    (spread_x ^ in_p, p_count, q_count, u_count, mask_z)):
-                if not spread_a or p < 1 or q < 1 or u < 2:
-                    continue
-                if p == 1:
-                    mask_b &= ~p_all
-                if q == 1:
-                    mask_b &= ~q_all
-                if u == 2:
-                    mask_b &= ~u_all
-                closing |= spread_a * mask_b
+        for z in range(last):
+            if z != y and masks[z] & mask_y:
+                closing |= _triple_pairs(mask_l, spread_l, mask_y, spread_y, masks[z], spreads[z])
     return closing & ~_diagonal(n)
+
+
+def _triple_pairs(mask_x: int, spread_x: int, mask_y: int, spread_y: int,
+                  mask_z: int, spread_z: int) -> int:
+    """Bits a*n + b of the pairs that close a Berge-C4 with the triple
+    (X, Y, Z), Y meeting X and Z, both ways round: a in Z with b in X, and
+    a in X with b in Z.  Bits a*n + a may be set too.
+
+    A Berge-C4 a - h - b - X - v3 - Y - v4 - Z - a through a new hyperedge
+    h has v3 in P = X & Y and v4 in Q = Y & Z picked distinct and outside
+    {a, b}.  Hall's condition for those two slots is that P and Q minus
+    {a, b} are non-empty and their union U minus {a, b} has 2 bits, so for
+    one a every b of the other end qualifies except at most three forced
+    exclusions: P - {a} or Q - {a} when it has one member, and U - {a}
+    when it has two.  Which apply depends only on the class of a: outside
+    Y, in P alone, in Q alone, or in both.  Each class is one product:
+    spread(S) * T sets bit a*n + b for every a in S and b in T, with no
+    carry since b < n.  A class's spread comes from the triple's spreads
+    by AND and XOR, because spreading moves each bit a to its own bit a*n,
+    so spread(S & T) = spread(S) & spread(T).  No exclusion is forced for
+    any a when P and Q have 3 bits and U has 4.  The exclusions are taken
+    whole (P, not P - {a}) from an end taken whole, so a product may set
+    a*n + a.
+    """
+    p_all = mask_x & mask_y
+    q_all = mask_y & mask_z
+    u_all = p_all | q_all
+    p = p_all.bit_count()
+    q = q_all.bit_count()
+    u = u_all.bit_count()
+    if u < 2:
+        return 0  # no a leaves two members of U
+    if p >= 3 and q >= 3 and u >= 4:
+        return spread_z * mask_x | spread_x * mask_z
+    in_p = spread_x & spread_y
+    in_q = spread_z & spread_y
+    # a outside Y keeps P, Q and U whole
+    if u == 2:
+        drop = u_all
+    else:
+        drop = (p_all if p == 1 else 0) | (q_all if q == 1 else 0)
+    pairs = (spread_z ^ in_q) * (mask_x & ~drop) | (spread_x ^ in_p) * (mask_z & ~drop)
+    if u == 2:
+        return pairs  # a in Y leaves one member of U
+    # a in Y takes itself out of U, and out of P or Q when it lies there
+    in_both = in_p & in_q
+    if u == 3:
+        drop_p = drop_q = drop_pq = u_all
+    else:
+        drop_p = (p_all if p == 2 else 0) | (q_all if q == 1 else 0)
+        drop_q = (p_all if p == 1 else 0) | (q_all if q == 2 else 0)
+        drop_pq = (p_all if p == 2 else 0) | (q_all if q == 2 else 0)
+    if p >= 2:
+        pairs |= (in_p ^ in_both) * (mask_z & ~drop_p)
+    if q >= 2:
+        pairs |= (in_q ^ in_both) * (mask_x & ~drop_q)
+        if p >= 2:
+            pairs |= in_both * ((mask_x | mask_z) & ~drop_pq)
+    return pairs
 
 
 def is_berge_c4_free(hypergraph: Hypergraph) -> bool:

@@ -11,8 +11,9 @@ Commands:
 Exit status is the only success/failure channel: 0 means free/pass,
 1 means a cycle or violation was found, 2 means an I/O or format problem
 or an argument too large to answer (a plane order above MAX_PLANE_ORDER,
-a bounds n beyond the proven range of is_prime, or a declared size whose
-allocation raises MemoryError, caught once in main).
+a search n above CEILING_MAX_N, a bounds n beyond the proven range of
+is_prime, or a declared size whose allocation raises MemoryError, caught
+once in main).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .constructions import (
 )
 from .core import FormatError, Hypergraph, dumps_canonical, load_hypergraph
 from .embedding import NotBergeC4FreeError, build_embedded_graph, verify_lemma_suite
-from .search import GUARD_MAX_N, max_weight_exact
+from .search import CEILING_MAX_N, GUARD_MAX_N, max_weight_exact
 
 EXIT_OK = 0
 EXIT_FOUND = 1
@@ -176,7 +177,7 @@ def cmd_lemmas(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    if args.n > GUARD_MAX_N and not args.allow_large:
+    if GUARD_MAX_N < args.n <= CEILING_MAX_N and not args.allow_large:
         return _fail(f"n={args.n} exceeds the guard n <= {GUARD_MAX_N}; "
                      "pass --allow-large to override")
     try:
@@ -292,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unpruned", action="store_true",
                    help="disable the admissible bound (cross-check mode)")
     p.add_argument("--allow-large", action="store_true",
-                   help=f"override the n <= {GUARD_MAX_N} guard")
+                   help=f"override the n <= {GUARD_MAX_N} guard, up to the "
+                        f"ceiling n <= {CEILING_MAX_N}")
     p.add_argument("-o", "--output", default="search_results.jsonl",
                    help="JSON-lines results file (appended)")
 

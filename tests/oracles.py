@@ -20,9 +20,11 @@ test_berge checks against _hall4 on every mask 4-tuple), in
 first_cycle_by_vertex_classes the detector's vertex search and, for
 k != 4, its walk gate, run on one class per vertex instead of the twin
 classes (for k = 4 it runs c4_class_by_path_pairs, the detector's gate
-before its seen/dup fold), and, in
+before its seen/dup fold), in
 greedy_by_full_recheck, the full detector, which the closing-pair mask
-does not use.
+does not use, and, in max_weight_by_index_scan (the exact search's walk
+before its candidates became bits, which must reach the same nodes in the
+same order), the candidate universe and the closing-pair mask engine.
 """
 
 from __future__ import annotations
@@ -43,11 +45,13 @@ from bergefree import (
     weight,
 )
 from bergefree.berge import (
+    _closing_pairs,
     _first_vertex_cycle,
     _twin_quotient_has_cycle,
     distinct_representatives,
 )
 from bergefree.core import iter_bits, neighborhood_masks
+from bergefree.search import candidate_universe
 
 
 def bfs_neighborhoods(graph: Graph, v: int) -> tuple[frozenset[int], frozenset[int]]:
@@ -344,6 +348,67 @@ def max_weight_by_multisets(n: int, max_mult: int = 3) -> int:
         if canonical_c4_by_enumeration(candidate) is None:
             best = max(best, weight(candidate))
     return best
+
+
+def max_weight_by_index_scan(n: int, max_mult: int = 3, pruned: bool = True,
+                             first_level_orbit_reps: bool = False):
+    """(best_weight, nodes_explored, witness) of max_weight_exact's search,
+    walked as it was before its candidates became bits: each node scans the
+    candidate indices from its last chosen one up, one by one, with the
+    bound, multiplicity and orbit tests, and tests each candidate's pair
+    bits against the node's closing mask with one AND.  The closing mask is
+    berge._closing_pairs, computed lazily at the first candidate that
+    passes the other tests.  The witness is a tuple of sorted vertex
+    tuples."""
+    cands = candidate_universe(n)
+    pair_bits = [sum(1 << (a * n + b) for a, b in combinations(sorted(c), 2)) for c in cands]
+    vertex_masks = [sum(1 << v for v in c) for c in cands]
+    spreads = [sum(1 << (v * n) for v in c) for c in cands]
+    weights = [len(c) - 3 for c in cands]
+    m = len(cands)
+    suffix = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + max_mult * weights[i]
+    is_rep = [c == frozenset(range(len(c))) for c in cands]
+
+    used = [0] * m
+    chosen: list[int] = []
+    chosen_masks: list[int] = []
+    chosen_spreads: list[int] = []
+    best = {"weight": 0, "multiset": ()}
+    nodes = 0
+
+    def walk(min_idx: int, current_weight: int, parent: int) -> None:
+        nonlocal nodes
+        closing = None
+        for j in range(min_idx, m):
+            if pruned and current_weight + suffix[j] <= best["weight"]:
+                break
+            if used[j] == max_mult:
+                continue
+            if first_level_orbit_reps and not chosen and not is_rep[j]:
+                continue
+            if closing is None:
+                closing = parent | _closing_pairs(chosen_masks, chosen_spreads, n)
+            if pair_bits[j] & closing:
+                continue
+            nodes += 1
+            used[j] += 1
+            chosen.append(j)
+            chosen_masks.append(vertex_masks[j])
+            chosen_spreads.append(spreads[j])
+            new_weight = current_weight + weights[j]
+            if new_weight > best["weight"]:
+                best["weight"] = new_weight
+                best["multiset"] = tuple(chosen)
+            walk(j, new_weight, closing)
+            chosen_spreads.pop()
+            chosen_masks.pop()
+            chosen.pop()
+            used[j] -= 1
+
+    walk(0, 0, 0)
+    return best["weight"], nodes, tuple(tuple(sorted(cands[j])) for j in best["multiset"])
 
 
 def canonical_c4_by_enumeration(hypergraph: Hypergraph):

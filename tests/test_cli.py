@@ -500,6 +500,26 @@ def test_search_guard_maps_to_exit_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_search_ceiling_maps_to_exit_two(tmp_path, capsys, monkeypatch):
+    """An n above the search's ceiling exits 2 with one line on stderr and
+    nothing written to -o, with --allow-large or without it, before the
+    candidate universe is built (patched to raise if it is)."""
+    import bergefree.search
+    reached = []
+
+    def universe(*args):
+        reached.append(True)
+        raise MemoryError
+
+    monkeypatch.setattr(bergefree.search, "candidate_universe", universe)
+    results = tmp_path / "r.jsonl"
+    for n, flags in (("17", []), ("30", ["--allow-large"]), ("99999999999", ["--allow-large"])):
+        assert main(["search", "--n", n, *flags, "-o", str(results)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not results.exists() and not reached
+        assert captured.err == f"error: n={n} exceeds the search's ceiling n <= 16\n"
+
+
 def test_out_of_memory_maps_to_exit_two(tmp_path, capsys, monkeypatch):
     """A declared size too large to allocate for ends in exit 2 with one
     line on stderr and nothing on stdout.  The allocation that would fail
@@ -517,7 +537,7 @@ def test_out_of_memory_maps_to_exit_two(tmp_path, capsys, monkeypatch):
     big.write_text('{"n":99999999999,"hyperedges":[]}')
     results = tmp_path / "r.jsonl"
     for argv in (["lemmas", "-i", str(big)],
-                 ["search", "--n", "99999999999", "--allow-large", "-o", str(results)]):
+                 ["search", "--n", "16", "--allow-large", "-o", str(results)]):
         reached.clear()
         assert main(argv) == 2, argv
         captured = capsys.readouterr()

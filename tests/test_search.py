@@ -8,7 +8,8 @@ import pytest
 
 import bergefree as bf
 from bergefree.berge import _closing_pairs
-from bergefree.search import candidate_universe
+import bergefree.search
+from bergefree.search import CEILING_MAX_N, candidate_universe
 from oracles import (
     SearchState,
     _closes_c4,
@@ -16,6 +17,7 @@ from oracles import (
     greedy_by_full_recheck,
     greedy_by_search_state,
     incremental_c4_check,
+    max_weight_by_index_scan,
     max_weight_by_multisets,
 )
 
@@ -267,6 +269,22 @@ def test_closing_pairs_matches_vertex_loop_at_class_boundaries():
     assert checked > 1000
 
 
+def test_closing_pairs_matches_vertex_loop_on_repeated_masks():
+    """Multisets that repeat a mask, as the exact search's max_mult 2 and
+    3 paths build them: two and three copies of one set, the last mask
+    equal to an earlier one, and all three equal, alone and beside other
+    masks, at n = 4..9."""
+    rng = random.Random(20261020)
+    for n in range(4, 10):
+        for _ in range(60):
+            a, b, c = (sum(1 << v for v in rng.sample(range(n), rng.randint(2, n)))
+                       for _ in range(3))
+            for masks in ([a, a, a], [a, a, b], [a, b, a], [b, a, a], [a, a, a, b],
+                          [b, a, a, a], [a, b, a, a], [a, a, b, b], [a, b, b, a],
+                          [c, a, b, a], [a, a, b, c, a], [a, b, c, a, a, a]):
+                assert _closing(masks, n) == closing_pairs_by_vertex_loop(masks, n), (n, masks)
+
+
 def test_exact_value_n4():
     result = bf.max_weight_exact(4)
     assert result.best_weight == 3
@@ -380,6 +398,46 @@ def test_search_pinned_n7(max_mult, orbit_reps):
 def test_search_pinned_n8_orbit_reps():
     result = bf.max_weight_exact(8, first_level_orbit_reps=True, allow_large=True)
     assert _summary(result) == (15, 49387, (tuple(range(8)),) * 3)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_bitset_walk_matches_index_scan_oracle(n):
+    """The walk over candidate bits reaches the nodes the index scan
+    reaches, in the same order: the same best weight, node count and
+    witness for every max_mult, with and without the bound and the
+    first-level orbit reps.  n < 4 has an empty universe and n = 4 one
+    candidate, so the last chosen index is the universe's last."""
+    for max_mult, pruned, orbit_reps in product((1, 2, 3), (True, False), (False, True)):
+        result = bf.max_weight_exact(n, max_mult=max_mult, pruned=pruned,
+                                     first_level_orbit_reps=orbit_reps)
+        assert _summary(result) == max_weight_by_index_scan(
+            n, max_mult, pruned, orbit_reps), (n, max_mult, pruned, orbit_reps)
+
+
+@pytest.mark.parametrize("max_mult", (1, 2, 3))
+def test_bitset_walk_matches_index_scan_oracle_n7_orbit_reps(max_mult):
+    result = bf.max_weight_exact(7, max_mult=max_mult, first_level_orbit_reps=True)
+    expected = max_weight_by_index_scan(7, max_mult, True, True)
+    assert _summary(result) == expected == PINNED_N7_SEARCHES[max_mult, True]
+
+
+def test_ceiling_checked_before_the_universe(monkeypatch):
+    """n above CEILING_MAX_N raises ValueError, allow_large or not, before
+    the universe is built; n at the ceiling reaches it.  The universe is
+    patched to raise, so no large size is ever allocated."""
+    class UniverseBuilt(Exception):
+        pass
+
+    def refuse(n):
+        raise UniverseBuilt(n)
+
+    monkeypatch.setattr(bergefree.search, "candidate_universe", refuse)
+    for n in (CEILING_MAX_N + 1, 30, 10**18):
+        for allow_large in (True, False):
+            with pytest.raises(ValueError, match="ceiling n <= 16"):
+                bf.max_weight_exact(n, allow_large=allow_large)
+    with pytest.raises(UniverseBuilt):
+        bf.max_weight_exact(CEILING_MAX_N, allow_large=True)
 
 
 @pytest.mark.parametrize("seed", range(20))
