@@ -38,14 +38,10 @@ blowup = bf.blow_up(bf.projective_plane_incidence(2).graph(), 3)
 report = bf.verify_lemma_suite(blowup)
 print(f"\nlemma suite on the q=2 blow-up: ok={report.ok}, "
       f"K27-free={report.k27_free}, vertices checked={len(report.rows)}")
+# Each row counts the auxiliary graphs around its vertex: d = |N1(v)|, and
+# the edges of G, G_aux, G'_aux, B and B'.
 busiest = max(report.rows, key=lambda row: row["d"])
 print("busiest vertex:", json.dumps(busiest))
-
-# Around one vertex, the bundle exposes the auxiliary graphs directly.
-bundle = bf.build_aux_bundle(bf.build_embedded_graph(blowup), busiest["v"])
-print(f"v={bundle.v}: |N1|={len(bundle.n1)} |N2|={len(bundle.n2)} "
-      f"|G|={len(bundle.g.edges)} |G_aux|={len(bundle.g_aux.edges)} "
-      f"|B|={len(bundle.b.edges)} |B'|={len(bundle.b_prime.edges)}")
 
 # Non-free inputs are refused with a witness.
 loose = bf.Hypergraph(8, ({0, 1, 4}, {1, 2, 5}, {2, 3, 6}, {3, 0, 7}))

@@ -23,7 +23,6 @@ from .constructions import (
     theoretical_bounds,
 )
 from .core import (
-    BipartiteGraph,
     ColoredGraph,
     FormatError,
     Graph,
@@ -33,12 +32,10 @@ from .core import (
     weight,
 )
 from .embedding import (
-    AuxBundle,
     Decomposition,
     LemmaSuiteReport,
     NotBergeC4FreeError,
     ObservationReport,
-    build_aux_bundle,
     build_embedded_graph,
     decompose_hyperedge,
     validate_decomposition,
@@ -57,9 +54,7 @@ from .search import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuxBundle",
     "BergeCycleWitness",
-    "BipartiteGraph",
     "BlowupCertificate",
     "ColoredGraph",
     "Decomposition",
@@ -73,7 +68,6 @@ __all__ = [
     "PlaneIncidence",
     "SearchResult",
     "blow_up",
-    "build_aux_bundle",
     "build_embedded_graph",
     "candidate_universe",
     "certify_blowup_free",

@@ -110,9 +110,49 @@ def _normalize_edge(edge, n: int, what: str) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+_TUPLE = frozenset({tuple})
+
+
+def _normal_pairs(edges, n: int) -> bool:
+    """True when edges is a frozenset of (u, v) tuples with 0 <= u < v < n:
+    what Graph's per-edge loop would store, unchanged."""
+    if type(edges) is not frozenset or not _TUPLE.issuperset(map(type, edges)):
+        return False
+    try:
+        for u, v in edges:
+            if not 0 <= u < v < n:
+                return False
+    except (TypeError, ValueError):  # the loop raises what it raised before
+        return False
+    return True
+
+
+def _normal_colored_edges(edges, n: int) -> bool:
+    """True when edges is a tuple of distinct (u, v, color) tuples with
+    0 <= u < v < n and color >= 0: what ColoredGraph's per-edge loop would
+    store, unchanged."""
+    if type(edges) is not tuple or not _TUPLE.issuperset(map(type, edges)):
+        return False
+    try:
+        if len(set(edges)) != len(edges):
+            return False
+        for u, v, color in edges:
+            if not (0 <= u < v < n and color >= 0):
+                return False
+    except (TypeError, ValueError):  # the loop raises what it raised before
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 (no loops, no parallels)."""
+    """Simple undirected graph on vertices 0..n-1 (no loops, no parallels).
+
+    Edges given as a frozenset of (u, v) tuples with 0 <= u < v < n are
+    kept as they are, after one pass that checks them.  Any other input is
+    normalised edge by edge (ends swapped to u < v, stored as a frozenset
+    of tuples), which raises on the first loop or out-of-range vertex.
+    """
 
     n: int
     edges: frozenset[tuple[int, int]] = frozenset()
@@ -120,8 +160,9 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"vertex count must be >= 0, got {self.n}")
-        norm = frozenset(_normalize_edge(e, self.n, "edge") for e in self.edges)
-        object.__setattr__(self, "edges", norm)
+        if not _normal_pairs(self.edges, self.n):
+            norm = frozenset(_normalize_edge(e, self.n, "edge") for e in self.edges)
+            object.__setattr__(self, "edges", norm)
 
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
@@ -164,6 +205,11 @@ class ColoredGraph:
     allowed only with distinct colors; the builder in the embedding module
     guarantees that both endpoints of every colored edge lie inside the
     source hyperedge named by the color.
+
+    A tuple of distinct (u, v, color) tuples with 0 <= u < v < n and
+    color >= 0, as the builder makes, is kept as it is after one pass that
+    checks it.  Any other input is normalised edge by edge, which raises on
+    the first loop, out-of-range vertex, negative color or repeat.
     """
 
     n: int
@@ -172,6 +218,8 @@ class ColoredGraph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"vertex count must be >= 0, got {self.n}")
+        if _normal_colored_edges(self.colored_edges, self.n):
+            return
         norm = []
         seen = set()
         for u, v, color in self.colored_edges:
@@ -224,31 +272,6 @@ class ColoredGraph:
             return cls(n, tuple(triples))
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
-
-
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """Bipartite graph with explicit (disjoint) parts and cross edges only."""
-
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    edges: frozenset[tuple[int, int]] = frozenset()
-
-    def __post_init__(self):
-        left = tuple(self.left)
-        right = tuple(self.right)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        lset, rset = set(left), set(right)
-        if len(lset) != len(left) or len(rset) != len(right):
-            raise ValueError("parts must not repeat vertices")
-        if lset & rset:
-            raise ValueError(f"parts overlap on {sorted(lset & rset)}")
-        edges = frozenset(tuple(e) for e in self.edges)
-        object.__setattr__(self, "edges", edges)
-        for a, b in edges:
-            if a not in lset or b not in rset:
-                raise ValueError(f"edge ({a},{b}) does not go from left to right")
 
 
 # ---------------------------------------------------------------------------

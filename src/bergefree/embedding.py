@@ -4,7 +4,9 @@ For each hyperedge h we place |h|-3 edges on h's vertices as pairwise
 vertex-disjoint triangles and single edges, tagging every placed edge with
 the id of its hyperedge (its color).  The union over all hyperedges is a
 colored multigraph whose edge count equals the hypergraph weight whenever
-all hyperedges have at least 3 vertices.
+all hyperedges have at least 3 vertices.  The placement depends only on
+|h| (by position in the sorted hyperedge), so it is derived and validated
+once per size and each hyperedge maps its sorted vertices through it.
 
 Around a fixed vertex v the module derives the proof objects used to bound
 that multigraph:
@@ -15,28 +17,28 @@ that multigraph:
     B, B'    the 2-path bipartite graph between N1(v) and N2(v), and its
              subgraph of edges whose N2 endpoint has a second N1 neighbor
 
-plus verifiers that replay, on concrete instances, every structural
-statement the objects are supposed to satisfy.  All freeness and counting
-checks run on the simple projection; parallel colored edges on a pair are
-legal and only multiplicity-blind statements are asserted about them.
+as adjacency rows of the simple projection, plus verifiers that replay,
+on concrete instances, every structural statement the objects are
+supposed to satisfy.  The whole-graph checks are linear passes:
+observation 1 looks only at the colors whose edges share a vertex, and
+K_{2,7} runs the 2-path ladder of the patterns module.  All freeness and
+counting checks run on the simple projection; parallel colored edges on a
+pair are legal and only multiplicity-blind statements are asserted about
+them.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .berge import BergeCycleWitness, find_berge_cycle
-from .core import (
-    BipartiteGraph,
-    ColoredGraph,
-    Graph,
-    Hypergraph,
-    iter_bits,
-    neighborhood_masks,
-)
+from .core import ColoredGraph, Graph, Hypergraph, iter_bits, neighborhood_masks
 from .patterns import _kst_in_rows, contains_kst
 
 
@@ -119,12 +121,28 @@ def decompose_hyperedge(hyperedge: Iterable[int]) -> Decomposition:
     return dec
 
 
+@lru_cache(maxsize=None)
+def _placement(s: int) -> tuple[tuple[int, int], ...]:
+    """The edges decompose_hyperedge places on the positions 0..s-1 of a
+    sorted hyperedge of size s, derived and validated once per size."""
+    return decompose_hyperedge(range(s)).edges()
+
+
 def build_embedded_graph(hypergraph: Hypergraph) -> ColoredGraph:
-    """Embed every hyperedge and color each placed edge by its hyperedge id."""
+    """Embed every hyperedge and color each placed edge by its hyperedge id.
+
+    decompose_hyperedge places edges by position in the sorted hyperedge,
+    so each hyperedge maps its sorted vertices through the placement of its
+    size (_placement) instead of being decomposed and validated anew.  The
+    edges come out as decompose_hyperedge(h).edges() lists them, u < v.
+    """
     colored: list[tuple[int, int, int]] = []
+    append = colored.append
     for hid, h in enumerate(hypergraph.hyperedges):
-        for u, v in decompose_hyperedge(h).edges():
-            colored.append((u, v, hid))
+        if len(h) > 3:
+            verts = sorted(h)
+            for a, b in _placement(len(verts)):
+                append((verts[a], verts[b], hid))
     return ColoredGraph(hypergraph.n, tuple(colored))
 
 
@@ -155,13 +173,26 @@ class ObservationReport:
 
 def verify_observation1(colored_graph: ColoredGraph) -> ObservationReport:
     """Check per vertex x and color h: at most two incident edges carry h,
-    and two same-colored edges xy, xz force the same-colored edge yz."""
+    and two same-colored edges xy, xz force the same-colored edge yz.
+
+    Both rules are about two edges of one color at one vertex, so a color
+    whose edges form a matching can break neither.  One count of the
+    (vertex, color) ends finds the colors with a shared vertex, and only
+    their edges enter the per-vertex check.  The skipped (vertex, color)
+    pairs add no violation, so the report is the same, in the same sorted
+    order, as a check of every color.
+    """
+    edges = colored_graph.colored_edges
+    ends = Counter(zip(map(itemgetter(0), edges), map(itemgetter(2), edges)))
+    ends.update(zip(map(itemgetter(1), edges), map(itemgetter(2), edges)))
+    shared = {color for (_, color), count in ends.items() if count > 1}
     incident: dict[tuple[int, int], list[int]] = {}
     present = set()
-    for u, v, color in colored_graph.colored_edges:
-        incident.setdefault((u, color), []).append(v)
-        incident.setdefault((v, color), []).append(u)
-        present.add((u, v, color))
+    for u, v, color in edges:
+        if color in shared:
+            incident.setdefault((u, color), []).append(v)
+            incident.setdefault((v, color), []).append(u)
+            present.add((u, v, color))
     violations: list[dict] = []
     for (x, color), others in sorted(incident.items()):
         if len(others) > 2:
@@ -187,22 +218,8 @@ def verify_observation1(colored_graph: ColoredGraph) -> ObservationReport:
 
 
 # ---------------------------------------------------------------------------
-# per-vertex auxiliary bundle
+# the proof objects around one vertex
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AuxBundle:
-    """The proof objects attached to one vertex v."""
-
-    v: int
-    n1: tuple[int, ...]
-    n2: tuple[int, ...]
-    g: Graph
-    g_aux: Graph
-    g_aux_prime: Graph
-    b: BipartiteGraph
-    b_prime: BipartiteGraph
-
 
 class _VertexRows(NamedTuple):
     """The proof objects around v as adjacency rows of the simple projection.
@@ -246,30 +263,6 @@ def _upper_edges(rows: dict[int, int]):
     for x, row in rows.items():
         for y in iter_bits(row & -(2 << x)):
             yield x, y
-
-
-def build_aux_bundle(colored_graph: ColoredGraph, v: int) -> AuxBundle:
-    """Build G, G_aux, G'_aux, B, B' around v from the colored graph.
-
-    Everything is measured on the simple projection; the graphs keep the
-    colored graph's vertex labels (vertices outside N1(v) are just
-    isolated).  The edge sets are read off the same rows the lemma suite
-    checks.  Raises ValueError for a vertex outside 0..n-1.
-    """
-    proj = colored_graph.simple_projection
-    rows = _vertex_rows(proj, v)
-    n1 = tuple(rows.g)
-    n2 = tuple(rows.sides)
-    b_edges = [(x, y) for y, side in rows.sides.items() for x in iter_bits(side)]
-    return AuxBundle(
-        v=v, n1=n1, n2=n2,
-        g=Graph(proj.n, frozenset(_upper_edges(rows.g))),
-        g_aux=Graph(proj.n, frozenset(_upper_edges(rows.aux))),
-        g_aux_prime=Graph(proj.n, frozenset(_upper_edges(rows.gap))),
-        b=BipartiteGraph(n1, n2, frozenset(b_edges)),
-        b_prime=BipartiteGraph(n1, n2, frozenset(
-            (x, y) for x, y in b_edges if rows.sides[y] & ~(1 << x))),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +394,8 @@ def verify_lemma_suite(
     N2(v), and the 2-path count identity |B| + 2|G| = sum over x in N1(v)
     of (d(x) - 1).  A checked vertex outside 0..n-1 raises ValueError.
 
-    Each vertex is checked on adjacency rows (_vertex_rows); no Graph or
-    BipartiteGraph is built for it.  The last two rules hold by the
+    Each vertex is checked on adjacency rows (_vertex_rows); no Graph is
+    built for it.  The last two rules hold by the
     definitions of B and B' (two_path_count and b_minus_bprime_degree).
     They stay as cross-checks: |G| is counted on the N1(v) rows, |B| and
     |B'| from the N2(v) side, and the identity ties the two to the degrees.

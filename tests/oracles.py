@@ -11,7 +11,15 @@ patterns F1 and F2 of the K_{5,5} argument's endgame with the arc
 container they are matched in.  The lemma suite's per-vertex checks
 before they ran on adjacency rows are kept here as edge sets
 (aux_bundle_by_pair_scan, vertex_checks_on_bundle), with a set-based
-first K_{s,t} (first_kst_by_neighbor_sets) in place of the row engine.
+first K_{s,t} (first_kst_by_neighbor_sets) in place of the row engine;
+the bundle read off the suite's rows (AuxBundle, build_aux_bundle) left
+the package for here.  The whole-graph phase before its linear passes is
+kept too: the builder that decomposes every hyperedge
+(embedded_graph_by_decomposition), observation 1 on every color
+(observation1_by_incidence) and the K_{s,t} row engine that tries every
+s-subset of the candidates (kst_by_subset_enumeration).  So are the
+per-edge loops that normalised Graph and ColoredGraph input
+(graph_edges_by_loop, colored_edges_by_loop).
 What is shared with the library is named where it is used: the data
 types, core.neighborhood_masks for N1(v) and N2(v) in
 aux_bundle_by_pair_scan (test_core checks it against bfs_neighborhoods),
@@ -24,20 +32,22 @@ before its seen/dup fold), in
 greedy_by_full_recheck, the full detector, which the closing-pair mask
 does not use, and, in max_weight_by_index_scan (the exact search's walk
 before its candidates became bits, which must reach the same nodes in the
-same order), the candidate universe and the closing-pair mask engine.
+same order), the candidate universe and the closing-pair mask engine;
+embedded_graph_by_decomposition calls decompose_hyperedge, build_aux_bundle
+reads embedding._vertex_rows, and kst_by_subset_enumeration checks its
+witness with the library's _check_kst_witness.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import dataclass
 from itertools import combinations, compress, permutations, product
 from typing import Iterable, NamedTuple, Sequence
 
 from bergefree import (
-    AuxBundle,
     BergeCycleWitness,
-    BipartiteGraph,
     ColoredGraph,
     Graph,
     Hypergraph,
@@ -51,6 +61,13 @@ from bergefree.berge import (
     distinct_representatives,
 )
 from bergefree.core import iter_bits, neighborhood_masks
+from bergefree.embedding import (
+    ObservationReport,
+    _upper_edges,
+    _vertex_rows,
+    decompose_hyperedge,
+)
+from bergefree.patterns import _check_kst_witness
 from bergefree.search import candidate_universe
 
 
@@ -219,6 +236,39 @@ def first_kst_by_neighbor_sets(graph: Graph, s: int, t: int):
     return None
 
 
+@dataclass(frozen=True)
+class AuxBundle:
+    """The proof objects around one vertex v as edge sets: G, G_aux and
+    G'_aux as graphs on the colored graph's vertex labels, B and B' as sets
+    of (x, y) pairs, x in N1(v) and y in N2(v)."""
+
+    v: int
+    n1: tuple[int, ...]
+    n2: tuple[int, ...]
+    g: Graph
+    g_aux: Graph
+    g_aux_prime: Graph
+    b: frozenset[tuple[int, int]]
+    b_prime: frozenset[tuple[int, int]]
+
+
+def build_aux_bundle(colored_graph: ColoredGraph, v: int) -> AuxBundle:
+    """The bundle read off the rows the lemma suite checks
+    (embedding._vertex_rows).  Raises ValueError for a vertex outside
+    0..n-1."""
+    proj = colored_graph.simple_projection
+    rows = _vertex_rows(proj, v)
+    b_edges = frozenset((x, y) for y, side in rows.sides.items() for x in iter_bits(side))
+    return AuxBundle(
+        v=v, n1=tuple(rows.g), n2=tuple(rows.sides),
+        g=Graph(proj.n, frozenset(_upper_edges(rows.g))),
+        g_aux=Graph(proj.n, frozenset(_upper_edges(rows.aux))),
+        g_aux_prime=Graph(proj.n, frozenset(_upper_edges(rows.gap))),
+        b=b_edges,
+        b_prime=frozenset((x, y) for x, y in b_edges if rows.sides[y] & ~(1 << x)),
+    )
+
+
 def aux_bundle_by_pair_scan(colored_graph: ColoredGraph, v: int) -> AuxBundle:
     """G, G_aux, G'_aux, B, B' around v as edge sets: G and G_aux by a scan
     of the N1(v) pairs, B by the N1-N2 adjacencies, B' by testing each B
@@ -248,10 +298,8 @@ def aux_bundle_by_pair_scan(colored_graph: ColoredGraph, v: int) -> AuxBundle:
         (x, y) for x, y in b_edges
         if masks[y] & n1_mask & ~(1 << x)
     }
-    b = BipartiteGraph(n1, n2, frozenset(b_edges))
-    b_prime = BipartiteGraph(n1, n2, frozenset(b_prime_edges))
-    return AuxBundle(v=v, n1=n1, n2=n2, g=g, g_aux=g_aux,
-                     g_aux_prime=g_aux_prime, b=b, b_prime=b_prime)
+    return AuxBundle(v=v, n1=n1, n2=n2, g=g, g_aux=g_aux, g_aux_prime=g_aux_prime,
+                     b=frozenset(b_edges), b_prime=frozenset(b_prime_edges))
 
 
 def vertex_checks_on_bundle(
@@ -303,7 +351,7 @@ def vertex_checks_on_bundle(
                                "colors_x": list(cx), "colors_y": list(cy)})
 
     loose = {}
-    for x, y in bundle.b.edges - bundle.b_prime.edges:
+    for x, y in bundle.b - bundle.b_prime:
         loose[y] = loose.get(y, 0) + 1
     checks["b_minus_bprime_degree"] = True
     for y, count in sorted(loose.items()):
@@ -313,10 +361,10 @@ def vertex_checks_on_bundle(
                                "n2_vertex": y, "incident": count})
 
     two_paths = sum(proj_masks[x].bit_count() - 1 for x in bundle.n1)
-    checks["two_path_count"] = len(bundle.b.edges) + 2 * g_count == two_paths
+    checks["two_path_count"] = len(bundle.b) + 2 * g_count == two_paths
     if not checks["two_path_count"]:
         violations.append({"check": "two_path_count", "v": v,
-                           "b_edges": len(bundle.b.edges), "g_edges": g_count,
+                           "b_edges": len(bundle.b), "g_edges": g_count,
                            "two_paths": two_paths})
 
     row = {
@@ -325,12 +373,122 @@ def vertex_checks_on_bundle(
         "g_edges": g_count,
         "g_aux_edges": len(bundle.g_aux.edges),
         "g_aux_prime_edges": gap_count,
-        "b_edges": len(bundle.b.edges),
-        "b_prime_edges": len(bundle.b_prime.edges),
+        "b_edges": len(bundle.b),
+        "b_prime_edges": len(bundle.b_prime),
         "checks": checks,
         "ok": not violations,
     }
     return row, violations
+
+
+def _loop_pair(edge, n: int, what: str) -> tuple[int, int]:
+    u, v = edge
+    if u == v:
+        raise ValueError(f"{what} ({u},{v}) is a loop")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"{what} ({u},{v}) out of range for n={n}")
+    return (u, v) if u < v else (v, u)
+
+
+def graph_edges_by_loop(n: int, edges) -> frozenset:
+    """The edges Graph(n, edges) stores, normalised edge by edge as Graph
+    did before it kept normal input as it stands; raises the same error on
+    the first bad edge."""
+    return frozenset(_loop_pair(e, n, "edge") for e in edges)
+
+
+def colored_edges_by_loop(n: int, edges) -> tuple:
+    """The edges ColoredGraph(n, edges) stores, normalised edge by edge as
+    ColoredGraph did before it kept normal input as it stands; raises the
+    same error on the first bad edge."""
+    norm = []
+    seen = set()
+    for u, v, color in edges:
+        u, v = _loop_pair((u, v), n, "colored edge")
+        if color < 0:
+            raise ValueError(f"colored edge ({u},{v}) has negative color {color}")
+        if (u, v, color) in seen:
+            raise ValueError(f"duplicate colored edge ({u},{v}) with color {color}")
+        seen.add((u, v, color))
+        norm.append((u, v, color))
+    return tuple(norm)
+
+
+def embedded_graph_by_decomposition(hypergraph: Hypergraph) -> ColoredGraph:
+    """The colored graph with every hyperedge decomposed (and validated) on
+    its own vertices, as the builder did before it cached one placement per
+    hyperedge size."""
+    colored: list[tuple[int, int, int]] = []
+    for hid, h in enumerate(hypergraph.hyperedges):
+        for u, v in decompose_hyperedge(h).edges():
+            colored.append((u, v, hid))
+    return ColoredGraph(hypergraph.n, tuple(colored))
+
+
+def observation1_by_incidence(colored_graph: ColoredGraph) -> ObservationReport:
+    """Observation 1 with every (vertex, color) pair checked, matching
+    colors included: at most two incident edges per color, and two
+    same-colored edges xy, xz force yz in that color."""
+    incident: dict[tuple[int, int], list[int]] = {}
+    present = set()
+    for u, v, color in colored_graph.colored_edges:
+        incident.setdefault((u, color), []).append(v)
+        incident.setdefault((v, color), []).append(u)
+        present.add((u, v, color))
+    violations: list[dict] = []
+    for (x, color), others in sorted(incident.items()):
+        if len(others) > 2:
+            violations.append({
+                "check": "color_multiplicity",
+                "vertex": x,
+                "color": color,
+                "incident_count": len(others),
+            })
+        for y, z in combinations(sorted(others), 2):
+            if (min(y, z), max(y, z), color) not in present:
+                violations.append({
+                    "check": "triangle_closure",
+                    "vertex": x,
+                    "color": color,
+                    "missing_edge": [min(y, z), max(y, z)],
+                })
+    return ObservationReport(
+        n=colored_graph.n,
+        colored_edge_count=len(colored_graph.colored_edges),
+        violations=tuple(violations),
+    )
+
+
+def kst_by_subset_enumeration(rows, edge_count: int, s: int, t: int):
+    """The first K_{s,t} of rows (rows[v] is v's neighbour mask, keys
+    ascending) by trying every s-subset of the vertices of degree >= t in
+    combinations order, intersecting rows with an early cut, and taking the
+    t smallest common neighbours outside the subset; None when there is
+    none.  This is the row engine before its 2-path ladder."""
+    if edge_count < s * t:
+        return None
+    candidates = [(v, row) for v, row in rows.items() if row.bit_count() >= t]
+    if len(candidates) < s:
+        return None
+    for subset in combinations(candidates, s):
+        common = subset[0][1]
+        for _, row in subset[1:]:
+            common &= row
+            if common.bit_count() < t:
+                break
+        else:
+            for v, _ in subset:
+                common &= ~(1 << v)
+            if common.bit_count() >= t:
+                t_side = []
+                for v in iter_bits(common):
+                    t_side.append(v)
+                    if len(t_side) == t:
+                        break
+                witness = (tuple(v for v, _ in subset), tuple(t_side))
+                _check_kst_witness(rows, witness)
+                return witness
+    return None
 
 
 def max_weight_by_multisets(n: int, max_mult: int = 3) -> int:

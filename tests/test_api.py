@@ -11,12 +11,13 @@ MODULES = ("bergefree",) + tuple(
                                      "generators", "patterns", "search"))
 
 # The path-walk Berge-C4 state and check, the membership digraph D with its
-# patterns and errors, statistics only tests used, and the hyperedge-id
-# alias of the removed pair_cover; tests/oracles.py keeps what the tests
-# still need of them.
+# patterns and errors, statistics only tests used, the hyperedge-id alias of
+# the removed pair_cover, and the per-vertex bundle with its bipartite graph
+# type; tests/oracles.py keeps what the tests still need of them.
 REMOVED = ("SearchState", "incremental_c4_check", "Digraph", "Pattern", "F1", "F2",
            "contains_pattern", "build_D", "NonNeighborError", "SharedColorError",
-           "shadow", "neighborhoods", "degree_stats", "HyperedgeId")
+           "shadow", "neighborhoods", "degree_stats", "HyperedgeId",
+           "AuxBundle", "build_aux_bundle", "BipartiteGraph")
 
 
 def test_hypergraph_has_no_pair_cover():
@@ -28,7 +29,6 @@ def test_hypergraph_has_no_pair_cover():
 def test_plane_graph_has_one_builder():
     # PlaneIncidence.graph() reads the line lists; no bipartite detour
     assert not hasattr(bf.PlaneIncidence, "incidence")
-    assert not hasattr(bf.BipartiteGraph, "to_graph")
 
 
 def test_public_api_is_sorted_and_resolves():

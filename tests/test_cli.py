@@ -185,7 +185,6 @@ def test_construct_builds_no_graph_and_runs_no_graph_scan(tmp_path, monkeypatch)
     import bergefree.constructions
     import bergefree.core
     monkeypatch.setattr(bergefree.core.Graph, "__post_init__", refuse)
-    monkeypatch.setattr(bergefree.core.BipartiteGraph, "__post_init__", refuse)
     for module in (bergefree.berge, bergefree.constructions, bf):
         monkeypatch.setattr(module, "find_c4_in_graph", refuse)
         monkeypatch.setattr(module, "find_triangle", refuse)

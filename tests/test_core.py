@@ -1,5 +1,8 @@
 """Core types, statistics, and JSON interchange."""
 
+import random
+from collections import namedtuple
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,7 +11,14 @@ import bergefree as bf
 from bergefree.berge import _shadow_adjacency
 from bergefree.core import iter_bits, neighborhood_masks
 from conftest import graphs, hypergraphs
-from oracles import bfs_neighborhoods, degree_stats, shadow_by_scan
+from oracles import (
+    bfs_neighborhoods,
+    build_aux_bundle,
+    colored_edges_by_loop,
+    degree_stats,
+    graph_edges_by_loop,
+    shadow_by_scan,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +80,7 @@ def test_neighborhoods_out_of_range():
 def test_neighborhoods_accepts_colored_graph():
     # the lemma checks measure a colored graph through its simple projection
     cg = bf.ColoredGraph(3, ((0, 1, 0), (1, 2, 1), (0, 1, 2)))
-    bundle = bf.build_aux_bundle(cg, 0)
+    bundle = build_aux_bundle(cg, 0)
     assert (bundle.n1, bundle.n2) == ((1,), (2,))
     assert neighborhoods(cg.simple_projection, 0) == (frozenset({1}), frozenset({2}))
 
@@ -174,14 +184,115 @@ def test_colored_graph_allows_parallel_distinct_colors():
     assert cg.simple_projection.edges == frozenset({(0, 1)})
 
 
-def test_bipartite_graph_rejects_overlapping_parts():
-    with pytest.raises(ValueError):
-        bf.BipartiteGraph((0, 1), (1, 2), frozenset())
+# ---------------------------------------------------------------------------
+# one checking pass for normal input, the per-edge loop for the rest
+# ---------------------------------------------------------------------------
+
+Pair = namedtuple("Pair", "u v")
+Triple = namedtuple("Triple", "u v color")
 
 
-def test_bipartite_graph_rejects_non_crossing_edge():
-    with pytest.raises(ValueError):
-        bf.BipartiteGraph((0, 1), (2, 3), frozenset({(0, 1)}))
+def _outcome(build):
+    """What a constructor stores, or the error it raises, as comparable data."""
+    try:
+        return "stored", build()
+    except (TypeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _stored_types(edges):
+    return type(edges), {type(e) for e in edges}
+
+
+COLORED_INPUTS = {
+    "loop": ((0, 1, 0), (2, 2, 1)),
+    "vertex_out_of_range": ((0, 1, 0), (3, 5, 0)),
+    "negative_vertex": ((-1, 2, 0),),
+    "negative_color": ((0, 1, 0), (1, 2, -1)),
+    "duplicate_after_swap": ((0, 1, 3), (2, 3, 3), (1, 0, 3)),
+    "duplicate": ((0, 1, 3), (0, 1, 3)),
+    "list_edges": ([0, 1, 0], [1, 2, 0]),
+    "list_container": [(0, 1, 0), (1, 2, 0)],
+    "named_edges": (Triple(0, 1, 0), Triple(1, 2, 0)),
+    "bad_after_good": ((0, 1, 0), (1, 2, 0), (3, 4, 1), (3, 7, 1), (2, 2, 0)),
+    "swapped": ((2, 1, 0), (0, 3, 1)),
+    "short_edge": ((0, 1, 0), (1, 2)),
+    "normal": ((0, 1, 0), (0, 1, 1), (2, 3, 0), (1, 4, 2)),
+}
+
+GRAPH_INPUTS = {
+    "loop": frozenset({(0, 1), (2, 2)}),
+    "vertex_out_of_range": frozenset({(0, 5)}),
+    "negative_vertex": frozenset({(-1, 2)}),
+    "duplicate_after_swap": frozenset({(0, 1), (1, 0)}),
+    "list_edges": [[0, 1], [1, 2]],
+    "list_container": [(0, 1), (1, 2)],
+    "set_container": {(0, 1), (1, 2)},
+    "named_edges": frozenset({Pair(0, 1), Pair(1, 2)}),
+    "bad_after_good": [(0, 1), (1, 2), (3, 7), (2, 2)],
+    "swapped": frozenset({(2, 1), (0, 3)}),
+    "long_edge": frozenset({(0, 1, 2)}),
+    "normal": frozenset({(0, 1), (1, 2), (3, 4)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLORED_INPUTS))
+def test_colored_graph_stores_or_raises_what_the_per_edge_loop_does(name):
+    edges = COLORED_INPUTS[name]
+    got = _outcome(lambda: bf.ColoredGraph(5, edges).colored_edges)
+    want = _outcome(lambda: colored_edges_by_loop(5, edges))
+    assert got == want
+    if got[0] == "stored":
+        assert _stored_types(got[1]) == _stored_types(want[1]) == (tuple, {tuple})
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_INPUTS))
+def test_graph_stores_or_raises_what_the_per_edge_loop_does(name):
+    edges = GRAPH_INPUTS[name]
+    got = _outcome(lambda: bf.Graph(5, edges).edges)
+    want = _outcome(lambda: graph_edges_by_loop(5, edges))
+    assert got == want
+    if got[0] == "stored":
+        assert _stored_types(got[1]) == _stored_types(want[1]) == (frozenset, {tuple})
+
+
+def test_first_bad_edge_names_the_error():
+    with pytest.raises(ValueError, match=r"^colored edge \(2,2\) is a loop$"):
+        bf.ColoredGraph(5, COLORED_INPUTS["loop"])
+    with pytest.raises(ValueError, match=r"^colored edge \(3,7\) out of range for n=5$"):
+        bf.ColoredGraph(5, COLORED_INPUTS["bad_after_good"])
+    with pytest.raises(ValueError, match=r"^colored edge \(1,2\) has negative color -1$"):
+        bf.ColoredGraph(5, COLORED_INPUTS["negative_color"])
+    with pytest.raises(ValueError, match=r"^duplicate colored edge \(0,1\) with color 3$"):
+        bf.ColoredGraph(5, COLORED_INPUTS["duplicate_after_swap"])
+    with pytest.raises(ValueError, match=r"^edge \(3,7\) out of range for n=5$"):
+        bf.Graph(5, GRAPH_INPUTS["bad_after_good"])
+    with pytest.raises(ValueError, match=r"^edge \(-1,2\) out of range for n=5$"):
+        bf.Graph(5, GRAPH_INPUTS["negative_vertex"])
+
+
+def test_normal_input_is_kept_as_it_stands():
+    edges = COLORED_INPUTS["normal"]
+    assert bf.ColoredGraph(5, edges).colored_edges is edges
+    pairs = GRAPH_INPUTS["normal"]
+    assert bf.Graph(5, pairs).edges is pairs
+    built = bf.build_embedded_graph(bf.Hypergraph(9, (frozenset(range(9)), {0, 1, 5, 8})))
+    assert bf.ColoredGraph(9, built.colored_edges).colored_edges is built.colored_edges
+    projection = built.simple_projection
+    assert bf.Graph(9, projection.edges).edges is projection.edges
+
+
+def test_seeded_edge_lists_match_the_per_edge_loop():
+    rng = random.Random(1907)
+    for _ in range(400):
+        n = rng.randint(0, 6)
+        colored = tuple((rng.randint(-1, n), rng.randint(-1, n), rng.randint(-1, 3))
+                        for _ in range(rng.randint(0, 6)))
+        assert _outcome(lambda: bf.ColoredGraph(n, colored).colored_edges) == \
+            _outcome(lambda: colored_edges_by_loop(n, colored))
+        pairs = frozenset((u, v) for u, v, _ in colored)
+        assert _outcome(lambda: bf.Graph(n, pairs).edges) == \
+            _outcome(lambda: graph_edges_by_loop(n, pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Edge embedding, the observation/lemma verifiers, and the proof bundles."""
 
 import json
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
 import bergefree as bf
-from bergefree.embedding import _vertex_checks
+import bergefree.embedding
+from bergefree.embedding import _placement, _vertex_checks
 from conftest import hypergraphs
 from oracles import (
     F1,
@@ -15,7 +17,10 @@ from oracles import (
     Arcs,
     aux_bundle_by_pair_scan,
     aux_sets_by_definition,
+    build_aux_bundle,
+    embedded_graph_by_decomposition,
     has_pattern_by_enumeration,
+    observation1_by_incidence,
     vertex_checks_on_bundle,
 )
 
@@ -122,6 +127,73 @@ def test_embedded_edge_count_and_membership(h):
         assert u in h.hyperedges[color] and v in h.hyperedges[color]
 
 
+def _relabelled_blowup(q, seed):
+    """The q-plane blow-up with its vertices permuted and its hyperedges
+    shuffled, so hyperedges are sorted differently from their ids."""
+    blown = bf.blow_up(bf.projective_plane_incidence(q).graph(), 3)
+    rng = random.Random(seed)
+    image = rng.sample(range(blown.n), blown.n)
+    hyperedges = [frozenset(image[v] for v in h) for h in blown.hyperedges]
+    rng.shuffle(hyperedges)
+    return bf.Hypergraph(blown.n, tuple(hyperedges))
+
+
+def _assert_same_embedding(h):
+    fast = bf.build_embedded_graph(h)
+    oracle = embedded_graph_by_decomposition(h)
+    assert fast.colored_edges == oracle.colored_edges
+    assert fast.to_json_dict() == oracle.to_json_dict()
+
+
+@pytest.mark.parametrize("size", range(0, 13))
+def test_placement_matches_decomposition_oracle(size):
+    # triangles start at size 7; each hyperedge of this size gets other labels
+    rng = random.Random(size)
+    hyperedges = [frozenset(rng.sample(range(40), size)) for _ in range(5)]
+    hyperedges.insert(2, frozenset(range(40 - size, 40)))
+    _assert_same_embedding(bf.Hypergraph(40, tuple(hyperedges)))
+    assert _placement(size) == bf.decompose_hyperedge(range(size)).edges()
+
+
+def test_placement_matches_decomposition_oracle_on_mixed_sizes():
+    rng = random.Random(51)
+    for _ in range(30):
+        n = rng.randint(1, 30)
+        hyperedges = tuple(frozenset(rng.sample(range(n), rng.randint(0, min(n, 13))))
+                           for _ in range(rng.randint(0, 8)))
+        _assert_same_embedding(bf.Hypergraph(n, hyperedges))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_placement_matches_decomposition_oracle_on_relabelled_blowups(q):
+    h = _relabelled_blowup(q, q)
+    _assert_same_embedding(h)
+    cg = bf.build_embedded_graph(h)
+    assert bf.verify_observation1(cg) == observation1_by_incidence(cg)
+
+
+def test_each_placement_is_validated_once_per_size(monkeypatch):
+    validated = []
+    original = bf.validate_decomposition
+
+    def counting(hyperedge, dec):
+        validated.append(len(list(hyperedge)))
+        original(hyperedge, dec)
+    monkeypatch.setattr(bergefree.embedding, "validate_decomposition", counting)
+    _placement.cache_clear()
+    h = bf.Hypergraph(30, tuple(frozenset(range(start, start + size))
+                                for size in (4, 6, 9, 6, 3, 4, 9, 12, 6)
+                                for start in (0, 11)))
+    try:
+        cg = bf.build_embedded_graph(h)
+        assert sorted(validated) == [4, 6, 9, 12]
+        bf.build_embedded_graph(h)
+        assert sorted(validated) == [4, 6, 9, 12]
+    finally:
+        _placement.cache_clear()
+    assert cg == embedded_graph_by_decomposition(h)
+
+
 # ---------------------------------------------------------------------------
 # observation check
 # ---------------------------------------------------------------------------
@@ -157,6 +229,51 @@ def test_observation_flags_missing_triangle_closure():
                for v in report.violations)
 
 
+def _shuffled(colored_edges, rng):
+    """The same colored edges in a shuffled order with shuffled ends."""
+    out = [(u, v, c) if rng.random() < 0.5 else (v, u, c) for u, v, c in colored_edges]
+    rng.shuffle(out)
+    return tuple(out)
+
+
+# color 7 has three edges at vertices 0 and 1 and no edge 2-3; color 4 is
+# the path 5-6-8, whose closing pair 5-8 carries only color 1; colors 1 and
+# 9 are matchings, color 1 partly on color 7's pairs; color 2 is a closed
+# triangle
+HAND_BUILT = (
+    (0, 1, 7), (0, 2, 7), (0, 3, 7), (1, 2, 7), (1, 3, 7),
+    (5, 6, 4), (6, 8, 4),
+    (0, 1, 1), (2, 3, 1), (5, 8, 1),
+    (4, 9, 9), (1, 6, 9),
+    (3, 4, 2), (4, 7, 2), (3, 7, 2),
+)
+
+
+def test_observation_on_shared_colors_matches_incidence_oracle():
+    rng = random.Random(1)
+    want = observation1_by_incidence(bf.ColoredGraph(10, HAND_BUILT)).to_json_dict()
+    assert {(v["check"], v["vertex"], v["color"]) for v in want["violations"]} == {
+        ("color_multiplicity", 0, 7), ("triangle_closure", 0, 7),
+        ("color_multiplicity", 1, 7), ("triangle_closure", 1, 7),
+        ("triangle_closure", 6, 4)}
+    for _ in range(40):
+        cg = bf.ColoredGraph(10, _shuffled(HAND_BUILT, rng))
+        report = bf.verify_observation1(cg)
+        assert report == observation1_by_incidence(cg)
+        assert report.to_json_dict() == want
+
+
+def test_observation_matches_incidence_oracle_on_seeded_colorings():
+    rng = random.Random(77)
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = {(u, v, rng.randrange(4)) for u, v in rng.sample(
+            pairs, rng.randint(0, min(len(pairs), 14)))}
+        cg = bf.ColoredGraph(n, _shuffled(sorted(chosen), rng))
+        assert bf.verify_observation1(cg) == observation1_by_incidence(cg)
+
+
 def test_observation_report_json_shape():
     doc = bf.verify_observation1(bf.ColoredGraph(2, ((0, 1, 0),))).to_json_dict()
     assert doc["ok"] is True and doc["colored_edges"] == 1
@@ -175,34 +292,34 @@ def _star_instance():
 
 def test_bundle_of_a_star_is_empty():
     _, cg = _star_instance()
-    bundle = bf.build_aux_bundle(cg, 0)
+    bundle = build_aux_bundle(cg, 0)
     assert bundle.n1 == (1, 2, 3, 4) and bundle.n2 == ()
     assert bundle.g.edges == bundle.g_aux.edges == frozenset()
-    assert bundle.b.edges == bundle.b_prime.edges == frozenset()
+    assert bundle.b == bundle.b_prime == frozenset()
 
 
 def test_bundle_of_a_single_two_path():
     # v=0 - x=1 - w=2
     cg = bf.ColoredGraph(3, ((0, 1, 0), (1, 2, 0)))
-    bundle = bf.build_aux_bundle(cg, 0)
-    assert bundle.b.edges == frozenset({(1, 2)})
-    assert bundle.b_prime.edges == frozenset()
+    bundle = build_aux_bundle(cg, 0)
+    assert bundle.b == frozenset({(1, 2)})
+    assert bundle.b_prime == frozenset()
     assert bundle.g_aux.edges == frozenset()
 
 
 def test_bundle_of_two_paths_sharing_the_far_end():
     # v=0 - x=1 - w=3 and v=0 - z=2 - w=3
     cg = bf.ColoredGraph(4, ((0, 1, 0), (1, 3, 0), (0, 2, 1), (2, 3, 1)))
-    bundle = bf.build_aux_bundle(cg, 0)
+    bundle = build_aux_bundle(cg, 0)
     assert bundle.g_aux.edges == frozenset({(1, 2)})
     assert bundle.g_aux_prime.edges == frozenset({(1, 2)})
-    assert bundle.b_prime.edges == frozenset({(1, 3), (2, 3)})
+    assert bundle.b_prime == frozenset({(1, 3), (2, 3)})
 
 
 def test_bundle_rejects_out_of_range_vertex():
     h, cg = _star_instance()
     with pytest.raises(ValueError, match="vertex 5 out of range for n=5"):
-        bf.build_aux_bundle(cg, 5)
+        build_aux_bundle(cg, 5)
     with pytest.raises(ValueError, match="vertex 5 out of range for n=5"):
         bf.verify_lemma_suite(h, vertices=[0, 5])
 
@@ -213,18 +330,18 @@ def test_bundle_matches_definition_scan(h):
     cg = bf.build_embedded_graph(h)
     proj = cg.simple_projection
     for v in range(h.n):
-        bundle = bf.build_aux_bundle(cg, v)
+        bundle = build_aux_bundle(cg, v)
         want = aux_sets_by_definition(proj, v)
         assert set(bundle.n1) == want["n1"]
         assert set(bundle.n2) == want["n2"]
         assert bundle.g.edges == frozenset(want["g"])
         assert bundle.g_aux.edges == frozenset(want["g_aux"])
         assert bundle.g_aux_prime.edges == frozenset(want["g_aux_prime"])
-        assert bundle.b.edges == frozenset(want["b"])
-        assert bundle.b_prime.edges == frozenset(want["b_prime"])
+        assert bundle.b == frozenset(want["b"])
+        assert bundle.b_prime == frozenset(want["b_prime"])
         # structural invariants
         assert bundle.g_aux_prime.edges == bundle.g_aux.edges - bundle.g.edges
-        assert bundle.b_prime.edges <= bundle.b.edges
+        assert bundle.b_prime <= bundle.b
         assert bundle == aux_bundle_by_pair_scan(cg, v)
 
 
@@ -334,18 +451,17 @@ def test_k55_check_reads_g_aux_prime_and_names_the_first_witness():
 def test_lemma_suite_builds_no_graph_per_checked_vertex(monkeypatch):
     h = bf.blow_up(bf.projective_plane_incidence(3).graph(), 3)
     built = Counter()
-    for cls in (bf.Graph, bf.BipartiteGraph):
-        def counting(self, original=cls.__post_init__, name=cls.__name__):
-            built[name] += 1
-            original(self)
-        monkeypatch.setattr(cls, "__post_init__", counting)
+
+    def counting(self, original=bf.Graph.__post_init__):
+        built["Graph"] += 1
+        original(self)
+    monkeypatch.setattr(bf.Graph, "__post_init__", counting)
     bf.verify_lemma_suite(h, vertices=[])
     unchecked = dict(built)
     built.clear()
     report = bf.verify_lemma_suite(h)
     assert len(report.rows) == h.n == 78
     assert built == unchecked
-    assert built["BipartiteGraph"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 F1 and F2 under the brute-force matcher."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import bergefree as bf
 from conftest import graphs
-from bergefree.patterns import _check_kst_witness
+from bergefree.patterns import _check_kst_witness, _kst_in_rows, _partners
 from oracles import (
     F1,
     F2,
@@ -18,6 +19,7 @@ from oracles import (
     first_kst_by_neighbor_sets,
     has_kst_by_enumeration,
     has_pattern_by_enumeration,
+    kst_by_subset_enumeration,
 )
 
 
@@ -69,6 +71,84 @@ def test_kst_agrees_with_enumeration_at_verifier_sides():
             found = bf.contains_kst(g, s, t)
             assert (found is not None) == has_kst_by_enumeration(g, s, t)
             assert found == first_kst_by_neighbor_sets(g, s, t)
+
+
+def _seeded_rows(rng):
+    """Symmetric rows on a sparse ascending label set: a random graph with
+    K_{2,7}, K_{5,5} or K_{6,8} planted, or nothing.  A planted part larger
+    than s leaves several S with a witness, which ties their candidates."""
+    labels = sorted(rng.sample(range(40), rng.randint(6, 17)))
+    rows = dict.fromkeys(labels, 0)
+
+    def join(a, b):
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    density = rng.choice((0.1, 0.3, 0.5))
+    for i, a in enumerate(labels):
+        for b in labels[i + 1:]:
+            if rng.random() < density:
+                join(a, b)
+    plant = rng.choice((None, (2, 7), (5, 5), (6, 8)))
+    if plant is not None and len(labels) >= sum(plant):
+        picked = rng.sample(labels, sum(plant))
+        for a in picked[:plant[0]]:
+            for b in picked[plant[0]:]:
+                join(a, b)
+    return rows, sum(map(int.bit_count, rows.values())) // 2
+
+
+def test_ladder_matches_subset_enumeration_on_seeded_rows():
+    rng = random.Random(2707)
+    found = Counter()
+    for _ in range(120):
+        rows, edge_count = _seeded_rows(rng)
+        for s in range(1, 6):
+            for t in range(s, 8):
+                want = kst_by_subset_enumeration(rows, edge_count, s, t)
+                assert _kst_in_rows(rows, edge_count, s, t) == want, (rows, s, t)
+                found[s, t] += want is not None
+    # every (s, t) pair found a witness, and from s = 2 on missed one too
+    assert all(found[s, t] for s in range(1, 6) for t in range(s, 8))
+    assert all(found[s, t] < 120 for s in range(2, 6) for t in range(s, 8))
+
+
+def test_ladder_top_rung_is_the_vertices_with_t_common_neighbours():
+    rng = random.Random(27)
+    for _ in range(60):
+        rows, _ = _seeded_rows(rng)
+        for t in range(1, 8):
+            for x, row in rows.items():
+                within = sum(1 << y for y in rows if y > x)
+                want = sum(1 << y for y in rows
+                           if y > x and (row & rows[y]).bit_count() >= t)
+                assert _partners(rows, row, within, t) == want
+
+
+def test_ladder_keeps_the_first_of_tied_witnesses():
+    # vertices 0..5 all see 6..13 (K_{6,8}); any s of them is a witness, and
+    # the first in order is 0..s-1 with T = 6..6+t-1
+    g = bf.Graph(14, frozenset((a, b) for a in range(6) for b in range(6, 14)))
+    for s in range(1, 6):
+        for t in range(s, 8):
+            want = (tuple(range(s)), tuple(range(6, 6 + t)))
+            assert bf.contains_kst(g, s, t) == want
+    # 0 and 1 are joined too: S = (0, 1) loses neither, and S = (0, 6)
+    # (0 and 6 share 1..5) comes after it
+    g = bf.Graph(14, g.edges | {(0, 1)})
+    assert bf.contains_kst(g, 2, 7) == ((0, 1), tuple(range(6, 13)))
+
+
+def test_ladder_and_subset_enumeration_agree_on_relabelled_blowups():
+    for q in (3, 5, 7):
+        h = bf.blow_up(bf.projective_plane_incidence(q).graph(), 3)
+        rng = random.Random(q)
+        image = rng.sample(range(h.n), h.n)
+        h = bf.Hypergraph(h.n, tuple(frozenset(image[v] for v in e) for e in h.hyperedges))
+        proj = bf.build_embedded_graph(h).simple_projection
+        rows = dict(enumerate(proj.adjacency_masks))
+        for s, t in ((1, 7), (2, 7), (2, 3)):
+            assert bf.contains_kst(proj, s, t) == \
+                kst_by_subset_enumeration(rows, len(proj.edges), s, t)
 
 
 def test_kst_checks_the_witness_it_returns(monkeypatch):
