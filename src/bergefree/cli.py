@@ -38,7 +38,7 @@ from .constructions import (
 )
 from .core import FormatError, Hypergraph, dumps_canonical, load_hypergraph
 from .embedding import NotBergeC4FreeError, build_embedded_graph, verify_lemma_suite
-from .search import CEILING_MAX_N, GUARD_MAX_N, max_weight_exact
+from .search import CEILING_MAX_N, GUARD_MAX_N, check_size, max_weight_exact
 
 EXIT_OK = 0
 EXIT_FOUND = 1
@@ -177,10 +177,8 @@ def cmd_lemmas(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    if GUARD_MAX_N < args.n <= CEILING_MAX_N and not args.allow_large:
-        return _fail(f"n={args.n} exceeds the guard n <= {GUARD_MAX_N}; "
-                     "pass --allow-large to override")
     try:
+        check_size(args.n, args.allow_large, "--allow-large")
         start = time.perf_counter()
         result = max_weight_exact(
             args.n,
@@ -207,7 +205,9 @@ def cmd_search(args: argparse.Namespace) -> int:
     except OSError as exc:
         return _fail(str(exc))
     print(f"n={result.n} best_weight={result.best_weight} "
-          f"nodes={result.nodes_explored} ({elapsed:.3f}s) -> {args.output}",
+          f"nodes={result.nodes_explored} expanded={result.expanded} "
+          f"closing_masks={result.closing_masks} "
+          f"distinct_closings={result.distinct_closings} ({elapsed:.3f}s) -> {args.output}",
           file=sys.stderr)
     return EXIT_OK
 

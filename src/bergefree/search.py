@@ -10,16 +10,25 @@ remaining-weight bound.  A candidate closes a Berge-C4 with three chosen
 hyperedges exactly when it holds a vertex pair {a, b} for which some
 ordered triple (X, Y, Z) of distinct chosen hyperedges has b in X, a in Z,
 and a v3 in X & Y and a v4 in Y & Z that are distinct and outside {a, b}.
-That set of closing pairs does not depend on the candidate, so each node
-computes it once, as its parent's mask ORed with the pairs closed by
-triples through its own hyperedge (berge._closing_pairs).  The candidates
-whose pairs all miss a closing mask form one bitmask over the universe,
-built once per distinct mask and kept for the call (a search meets far
-fewer distinct masks than nodes), and a node walks the set bits of that
-bitmask ANDed with its open candidates, in ascending order.  Every
-candidate's pair bits, vertex mask and spread (bit a*n for each vertex a,
-which _closing_pairs multiplies by vertex masks to fill rows of the pair
-matrix) are computed once, before the walk.
+That set of closing pairs does not depend on the candidate, so it is one
+mask per node: its parent's mask ORed with the pairs closed by triples
+through its own hyperedge (berge._closing_pairs).  The candidates whose
+pairs all miss a closing mask form one bitmask over the universe, built
+once per distinct mask and kept for the call (a search meets far fewer
+distinct masks than nodes).
+Each node is handed its live set: its open candidates (from the last
+chosen index on, that index only while copies are left) ANDed with the
+survivors of its closing mask, and it walks the set bits in ascending
+order.  A child is decided in its parent's loop, right after the push:
+the parent runs the child's bound test, computes the child's closing mask
+and looks up its survivors, and enters the child only when some open
+candidate survives, so a node with no child is counted but never entered.
+Fewer than three hyperedges close nothing, so the first two levels skip
+the mask; the third hyperedge's mask comes from one straight-line kernel
+(berge._closing_pairs_of_three) and deeper ones from the two index loops
+of berge._closing_pairs.  Every candidate's pair bits, vertex mask and
+spread (bit a*n for each vertex a, which the kernels multiply by vertex
+masks to fill rows of the pair matrix) are computed once, before the walk.
 The first optimum reached in this preorder is the lexicographically least
 one under the canonical order, so results and witnesses are deterministic.
 """
@@ -30,7 +39,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from .berge import _closing_pairs, is_berge_c4_free
+from .berge import _closing_pairs, _closing_pairs_of_three, _diagonal, is_berge_c4_free
 from .constructions import theoretical_bounds
 from .core import Hypergraph
 
@@ -41,13 +50,36 @@ CEILING_MAX_N = 16  # largest n it searches at all: a universe of 64,839 sets
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Optimum weight with a revalidated witness for one vertex count."""
+    """Optimum weight with a revalidated witness for one vertex count.
+
+    The last three fields count the search's work, deterministically:
+    closing_masks counts the child closing masks computed, expanded the
+    nodes entered with an open surviving candidate (the root among them),
+    and distinct_closings the closing masks whose survivors were built,
+    which is the size of the call's survivors cache.
+    """
 
     n: int
     best_weight: int
     witness: Hypergraph
     nodes_explored: int
     exhaustive: bool
+    closing_masks: int = 0
+    expanded: int = 0
+    distinct_closings: int = 0
+
+
+def check_size(n: int, allow_large: bool, override: str = "allow_large=True") -> None:
+    """Raise ValueError unless max_weight_exact searches n: 0 <= n <=
+    CEILING_MAX_N, and n <= GUARD_MAX_N unless allow_large is set.  The
+    guard's message tells the caller to pass override, the caller's
+    spelling of allow_large."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if n > CEILING_MAX_N:
+        raise ValueError(f"n={n} exceeds the search's ceiling n <= {CEILING_MAX_N}")
+    if n > GUARD_MAX_N and not allow_large:
+        raise ValueError(f"n={n} exceeds the guard n <= {GUARD_MAX_N}; pass {override} to override")
 
 
 def candidate_universe(n: int) -> list[frozenset[int]]:
@@ -70,32 +102,27 @@ def max_weight_exact(
 
     Guarded to n <= GUARD_MAX_N (7) unless allow_large is set (the universe
     grows as 2^n and the search is exponential on top of that), and to
-    n <= CEILING_MAX_N (16) always, checked before the universe is built,
-    whose set-up stays in tens of MB there.  n < 4 has an empty universe
-    and answers trivially.  pruned=False disables the admissible
-    remaining-weight bound and enumerates every Berge-C4-free multiset,
-    which serves as the cross-check oracle at small n.
-    A node's open candidates are one bitmask: those from the last chosen
-    index on, that index only while copies are left.  When none is open,
-    or the least fails the bound (which never grows with the index), the
-    node returns at once.  Otherwise it computes its closing-pair mask
-    once, its parent's mask ORed with berge._closing_pairs of the chosen
-    hyperedges' vertex masks and spreads, which walks the triples that use
-    the node's own hyperedge, and walks the open candidates whose pairs all
-    miss that mask.
+    n <= CEILING_MAX_N (16) always, checked (check_size) before the
+    universe is built, whose set-up stays in tens of MB there.  n < 4 has
+    an empty universe and answers trivially.  pruned=False disables the
+    admissible remaining-weight bound and enumerates every Berge-C4-free
+    multiset, which serves as the cross-check oracle at small n.
+    A node receives its live set, the open candidates that miss its closing
+    mask, and walks it in ascending order; each push counts as a node.
+    Right after a push the parent decides the child: when the child has no
+    open candidate, or the least fails the bound (which never grows with
+    the index), the child is done.  Otherwise the parent computes the
+    child's closing mask, its own mask ORed with berge._closing_pairs of the
+    chosen hyperedges' vertex masks and spreads (with three hyperedges,
+    berge._closing_pairs_of_three, whose three triples need no loop), looks
+    up the mask's survivors, and enters the child only with a non-empty
+    live set.
     first_level_orbit_reps restricts the first (canonically smallest)
     candidate to one representative per size class -- a relabeling argument
     shows some optimum survives; the best weight is unchanged but the
     witness tie-break guarantee applies only with the flag off.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n > CEILING_MAX_N:
-        raise ValueError(f"n={n} exceeds the search's ceiling n <= {CEILING_MAX_N}")
-    if n > GUARD_MAX_N and not allow_large:
-        raise ValueError(
-            f"n={n} exceeds the guard n <= {GUARD_MAX_N}; pass allow_large=True to override"
-        )
+    check_size(n, allow_large)
     if max_mult < 1:
         raise ValueError(f"max_mult must be >= 1, got {max_mult}")
 
@@ -109,7 +136,9 @@ def max_weight_exact(
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] + max_mult * weights[i]
     every = (1 << m) - 1
-    survivors_of: dict[int, int] = {}
+    off_diagonal = ~_diagonal(n)
+    # every candidate misses the empty mask, which the first levels keep
+    survivors_of: dict[int, int] = {0: every} if m else {}
 
     used = [0] * m
     chosen: list[int] = []
@@ -117,21 +146,16 @@ def max_weight_exact(
     chosen_spreads: list[int] = []
     best_weight = 0
     best_multiset: tuple[int, ...] = ()
-    nodes = 0
+    nodes = closing_masks = expanded = 0
 
-    def walk(open_: int, current_weight: int, parent: int) -> None:
-        # open_: the candidates the node may add, by multiplicity and orbit
-        nonlocal nodes, best_weight, best_multiset
-        if not open_:
-            return
-        if pruned and current_weight + suffix[(open_ & -open_).bit_length() - 1] <= best_weight:
-            return  # suffix never grows with j, so no candidate passes the bound
-        closing = parent | _closing_pairs(chosen_masks, chosen_spreads, n)
-        live = survivors_of.get(closing)
-        if live is None:
-            live = sum(1 << j for j, bits in enumerate(pair_bits) if not bits & closing)
-            survivors_of[closing] = live
-        live &= open_
+    def walk(live: int, current_weight: int, closing: int) -> None:
+        # live: the candidates the node may add that miss its closing mask
+        nonlocal nodes, closing_masks, expanded, best_weight, best_multiset
+        expanded += 1
+        depth = len(chosen) + 1  # hyperedges chosen at each child
+        if depth == 3:
+            mask_a, mask_b = chosen_masks
+            spread_a, spread_b = chosen_spreads
         while live:
             low = live & -live
             live ^= low
@@ -147,17 +171,38 @@ def max_weight_exact(
             if new_weight > best_weight:
                 best_weight = new_weight
                 best_multiset = tuple(chosen)
-            # candidates from j on, j itself while copies are left
-            walk(every & (-low if used[j] < max_mult else -low << 1), new_weight, closing)
+            # the child's open candidates: from j on, j itself while copies are left
+            open_ = every & (-low if used[j] < max_mult else -low << 1)
+            if open_ and not (pruned and new_weight
+                              + suffix[(open_ & -open_).bit_length() - 1] <= best_weight):
+                if depth < 3:
+                    walk(open_, new_weight, 0)  # two hyperedges close nothing
+                else:
+                    if depth == 3:
+                        child = _closing_pairs_of_three(mask_a, spread_a, mask_b, spread_b,
+                                                        vertex_masks[j], spreads[j], off_diagonal)
+                    else:
+                        child = closing | _closing_pairs(chosen_masks, chosen_spreads, n)
+                    closing_masks += 1
+                    survivors = survivors_of.get(child)
+                    if survivors is None:
+                        survivors = sum(1 << i for i, bits in enumerate(pair_bits)
+                                        if not bits & child)
+                        survivors_of[child] = survivors
+                    child_live = survivors & open_
+                    if child_live:
+                        walk(child_live, new_weight, child)
             chosen_spreads.pop()
             chosen_masks.pop()
             chosen.pop()
             used[j] -= 1
 
     if first_level_orbit_reps:
-        walk(sum(1 << j for j, c in enumerate(cands) if c == frozenset(range(len(c)))), 0, 0)
+        root = sum(1 << j for j, c in enumerate(cands) if c == frozenset(range(len(c))))
     else:
-        walk(every, 0, 0)
+        root = every
+    if root:
+        walk(root, 0, 0)  # the root's mask is empty, and every weight is positive
     witness = Hypergraph(n, tuple(cands[j] for j in best_multiset))
     if not is_berge_c4_free(witness):
         raise AssertionError("search produced a witness with a Berge-C4")
@@ -167,6 +212,9 @@ def max_weight_exact(
         witness=witness,
         nodes_explored=nodes,
         exhaustive=True,
+        closing_masks=closing_masks,
+        expanded=expanded,
+        distinct_closings=len(survivors_of),
     )
 
 

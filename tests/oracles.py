@@ -509,7 +509,7 @@ def max_weight_by_multisets(n: int, max_mult: int = 3) -> int:
 
 
 def max_weight_by_index_scan(n: int, max_mult: int = 3, pruned: bool = True,
-                             first_level_orbit_reps: bool = False):
+                             first_level_orbit_reps: bool = False, counts=None):
     """(best_weight, nodes_explored, witness) of max_weight_exact's search,
     walked as it was before its candidates became bits: each node scans the
     candidate indices from its last chosen one up, one by one, with the
@@ -517,7 +517,12 @@ def max_weight_by_index_scan(n: int, max_mult: int = 3, pruned: bool = True,
     bits against the node's closing mask with one AND.  The closing mask is
     berge._closing_pairs, computed lazily at the first candidate that
     passes the other tests.  The witness is a tuple of sorted vertex
-    tuples."""
+    tuples.
+    A dict passed as counts receives the search's work counters as this
+    walk sees them: closing_masks, the nodes of three or more hyperedges
+    that compute a mask; expanded, the nodes that compute one and have an
+    open candidate, bound or not, that misses it; distinct_closings, the
+    distinct masks computed."""
     cands = candidate_universe(n)
     pair_bits = [sum(1 << (a * n + b) for a, b in combinations(sorted(c), 2)) for c in cands]
     vertex_masks = [sum(1 << v for v in c) for c in cands]
@@ -535,6 +540,12 @@ def max_weight_by_index_scan(n: int, max_mult: int = 3, pruned: bool = True,
     chosen_spreads: list[int] = []
     best = {"weight": 0, "multiset": ()}
     nodes = 0
+    tally = {"closing_masks": 0, "expanded": 0}
+    masks_seen = set()
+
+    def is_open(j: int) -> bool:
+        return used[j] < max_mult and not (first_level_orbit_reps and not chosen
+                                           and not is_rep[j])
 
     def walk(min_idx: int, current_weight: int, parent: int) -> None:
         nonlocal nodes
@@ -542,12 +553,14 @@ def max_weight_by_index_scan(n: int, max_mult: int = 3, pruned: bool = True,
         for j in range(min_idx, m):
             if pruned and current_weight + suffix[j] <= best["weight"]:
                 break
-            if used[j] == max_mult:
-                continue
-            if first_level_orbit_reps and not chosen and not is_rep[j]:
+            if not is_open(j):
                 continue
             if closing is None:
                 closing = parent | _closing_pairs(chosen_masks, chosen_spreads, n)
+                tally["closing_masks"] += len(chosen) >= 3
+                tally["expanded"] += any(is_open(i) and not pair_bits[i] & closing
+                                         for i in range(min_idx, m))
+                masks_seen.add(closing)
             if pair_bits[j] & closing:
                 continue
             nodes += 1
@@ -566,6 +579,8 @@ def max_weight_by_index_scan(n: int, max_mult: int = 3, pruned: bool = True,
             used[j] -= 1
 
     walk(0, 0, 0)
+    if counts is not None:
+        counts.update(tally, distinct_closings=len(masks_seen))
     return best["weight"], nodes, tuple(tuple(sorted(cands[j])) for j in best["multiset"])
 
 

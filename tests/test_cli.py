@@ -492,6 +492,19 @@ def test_search_appends_jsonl(tmp_path, capsys):
     assert "wall_time_s" in first and "nodes_explored" in first
 
 
+def test_search_counters_go_to_stderr_only(tmp_path, capsys):
+    """The work counters are on the stderr line; the record written to -o
+    keeps its fields, so its bytes do not depend on them."""
+    out = tmp_path / "results.jsonl"
+    assert main(["search", "--n", "6", "-o", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("n=6 best_weight=9 nodes=1808 expanded=229 closing_masks=1580 "
+                          "distinct_closings=85 (")
+    record = json.loads(out.read_text())
+    assert sorted(record) == ["best_weight", "exhaustive", "max_mult", "n", "nodes_explored",
+                              "pruned", "wall_time_s", "witness"]
+
+
 def test_search_guard_maps_to_exit_two(tmp_path, capsys):
     assert main(["search", "--n", "9", "-o", str(tmp_path / "r.jsonl")]) == 2
     err = capsys.readouterr().err

@@ -7,9 +7,9 @@ from itertools import combinations, permutations, product
 import pytest
 
 import bergefree as bf
-from bergefree.berge import _closing_pairs
+from bergefree.berge import _closing_pairs, _closing_pairs_of_three, _diagonal
 import bergefree.search
-from bergefree.search import CEILING_MAX_N, candidate_universe
+from bergefree.search import CEILING_MAX_N, candidate_universe, check_size
 from oracles import (
     SearchState,
     _closes_c4,
@@ -285,6 +285,39 @@ def test_closing_pairs_matches_vertex_loop_on_repeated_masks():
                 assert _closing(masks, n) == closing_pairs_by_vertex_loop(masks, n), (n, masks)
 
 
+def _closing_of_three(masks, n):
+    spreads = _spreads(masks, n)
+    return _closing_pairs_of_three(masks[0], spreads[0], masks[1], spreads[1],
+                                   masks[2], spreads[2], ~_diagonal(n))
+
+
+@pytest.mark.parametrize("n", range(4, 7))
+def test_closing_pairs_of_three_on_every_candidate_triple(n):
+    """The three-hyperedge kernel equals _closing_pairs on every ordered
+    triple of search candidates, repeats included (22^3 triples at n = 6)."""
+    masks = [sum(1 << v for v in c) for c in candidate_universe(n)]
+    for triple in product(masks, repeat=3):
+        assert _closing_of_three(triple, n) == _closing(triple, n), (n, triple)
+
+
+def test_closing_pairs_of_three_on_seeded_triples():
+    """Seeded triples at n = 7..10 (from n = 9 the pair matrix passes one
+    machine word): candidates of the search's universe, and masks of any
+    size, the empty one too, so that some pairs of them do not meet; a
+    third of the triples repeat a mask."""
+    rng = random.Random(20261018)
+    for n in range(7, 11):
+        cands = [sum(1 << v for v in c) for c in candidate_universe(n)]
+        for _ in range(1500):
+            if rng.random() < 0.5:
+                triple = [rng.choice(cands) for _ in range(3)]
+            else:
+                triple = [rng.getrandbits(n) for _ in range(3)]
+            if rng.random() < 1 / 3:
+                triple[rng.randrange(3)] = triple[rng.randrange(3)]
+            assert _closing_of_three(triple, n) == _closing(triple, n), (n, triple)
+
+
 def test_exact_value_n4():
     result = bf.max_weight_exact(4)
     assert result.best_weight == 3
@@ -325,6 +358,18 @@ def test_guard_and_override():
         bf.max_weight_exact(-1)
     with pytest.raises(ValueError):
         bf.max_weight_exact(4, max_mult=0)
+
+
+def test_size_check_words_the_override_as_asked():
+    with pytest.raises(ValueError, match="; pass --allow-large to override"):
+        check_size(8, False, "--allow-large")
+    with pytest.raises(ValueError, match="; pass allow_large=True to override"):
+        check_size(8, False)
+    with pytest.raises(ValueError, match="ceiling"):
+        check_size(CEILING_MAX_N + 1, True, "--allow-large")
+    for n in (0, 7):
+        check_size(n, False)
+    check_size(CEILING_MAX_N, True)
 
 
 def test_monotone_in_n():
@@ -395,6 +440,41 @@ def test_search_pinned_n7(max_mult, orbit_reps):
     assert _summary(result) == PINNED_N7_SEARCHES[max_mult, orbit_reps]
 
 
+# (n, max_mult, pruned, first_level_orbit_reps) -> (closing_masks, expanded,
+# distinct_closings): the work counters pin which nodes are entered and
+# which masks are computed, not only the nodes counted.
+PINNED_SEARCH_COUNTS = {
+    (5, 1, True, False): (7, 7, 2),
+    (5, 1, False, False): (10, 16, 2),
+    (5, 2, True, False): (28, 16, 2),
+    (5, 2, False, False): (45, 27, 2),
+    (5, 3, True, False): (35, 19, 5),
+    (5, 3, False, False): (55, 28, 6),
+    (6, 1, True, False): (809, 144, 17),
+    (6, 1, False, False): (1330, 232, 24),
+    (6, 2, True, False): (1431, 209, 68),
+    (6, 2, False, False): (1981, 275, 87),
+    (6, 3, True, False): (1580, 229, 85),
+    (6, 3, False, False): (2023, 276, 102),
+    (7, 1, True, True): (4738, 193, 93),
+    (7, 2, True, True): (5653, 213, 183),
+    (7, 3, True, True): (5847, 227, 192),
+}
+
+
+def _counts(result):
+    return result.closing_masks, result.expanded, result.distinct_closings
+
+
+@pytest.mark.parametrize("n,max_mult,pruned,orbit_reps", sorted(PINNED_SEARCH_COUNTS))
+def test_search_pinned_counters(n, max_mult, pruned, orbit_reps):
+    result = bf.max_weight_exact(n, max_mult=max_mult, pruned=pruned,
+                                 first_level_orbit_reps=orbit_reps)
+    assert _counts(result) == PINNED_SEARCH_COUNTS[n, max_mult, pruned, orbit_reps]
+    assert result.expanded <= result.nodes_explored + 1
+    assert result.closing_masks <= result.nodes_explored
+
+
 def test_search_pinned_n8_orbit_reps():
     result = bf.max_weight_exact(8, first_level_orbit_reps=True, allow_large=True)
     assert _summary(result) == (15, 49387, (tuple(range(8)),) * 3)
@@ -410,15 +490,21 @@ def test_bitset_walk_matches_index_scan_oracle(n):
     for max_mult, pruned, orbit_reps in product((1, 2, 3), (True, False), (False, True)):
         result = bf.max_weight_exact(n, max_mult=max_mult, pruned=pruned,
                                      first_level_orbit_reps=orbit_reps)
+        counts = {}
         assert _summary(result) == max_weight_by_index_scan(
-            n, max_mult, pruned, orbit_reps), (n, max_mult, pruned, orbit_reps)
+            n, max_mult, pruned, orbit_reps, counts), (n, max_mult, pruned, orbit_reps)
+        assert _counts(result) == (counts["closing_masks"], counts["expanded"],
+                                   counts["distinct_closings"]), (n, max_mult, pruned, orbit_reps)
 
 
 @pytest.mark.parametrize("max_mult", (1, 2, 3))
 def test_bitset_walk_matches_index_scan_oracle_n7_orbit_reps(max_mult):
     result = bf.max_weight_exact(7, max_mult=max_mult, first_level_orbit_reps=True)
-    expected = max_weight_by_index_scan(7, max_mult, True, True)
+    counts = {}
+    expected = max_weight_by_index_scan(7, max_mult, True, True, counts)
     assert _summary(result) == expected == PINNED_N7_SEARCHES[max_mult, True]
+    assert _counts(result) == (counts["closing_masks"], counts["expanded"],
+                               counts["distinct_closings"])
 
 
 def test_ceiling_checked_before_the_universe(monkeypatch):
