@@ -50,8 +50,9 @@ sets the triple's pairs both ways round.  There is no loop over vertices:
 the a of a triple fall into four classes by whether they lie in X, Y and
 Z, every a of a class has the same b, and one product of the class's
 spread with those b sets all of its rows of the n x n pair matrix.
-With exactly three hyperedges the loops reduce to three triples, which
-_closing_pairs_of_three calls straight, for the search's third level.
+With exactly three hyperedges the loops reduce to three triples; the
+search's third level takes them inline, with the product of a triple's
+ends in place of the call when no exclusion is forced.
 Every witness a search returns is re-validated against the definition
 before it is handed out.
 """
@@ -501,27 +502,6 @@ def _closing_pairs(masks: Sequence[int], spreads: Sequence[int], n: int) -> int:
             if z != y and masks[z] & mask_y:
                 closing |= _triple_pairs(mask_l, spread_l, mask_y, spread_y, masks[z], spreads[z])
     return closing & ~_diagonal(n)
-
-
-def _closing_pairs_of_three(mask_a: int, spread_a: int, mask_b: int, spread_b: int,
-                            mask_c: int, spread_c: int, off_diagonal: int) -> int:
-    """_closing_pairs of exactly three masks A, B, C (C the last), with
-    off_diagonal = ~_diagonal(n) passed in, so that a caller negates the
-    diagonal once, not once per call.  The two index loops there reduce to
-    three triples: C as the middle with ends A and B, and A or B as the
-    middle with C and the other as ends, each when its middle meets both
-    ends.
-    """
-    closing = 0
-    meet_ab = mask_a & mask_b
-    if mask_c & mask_a:
-        if mask_c & mask_b:
-            closing = _triple_pairs(mask_a, spread_a, mask_c, spread_c, mask_b, spread_b)
-        if meet_ab:
-            closing |= _triple_pairs(mask_c, spread_c, mask_a, spread_a, mask_b, spread_b)
-    if meet_ab and mask_c & mask_b:
-        closing |= _triple_pairs(mask_c, spread_c, mask_b, spread_b, mask_a, spread_a)
-    return closing & off_diagonal
 
 
 def _triple_pairs(mask_x: int, spread_x: int, mask_y: int, spread_y: int,

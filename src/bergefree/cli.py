@@ -82,15 +82,16 @@ def _plane_order(args: argparse.Namespace) -> int:
 def cmd_construct(args: argparse.Namespace) -> int:
     """Write the 3-fold blow-up of PG(2, q) as canonical JSON.
 
-    plane_blow_up_json writes the text straight from the plane's line
-    lists, with no row tuple and no JSON encoder, and the stderr counts
-    follow from the same lists: one hyperedge per incidence, each of
-    weight 6 - 3.  certify_plane_blowup_free reads the lists too, so the
-    plane's graph is never built, and the rows and a Hypergraph are built
-    only for the direct detector.  PlaneIncidence's check of its line
-    lists is the one validation: every line index is below
-    N = q^2 + q + 1, so every plane vertex u is below 2N and every copy
-    3u + 2 below 6N <= n.
+    plane_blow_up_json yields the text straight from the plane's line
+    lists, one piece per point, with no row tuple and no JSON encoder, and
+    the file takes the pieces as they come, so the whole text is never
+    held in memory.  The stderr counts follow from the same lists: one
+    hyperedge per incidence, each of weight 6 - 3.
+    certify_plane_blowup_free reads the lists too, so the plane's graph is
+    never built, and the rows and a Hypergraph are built only for the
+    direct detector.  PlaneIncidence's check of its line lists is the one
+    validation: every line index is below N = q^2 + q + 1, so every plane
+    vertex u is below 2N and every copy 3u + 2 below 6N <= n.
     """
     try:
         q = _plane_order(args)
@@ -110,7 +111,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
             print("detector: Berge-C4-free confirmed", file=sys.stderr)
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(plane_blow_up_json(plane, n))
+            fh.writelines(plane_blow_up_json(plane, n))
     except OSError as exc:
         return _fail(str(exc))
     edges = sum(map(len, plane.lines_through))

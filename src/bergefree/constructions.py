@@ -13,10 +13,11 @@ j.  projective_plane_incidence keeps these per-point line lists, ascending,
 and everything downstream reads them: plane_blow_up_rows walks them, points
 ascending, to emit the blow-up's hyperedges as sorted rows in blow_up's
 order without building a graph, a set or a sort; plane_blow_up_json walks
-them the same way to write the blow-up's canonical JSON text from one
-"3u,3u+1,3u+2" string per plane vertex, with no row tuple and no JSON
-encoder; and certify_plane_blowup_free scans them for a C4.  The plane's
-Graph is built from the lists only when asked for (PlaneIncidence.graph()).
+them the same way to yield the blow-up's canonical JSON text, one piece
+per point, from one "3u,3u+1,3u+2" string per plane vertex, with no row
+tuple and no JSON encoder; and certify_plane_blowup_free scans them for a
+C4.  The plane's Graph is built from the lists only when asked for
+(PlaneIncidence.graph()).
 blow_up and certify_blowup_free stay the general builder and certificate
 for any graph, and the oracles for the plane's fast paths.
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .berge import find_c4_in_graph, find_triangle
 from .core import Graph, Hypergraph, weight
@@ -191,25 +192,28 @@ def plane_blow_up_rows(plane: PlaneIncidence) -> list[tuple[int, ...]]:
             for i, lines in enumerate(plane.lines_through) for j in lines]
 
 
-def plane_blow_up_json(plane: PlaneIncidence, n: int) -> str:
+def plane_blow_up_json(plane: PlaneIncidence, n: int) -> Iterator[str]:
     """dumps_canonical({"n": n, "hyperedges": plane_blow_up_rows(plane)}),
-    written as text straight from plane.lines_through.
+    yielded in pieces straight from plane.lines_through: the head, one
+    piece per point on a line, and the tail.
 
     Every row is copies(i) followed by copies(N + j), in the order of
     plane_blow_up_rows, so one "3u,3u+1,3u+2" string per plane vertex and
     one join per point give the same bytes with no row tuple and no JSON
-    encoder.
+    encoder.  A writer takes the pieces one at a time, so the whole text
+    is never held at once.
     """
     count = len(plane.points)
     copies = [f"{3 * u},{3 * u + 1},{3 * u + 2}" for u in range(2 * count)]
     line_copies = copies[count:]
-    chunks = []
+    yield f'{{"n":{n},"hyperedges":['
+    opening = "["
     for i, lines in enumerate(plane.lines_through):
         if lines:
             head = copies[i] + ","
-            chunks.append("[" + head + ("],[" + head).join(map(line_copies.__getitem__, lines))
-                          + "]")
-    return f'{{"n":{n},"hyperedges":[{",".join(chunks)}]}}\n'
+            yield opening + head + ("],[" + head).join(map(line_copies.__getitem__, lines)) + "]"
+            opening = ",["
+    yield "]}\n"
 
 
 @dataclass(frozen=True)

@@ -19,16 +19,24 @@ distinct masks than nodes).
 Each node is handed its live set: its open candidates (from the last
 chosen index on, that index only while copies are left) ANDed with the
 survivors of its closing mask, and it walks the set bits in ascending
-order.  A child is decided in its parent's loop, right after the push:
-the parent runs the child's bound test, computes the child's closing mask
-and looks up its survivors, and enters the child only when some open
-candidate survives, so a node with no child is counted but never entered.
+order.  A child is decided in its parent's loop, before anything is
+pushed: the parent runs the child's bound test, computes the child's
+closing mask and looks up its survivors, and pushes and enters the child
+only when some open candidate survives, so a node with no child is
+counted but never entered (most children at depth 3 are such leaves).
 Fewer than three hyperedges close nothing, so the first two levels skip
-the mask; the third hyperedge's mask comes from one straight-line kernel
-(berge._closing_pairs_of_three) and deeper ones from the two index loops
-of berge._closing_pairs.  Every candidate's pair bits, vertex mask and
-spread (bit a*n for each vertex a, which the kernels multiply by vertex
-masks to fill rows of the pair matrix) are computed once, before the walk.
+the mask.  The third hyperedge C closes pairs through three triples of
+it and the chosen A and B, with C, A or B as the middle.  A node with
+two chosen hyperedges computes A & B and the product of A and B once,
+for all its children, and each child's mask is built inline: a triple
+whose middle meets each end in 3 or more vertices, and the two ends
+together in 4 or more, forces no exclusion, so its pairs are the product
+of its two ends (more than half of the triples at n <= 7), and only the
+other triples call berge._triple_pairs.  Deeper masks come from the two
+index loops of berge._closing_pairs.  Every candidate's pair bits, vertex
+mask and spread (bit a*n for each vertex a, which the kernels multiply by
+vertex masks to fill rows of the pair matrix) are computed once, before
+the walk.
 The first optimum reached in this preorder is the lexicographically least
 one under the canonical order, so results and witnesses are deterministic.
 """
@@ -39,7 +47,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from .berge import _closing_pairs, _closing_pairs_of_three, _diagonal, is_berge_c4_free
+from .berge import _closing_pairs, _diagonal, _triple_pairs, is_berge_c4_free
 from .constructions import theoretical_bounds
 from .core import Hypergraph
 
@@ -108,15 +116,18 @@ def max_weight_exact(
     admissible remaining-weight bound and enumerates every Berge-C4-free
     multiset, which serves as the cross-check oracle at small n.
     A node receives its live set, the open candidates that miss its closing
-    mask, and walks it in ascending order; each push counts as a node.
-    Right after a push the parent decides the child: when the child has no
-    open candidate, or the least fails the bound (which never grows with
-    the index), the child is done.  Otherwise the parent computes the
+    mask, and walks it in ascending order; each candidate taken counts as a
+    node.  The parent decides the child before pushing it: when the child
+    has no open candidate, or the least fails the bound (which never grows
+    with the index), the child is done.  Otherwise the parent computes the
     child's closing mask, its own mask ORed with berge._closing_pairs of the
-    chosen hyperedges' vertex masks and spreads (with three hyperedges,
-    berge._closing_pairs_of_three, whose three triples need no loop), looks
-    up the mask's survivors, and enters the child only with a non-empty
-    live set.
+    chosen hyperedges' vertex masks and spreads, looks up the mask's
+    survivors, and pushes and enters the child only with a non-empty live
+    set.  With three hyperedges the mask is the child's three triples,
+    built inline from what its parent computed once for all its children
+    (A & B, its size, and the product of A and B); a triple that forces no
+    exclusion takes the product of its two ends in place of
+    berge._triple_pairs (see the module docstring).
     first_level_orbit_reps restricts the first (canonically smallest)
     candidate to one representative per size class -- a relabeling argument
     shows some optimum survives; the best weight is unchanged but the
@@ -154,8 +165,13 @@ def max_weight_exact(
         expanded += 1
         depth = len(chosen) + 1  # hyperedges chosen at each child
         if depth == 3:
+            # shared by every child C: the ends A and B, A & B, and the
+            # pairs of the triple (A, C, B) when it forces no exclusion
             mask_a, mask_b = chosen_masks
             spread_a, spread_b = chosen_spreads
+            meet_ab = mask_a & mask_b
+            ab_wide = meet_ab.bit_count() >= 3
+            pairs_ab = spread_b * mask_a | spread_a * mask_b
         while live:
             low = live & -live
             live ^= low
@@ -163,35 +179,69 @@ def max_weight_exact(
             if pruned and current_weight + suffix[j] <= best_weight:
                 break
             nodes += 1
-            used[j] += 1
-            chosen.append(j)
-            chosen_masks.append(vertex_masks[j])
-            chosen_spreads.append(spreads[j])
             new_weight = current_weight + weights[j]
             if new_weight > best_weight:
                 best_weight = new_weight
-                best_multiset = tuple(chosen)
+                best_multiset = (*chosen, j)
             # the child's open candidates: from j on, j itself while copies are left
-            open_ = every & (-low if used[j] < max_mult else -low << 1)
-            if open_ and not (pruned and new_weight
-                              + suffix[(open_ & -open_).bit_length() - 1] <= best_weight):
-                if depth < 3:
-                    walk(open_, new_weight, 0)  # two hyperedges close nothing
+            open_ = every & (-low if used[j] + 1 < max_mult else -low << 1)
+            if not open_ or (pruned and new_weight
+                             + suffix[(open_ & -open_).bit_length() - 1] <= best_weight):
+                continue
+            mask_c = vertex_masks[j]
+            spread_c = spreads[j]
+            if depth < 3:
+                child = 0  # two hyperedges close nothing
+                child_live = open_
+            else:
+                if depth == 3:
+                    # the triples with C, A or B as the middle, each when its
+                    # middle meets both ends.  A middle that meets each end
+                    # in 3 or more vertices, and the two ends together in 4
+                    # or more, forces no exclusion, and the triple's pairs
+                    # are the product of its ends (berge._triple_pairs)
+                    meet_ac = mask_a & mask_c
+                    meet_bc = mask_b & mask_c
+                    ac_wide = meet_ac.bit_count() >= 3
+                    bc_wide = meet_bc.bit_count() >= 3
+                    child = 0
+                    if meet_ac and meet_bc:
+                        if ac_wide and bc_wide and (meet_ac | meet_bc).bit_count() >= 4:
+                            child = pairs_ab
+                        else:
+                            child = _triple_pairs(mask_a, spread_a, mask_c, spread_c,
+                                                  mask_b, spread_b)
+                    if meet_ab:
+                        if meet_ac:
+                            if ab_wide and ac_wide and (meet_ac | meet_ab).bit_count() >= 4:
+                                child |= spread_b * mask_c | spread_c * mask_b
+                            else:
+                                child |= _triple_pairs(mask_c, spread_c, mask_a, spread_a,
+                                                       mask_b, spread_b)
+                        if meet_bc:
+                            if ab_wide and bc_wide and (meet_bc | meet_ab).bit_count() >= 4:
+                                child |= spread_a * mask_c | spread_c * mask_a
+                            else:
+                                child |= _triple_pairs(mask_c, spread_c, mask_b, spread_b,
+                                                       mask_a, spread_a)
+                    child &= off_diagonal
                 else:
-                    if depth == 3:
-                        child = _closing_pairs_of_three(mask_a, spread_a, mask_b, spread_b,
-                                                        vertex_masks[j], spreads[j], off_diagonal)
-                    else:
-                        child = closing | _closing_pairs(chosen_masks, chosen_spreads, n)
-                    closing_masks += 1
-                    survivors = survivors_of.get(child)
-                    if survivors is None:
-                        survivors = sum(1 << i for i, bits in enumerate(pair_bits)
-                                        if not bits & child)
-                        survivors_of[child] = survivors
-                    child_live = survivors & open_
-                    if child_live:
-                        walk(child_live, new_weight, child)
+                    child = closing | _closing_pairs([*chosen_masks, mask_c],
+                                                     [*chosen_spreads, spread_c], n)
+                closing_masks += 1
+                survivors = survivors_of.get(child)
+                if survivors is None:
+                    survivors = sum(1 << i for i, bits in enumerate(pair_bits)
+                                    if not bits & child)
+                    survivors_of[child] = survivors
+                child_live = survivors & open_
+                if not child_live:
+                    continue
+            used[j] += 1
+            chosen.append(j)
+            chosen_masks.append(mask_c)
+            chosen_spreads.append(spread_c)
+            walk(child_live, new_weight, child)
             chosen_spreads.pop()
             chosen_masks.pop()
             chosen.pop()

@@ -6,8 +6,10 @@ enumeration.  It also owns the path-walk Berge-C4 state (SearchState,
 _closes_c4, _pair_closes, incremental_c4_check), the oracle for the
 library's closing-pair mask and greedy generator, the same mask built
 one shifted row per end vertex a (closing_pairs_by_vertex_loop, which the
-library's class products must equal bit for bit), and the directed
-patterns F1 and F2 of the K_{5,5} argument's endgame with the arc
+library's class products must equal bit for bit), the exact search's
+third level as three calls of _triple_pairs (closing_pairs_of_three),
+and the directed patterns F1 and F2 of the K_{5,5} argument's endgame
+with the arc
 container they are matched in.  The lemma suite's per-vertex checks
 before they ran on adjacency rows are kept here as edge sets
 (aux_bundle_by_pair_scan, vertex_checks_on_bundle), with a set-based
@@ -57,6 +59,7 @@ from bergefree import (
 from bergefree.berge import (
     _closing_pairs,
     _first_vertex_cycle,
+    _triple_pairs,
     _twin_quotient_has_cycle,
     distinct_representatives,
 )
@@ -954,6 +957,28 @@ def closing_pairs_by_vertex_loop(masks: Sequence[int], n: int) -> int:
                     rest ^= low
                     closing |= (wide & ~low) << ((low.bit_length() - 1) * n)
     return closing
+
+
+def closing_pairs_of_three(mask_a: int, spread_a: int, mask_b: int, spread_b: int,
+                           mask_c: int, spread_c: int, off_diagonal: int) -> int:
+    """_closing_pairs of exactly three masks A, B, C (C the last), with
+    off_diagonal = ~_diagonal(n) passed in.  The two index loops there
+    reduce to three triples: C as the middle with ends A and B, and A or B
+    as the middle with C and the other as ends, each when its middle meets
+    both ends.  This is the exact search's third level as one call of
+    _triple_pairs per triple, before that level took the shared A & B and
+    the rich triples' products inline.
+    """
+    closing = 0
+    meet_ab = mask_a & mask_b
+    if mask_c & mask_a:
+        if mask_c & mask_b:
+            closing = _triple_pairs(mask_a, spread_a, mask_c, spread_c, mask_b, spread_b)
+        if meet_ab:
+            closing |= _triple_pairs(mask_c, spread_c, mask_a, spread_a, mask_b, spread_b)
+    if meet_ab and mask_c & mask_b:
+        closing |= _triple_pairs(mask_c, spread_c, mask_b, spread_b, mask_a, spread_a)
+    return closing & off_diagonal
 
 
 def greedy_by_search_state(n: int, size_range: tuple[int, int], trials: int, rng) -> Hypergraph:

@@ -7,13 +7,15 @@ from itertools import combinations, permutations, product
 import pytest
 
 import bergefree as bf
-from bergefree.berge import _closing_pairs, _closing_pairs_of_three, _diagonal
+from bergefree.berge import _closing_pairs, _diagonal, _triple_pairs
+from bergefree.core import iter_bits
 import bergefree.search
 from bergefree.search import CEILING_MAX_N, candidate_universe, check_size
 from oracles import (
     SearchState,
     _closes_c4,
     closing_pairs_by_vertex_loop,
+    closing_pairs_of_three,
     greedy_by_full_recheck,
     greedy_by_search_state,
     incremental_c4_check,
@@ -287,8 +289,8 @@ def test_closing_pairs_matches_vertex_loop_on_repeated_masks():
 
 def _closing_of_three(masks, n):
     spreads = _spreads(masks, n)
-    return _closing_pairs_of_three(masks[0], spreads[0], masks[1], spreads[1],
-                                   masks[2], spreads[2], ~_diagonal(n))
+    return closing_pairs_of_three(masks[0], spreads[0], masks[1], spreads[1],
+                                  masks[2], spreads[2], ~_diagonal(n))
 
 
 @pytest.mark.parametrize("n", range(4, 7))
@@ -317,6 +319,62 @@ def test_closing_pairs_of_three_on_seeded_triples():
                 triple[rng.randrange(3)] = triple[rng.randrange(3)]
             assert _closing_of_three(triple, n) == _closing(triple, n), (n, triple)
 
+
+def _pairs_by_hall(mask_x, mask_y, mask_z, n):
+    """Bits a*n + b and b*n + a of the pairs a in Z, b in X, a != b, that
+    leave room for v3 in X & Y and v4 in Y & Z, distinct and outside
+    {a, b}: Hall's condition on the two slots, tested pair by pair."""
+    pairs = 0
+    for a in iter_bits(mask_z):
+        for b in iter_bits(mask_x):
+            keep = ~(1 << a | 1 << b)
+            p = mask_x & mask_y & keep
+            q = mask_y & mask_z & keep
+            if a != b and p and q and (p | q).bit_count() >= 2:
+                pairs |= 1 << (a * n + b) | 1 << (b * n + a)
+    return pairs
+
+
+def _check_rich_triples(triples, n):
+    """For each triple with |X & Y| >= 3, |Y & Z| >= 3 and
+    |(X | Z) & Y| >= 4, _triple_pairs and the product of the two ends,
+    which the search's third level takes in its place, agree off the
+    diagonal, and both hold exactly the pairs Hall's condition admits.
+    Returns the number of such triples."""
+    off_diagonal = ~_diagonal(n)
+    rich = 0
+    for mask_x, mask_y, mask_z in triples:
+        p_all = mask_x & mask_y
+        q_all = mask_y & mask_z
+        if p_all.bit_count() < 3 or q_all.bit_count() < 3 or (p_all | q_all).bit_count() < 4:
+            continue
+        rich += 1
+        spread_x, spread_y, spread_z = _spreads((mask_x, mask_y, mask_z), n)
+        ends = (spread_z * mask_x | spread_x * mask_z) & off_diagonal
+        pairs = _triple_pairs(mask_x, spread_x, mask_y, spread_y, mask_z, spread_z)
+        assert pairs & off_diagonal == ends, (n, mask_x, mask_y, mask_z)
+        assert ends == _pairs_by_hall(mask_x, mask_y, mask_z, n), (n, mask_x, mask_y, mask_z)
+    return rich
+
+
+def test_rich_triple_pairs_are_the_product_of_the_ends_on_five_vertices():
+    """Every ordered triple of non-empty masks at n = 5."""
+    assert _check_rich_triples(product(range(1, 1 << 5), repeat=3), 5) > 0
+
+
+@pytest.mark.parametrize("n", (7, 9, 16))
+def test_rich_triple_pairs_are_the_product_of_the_ends_on_seeded_triples(n):
+    """Seeded triples of dense masks (about three bits in four set), so
+    that most of them are rich; from n = 9 the pair matrix passes one
+    machine word.  A third of the triples repeat a mask."""
+    rng = random.Random(20261019 + n)
+    triples = []
+    for _ in range(1500):
+        triple = [rng.getrandbits(n) | rng.getrandbits(n) for _ in range(3)]
+        if rng.random() < 1 / 3:
+            triple[rng.randrange(3)] = triple[rng.randrange(3)]
+        triples.append(triple)
+    assert _check_rich_triples(triples, n) > 500
 
 def test_exact_value_n4():
     result = bf.max_weight_exact(4)
@@ -459,6 +517,8 @@ PINNED_SEARCH_COUNTS = {
     (7, 1, True, True): (4738, 193, 93),
     (7, 2, True, True): (5653, 213, 183),
     (7, 3, True, True): (5847, 227, 192),
+    (7, 3, True, False): (40784, 2294, 1010),
+    (8, 3, True, True): (48725, 2037, 1524),
 }
 
 
@@ -469,7 +529,7 @@ def _counts(result):
 @pytest.mark.parametrize("n,max_mult,pruned,orbit_reps", sorted(PINNED_SEARCH_COUNTS))
 def test_search_pinned_counters(n, max_mult, pruned, orbit_reps):
     result = bf.max_weight_exact(n, max_mult=max_mult, pruned=pruned,
-                                 first_level_orbit_reps=orbit_reps)
+                                 first_level_orbit_reps=orbit_reps, allow_large=True)
     assert _counts(result) == PINNED_SEARCH_COUNTS[n, max_mult, pruned, orbit_reps]
     assert result.expanded <= result.nodes_explored + 1
     assert result.closing_masks <= result.nodes_explored
