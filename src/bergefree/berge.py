@@ -2,41 +2,36 @@
 
 A Berge cycle of length k alternates k distinct vertices and k distinct
 hyperedges v1,h1,v2,h2,...,vk,hk with {v_i, v_{i+1}} inside h_i and
-{v_k, v_1} inside h_k.  Detection enumerates candidate vertex cycles on the
+{v_k, v_1} inside h_k.  Detection walks candidate vertex cycles on the
 shadow graph, one representative per dihedral class (v1 is the minimum
-vertex, oriented so v2 < vk), and then asks whether the k pair-slots admit
-k distinct covering hyperedges -- a system of distinct representatives over
-the slot-to-hyperedge bipartite graph, decided by backtracking.
+vertex, oriented so v2 < vk), and asks whether the k pair-slots admit k
+distinct covering hyperedges: a system of distinct representatives over
+the slot-to-hyperedge bipartite graph.
 
-Every input runs through one twin gate before that enumeration, at every k:
+One closed-walk search (_closed_walk) answers every question of the form
+"is there a Berge-Ck whose least class is a?", in two steps:
 
 1. Twin gate.  Twins are vertices that lie in exactly the same hyperedges
-   (equal incidence masks); every vertex of a blow-up has two.  A Berge-Ck
-   maps to a closed k-walk on the twin classes that uses each class at
-   most as often as it has members, and every such walk whose slots admit
-   distinct hyperedges lifts back to a Berge-Ck.  Searching the walks on
-   the classes decides freeness without walking each twin's copy of every
-   vertex path.  For k = 4 the search is a 2-path scan (the C4 case of
-   Alon, Yuster and Zwick, "Finding and counting given length cycles",
-   Algorithmica 1997) run as a seen/dup fold: for each class a, one pass
-   over its neighbours above a in the class graph without loops marks the
-   far ends of 2-paths seen once and twice, and Hall's condition on four
-   slot masks is tested only for the middles of an end seen twice.  That
-   covers walks on four distinct classes.  A walk that repeats a class
-   needs one of three triggers on classes not below a: a triangle through
-   a class of two or more members, two classes that share two or more
-   hyperedges, or a class of four or more members.  One pass over the
-   class edges finds the largest least class of a trigger, and every a up
-   to it falls back to pairing all its class 2-paths.  A free blow-up has
-   no trigger and no end seen twice, so it needs no Hall test and no SDR
-   call.  For every other k the search is a depth-first search over
-   closed walks that asks for an SDR only when a walk's slots cover k
-   hyperedges.  A vertex without a twin is a class of one.
-2. Vertex search.  When the gate finds a cycle, the enumeration above
-   builds the witness, so witnesses do not depend on the gate.  The gate
-   reports the least class whose smallest member is the minimum of some
-   Berge-Ck, and the enumeration runs from that v1 alone, which yields the
-   same witness as enumerating from every v1 in ascending order.
+   (equal incidence masks); every vertex of a blow-up has two, and a
+   vertex without a twin is a class of one.  A Berge-Ck maps to a closed
+   k-walk on the twin classes that uses each class at most as often as it
+   has members, and every such walk whose slots pass Hall's test (_hall,
+   on the slot masks) lifts back to a Berge-Ck, so walking the classes
+   decides freeness without walking each twin's copy of every vertex path.
+   For k != 4 the walk runs from every class.  For k = 4 it runs only from
+   the classes up to the last trigger: a triangle through a class of two
+   or more members, two classes that share two or more hyperedges, or a
+   class of four or more members, one of which any walk that repeats a
+   class needs.  Every class above is decided by a seen/dup fold over its
+   class 2-paths (the C4 case of Alon, Yuster and Zwick, "Finding and
+   counting given length cycles", Algorithmica 1997), which tests Hall's
+   condition only for the middles of an end seen twice.  A free blow-up
+   has no trigger and no end seen twice, so it needs no Hall test.
+2. Witness.  When the gate finds a cycle, the same walk runs on one class
+   per vertex, from the smallest member of the least class with a cycle
+   alone, and distinct_representatives, run once on the slots of the walk
+   it returns, picks the hyperedges.  That is the first cycle of the
+   enumeration above, so witnesses do not depend on the gate.
 
 One mask engine serves the exact search and the greedy generator:
 _closing_pairs finds, from vertex masks and their spreads (bit a*n for each
@@ -62,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import Graph, Hypergraph, iter_bits
 
@@ -138,8 +133,9 @@ def find_berge_cycle(hypergraph: Hypergraph, k: int) -> Optional[BergeCycleWitne
     minimum vertex first and v2 < vk; sequences are generated
     lexicographically, so the returned witness is deterministic.  The twin
     classes decide freeness first, and only an input they find a cycle in
-    is searched vertex by vertex, from the smallest member of the least
-    class with a cycle.
+    is walked vertex by vertex, from the smallest member of the least class
+    with a cycle.  That walk reads the full-width incidence masks, but a
+    free input never pays for it.
     """
     if k < 2:
         raise ValueError(f"Berge cycle length must be >= 2, got {k}")
@@ -150,52 +146,14 @@ def find_berge_cycle(hypergraph: Hypergraph, k: int) -> Optional[BergeCycleWitne
     a = _twin_quotient_has_cycle(masks, sizes, adj, k)
     if a is None:
         return None
-    return _first_vertex_cycle(hypergraph, k, incidence, firsts[a])
-
-
-def _first_vertex_cycle(hypergraph: Hypergraph, k: int, incidence: Sequence[int],
-                        first: int) -> Optional[BergeCycleWitness]:
-    """The vertex-level search from v1 = first alone, which must be the
-    least vertex that is the minimum of a Berge-Ck.  The slot of u and v
-    holds the hyperedges of incidence[u] & incidence[v], in id order.  It
-    still reads the full-width incidence masks, but runs only after the
-    gate has found a cycle, so a free input never pays for it."""
-    adj = _shadow_adjacency(hypergraph)
-    path = [0] * k
-
-    def extend(depth: int, used_mask: int, allowed: int, union_mask: int) -> Optional[BergeCycleWitness]:
-        # path[0..depth-1] fixed; union_mask covers the depth-1 slots so far.
-        last = path[depth - 1]
-        if depth == k:
-            v1 = path[0]
-            if not (adj[last] >> v1) & 1:
-                return None
-            if k > 2 and path[1] > last:
-                return None  # orientation: keep only v2 < vk
-            if (union_mask | (incidence[last] & incidence[v1])).bit_count() < k:
-                return None
-            slots = [list(iter_bits(incidence[path[i]] & incidence[path[(i + 1) % k]]))
-                     for i in range(k)]
-            assignment = distinct_representatives(slots)
-            if assignment is None:
-                return None
-            witness = BergeCycleWitness(tuple(path), tuple(assignment))
-            validate_witness(hypergraph, witness)
-            return witness
-        at_last = incidence[last]
-        for w in iter_bits(adj[last] & allowed & ~used_mask):
-            new_union = union_mask | (at_last & incidence[w])
-            if new_union.bit_count() < depth:
-                continue  # fewer distinct hyperedges than slots: dead prefix
-            path[depth] = w
-            found = extend(depth + 1, used_mask | (1 << w), allowed, new_union)
-            if found is not None:
-                return found
-        return None
-
-    path[0] = first
-    # cycle vertices other than v1 exceed it
-    return extend(1, 1 << first, ~((1 << (first + 1)) - 1), 0)
+    first = firsts[a]
+    cycle = _closed_walk(incidence, [1] * hypergraph.n, _shadow_adjacency(hypergraph), k,
+                         range(first, first + 1))
+    slots = [list(iter_bits(incidence[u] & incidence[v]))
+             for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+    witness = BergeCycleWitness(cycle, tuple(distinct_representatives(slots)))
+    validate_witness(hypergraph, witness)
+    return witness
 
 
 def _incidence(hypergraph: Hypergraph) -> list[int]:
@@ -270,13 +228,14 @@ def _twin_quotient_has_cycle(masks: Sequence[int], sizes: Sequence[int], adj: Se
     """
     if k == 4:
         return _twin_quotient_has_c4(masks, sizes, adj)
-    return _twin_quotient_has_walk(masks, sizes, adj, k)
+    walk = _closed_walk(masks, sizes, adj, k, range(len(masks)))
+    return None if walk is None else walk[0]
 
 
-def _twin_quotient_has_walk(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int],
-                            k: int) -> Optional[int]:
-    """The least class a of a Berge-Ck of the hypergraph whose twin classes
-    these are, or None.
+def _closed_walk(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int], k: int,
+                 starts: Iterable[int]) -> Optional[tuple[int, ...]]:
+    """The first closed k-walk that lifts to a Berge-Ck, from the first
+    start in starts that has one, or None.
 
     A Berge-Ck is a closed walk c1, ..., ck on the classes that uses each
     class at most as often as it has members, whose slots admit distinct
@@ -286,8 +245,12 @@ def _twin_quotient_has_walk(masks: Sequence[int], sizes: Sequence[int], adj: Seq
     masks[i] & masks[j], which for two members of one class is masks[i]
     (reached through the loop bit of adj).  Rotated so that its least class
     a comes first, and of its two directions the one with c2 <= ck, the
-    walk runs through classes not below a.  A prefix whose slots cover
-    fewer hyperedges than it has slots is cut.
+    walk runs through classes not below a; walks from a are tried in
+    lexicographic order.  A prefix whose slots cover fewer hyperedges than
+    it has slots is cut, and a closed walk is kept when its slots pass
+    Hall's test (_hall).  On one class of one member per vertex, with the
+    shadow adjacency, a walk is a vertex cycle, minimum first and v2 < vk,
+    and the first one is the canonical cycle from that minimum.
     """
     walk = [0] * k
     slots = [0] * k
@@ -313,7 +276,8 @@ def _twin_quotient_has_walk(masks: Sequence[int], sizes: Sequence[int], adj: Seq
                     continue
                 slots[depth - 1] = slot
                 slots[depth] = closing
-                if distinct_representatives([list(iter_bits(s)) for s in slots]) is not None:
+                if _hall(slots):
+                    walk[depth] = c
                     return True
             return False
         for c in iter_bits(candidates):
@@ -332,11 +296,11 @@ def _twin_quotient_has_walk(masks: Sequence[int], sizes: Sequence[int], adj: Seq
                 return True
         return False
 
-    for a in range(len(masks)):
+    for a in starts:
         walk[0] = a
         count[a] = 1
         if extend(1, -1 << a, 0):
-            return a
+            return tuple(walk)
         count[a] = 0
     return None
 
@@ -346,23 +310,20 @@ def _twin_quotient_has_c4(masks: Sequence[int], sizes: Sequence[int],
     """The least class a of a Berge-C4 of the hypergraph whose twin classes
     these are, or None.
 
-    A Berge-C4 is a closed walk a, b, c, d on the classes that uses each
-    class at most as often as it has members, whose slots admit distinct
-    hyperedges; rotated so that its least class a comes first, it runs
-    through classes not below a.  A walk that repeats a class needs a
-    trigger on classes not below a (_last_trigger), so every a above the
-    last trigger has only walks on four distinct classes.  Their far ends c
-    are the dup bits of one fold over the neighbours b of a above a, in the
-    loop-free class graph: the fold of find_c4_in_graph, which keeps the
-    ends seen once (seen) and twice (dup).  Hall's condition is tested only
-    on the pairs of middles of a dup end.  Each a up to the last trigger is
-    decided by pairing its class 2-paths (_c4_by_path_pairs).
+    A closed 4-walk a, b, c, d from its least class a (see _closed_walk)
+    that repeats a class needs a trigger on classes not below a
+    (_last_trigger), so every a up to the last trigger is decided by the
+    closed-walk search, and every a above it has only walks on four
+    distinct classes.  Their far ends c are the dup bits of one fold over
+    the neighbours b of a above a, in the loop-free class graph: the fold
+    of find_c4_in_graph, which keeps the ends seen once (seen) and twice
+    (dup).  Hall's test runs only on the pairs of middles of a dup end.
     """
     free = [row & ~(1 << i) for i, row in enumerate(adj)]
     last = _last_trigger(masks, sizes, free)
-    for a in range(last + 1):
-        if _c4_by_path_pairs(masks, sizes, adj, a):
-            return a
+    walk = _closed_walk(masks, sizes, adj, 4, range(last + 1))
+    if walk is not None:
+        return walk[0]
     for a in range(last + 1, len(masks)):
         above = a + 1
         seen = dup = 0
@@ -376,7 +337,7 @@ def _twin_quotient_has_c4(masks: Sequence[int], sizes: Sequence[int],
             mask_c = masks[c]
             middles = [masks[above + b] for b in iter_bits((free[a] & free[c]) >> above)]
             for mask_b, mask_d in combinations(middles, 2):
-                if _hall4(mask_a & mask_b, mask_b & mask_c, mask_c & mask_d, mask_d & mask_a):
+                if _hall((mask_a & mask_b, mask_b & mask_c, mask_c & mask_d, mask_d & mask_a)):
                     return a
     return None
 
@@ -410,53 +371,32 @@ def _last_trigger(masks: Sequence[int], sizes: Sequence[int], free: Sequence[int
     return -1
 
 
-def _c4_by_path_pairs(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int],
-                      a: int) -> bool:
-    """True iff a Berge-C4 has least class a, by pairing its class 2-paths.
+def _hall(slots: Sequence[int]) -> bool:
+    """True iff slots with these hyperedge masks admit distinct
+    representatives.  By Hall's theorem that holds iff every j of the slots
+    cover at least j hyperedges; it is decided by placing the slots one by
+    one along augmenting paths (_augment), in time polynomial in the number
+    of slots, not one union per subset of them."""
+    holder: dict[int, int] = {}  # hyperedge bit -> the slot that holds it
+    for i in range(len(slots)):
+        if not _augment(slots, i, holder, [0]):
+            return False
+    return True
 
-    The walk a, b, c, d is a pair of 2-paths a-b-c and a-d-c through
-    classes not below a; the two middles may be the same class, so each
-    2-path is also paired with itself.  The slot mask of two classes is
-    masks[i] & masks[j], which for two members of one class is masks[i].
-    """
-    not_below = -1 << a
-    mask_a = masks[a]
-    middles: dict[int, list[tuple[int, int, int, int]]] = {}
-    for b in iter_bits(adj[a] & not_below):
-        mask_b = masks[b]
-        ab = mask_a & mask_b
-        for c in iter_bits(adj[b] & not_below):
-            bc = mask_b & masks[c]
-            both = ab | bc
-            if both.bit_count() < 2:
-                continue
-            paths = middles.setdefault(c, [])
-            paths.append((b, ab, bc, both))
-            for d, da, cd, other in paths:
-                if ((both | other).bit_count() >= 4
-                        and _fits_classes((a, b, c, d), sizes)
-                        and _hall4(ab, bc, cd, da)):
-                    return True
+
+def _augment(slots: Sequence[int], i: int, holder: dict[int, int], seen: list[int]) -> bool:
+    """Give slot i one of its hyperedges outside seen[0], moving the slot
+    that holds it on to another in turn (Kuhn's augmenting path); False
+    when no path ends at a hyperedge no slot holds.  seen[0] collects the
+    hyperedges the search has tried."""
+    while free := slots[i] & ~seen[0]:
+        bit = free & -free
+        seen[0] |= bit
+        j = holder.get(bit)
+        if j is None or _augment(slots, j, holder, seen):
+            holder[bit] = i
+            return True
     return False
-
-
-def _fits_classes(walk: tuple[int, ...], sizes: Sequence[int]) -> bool:
-    """True iff no class occurs in the walk more often than it has members."""
-    return all(walk.count(i) <= sizes[i] for i in walk)
-
-
-def _hall4(m0: int, m1: int, m2: int, m3: int) -> bool:
-    """True iff four slots with these hyperedge masks admit distinct
-    representatives.  By Hall's theorem that holds iff every set of j slots
-    covers at least j hyperedges, checked here for j = 1, 2, 3, 4."""
-    if not (m0 and m1 and m2 and m3):
-        return False
-    if min((m0 | m1).bit_count(), (m0 | m2).bit_count(), (m0 | m3).bit_count(),
-           (m1 | m2).bit_count(), (m1 | m3).bit_count(), (m2 | m3).bit_count()) < 2:
-        return False
-    return (min((m0 | m1 | m2).bit_count(), (m0 | m1 | m3).bit_count(),
-                (m0 | m2 | m3).bit_count(), (m1 | m2 | m3).bit_count()) >= 3
-            and (m0 | m1 | m2 | m3).bit_count() >= 4)
 
 
 @cache

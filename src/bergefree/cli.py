@@ -32,11 +32,10 @@ from .constructions import (
     certify_plane_blowup_free,
     largest_fitting_prime,
     plane_blow_up_json,
-    plane_blow_up_rows,
     projective_plane_incidence,
     theoretical_bounds,
 )
-from .core import FormatError, Hypergraph, dumps_canonical, load_hypergraph
+from .core import FormatError, Hypergraph, dumps_canonical, load_hypergraph, loads_document
 from .embedding import NotBergeC4FreeError, build_embedded_graph, verify_lemma_suite
 from .search import CEILING_MAX_N, GUARD_MAX_N, check_size, max_weight_exact
 
@@ -48,8 +47,9 @@ EXIT_ERROR = 2
 DETECTOR_SIZE_CAP = 100
 
 # Largest plane order construct builds: q = 97 gives about 10^6 hyperedges,
-# written in 0.5-0.7 s at a peak RSS of about 152 MB as a process (Python
-# 3.11, 2-vCPU host); --certify's line-list C4 scan adds about 1 s.
+# written in 0.5-0.7 s at a peak RSS of about 53 MB as a process (Python
+# 3.11, 2-vCPU host); --certify's line-list C4 scan adds 1.5-2 s and takes
+# the peak to about 75 MB.
 MAX_PLANE_ORDER = 97
 
 
@@ -88,10 +88,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
     held in memory.  The stderr counts follow from the same lists: one
     hyperedge per incidence, each of weight 6 - 3.
     certify_plane_blowup_free reads the lists too, so the plane's graph is
-    never built, and the rows and a Hypergraph are built only for the
-    direct detector.  PlaneIncidence's check of its line lists is the one
-    validation: every line index is below N = q^2 + q + 1, so every plane
-    vertex u is below 2N and every copy 3u + 2 below 6N <= n.
+    never built.  Up to DETECTOR_SIZE_CAP vertices the pieces are joined
+    once, and the direct detector runs on the Hypergraph loaded from that
+    text, the text then written, so it checks the writer too.
+    PlaneIncidence's check of its line lists is the one validation: every
+    line index is below N = q^2 + q + 1, so every plane vertex u is below
+    2N and every copy 3u + 2 below 6N <= n.
     """
     try:
         q = _plane_order(args)
@@ -99,19 +101,21 @@ def cmd_construct(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     n = 6 * len(plane.points) if args.n is None else args.n  # isolated padding
+    pieces = plane_blow_up_json(plane, n)
     if args.certify:
         certificate = certify_plane_blowup_free(plane)
         print(f"certificate: {json.dumps(certificate.to_json_dict())}", file=sys.stderr)
         if not certificate.certified:
             return EXIT_FOUND
         if n <= DETECTOR_SIZE_CAP:
-            if not is_berge_c4_free(Hypergraph(n, plane_blow_up_rows(plane))):
+            pieces = ["".join(pieces)]
+            if not is_berge_c4_free(Hypergraph.from_json_dict(loads_document(pieces[0]))):
                 print("detector disagrees with certificate", file=sys.stderr)
                 return EXIT_FOUND
             print("detector: Berge-C4-free confirmed", file=sys.stderr)
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.writelines(plane_blow_up_json(plane, n))
+            fh.writelines(pieces)
     except OSError as exc:
         return _fail(str(exc))
     edges = sum(map(len, plane.lines_through))

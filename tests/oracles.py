@@ -21,16 +21,18 @@ kept too: the builder that decomposes every hyperedge
 (observation1_by_incidence) and the K_{s,t} row engine that tries every
 s-subset of the candidates (kst_by_subset_enumeration).  So are the
 per-edge loops that normalised Graph and ColoredGraph input
-(graph_edges_by_loop, colored_edges_by_loop).
+(graph_edges_by_loop, colored_edges_by_loop), and the detector's vertex
+search by path extension before its witness became a closed walk on one
+class per vertex (first_vertex_cycle_by_path_extension).
 What is shared with the library is named where it is used: the data
 types, core.neighborhood_masks for N1(v) and N2(v) in
 aux_bundle_by_pair_scan (test_core checks it against bfs_neighborhoods),
 distinct_representatives (which
-test_berge checks against _hall4 on every mask 4-tuple), in
-first_cycle_by_vertex_classes the detector's vertex search and, for
-k != 4, its walk gate, run on one class per vertex instead of the twin
-classes (for k = 4 it runs c4_class_by_path_pairs, the detector's gate
-before its seen/dup fold), in
+test_berge checks against _hall on every k-tuple of masks over four ids
+for k up to 4, and on seeded tuples), in
+first_cycle_by_vertex_classes, for k != 4, the detector's walk gate, run
+on one class per vertex instead of the twin classes (for k = 4 it runs
+c4_class_by_path_pairs, the detector's gate before its seen/dup fold), in
 greedy_by_full_recheck, the full detector, which the closing-pair mask
 does not use, and, in max_weight_by_index_scan (the exact search's walk
 before its candidates became bits, which must reach the same nodes in the
@@ -54,11 +56,11 @@ from bergefree import (
     Graph,
     Hypergraph,
     is_berge_c4_free,
+    validate_witness,
     weight,
 )
 from bergefree.berge import (
     _closing_pairs,
-    _first_vertex_cycle,
     _triple_pairs,
     _twin_quotient_has_cycle,
     distinct_representatives,
@@ -619,10 +621,12 @@ def canonical_cycle_by_enumeration(hypergraph: Hypergraph, k: int):
 def first_cycle_by_vertex_classes(hypergraph: Hypergraph, k: int):
     """First Berge-Ck in canonical order, or None: a class gate on one class
     per vertex, whatever its twins (c4_class_by_path_pairs for k = 4, the
-    detector's walk gate otherwise), then the detector's vertex search from
-    the vertex the gate reports.  Incidence and adjacency masks are
-    built here from the hyperedge lists; a vertex in no hyperedge is a class
-    with no neighbours, so class i is vertex i."""
+    detector's walk gate otherwise), then the vertex search the detector
+    ran before its witness became a closed walk
+    (first_vertex_cycle_by_path_extension), from the vertex the gate
+    reports.  Incidence and adjacency masks are built here from the
+    hyperedge lists; a vertex in no hyperedge is a class with no
+    neighbours, so class i is vertex i."""
     n = hypergraph.n
     incidence = [0] * n
     adj = [0] * n
@@ -639,7 +643,56 @@ def first_cycle_by_vertex_classes(hypergraph: Hypergraph, k: int):
         first = _twin_quotient_has_cycle(incidence, sizes, adj, k)
     if first is None:
         return None
-    return _first_vertex_cycle(hypergraph, k, incidence, first)
+    return first_vertex_cycle_by_path_extension(hypergraph, k, incidence, adj, first)
+
+
+def first_vertex_cycle_by_path_extension(hypergraph: Hypergraph, k: int,
+                                         incidence: Sequence[int], adj: Sequence[int],
+                                         first: int):
+    """First Berge-Ck in canonical order whose minimum is first, or None,
+    by extending vertex paths from first through larger vertices, in
+    ascending order, and closing them at depth k.
+
+    The slot of u and v holds the hyperedges of incidence[u] & incidence[v],
+    in id order.  A path whose slots cover fewer hyperedges than it has
+    slots is cut; a closed path is kept when v2 < vk, its k slots cover k
+    hyperedges and distinct_representatives finds them distinct hyperedges.
+    """
+    path = [0] * k
+
+    def extend(depth: int, used_mask: int, allowed: int, union_mask: int):
+        # path[0..depth-1] fixed; union_mask covers the depth-1 slots so far.
+        last = path[depth - 1]
+        if depth == k:
+            v1 = path[0]
+            if not (adj[last] >> v1) & 1:
+                return None
+            if k > 2 and path[1] > last:
+                return None  # orientation: keep only v2 < vk
+            if (union_mask | (incidence[last] & incidence[v1])).bit_count() < k:
+                return None
+            slots = [list(iter_bits(incidence[path[i]] & incidence[path[(i + 1) % k]]))
+                     for i in range(k)]
+            assignment = distinct_representatives(slots)
+            if assignment is None:
+                return None
+            witness = BergeCycleWitness(tuple(path), tuple(assignment))
+            validate_witness(hypergraph, witness)
+            return witness
+        at_last = incidence[last]
+        for w in iter_bits(adj[last] & allowed & ~used_mask):
+            new_union = union_mask | (at_last & incidence[w])
+            if new_union.bit_count() < depth:
+                continue  # fewer distinct hyperedges than slots: dead prefix
+            path[depth] = w
+            found = extend(depth + 1, used_mask | (1 << w), allowed, new_union)
+            if found is not None:
+                return found
+        return None
+
+    path[0] = first
+    # cycle vertices other than v1 exceed it
+    return extend(1, 1 << first, ~((1 << (first + 1)) - 1), 0)
 
 
 def c4_class_by_path_pairs(masks: Sequence[int], sizes: Sequence[int],

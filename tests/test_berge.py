@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 import bergefree as bf
 from bergefree import berge
 from bergefree.berge import (
-    _hall4,
+    _hall,
     _incidence,
     _twin_classes,
     _twin_quotient_has_cycle,
     distinct_representatives,
 )
+from bergefree.core import iter_bits
 from conftest import hypergraphs
 from oracles import (
     SearchState,
@@ -200,11 +201,23 @@ def test_c4_detector_agrees_with_incremental_replay(q, planted):
     assert verdicts == {planted}
 
 
-def test_hall4_matches_distinct_representatives():
-    # every 4-tuple of slot masks over hyperedge ids 0..3
-    for masks in product(range(16), repeat=4):
-        slots = [[hid for hid in range(4) if mask >> hid & 1] for mask in masks]
-        assert _hall4(*masks) == (distinct_representatives(slots) is not None), masks
+@pytest.mark.parametrize("k", range(1, 7))
+def test_hall_matches_distinct_representatives(k):
+    """Every k-tuple of slot masks over hyperedge ids 0..3 up to k = 4, and
+    seeded tuples over ids 0..k+1 for k = 5 and 6, with both verdicts."""
+    if k <= 4:
+        tuples = product(range(16), repeat=k)
+    else:
+        rng = random.Random(k)
+        tuples = [[rng.getrandbits(rng.randint(1, k + 2)) for _ in range(k)]
+                  for _ in range(5000)]
+    verdicts = set()
+    for masks in tuples:
+        slots = [list(iter_bits(mask)) for mask in masks]
+        verdict = distinct_representatives(slots) is not None
+        assert _hall(masks) == verdict, masks
+        verdicts.add(verdict)
+    assert verdicts == {False, True}
 
 
 def test_find_c4_in_k22():
@@ -537,22 +550,46 @@ def test_quotient_on_relabelled_q7_blowups_with_planted_hyperedges():
     assert verdicts[True] > 0, verdicts
 
 
-def test_fold_alone_decides_linear_twin_free_inputs(monkeypatch):
-    """Without twins and with no two hyperedges sharing two vertices there
-    is no trigger, so the fold decides every class: the canonical witness
-    comes back whether Hall's condition holds at the first end seen twice
-    or fails there (one hyperedge covering three of the four slots)."""
-    def refuse_pairing(*args):
-        raise AssertionError("pairing ran on an input with no trigger")
-
+def _watch_the_k4_gate(monkeypatch):
+    """Patch berge so that a closed walk the k = 4 gate starts from any
+    class (one up to the last trigger) raises, and the gate's Hall verdicts
+    are recorded in the returned list.  Walks and Hall tests outside the
+    gate, for the witness, are neither refused nor recorded."""
+    gate, walk, hall = berge._twin_quotient_has_c4, berge._closed_walk, berge._hall
+    inside = []
     hall_results = []
 
-    def recorded_hall4(*masks):
-        hall_results.append(_hall4(*masks))
-        return hall_results[-1]
+    def watched_walk(masks, sizes, adj, k, starts):
+        if inside and len(starts):
+            raise AssertionError("the k = 4 gate walked from classes up to a trigger")
+        return walk(masks, sizes, adj, k, starts)
 
-    monkeypatch.setattr(berge, "_c4_by_path_pairs", refuse_pairing)
-    monkeypatch.setattr(berge, "_hall4", recorded_hall4)
+    def watched_hall(slots):
+        verdict = hall(slots)
+        if inside:
+            hall_results.append(verdict)
+        return verdict
+
+    def watched_gate(*args):
+        inside.append(True)
+        try:
+            return gate(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(berge, "_twin_quotient_has_c4", watched_gate)
+    monkeypatch.setattr(berge, "_closed_walk", watched_walk)
+    monkeypatch.setattr(berge, "_hall", watched_hall)
+    return hall_results
+
+
+def test_fold_alone_decides_linear_twin_free_inputs(monkeypatch):
+    """Without twins and with no two hyperedges sharing two vertices there
+    is no trigger, so the fold decides every class and the gate walks from
+    no class: the canonical witness comes back whether Hall's condition
+    holds at the first end seen twice or fails there (one hyperedge
+    covering three of the four slots)."""
+    hall_results = _watch_the_k4_gate(monkeypatch)
     rng = random.Random(9)
     verdicts = {False: 0, True: 0}
     while sum(verdicts.values()) < 300:
@@ -619,28 +656,41 @@ def test_each_repeated_class_walk_is_found(walk, prefix):
 @pytest.mark.parametrize("k", CYCLE_LENGTHS)
 def test_twin_free_input_enters_the_class_search(k, monkeypatch):
     """Inputs without twins go through the class search, on classes of one
-    member each, and find_berge_cycle returns the canonical witness: the
-    loose cycles, whose only cycle is known, and seeded random inputs,
-    checked against the canonical enumerator up to 9 vertices and the
-    naive oracle up to 12."""
+    member each (the fold for k = 4, a closed walk from every class
+    otherwise), and only an input with a cycle is walked again, from the
+    first vertex of its witness alone; find_berge_cycle returns the
+    canonical witness: the loose cycles, whose only cycle is known, and
+    seeded random inputs, checked against the canonical enumerator up to 9
+    vertices and the naive oracle up to 12."""
     entered = []
+    depth = []
 
     def counted(search):
         def run(*args):
-            entered.append(search.__name__)
-            return search(*args)
+            if not depth:  # a walk inside the k = 4 gate is part of the gate
+                entered.append((search.__name__, *args[4:]))
+            depth.append(True)
+            try:
+                return search(*args)
+            finally:
+                depth.pop()
         return run
 
-    monkeypatch.setattr(berge, "_twin_quotient_has_walk", counted(berge._twin_quotient_has_walk))
+    monkeypatch.setattr(berge, "_closed_walk", counted(berge._closed_walk))
     monkeypatch.setattr(berge, "_twin_quotient_has_c4", counted(berge._twin_quotient_has_c4))
 
     def assert_canonical(h):
-        _, sizes, _, _ = twin_classes(h)
+        masks, sizes, _, _ = twin_classes(h)
         assert sizes == [1] * len(sizes)
         entered.clear()
         witness = bf.find_berge_cycle(h, k)
         if k <= len(h.hyperedges):  # else there is nothing to search
-            assert entered == ["_twin_quotient_has_c4" if k == 4 else "_twin_quotient_has_walk"]
+            gate = ("_twin_quotient_has_c4",) if k == 4 else ("_closed_walk", range(len(masks)))
+            if witness is None:
+                assert entered == [gate]
+            else:
+                first = witness.vertices[0]
+                assert entered == [gate, ("_closed_walk", range(first, first + 1))]
         if h.n <= 9:
             assert witness == canonical_cycle_by_enumeration(h, k), (k, h)
         elif h.n <= 12:
@@ -665,30 +715,35 @@ def test_twin_free_input_enters_the_class_search(k, monkeypatch):
     assert min(verdicts.values()) > 0, verdicts
 
 
+# Hall tests on free blow-ups: none in the k = 4 gate; at k = 5, one per
+# closed class 5-walk whose slots cover five hyperedges, as many as the
+# SDR calls of the walk gate before it tested Hall's condition on masks.
+FREE_BLOWUP_HALL_TESTS = {(4, 2): 0, (4, 3): 0, (4, 5): 0, (5, 2): 63, (5, 3): 390, (5, 5): 3720}
+
+
 @pytest.mark.parametrize("q", [2, 3, 5])
 @pytest.mark.parametrize("k", [4, 5])
 def test_free_blowup_never_reaches_the_vertex_search(q, k, monkeypatch):
     """A free blow-up is decided by the gate alone; at k = 4 it has no
     trigger and no two 2-paths of classes share both ends, so the gate
-    neither pairs class 2-paths nor tests Hall's condition."""
+    neither walks from a class nor tests Hall's condition; at k = 5 every
+    Hall test of the walk fails, and there are exactly as many as closed
+    walks whose slots cover five hyperedges."""
     def refuse(*args):
         raise AssertionError("the vertex-level search ran on a free blow-up")
 
-    def refuse_pairing(*args):
-        raise AssertionError("the k = 4 gate paired class 2-paths on a free blow-up")
+    _watch_the_k4_gate(monkeypatch)
+    hall, hall_results = berge._hall, []
 
-    hall_calls = []
-
-    def counted_hall4(*masks):
-        hall_calls.append(masks)
-        return _hall4(*masks)
+    def counted_hall(slots):
+        hall_results.append(hall(slots))
+        return hall_results[-1]
 
     monkeypatch.setattr(berge, "_shadow_adjacency", refuse)
-    monkeypatch.setattr(berge, "_c4_by_path_pairs", refuse_pairing)
-    monkeypatch.setattr(berge, "_hall4", counted_hall4)
+    monkeypatch.setattr(berge, "_hall", counted_hall)
     h = bf.blow_up(bf.projective_plane_incidence(q).graph(), 3)
     assert bf.find_berge_cycle(h, k) is None
-    assert hall_calls == []
+    assert hall_results == [False] * FREE_BLOWUP_HALL_TESTS[k, q]
 
 
 @pytest.mark.parametrize("k", [4, 5])

@@ -56,6 +56,27 @@ def test_construct_with_certificate(tmp_path, capsys):
     assert "detector: Berge-C4-free confirmed" in err
 
 
+def test_construct_certify_detects_on_the_written_text(tmp_path, capsys, monkeypatch):
+    """Up to the detector cap the detector reads the text construct writes:
+    a writer that appends four copies of {0, 1, 2, 3}, a Berge-C4 the
+    plane's certificate cannot see, makes construct exit 1 and write no
+    file."""
+    import bergefree.cli
+    import bergefree.constructions
+
+    def planted(plane, n):
+        *pieces, tail = bergefree.constructions.plane_blow_up_json(plane, n)
+        return [*pieces, ",[0,1,2,3]" * 4 + tail]
+
+    monkeypatch.setattr(bergefree.cli, "plane_blow_up_json", planted)
+    out = tmp_path / "q3.json"
+    assert main(["construct", "--q", "3", "--certify", "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.splitlines()[1:] == ["detector disagrees with certificate"]
+    assert '"certified": true' in captured.err.splitlines()[0]
+
+
 def test_construct_by_target_n(tmp_path):
     out = tmp_path / "n50.json"
     assert main(["construct", "--n", "50", "-o", str(out)]) == 0
@@ -166,10 +187,11 @@ def test_construct_writes_text_without_rows_or_the_json_encoder(tmp_path, monkey
         raise AssertionError("construct above the detector cap writes the text directly")
 
     import bergefree.cli
+    import bergefree.constructions
     import bergefree.core
     for module in (bergefree.cli, bergefree.core):
         monkeypatch.setattr(module, "dumps_canonical", refuse)
-    monkeypatch.setattr(bergefree.cli, "plane_blow_up_rows", refuse)
+    monkeypatch.setattr(bergefree.constructions, "plane_blow_up_rows", refuse)
     out = tmp_path / "q5.json"
     assert main(["construct", "--q", "5", "--certify", "-o", str(out)]) == 0
     monkeypatch.undo()
@@ -606,7 +628,7 @@ def test_bounds_builds_no_plane(capsys, monkeypatch):
     import bergefree.constructions
     monkeypatch.setattr(bergefree.constructions, "blow_up", refuse)
     monkeypatch.setattr(bergefree.constructions, "projective_plane_incidence", refuse)
-    monkeypatch.setattr(bergefree.cli, "plane_blow_up_rows", refuse)
+    monkeypatch.setattr(bergefree.constructions, "plane_blow_up_rows", refuse)
     monkeypatch.setattr(bergefree.cli, "plane_blow_up_json", refuse)
     monkeypatch.setattr(bergefree.cli, "projective_plane_incidence", refuse)
     # q = 97 is the largest prime with 6(q^2+q+1) <= 60000
@@ -657,7 +679,7 @@ def test_construct_guard_runs_before_any_primality_test(tmp_path, capsys, monkey
     import bergefree.constructions
     monkeypatch.setattr(bergefree.constructions, "is_prime", refuse)
     monkeypatch.setattr(bergefree.cli, "projective_plane_incidence", refuse)
-    monkeypatch.setattr(bergefree.cli, "plane_blow_up_rows", refuse)
+    monkeypatch.setattr(bergefree.constructions, "plane_blow_up_rows", refuse)
     monkeypatch.setattr(bergefree.cli, "plane_blow_up_json", refuse)
     for argv in (["--q", str(HUGE_PRIME)], ["--n", str(10**210)]):
         assert main(["construct", *argv, "-o", str(tmp_path / "x.json")]) == 2
