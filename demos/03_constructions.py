@@ -13,7 +13,8 @@ import bergefree as bf
 
 print(f"{'q':>3} {'n':>6} {'weight':>8} {'ratio':>8} {'lower':>8} {'upper':>8}")
 for q in (2, 3, 5, 7, 11, 13):
-    plane = bf.projective_plane_incidence(q, verify_c4_free=True)
+    plane = bf.projective_plane_incidence(q)
+    assert bf.certify_plane_blowup_free(plane).certified
     base = plane.graph()
     blowup = bf.blow_up(base, 3)
     w = bf.weight(blowup)

@@ -22,7 +22,7 @@ for n in (4, 5, 6):
     start = time.perf_counter()
     result = bf.max_weight_exact(n)
     elapsed = time.perf_counter() - start
-    witness = [sorted(h) for h in result.witness.hyperedges]
+    witness = [list(h) for h in result.witness.hyperedges]
     print(f"{n:>2} {result.best_weight:>5} {result.nodes_explored:>7} "
           f"{elapsed:>7.2f}s   {witness}")
 

@@ -139,26 +139,17 @@ def _points_on(line: tuple[int, int, int], q: int) -> list[int]:
     return points
 
 
-def projective_plane_incidence(q: int, verify_c4_free: bool = False) -> PlaneIncidence:
+def projective_plane_incidence(q: int) -> PlaneIncidence:
     """Incidence graph of PG(2, q) for prime q.
 
     A point P lies on a line L iff the dot product P . L vanishes mod q;
     each line lists its q+1 points directly, so the build is O(q^3).
-    With verify_c4_free=True the line-list scan of certify_plane_blowup_free
-    re-checks that no C4 slipped in (it never should; a failure raises
-    AssertionError).
     """
     if not is_prime(q):
         raise ValueError(f"q must be prime (prime powers unsupported), got {q}")
     reps = tuple(_projective_triples(q))
-    plane = PlaneIncidence(q=q, points=reps, lines=reps,
-                           lines_through=tuple(tuple(_points_on(point, q)) for point in reps))
-    if verify_c4_free:
-        certificate = certify_plane_blowup_free(plane)
-        if not certificate.certified:
-            raise AssertionError(f"incidence graph of order {q} contains a C4: "
-                                 f"{certificate.obstruction}")
-    return plane
+    return PlaneIncidence(q=q, points=reps, lines=reps,
+                          lines_through=tuple(tuple(_points_on(point, q)) for point in reps))
 
 
 def blow_up(graph: Graph, r: int) -> Hypergraph:
@@ -171,11 +162,9 @@ def blow_up(graph: Graph, r: int) -> Hypergraph:
     blow_up(plane.graph(), 3) is the oracle it is tested against."""
     if r < 1:
         raise ValueError(f"blow-up factor must be >= 1, got {r}")
-    hyperedges = []
-    for u, v in sorted(graph.edges):
-        copies = frozenset(range(r * u, r * u + r)) | frozenset(range(r * v, r * v + r))
-        hyperedges.append(copies)
-    return Hypergraph(r * graph.n, tuple(hyperedges))
+    hyperedges = [(*range(r * u, r * u + r), *range(r * v, r * v + r))
+                  for u, v in sorted(graph.edges)]
+    return Hypergraph(r * graph.n, hyperedges)
 
 
 def plane_blow_up_rows(plane: PlaneIncidence) -> list[tuple[int, ...]]:

@@ -1,10 +1,10 @@
 """Data types and elementary statistics for Berge-C4-free hypergraph work.
 
 Vertices are dense integer indices 0..n-1.  A hypergraph is an ordered list
-of vertex sets; the position of a set is its stable hyperedge id, so
-multiple copies of the same set stay distinguishable (Berge cycles require
-distinct hyperedges, not distinct sets).  All types are frozen after
-construction.
+of hyperedges, each stored as a sorted tuple of distinct vertices; the
+position of a hyperedge is its stable id, so multiple copies of the same
+vertex set stay distinguishable (Berge cycles require distinct hyperedges,
+not distinct sets).  All types are frozen after construction.
 
 JSON interchange formats:
 
@@ -13,8 +13,9 @@ JSON interchange formats:
     ColoredGraph  {"n": int, "edges": [[u, v, color], ...]}
 
 Hyperedge order in a file defines the hyperedge id.  Writers emit canonical
-documents (vertices sorted inside each hyperedge, edges sorted, fixed key
-order) so a write/read/write round trip is byte-stable.
+documents (vertices sorted inside each hyperedge, as Hypergraph stores
+them, edges sorted, fixed key order) so a write/read/write round trip is
+byte-stable.
 """
 
 from __future__ import annotations
@@ -42,28 +43,33 @@ def iter_bits(mask: int):
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """Multihypergraph on vertices 0..n-1; hyperedge id = position."""
+    """Multihypergraph on vertices 0..n-1; hyperedge id = position.
+
+    Each hyperedge, any iterable of ints, is stored as the sorted tuple of
+    its distinct vertices.  A vertex outside 0..n-1 raises ValueError
+    naming the first such vertex in the order the hyperedge was given."""
 
     n: int
-    hyperedges: tuple[frozenset[int], ...] = ()
+    hyperedges: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {self.n}")
-        edges = tuple(frozenset(h) for h in self.hyperedges)
-        object.__setattr__(self, "hyperedges", edges)
-        for i, h in enumerate(edges):
-            if h and (min(h) < 0 or max(h) >= self.n):
-                v = next(v for v in h if not 0 <= v < self.n)
-                raise ValueError(
-                    f"hyperedge {i} contains vertex {v}, out of range for n={self.n}"
-                )
+        n = self.n
+        if n < 0:
+            raise ValueError(f"vertex count must be >= 0, got {n}")
+        edges = []
+        for i, h in enumerate(self.hyperedges):
+            row = tuple(sorted(set(h)))
+            if row and (row[0] < 0 or row[-1] >= n):
+                v = next((v for v in h if not 0 <= v < n), row[0] if row[0] < 0 else row[-1])
+                raise ValueError(f"hyperedge {i} contains vertex {v}, out of range for n={n}")
+            edges.append(row)
+        object.__setattr__(self, "hyperedges", tuple(edges))
 
     def __len__(self) -> int:
         return len(self.hyperedges)
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "hyperedges": [sorted(h) for h in self.hyperedges]}
+        return {"n": self.n, "hyperedges": [list(h) for h in self.hyperedges]}
 
     @classmethod
     def from_json_dict(cls, doc: object) -> "Hypergraph":
@@ -75,19 +81,16 @@ class Hypergraph:
         raw = doc["hyperedges"]
         if not isinstance(raw, list):
             raise FormatError('field "hyperedges" must be a list of vertex lists')
-        edges = []
         for i, item in enumerate(raw):
             if not isinstance(item, list):
                 raise FormatError(f"hyperedges[{i}]: expected a list of vertices")
             if not _INT.issuperset(map(type, item)):
                 for j, v in enumerate(item):  # names the first entry that is no int
                     _as_int(v, f"hyperedges[{i}][{j}]")
-            verts = frozenset(item)
-            if len(verts) != len(item):
+            if len(set(item)) != len(item):
                 raise FormatError(f"hyperedges[{i}]: repeated vertex in {item}")
-            edges.append(verts)
-        try:  # the range is checked once, by __post_init__
-            return cls(n, tuple(edges))
+        try:  # sorted and range-checked once, by __post_init__
+            return cls(n, raw)
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
 
@@ -231,18 +234,6 @@ class ColoredGraph:
             seen.add((u, v, color))
             norm.append((u, v, color))
         object.__setattr__(self, "colored_edges", tuple(norm))
-
-    @cached_property
-    def pair_colors(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        out: dict[tuple[int, int], list[int]] = {}
-        for u, v, color in self.colored_edges:
-            out.setdefault((u, v), []).append(color)
-        return {pair: tuple(sorted(cs)) for pair, cs in out.items()}
-
-    def colors_of(self, u: int, v: int) -> tuple[int, ...]:
-        """Colors carried by the pair uv (empty if not an edge)."""
-        key = (u, v) if u < v else (v, u)
-        return self.pair_colors.get(key, ())
 
     @cached_property
     def simple_projection(self) -> Graph:

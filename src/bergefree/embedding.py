@@ -132,17 +132,17 @@ def build_embedded_graph(hypergraph: Hypergraph) -> ColoredGraph:
     """Embed every hyperedge and color each placed edge by its hyperedge id.
 
     decompose_hyperedge places edges by position in the sorted hyperedge,
-    so each hyperedge maps its sorted vertices through the placement of its
-    size (_placement) instead of being decomposed and validated anew.  The
-    edges come out as decompose_hyperedge(h).edges() lists them, u < v.
+    as Hypergraph stores it, so each hyperedge maps its vertices through
+    the placement of its size (_placement) instead of being decomposed and
+    validated anew.  The edges come out in hyperedge-id order, each
+    hyperedge's as decompose_hyperedge(h).edges() lists them, u < v.
     """
     colored: list[tuple[int, int, int]] = []
     append = colored.append
     for hid, h in enumerate(hypergraph.hyperedges):
         if len(h) > 3:
-            verts = sorted(h)
-            for a, b in _placement(len(verts)):
-                append((verts[a], verts[b], hid))
+            for a, b in _placement(len(h)):
+                append((h[a], h[b], hid))
     return ColoredGraph(hypergraph.n, tuple(colored))
 
 
@@ -302,13 +302,30 @@ class LemmaSuiteReport:
         }
 
 
+def _spoke_colors(colored_graph: ColoredGraph,
+                  checked: Iterable[int]) -> dict[int, dict[int, list[int]]]:
+    """The colors of every spoke (v, x) of each checked vertex v, as
+    spokes[v][x], from one pass over the colored edges.  build_embedded_graph
+    emits its edges in hyperedge-id order, so each list ascends."""
+    spokes: dict[int, dict[int, list[int]]] = {v: {} for v in checked}
+    for u, w, color in colored_graph.colored_edges:
+        if u in spokes:
+            spokes[u].setdefault(w, []).append(color)
+        if w in spokes:
+            spokes[w].setdefault(u, []).append(color)
+    return spokes
+
+
 def _vertex_checks(
     hypergraph: Hypergraph,
-    colored_graph: ColoredGraph,
+    projection: Graph,
     proj_masks: tuple[int, ...],
     v: int,
+    spokes: dict[int, list[int]],
 ) -> tuple[dict, list[dict]]:
-    rows = _vertex_rows(colored_graph.simple_projection, v)
+    """v's row and violations; spokes[x] lists the colors of the spoke
+    (v, x) in ascending order (_spoke_colors)."""
+    rows = _vertex_rows(projection, v)
     d = len(rows.g)
     violations: list[dict] = []
     checks: dict[str, bool] = {}
@@ -333,8 +350,8 @@ def _vertex_checks(
 
     checks["inclusion"] = True
     for x, y in _upper_edges(rows.gap):
-        cx = colored_graph.colors_of(v, x)
-        cy = colored_graph.colors_of(v, y)
+        cx = spokes[x]
+        cy = spokes[y]
         admissible = [(hx, hy) for hx in cx for hy in cy if hx != hy]
         if not admissible:
             checks["inclusion"] = False
@@ -394,9 +411,10 @@ def verify_lemma_suite(
     N2(v), and the 2-path count identity |B| + 2|G| = sum over x in N1(v)
     of (d(x) - 1).  A checked vertex outside 0..n-1 raises ValueError.
 
-    Each vertex is checked on adjacency rows (_vertex_rows); no Graph is
-    built for it.  The last two rules hold by the
-    definitions of B and B' (two_path_count and b_minus_bprime_degree).
+    Each vertex is checked on adjacency rows (_vertex_rows), with no Graph
+    built for it, and on its spokes' colors (_spoke_colors, one pass over
+    the colored edges for every checked vertex).  The last two rules hold
+    by the definitions of B and B' (two_path_count and b_minus_bprime_degree).
     They stay as cross-checks: |G| is counted on the N1(v) rows, |B| and
     |B'| from the N2(v) side, and the identity ties the two to the degrees.
     """
@@ -415,9 +433,10 @@ def verify_lemma_suite(
         violations.append({"check": "k27_freeness",
                            "parts": [list(k27[0]), list(k27[1])]})
 
+    spokes = _spoke_colors(colored_graph, checked)
     rows = []
     for v in checked:
-        row, vertex_violations = _vertex_checks(hypergraph, colored_graph, masks, v)
+        row, vertex_violations = _vertex_checks(hypergraph, proj, masks, v, spokes[v])
         rows.append(row)
         violations.extend(vertex_violations)
     return LemmaSuiteReport(

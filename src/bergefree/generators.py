@@ -32,13 +32,13 @@ def random_greedy_hypergraph(
         raise ValueError(f"need 2 <= lo <= hi <= n, got {size_range} with n={n}")
     if isinstance(rng, int):
         rng = random.Random(rng)
-    kept: list[frozenset[int]] = []
+    kept: list[list[int]] = []
     masks: list[int] = []
     spreads: list[int] = []
     closing = 0
     for _ in range(trials):
         size = rng.randint(lo, hi)
-        candidate = frozenset(rng.sample(range(n), size))
+        candidate = rng.sample(range(n), size)
         mask = sum(1 << v for v in candidate)
         spread = sum(1 << (v * n) for v in candidate)
         if spread * mask & closing:
@@ -47,4 +47,4 @@ def random_greedy_hypergraph(
         masks.append(mask)
         spreads.append(spread)
         closing |= _closing_pairs(masks, spreads, n)
-    return Hypergraph(n, tuple(kept))
+    return Hypergraph(n, kept)

@@ -71,7 +71,6 @@ class SearchResult:
     best_weight: int
     witness: Hypergraph
     nodes_explored: int
-    exhaustive: bool
     closing_masks: int = 0
     expanded: int = 0
     distinct_closings: int = 0
@@ -90,12 +89,12 @@ def check_size(n: int, allow_large: bool, override: str = "allow_large=True") ->
         raise ValueError(f"n={n} exceeds the guard n <= {GUARD_MAX_N}; pass {override} to override")
 
 
-def candidate_universe(n: int) -> list[frozenset[int]]:
-    """All vertex subsets of size >= 4 in canonical order: size descending,
-    lexicographic ascending within one size."""
-    out: list[frozenset[int]] = []
+def candidate_universe(n: int) -> list[tuple[int, ...]]:
+    """All vertex subsets of size >= 4 as sorted tuples, in canonical order:
+    size descending, lexicographic ascending within one size."""
+    out: list[tuple[int, ...]] = []
     for size in range(n, 3, -1):
-        out.extend(frozenset(c) for c in combinations(range(n), size))
+        out.extend(combinations(range(n), size))
     return out
 
 
@@ -138,7 +137,7 @@ def max_weight_exact(
         raise ValueError(f"max_mult must be >= 1, got {max_mult}")
 
     cands = candidate_universe(n)
-    pair_bits = [sum(1 << (a * n + b) for a, b in combinations(sorted(c), 2)) for c in cands]
+    pair_bits = [sum(1 << (a * n + b) for a, b in combinations(c, 2)) for c in cands]
     vertex_masks = [sum(1 << v for v in c) for c in cands]
     spreads = [sum(1 << (v * n) for v in c) for c in cands]
     weights = [len(c) - 3 for c in cands]
@@ -248,7 +247,7 @@ def max_weight_exact(
             used[j] -= 1
 
     if first_level_orbit_reps:
-        root = sum(1 << j for j, c in enumerate(cands) if c == frozenset(range(len(c))))
+        root = sum(1 << j for j, c in enumerate(cands) if c == tuple(range(len(c))))
     else:
         root = every
     if root:
@@ -261,7 +260,6 @@ def max_weight_exact(
         best_weight=best_weight,
         witness=witness,
         nodes_explored=nodes,
-        exhaustive=True,
         closing_masks=closing_masks,
         expanded=expanded,
         distinct_closings=len(survivors_of),

@@ -15,7 +15,9 @@ before they ran on adjacency rows are kept here as edge sets
 (aux_bundle_by_pair_scan, vertex_checks_on_bundle), with a set-based
 first K_{s,t} (first_kst_by_neighbor_sets) in place of the row engine;
 the bundle read off the suite's rows (AuxBundle, build_aux_bundle) left
-the package for here.  The whole-graph phase before its linear passes is
+the package for here, and so did the whole-graph pair-color index that
+ColoredGraph kept before the suite read only its checked vertices' spokes
+(pair_colors, colors_of).  The whole-graph phase before its linear passes is
 kept too: the builder that decomposes every hyperedge
 (embedded_graph_by_decomposition), observation 1 on every color
 (observation1_by_incidence) and the K_{s,t} row engine that tries every
@@ -307,6 +309,21 @@ def aux_bundle_by_pair_scan(colored_graph: ColoredGraph, v: int) -> AuxBundle:
                      b=frozenset(b_edges), b_prime=frozenset(b_prime_edges))
 
 
+def pair_colors(colored_graph: ColoredGraph) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Every colored pair (u, v), u < v, with its colors in ascending order:
+    the whole-graph index ColoredGraph kept before the lemma suite read the
+    colors of checked vertices' spokes only."""
+    out: dict[tuple[int, int], list[int]] = {}
+    for u, v, color in colored_graph.colored_edges:
+        out.setdefault((u, v), []).append(color)
+    return {pair: tuple(sorted(cs)) for pair, cs in out.items()}
+
+
+def colors_of(colored_graph: ColoredGraph, u: int, v: int) -> tuple[int, ...]:
+    """Colors carried by the pair uv (empty if not an edge), from pair_colors."""
+    return pair_colors(colored_graph).get((u, v) if u < v else (v, u), ())
+
+
 def vertex_checks_on_bundle(
     hypergraph: Hypergraph,
     colored_graph: ColoredGraph,
@@ -315,8 +332,10 @@ def vertex_checks_on_bundle(
 ) -> tuple[dict, list[dict]]:
     """One checked vertex's row and violations, as the lemma suite reports
     them, read off aux_bundle_by_pair_scan's edge sets, with the K_{5,5}
-    witness from first_kst_by_neighbor_sets."""
+    witness from first_kst_by_neighbor_sets and each spoke's colors from
+    pair_colors."""
     bundle = aux_bundle_by_pair_scan(colored_graph, v)
+    colors = pair_colors(colored_graph)
     d = len(bundle.n1)
     violations: list[dict] = []
     checks: dict[str, bool] = {}
@@ -341,8 +360,8 @@ def vertex_checks_on_bundle(
 
     checks["inclusion"] = True
     for x, y in sorted(bundle.g_aux_prime.edges):
-        cx = colored_graph.colors_of(v, x)
-        cy = colored_graph.colors_of(v, y)
+        cx = colors[min(v, x), max(v, x)]
+        cy = colors[min(v, y), max(v, y)]
         admissible = [(hx, hy) for hx in cx for hy in cy if hx != hy]
         if not admissible:
             checks["inclusion"] = False
@@ -537,7 +556,7 @@ def max_weight_by_index_scan(n: int, max_mult: int = 3, pruned: bool = True,
     suffix = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] + max_mult * weights[i]
-    is_rep = [c == frozenset(range(len(c))) for c in cands]
+    is_rep = [frozenset(c) == frozenset(range(len(c))) for c in cands]
 
     used = [0] * m
     chosen: list[int] = []

@@ -116,7 +116,7 @@ def test_criterion_5_exact_extremal_values():
     start = time.perf_counter()
     four = bf.max_weight_exact(4)
     assert four.best_weight == 3
-    assert four.witness.hyperedges == (frozenset({0, 1, 2, 3}),) * 3
+    assert four.witness.hyperedges == ((0, 1, 2, 3),) * 3
     assert four.best_weight == max_weight_by_multisets(4)
 
     values = {4: four.best_weight}

@@ -1,6 +1,8 @@
 """The package's public names: exported in order, and nothing removed comes back."""
 
+import dataclasses
 import importlib
+import inspect
 
 import pytest
 
@@ -24,6 +26,19 @@ def test_hypergraph_has_no_pair_cover():
     # the detector reads a pair's hyperedges off two incidence masks
     assert not hasattr(bf.Hypergraph, "pair_cover")
     assert not hasattr(bf.Hypergraph(3, ({0, 1, 2},)), "pair_cover")
+
+
+def test_colored_graph_has_no_pair_index():
+    # the lemma suite reads the colors of checked vertices' spokes only;
+    # tests/oracles.py keeps the whole-graph index as the reference
+    assert not hasattr(bf.ColoredGraph, "pair_colors")
+    assert not hasattr(bf.ColoredGraph, "colors_of")
+
+
+def test_removed_parameters_and_fields_are_gone():
+    # the search is always exhaustive, and certify_plane_blowup_free checks a plane
+    assert "exhaustive" not in {f.name for f in dataclasses.fields(bf.SearchResult)}
+    assert "verify_c4_free" not in inspect.signature(bf.projective_plane_incidence).parameters
 
 
 def test_plane_graph_has_one_builder():

@@ -23,7 +23,7 @@ import bergefree as bf
 from bergefree.cli import MAX_PLANE_ORDER, _plane_order, main
 from bergefree.constructions import largest_fitting_prime
 from conftest import hypergraphs
-from oracles import largest_fitting_prime_upward
+from oracles import colors_of, largest_fitting_prime_upward
 
 
 def write_hypergraph(tmp_path, name, h):
@@ -400,7 +400,7 @@ def test_embed_writes_colored_graph(tmp_path, capsys):
     assert main(["embed", "-i", src, "-o", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc == {"n": 6, "edges": [[0, 1, 0], [0, 1, 1]]}
-    assert bf.ColoredGraph.from_json_dict(doc).colors_of(0, 1) == (0, 1)
+    assert colors_of(bf.ColoredGraph.from_json_dict(doc), 0, 1) == (0, 1)
 
 
 def test_lemmas_pass_on_trivial_input(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Core types, statistics, and JSON interchange."""
 
+import json
 import random
 from collections import namedtuple
 
@@ -15,6 +16,7 @@ from oracles import (
     bfs_neighborhoods,
     build_aux_bundle,
     colored_edges_by_loop,
+    colors_of,
     degree_stats,
     graph_edges_by_loop,
     shadow_by_scan,
@@ -160,6 +162,48 @@ def test_hypergraph_rejects_out_of_range_vertex():
         bf.Hypergraph(3, ({0, 3},))
 
 
+def _rows_are_sorted_int_tuples(h):
+    return type(h.hyperedges) is tuple and all(
+        type(row) is tuple and all(isinstance(v, int) for v in row)
+        and list(row) == sorted(set(row)) for row in h.hyperedges)
+
+
+def test_hypergraph_stores_sorted_tuples_of_distinct_vertices():
+    h = bf.Hypergraph(6, ({3, 1, 0}, [5, 2, 4], [2, 2, 1, 2], frozenset({4, 0}),
+                          range(3), iter([5, 0, 5]), (), (4,)))
+    assert h.hyperedges == ((0, 1, 3), (2, 4, 5), (1, 2), (0, 4), (0, 1, 2), (0, 5), (), (4,))
+    assert _rows_are_sorted_int_tuples(h)
+    loaded = bf.Hypergraph.from_json_dict({"n": 6, "hyperedges": [[5, 0, 3], [1], [], [3, 0, 5]]})
+    assert loaded.hyperedges == ((0, 3, 5), (1,), (), (0, 3, 5))
+    assert _rows_are_sorted_int_tuples(loaded)
+
+
+def test_every_builder_stores_sorted_tuples():
+    plane = bf.projective_plane_incidence(3)
+    built = [
+        bf.blow_up(plane.graph(), 3),
+        bf.blow_up(bf.Graph(5, frozenset({(3, 1), (0, 4), (2, 1)})), 2),
+        bf.lower_bound_construction(100).hypergraph,
+        bf.random_greedy_hypergraph(30, (4, 9), 200, rng=5),
+        bf.max_weight_exact(6).witness,
+        bf.max_weight_exact(6, max_mult=1, first_level_orbit_reps=True).witness,
+    ]
+    for h in built:
+        assert len(h) and _rows_are_sorted_int_tuples(h)
+
+
+@pytest.mark.parametrize("rows, vertex", [
+    ([[2, 5, -1]], 5),       # the first bad vertex as given, not the least
+    ([[-1, 2, 5]], -1),
+    ([(7, 0, 3)], 7),
+    ([{0, 1}, iter([1, 9, 4])], 9),  # a one-shot row is named from its sorted form
+])
+def test_out_of_range_vertex_is_named_in_given_order(rows, vertex):
+    with pytest.raises(ValueError) as caught:
+        bf.Hypergraph(3, rows)
+    assert str(caught.value) == f"hyperedge {len(rows) - 1} contains vertex {vertex}, out of range for n=3"
+
+
 def test_hypergraph_allows_duplicate_hyperedges():
     h = bf.Hypergraph(4, ({0, 1, 2}, {0, 1, 2}))
     assert h.hyperedges[0] == h.hyperedges[1]
@@ -180,7 +224,7 @@ def test_colored_graph_rejects_duplicate_pair_color():
 
 def test_colored_graph_allows_parallel_distinct_colors():
     cg = bf.ColoredGraph(3, ((0, 1, 0), (0, 1, 1)))
-    assert cg.colors_of(1, 0) == (0, 1)
+    assert colors_of(cg, 1, 0) == (0, 1)
     assert cg.simple_projection.edges == frozenset({(0, 1)})
 
 
@@ -310,10 +354,25 @@ def test_hypergraph_json_round_trip(tmp_path):
     assert path.read_bytes() == path.with_suffix(".2.json").read_bytes()
 
 
+def test_relabelled_q7_blowup_text_round_trips_byte_for_byte(tmp_path):
+    blown = bf.blow_up(bf.projective_plane_incidence(7).graph(), 3)
+    rng = random.Random(7)
+    image = rng.sample(range(blown.n + 5), blown.n)
+    rows = [sorted(image[v] for v in h) for h in blown.hyperedges]
+    rng.shuffle(rows)
+    text = json.dumps({"n": blown.n + 5, "hyperedges": rows}, separators=(",", ":")) + "\n"
+    path = tmp_path / "q7.json"
+    path.write_text(text)
+    loaded = bf.load_hypergraph(str(path))
+    assert _rows_are_sorted_int_tuples(loaded)
+    bf.save_hypergraph(loaded, str(tmp_path / "again.json"))
+    assert (tmp_path / "again.json").read_text() == text
+
+
 def test_hypergraph_json_preserves_hyperedge_order():
     doc = {"n": 4, "hyperedges": [[2, 3], [0, 1]]}
     h = bf.Hypergraph.from_json_dict(doc)
-    assert h.hyperedges == (frozenset({2, 3}), frozenset({0, 1}))
+    assert h.hyperedges == ((2, 3), (0, 1))
     assert h.to_json_dict() == {"n": 4, "hyperedges": [[2, 3], [0, 1]]}
 
 
@@ -367,7 +426,7 @@ def test_hypergraph_json_accepts_int_subclasses():
         pass
 
     h = bf.Hypergraph.from_json_dict({"n": 3, "hyperedges": [[Label(2), 0]]})
-    assert h.hyperedges == (frozenset({0, 2}),)
+    assert h.hyperedges == ((0, 2),)
 
 
 def test_graph_json_round_trip():

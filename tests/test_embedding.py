@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 import bergefree as bf
 import bergefree.embedding
-from bergefree.embedding import _placement, _vertex_checks
+from bergefree.embedding import _placement, _spoke_colors, _vertex_checks
 from conftest import hypergraphs
 from oracles import (
     F1,
@@ -21,6 +21,7 @@ from oracles import (
     embedded_graph_by_decomposition,
     has_pattern_by_enumeration,
     observation1_by_incidence,
+    pair_colors,
     vertex_checks_on_bundle,
 )
 
@@ -349,12 +350,18 @@ def test_bundle_matches_definition_scan(h):
 # per-vertex checks on adjacency rows against the edge-set oracle
 # ---------------------------------------------------------------------------
 
+def _fast_checks(hypergraph, colored_graph, v):
+    proj = colored_graph.simple_projection
+    return _vertex_checks(hypergraph, proj, proj.adjacency_masks, v,
+                          _spoke_colors(colored_graph, [v])[v])
+
+
 def _vertex_reports(hypergraph, colored_graph, v):
     """v's row and violations from the library and from the oracle, each as
     JSON text, so key order counts too."""
     masks = colored_graph.simple_projection.adjacency_masks
-    return tuple(json.dumps(check(hypergraph, colored_graph, masks, v))
-                 for check in (_vertex_checks, vertex_checks_on_bundle))
+    return (json.dumps(_fast_checks(hypergraph, colored_graph, v)),
+            json.dumps(vertex_checks_on_bundle(hypergraph, colored_graph, masks, v)))
 
 
 @settings(max_examples=150)
@@ -440,11 +447,11 @@ def test_vertex_checks_match_bundle_oracle_on_each_violation(build, kind):
 
 def test_k55_check_reads_g_aux_prime_and_names_the_first_witness():
     h, cg = _k55_in_gap()
-    _, violations = _vertex_checks(h, cg, cg.simple_projection.adjacency_masks, 0)
+    _, violations = _fast_checks(h, cg, 0)
     assert [v["parts"] for v in violations if v["check"] == "k55_freeness"] == \
         [[[1, 3, 5, 7, 9], [2, 4, 6, 8, 10]]]
     h, cg = _dense_g_under_hub()
-    row, _ = _vertex_checks(h, cg, cg.simple_projection.adjacency_masks, 0)
+    row, _ = _fast_checks(h, cg, 0)
     assert row["checks"]["k55_freeness"] and row["g_aux_prime_edges"] == 29
 
 
@@ -462,6 +469,38 @@ def test_lemma_suite_builds_no_graph_per_checked_vertex(monkeypatch):
     report = bf.verify_lemma_suite(h)
     assert len(report.rows) == h.n == 78
     assert built == unchecked
+
+
+def _spokes_by_pair_colors(colored_graph, checked):
+    """spokes[v][x] for each checked v, read off the whole-graph index."""
+    spokes = {v: {} for v in checked}
+    for (u, w), colors in pair_colors(colored_graph).items():
+        if u in spokes:
+            spokes[u][w] = list(colors)
+        if w in spokes:
+            spokes[w][u] = list(colors)
+    return spokes
+
+
+def _seeded_multihypergraph(seed):
+    """Hyperedges of 2 to 13 vertices on 16, some of them repeated, so
+    parallel colored edges carry several colors."""
+    rng = random.Random(seed)
+    hyperedges = []
+    for _ in range(rng.randint(1, 9)):
+        edge = rng.sample(range(16), rng.randint(2, 13))
+        hyperedges += [edge] * rng.choice((1, 1, 2, 3))
+    rng.shuffle(hyperedges)
+    return bf.Hypergraph(16, hyperedges)
+
+
+@pytest.mark.parametrize("h", [_relabelled_blowup(q, 40 + q) for q in (3, 5, 7)]
+                         + [_seeded_multihypergraph(seed) for seed in range(40)])
+def test_spoke_colors_match_pair_color_oracle(h):
+    cg = bf.build_embedded_graph(h)
+    rng = random.Random(h.n)
+    for checked in (range(h.n), sorted(rng.sample(range(h.n), h.n // 3)), []):
+        assert _spoke_colors(cg, checked) == _spokes_by_pair_colors(cg, checked)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exact extremal search: frozen small values, oracle equality, determinism."""
 
 import copy
+import json
 import random
 from itertools import combinations, permutations, product
 
@@ -8,6 +9,7 @@ import pytest
 
 import bergefree as bf
 from bergefree.berge import _closing_pairs, _diagonal, _triple_pairs
+from bergefree.cli import main
 from bergefree.core import iter_bits
 import bergefree.search
 from bergefree.search import CEILING_MAX_N, candidate_universe, check_size
@@ -28,9 +30,10 @@ def test_candidate_universe_order():
     cands = candidate_universe(5)
     sizes = [len(c) for c in cands]
     assert sizes == sorted(sizes, reverse=True)
-    assert cands[0] == frozenset(range(5))
-    # lexicographic within one size
-    four_sets = [tuple(sorted(c)) for c in cands if len(c) == 4]
+    assert cands[0] == tuple(range(5))
+    # sorted tuples, lexicographic within one size
+    assert all(c == tuple(sorted(set(c))) for c in cands)
+    four_sets = [c for c in cands if len(c) == 4]
     assert four_sets == sorted(four_sets)
     assert all(len(c) >= 4 for c in cands)
 
@@ -376,19 +379,24 @@ def test_rich_triple_pairs_are_the_product_of_the_ends_on_seeded_triples(n):
         triples.append(triple)
     assert _check_rich_triples(triples, n) > 500
 
-def test_exact_value_n4():
+def test_exact_value_n4(tmp_path):
     result = bf.max_weight_exact(4)
     assert result.best_weight == 3
-    assert result.witness.hyperedges == (frozenset({0, 1, 2, 3}),) * 3
+    assert result.witness.hyperedges == ((0, 1, 2, 3),) * 3
     assert bf.is_berge_c4_free(result.witness)
-    assert result.exhaustive
     assert result.best_weight == max_weight_by_multisets(4)
+    # the search is exhaustive by construction; berge search still says so
+    out = tmp_path / "n4.jsonl"
+    assert main(["search", "--n", "4", "-o", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["exhaustive"] is True
+    assert record["witness"] == result.witness.to_json_dict()
 
 
 def test_exact_value_n4_multiplicity_one():
     result = bf.max_weight_exact(4, max_mult=1)
     assert result.best_weight == 1
-    assert result.witness.hyperedges == (frozenset({0, 1, 2, 3}),)
+    assert result.witness.hyperedges == ((0, 1, 2, 3),)
 
 
 def test_exact_value_n5_pruned_equals_unpruned_equals_oracle():
