@@ -47,9 +47,9 @@ EXIT_ERROR = 2
 DETECTOR_SIZE_CAP = 100
 
 # Largest plane order construct builds: q = 97 gives about 10^6 hyperedges,
-# written in 0.5-0.7 s at a peak RSS of about 53 MB as a process (Python
-# 3.11, 2-vCPU host); --certify's line-list C4 scan adds 1.5-2 s and takes
-# the peak to about 75 MB.
+# written in 0.4-0.5 s at a peak RSS of about 26 MB as a process (Python
+# 3.11, 2-vCPU host); --certify's line-list C4 test adds 0.6-0.8 s and
+# takes the peak to about 50 MB.
 MAX_PLANE_ORDER = 97
 
 

@@ -10,14 +10,17 @@ base graph has neither a C3 nor a C4, and its weight is 3 |E(G)|.
 Points and lines share one list of normalized triples, and P . L = 0 is
 symmetric, so the points on line j are, by index, the lines through point
 j.  projective_plane_incidence keeps these per-point line lists, ascending,
-and everything downstream reads them: plane_blow_up_rows walks them, points
-ascending, to emit the blow-up's hyperedges as sorted rows in blow_up's
-order without building a graph, a set or a sort; plane_blow_up_json walks
-them the same way to yield the blow-up's canonical JSON text, one piece
-per point, from one "3u,3u+1,3u+2" string per plane vertex, with no row
-tuple and no JSON encoder; and certify_plane_blowup_free scans them for a
-C4.  The plane's Graph is built from the lists only when asked for
-(PlaneIncidence.graph()).
+and builds them in C: the lines of one slope are the shifts of one pattern,
+so each family is q list slices transposed by zip, and the other lines are
+ranges.  Everything downstream reads the lists: plane_blow_up_rows walks
+them, points ascending, to emit the blow-up's hyperedges as sorted rows in
+blow_up's order without building a graph, a set or a sort;
+plane_blow_up_json walks them the same way to yield the blow-up's
+canonical JSON text, one piece per point, from one "3u,3u+1,3u+2" string
+per plane vertex, with no row tuple and no JSON encoder; and
+certify_plane_blowup_free transposes them into per-line point masks and
+tests each point with one OR-reduce over its lines' masks.  The plane's
+Graph is built from the lists only when asked for (PlaneIncidence.graph()).
 blow_up and certify_blowup_free stay the general builder and certificate
 for any graph, and the oracles for the plane's fast paths.
 
@@ -29,6 +32,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
+from operator import lt, or_
 from typing import Iterator, NamedTuple, Optional
 
 from .berge import find_c4_in_graph, find_triangle
@@ -101,7 +107,7 @@ class PlaneIncidence:
                 continue
             if lines[0] < 0 or lines[-1] >= count:
                 raise ValueError(f"point {i}: line index out of range(0, {count}) in {lines}")
-            if any(a >= b for a, b in zip(lines, lines[1:])):
+            if not all(map(lt, lines, lines[1:])):
                 raise ValueError(f"point {i}: line indices must strictly ascend, got {lines}")
 
     def graph(self) -> Graph:
@@ -119,37 +125,40 @@ def _projective_triples(q: int) -> list[tuple[int, int, int]]:
     return triples
 
 
-def _points_on(line: tuple[int, int, int], q: int) -> list[int]:
-    """Ascending indices (in _projective_triples order) of the q+1 points P
-    with P . line = 0 mod q, found by solving the line equation for the
-    last free coordinate of each point form (1, a, b), (0, 1, b), (0, 0, 1).
-    By duality, passing a point gives the lines through it."""
-    l0, l1, l2 = line
-    square = q * q
-    if l2:
-        inv = pow(l2, -1, q)
-        points = [a * q + (-(l0 + a * l1) * inv) % q for a in range(q)]
-        points.append(square + (-l1 * inv) % q)
-    elif l1:
-        a = (-l0 * pow(l1, -1, q)) % q
-        points = [a * q + b for b in range(q)]
-        points.append(square + q)
-    else:
-        points = [square + b for b in range(q + 1)]
-    return points
-
-
 def projective_plane_incidence(q: int) -> PlaneIncidence:
     """Incidence graph of PG(2, q) for prime q.
 
-    A point P lies on a line L iff the dot product P . L vanishes mod q;
-    each line lists its q+1 points directly, so the build is O(q^3).
+    A point P lies on a line L iff P . L = 0 mod q, and points and lines
+    share one triple list, so the row of point (l0, l1, l2) lists the
+    points on the line l0 + l1 x + l2 y = 0.  Point (1, x, y) has index
+    x q + y and (0, 1, y) index q^2 + y, which makes the points at infinity
+    a column x = q.  The q lines of slope d, y = c + d x, all pass through
+    (0, 1, d), and their points in column x are the doubled column
+    x q .. x q + q - 1 read from offset d x mod q: q slices, which zip
+    transposes into the q rows.  Line y = c + d x is point (1, d/c, -1/c),
+    or (0, 1, -1/d) at c = 0, which is (0, 0, 1) when d = 0 too.  The
+    other lines are whole columns with (0, 0, 1): x = -1/a is (1, a, 0),
+    x = q is (1, 0, 0) and x = 0 is (0, 1, 0).  So no row takes a dot
+    product or a residue per incidence.
     """
     if not is_prime(q):
         raise ValueError(f"q must be prime (prime powers unsupported), got {q}")
     reps = tuple(_projective_triples(q))
-    return PlaneIncidence(q=q, points=reps, lines=reps,
-                          lines_through=tuple(tuple(_points_on(point, q)) for point in reps))
+    square = q * q
+    inverse = [0] + [pow(c, -1, q) for c in range(1, q)]
+    rows = [None] * (square + q + 1)
+    for a in range(q):  # (1, a, 0): the column x = -1/a, or x = q when a = 0
+        start = (q - inverse[a]) * q
+        rows[a * q] = (*range(start, start + q), square + q)
+    rows[square] = (*range(q), square + q)  # (0, 1, 0): the column x = 0
+    columns = [[*range(x * q, x * q + q)] * 2 for x in range(q)]
+    for d in range(q):  # the lines y = c + d x, c ascending
+        shifts = [d * x % q for x in range(q)]
+        family = zip(*[column[s:s + q] for column, s in zip(columns, shifts)], repeat(square + d))
+        rows[square + q - inverse[d]] = next(family)
+        for c, row in zip(range(1, q), family):
+            rows[d * inverse[c] % q * q + q - inverse[c]] = row
+    return PlaneIncidence(q=q, points=reps, lines=reps, lines_through=tuple(rows))
 
 
 def blow_up(graph: Graph, r: int) -> Hypergraph:
@@ -253,30 +262,40 @@ def certify_plane_blowup_free(plane: PlaneIncidence) -> BlowupCertificate:
     without building the graph.
 
     Every incidence edge joins a point i < N to a line N + j, so the graph
-    has no triangle, and a C4 has two points and two lines: its least
-    vertex is a point.  The line lists are transposed into per-line point
-    masks; for each point x, the points above x on its lines are folded
-    into seen (met once) and dup (met twice), as find_c4_in_graph folds
-    2-paths.  The first x with a dup gives the same obstruction
-    (x, N + a, y, N + b): y the least point above x on two of x's lines,
-    a < b the two least of them.
+    has no triangle, and a C4 has two points and two lines.  One pass,
+    points ascending, transposes the line lists into per-line point masks
+    P_j.  Before point i goes in, the masks of its lines hold the points
+    below i, and a point below i lies on two of them exactly when their OR
+    has fewer bits than their sizes add up to: one OR-reduce per point, and
+    every C4 fails it at its larger point.  Only when some point fails are
+    the finished masks folded, point by point, into seen (met once) and dup
+    (met twice) above x, as find_c4_in_graph folds 2-paths; the first x
+    with a dup gives the same obstruction (x, N + a, y, N + b): y the least
+    point above x on two of x's lines, a < b the two least of them.
     """
     count = len(plane.points)
     points_on = [0] * len(plane.lines)
+    sizes = [0] * len(plane.lines)
+    free = True
     for i, lines in enumerate(plane.lines_through):
+        if free and lines:
+            free = reduce(or_, map(points_on.__getitem__, lines)).bit_count() == \
+                sum(map(sizes.__getitem__, lines))
         bit = 1 << i
         for j in lines:
             points_on[j] |= bit
-    for x, lines in enumerate(plane.lines_through):
-        seen = dup = 0
-        for j in lines:
-            ends = points_on[j] >> (x + 1)
-            dup |= seen & ends
-            seen |= ends
-        if dup:
-            y = x + (dup & -dup).bit_length()
-            a, b = [j for j in lines if points_on[j] >> y & 1][:2]
-            return BlowupCertificate(False, "four_cycle", (x, count + a, y, count + b))
+            sizes[j] += 1
+    if not free:
+        for x, lines in enumerate(plane.lines_through):
+            seen = dup = 0
+            for j in lines:
+                ends = points_on[j] >> (x + 1)
+                dup |= seen & ends
+                seen |= ends
+            if dup:
+                y = x + (dup & -dup).bit_length()
+                a, b = [j for j in lines if points_on[j] >> y & 1][:2]
+                return BlowupCertificate(False, "four_cycle", (x, count + a, y, count + b))
     return BlowupCertificate(True)
 
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import lt
 
 
 class FormatError(ValueError):
@@ -46,8 +48,10 @@ class Hypergraph:
     """Multihypergraph on vertices 0..n-1; hyperedge id = position.
 
     Each hyperedge, any iterable of ints, is stored as the sorted tuple of
-    its distinct vertices.  A vertex outside 0..n-1 raises ValueError
-    naming the first such vertex in the order the hyperedge was given."""
+    its distinct vertices: it is sorted once, and only a row that repeats a
+    vertex is collapsed through a set.  A vertex outside 0..n-1 raises
+    ValueError naming the first such vertex in the order the hyperedge was
+    given."""
 
     n: int
     hyperedges: tuple[tuple[int, ...], ...] = ()
@@ -58,7 +62,9 @@ class Hypergraph:
             raise ValueError(f"vertex count must be >= 0, got {n}")
         edges = []
         for i, h in enumerate(self.hyperedges):
-            row = tuple(sorted(set(h)))
+            row = tuple(sorted(h))
+            if not all(map(lt, row, row[1:])):
+                row = tuple(sorted(set(row)))
             if row and (row[0] < 0 or row[-1] >= n):
                 v = next((v for v in h if not 0 <= v < n), row[0] if row[0] < 0 else row[-1])
                 raise ValueError(f"hyperedge {i} contains vertex {v}, out of range for n={n}")
@@ -81,21 +87,38 @@ class Hypergraph:
         raw = doc["hyperedges"]
         if not isinstance(raw, list):
             raise FormatError('field "hyperedges" must be a list of vertex lists')
-        for i, item in enumerate(raw):
-            if not isinstance(item, list):
-                raise FormatError(f"hyperedges[{i}]: expected a list of vertices")
-            if not _INT.issuperset(map(type, item)):
-                for j, v in enumerate(item):  # names the first entry that is no int
-                    _as_int(v, f"hyperedges[{i}][{j}]")
-            if len(set(item)) != len(item):
-                raise FormatError(f"hyperedges[{i}]: repeated vertex in {item}")
+        # One pass over every entry checks the types; any other input, and
+        # any error, goes through _check_rows, which names the first faulty
+        # row as a row-by-row scan would.
+        if not (_LIST.issuperset(map(type, raw))
+                and _INT.issuperset(map(type, chain.from_iterable(raw)))):
+            _check_rows(raw)
         try:  # sorted and range-checked once, by __post_init__
-            return cls(n, raw)
+            hypergraph = cls(n, raw)
         except ValueError as exc:
+            _check_rows(raw)  # a repeated vertex is named before a range error
             raise FormatError(str(exc)) from exc
+        if list(map(len, hypergraph.hyperedges)) != list(map(len, raw)):
+            _check_rows(raw)  # __post_init__ collapsed a repeated vertex
+        return hypergraph
 
 
 _INT = frozenset({int})
+_LIST = frozenset({list})
+
+
+def _check_rows(raw: list) -> None:
+    """Raise FormatError for the first row that is no list, holds an entry
+    that is no int, or repeats a vertex; return if every row is sound."""
+    for i, item in enumerate(raw):
+        if not isinstance(item, list):
+            raise FormatError(f"hyperedges[{i}]: expected a list of vertices")
+        if not _INT.issuperset(map(type, item)):
+            for j, v in enumerate(item):  # names the first entry that is no int
+                _as_int(v, f"hyperedges[{i}][{j}]")
+        row = sorted(item)
+        if not all(map(lt, row, row[1:])):
+            raise FormatError(f"hyperedges[{i}]: repeated vertex in {item}")
 
 
 def _as_int(value: object, where: str) -> int:

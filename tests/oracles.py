@@ -25,7 +25,9 @@ s-subset of the candidates (kst_by_subset_enumeration).  So are the
 per-edge loops that normalised Graph and ColoredGraph input
 (graph_edges_by_loop, colored_edges_by_loop), and the detector's vertex
 search by path extension before its witness became a closed walk on one
-class per vertex (first_vertex_cycle_by_path_extension).
+class per vertex (first_vertex_cycle_by_path_extension), and the plane's
+line lists solved line by line before they were read off slope families
+(points_on).
 What is shared with the library is named where it is used: the data
 types, core.neighborhood_masks for N1(v) and N2(v) in
 aux_bundle_by_pair_scan (test_core checks it against bfs_neighborhoods),
@@ -774,6 +776,28 @@ def plane_incidence_by_dot_products(q: int) -> frozenset[tuple[int, int]]:
         for j, line in enumerate(triples)
         if (p[0] * line[0] + p[1] * line[1] + p[2] * line[2]) % q == 0
     )
+
+
+def points_on(line: tuple[int, int, int], q: int) -> list[int]:
+    """Ascending indices, in the order (1, a, b), (0, 1, b), (0, 0, 1), of
+    the q+1 points P with P . line = 0 mod q, found by solving the line
+    equation for the last free coordinate of each point form with one
+    modular inverse.  By duality, passing a point gives the lines through
+    it: the line lists projective_plane_incidence built this way before
+    its rows were read off slope families."""
+    l0, l1, l2 = line
+    square = q * q
+    if l2:
+        inv = pow(l2, -1, q)
+        points = [a * q + (-(l0 + a * l1) * inv) % q for a in range(q)]
+        points.append(square + (-l1 * inv) % q)
+    elif l1:
+        a = (-l0 * pow(l1, -1, q)) % q
+        points = [a * q + b for b in range(q)]
+        points.append(square + q)
+    else:
+        points = [square + b for b in range(q + 1)]
+    return points
 
 
 def prime_sieve(limit: int) -> bytearray:

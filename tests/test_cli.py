@@ -554,29 +554,58 @@ def test_search_ceiling_maps_to_exit_two(tmp_path, capsys, monkeypatch):
         assert captured.err == f"error: n={n} exceeds the search's ceiling n <= 16\n"
 
 
+# Runs `berge lemmas` with Graph.adjacency_masks patched to raise
+# MemoryError, under a 512 MiB address-space cap set in this process only,
+# so a real allocation of the declared size fails fast instead of filling
+# the host's memory.  The first argument names a file the patch creates.
+_LEMMAS_OUT_OF_MEMORY = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+import bergefree as bf
+from bergefree.cli import main
+reached = sys.argv.pop(1)
+def out_of_memory(graph):
+    open(reached, "w").close()
+    raise MemoryError
+bf.Graph.adjacency_masks = property(out_of_memory)
+sys.exit(main())
+"""
+
+
 def test_out_of_memory_maps_to_exit_two(tmp_path, capsys, monkeypatch):
     """A declared size too large to allocate for ends in exit 2 with one
     line on stderr and nothing on stdout.  The allocation that would fail
-    is patched to raise MemoryError, so no real size is ever allocated."""
+    is patched to raise MemoryError, so no real size is ever allocated;
+    lemmas runs in a child process under an address-space cap, so if it
+    allocated the declared size before the patched one, the test fails
+    (the patch is never reached) rather than exhausting memory."""
     import bergefree.search
-    reached = []
-
-    def out_of_memory(*args):
-        reached.append(True)
-        raise MemoryError
-
-    monkeypatch.setattr(bf.Graph, "adjacency_masks", property(out_of_memory))
-    monkeypatch.setattr(bergefree.search, "candidate_universe", out_of_memory)
     big = tmp_path / "big.json"
     big.write_text('{"n":99999999999,"hyperedges":[]}')
+    message = "error: {} ran out of memory: the declared size is too large\n"
+
+    reached = tmp_path / "reached"
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _LEMMAS_OUT_OF_MEMORY, str(reached), "lemmas", "-i", str(big)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 2
+    assert reached.exists() and result.stdout == ""
+    assert result.stderr == message.format("lemmas")
+
+    calls = []
+
+    def out_of_memory(*args):
+        calls.append(True)
+        raise MemoryError
+
+    monkeypatch.setattr(bergefree.search, "candidate_universe", out_of_memory)
     results = tmp_path / "r.jsonl"
-    for argv in (["lemmas", "-i", str(big)],
-                 ["search", "--n", "16", "--allow-large", "-o", str(results)]):
-        reached.clear()
-        assert main(argv) == 2, argv
-        captured = capsys.readouterr()
-        assert reached and captured.out == "" and not results.exists()
-        assert captured.err == f"error: {argv[0]} ran out of memory: the declared size is too large\n"
+    assert main(["search", "--n", "16", "--allow-large", "-o", str(results)]) == 2
+    captured = capsys.readouterr()
+    assert calls and captured.out == "" and not results.exists()
+    assert captured.err == message.format("search")
 
 
 def test_bounds_table(capsys):

@@ -10,7 +10,6 @@ from hypothesis import given
 import bergefree as bf
 from bergefree.constructions import (
     PRIME_TEST_LIMIT,
-    _points_on,
     largest_fitting_prime,
     plane_blow_up_json,
 )
@@ -22,6 +21,7 @@ from oracles import (
     is_prime_by_trial_division,
     largest_fitting_prime_upward,
     plane_incidence_by_dot_products,
+    points_on,
     prime_sieve,
     primes_up_to,
 )
@@ -143,17 +143,13 @@ def test_plane_incidence_matches_dot_product_definition(q):
     assert bf.projective_plane_incidence(q).graph().edges == plane_incidence_by_dot_products(q)
 
 
-@pytest.mark.parametrize("q", PRIMES_TO_31)
+PRIMES_TO_97 = [q for q in range(98) if bf.is_prime(q)]
+
+
+@pytest.mark.parametrize("q", PRIMES_TO_97)
 def test_lines_through_a_point_are_the_points_on_its_dual_line(q):
     plane = bf.projective_plane_incidence(q)
-    count = len(plane.points)
-    by_point = [[] for _ in range(count)]
-    for i, line_vertex in plane.graph().edges:
-        by_point[i].append(line_vertex - count)
-    for i, point in enumerate(plane.points):
-        lines = _points_on(point, q)
-        assert lines == sorted(by_point[i])
-        assert plane.lines_through[i] == tuple(lines)
+    assert plane.lines_through == tuple(tuple(points_on(point, q)) for point in plane.points)
 
 
 @pytest.mark.parametrize("q", PRIMES_TO_31)
@@ -208,7 +204,7 @@ def _corrupted_plane(q, seed):
                              tuple(tuple(sorted(lines)) for lines in lists))
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
 def test_plane_certificate_matches_graph_certificate_on_corrupted_planes(q):
     verdicts = []
     for seed in range(200):
@@ -217,6 +213,27 @@ def test_plane_certificate_matches_graph_certificate_on_corrupted_planes(q):
         assert certificate == bf.certify_blowup_free(plane.graph()), (q, seed)
         verdicts.append(certificate.certified)
     assert 20 < verdicts.count(False) < 180  # both verdicts are well represented
+
+
+def _seven_point_plane(lines_through):
+    plane = bf.projective_plane_incidence(2)
+    return bf.PlaneIncidence(2, plane.points, plane.lines, lines_through)
+
+
+def test_plane_certificate_with_a_bare_point_and_a_bare_line():
+    # point 0 is on no line and line 6 has no point; no two lines share two points
+    plane = _seven_point_plane(((), (0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
+    certificate = bf.certify_plane_blowup_free(plane)
+    assert certificate == bf.certify_blowup_free(plane.graph()) == bf.BlowupCertificate(True)
+
+
+def test_plane_certificate_names_the_least_of_two_planted_c4s():
+    # points 2 and 3 share lines 1 and 2; points 1 and 6 share lines 0 and 4.
+    # Points ascending, the pair (2, 3) closes first, but 1 is the least C4 point.
+    plane = _seven_point_plane(((), (0, 4), (1, 2), (1, 2), (3,), (5,), (0, 4)))
+    certificate = bf.certify_plane_blowup_free(plane)
+    assert certificate == bf.certify_blowup_free(plane.graph())
+    assert certificate == bf.BlowupCertificate(False, "four_cycle", (1, 7 + 0, 6, 7 + 4))
 
 
 def _q2_plane_with(point, lines):
