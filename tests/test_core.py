@@ -408,13 +408,14 @@ def test_hypergraph_json_rejects_malformed(doc):
     # rows are checked in order, and the range only after every row
     ({"n": 3, "hyperedges": [[0, 0], [0, "a"]]}, "hyperedges[0]: repeated vertex in [0, 0]"),
     ({"n": 3, "hyperedges": [[0, 5], [0, "a"]]}, "hyperedges[1][1]: expected an integer, got 'a'"),
-    ({"n": 3, "hyperedges": [[0, 5], [1, 2, 1]]}, "hyperedges[1]: repeated vertex in [1, 2, 1]"),
     ({"n": 3, "hyperedges": [[0, 1], [2, 5, -1]]},
      "hyperedge 1 contains vertex 5, out of range for n=3"),
     ({"n": 3, "hyperedges": [[0, 1], [-1, 2]]},
      "hyperedge 1 contains vertex -1, out of range for n=3"),
     ({"n": 40, "hyperedges": [[0, 1], [39, 40, 33, 41, 7]]},
      "hyperedge 1 contains vertex 40, out of range for n=40"),
+    # a repeated vertex in a later row is named before an earlier row's range error
+    ({"n": 3, "hyperedges": [[0, 5], [1, 2, 1]]}, "hyperedges[1]: repeated vertex in [1, 2, 1]"),
 ])
 def test_hypergraph_json_error_texts_are_pinned(doc, message):
     with pytest.raises(bf.FormatError) as caught:
