@@ -48,5 +48,5 @@ for n in (4, 5):
 # comparators; nothing is asserted about the ordering at these sizes.
 print(f"\n{'n':>2} {'exact':>6} {'upper':>8} {'lower':>8}")
 for n in (4, 5, 6):
-    row = bf.compare_to_bounds(bf.max_weight_exact(n))
-    print(f"{row.n:>2} {row.best_weight:>6} {row.upper:>8.2f} {row.lower:>8.2f}")
+    upper, lower = bf.theoretical_bounds(n)
+    print(f"{n:>2} {bf.max_weight_exact(n).best_weight:>6} {upper:>8.2f} {lower:>8.2f}")

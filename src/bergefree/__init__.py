@@ -47,7 +47,6 @@ from .patterns import contains_kst
 from .search import (
     SearchResult,
     candidate_universe,
-    compare_to_bounds,
     max_weight_exact,
 )
 
@@ -72,7 +71,6 @@ __all__ = [
     "candidate_universe",
     "certify_blowup_free",
     "certify_plane_blowup_free",
-    "compare_to_bounds",
     "contains_kst",
     "decompose_hyperedge",
     "find_berge_cycle",

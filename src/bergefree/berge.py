@@ -29,9 +29,10 @@ One closed-walk search (_closed_walk) answers every question of the form
    has no trigger and no end seen twice, so it needs no Hall test.
 2. Witness.  When the gate finds a cycle, the same walk runs on one class
    per vertex, from the smallest member of the least class with a cycle
-   alone, and distinct_representatives, run once on the slots of the walk
-   it returns, picks the hyperedges.  That is the first cycle of the
-   enumeration above, so witnesses do not depend on the gate.
+   alone, and distinct_representatives, run once on the slot masks of the
+   walk it returns, picks the hyperedges with _hall, the one SDR engine.
+   That is the first cycle of the enumeration above, so witnesses do not
+   depend on the gate.
 
 One mask engine serves the exact search and the greedy generator:
 _closing_pairs finds, from vertex masks and their spreads (bit a*n for each
@@ -99,31 +100,30 @@ def validate_witness(hypergraph: Hypergraph, witness: BergeCycleWitness) -> None
             raise ValueError(f"pair ({u},{v}) not inside hyperedge {hid}")
 
 
-def distinct_representatives(slot_candidates: Sequence[Sequence[int]]) -> Optional[list[int]]:
-    """Pick one id per slot, all distinct; smallest-domain-first backtracking.
+def distinct_representatives(slots: Sequence[int]) -> Optional[list[int]]:
+    """Pick one hyperedge id per slot, all distinct, from the slots'
+    hyperedge masks (bit h set when hyperedge h covers the slot).
 
     Returns the chosen ids indexed by slot, or None when no system of
-    distinct representatives exists.  Deterministic for fixed input.
+    distinct representatives exists (_hall).  Slots are visited fewest
+    hyperedges first, ties by index, and each takes the least free id after
+    which _hall still passes on the later slots with the taken ids removed:
+    the first assignment a smallest-domain-first backtracking search
+    reaches.  Deterministic for fixed input.
     """
-    k = len(slot_candidates)
-    order = sorted(range(k), key=lambda i: (len(slot_candidates[i]), i))
-    chosen: list[int] = [-1] * k
-    used: set[int] = set()
-
-    def place(pos: int) -> bool:
-        if pos == k:
-            return True
-        slot = order[pos]
-        for hid in slot_candidates[slot]:
-            if hid not in used:
-                used.add(hid)
-                chosen[slot] = hid
-                if place(pos + 1):
-                    return True
-                used.remove(hid)
-        return False
-
-    return chosen if place(0) else None
+    order = sorted(range(len(slots)), key=lambda i: (slots[i].bit_count(), i))
+    rest = [slots[i] for i in order]
+    if not _hall(rest):
+        return None
+    chosen = [0] * len(slots)
+    for pos, i in enumerate(order):
+        for hid in iter_bits(rest[pos]):
+            later = [mask & ~(1 << hid) for mask in rest[pos + 1:]]
+            if _hall(later):
+                break
+        chosen[i] = hid
+        rest[pos + 1:] = later
+    return chosen
 
 
 def find_berge_cycle(hypergraph: Hypergraph, k: int) -> Optional[BergeCycleWitness]:
@@ -135,7 +135,8 @@ def find_berge_cycle(hypergraph: Hypergraph, k: int) -> Optional[BergeCycleWitne
     classes decide freeness first, and only an input they find a cycle in
     is walked vertex by vertex, from the smallest member of the least class
     with a cycle.  That walk reads the full-width incidence masks, but a
-    free input never pays for it.
+    free input never pays for it; distinct_representatives picks the
+    hyperedges straight from the slot masks incidence[u] & incidence[v].
     """
     if k < 2:
         raise ValueError(f"Berge cycle length must be >= 2, got {k}")
@@ -149,8 +150,7 @@ def find_berge_cycle(hypergraph: Hypergraph, k: int) -> Optional[BergeCycleWitne
     first = firsts[a]
     cycle = _closed_walk(incidence, [1] * hypergraph.n, _shadow_adjacency(hypergraph), k,
                          range(first, first + 1))
-    slots = [list(iter_bits(incidence[u] & incidence[v]))
-             for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+    slots = [incidence[u] & incidence[v] for u, v in zip(cycle, cycle[1:] + cycle[:1])]
     witness = BergeCycleWitness(cycle, tuple(distinct_representatives(slots)))
     validate_witness(hypergraph, witness)
     return witness

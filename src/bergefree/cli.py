@@ -12,8 +12,8 @@ Exit status is the only success/failure channel: 0 means free/pass,
 1 means a cycle or violation was found, 2 means an I/O or format problem
 or an argument too large to answer (a plane order above MAX_PLANE_ORDER,
 a search n above CEILING_MAX_N, a bounds n beyond the proven range of
-is_prime, or a declared size whose allocation raises MemoryError, caught
-once in main).
+is_prime, a lemmas n above LEMMAS_MAX_N without --sample, or a declared
+size whose allocation raises MemoryError, caught once in main).
 """
 
 from __future__ import annotations
@@ -51,6 +51,10 @@ DETECTOR_SIZE_CAP = 100
 # 3.11, 2-vCPU host); --certify's line-list C4 test adds 0.6-0.8 s and
 # takes the peak to about 50 MB.
 MAX_PLANE_ORDER = 97
+
+# lemmas without --sample refuses a declared n above that of the largest file
+# construct writes: the suite allocates per declared vertex.
+LEMMAS_MAX_N = 6 * (MAX_PLANE_ORDER * MAX_PLANE_ORDER + MAX_PLANE_ORDER + 1)
 
 
 def _fail(message: str) -> int:
@@ -160,6 +164,9 @@ def cmd_lemmas(args: argparse.Namespace) -> int:
         hypergraph = load_hypergraph(args.input)
     except (OSError, FormatError) as exc:
         return _fail(str(exc))
+    if args.sample is None and hypergraph.n > LEMMAS_MAX_N:
+        return _fail(f"n={hypergraph.n} is above {LEMMAS_MAX_N}, the largest n construct "
+                     f"writes; check a sample of vertices with --sample")
     vertices = None
     if args.sample is not None:
         rng = random.Random(args.seed)

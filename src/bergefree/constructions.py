@@ -19,8 +19,9 @@ plane_blow_up_json walks them the same way to yield the blow-up's
 canonical JSON text, one piece per point, from one "3u,3u+1,3u+2" string
 per plane vertex, with no row tuple and no JSON encoder; and
 certify_plane_blowup_free transposes them into per-line point masks and
-tests each point with one OR-reduce over its lines' masks.  The plane's
-Graph is built from the lists only when asked for (PlaneIncidence.graph()).
+tests each point with one OR-reduce over its lines' masks; a plane that
+fails goes to certify_blowup_free on its graph.  The plane's Graph is
+built from the lists only when asked for (PlaneIncidence.graph()).
 blow_up and certify_blowup_free stay the general builder and certificate
 for any graph, and the oracles for the plane's fast paths.
 
@@ -245,8 +246,8 @@ def certify_blowup_free(graph: Graph) -> BlowupCertificate:
     graph with m edges costs O(m) mask operations.  The obstruction is the
     first triangle (u < v, by edge order) or the C4 with the least pair
     x < y, as a scan over every edge or vertex pair would report.  A plane
-    is certified from its line lists by certify_plane_blowup_free, which
-    this function is the oracle for.
+    is certified from its line lists by certify_plane_blowup_free; this
+    function is its oracle and names the C4 of a plane that fails it.
     """
     triangle = find_triangle(graph)
     if triangle is not None:
@@ -259,43 +260,28 @@ def certify_blowup_free(graph: Graph) -> BlowupCertificate:
 
 def certify_plane_blowup_free(plane: PlaneIncidence) -> BlowupCertificate:
     """certify_blowup_free(plane.graph()), read off plane.lines_through
-    without building the graph.
+    without building the graph when the plane passes.
 
     Every incidence edge joins a point i < N to a line N + j, so the graph
     has no triangle, and a C4 has two points and two lines.  One pass,
-    points ascending, transposes the line lists into per-line point masks
-    P_j.  Before point i goes in, the masks of its lines hold the points
-    below i, and a point below i lies on two of them exactly when their OR
-    has fewer bits than their sizes add up to: one OR-reduce per point, and
-    every C4 fails it at its larger point.  Only when some point fails are
-    the finished masks folded, point by point, into seen (met once) and dup
-    (met twice) above x, as find_c4_in_graph folds 2-paths; the first x
-    with a dup gives the same obstruction (x, N + a, y, N + b): y the least
-    point above x on two of x's lines, a < b the two least of them.
+    points ascending, transposes the line lists into per-line point masks.
+    Before point i goes in, the masks of its lines hold the points below i,
+    and a point below i lies on two of them exactly when their OR has fewer
+    bits than their sizes add up to: one OR-reduce per point, and every C4
+    fails it at its larger point.  A plane that fails at some point is
+    handed to certify_blowup_free on its graph, which names the C4; a real
+    plane never fails, so construct builds no graph.
     """
-    count = len(plane.points)
     points_on = [0] * len(plane.lines)
     sizes = [0] * len(plane.lines)
-    free = True
     for i, lines in enumerate(plane.lines_through):
-        if free and lines:
-            free = reduce(or_, map(points_on.__getitem__, lines)).bit_count() == \
-                sum(map(sizes.__getitem__, lines))
+        if lines and reduce(or_, map(points_on.__getitem__, lines)).bit_count() != \
+                sum(map(sizes.__getitem__, lines)):
+            return certify_blowup_free(plane.graph())
         bit = 1 << i
         for j in lines:
             points_on[j] |= bit
             sizes[j] += 1
-    if not free:
-        for x, lines in enumerate(plane.lines_through):
-            seen = dup = 0
-            for j in lines:
-                ends = points_on[j] >> (x + 1)
-                dup |= seen & ends
-                seen |= ends
-            if dup:
-                y = x + (dup & -dup).bit_length()
-                a, b = [j for j in lines if points_on[j] >> y & 1][:2]
-                return BlowupCertificate(False, "four_cycle", (x, count + a, y, count + b))
     return BlowupCertificate(True)
 
 

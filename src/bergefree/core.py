@@ -9,13 +9,11 @@ not distinct sets).  All types are frozen after construction.
 JSON interchange formats:
 
     Hypergraph    {"n": int, "hyperedges": [[int, ...], ...]}
-    Graph         {"n": int, "edges": [[int, int], ...]}
     ColoredGraph  {"n": int, "edges": [[u, v, color], ...]}
 
 Hyperedge order in a file defines the hyperedge id.  Writers emit canonical
 documents (vertices sorted inside each hyperedge, as Hypergraph stores
-them, edges sorted, fixed key order) so a write/read/write round trip is
-byte-stable.
+them, fixed key order) so a write/read/write round trip is byte-stable.
 """
 
 from __future__ import annotations
@@ -197,30 +195,6 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return tuple(masks)
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "edges": sorted([u, v] for u, v in self.edges)}
-
-    @classmethod
-    def from_json_dict(cls, doc: object) -> "Graph":
-        if not isinstance(doc, dict):
-            raise FormatError(f"expected a JSON object, got {type(doc).__name__}")
-        if "n" not in doc or "edges" not in doc:
-            raise FormatError('graph document needs fields "n" and "edges"')
-        n = _as_int(doc["n"], "n")
-        raw = doc["edges"]
-        if not isinstance(raw, list):
-            raise FormatError('field "edges" must be a list of [u, v] pairs')
-        edges = []
-        for i, item in enumerate(raw):
-            if not isinstance(item, list) or len(item) != 2:
-                raise FormatError(f"edges[{i}]: expected a pair [u, v]")
-            edges.append((_as_int(item[0], f"edges[{i}][0]"),
-                          _as_int(item[1], f"edges[{i}][1]")))
-        try:
-            return cls(n, frozenset(edges))
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
 
 from .berge import _closing_pairs, _diagonal, _triple_pairs, is_berge_c4_free
-from .constructions import theoretical_bounds
 from .core import Hypergraph
 
 
@@ -265,19 +263,3 @@ def max_weight_exact(
         distinct_closings=len(survivors_of),
     )
 
-
-class BoundsRow(NamedTuple):
-    n: int
-    best_weight: int
-    upper: float
-    lower: float
-
-
-def compare_to_bounds(result: SearchResult) -> BoundsRow:
-    """Tabulate an exact value against the asymptotic comparators.
-
-    Purely a report: the o(1) terms are dropped, so no ordering between the
-    exact value and the comparators is asserted.
-    """
-    upper, lower = theoretical_bounds(result.n)
-    return BoundsRow(result.n, result.best_weight, upper, lower)

@@ -25,16 +25,17 @@ s-subset of the candidates (kst_by_subset_enumeration).  So are the
 per-edge loops that normalised Graph and ColoredGraph input
 (graph_edges_by_loop, colored_edges_by_loop), and the detector's vertex
 search by path extension before its witness became a closed walk on one
-class per vertex (first_vertex_cycle_by_path_extension), and the plane's
+class per vertex (first_vertex_cycle_by_path_extension), the plane's
 line lists solved line by line before they were read off slope families
-(points_on).
+(points_on), and the smallest-domain-first backtracking SDR on id lists
+(distinct_representatives_by_backtracking) that the library's Hall-guided
+distinct_representatives replaced: test_berge requires the same verdict
+as _hall and the same assignment as the library on every k-tuple of masks
+over four ids for k up to 4, and on seeded tuples up to k = 8.
 What is shared with the library is named where it is used: the data
 types, core.neighborhood_masks for N1(v) and N2(v) in
 aux_bundle_by_pair_scan (test_core checks it against bfs_neighborhoods),
-distinct_representatives (which
-test_berge checks against _hall on every k-tuple of masks over four ids
-for k up to 4, and on seeded tuples), in
-first_cycle_by_vertex_classes, for k != 4, the detector's walk gate, run
+in first_cycle_by_vertex_classes, for k != 4, the detector's walk gate, run
 on one class per vertex instead of the twin classes (for k = 4 it runs
 c4_class_by_path_pairs, the detector's gate before its seen/dup fold), in
 greedy_by_full_recheck, the full detector, which the closing-pair mask
@@ -67,7 +68,6 @@ from bergefree.berge import (
     _closing_pairs,
     _triple_pairs,
     _twin_quotient_has_cycle,
-    distinct_representatives,
 )
 from bergefree.core import iter_bits, neighborhood_masks
 from bergefree.embedding import (
@@ -610,6 +610,33 @@ def max_weight_by_index_scan(n: int, max_mult: int = 3, pruned: bool = True,
     return best["weight"], nodes, tuple(tuple(sorted(cands[j])) for j in best["multiset"])
 
 
+def distinct_representatives_by_backtracking(slot_candidates: Sequence[Sequence[int]]):
+    """Pick one id per slot, all distinct; smallest-domain-first backtracking.
+
+    Returns the chosen ids indexed by slot, or None when no system of
+    distinct representatives exists.  Deterministic for fixed input.
+    """
+    k = len(slot_candidates)
+    order = sorted(range(k), key=lambda i: (len(slot_candidates[i]), i))
+    chosen: list[int] = [-1] * k
+    used: set[int] = set()
+
+    def place(pos: int) -> bool:
+        if pos == k:
+            return True
+        slot = order[pos]
+        for hid in slot_candidates[slot]:
+            if hid not in used:
+                used.add(hid)
+                chosen[slot] = hid
+                if place(pos + 1):
+                    return True
+                used.remove(hid)
+        return False
+
+    return chosen if place(0) else None
+
+
 def canonical_c4_by_enumeration(hypergraph: Hypergraph):
     """First Berge-C4 in canonical order, or None; see
     canonical_cycle_by_enumeration."""
@@ -621,8 +648,8 @@ def canonical_cycle_by_enumeration(hypergraph: Hypergraph, k: int):
 
     Tuples (v1, ..., vk) come in lexicographic order with v1 the minimum
     and v2 < vk when k > 2; each slot lists the hyperedges holding its
-    pair, in id order, and distinct_representatives picks the hyperedges
-    in slot order.
+    pair, in id order, and distinct_representatives_by_backtracking picks
+    the hyperedges in slot order.
     """
     n = hypergraph.n
     for v1 in range(n):
@@ -633,7 +660,7 @@ def canonical_cycle_by_enumeration(hypergraph: Hypergraph, k: int):
             slots = [[hid for hid, h in enumerate(hypergraph.hyperedges)
                       if cycle[i] in h and cycle[(i + 1) % k] in h]
                      for i in range(k)]
-            chosen = distinct_representatives(slots)
+            chosen = distinct_representatives_by_backtracking(slots)
             if chosen is not None:
                 return BergeCycleWitness(cycle, tuple(chosen))
     return None
@@ -677,7 +704,8 @@ def first_vertex_cycle_by_path_extension(hypergraph: Hypergraph, k: int,
     The slot of u and v holds the hyperedges of incidence[u] & incidence[v],
     in id order.  A path whose slots cover fewer hyperedges than it has
     slots is cut; a closed path is kept when v2 < vk, its k slots cover k
-    hyperedges and distinct_representatives finds them distinct hyperedges.
+    hyperedges and distinct_representatives_by_backtracking finds them
+    distinct hyperedges.
     """
     path = [0] * k
 
@@ -694,7 +722,7 @@ def first_vertex_cycle_by_path_extension(hypergraph: Hypergraph, k: int,
                 return None
             slots = [list(iter_bits(incidence[path[i]] & incidence[path[(i + 1) % k]]))
                      for i in range(k)]
-            assignment = distinct_representatives(slots)
+            assignment = distinct_representatives_by_backtracking(slots)
             if assignment is None:
                 return None
             witness = BergeCycleWitness(tuple(path), tuple(assignment))

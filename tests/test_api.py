@@ -14,18 +14,28 @@ MODULES = ("bergefree",) + tuple(
 
 # The path-walk Berge-C4 state and check, the membership digraph D with its
 # patterns and errors, statistics only tests used, the hyperedge-id alias of
-# the removed pair_cover, and the per-vertex bundle with its bipartite graph
-# type; tests/oracles.py keeps what the tests still need of them.
+# the removed pair_cover, the per-vertex bundle with its bipartite graph
+# type, and the search's row of theoretical_bounds; tests/oracles.py keeps
+# what the tests still need of them.
 REMOVED = ("SearchState", "incremental_c4_check", "Digraph", "Pattern", "F1", "F2",
            "contains_pattern", "build_D", "NonNeighborError", "SharedColorError",
            "shadow", "neighborhoods", "degree_stats", "HyperedgeId",
-           "AuxBundle", "build_aux_bundle", "BipartiteGraph")
+           "AuxBundle", "build_aux_bundle", "BipartiteGraph",
+           "compare_to_bounds", "BoundsRow")
 
 
 def test_hypergraph_has_no_pair_cover():
     # the detector reads a pair's hyperedges off two incidence masks
     assert not hasattr(bf.Hypergraph, "pair_cover")
     assert not hasattr(bf.Hypergraph(3, ({0, 1, 2},)), "pair_cover")
+
+
+def test_graph_has_no_json_document():
+    # no command reads or writes a Graph; ColoredGraph keeps its reader for
+    # embed's output
+    assert not hasattr(bf.Graph, "to_json_dict")
+    assert not hasattr(bf.Graph, "from_json_dict")
+    assert hasattr(bf.ColoredGraph, "from_json_dict")
 
 
 def test_colored_graph_has_no_pair_index():

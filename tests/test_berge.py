@@ -24,6 +24,7 @@ from oracles import (
     c4_class_by_path_pairs,
     canonical_c4_by_enumeration,
     canonical_cycle_by_enumeration,
+    distinct_representatives_by_backtracking,
     first_cycle_by_vertex_classes,
     incremental_c4_check,
     triangle_by_sorted_edges,
@@ -201,22 +202,24 @@ def test_c4_detector_agrees_with_incremental_replay(q, planted):
     assert verdicts == {planted}
 
 
-@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("k", range(1, 9))
 def test_hall_matches_distinct_representatives(k):
     """Every k-tuple of slot masks over hyperedge ids 0..3 up to k = 4, and
-    seeded tuples over ids 0..k+1 for k = 5 and 6, with both verdicts."""
+    20,000 seeded tuples over ids 0..k+1 for k = 5 to 8: _hall gives the
+    backtracking oracle's verdict and distinct_representatives its
+    assignment, with both verdicts."""
     if k <= 4:
         tuples = product(range(16), repeat=k)
     else:
         rng = random.Random(k)
         tuples = [[rng.getrandbits(rng.randint(1, k + 2)) for _ in range(k)]
-                  for _ in range(5000)]
+                  for _ in range(20000)]
     verdicts = set()
     for masks in tuples:
-        slots = [list(iter_bits(mask)) for mask in masks]
-        verdict = distinct_representatives(slots) is not None
-        assert _hall(masks) == verdict, masks
-        verdicts.add(verdict)
+        want = distinct_representatives_by_backtracking([list(iter_bits(mask)) for mask in masks])
+        assert _hall(masks) == (want is not None), masks
+        assert distinct_representatives(masks) == want, masks
+        verdicts.add(want is not None)
     assert verdicts == {False, True}
 
 

@@ -576,9 +576,11 @@ def test_out_of_memory_maps_to_exit_two(tmp_path, capsys, monkeypatch):
     """A declared size too large to allocate for ends in exit 2 with one
     line on stderr and nothing on stdout.  The allocation that would fail
     is patched to raise MemoryError, so no real size is ever allocated;
-    lemmas runs in a child process under an address-space cap, so if it
-    allocated the declared size before the patched one, the test fails
-    (the patch is never reached) rather than exhausting memory."""
+    lemmas runs with --sample (without it, a declared n this large is
+    refused before the suite runs) in a child process under an
+    address-space cap, so if it allocated the declared size before the
+    patched one, the test fails (the patch is never reached) rather than
+    exhausting memory."""
     import bergefree.search
     big = tmp_path / "big.json"
     big.write_text('{"n":99999999999,"hyperedges":[]}')
@@ -588,7 +590,8 @@ def test_out_of_memory_maps_to_exit_two(tmp_path, capsys, monkeypatch):
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", _LEMMAS_OUT_OF_MEMORY, str(reached), "lemmas", "-i", str(big)],
+        [sys.executable, "-c", _LEMMAS_OUT_OF_MEMORY, str(reached), "lemmas", "-i", str(big),
+         "--sample", "5"],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
     assert result.returncode == 2
     assert reached.exists() and result.stdout == ""
@@ -606,6 +609,39 @@ def test_out_of_memory_maps_to_exit_two(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert calls and captured.out == "" and not results.exists()
     assert captured.err == message.format("search")
+
+
+@pytest.mark.parametrize("n, sample, refused", [
+    (10**6, [], True),
+    (57_043, [], True),
+    (57_042, [], False),
+    (10**6, ["--sample", "5"], False),
+])
+def test_lemmas_refuses_a_declared_n_above_the_largest_construction(
+        tmp_path, capsys, monkeypatch, n, sample, refused):
+    """Without --sample, lemmas refuses a declared n above 57,042, the n of
+    the q = 97 blow-up construct writes, with exit 2 and one stderr line
+    before the suite runs.  The suite is patched to raise, so no declared
+    size is ever allocated."""
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(bf.cli, "verify_lemma_suite", reached)
+    src = tmp_path / "h.json"
+    src.write_text(f'{{"n":{n},"hyperedges":[]}}')
+    argv = ["lemmas", "-i", str(src), *sample]
+    if not refused:
+        with pytest.raises(Reached):
+            main(argv)
+        return
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: n={n} is above 57042, the largest n construct writes; "
+                            f"check a sample of vertices with --sample\n")
 
 
 def test_bounds_table(capsys):

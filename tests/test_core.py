@@ -431,12 +431,6 @@ def test_hypergraph_json_accepts_int_subclasses():
     assert h.hyperedges == ((0, 2),)
 
 
-def test_graph_json_round_trip():
-    g = bf.Graph(4, frozenset({(0, 3), (1, 2)}))
-    assert bf.Graph.from_json_dict(g.to_json_dict()) == g
-    assert g.to_json_dict() == {"n": 4, "edges": [[0, 3], [1, 2]]}
-
-
 def test_colored_graph_json_round_trip():
     cg = bf.ColoredGraph(4, ((0, 1, 0), (0, 1, 2), (2, 3, 1)))
     assert bf.ColoredGraph.from_json_dict(cg.to_json_dict()) == cg

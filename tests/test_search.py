@@ -633,11 +633,3 @@ def test_small_hyperedges_never_help():
             assert bf.is_berge_c4_free(bf.Hypergraph(n, kept))
             assert bf.weight(bf.Hypergraph(n, kept)) >= bf.weight(h)
 
-
-def test_compare_to_bounds_rows():
-    row = bf.compare_to_bounds(bf.max_weight_exact(4))
-    assert row.n == 4 and row.best_weight == 3
-    assert row.upper == pytest.approx(4.0)
-    assert row.lower == pytest.approx(1.6329931618554523)
-    zero = bf.compare_to_bounds(bf.max_weight_exact(0))
-    assert zero == (0, 0, 0.0, 0.0)
