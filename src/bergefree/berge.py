@@ -9,30 +9,38 @@ distinct covering hyperedges: a system of distinct representatives over
 the slot-to-hyperedge bipartite graph.
 
 One closed-walk search (_closed_walk) answers every question of the form
-"is there a Berge-Ck whose least class is a?", in two steps:
+"is there a Berge-Ck whose least class is a?", in two steps.  Both read one
+incidence: each vertex's list of hyperedge ids (_vertex_ids), built in one
+pass over the sorted rows.  No structure holds a bit per hyperedge for
+every vertex; hyperedge masks are built only for the classes a walk or a
+Hall test reaches, over only the hyperedges near where the walk starts.
 
 1. Twin gate.  Twins are vertices that lie in exactly the same hyperedges
-   (equal incidence masks); every vertex of a blow-up has two, and a
-   vertex without a twin is a class of one.  A Berge-Ck maps to a closed
-   k-walk on the twin classes that uses each class at most as often as it
-   has members, and every such walk whose slots pass Hall's test (_hall,
-   on the slot masks) lifts back to a Berge-Ck, so walking the classes
-   decides freeness without walking each twin's copy of every vertex path.
-   For k != 4 the walk runs from every class.  For k = 4 it runs only from
-   the classes up to the last trigger: a triangle through a class of two
-   or more members, two classes that share two or more hyperedges, or a
-   class of four or more members, one of which any walk that repeats a
-   class needs.  Every class above is decided by a seen/dup fold over its
-   class 2-paths (the C4 case of Alon, Yuster and Zwick, "Finding and
-   counting given length cycles", Algorithmica 1997), which tests Hall's
-   condition only for the middles of an end seen twice.  A free blow-up
-   has no trigger and no end seen twice, so it needs no Hall test.
+   (equal id lists); every vertex of a blow-up has two, and a vertex
+   without a twin is a class of one (_twin_classes, keyed by the id
+   tuples, with class rows from the hyperedges).  A Berge-Ck maps to a
+   closed k-walk on the twin classes that uses each class at most as often
+   as it has members, and every such walk whose slots pass Hall's test
+   (_hall, on the slot masks) lifts back to a Berge-Ck, so walking the
+   classes decides freeness without walking each twin's copy of every
+   vertex path.  For k != 4 the walk runs from every class.  For k = 4 it
+   runs only from the classes up to the last trigger: a triangle through a
+   class of two or more members, two classes that share two or more
+   hyperedges (counted on the id tuples), or a class of four or more
+   members, one of which any walk that repeats a class needs.  Every class
+   above is decided by a seen/dup fold over its class 2-paths (the C4 case
+   of Alon, Yuster and Zwick, "Finding and counting given length cycles",
+   Algorithmica 1997), which tests Hall's condition only for the middles of
+   an end seen twice.  A free blow-up has no trigger and no end seen twice,
+   so it builds no hyperedge mask and needs no Hall test.
 2. Witness.  When the gate finds a cycle, the same walk runs on one class
    per vertex, from the smallest member of the least class with a cycle
-   alone, and distinct_representatives, run once on the slot masks of the
-   walk it returns, picks the hyperedges with _hall, the one SDR engine.
-   That is the first cycle of the enumeration above, so witnesses do not
-   depend on the gate.
+   alone, on shadow rows built for the vertices it reaches and on the
+   hyperedge masks of the walk that found the class (or, for the fold,
+   masks over the hyperedges near that class).  distinct_representatives,
+   run once on the slot masks of the walk it returns, picks the hyperedges
+   with _hall, the one SDR engine.  That is the first cycle of the
+   enumeration above, so witnesses do not depend on the gate.
 
 One mask engine serves the exact search and the greedy generator:
 _closing_pairs finds, from vertex masks and their spreads (bit a*n for each
@@ -56,11 +64,12 @@ before it is handed out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import combinations, permutations
-from typing import Iterable, Optional, Sequence
+from functools import cache, reduce
+from itertools import chain, combinations, permutations
+from operator import itemgetter, or_
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .core import Graph, Hypergraph, iter_bits
+from .core import Graph, Hypergraph, _mask, iter_bits
 
 
 @dataclass(frozen=True)
@@ -109,7 +118,9 @@ def distinct_representatives(slots: Sequence[int]) -> Optional[list[int]]:
     hyperedges first, ties by index, and each takes the least free id after
     which _hall still passes on the later slots with the taken ids removed:
     the first assignment a smallest-domain-first backtracking search
-    reaches.  Deterministic for fixed input.
+    reaches.  Deterministic for fixed input.  An id that no later slot
+    holds needs no test: the later slots are a part of slots that admit
+    distinct representatives, so they still do.
     """
     order = sorted(range(len(slots)), key=lambda i: (slots[i].bit_count(), i))
     rest = [slots[i] for i in order]
@@ -117,9 +128,15 @@ def distinct_representatives(slots: Sequence[int]) -> Optional[list[int]]:
         return None
     chosen = [0] * len(slots)
     for pos, i in enumerate(order):
+        later = rest[pos + 1:]
+        held = reduce(or_, later, 0)
         for hid in iter_bits(rest[pos]):
-            later = [mask & ~(1 << hid) for mask in rest[pos + 1:]]
-            if _hall(later):
+            bit = 1 << hid
+            if not held & bit:
+                break
+            trial = [mask & ~bit for mask in later]
+            if _hall(trial):
+                later = trial
                 break
         chosen[i] = hid
         rest[pos + 1:] = later
@@ -134,90 +151,151 @@ def find_berge_cycle(hypergraph: Hypergraph, k: int) -> Optional[BergeCycleWitne
     lexicographically, so the returned witness is deterministic.  The twin
     classes decide freeness first, and only an input they find a cycle in
     is walked vertex by vertex, from the smallest member of the least class
-    with a cycle.  That walk reads the full-width incidence masks, but a
-    free input never pays for it; distinct_representatives picks the
-    hyperedges straight from the slot masks incidence[u] & incidence[v].
+    with a cycle.  Both read one incidence, each vertex's list of
+    hyperedge ids (_vertex_ids), through the twin classes it gives.  The
+    vertex walk reads the shadow rows of the vertices it reaches
+    (_ShadowRows) and, a vertex taking its class's, the hyperedge masks
+    with which the gate found the class (_walk_masks), over only the
+    hyperedges near its start.  distinct_representatives picks the
+    hyperedges from the slot masks of the cycle it returns.
     """
     if k < 2:
         raise ValueError(f"Berge cycle length must be >= 2, got {k}")
     if k > hypergraph.n or k > len(hypergraph.hyperedges):
         return None
-    incidence = _incidence(hypergraph)
-    masks, sizes, adj, firsts = _twin_classes(hypergraph, incidence)
-    a = _twin_quotient_has_cycle(masks, sizes, adj, k)
-    if a is None:
+    classes = _twin_classes(hypergraph, _vertex_ids(hypergraph))
+    found = _twin_quotient_has_cycle(classes, k)
+    if found is None:
         return None
-    first = firsts[a]
-    cycle = _closed_walk(incidence, [1] * hypergraph.n, _shadow_adjacency(hypergraph), k,
+    a, class_masks, near = found
+    first = classes.members[a][0]
+    masks = list(map(class_masks.__getitem__, classes.of_vertex))
+    cycle = _closed_walk(masks, [1] * hypergraph.n, _ShadowRows(classes), k,
                          range(first, first + 1))
-    slots = [incidence[u] & incidence[v] for u, v in zip(cycle, cycle[1:] + cycle[:1])]
-    witness = BergeCycleWitness(cycle, tuple(distinct_representatives(slots)))
+    slots = [masks[u] & masks[v] for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+    witness = BergeCycleWitness(cycle, tuple(near[i] for i in distinct_representatives(slots)))
     validate_witness(hypergraph, witness)
     return witness
 
 
-def _incidence(hypergraph: Hypergraph) -> list[int]:
-    """Per-vertex incidence masks: bit h of entry v is set when v lies in
-    hyperedge h."""
-    incidence = [0] * hypergraph.n
-    for hid, h in enumerate(hypergraph.hyperedges):
-        bit = 1 << hid
-        for v in h:
-            incidence[v] |= bit
-    return incidence
+def _vertex_ids(hypergraph: Hypergraph) -> list[Optional[list[int]]]:
+    """The incidence as id lists: entry v lists the ids of the hyperedges
+    through v, ascending, and is None for a vertex in none.  One pass over
+    the rows, in id order, appends each id to its vertices."""
+    ids: list[Optional[list[int]]] = [None] * hypergraph.n
+    for hid, row in enumerate(hypergraph.hyperedges):
+        for v in row:
+            held = ids[v]
+            if held is None:
+                ids[v] = [hid]
+            else:
+                held.append(hid)
+    return ids
 
 
-def _shadow_adjacency(hypergraph: Hypergraph) -> list[int]:
-    """Shadow adjacency masks: bit v of entry u is set when u != v lie in a
-    common hyperedge."""
-    adj = [0] * hypergraph.n
-    for h in hypergraph.hyperedges:
-        mask = 0
-        for v in h:
-            mask |= 1 << v
-        for v in h:
-            adj[v] |= mask
-    for v in range(hypergraph.n):
-        adj[v] &= ~(1 << v)
-    return adj
+class _TwinClasses(NamedTuple):
+    """Twin classes of a hypergraph: vertices that lie in exactly the same
+    hyperedges.  A vertex without a twin is a class of one, and vertices in
+    no hyperedge form no class.  Classes are numbered in the order of their
+    smallest members.
 
-
-def _twin_classes(hypergraph: Hypergraph, incidence: Sequence[int]) -> tuple[list[int], ...]:
-    """Twin classes as (masks, sizes, adj, firsts), from the per-vertex
-    incidence masks; a vertex without a twin is a class of one.
-
-    masks[i] is the incidence mask shared by the members of class i (bit h
-    set when they lie in hyperedge h), sizes[i] their number and firsts[i]
-    the smallest of them; classes are numbered in the order of their
-    smallest members, and vertices in no hyperedge form no class.  adj[i]
-    has bit j set when classes i != j share a hyperedge, and bit i set when
-    class i has two members, which then share every hyperedge of the class.
+    keys[i] is the tuple of hyperedge ids shared by the members of class i,
+    members[i] lists them ascending and sizes[i] counts them.  adj[i] has
+    bit j set when classes i != j share a hyperedge, and bit i set when
+    class i has two members, which then share every hyperedge of the class;
+    uppers[i] iterates over those j above i.  meets[i] counts the j != i
+    once per hyperedge they share with i, so it exceeds their number only
+    when class i shares two or more hyperedges with one of them.  of_vertex[v]
+    is the class of vertex v, -1 for a vertex in no hyperedge.
     """
-    classes: dict[int, list[int]] = {}
-    for v, mask in enumerate(incidence):
-        if mask:
-            classes.setdefault(mask, []).append(v)
-    sizes = [len(members) for members in classes.values()]
-    of_vertex = [0] * hypergraph.n
-    for i, members in enumerate(classes.values()):
-        for v in members:
+
+    keys: list[tuple[int, ...]]
+    members: list[list[int]]
+    sizes: list[int]
+    adj: list[int]
+    uppers: Sequence[Iterable[int]]
+    meets: list[int]
+    of_vertex: list[int]
+
+
+# Up to this many classes a row is a few machine words, and each hyperedge
+# ORs the mask of the classes it meets into their rows.  Wider rows are set
+# once per class from a set of neighbours instead: an OR into a wide int
+# costs its whole width, once per hyperedge and class.
+_NARROW_CLASSES = 512
+
+
+class _RowBits:
+    """uppers for narrow rows: entry i iterates over the bits of rows[i]
+    above i, so no neighbour set is built."""
+
+    def __init__(self, rows: Sequence[int]):
+        self.rows = rows
+
+    def __getitem__(self, i: int) -> Iterable[int]:
+        return map((i + 1).__add__, iter_bits(self.rows[i] >> (i + 1)))
+
+
+def _twin_classes(hypergraph: Hypergraph, ids: Sequence[Optional[list[int]]]) -> _TwinClasses:
+    """The twin classes, keyed by the vertices' id lists.  The rows come
+    from the hyperedges: each joins the classes it meets, as one OR of
+    their mask into each of their rows for narrow rows (_NARROW_CLASSES),
+    or as a union into each of their neighbour sets, which give the rows
+    and uppers, for wide ones; each also adds the number of the others to
+    meets."""
+    index: dict[tuple[int, ...], int] = {}
+    members: list[list[int]] = []
+    of_vertex = [-1] * hypergraph.n
+    for v, key in enumerate(ids):
+        if key:
+            key = tuple(key)
+            i = index.get(key)
+            if i is None:
+                i = index[key] = len(members)
+                members.append([v])
+            else:
+                members[i].append(v)
             of_vertex[v] = i
-    adj = [0] * len(sizes)
-    for h in hypergraph.hyperedges:
-        touched = 0
-        for v in h:
-            touched |= 1 << of_vertex[v]
-        for i in iter_bits(touched):
-            adj[i] |= touched
-    for i, size in enumerate(sizes):
-        if size < 2:
-            adj[i] &= ~(1 << i)
-    firsts = [members[0] for members in classes.values()]
-    return list(classes), sizes, adj, firsts
+    count = len(members)
+    sizes = list(map(len, members))
+    meets = [0] * count
+    if count <= _NARROW_CLASSES:
+        adj = [0] * count
+        for row in hypergraph.hyperedges:
+            touched = 0
+            for v in row:
+                touched |= 1 << of_vertex[v]
+            if touched & (touched - 1):
+                others = touched.bit_count() - 1
+                for i in iter_bits(touched):
+                    adj[i] |= touched
+                    meets[i] += others
+        for i, size in enumerate(sizes):
+            adj[i] = adj[i] | 1 << i if size > 1 else adj[i] & ~(1 << i)
+        uppers: Sequence[Iterable[int]] = _RowBits(adj)
+    else:
+        neighbours: list[set[int]] = [set() for _ in members]
+        for row in hypergraph.hyperedges:
+            touched_set = set(map(of_vertex.__getitem__, row))
+            others = len(touched_set) - 1
+            if others:
+                for i in touched_set:
+                    neighbours[i] |= touched_set
+                    meets[i] += others
+        width = count // 8 + 1
+        adj = []
+        uppers = []
+        for i, row in enumerate(neighbours):
+            row.discard(i)
+            adj.append(_mask(row, width) | (sizes[i] > 1) << i)
+            uppers.append(tuple(filter(i.__lt__, row)))
+    return _TwinClasses(list(index), members, sizes, adj, uppers, meets, of_vertex)
 
 
-def _twin_quotient_has_cycle(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int],
-                             k: int) -> Optional[int]:
+_Found = tuple[int, list[int], Sequence[int]]
+
+
+def _twin_quotient_has_cycle(classes: _TwinClasses, k: int) -> Optional[_Found]:
     """The least class a whose smallest member is the minimum of a Berge-Ck
     of the hypergraph with these twin classes, or None: the seen/dup fold
     over class 2-paths for k = 4, the closed-walk search otherwise.  Both
@@ -225,21 +303,105 @@ def _twin_quotient_has_cycle(masks: Sequence[int], sizes: Sequence[int], adj: Se
     A walk from a lifts to a Berge-Ck on classes not below a, whose minimum
     is the smallest member of a; and the least class c of any Berge-Ck's
     walk has a walk, so a <= c and no Berge-Ck has a smaller minimum.
+
+    a comes with the class masks and near hyperedges with which it was
+    found (_walk_masks), which hold every slot of a closed k-walk from a.
     """
     if k == 4:
-        return _twin_quotient_has_c4(masks, sizes, adj)
-    walk = _closed_walk(masks, sizes, adj, k, range(len(masks)))
-    return None if walk is None else walk[0]
+        return _twin_quotient_has_c4(classes)
+    starts = range(len(classes.keys))
+    masks, near = _walk_masks(classes, (1 << len(starts)) - 1, k)
+    walk = _closed_walk(masks, classes.sizes, classes.adj, k, starts)
+    return None if walk is None else (walk[0], masks, near)
 
 
-def _closed_walk(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int], k: int,
+def _ball(adj: Sequence[int], centre: int, radius: int) -> int:
+    """The mask of the classes within radius of the classes of the mask
+    centre in the class graph whose rows are adj."""
+    everything = (1 << len(adj)) - 1
+    ball = frontier = centre
+    for _ in range(radius):
+        if ball == everything:
+            break
+        grown = 0
+        for c in iter_bits(frontier):
+            grown |= adj[c]
+        frontier = grown & ~ball
+        ball |= frontier
+    return ball
+
+
+def _walk_masks(classes: _TwinClasses, starts: int, k: int) -> tuple[list[int], Sequence[int]]:
+    """Hyperedge masks for the closed k-walks from the starts (a mask of
+    classes), over only the hyperedges near them, and those hyperedge ids,
+    ascending: bit i of entry c is set when the i-th of them lies in
+    keys[c].  One more entry at the end, the entry of -1, which of_vertex
+    gives a vertex in no class, is 0.
+
+    The hyperedges near the starts are those of the classes within
+    (k - 1) // 2 of a start.  A closed walk from a start runs through
+    classes within k // 2 of it, and each of its slots has an end within
+    (k - 1) // 2, so its slot masks are whole; a walk that cannot close may
+    lose hyperedges and be cut, which is the verdict it gets anyway.  Only
+    classes one step further out can hold a near hyperedge, so only they
+    get a mask.  The bits keep the order of the ids, so _hall and
+    distinct_representatives decide and pick as they would on masks over
+    every id.
+    """
+    keys, adj = classes.keys, classes.adj
+    inner = _ball(adj, starts, (k - 1) // 2)
+    masks = [0] * (len(keys) + 1)
+    if inner == (1 << len(keys)) - 1:  # every hyperedge is near: bits are ids
+        for c, key in enumerate(keys):
+            mask = 0
+            for hid in key:
+                mask |= 1 << hid
+            masks[c] = mask
+        return masks, range(max(map(itemgetter(-1), keys), default=-1) + 1)
+    near = sorted(set().union(*map(keys.__getitem__, iter_bits(inner))))
+    index = {hid: i for i, hid in enumerate(near)}.get
+    for c in iter_bits(_ball(adj, inner, 1)):
+        mask = 0
+        for hid in keys[c]:
+            i = index(hid)
+            if i is not None:
+                mask |= 1 << i
+        masks[c] = mask
+    return masks, near
+
+
+class _ShadowRows(dict):
+    """Shadow adjacency rows of the vertices, each built on first use: bit
+    v of entry u is set when u and v lie in a common hyperedge, and so is
+    u's own bit, which a walk never takes, since u is on it already.  Twins
+    share every hyperedge, so a row is built once per class, from its
+    members and those of its neighbours; a vertex in no hyperedge has 0."""
+
+    def __init__(self, classes: _TwinClasses):
+        super().__init__()
+        self.classes = classes
+        self.by_class: dict[int, int] = {-1: 0}
+
+    def __missing__(self, u: int) -> int:
+        members, adj, of_vertex = self.classes.members, self.classes.adj, self.classes.of_vertex
+        c = of_vertex[u]
+        row = self.by_class.get(c)
+        if row is None:
+            row = self.by_class[c] = _mask(chain(members[c], *map(members.__getitem__,
+                                                                  iter_bits(adj[c]))),
+                                           len(of_vertex) // 8 + 1)
+        self[u] = row
+        return row
+
+
+def _closed_walk(masks: Sequence[int], sizes: Sequence[int], adj: Mapping[int, int], k: int,
                  starts: Iterable[int]) -> Optional[tuple[int, ...]]:
     """The first closed k-walk that lifts to a Berge-Ck, from the first
     start in starts that has one, or None.
 
     A Berge-Ck is a closed walk c1, ..., ck on the classes that uses each
     class at most as often as it has members, whose slots admit distinct
-    hyperedges: its vertices are distinct and h_i lies in the incidence
+    hyperedges: its vertices are distinct and h_i lies in the hyperedge
     masks of both ends of slot i.  Conversely distinct members can be given
     to the occurrences of each class.  The slot mask of two classes is
     masks[i] & masks[j], which for two members of one class is masks[i]
@@ -254,7 +416,7 @@ def _closed_walk(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int],
     """
     walk = [0] * k
     slots = [0] * k
-    count = [0] * len(masks)
+    count = [0] * len(sizes)
 
     def extend(depth: int, not_below: int, union: int) -> bool:
         # walk[0..depth-1] fixed; slots[0..depth-2] hold its slots, union their union.
@@ -267,7 +429,10 @@ def _closed_walk(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int],
             if k > 2:
                 candidates &= -1 << walk[1]  # orientation: keep only c2 <= ck
             mask_a = masks[a]
-            for c in iter_bits(candidates):
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                c = low.bit_length() - 1
                 if count[c] == sizes[c]:
                     continue
                 slot = mask_last & masks[c]
@@ -280,7 +445,10 @@ def _closed_walk(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int],
                     walk[depth] = c
                     return True
             return False
-        for c in iter_bits(candidates):
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            c = low.bit_length() - 1
             if count[c] == sizes[c]:
                 continue
             slot = mask_last & masks[c]
@@ -305,32 +473,41 @@ def _closed_walk(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int],
     return None
 
 
-def _twin_quotient_has_c4(masks: Sequence[int], sizes: Sequence[int],
-                          adj: Sequence[int]) -> Optional[int]:
+def _twin_quotient_has_c4(classes: _TwinClasses) -> Optional[_Found]:
     """The least class a of a Berge-C4 of the hypergraph whose twin classes
-    these are, or None.
+    these are, as _twin_quotient_has_cycle gives it, or None.
 
     A closed 4-walk a, b, c, d from its least class a (see _closed_walk)
     that repeats a class needs a trigger on classes not below a
     (_last_trigger), so every a up to the last trigger is decided by the
     closed-walk search, and every a above it has only walks on four
-    distinct classes.  Their far ends c are the dup bits of one fold over
-    the neighbours b of a above a, in the loop-free class graph: the fold
-    of find_c4_in_graph, which keeps the ends seen once (seen) and twice
-    (dup).  Hall's test runs only on the pairs of middles of a dup end.
+    distinct classes.  Their far ends c are the dup bits above a of one
+    fold over the neighbours b of a above a, in the loop-free class graph:
+    the fold of find_c4_in_graph, which keeps the ends seen once (seen) and
+    twice (dup).  Hall's test runs only on the pairs of middles of a dup
+    end, on masks over the hyperedges near a.  So hyperedge masks are
+    built only near the classes the walk starts from, and near the a whose
+    fold has a dup end.
     """
+    keys, _, sizes, adj, uppers, _, _ = classes
     free = [row & ~(1 << i) for i, row in enumerate(adj)]
-    last = _last_trigger(masks, sizes, free)
-    walk = _closed_walk(masks, sizes, adj, 4, range(last + 1))
-    if walk is not None:
-        return walk[0]
-    for a in range(last + 1, len(masks)):
-        above = a + 1
+    last = _last_trigger(classes, free)
+    if last >= 0:
+        masks, near_ids = _walk_masks(classes, (2 << last) - 1, 4)
+        walk = _closed_walk(masks, sizes, adj, 4, range(last + 1))
+        if walk is not None:
+            return walk[0], masks, near_ids
+    for a in range(last + 1, len(keys)):
         seen = dup = 0
-        for b in iter_bits(free[a] >> above):
-            ends = free[above + b] >> above
+        for b in uppers[a]:
+            ends = free[b]
             dup |= seen & ends
             seen |= ends
+        above = a + 1
+        dup >>= above
+        if not dup:
+            continue
+        masks, near_ids = _walk_masks(classes, 1 << a, 4)
         mask_a = masks[a]
         for c in iter_bits(dup):
             c += above
@@ -338,12 +515,13 @@ def _twin_quotient_has_c4(masks: Sequence[int], sizes: Sequence[int],
             middles = [masks[above + b] for b in iter_bits((free[a] & free[c]) >> above)]
             for mask_b, mask_d in combinations(middles, 2):
                 if _hall((mask_a & mask_b, mask_b & mask_c, mask_c & mask_d, mask_d & mask_a)):
-                    return a
+                    return a, masks, near_ids
     return None
 
 
-def _last_trigger(masks: Sequence[int], sizes: Sequence[int], free: Sequence[int]) -> int:
-    """The largest class that is the least class of a trigger, or -1.
+def _last_trigger(classes: _TwinClasses, free: Sequence[int]) -> int:
+    """The largest class that is the least class of a trigger, or -1; free
+    holds the class rows without their loop bits.
 
     A closed 4-walk from its least class a that repeats a class lifts to a
     Berge-C4 only through a trigger on classes not below a:
@@ -353,19 +531,25 @@ def _last_trigger(masks: Sequence[int], sizes: Sequence[int], free: Sequence[int
       a-b-c-b, a-a-c-c and a-a-a-d, whose slots hold two hyperedges of one
       class pair;
     - a class of four or more members, for the walk a-a-a-a.
-    Classes u are tried from the last down, each with its edges uv to the
-    classes above it; a triangle with least class u has two such edges, so
-    a member of two or more on it is u or the v of one of them.
+    Classes u are tried from the last down, each with its neighbours v
+    above it; a triangle with least class u has two of them, so a member
+    of two or more on it is u or the v of one of them.  Shared hyperedges
+    are counted on the id tuples, and only for a class that shares two
+    hyperedges with some class, which meets[u] exceeding its number of
+    neighbours shows: its tuple is intersected with those of its
+    neighbours above it.
     """
-    for u in range(len(masks) - 1, -1, -1):
+    keys, _, sizes, _, uppers, meets, _ = classes
+    for u in range(len(keys) - 1, -1, -1):
         if sizes[u] >= 4:
             return u
+        if meets[u] > free[u].bit_count():
+            ids = set(keys[u])
+            if any(len(ids.intersection(keys[v])) >= 2 for v in uppers[u]):
+                return u
         above = free[u] >> (u + 1) << (u + 1)
         twinned = sizes[u] >= 2
-        mask_u = masks[u]
-        for v in iter_bits(above):
-            if (mask_u & masks[v]).bit_count() >= 2:
-                return u
+        for v in uppers[u]:
             if (twinned or sizes[v] >= 2) and free[v] & above:
                 return u
     return -1
@@ -378,9 +562,17 @@ def _hall(slots: Sequence[int]) -> bool:
     one along augmenting paths (_augment), in time polynomial in the number
     of slots, not one union per subset of them."""
     holder: dict[int, int] = {}  # hyperedge bit -> the slot that holds it
-    for i in range(len(slots)):
-        if not _augment(slots, i, holder, [0]):
+    held = 0
+    for i, slot in enumerate(slots):
+        free = slot & ~held
+        if free:  # a hyperedge no slot holds yet: take the least, no search
+            bit = free & -free
+            holder[bit] = i
+        elif _augment(slots, i, holder, [0]):
+            bit = sum(holder) & ~held  # the one hyperedge the path added
+        else:
             return False
+        held |= bit
     return True
 
 

@@ -39,7 +39,7 @@ from operator import lt, or_
 from typing import Iterator, NamedTuple, Optional
 
 from .berge import find_c4_in_graph, find_triangle
-from .core import Graph, Hypergraph, weight
+from .core import Graph, Hypergraph, _ascending_within, weight
 
 
 # The strong probable-prime test to the 13 prime bases 2..41 has no
@@ -88,9 +88,10 @@ class PlaneIncidence:
     incidence graph, point i is vertex i and line j is vertex N + j with
     N = q^2 + q + 1.  lines_through[i] lists the lines through point i in
     strictly ascending order, each in range(len(lines)); construction
-    checks this in one pass over the lists and raises ValueError
-    otherwise.  graph() derives the incidence edges from the lists;
-    construct never asks for them.
+    checks this over all the lists at once (core._ascending_within) and,
+    when that fails, raises ValueError naming the first faulty list.
+    graph() derives the incidence edges from the lists; construct never
+    asks for them.
     """
 
     q: int
@@ -103,6 +104,8 @@ class PlaneIncidence:
             raise ValueError(f"lines_through lists {len(self.lines_through)} points, "
                              f"the plane has {len(self.points)}")
         count = len(self.lines)
+        if _ascending_within(self.lines_through, count):
+            return
         for i, lines in enumerate(self.lines_through):
             if not lines:
                 continue

@@ -21,8 +21,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import lt
+from itertools import chain, repeat
+from operator import itemgetter, lt
+from typing import Iterable
 
 
 class FormatError(ValueError):
@@ -37,6 +38,21 @@ def iter_bits(mask: int):
         mask ^= low
 
 
+def _mask(bits: Iterable[int], width: int) -> int:
+    """The int with these bits set, all below 8 * width.  A wide mask is
+    set in a bytearray, so that it costs one pass, not one wide int per
+    bit."""
+    if width <= 64:
+        mask = 0
+        for b in bits:
+            mask |= 1 << b
+        return mask
+    row = bytearray(width)
+    for b in bits:
+        row[b >> 3] |= 1 << (b & 7)
+    return int.from_bytes(row, "little")
+
+
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -49,7 +65,10 @@ class Hypergraph:
     its distinct vertices: it is sorted once, and only a row that repeats a
     vertex is collapsed through a set.  A vertex outside 0..n-1 raises
     ValueError naming the first such vertex in the order the hyperedge was
-    given."""
+    given.  Rows given as lists or tuples, in a list or tuple, are sorted
+    by one map and tested for repeats and range all at once
+    (_ascending_within); the row-by-row loop runs only when that test fails,
+    to collapse the repeat or name the error, and for any other rows."""
 
     n: int
     hyperedges: tuple[tuple[int, ...], ...] = ()
@@ -58,8 +77,17 @@ class Hypergraph:
         n = self.n
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
+        raw = self.hyperedges
+        if type(raw) in _SEQUENCES and _SEQUENCES.issuperset(map(type, raw)):
+            try:
+                edges = list(map(tuple, map(sorted, raw)))
+                if _ascending_within(edges, n):
+                    object.__setattr__(self, "hyperedges", tuple(edges))
+                    return
+            except TypeError:
+                pass  # the loop below raises what it raised for that row
         edges = []
-        for i, h in enumerate(self.hyperedges):
+        for i, h in enumerate(raw):
             row = tuple(sorted(h))
             if not all(map(lt, row, row[1:])):
                 row = tuple(sorted(set(row)))
@@ -103,6 +131,21 @@ class Hypergraph:
 
 _INT = frozenset({int})
 _LIST = frozenset({list})
+_SEQUENCES = frozenset({list, tuple})
+
+
+_TAIL = slice(1, None)
+
+
+def _ascending_within(rows, top: int) -> bool:
+    """True when every row strictly ascends and every entry lies in
+    range(top), tested over all rows at once: one map compares each row's
+    neighbours, and the least first and largest last entry bound the
+    range."""
+    ends = list(filter(None, rows))
+    return (all(map(all, map(map, repeat(lt), rows, map(itemgetter(_TAIL), rows))))
+            and not (ends and (min(map(itemgetter(0), ends)) < 0
+                               or max(map(itemgetter(-1), ends)) >= top)))
 
 
 def _check_rows(raw: list) -> None:

@@ -19,12 +19,16 @@ that multigraph:
 
 as adjacency rows of the simple projection, plus verifiers that replay,
 on concrete instances, every structural statement the objects are
-supposed to satisfy.  The whole-graph checks are linear passes:
-observation 1 looks only at the colors whose edges share a vertex, and
-K_{2,7} runs the 2-path ladder of the patterns module.  All freeness and
-counting checks run on the simple projection; parallel colored edges on a
-pair are legal and only multiplicity-blind statements are asserted about
-them.
+supposed to satisfy.  The lemma suite reads the projection's rows straight
+off the hyperedges through the placements (_projection), for the vertices
+on a placed edge only, with no colored graph; build_embedded_graph keeps
+the colored graph for the embed command and the tests.  Observation 1
+holds by construction: the suite checks it once per hyperedge size, on the
+placement, and verify_observation1 checks a whole colored graph, looking
+only at the colors whose edges share a vertex.  K_{2,7} runs the 2-path
+ladder of the patterns module on the rows.  All freeness and counting
+checks run on the simple projection; parallel colored edges on a pair are
+legal and only multiplicity-blind statements are asserted about them.
 """
 
 from __future__ import annotations
@@ -35,11 +39,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .berge import BergeCycleWitness, find_berge_cycle
-from .core import ColoredGraph, Graph, Hypergraph, iter_bits, neighborhood_masks
-from .patterns import _kst_in_rows, contains_kst
+from .core import ColoredGraph, Hypergraph, _mask, iter_bits
+from .patterns import _kst_in_rows
 
 
 class NotBergeC4FreeError(ValueError):
@@ -236,25 +240,32 @@ class _VertexRows(NamedTuple):
     sides: dict[int, int]
 
 
-def _vertex_rows(projection: Graph, v: int) -> _VertexRows:
-    """The one owner of the G, G_aux, G'_aux, B and B' definitions.
+def _vertex_rows(rows: Mapping[int, int], v: int) -> _VertexRows:
+    """The one owner of the G, G_aux, G'_aux, B and B' definitions, on the
+    adjacency rows of the simple projection (rows[x] is x's neighbour mask;
+    a vertex missing from rows has none).
 
-    N1(v) and N2(v) come from core.neighborhood_masks, which raises
-    ValueError for a vertex outside 0..n-1.  G_aux is gathered from the N2
-    side: the N1 neighbours of each y in N2(v) are pairwise joined.
+    N1(v) is v's row and N2(v) the union of the rows of N1(v) outside N1(v)
+    and v.  G_aux is gathered from the N2 side: the N1 neighbours of each y
+    in N2(v) are pairwise joined.
     """
-    n1_mask, n2_mask = neighborhood_masks(projection, v)
-    masks = projection.adjacency_masks
+    n1_mask = rows.get(v, 0)
+    n2_mask = 0
+    for x in iter_bits(n1_mask):
+        n2_mask |= rows[x]
+    n2_mask &= ~n1_mask
+    if n2_mask >> v & 1:  # v lies on an edge, so no wider int is made
+        n2_mask ^= 1 << v
     shared = dict.fromkeys(iter_bits(n1_mask), 0)
     sides = {}
     for y in iter_bits(n2_mask):
-        side = sides[y] = masks[y] & n1_mask
+        side = sides[y] = rows[y] & n1_mask
         if side & (side - 1):
             for x in iter_bits(side):
                 shared[x] |= side
     aux = {x: row & ~(1 << x) for x, row in shared.items()}
-    g = {x: masks[x] & n1_mask for x in aux}
-    gap = {x: row & ~masks[x] for x, row in aux.items()}
+    g = {x: rows[x] & n1_mask for x in aux}
+    gap = {x: row & ~rows[x] for x, row in aux.items()}
     return _VertexRows(g, aux, gap, sides)
 
 
@@ -273,8 +284,9 @@ def _upper_edges(rows: dict[int, int]):
 class LemmaSuiteReport:
     """Per-vertex counts plus any violated structural assertion.
 
-    observation1 is the same-color check on the colored graph the suite
-    built; it has its own verdict and is left out of ok and to_json_dict.
+    observation1 is the same-color check of the embedded graph, as
+    verify_observation1 would report it (_observation1_by_size); it has its
+    own verdict and is left out of ok and to_json_dict.
     """
 
     n: int
@@ -302,30 +314,69 @@ class LemmaSuiteReport:
         }
 
 
-def _spoke_colors(colored_graph: ColoredGraph,
-                  checked: Iterable[int]) -> dict[int, dict[int, list[int]]]:
-    """The colors of every spoke (v, x) of each checked vertex v, as
-    spokes[v][x], from one pass over the colored edges.  build_embedded_graph
-    emits its edges in hyperedge-id order, so each list ascends."""
+def _projection(hypergraph: Hypergraph, checked: Iterable[int]) -> tuple[dict[int, int], dict]:
+    """The simple projection of the embedded graph, read straight off the
+    hyperedges, with no colored graph built.
+
+    One pass maps each hyperedge's sorted vertices through the placement of
+    its size (_placement), in id order, as build_embedded_graph does.  It
+    gives the adjacency rows of the projection, keyed ascending by the
+    vertices that lie on a placed edge, each set in one pass over its
+    neighbours (core._mask); and the colors of every spoke (v, x) of each
+    checked vertex v, as spokes[v][x], ascending since hyperedges come in
+    id order.
+    """
+    neighbours: dict[int, list[int]] = {}
     spokes: dict[int, dict[int, list[int]]] = {v: {} for v in checked}
-    for u, w, color in colored_graph.colored_edges:
-        if u in spokes:
-            spokes[u].setdefault(w, []).append(color)
-        if w in spokes:
-            spokes[w].setdefault(u, []).append(color)
-    return spokes
+    for hid, h in enumerate(hypergraph.hyperedges):
+        if len(h) > 3:
+            for a, b in _placement(len(h)):
+                u, w = h[a], h[b]
+                neighbours.setdefault(u, []).append(w)
+                neighbours.setdefault(w, []).append(u)
+                if u in spokes:
+                    spokes[u].setdefault(w, []).append(hid)
+                if w in spokes:
+                    spokes[w].setdefault(u, []).append(hid)
+    width = max(neighbours, default=0) // 8 + 1
+    rows = {v: _mask(neighbours[v], width) for v in sorted(neighbours)}
+    return rows, spokes
+
+
+def _observation1_by_size(hypergraph: Hypergraph) -> ObservationReport:
+    """verify_observation1(build_embedded_graph(hypergraph)), checked once
+    per hyperedge size.
+
+    Each color's edges are one hyperedge's placement (_placement(s)) mapped
+    through its sorted, distinct vertices, and both rules of observation 1
+    concern the edges of one color at one vertex, so they hold for the
+    whole graph exactly when they hold for the placement of every size
+    that occurs.  They always do: the placement is vertex-disjoint
+    triangles and single edges.  Should one fail, the whole graph is
+    checked, so that the report names its vertices and colors.
+    """
+    sizes = {len(h) for h in hypergraph.hyperedges if len(h) > 3}
+    for s in sorted(sizes):
+        placed = ColoredGraph(s, tuple((a, b, 0) for a, b in _placement(s)))
+        if not verify_observation1(placed).ok:
+            return verify_observation1(build_embedded_graph(hypergraph))
+    return ObservationReport(
+        n=hypergraph.n,
+        colored_edge_count=sum(len(h) - 3 for h in hypergraph.hyperedges if len(h) > 3),
+        violations=(),
+    )
 
 
 def _vertex_checks(
     hypergraph: Hypergraph,
-    projection: Graph,
-    proj_masks: tuple[int, ...],
+    proj_rows: Mapping[int, int],
     v: int,
     spokes: dict[int, list[int]],
 ) -> tuple[dict, list[dict]]:
-    """v's row and violations; spokes[x] lists the colors of the spoke
-    (v, x) in ascending order (_spoke_colors)."""
-    rows = _vertex_rows(projection, v)
+    """v's row and violations, on the adjacency rows of the simple
+    projection; spokes[x] lists the colors of the spoke (v, x) in ascending
+    order (_projection)."""
+    rows = _vertex_rows(proj_rows, v)
     d = len(rows.g)
     violations: list[dict] = []
     checks: dict[str, bool] = {}
@@ -375,7 +426,7 @@ def _vertex_checks(
             checks["b_minus_bprime_degree"] = False
             violations.append({"check": "b_minus_bprime_degree", "v": v,
                                "n2_vertex": y, "incident": incident - in_b_prime})
-    two_paths = sum(proj_masks[x].bit_count() - 1 for x in rows.g)
+    two_paths = sum(proj_rows[x].bit_count() - 1 for x in rows.g)
     checks["two_path_count"] = b_count + 2 * g_count == two_paths
     if not checks["two_path_count"]:
         violations.append({"check": "two_path_count", "v": v,
@@ -403,48 +454,54 @@ def verify_lemma_suite(
     """Replay the structural lemma assertions on a Berge-C4-free hypergraph.
 
     Raises NotBergeC4FreeError (with the witness) if the input has a
-    Berge-C4.  Otherwise builds the colored graph once, runs observation 1
-    on it, and asserts, globally, K_{2,7}-freeness of its simple
-    projection, and per checked vertex v:
+    Berge-C4.  Otherwise reads the simple projection of the embedded graph
+    straight off the hyperedges (_projection), with no colored graph, and
+    asserts, globally, K_{2,7}-freeness of the projection, and per checked
+    vertex v:
     |G| <= 3 d(v), K_{5,5}-freeness of G'_aux, |G'_aux| < d(v)^{9/5},
     the color-inclusion rule on G'_aux edges, the one-loose-edge rule on
     N2(v), and the 2-path count identity |B| + 2|G| = sum over x in N1(v)
     of (d(x) - 1).  A checked vertex outside 0..n-1 raises ValueError.
+    Observation 1 is checked once per hyperedge size
+    (_observation1_by_size), with the report the whole colored graph
+    would give.
 
-    Each vertex is checked on adjacency rows (_vertex_rows), with no Graph
-    built for it, and on its spokes' colors (_spoke_colors, one pass over
-    the colored edges for every checked vertex).  The last two rules hold
-    by the definitions of B and B' (two_path_count and b_minus_bprime_degree).
-    They stay as cross-checks: |G| is counted on the N1(v) rows, |B| and
-    |B'| from the N2(v) side, and the identity ties the two to the degrees.
+    The projection's rows are sized by the vertices that lie on a placed
+    edge, not by the declared n.  Each vertex is checked on those rows
+    (_vertex_rows), with no Graph built for it, and on its spokes' colors,
+    gathered in the same pass for every checked vertex.  The last two
+    rules hold by the definitions of B and B' (two_path_count and
+    b_minus_bprime_degree).  They stay as cross-checks: |G| is counted on
+    the N1(v) rows, |B| and |B'| from the N2(v) side, and the identity ties
+    the two to the degrees.
     """
     cycle = find_berge_cycle(hypergraph, 4)
     if cycle is not None:
         raise NotBergeC4FreeError(cycle)
-    colored_graph = build_embedded_graph(hypergraph)
-    proj = colored_graph.simple_projection
-    masks = proj.adjacency_masks
+    n = hypergraph.n
+    checked = tuple(sorted(set(range(n) if vertices is None else vertices)))
+    for v in checked:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range for n={n}")
+    rows, spokes = _projection(hypergraph, checked)
 
-    checked = tuple(sorted(set(range(proj.n) if vertices is None else vertices)))
-
-    k27 = contains_kst(proj, 2, 7)
+    k27 = _kst_in_rows(rows, sum(map(int.bit_count, rows.values())) // 2, 2, 7)
     violations: list[dict] = []
     if k27 is not None:
         violations.append({"check": "k27_freeness",
                            "parts": [list(k27[0]), list(k27[1])]})
 
-    spokes = _spoke_colors(colored_graph, checked)
-    rows = []
+    report_rows = []
     for v in checked:
-        row, vertex_violations = _vertex_checks(hypergraph, proj, masks, v, spokes[v])
-        rows.append(row)
+        row, vertex_violations = _vertex_checks(hypergraph, rows, v, spokes[v])
+        report_rows.append(row)
         violations.extend(vertex_violations)
     return LemmaSuiteReport(
-        n=hypergraph.n,
+        n=n,
         checked_vertices=checked,
         k27_free=k27 is None,
         k27_witness=k27,
-        rows=tuple(rows),
-        observation1=verify_observation1(colored_graph),
+        rows=tuple(report_rows),
+        observation1=_observation1_by_size(hypergraph),
         violations=tuple(violations),
     )

@@ -66,8 +66,9 @@ from bergefree import (
 )
 from bergefree.berge import (
     _closing_pairs,
+    _hall,
     _triple_pairs,
-    _twin_quotient_has_cycle,
+    distinct_representatives,
 )
 from bergefree.core import iter_bits, neighborhood_masks
 from bergefree.embedding import (
@@ -266,7 +267,9 @@ def build_aux_bundle(colored_graph: ColoredGraph, v: int) -> AuxBundle:
     (embedding._vertex_rows).  Raises ValueError for a vertex outside
     0..n-1."""
     proj = colored_graph.simple_projection
-    rows = _vertex_rows(proj, v)
+    if not 0 <= v < proj.n:
+        raise ValueError(f"vertex {v} out of range for n={proj.n}")
+    rows = _vertex_rows(dict(enumerate(proj.adjacency_masks)), v)
     b_edges = frozenset((x, y) for y, side in rows.sides.items() for x in iter_bits(side))
     return AuxBundle(
         v=v, n1=tuple(rows.g), n2=tuple(rows.sides),
@@ -672,7 +675,8 @@ def first_cycle_by_vertex_classes(hypergraph: Hypergraph, k: int):
     detector's walk gate otherwise), then the vertex search the detector
     ran before its witness became a closed walk
     (first_vertex_cycle_by_path_extension), from the vertex the gate
-    reports.  Incidence and adjacency masks are built here from the
+    reports.  The walk gate is the mask gate's (closed_walk_on_masks), so
+    the library's gate on id lists runs nowhere in the reference.  Incidence and adjacency masks are built here from the
     hyperedge lists; a vertex in no hyperedge is a class with no
     neighbours, so class i is vertex i."""
     n = hypergraph.n
@@ -688,7 +692,7 @@ def first_cycle_by_vertex_classes(hypergraph: Hypergraph, k: int):
     if k == 4:
         first = c4_class_by_path_pairs(incidence, sizes, adj)
     else:
-        first = _twin_quotient_has_cycle(incidence, sizes, adj, k)
+        first = quotient_class_by_masks(incidence, sizes, adj, k)
     if first is None:
         return None
     return first_vertex_cycle_by_path_extension(hypergraph, k, incidence, adj, first)
@@ -742,6 +746,201 @@ def first_vertex_cycle_by_path_extension(hypergraph: Hypergraph, k: int,
     path[0] = first
     # cycle vertices other than v1 exceed it
     return extend(1, 1 << first, ~((1 << (first + 1)) - 1), 0)
+
+
+# ---------------------------------------------------------------------------
+# the Berge-Ck gate on full-width incidence masks, before it read id lists
+# ---------------------------------------------------------------------------
+
+def find_berge_cycle_by_masks(hypergraph: Hypergraph, k: int):
+    """find_berge_cycle as it ran on one full-width incidence mask per
+    vertex (bit h of incidence[v] set when v lies in hyperedge h): the twin
+    classes keyed by those masks, the mask gate, and the vertex walk on
+    the incidence masks and the whole shadow adjacency."""
+    if k < 2:
+        raise ValueError(f"Berge cycle length must be >= 2, got {k}")
+    if k > hypergraph.n or k > len(hypergraph.hyperedges):
+        return None
+    incidence = incidence_masks(hypergraph)
+    masks, sizes, adj, firsts = twin_classes_by_masks(hypergraph, incidence)
+    a = quotient_class_by_masks(masks, sizes, adj, k)
+    if a is None:
+        return None
+    first = firsts[a]
+    cycle = closed_walk_on_masks(incidence, [1] * hypergraph.n,
+                                 shadow_adjacency_by_masks(hypergraph), k,
+                                 range(first, first + 1))
+    slots = [incidence[u] & incidence[v] for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+    witness = BergeCycleWitness(cycle, tuple(distinct_representatives(slots)))
+    validate_witness(hypergraph, witness)
+    return witness
+
+
+def incidence_masks(hypergraph: Hypergraph) -> list[int]:
+    """Per-vertex incidence masks: bit h of entry v is set when v lies in
+    hyperedge h."""
+    incidence = [0] * hypergraph.n
+    for hid, h in enumerate(hypergraph.hyperedges):
+        bit = 1 << hid
+        for v in h:
+            incidence[v] |= bit
+    return incidence
+
+
+def shadow_adjacency_by_masks(hypergraph: Hypergraph) -> list[int]:
+    """Shadow adjacency masks: bit v of entry u is set when u != v lie in a
+    common hyperedge."""
+    adj = [0] * hypergraph.n
+    for h in hypergraph.hyperedges:
+        mask = 0
+        for v in h:
+            mask |= 1 << v
+        for v in h:
+            adj[v] |= mask
+    for v in range(hypergraph.n):
+        adj[v] &= ~(1 << v)
+    return adj
+
+
+def twin_classes_by_masks(hypergraph: Hypergraph, incidence: Sequence[int]):
+    """Twin classes as (masks, sizes, adj, firsts), keyed by the incidence
+    masks: masks[i] is the mask shared by the members of class i, sizes[i]
+    their number and firsts[i] the smallest; classes in the order of their
+    smallest members, none for a vertex in no hyperedge.  adj[i] has bit j
+    set when classes i != j share a hyperedge, and bit i when class i has
+    two members."""
+    classes: dict[int, list[int]] = {}
+    for v, mask in enumerate(incidence):
+        if mask:
+            classes.setdefault(mask, []).append(v)
+    sizes = [len(members) for members in classes.values()]
+    of_vertex = [0] * hypergraph.n
+    for i, members in enumerate(classes.values()):
+        for v in members:
+            of_vertex[v] = i
+    adj = [0] * len(sizes)
+    for h in hypergraph.hyperedges:
+        touched = 0
+        for v in h:
+            touched |= 1 << of_vertex[v]
+        for i in iter_bits(touched):
+            adj[i] |= touched
+    for i, size in enumerate(sizes):
+        if size < 2:
+            adj[i] &= ~(1 << i)
+    firsts = [members[0] for members in classes.values()]
+    return list(classes), sizes, adj, firsts
+
+
+def quotient_class_by_masks(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int],
+                            k: int):
+    """The least class with a Berge-Ck, or None: the mask fold for k = 4
+    (c4_class_by_mask_fold), the mask walk from every class otherwise."""
+    if k == 4:
+        return c4_class_by_mask_fold(masks, sizes, adj)
+    walk = closed_walk_on_masks(masks, sizes, adj, k, range(len(masks)))
+    return None if walk is None else walk[0]
+
+
+def closed_walk_on_masks(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int], k: int,
+                         starts: Iterable[int]):
+    """The first closed k-walk that lifts to a Berge-Ck, from the first
+    start that has one, or None, on full-width class masks: the library's
+    walk before its masks covered only the hyperedges near the starts."""
+    walk = [0] * k
+    slots = [0] * k
+    count = [0] * len(masks)
+
+    def extend(depth: int, not_below: int, union: int) -> bool:
+        last = walk[depth - 1]
+        mask_last = masks[last]
+        candidates = adj[last] & not_below
+        if depth == k - 1:
+            a = walk[0]
+            candidates &= adj[a]
+            if k > 2:
+                candidates &= -1 << walk[1]
+            mask_a = masks[a]
+            for c in iter_bits(candidates):
+                if count[c] == sizes[c]:
+                    continue
+                slot = mask_last & masks[c]
+                closing = masks[c] & mask_a
+                if (union | slot | closing).bit_count() < k:
+                    continue
+                slots[depth - 1] = slot
+                slots[depth] = closing
+                if _hall(slots):
+                    walk[depth] = c
+                    return True
+            return False
+        for c in iter_bits(candidates):
+            if count[c] == sizes[c]:
+                continue
+            slot = mask_last & masks[c]
+            new_union = union | slot
+            if new_union.bit_count() < depth:
+                continue
+            walk[depth] = c
+            slots[depth - 1] = slot
+            count[c] += 1
+            found = extend(depth + 1, not_below, new_union)
+            count[c] -= 1
+            if found:
+                return True
+        return False
+
+    for a in starts:
+        walk[0] = a
+        count[a] = 1
+        if extend(1, -1 << a, 0):
+            return tuple(walk)
+        count[a] = 0
+    return None
+
+
+def c4_class_by_mask_fold(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int]):
+    """The least class of a Berge-C4, or None: the mask walk up to the last
+    trigger (last_trigger_by_masks), then the seen/dup fold with Hall's test
+    on the full-width slot masks of the pairs of middles of a dup end."""
+    free = [row & ~(1 << i) for i, row in enumerate(adj)]
+    last = last_trigger_by_masks(masks, sizes, free)
+    walk = closed_walk_on_masks(masks, sizes, adj, 4, range(last + 1))
+    if walk is not None:
+        return walk[0]
+    for a in range(last + 1, len(masks)):
+        above = a + 1
+        seen = dup = 0
+        for b in iter_bits(free[a] >> above):
+            ends = free[above + b] >> above
+            dup |= seen & ends
+            seen |= ends
+        mask_a = masks[a]
+        for c in iter_bits(dup):
+            c += above
+            mask_c = masks[c]
+            middles = [masks[above + b] for b in iter_bits((free[a] & free[c]) >> above)]
+            for mask_b, mask_d in combinations(middles, 2):
+                if _hall((mask_a & mask_b, mask_b & mask_c, mask_c & mask_d, mask_d & mask_a)):
+                    return a
+    return None
+
+
+def last_trigger_by_masks(masks: Sequence[int], sizes: Sequence[int], free: Sequence[int]) -> int:
+    """The largest least class of a trigger, or -1, with the shared
+    hyperedges of each class edge counted by a full-width AND."""
+    for u in range(len(masks) - 1, -1, -1):
+        if sizes[u] >= 4:
+            return u
+        above = free[u] >> (u + 1) << (u + 1)
+        twinned = sizes[u] >= 2
+        mask_u = masks[u]
+        for v in iter_bits(above):
+            if (mask_u & masks[v]).bit_count() >= 2:
+                return u
+            if (twinned or sizes[v] >= 2) and free[v] & above:
+                return u
+    return -1
 
 
 def c4_class_by_path_pairs(masks: Sequence[int], sizes: Sequence[int],

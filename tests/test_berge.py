@@ -11,9 +11,9 @@ import bergefree as bf
 from bergefree import berge
 from bergefree.berge import (
     _hall,
-    _incidence,
     _twin_classes,
     _twin_quotient_has_cycle,
+    _vertex_ids,
     distinct_representatives,
 )
 from bergefree.core import iter_bits
@@ -25,9 +25,13 @@ from oracles import (
     canonical_c4_by_enumeration,
     canonical_cycle_by_enumeration,
     distinct_representatives_by_backtracking,
+    find_berge_cycle_by_masks,
     first_cycle_by_vertex_classes,
+    incidence_masks,
     incremental_c4_check,
+    quotient_class_by_masks,
     triangle_by_sorted_edges,
+    twin_classes_by_masks,
 )
 
 
@@ -330,7 +334,18 @@ CYCLE_LENGTHS = (2, 3, 4, 5, 6)
 
 
 def twin_classes(h: bf.Hypergraph):
-    return _twin_classes(h, _incidence(h))
+    return _twin_classes(h, _vertex_ids(h))
+
+
+def least_class(classes, k: int):
+    """The least class the gate reports, or None."""
+    found = _twin_quotient_has_cycle(classes, k)
+    return None if found is None else found[0]
+
+
+def key_masks(classes) -> list[int]:
+    """The classes' id tuples as full-width incidence masks."""
+    return [sum(1 << hid for hid in key) for key in classes.keys]
 
 
 def _assert_quotient_agrees(h: bf.Hypergraph, k: int = 4, oracle: bool = False) -> bool:
@@ -339,18 +354,25 @@ def _assert_quotient_agrees(h: bf.Hypergraph, k: int = 4, oracle: bool = False) 
     oracle c4_class_by_path_pairs, which must also report the gate's least
     class on the twin classes), and the smallest member of the least class
     it reports is the first vertex of the reference's witness, which
-    find_berge_cycle returns; with oracle the witness also equals the
+    find_berge_cycle returns.  The twin classes, the least class and the
+    witness are also those of the gate on full-width incidence masks
+    (twin_classes_by_masks, quotient_class_by_masks and
+    find_berge_cycle_by_masks).  With oracle the witness also equals the
     canonical enumerator's and, up to 7 vertices, the verdict
     naive_berge_oracle's.  Returns whether h has a Berge-Ck."""
     expected = first_cycle_by_vertex_classes(h, k)
-    masks, sizes, adj, firsts = twin_classes(h)
-    a = _twin_quotient_has_cycle(masks, sizes, adj, k)
+    classes = twin_classes(h)
+    masks, sizes, adj, firsts = twin_classes_by_masks(h, incidence_masks(h))
+    assert (key_masks(classes), classes.sizes, classes.adj) == (masks, sizes, adj), h
+    assert [members[0] for members in classes.members] == firsts, h
+    a = least_class(classes, k)
+    assert a == quotient_class_by_masks(masks, sizes, adj, k), (k, h)
     assert (a is not None) == (expected is not None), (k, h)
     if k == 4:
         assert a == c4_class_by_path_pairs(masks, sizes, adj), h
     if a is not None:
         assert firsts[a] == expected.vertices[0], (k, h)
-    assert bf.find_berge_cycle(h, k) == expected, (k, h)
+    assert bf.find_berge_cycle(h, k) == expected == find_berge_cycle_by_masks(h, k), (k, h)
     if oracle:
         assert canonical_cycle_by_enumeration(h, k) == expected, (k, h)
         if h.n <= 7:
@@ -376,15 +398,17 @@ def test_twin_classes_skip_isolated_vertices():
     # vertices 3, 4, 5 lie in no hyperedge: equal (zero) masks, but no
     # class; each of 0, 1, 2 has no twin and is a class of one
     h = bf.Hypergraph(6, (frozenset({0, 1}), frozenset({1, 2})))
-    masks, sizes, adj, firsts = twin_classes(h)
-    assert masks == [0b01, 0b11, 0b10] and sizes == [1, 1, 1]
-    assert adj == [0b010, 0b101, 0b010]  # no class has a loop
-    assert firsts == [0, 1, 2]
+    classes = twin_classes(h)
+    assert classes.keys == [(0,), (0, 1), (1,)] and classes.sizes == [1, 1, 1]
+    assert classes.adj == [0b010, 0b101, 0b010]  # no class has a loop
+    assert classes.members == [[0], [1], [2]]
+    assert classes.of_vertex == [0, 1, 2, -1, -1, -1]
     h = bf.Hypergraph(7, (frozenset({0, 1, 2}), frozenset({2, 3})))
-    masks, sizes, adj, firsts = twin_classes(h)
-    assert masks == [0b01, 0b11, 0b10] and sizes == [2, 1, 1]
-    assert adj == [0b011, 0b101, 0b010]  # only class 0 has a loop
-    assert firsts == [0, 2, 3]
+    classes = twin_classes(h)
+    assert classes.keys == [(0,), (0, 1), (1,)] and classes.sizes == [2, 1, 1]
+    assert classes.adj == [0b011, 0b101, 0b010]  # only class 0 has a loop
+    assert classes.members == [[0, 1], [2], [3]]
+    assert [set(classes.uppers[i]) for i in range(3)] == [{1}, {2}, set()]
 
 
 @pytest.mark.parametrize("size", range(1, 7))
@@ -407,8 +431,8 @@ def test_quotient_on_copies_of_one_hyperedge(size):
 ])
 def test_quotient_walks_two_members_of_one_class_in_a_row(hyperedges, classes):
     h = bf.Hypergraph(4, tuple(frozenset(e) for e in hyperedges))  # vertex 3 isolated
-    masks, sizes, _, _ = twin_classes(h)
-    assert (masks, sizes) == classes
+    built = twin_classes(h)
+    assert (key_masks(built), built.sizes) == classes
     assert _assert_quotient_agrees(h, 3, oracle=True)
 
 
@@ -553,6 +577,112 @@ def test_quotient_on_relabelled_q7_blowups_with_planted_hyperedges():
     assert verdicts[True] > 0, verdicts
 
 
+def _planted_blowup(q, rng, planted):
+    """The q = 7..13 blow-up, relabelled and shuffled, with planted extra
+    hyperedges: a copy of a hyperedge (two classes then share two), the
+    union of two whole classes, a few random vertices that split their
+    classes, or a whole class with one vertex of another."""
+    base = bf.projective_plane_incidence(q).graph()
+    classes = [range(3 * x, 3 * x + 3) for x in range(base.n)]
+    n = 3 * base.n
+    hyperedges = [frozenset(v for x in edge for v in classes[x]) for edge in sorted(base.edges)]
+    for _ in range(planted):
+        kind = rng.randrange(4)
+        if kind == 0:
+            hyperedges.append(rng.choice(hyperedges))
+        elif kind == 1:
+            hyperedges.append(frozenset(v for x in rng.sample(range(base.n), 2)
+                                        for v in classes[x]))
+        elif kind == 2:
+            hyperedges.append(frozenset(rng.sample(range(n), rng.randint(2, 4))))
+        else:
+            hyperedges.append(frozenset(classes[rng.randrange(base.n)]) | {rng.randrange(n)})
+    relabel = rng.sample(range(n), n)
+    rng.shuffle(hyperedges)
+    return bf.Hypergraph(n, tuple(frozenset(relabel[v] for v in e) for e in hyperedges))
+
+
+@pytest.mark.parametrize("q", [7, 11, 13])
+def test_gate_on_id_lists_matches_the_mask_gate_on_planted_blowups(q):
+    """Relabelled q = 7, 11 and 13 blow-ups with 1 to 3 planted hyperedges:
+    the gate on id lists gives the twin classes, the least class and the
+    witness of the gate on full-width incidence masks, which it replaced;
+    at q = 7 the vertex-level references agree too."""
+    rng = random.Random(1000 + q)
+    verdicts = {False: 0, True: 0}
+    for trial in range(12 if q == 7 else 5):
+        h = _planted_blowup(q, rng, 1 + trial % 3)
+        if q == 7:
+            verdicts[_assert_quotient_agrees(h, 4)] += 1
+            continue
+        classes = twin_classes(h)
+        masks, sizes, adj, firsts = twin_classes_by_masks(h, incidence_masks(h))
+        assert (key_masks(classes), classes.sizes, classes.adj) == (masks, sizes, adj)
+        a = least_class(classes, 4)
+        assert a == quotient_class_by_masks(masks, sizes, adj, 4), (q, trial)
+        witness = bf.find_berge_cycle(h, 4)
+        assert witness == find_berge_cycle_by_masks(h, 4), (q, trial)
+        assert (witness is None) == (a is None)
+        verdicts[witness is not None] += 1
+    assert verdicts[True] > 0, verdicts
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_free_blowup_builds_no_hyperedge_masks(q, monkeypatch):
+    """A free blow-up has no trigger and no end seen twice, so the k = 4
+    gate builds no hyperedge mask."""
+    def refuse(*args):
+        raise AssertionError("the k = 4 gate built hyperedge masks on a free blow-up")
+
+    monkeypatch.setattr(berge, "_walk_masks", refuse)
+    h = bf.blow_up(bf.projective_plane_incidence(q).graph(), 3)
+    assert bf.find_berge_cycle(h, 4) is None
+
+
+# The full-width incidence masks of the q = 31 blow-up (5,958 vertices,
+# 31,776 hyperedges) alone take about 24 MB; the gate on id lists peaks
+# well below this bound, which the mask gate exceeds.
+Q31_PEAK_BOUND = 14 << 20
+
+
+def test_gate_on_the_q31_blowup_stays_under_a_memory_bound():
+    import tracemalloc
+    h = bf.blow_up(bf.projective_plane_incidence(31).graph(), 3)
+    peaks = []
+    for detector in (bf.find_berge_cycle, find_berge_cycle_by_masks):
+        tracemalloc.start()
+        try:
+            assert detector(h, 4) is None
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    fast, masks = peaks
+    assert fast < Q31_PEAK_BOUND < masks, (fast, masks)
+
+
+# Every input above has few enough classes that its class rows are ORed
+# per hyperedge; these run the same families with the rows set from
+# neighbour sets, as wide class graphs build them (_NARROW_CLASSES).
+
+def test_wide_class_rows_on_the_exhaustive_families(monkeypatch):
+    monkeypatch.setattr(berge, "_NARROW_CLASSES", 0)
+    test_twin_classes_skip_isolated_vertices()
+    test_quotient_on_exhaustive_class_family()
+    test_c4_detector_is_canonical_on_exhaustive_family()
+    for walk in REPEATED_CLASS_WALKS:
+        for prefix in PREFIXES:
+            test_each_repeated_class_walk_is_found(walk, prefix)
+
+
+def test_wide_class_rows_on_the_seeded_families(monkeypatch):
+    monkeypatch.setattr(berge, "_NARROW_CLASSES", 0)
+    test_quotient_on_seeded_planted_twins()
+    for k, largest, counts in ((2, 2, range(5)), (3, 3, range(5)), (5, 3, (5,)), (6, 3, (6,))):
+        test_quotient_walks_on_exhaustive_class_family(k, largest, counts)
+    for q in (7, 11, 13):
+        test_gate_on_id_lists_matches_the_mask_gate_on_planted_blowups(q)
+
+
 def _watch_the_k4_gate(monkeypatch):
     """Patch berge so that a closed walk the k = 4 gate starts from any
     class (one up to the last trigger) raises, and the gate's Hall verdicts
@@ -603,7 +733,7 @@ def test_fold_alone_decides_linear_twin_free_inputs(monkeypatch):
             if all(len(edge & other) <= 1 for other in edges):
                 edges.append(edge)
         h = bf.Hypergraph(n, tuple(edges))
-        if max(twin_classes(h)[1], default=1) > 1:
+        if max(twin_classes(h).sizes, default=1) > 1:
             continue
         witness = bf.find_berge_cycle(h, 4)
         assert witness == canonical_c4_by_enumeration(h), h
@@ -644,11 +774,12 @@ def test_each_repeated_class_walk_is_found(walk, prefix):
     overlooked its trigger would fold past it."""
     h = bf.Hypergraph(8, tuple(frozenset(e) for e in
                                PREFIXES[prefix] + REPEATED_CLASS_WALKS[walk]))
-    masks, sizes, adj, firsts = twin_classes(h)
-    a = firsts.index(4)
+    classes = twin_classes(h)
+    a = classes.of_vertex[4]
+    assert classes.members[a][0] == 4
     letters = walk.split("-")  # one class per letter, in order from a
-    assert sizes[a:] == [letters.count(x) for x in sorted(set(letters))], walk
-    assert berge._twin_quotient_has_c4(masks, sizes, adj) == a
+    assert classes.sizes[a:] == [letters.count(x) for x in sorted(set(letters))], walk
+    assert berge._twin_quotient_has_c4(classes)[0] == a
     witness = bf.find_berge_cycle(h, 4)
     assert witness == canonical_c4_by_enumeration(h) and witness.vertices[0] == 4
     assert _assert_quotient_agrees(h, 4)
@@ -683,12 +814,13 @@ def test_twin_free_input_enters_the_class_search(k, monkeypatch):
     monkeypatch.setattr(berge, "_twin_quotient_has_c4", counted(berge._twin_quotient_has_c4))
 
     def assert_canonical(h):
-        masks, sizes, _, _ = twin_classes(h)
-        assert sizes == [1] * len(sizes)
+        classes = twin_classes(h)
+        assert classes.sizes == [1] * len(classes.sizes)
         entered.clear()
         witness = bf.find_berge_cycle(h, k)
         if k <= len(h.hyperedges):  # else there is nothing to search
-            gate = ("_twin_quotient_has_c4",) if k == 4 else ("_closed_walk", range(len(masks)))
+            gate = (("_twin_quotient_has_c4",) if k == 4
+                    else ("_closed_walk", range(len(classes.keys))))
             if witness is None:
                 assert entered == [gate]
             else:
@@ -713,7 +845,7 @@ def test_twin_free_input_enters_the_class_search(k, monkeypatch):
         n = rng.randint(max(k, 4), 9)
         h = bf.Hypergraph(n, tuple(frozenset(rng.sample(range(n), rng.randint(2, 4)))
                                    for _ in range(rng.randint(k, 8))))
-        if max(twin_classes(h)[1]) == 1:
+        if max(twin_classes(h).sizes) == 1:
             verdicts[assert_canonical(h) is not None] += 1
     assert min(verdicts.values()) > 0, verdicts
 
@@ -742,7 +874,7 @@ def test_free_blowup_never_reaches_the_vertex_search(q, k, monkeypatch):
         hall_results.append(hall(slots))
         return hall_results[-1]
 
-    monkeypatch.setattr(berge, "_shadow_adjacency", refuse)
+    monkeypatch.setattr(berge, "_ShadowRows", refuse)
     monkeypatch.setattr(berge, "_hall", counted_hall)
     h = bf.blow_up(bf.projective_plane_incidence(q).graph(), 3)
     assert bf.find_berge_cycle(h, k) is None
@@ -765,14 +897,13 @@ def test_twinned_cycle_search_tries_one_start_vertex(k, monkeypatch):
                                 for e in edges))
     expected = first_cycle_by_vertex_classes(h, k)
     assert expected is not None and expected.vertices[0] > 0
-    shadow_adjacency = berge._shadow_adjacency
     looked_up = set()
 
-    class Recorded(list):
-        def __getitem__(self, v):
+    class Recorded(berge._ShadowRows):
+        def __missing__(self, v):  # a row is built on its first lookup
             looked_up.add(v)
-            return list.__getitem__(self, v)
+            return super().__missing__(v)
 
-    monkeypatch.setattr(berge, "_shadow_adjacency", lambda h: Recorded(shadow_adjacency(h)))
+    monkeypatch.setattr(berge, "_ShadowRows", Recorded)
     assert bf.find_berge_cycle(h, k) == expected
     assert min(looked_up) == expected.vertices[0]

@@ -554,20 +554,22 @@ def test_search_ceiling_maps_to_exit_two(tmp_path, capsys, monkeypatch):
         assert captured.err == f"error: n={n} exceeds the search's ceiling n <= 16\n"
 
 
-# Runs `berge lemmas` with Graph.adjacency_masks patched to raise
-# MemoryError, under a 512 MiB address-space cap set in this process only,
-# so a real allocation of the declared size fails fast instead of filling
-# the host's memory.  The first argument names a file the patch creates.
+# Runs `berge lemmas` with the suite's projection builder
+# (embedding._projection, which sizes what the suite allocates) patched to
+# raise MemoryError, under a 512 MiB address-space cap set in this process
+# only, so a real allocation of the declared size fails fast instead of
+# filling the host's memory.  The first argument names a file the patch
+# creates.
 _LEMMAS_OUT_OF_MEMORY = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
-import bergefree as bf
+import bergefree.embedding as embedding
 from bergefree.cli import main
 reached = sys.argv.pop(1)
-def out_of_memory(graph):
+def out_of_memory(*args):
     open(reached, "w").close()
     raise MemoryError
-bf.Graph.adjacency_masks = property(out_of_memory)
+embedding._projection = out_of_memory
 sys.exit(main())
 """
 

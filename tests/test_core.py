@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bergefree as bf
-from bergefree.berge import _shadow_adjacency
+from bergefree.berge import _ShadowRows, _twin_classes, _vertex_ids
 from bergefree.core import iter_bits, neighborhood_masks
 from conftest import graphs, hypergraphs
 from oracles import (
@@ -103,7 +103,7 @@ def test_neighborhoods_match_bfs_distance_classes(g, data):
 # ---------------------------------------------------------------------------
 
 def shadow_edges(hypergraph):
-    adj = _shadow_adjacency(hypergraph)
+    adj = _ShadowRows(_twin_classes(hypergraph, _vertex_ids(hypergraph)))
     return frozenset((u, v) for u in range(hypergraph.n) for v in iter_bits(adj[u]) if u < v)
 
 

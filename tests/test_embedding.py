@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 import bergefree as bf
 import bergefree.embedding
-from bergefree.embedding import _placement, _spoke_colors, _vertex_checks
+from bergefree.embedding import _observation1_by_size, _placement, _projection, _vertex_checks
 from conftest import hypergraphs
 from oracles import (
     F1,
@@ -351,9 +351,12 @@ def test_bundle_matches_definition_scan(h):
 # ---------------------------------------------------------------------------
 
 def _fast_checks(hypergraph, colored_graph, v):
-    proj = colored_graph.simple_projection
-    return _vertex_checks(hypergraph, proj, proj.adjacency_masks, v,
-                          _spoke_colors(colored_graph, [v])[v])
+    """The library's checks of v on the colored graph's projection rows and
+    spoke colors; the hand-built graphs below are not the embedding of
+    their hypergraph, so the rows and spokes come from the graph itself
+    (_projection is checked against them on embeddings)."""
+    rows = dict(enumerate(colored_graph.simple_projection.adjacency_masks))
+    return _vertex_checks(hypergraph, rows, v, _spokes_by_pair_colors(colored_graph, [v])[v])
 
 
 def _vertex_reports(hypergraph, colored_graph, v):
@@ -500,7 +503,70 @@ def test_spoke_colors_match_pair_color_oracle(h):
     cg = bf.build_embedded_graph(h)
     rng = random.Random(h.n)
     for checked in (range(h.n), sorted(rng.sample(range(h.n), h.n // 3)), []):
-        assert _spoke_colors(cg, checked) == _spokes_by_pair_colors(cg, checked)
+        assert _projection(h, checked)[1] == _spokes_by_pair_colors(cg, checked)
+
+
+def _lemma_inputs():
+    """The hypergraphs the lemma suite tests run on, and the q = 2..7
+    blow-ups, plain and relabelled."""
+    plane = bf.projective_plane_incidence
+    inputs = [bf.Hypergraph(4, ({0, 1, 2, 3},)), bf.Hypergraph(5, ({0, 1, 2, 3},)),
+              bf.blow_up(plane(2).graph(), 3), _star_instance()[0],
+              bf.Hypergraph(8, ({0, 1, 2, 3, 4, 5, 6}, {0, 7}, {6, 7, 1, 2}))]
+    for q in (2, 3, 5, 7):
+        inputs += [bf.blow_up(plane(q).graph(), 3), _relabelled_blowup(q, 60 + q)]
+    return inputs + [_seeded_multihypergraph(seed) for seed in range(20)]
+
+
+@pytest.mark.parametrize("h", _lemma_inputs())
+def test_observation1_by_size_matches_incidence_oracle(h):
+    """Observation 1 checked once per hyperedge size reports what the
+    whole-graph oracle reports on the embedded graph, and on a free input
+    the suite carries that report."""
+    want = observation1_by_incidence(bf.build_embedded_graph(h))
+    assert _observation1_by_size(h) == want
+    if bf.is_berge_c4_free(h):
+        assert bf.verify_lemma_suite(h, vertices=[]).observation1 == want
+
+
+def test_observation1_by_size_reports_a_broken_placement_on_the_whole_graph(monkeypatch):
+    """Should a size's placement break observation 1 (it cannot: triangles
+    and single edges), the report is the whole colored graph's, naming
+    real vertices and colors."""
+    broken = {6: ((0, 1), (0, 2), (0, 3))}  # three edges of one color at position 0
+    placement = bergefree.embedding._placement
+    monkeypatch.setattr(bergefree.embedding, "_placement", lambda s: broken.get(s) or placement(s))
+    h = bf.Hypergraph(9, ({0, 1, 2, 3, 4, 5}, {3, 4, 5, 6, 7, 8}, {0, 1, 2, 3}))
+    report = _observation1_by_size(h)
+    assert not report.ok
+    assert report == observation1_by_incidence(bf.build_embedded_graph(h))
+
+
+@pytest.mark.parametrize("h", _lemma_inputs())
+def test_projection_rows_are_the_simple_projection(h):
+    """The suite's rows, read straight off the hyperedges, are the adjacency
+    masks of the embedded graph's simple projection, keyed ascending by
+    the vertices on a placed edge."""
+    rows, _ = _projection(h, [])
+    masks = bf.build_embedded_graph(h).simple_projection.adjacency_masks
+    assert rows == {v: row for v, row in enumerate(masks) if row}
+    assert list(rows) == sorted(rows)
+
+
+def test_lemma_suite_on_a_huge_declared_n_allocates_by_the_used_vertices():
+    """n = 5,000,000 with one hyperedge: a sample of five vertices is
+    checked without allocating anything per declared vertex."""
+    import tracemalloc
+    h = bf.Hypergraph(5_000_000, ([0, 1, 2, 3],))
+    vertices = sorted(random.Random(0).sample(range(h.n), 5)) + [0, 3]
+    tracemalloc.start()
+    try:
+        report = bf.verify_lemma_suite(h, vertices=vertices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.observation1.colored_edge_count == 1
+    assert peak < 1 << 20, peak
 
 
 # ---------------------------------------------------------------------------
