@@ -24,20 +24,21 @@ Hall test reaches, over only the hyperedges near where the walk starts.
    (_hall, on the slot masks) lifts back to a Berge-Ck, so walking the
    classes decides freeness without walking each twin's copy of every
    vertex path.  For k != 4 the walk runs from every class.  For k = 4 it
-   runs only from the classes up to the last trigger: a triangle through a
-   class of two or more members, two classes that share two or more
-   hyperedges (counted on the id tuples), or a class of four or more
-   members, one of which any walk that repeats a class needs.  Every class
-   above is decided by a seen/dup fold over its class 2-paths (the C4 case
-   of Alon, Yuster and Zwick, "Finding and counting given length cycles",
-   Algorithmica 1997), which tests Hall's condition only for the middles of
-   an end seen twice.  A free blow-up has no trigger and no end seen twice,
-   so it builds no hyperedge mask and needs no Hall test.
+   runs only from the least class of a trigger: a triangle through a class
+   of two or more members, two classes that share two or more hyperedges
+   (counted on the id tuples), or a class of four or more members, one of
+   which any walk that repeats a class needs, with its least class first.
+   Every other class is decided by a seen/dup fold over its class 2-paths
+   (the C4 case of Alon, Yuster and Zwick, "Finding and counting given
+   length cycles", Algorithmica 1997), which tests Hall's condition only
+   for the middles of an end seen twice.  A free blow-up has no trigger
+   and no end seen twice, so it builds no hyperedge mask and needs no Hall
+   test.
 2. Witness.  When the gate finds a cycle, the same walk runs on one class
    per vertex, from the smallest member of the least class with a cycle
    alone, on shadow rows built for the vertices it reaches and on the
-   hyperedge masks of the walk that found the class (or, for the fold,
-   masks over the hyperedges near that class).  distinct_representatives,
+   masks over the hyperedges near that class with which the gate found
+   it.  distinct_representatives,
    run once on the slot masks of the walk it returns, picks the hyperedges
    with _hall, the one SDR engine.  That is the first cycle of the
    enumeration above, so witnesses do not depend on the gate.
@@ -64,9 +65,9 @@ before it is handed out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 from itertools import chain, combinations, permutations
-from operator import itemgetter, or_
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .core import Graph, Hypergraph, _mask, iter_bits
@@ -118,9 +119,7 @@ def distinct_representatives(slots: Sequence[int]) -> Optional[list[int]]:
     hyperedges first, ties by index, and each takes the least free id after
     which _hall still passes on the later slots with the taken ids removed:
     the first assignment a smallest-domain-first backtracking search
-    reaches.  Deterministic for fixed input.  An id that no later slot
-    holds needs no test: the later slots are a part of slots that admit
-    distinct representatives, so they still do.
+    reaches.  Deterministic for fixed input.
     """
     order = sorted(range(len(slots)), key=lambda i: (slots[i].bit_count(), i))
     rest = [slots[i] for i in order]
@@ -128,15 +127,9 @@ def distinct_representatives(slots: Sequence[int]) -> Optional[list[int]]:
         return None
     chosen = [0] * len(slots)
     for pos, i in enumerate(order):
-        later = rest[pos + 1:]
-        held = reduce(or_, later, 0)
         for hid in iter_bits(rest[pos]):
-            bit = 1 << hid
-            if not held & bit:
-                break
-            trial = [mask & ~bit for mask in later]
-            if _hall(trial):
-                later = trial
+            later = [mask & ~(1 << hid) for mask in rest[pos + 1:]]
+            if _hall(later):
                 break
         chosen[i] = hid
         rest[pos + 1:] = later
@@ -202,47 +195,26 @@ class _TwinClasses(NamedTuple):
     keys[i] is the tuple of hyperedge ids shared by the members of class i,
     members[i] lists them ascending and sizes[i] counts them.  adj[i] has
     bit j set when classes i != j share a hyperedge, and bit i set when
-    class i has two members, which then share every hyperedge of the class;
-    uppers[i] iterates over those j above i.  meets[i] counts the j != i
-    once per hyperedge they share with i, so it exceeds their number only
-    when class i shares two or more hyperedges with one of them.  of_vertex[v]
-    is the class of vertex v, -1 for a vertex in no hyperedge.
+    class i has two members, which then share every hyperedge of the class.
+    meets[i] counts the j != i once per hyperedge they share with i, so it
+    exceeds their number only when class i shares two or more hyperedges
+    with one of them.  of_vertex[v] is the class of vertex v, -1 for a
+    vertex in no hyperedge.
     """
 
     keys: list[tuple[int, ...]]
     members: list[list[int]]
     sizes: list[int]
     adj: list[int]
-    uppers: Sequence[Iterable[int]]
     meets: list[int]
     of_vertex: list[int]
 
 
-# Up to this many classes a row is a few machine words, and each hyperedge
-# ORs the mask of the classes it meets into their rows.  Wider rows are set
-# once per class from a set of neighbours instead: an OR into a wide int
-# costs its whole width, once per hyperedge and class.
-_NARROW_CLASSES = 512
-
-
-class _RowBits:
-    """uppers for narrow rows: entry i iterates over the bits of rows[i]
-    above i, so no neighbour set is built."""
-
-    def __init__(self, rows: Sequence[int]):
-        self.rows = rows
-
-    def __getitem__(self, i: int) -> Iterable[int]:
-        return map((i + 1).__add__, iter_bits(self.rows[i] >> (i + 1)))
-
-
 def _twin_classes(hypergraph: Hypergraph, ids: Sequence[Optional[list[int]]]) -> _TwinClasses:
     """The twin classes, keyed by the vertices' id lists.  The rows come
-    from the hyperedges: each joins the classes it meets, as one OR of
-    their mask into each of their rows for narrow rows (_NARROW_CLASSES),
-    or as a union into each of their neighbour sets, which give the rows
-    and uppers, for wide ones; each also adds the number of the others to
-    meets."""
+    from the hyperedges: each ORs the mask of the distinct classes it meets
+    into each of their rows and adds the number of the others to each of
+    their meets."""
     index: dict[tuple[int, ...], int] = {}
     members: list[list[int]] = []
     of_vertex = [-1] * hypergraph.n
@@ -256,40 +228,23 @@ def _twin_classes(hypergraph: Hypergraph, ids: Sequence[Optional[list[int]]]) ->
             else:
                 members[i].append(v)
             of_vertex[v] = i
-    count = len(members)
     sizes = list(map(len, members))
-    meets = [0] * count
-    if count <= _NARROW_CLASSES:
-        adj = [0] * count
-        for row in hypergraph.hyperedges:
-            touched = 0
-            for v in row:
-                touched |= 1 << of_vertex[v]
-            if touched & (touched - 1):
-                others = touched.bit_count() - 1
-                for i in iter_bits(touched):
-                    adj[i] |= touched
-                    meets[i] += others
-        for i, size in enumerate(sizes):
-            adj[i] = adj[i] | 1 << i if size > 1 else adj[i] & ~(1 << i)
-        uppers: Sequence[Iterable[int]] = _RowBits(adj)
-    else:
-        neighbours: list[set[int]] = [set() for _ in members]
-        for row in hypergraph.hyperedges:
-            touched_set = set(map(of_vertex.__getitem__, row))
-            others = len(touched_set) - 1
-            if others:
-                for i in touched_set:
-                    neighbours[i] |= touched_set
-                    meets[i] += others
-        width = count // 8 + 1
-        adj = []
-        uppers = []
-        for i, row in enumerate(neighbours):
-            row.discard(i)
-            adj.append(_mask(row, width) | (sizes[i] > 1) << i)
-            uppers.append(tuple(filter(i.__lt__, row)))
-    return _TwinClasses(list(index), members, sizes, adj, uppers, meets, of_vertex)
+    adj = [0] * len(members)
+    meets = [0] * len(members)
+    for row in hypergraph.hyperedges:
+        touched = set(map(of_vertex.__getitem__, row))
+        others = len(touched) - 1
+        if others:
+            mask = 0
+            for i in touched:
+                mask |= 1 << i
+            for i in touched:
+                adj[i] |= mask
+                meets[i] += others
+    for i, size in enumerate(sizes):
+        if (size > 1) != (adj[i] >> i & 1):
+            adj[i] ^= 1 << i
+    return _TwinClasses(list(index), members, sizes, adj, meets, of_vertex)
 
 
 _Found = tuple[int, list[int], Sequence[int]]
@@ -429,10 +384,7 @@ def _closed_walk(masks: Sequence[int], sizes: Sequence[int], adj: Mapping[int, i
             if k > 2:
                 candidates &= -1 << walk[1]  # orientation: keep only c2 <= ck
             mask_a = masks[a]
-            while candidates:
-                low = candidates & -candidates
-                candidates ^= low
-                c = low.bit_length() - 1
+            for c in iter_bits(candidates):
                 if count[c] == sizes[c]:
                     continue
                 slot = mask_last & masks[c]
@@ -445,10 +397,7 @@ def _closed_walk(masks: Sequence[int], sizes: Sequence[int], adj: Mapping[int, i
                     walk[depth] = c
                     return True
             return False
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            c = low.bit_length() - 1
+        for c in iter_bits(candidates):
             if count[c] == sizes[c]:
                 continue
             slot = mask_last & masks[c]
@@ -478,32 +427,32 @@ def _twin_quotient_has_c4(classes: _TwinClasses) -> Optional[_Found]:
     these are, as _twin_quotient_has_cycle gives it, or None.
 
     A closed 4-walk a, b, c, d from its least class a (see _closed_walk)
-    that repeats a class needs a trigger on classes not below a
-    (_last_trigger), so every a up to the last trigger is decided by the
-    closed-walk search, and every a above it has only walks on four
-    distinct classes.  Their far ends c are the dup bits above a of one
-    fold over the neighbours b of a above a, in the loop-free class graph:
-    the fold of find_c4_in_graph, which keeps the ends seen once (seen) and
-    twice (dup).  Hall's test runs only on the pairs of middles of a dup
-    end, on masks over the hyperedges near a.  So hyperedge masks are
-    built only near the classes the walk starts from, and near the a whose
-    fold has a dup end.
+    that repeats a class lifts to a Berge-C4 only when a is the least class
+    of a trigger (_has_trigger).  So each a that is one is decided by the
+    closed-walk search from a alone, on masks over the hyperedges near a,
+    and every other a has only walks on four distinct classes.  Their far
+    ends c are the dup bits above a of one fold over the neighbours b of a
+    above a, in the loop-free class graph: the fold of find_c4_in_graph,
+    which keeps the ends seen once (seen) and twice (dup).  Hall's test
+    runs only on the pairs of middles of a dup end, on masks over the
+    hyperedges near a.  So hyperedge masks are built only near an a that
+    is the least class of a trigger or whose fold has a dup end.
     """
-    keys, _, sizes, adj, uppers, _, _ = classes
+    keys, _, sizes, adj, _, _ = classes
     free = [row & ~(1 << i) for i, row in enumerate(adj)]
-    last = _last_trigger(classes, free)
-    if last >= 0:
-        masks, near_ids = _walk_masks(classes, (2 << last) - 1, 4)
-        walk = _closed_walk(masks, sizes, adj, 4, range(last + 1))
-        if walk is not None:
-            return walk[0], masks, near_ids
-    for a in range(last + 1, len(keys)):
+    for a in range(len(keys)):
+        above = a + 1
+        uppers = [above + b for b in iter_bits(free[a] >> above)]
+        if _has_trigger(classes, free, a, uppers):
+            masks, near_ids = _walk_masks(classes, 1 << a, 4)
+            if _closed_walk(masks, sizes, adj, 4, (a,)) is not None:
+                return a, masks, near_ids
+            continue
         seen = dup = 0
-        for b in uppers[a]:
+        for b in uppers:
             ends = free[b]
             dup |= seen & ends
             seen |= ends
-        above = a + 1
         dup >>= above
         if not dup:
             continue
@@ -519,40 +468,36 @@ def _twin_quotient_has_c4(classes: _TwinClasses) -> Optional[_Found]:
     return None
 
 
-def _last_trigger(classes: _TwinClasses, free: Sequence[int]) -> int:
-    """The largest class that is the least class of a trigger, or -1; free
-    holds the class rows without their loop bits.
+def _has_trigger(classes: _TwinClasses, free: Sequence[int], a: int,
+                 uppers: Sequence[int]) -> bool:
+    """True when class a is the least class of a trigger; free holds the
+    class rows without their loop bits, and uppers the neighbours of a
+    above a.
 
     A closed 4-walk from its least class a that repeats a class lifts to a
-    Berge-C4 only through a trigger on classes not below a:
-    - a triangle of the loop-free class graph through a class of two or
-      more members, for the walks a-a-c-d, a-b-b-d and a-b-c-c;
-    - two classes that share two or more hyperedges, for the walks a-b-a-d,
-      a-b-c-b, a-a-c-c and a-a-a-d, whose slots hold two hyperedges of one
-      class pair;
-    - a class of four or more members, for the walk a-a-a-a.
-    Classes u are tried from the last down, each with its neighbours v
-    above it; a triangle with least class u has two of them, so a member
-    of two or more on it is u or the v of one of them.  Shared hyperedges
-    are counted on the id tuples, and only for a class that shares two
-    hyperedges with some class, which meets[u] exceeding its number of
-    neighbours shows: its tuple is intersected with those of its
-    neighbours above it.
+    Berge-C4 only through a trigger on a and classes above it:
+    - a triangle of the loop-free class graph through a and a class of two
+      or more members, for the walks a-a-c-d, a-b-b-d and a-b-c-c;
+    - a class above a that shares two or more hyperedges with a, for the
+      walks a-b-a-d, a-b-c-b, a-a-c-c and a-a-a-d, whose slots hold two
+      hyperedges shared by a and one of its neighbours;
+    - four or more members in a, for the walk a-a-a-a.
+    A triangle with least class a has two neighbours v of a above it, so a
+    member of two or more on it is a or the v of one of them.  Shared
+    hyperedges are counted on the id tuples, and only when meets[a]
+    exceeds a's number of neighbours, that is when a shares two hyperedges
+    with some class.
     """
-    keys, _, sizes, _, uppers, meets, _ = classes
-    for u in range(len(keys) - 1, -1, -1):
-        if sizes[u] >= 4:
-            return u
-        if meets[u] > free[u].bit_count():
-            ids = set(keys[u])
-            if any(len(ids.intersection(keys[v])) >= 2 for v in uppers[u]):
-                return u
-        above = free[u] >> (u + 1) << (u + 1)
-        twinned = sizes[u] >= 2
-        for v in uppers[u]:
-            if (twinned or sizes[v] >= 2) and free[v] & above:
-                return u
-    return -1
+    keys, _, sizes, _, meets, _ = classes
+    if sizes[a] >= 4:
+        return True
+    if meets[a] > free[a].bit_count():
+        ids = set(keys[a])
+        if any(len(ids.intersection(keys[v])) >= 2 for v in uppers):
+            return True
+    above = free[a] >> (a + 1) << (a + 1)
+    twinned = sizes[a] >= 2
+    return any((twinned or sizes[v] >= 2) and free[v] & above for v in uppers)
 
 
 def _hall(slots: Sequence[int]) -> bool:
@@ -562,17 +507,9 @@ def _hall(slots: Sequence[int]) -> bool:
     one along augmenting paths (_augment), in time polynomial in the number
     of slots, not one union per subset of them."""
     holder: dict[int, int] = {}  # hyperedge bit -> the slot that holds it
-    held = 0
-    for i, slot in enumerate(slots):
-        free = slot & ~held
-        if free:  # a hyperedge no slot holds yet: take the least, no search
-            bit = free & -free
-            holder[bit] = i
-        elif _augment(slots, i, holder, [0]):
-            bit = sum(holder) & ~held  # the one hyperedge the path added
-        else:
+    for i in range(len(slots)):
+        if not _augment(slots, i, holder, [0]):
             return False
-        held |= bit
     return True
 
 

@@ -39,14 +39,8 @@ def iter_bits(mask: int):
 
 
 def _mask(bits: Iterable[int], width: int) -> int:
-    """The int with these bits set, all below 8 * width.  A wide mask is
-    set in a bytearray, so that it costs one pass, not one wide int per
-    bit."""
-    if width <= 64:
-        mask = 0
-        for b in bits:
-            mask |= 1 << b
-        return mask
+    """The int with these bits set, all below 8 * width, set in a
+    bytearray, so that it costs one pass, not one wide int per bit."""
     row = bytearray(width)
     for b in bits:
         row[b >> 3] |= 1 << (b & 7)

@@ -351,15 +351,15 @@ def _observation1_by_size(hypergraph: Hypergraph) -> ObservationReport:
     through its sorted, distinct vertices, and both rules of observation 1
     concern the edges of one color at one vertex, so they hold for the
     whole graph exactly when they hold for the placement of every size
-    that occurs.  They always do: the placement is vertex-disjoint
-    triangles and single edges.  Should one fail, the whole graph is
-    checked, so that the report names its vertices and colors.
+    that occurs.  They always do, since the placement is vertex-disjoint
+    triangles and single edges (validate_decomposition), so a size that
+    breaks them raises AssertionError.
     """
     sizes = {len(h) for h in hypergraph.hyperedges if len(h) > 3}
     for s in sorted(sizes):
         placed = ColoredGraph(s, tuple((a, b, 0) for a, b in _placement(s)))
         if not verify_observation1(placed).ok:
-            return verify_observation1(build_embedded_graph(hypergraph))
+            raise AssertionError(f"the placement of size {s} breaks observation 1")
     return ObservationReport(
         n=hypergraph.n,
         colored_edge_count=sum(len(h) - 3 for h in hypergraph.hyperedges if len(h) > 3),

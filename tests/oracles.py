@@ -927,20 +927,28 @@ def c4_class_by_mask_fold(masks: Sequence[int], sizes: Sequence[int], adj: Seque
 
 
 def last_trigger_by_masks(masks: Sequence[int], sizes: Sequence[int], free: Sequence[int]) -> int:
-    """The largest least class of a trigger, or -1, with the shared
-    hyperedges of each class edge counted by a full-width AND."""
+    """The largest least class of a trigger, or -1."""
     for u in range(len(masks) - 1, -1, -1):
-        if sizes[u] >= 4:
+        if has_trigger_by_masks(masks, sizes, free, u):
             return u
-        above = free[u] >> (u + 1) << (u + 1)
-        twinned = sizes[u] >= 2
-        mask_u = masks[u]
-        for v in iter_bits(above):
-            if (mask_u & masks[v]).bit_count() >= 2:
-                return u
-            if (twinned or sizes[v] >= 2) and free[v] & above:
-                return u
     return -1
+
+
+def has_trigger_by_masks(masks: Sequence[int], sizes: Sequence[int], free: Sequence[int],
+                         u: int) -> bool:
+    """Whether class u is the least class of a trigger, with the shared
+    hyperedges of each class edge counted by a full-width AND."""
+    if sizes[u] >= 4:
+        return True
+    above = free[u] >> (u + 1) << (u + 1)
+    twinned = sizes[u] >= 2
+    mask_u = masks[u]
+    for v in iter_bits(above):
+        if (mask_u & masks[v]).bit_count() >= 2:
+            return True
+        if (twinned or sizes[v] >= 2) and free[v] & above:
+            return True
+    return False
 
 
 def c4_class_by_path_pairs(masks: Sequence[int], sizes: Sequence[int],

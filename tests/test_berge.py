@@ -27,6 +27,7 @@ from oracles import (
     distinct_representatives_by_backtracking,
     find_berge_cycle_by_masks,
     first_cycle_by_vertex_classes,
+    has_trigger_by_masks,
     incidence_masks,
     incremental_c4_check,
     quotient_class_by_masks,
@@ -348,6 +349,15 @@ def key_masks(classes) -> list[int]:
     return [sum(1 << hid for hid in key) for key in classes.keys]
 
 
+def _assert_triggers_agree(classes, masks, sizes, adj) -> None:
+    """Each class is the least class of a trigger on the id tuples exactly
+    when it is one on full-width incidence masks."""
+    free = [row & ~(1 << i) for i, row in enumerate(adj)]
+    want = [has_trigger_by_masks(masks, sizes, free, u) for u in range(len(sizes))]
+    uppers = [[v for v in iter_bits(free[u]) if v > u] for u in range(len(sizes))]
+    assert [berge._has_trigger(classes, free, u, uppers[u]) for u in range(len(sizes))] == want
+
+
 def _assert_quotient_agrees(h: bf.Hypergraph, k: int = 4, oracle: bool = False) -> bool:
     """The gate on the twin classes agrees with the vertex-level reference,
     which runs a class gate on one class per vertex (for k = 4 the pairing
@@ -370,6 +380,7 @@ def _assert_quotient_agrees(h: bf.Hypergraph, k: int = 4, oracle: bool = False) 
     assert (a is not None) == (expected is not None), (k, h)
     if k == 4:
         assert a == c4_class_by_path_pairs(masks, sizes, adj), h
+        _assert_triggers_agree(classes, masks, sizes, adj)
     if a is not None:
         assert firsts[a] == expected.vertices[0], (k, h)
     assert bf.find_berge_cycle(h, k) == expected == find_berge_cycle_by_masks(h, k), (k, h)
@@ -408,7 +419,7 @@ def test_twin_classes_skip_isolated_vertices():
     assert classes.keys == [(0,), (0, 1), (1,)] and classes.sizes == [2, 1, 1]
     assert classes.adj == [0b011, 0b101, 0b010]  # only class 0 has a loop
     assert classes.members == [[0, 1], [2], [3]]
-    assert [set(classes.uppers[i]) for i in range(3)] == [{1}, {2}, set()]
+    assert classes.meets == [1, 2, 1]  # one hyperedge per neighbour
 
 
 @pytest.mark.parametrize("size", range(1, 7))
@@ -618,6 +629,7 @@ def test_gate_on_id_lists_matches_the_mask_gate_on_planted_blowups(q):
         classes = twin_classes(h)
         masks, sizes, adj, firsts = twin_classes_by_masks(h, incidence_masks(h))
         assert (key_masks(classes), classes.sizes, classes.adj) == (masks, sizes, adj)
+        _assert_triggers_agree(classes, masks, sizes, adj)
         a = least_class(classes, 4)
         assert a == quotient_class_by_masks(masks, sizes, adj, 4), (q, trial)
         witness = bf.find_berge_cycle(h, 4)
@@ -660,41 +672,18 @@ def test_gate_on_the_q31_blowup_stays_under_a_memory_bound():
     assert fast < Q31_PEAK_BOUND < masks, (fast, masks)
 
 
-# Every input above has few enough classes that its class rows are ORed
-# per hyperedge; these run the same families with the rows set from
-# neighbour sets, as wide class graphs build them (_NARROW_CLASSES).
-
-def test_wide_class_rows_on_the_exhaustive_families(monkeypatch):
-    monkeypatch.setattr(berge, "_NARROW_CLASSES", 0)
-    test_twin_classes_skip_isolated_vertices()
-    test_quotient_on_exhaustive_class_family()
-    test_c4_detector_is_canonical_on_exhaustive_family()
-    for walk in REPEATED_CLASS_WALKS:
-        for prefix in PREFIXES:
-            test_each_repeated_class_walk_is_found(walk, prefix)
-
-
-def test_wide_class_rows_on_the_seeded_families(monkeypatch):
-    monkeypatch.setattr(berge, "_NARROW_CLASSES", 0)
-    test_quotient_on_seeded_planted_twins()
-    for k, largest, counts in ((2, 2, range(5)), (3, 3, range(5)), (5, 3, (5,)), (6, 3, (6,))):
-        test_quotient_walks_on_exhaustive_class_family(k, largest, counts)
-    for q in (7, 11, 13):
-        test_gate_on_id_lists_matches_the_mask_gate_on_planted_blowups(q)
-
-
 def _watch_the_k4_gate(monkeypatch):
     """Patch berge so that a closed walk the k = 4 gate starts from any
-    class (one up to the last trigger) raises, and the gate's Hall verdicts
-    are recorded in the returned list.  Walks and Hall tests outside the
-    gate, for the witness, are neither refused nor recorded."""
+    class (the least class of a trigger) raises, and the gate's Hall
+    verdicts are recorded in the returned list.  Walks and Hall tests
+    outside the gate, for the witness, are neither refused nor recorded."""
     gate, walk, hall = berge._twin_quotient_has_c4, berge._closed_walk, berge._hall
     inside = []
     hall_results = []
 
     def watched_walk(masks, sizes, adj, k, starts):
         if inside and len(starts):
-            raise AssertionError("the k = 4 gate walked from classes up to a trigger")
+            raise AssertionError("the k = 4 gate walked from the least class of a trigger")
         return walk(masks, sizes, adj, k, starts)
 
     def watched_hall(slots):

@@ -529,19 +529,6 @@ def test_observation1_by_size_matches_incidence_oracle(h):
         assert bf.verify_lemma_suite(h, vertices=[]).observation1 == want
 
 
-def test_observation1_by_size_reports_a_broken_placement_on_the_whole_graph(monkeypatch):
-    """Should a size's placement break observation 1 (it cannot: triangles
-    and single edges), the report is the whole colored graph's, naming
-    real vertices and colors."""
-    broken = {6: ((0, 1), (0, 2), (0, 3))}  # three edges of one color at position 0
-    placement = bergefree.embedding._placement
-    monkeypatch.setattr(bergefree.embedding, "_placement", lambda s: broken.get(s) or placement(s))
-    h = bf.Hypergraph(9, ({0, 1, 2, 3, 4, 5}, {3, 4, 5, 6, 7, 8}, {0, 1, 2, 3}))
-    report = _observation1_by_size(h)
-    assert not report.ok
-    assert report == observation1_by_incidence(bf.build_embedded_graph(h))
-
-
 @pytest.mark.parametrize("h", _lemma_inputs())
 def test_projection_rows_are_the_simple_projection(h):
     """The suite's rows, read straight off the hyperedges, are the adjacency
