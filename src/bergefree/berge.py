@@ -12,8 +12,8 @@ One closed-walk search (_closed_walk) answers every question of the form
 "is there a Berge-Ck whose least class is a?", in two steps.  Both read one
 incidence: each vertex's list of hyperedge ids (_vertex_ids), built in one
 pass over the sorted rows.  No structure holds a bit per hyperedge for
-every vertex; hyperedge masks are built only for the classes a walk or a
-Hall test reaches, over only the hyperedges near where the walk starts.
+every vertex; hyperedge masks are built only for the classes a walk
+reaches, over only the hyperedges near where the walk starts.
 
 1. Twin gate.  Twins are vertices that lie in exactly the same hyperedges
    (equal id lists); every vertex of a blow-up has two, and a vertex
@@ -24,16 +24,15 @@ Hall test reaches, over only the hyperedges near where the walk starts.
    (_hall, on the slot masks) lifts back to a Berge-Ck, so walking the
    classes decides freeness without walking each twin's copy of every
    vertex path.  For k != 4 the walk runs from every class.  For k = 4 it
-   runs only from the least class of a trigger: a triangle through a class
-   of two or more members, two classes that share two or more hyperedges
-   (counted on the id tuples), or a class of four or more members, one of
-   which any walk that repeats a class needs, with its least class first.
-   Every other class is decided by a seen/dup fold over its class 2-paths
-   (the C4 case of Alon, Yuster and Zwick, "Finding and counting given
-   length cycles", Algorithmica 1997), which tests Hall's condition only
-   for the middles of an end seen twice.  A free blow-up has no trigger
-   and no end seen twice, so it builds no hyperedge mask and needs no Hall
-   test.
+   runs only from each class that one pass over its upper neighbours
+   (_c4_starts) finds able to start one: a class with an end above it seen
+   twice in a seen/dup fold over its class 2-paths (the C4 case of Alon,
+   Yuster and Zwick, "Finding and counting given length cycles",
+   Algorithmica 1997), a triangle through a class of two or more members,
+   two hyperedges shared with a neighbour above it (counted on the id
+   tuples), or four or more members.  The walk from that class alone
+   decides it.  A free blow-up has none of these, so it builds no
+   hyperedge mask and needs no Hall test.
 2. Witness.  When the gate finds a cycle, the same walk runs on one class
    per vertex, from the smallest member of the least class with a cycle
    alone, on shadow rows built for the vertices it reaches and on the
@@ -66,9 +65,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, combinations, permutations
+from itertools import chain, permutations
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .core import Graph, Hypergraph, _mask, iter_bits
 
@@ -252,22 +251,74 @@ _Found = tuple[int, list[int], Sequence[int]]
 
 def _twin_quotient_has_cycle(classes: _TwinClasses, k: int) -> Optional[_Found]:
     """The least class a whose smallest member is the minimum of a Berge-Ck
-    of the hypergraph with these twin classes, or None: the seen/dup fold
-    over class 2-paths for k = 4, the closed-walk search otherwise.  Both
-    decide each a in ascending order as the least class of a closed walk.
-    A walk from a lifts to a Berge-Ck on classes not below a, whose minimum
-    is the smallest member of a; and the least class c of any Berge-Ck's
-    walk has a walk, so a <= c and no Berge-Ck has a smaller minimum.
+    of the hypergraph with these twin classes, or None: the closed-walk
+    search, which decides each a in ascending order as the least class of a
+    closed walk.  A walk from a lifts to a Berge-Ck on classes not below a,
+    whose minimum is the smallest member of a; and the least class c of any
+    Berge-Ck's walk has a walk, so a <= c and no Berge-Ck has a smaller
+    minimum.  For k != 4 the walk runs from every class, on one set of
+    masks.  For k = 4 it runs from each class _c4_starts yields alone, on
+    masks over the hyperedges near it, and every other class has no walk.
 
     a comes with the class masks and near hyperedges with which it was
     found (_walk_masks), which hold every slot of a closed k-walk from a.
     """
+    sizes, adj = classes.sizes, classes.adj
     if k == 4:
-        return _twin_quotient_has_c4(classes)
-    starts = range(len(classes.keys))
+        for a in _c4_starts(classes):
+            masks, near = _walk_masks(classes, 1 << a, 4)
+            if _closed_walk(masks, sizes, adj, 4, (a,)) is not None:
+                return a, masks, near
+        return None
+    starts = range(len(sizes))
     masks, near = _walk_masks(classes, (1 << len(starts)) - 1, k)
-    walk = _closed_walk(masks, classes.sizes, classes.adj, k, starts)
+    walk = _closed_walk(masks, sizes, adj, k, starts)
     return None if walk is None else (walk[0], masks, near)
+
+
+def _c4_starts(classes: _TwinClasses) -> Iterator[int]:
+    """The classes a, ascending, that can be the least class of a closed
+    4-walk a, b, c, d that lifts to a Berge-C4 (see _closed_walk), each
+    found in one pass over the neighbours b of a above a in the loop-free
+    class graph.  Such a walk has b and d above a and next to it, and is
+    one of these:
+    - a walk on four distinct classes, whose c is an end above a that two
+      of those b reach: a dup bit of the seen/dup fold over their rows (the
+      C4 case of Alon, Yuster and Zwick, "Finding and counting given length
+      cycles", Algorithmica 1997, as in find_c4_in_graph);
+    - a-a-c-d, a-b-b-d or a-b-c-c, a triangle through a and a class of two
+      or more members, which is a or one of the two b on it;
+    - a-b-a-d, a-b-c-b, a-a-c-c or a-a-a-d, whose slots hold two
+      hyperedges shared by a and a neighbour b above it, counted on the id
+      tuples and only when meets[a] exceeds a's number of neighbours, that
+      is when a shares two hyperedges with some class;
+    - a-a-a-a, on a class of four or more members.
+    A free blow-up has none of these, so the gate builds no hyperedge mask.
+    """
+    keys, _, sizes, adj, meets, _ = classes
+    free = [row & ~(1 << i) for i, row in enumerate(adj)]
+    for a, row in enumerate(free):
+        if sizes[a] >= 4:
+            yield a
+            continue
+        first = a + 1
+        uppers = row >> first  # iterated shifted: a narrower int on wide inputs
+        above = uppers << first
+        twinned = sizes[a] >= 2
+        ids = set(keys[a]) if meets[a] > row.bit_count() else ()
+        seen = dup = 0
+        for b in iter_bits(uppers):
+            b += first
+            ends = free[b]
+            if ((twinned or sizes[b] >= 2) and ends & above
+                    or ids and len(ids.intersection(keys[b])) >= 2):
+                yield a
+                break
+            dup |= seen & ends
+            seen |= ends
+        else:
+            if dup >> first:
+                yield a
 
 
 def _ball(adj: Sequence[int], centre: int, radius: int) -> int:
@@ -365,9 +416,11 @@ def _closed_walk(masks: Sequence[int], sizes: Sequence[int], adj: Mapping[int, i
     walk runs through classes not below a; walks from a are tried in
     lexicographic order.  A prefix whose slots cover fewer hyperedges than
     it has slots is cut, and a closed walk is kept when its slots pass
-    Hall's test (_hall).  On one class of one member per vertex, with the
-    shadow adjacency, a walk is a vertex cycle, minimum first and v2 < vk,
-    and the first one is the canonical cycle from that minimum.
+    Hall's test (_hall).  It is the gate's one decider: from every class
+    for k != 4, and for k = 4 from each class _c4_starts yields, alone.
+    On one class of one member per vertex, with the shadow adjacency, a
+    walk is a vertex cycle, minimum first and v2 < vk, and the first one is
+    the canonical cycle from that minimum.
     """
     walk = [0] * k
     slots = [0] * k
@@ -420,84 +473,6 @@ def _closed_walk(masks: Sequence[int], sizes: Sequence[int], adj: Mapping[int, i
             return tuple(walk)
         count[a] = 0
     return None
-
-
-def _twin_quotient_has_c4(classes: _TwinClasses) -> Optional[_Found]:
-    """The least class a of a Berge-C4 of the hypergraph whose twin classes
-    these are, as _twin_quotient_has_cycle gives it, or None.
-
-    A closed 4-walk a, b, c, d from its least class a (see _closed_walk)
-    that repeats a class lifts to a Berge-C4 only when a is the least class
-    of a trigger (_has_trigger).  So each a that is one is decided by the
-    closed-walk search from a alone, on masks over the hyperedges near a,
-    and every other a has only walks on four distinct classes.  Their far
-    ends c are the dup bits above a of one fold over the neighbours b of a
-    above a, in the loop-free class graph: the fold of find_c4_in_graph,
-    which keeps the ends seen once (seen) and twice (dup).  Hall's test
-    runs only on the pairs of middles of a dup end, on masks over the
-    hyperedges near a.  So hyperedge masks are built only near an a that
-    is the least class of a trigger or whose fold has a dup end.
-    """
-    keys, _, sizes, adj, _, _ = classes
-    free = [row & ~(1 << i) for i, row in enumerate(adj)]
-    for a in range(len(keys)):
-        above = a + 1
-        uppers = [above + b for b in iter_bits(free[a] >> above)]
-        if _has_trigger(classes, free, a, uppers):
-            masks, near_ids = _walk_masks(classes, 1 << a, 4)
-            if _closed_walk(masks, sizes, adj, 4, (a,)) is not None:
-                return a, masks, near_ids
-            continue
-        seen = dup = 0
-        for b in uppers:
-            ends = free[b]
-            dup |= seen & ends
-            seen |= ends
-        dup >>= above
-        if not dup:
-            continue
-        masks, near_ids = _walk_masks(classes, 1 << a, 4)
-        mask_a = masks[a]
-        for c in iter_bits(dup):
-            c += above
-            mask_c = masks[c]
-            middles = [masks[above + b] for b in iter_bits((free[a] & free[c]) >> above)]
-            for mask_b, mask_d in combinations(middles, 2):
-                if _hall((mask_a & mask_b, mask_b & mask_c, mask_c & mask_d, mask_d & mask_a)):
-                    return a, masks, near_ids
-    return None
-
-
-def _has_trigger(classes: _TwinClasses, free: Sequence[int], a: int,
-                 uppers: Sequence[int]) -> bool:
-    """True when class a is the least class of a trigger; free holds the
-    class rows without their loop bits, and uppers the neighbours of a
-    above a.
-
-    A closed 4-walk from its least class a that repeats a class lifts to a
-    Berge-C4 only through a trigger on a and classes above it:
-    - a triangle of the loop-free class graph through a and a class of two
-      or more members, for the walks a-a-c-d, a-b-b-d and a-b-c-c;
-    - a class above a that shares two or more hyperedges with a, for the
-      walks a-b-a-d, a-b-c-b, a-a-c-c and a-a-a-d, whose slots hold two
-      hyperedges shared by a and one of its neighbours;
-    - four or more members in a, for the walk a-a-a-a.
-    A triangle with least class a has two neighbours v of a above it, so a
-    member of two or more on it is a or the v of one of them.  Shared
-    hyperedges are counted on the id tuples, and only when meets[a]
-    exceeds a's number of neighbours, that is when a shares two hyperedges
-    with some class.
-    """
-    keys, _, sizes, _, meets, _ = classes
-    if sizes[a] >= 4:
-        return True
-    if meets[a] > free[a].bit_count():
-        ids = set(keys[a])
-        if any(len(ids.intersection(keys[v])) >= 2 for v in uppers):
-            return True
-    above = free[a] >> (a + 1) << (a + 1)
-    twinned = sizes[a] >= 2
-    return any((twinned or sizes[v] >= 2) and free[v] & above for v in uppers)
 
 
 def _hall(slots: Sequence[int]) -> bool:

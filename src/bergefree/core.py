@@ -171,28 +171,11 @@ def _normalize_edge(edge, n: int, what: str) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-_TUPLE = frozenset({tuple})
-
-
-def _normal_pairs(edges, n: int) -> bool:
-    """True when edges is a frozenset of (u, v) tuples with 0 <= u < v < n:
-    what Graph's per-edge loop would store, unchanged."""
-    if type(edges) is not frozenset or not _TUPLE.issuperset(map(type, edges)):
-        return False
-    try:
-        for u, v in edges:
-            if not 0 <= u < v < n:
-                return False
-    except (TypeError, ValueError):  # the loop raises what it raised before
-        return False
-    return True
-
-
 def _normal_colored_edges(edges, n: int) -> bool:
     """True when edges is a tuple of distinct (u, v, color) tuples with
     0 <= u < v < n and color >= 0: what ColoredGraph's per-edge loop would
     store, unchanged."""
-    if type(edges) is not tuple or not _TUPLE.issuperset(map(type, edges)):
+    if type(edges) is not tuple or not {tuple}.issuperset(map(type, edges)):
         return False
     try:
         if len(set(edges)) != len(edges):
@@ -209,10 +192,9 @@ def _normal_colored_edges(edges, n: int) -> bool:
 class Graph:
     """Simple undirected graph on vertices 0..n-1 (no loops, no parallels).
 
-    Edges given as a frozenset of (u, v) tuples with 0 <= u < v < n are
-    kept as they are, after one pass that checks them.  Any other input is
-    normalised edge by edge (ends swapped to u < v, stored as a frozenset
-    of tuples), which raises on the first loop or out-of-range vertex.
+    Edges are normalised edge by edge (ends swapped to u < v, stored as a
+    frozenset of tuples), which raises on the first loop or out-of-range
+    vertex.
     """
 
     n: int
@@ -221,9 +203,8 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"vertex count must be >= 0, got {self.n}")
-        if not _normal_pairs(self.edges, self.n):
-            norm = frozenset(_normalize_edge(e, self.n, "edge") for e in self.edges)
-            object.__setattr__(self, "edges", norm)
+        norm = frozenset(_normalize_edge(e, self.n, "edge") for e in self.edges)
+        object.__setattr__(self, "edges", norm)
 
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
@@ -306,23 +287,6 @@ class ColoredGraph:
 def weight(hypergraph: Hypergraph) -> int:
     """Sum of (|h| - 3) over all hyperedges; may be negative, never clamped."""
     return sum(len(h) - 3 for h in hypergraph.hyperedges)
-
-
-def neighborhood_masks(graph: Graph, v: int) -> tuple[int, int]:
-    """First and second neighborhood of v as bitmasks: (n1_mask, n2_mask).
-
-    Bit x of n1_mask is set when x is adjacent to v, bit x of n2_mask when
-    x is at distance exactly two.  Raises ValueError for a vertex outside
-    0..n-1.
-    """
-    if not 0 <= v < graph.n:
-        raise ValueError(f"vertex {v} out of range for n={graph.n}")
-    masks = graph.adjacency_masks
-    n1_mask = masks[v]
-    n2_mask = 0
-    for x in iter_bits(n1_mask):
-        n2_mask |= masks[x]
-    return n1_mask, n2_mask & ~n1_mask & ~(1 << v)
 
 
 # ---------------------------------------------------------------------------

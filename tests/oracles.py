@@ -33,18 +33,17 @@ distinct_representatives replaced: test_berge requires the same verdict
 as _hall and the same assignment as the library on every k-tuple of masks
 over four ids for k up to 4, and on seeded tuples up to k = 8.
 What is shared with the library is named where it is used: the data
-types, core.neighborhood_masks for N1(v) and N2(v) in
-aux_bundle_by_pair_scan (test_core checks it against bfs_neighborhoods),
-in first_cycle_by_vertex_classes, for k != 4, the detector's walk gate, run
-on one class per vertex instead of the twin classes (for k = 4 it runs
-c4_class_by_path_pairs, the detector's gate before its seen/dup fold), in
-greedy_by_full_recheck, the full detector, which the closing-pair mask
-does not use, and, in max_weight_by_index_scan (the exact search's walk
-before its candidates became bits, which must reach the same nodes in the
-same order), the candidate universe and the closing-pair mask engine;
-embedded_graph_by_decomposition calls decompose_hyperedge, build_aux_bundle
-reads embedding._vertex_rows, and kst_by_subset_enumeration checks its
-witness with the library's _check_kst_witness.
+types, in first_cycle_by_vertex_classes, for k != 4, the detector's walk
+gate, run on one class per vertex instead of the twin classes (for k = 4
+it runs c4_class_by_path_pairs, the detector's gate before its seen/dup
+fold), in greedy_by_full_recheck, the full detector, which the
+closing-pair mask does not use, and, in max_weight_by_index_scan (the
+exact search's walk before its candidates became bits, which must reach
+the same nodes in the same order), the candidate universe and the
+closing-pair mask engine; embedded_graph_by_decomposition calls
+decompose_hyperedge, build_aux_bundle reads embedding._vertex_rows, and
+kst_by_subset_enumeration checks its witness with the library's
+_check_kst_witness.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ from bergefree.berge import (
     _triple_pairs,
     distinct_representatives,
 )
-from bergefree.core import iter_bits, neighborhood_masks
+from bergefree.core import iter_bits
 from bergefree.embedding import (
     ObservationReport,
     _upper_edges,
@@ -87,6 +86,8 @@ def bfs_neighborhoods(graph: Graph, v: int) -> tuple[frozenset[int], frozenset[i
     queue = deque([v])
     while queue:
         x = queue.popleft()
+        if dist[x] == 2:
+            break  # the queue holds no vertex nearer than x
         for y in range(graph.n):
             key = (min(x, y), max(x, y))
             if x != y and key in graph.edges and y not in dist:
@@ -282,14 +283,15 @@ def build_aux_bundle(colored_graph: ColoredGraph, v: int) -> AuxBundle:
 
 
 def aux_bundle_by_pair_scan(colored_graph: ColoredGraph, v: int) -> AuxBundle:
-    """G, G_aux, G'_aux, B, B' around v as edge sets: G and G_aux by a scan
-    of the N1(v) pairs, B by the N1-N2 adjacencies, B' by testing each B
-    edge's N2 end for a second N1 neighbour."""
+    """G, G_aux, G'_aux, B, B' around v as edge sets, on N1(v) and N2(v)
+    from bfs_neighborhoods: G and G_aux by a scan of the N1(v) pairs, B by
+    the N1-N2 adjacencies, B' by testing each B edge's N2 end for a second
+    N1 neighbour."""
     proj = colored_graph.simple_projection
-    n1_mask, n2_mask = neighborhood_masks(proj, v)
+    n1, n2 = map(tuple, map(sorted, bfs_neighborhoods(proj, v)))
+    n1_mask = sum(1 << x for x in n1)
+    n2_mask = sum(1 << y for y in n2)
     masks = proj.adjacency_masks
-    n1 = tuple(iter_bits(n1_mask))
-    n2 = tuple(iter_bits(n2_mask))
 
     g_edges = set()
     g_aux_edges = set()
@@ -910,11 +912,7 @@ def c4_class_by_mask_fold(masks: Sequence[int], sizes: Sequence[int], adj: Seque
         return walk[0]
     for a in range(last + 1, len(masks)):
         above = a + 1
-        seen = dup = 0
-        for b in iter_bits(free[a] >> above):
-            ends = free[above + b] >> above
-            dup |= seen & ends
-            seen |= ends
+        dup = dup_ends_by_masks(free, a)
         mask_a = masks[a]
         for c in iter_bits(dup):
             c += above
@@ -924,6 +922,29 @@ def c4_class_by_mask_fold(masks: Sequence[int], sizes: Sequence[int], adj: Seque
                 if _hall((mask_a & mask_b, mask_b & mask_c, mask_c & mask_d, mask_d & mask_a)):
                     return a
     return None
+
+
+def dup_ends_by_masks(free: Sequence[int], u: int) -> int:
+    """The ends above class u seen twice by the seen/dup fold over the
+    neighbours of u above u, shifted down by u + 1; free holds the class
+    rows without their loop bits."""
+    above = u + 1
+    seen = dup = 0
+    for b in iter_bits(free[u] >> above):
+        ends = free[above + b] >> above
+        dup |= seen & ends
+        seen |= ends
+    return dup
+
+
+def c4_starts_by_masks(masks: Sequence[int], sizes: Sequence[int],
+                       adj: Sequence[int]) -> list[int]:
+    """The classes the k = 4 gate walks from, ascending, on full-width
+    masks: each that is the least class of a trigger (has_trigger_by_masks)
+    or has an end seen twice (dup_ends_by_masks)."""
+    free = [row & ~(1 << i) for i, row in enumerate(adj)]
+    return [u for u in range(len(masks))
+            if has_trigger_by_masks(masks, sizes, free, u) or dup_ends_by_masks(free, u)]
 
 
 def last_trigger_by_masks(masks: Sequence[int], sizes: Sequence[int], free: Sequence[int]) -> int:

@@ -15,11 +15,12 @@ MODULES = ("bergefree",) + tuple(
 # The path-walk Berge-C4 state and check, the membership digraph D with its
 # patterns and errors, statistics only tests used, the hyperedge-id alias of
 # the removed pair_cover, the per-vertex bundle with its bipartite graph
-# type, and the search's row of theoretical_bounds; tests/oracles.py keeps
-# what the tests still need of them.
+# type, the search's row of theoretical_bounds, and the neighbourhood masks
+# that only tests called (embedding._vertex_rows owns N1 and N2);
+# tests/oracles.py keeps what the tests still need of them.
 REMOVED = ("SearchState", "incremental_c4_check", "Digraph", "Pattern", "F1", "F2",
            "contains_pattern", "build_D", "NonNeighborError", "SharedColorError",
-           "shadow", "neighborhoods", "degree_stats", "HyperedgeId",
+           "shadow", "neighborhoods", "neighborhood_masks", "degree_stats", "HyperedgeId",
            "AuxBundle", "build_aux_bundle", "BipartiteGraph",
            "compare_to_bounds", "BoundsRow")
 

@@ -21,13 +21,15 @@ from conftest import hypergraphs
 from oracles import (
     SearchState,
     c4_by_pair_scan,
+    c4_class_by_mask_fold,
     c4_class_by_path_pairs,
+    c4_starts_by_masks,
     canonical_c4_by_enumeration,
     canonical_cycle_by_enumeration,
     distinct_representatives_by_backtracking,
+    dup_ends_by_masks,
     find_berge_cycle_by_masks,
     first_cycle_by_vertex_classes,
-    has_trigger_by_masks,
     incidence_masks,
     incremental_c4_check,
     quotient_class_by_masks,
@@ -349,13 +351,11 @@ def key_masks(classes) -> list[int]:
     return [sum(1 << hid for hid in key) for key in classes.keys]
 
 
-def _assert_triggers_agree(classes, masks, sizes, adj) -> None:
-    """Each class is the least class of a trigger on the id tuples exactly
-    when it is one on full-width incidence masks."""
-    free = [row & ~(1 << i) for i, row in enumerate(adj)]
-    want = [has_trigger_by_masks(masks, sizes, free, u) for u in range(len(sizes))]
-    uppers = [[v for v in iter_bits(free[u]) if v > u] for u in range(len(sizes))]
-    assert [berge._has_trigger(classes, free, u, uppers[u]) for u in range(len(sizes))] == want
+def _assert_c4_starts_agree(classes, masks, sizes, adj) -> None:
+    """The k = 4 gate's start filter on the id tuples yields exactly the
+    classes that are the least class of a trigger, or have an end seen
+    twice, on full-width incidence masks (c4_starts_by_masks)."""
+    assert list(berge._c4_starts(classes)) == c4_starts_by_masks(masks, sizes, adj)
 
 
 def _assert_quotient_agrees(h: bf.Hypergraph, k: int = 4, oracle: bool = False) -> bool:
@@ -380,7 +380,7 @@ def _assert_quotient_agrees(h: bf.Hypergraph, k: int = 4, oracle: bool = False) 
     assert (a is not None) == (expected is not None), (k, h)
     if k == 4:
         assert a == c4_class_by_path_pairs(masks, sizes, adj), h
-        _assert_triggers_agree(classes, masks, sizes, adj)
+        _assert_c4_starts_agree(classes, masks, sizes, adj)
     if a is not None:
         assert firsts[a] == expected.vertices[0], (k, h)
     assert bf.find_berge_cycle(h, k) == expected == find_berge_cycle_by_masks(h, k), (k, h)
@@ -629,7 +629,7 @@ def test_gate_on_id_lists_matches_the_mask_gate_on_planted_blowups(q):
         classes = twin_classes(h)
         masks, sizes, adj, firsts = twin_classes_by_masks(h, incidence_masks(h))
         assert (key_masks(classes), classes.sizes, classes.adj) == (masks, sizes, adj)
-        _assert_triggers_agree(classes, masks, sizes, adj)
+        _assert_c4_starts_agree(classes, masks, sizes, adj)
         a = least_class(classes, 4)
         assert a == quotient_class_by_masks(masks, sizes, adj, 4), (q, trial)
         witness = bf.find_berge_cycle(h, 4)
@@ -642,7 +642,8 @@ def test_gate_on_id_lists_matches_the_mask_gate_on_planted_blowups(q):
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_free_blowup_builds_no_hyperedge_masks(q, monkeypatch):
     """A free blow-up has no trigger and no end seen twice, so the k = 4
-    gate builds no hyperedge mask."""
+    gate's start filter yields no class and the gate builds no hyperedge
+    mask."""
     def refuse(*args):
         raise AssertionError("the k = 4 gate built hyperedge masks on a free blow-up")
 
@@ -673,47 +674,69 @@ def test_gate_on_the_q31_blowup_stays_under_a_memory_bound():
 
 
 def _watch_the_k4_gate(monkeypatch):
-    """Patch berge so that a closed walk the k = 4 gate starts from any
-    class (the least class of a trigger) raises, and the gate's Hall
-    verdicts are recorded in the returned list.  Walks and Hall tests
-    outside the gate, for the witness, are neither refused nor recorded."""
-    gate, walk, hall = berge._twin_quotient_has_c4, berge._closed_walk, berge._hall
+    """Patch berge so that the k = 4 gate raises when it walks from any
+    class but the last one its start filter (_c4_starts) yielded, or from
+    that class twice, or tests Hall's condition outside a walk, and
+    records the classes it walks from, in the returned list, which each
+    run of the gate empties first.  Walks outside the gate, for the
+    witness, are neither refused nor recorded."""
+    gate, starts_of = berge._twin_quotient_has_cycle, berge._c4_starts
+    walk, hall = berge._closed_walk, berge._hall
     inside = []
-    hall_results = []
+    in_walk = []
+    yielded = []
+    walked = []
+
+    def watched_starts(classes):
+        for a in starts_of(classes):
+            yielded.append(a)
+            yield a
 
     def watched_walk(masks, sizes, adj, k, starts):
-        if inside and len(starts):
-            raise AssertionError("the k = 4 gate walked from the least class of a trigger")
-        return walk(masks, sizes, adj, k, starts)
+        if inside:
+            if tuple(starts) != tuple(yielded[-1:]) or len(walked) == len(yielded):
+                raise AssertionError(f"the k = 4 gate walked from {tuple(starts)}, "
+                                     f"which its start filter did not just yield")
+            walked.append(yielded[-1])
+        in_walk.append(True)
+        try:
+            return walk(masks, sizes, adj, k, starts)
+        finally:
+            in_walk.pop()
 
     def watched_hall(slots):
-        verdict = hall(slots)
-        if inside:
-            hall_results.append(verdict)
-        return verdict
+        if inside and not in_walk:
+            raise AssertionError("the k = 4 gate tested Hall's condition outside a walk")
+        return hall(slots)
 
-    def watched_gate(*args):
+    def watched_gate(classes, k):
+        if k != 4:
+            return gate(classes, k)
+        yielded.clear()
+        walked.clear()
         inside.append(True)
         try:
-            return gate(*args)
+            return gate(classes, k)
         finally:
             inside.pop()
 
-    monkeypatch.setattr(berge, "_twin_quotient_has_c4", watched_gate)
+    monkeypatch.setattr(berge, "_twin_quotient_has_cycle", watched_gate)
+    monkeypatch.setattr(berge, "_c4_starts", watched_starts)
     monkeypatch.setattr(berge, "_closed_walk", watched_walk)
     monkeypatch.setattr(berge, "_hall", watched_hall)
-    return hall_results
+    return walked
 
 
 def test_fold_alone_decides_linear_twin_free_inputs(monkeypatch):
     """Without twins and with no two hyperedges sharing two vertices there
-    is no trigger, so the fold decides every class and the gate walks from
-    no class: the canonical witness comes back whether Hall's condition
-    holds at the first end seen twice or fails there (one hyperedge
-    covering three of the four slots)."""
-    hall_results = _watch_the_k4_gate(monkeypatch)
+    is no trigger, so the k = 4 gate walks only from classes with an end
+    seen twice, and it names the least class that the full-width mask fold
+    names (c4_class_by_mask_fold); the canonical witness comes back with
+    both verdicts."""
+    walked = _watch_the_k4_gate(monkeypatch)
     rng = random.Random(9)
     verdicts = {False: 0, True: 0}
+    walks = 0
     while sum(verdicts.values()) < 300:
         n = rng.randint(5, 10)
         edges = []
@@ -722,13 +745,20 @@ def test_fold_alone_decides_linear_twin_free_inputs(monkeypatch):
             if all(len(edge & other) <= 1 for other in edges):
                 edges.append(edge)
         h = bf.Hypergraph(n, tuple(edges))
-        if max(twin_classes(h).sizes, default=1) > 1:
+        classes = twin_classes(h)
+        if max(classes.sizes, default=1) > 1:
             continue
+        masks, sizes, adj, _ = twin_classes_by_masks(h, incidence_masks(h))
+        free = [row & ~(1 << i) for i, row in enumerate(adj)]
+        found = berge._twin_quotient_has_cycle(classes, 4)
+        assert all(dup_ends_by_masks(free, c) for c in walked), h
+        assert (None if found is None else found[0]) == c4_class_by_mask_fold(masks, sizes, adj), h
+        walks += len(walked)
         witness = bf.find_berge_cycle(h, 4)
         assert witness == canonical_c4_by_enumeration(h), h
         verdicts[witness is not None] += 1
     assert min(verdicts.values()) > 50, verdicts
-    assert True in hall_results and False in hall_results
+    assert walks > verdicts[True], (walks, verdicts)  # some walks find no cycle
 
 
 # Each input has a Berge-C4 of one repeated-class walk only, on the classes
@@ -756,11 +786,12 @@ REPEATED_CLASS_WALKS = {
 
 @pytest.mark.parametrize("prefix", sorted(PREFIXES))
 @pytest.mark.parametrize("walk", sorted(REPEATED_CLASS_WALKS))
-def test_each_repeated_class_walk_is_found(walk, prefix):
+def test_each_repeated_class_walk_is_found(walk, prefix, monkeypatch):
     """The gate finds a Berge-C4 whose least class is the class of vertex
     4, above classes with no Berge-C4, for each walk that repeats a class;
-    the only Berge-C4 walk on the classes is the named one, so a gate that
-    overlooked its trigger would fold past it."""
+    the only Berge-C4 walk on the classes is the named one, so a start
+    filter that overlooked its trigger would not walk from it."""
+    walked = _watch_the_k4_gate(monkeypatch)
     h = bf.Hypergraph(8, tuple(frozenset(e) for e in
                                PREFIXES[prefix] + REPEATED_CLASS_WALKS[walk]))
     classes = twin_classes(h)
@@ -768,7 +799,7 @@ def test_each_repeated_class_walk_is_found(walk, prefix):
     assert classes.members[a][0] == 4
     letters = walk.split("-")  # one class per letter, in order from a
     assert classes.sizes[a:] == [letters.count(x) for x in sorted(set(letters))], walk
-    assert berge._twin_quotient_has_c4(classes)[0] == a
+    assert berge._twin_quotient_has_cycle(classes, 4)[0] == a == walked[-1]
     witness = bf.find_berge_cycle(h, 4)
     assert witness == canonical_c4_by_enumeration(h) and witness.vertices[0] == 4
     assert _assert_quotient_agrees(h, 4)
@@ -786,21 +817,26 @@ def test_twin_free_input_enters_the_class_search(k, monkeypatch):
     seeded random inputs, checked against the canonical enumerator up to 9
     vertices and the naive oracle up to 12."""
     entered = []
-    depth = []
+    in_k4_gate = []
+    walk, quotient = berge._closed_walk, berge._twin_quotient_has_cycle
 
-    def counted(search):
-        def run(*args):
-            if not depth:  # a walk inside the k = 4 gate is part of the gate
-                entered.append((search.__name__, *args[4:]))
-            depth.append(True)
-            try:
-                return search(*args)
-            finally:
-                depth.pop()
-        return run
+    def counted_walk(*args):
+        if not in_k4_gate:  # a walk inside the k = 4 gate is part of the gate
+            entered.append(("_closed_walk", args[4]))
+        return walk(*args)
 
-    monkeypatch.setattr(berge, "_closed_walk", counted(berge._closed_walk))
-    monkeypatch.setattr(berge, "_twin_quotient_has_c4", counted(berge._twin_quotient_has_c4))
+    def counted_quotient(classes, k):
+        if k != 4:
+            return quotient(classes, k)
+        entered.append(("k = 4 gate",))
+        in_k4_gate.append(True)
+        try:
+            return quotient(classes, k)
+        finally:
+            in_k4_gate.pop()
+
+    monkeypatch.setattr(berge, "_closed_walk", counted_walk)
+    monkeypatch.setattr(berge, "_twin_quotient_has_cycle", counted_quotient)
 
     def assert_canonical(h):
         classes = twin_classes(h)
@@ -808,7 +844,7 @@ def test_twin_free_input_enters_the_class_search(k, monkeypatch):
         entered.clear()
         witness = bf.find_berge_cycle(h, k)
         if k <= len(h.hyperedges):  # else there is nothing to search
-            gate = (("_twin_quotient_has_c4",) if k == 4
+            gate = (("k = 4 gate",) if k == 4
                     else ("_closed_walk", range(len(classes.keys))))
             if witness is None:
                 assert entered == [gate]
@@ -856,7 +892,7 @@ def test_free_blowup_never_reaches_the_vertex_search(q, k, monkeypatch):
     def refuse(*args):
         raise AssertionError("the vertex-level search ran on a free blow-up")
 
-    _watch_the_k4_gate(monkeypatch)
+    walked = _watch_the_k4_gate(monkeypatch)
     hall, hall_results = berge._hall, []
 
     def counted_hall(slots):
@@ -867,6 +903,7 @@ def test_free_blowup_never_reaches_the_vertex_search(q, k, monkeypatch):
     monkeypatch.setattr(berge, "_hall", counted_hall)
     h = bf.blow_up(bf.projective_plane_incidence(q).graph(), 3)
     assert bf.find_berge_cycle(h, k) is None
+    assert walked == []
     assert hall_results == [False] * FREE_BLOWUP_HALL_TESTS[k, q]
 
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import bergefree as bf
 from bergefree.berge import _ShadowRows, _twin_classes, _vertex_ids
-from bergefree.core import iter_bits, neighborhood_masks
+from bergefree.core import iter_bits
+from bergefree.embedding import _vertex_rows
 from conftest import graphs, hypergraphs
 from oracles import (
     bfs_neighborhoods,
@@ -60,8 +61,9 @@ def test_weight_equals_clamped_sum_for_big_hyperedges(h):
 # ---------------------------------------------------------------------------
 
 def neighborhoods(graph, v):
-    n1_mask, n2_mask = neighborhood_masks(graph, v)
-    return frozenset(iter_bits(n1_mask)), frozenset(iter_bits(n2_mask))
+    """N1(v) and N2(v) as the lemma suite reads them (embedding._vertex_rows)."""
+    rows = _vertex_rows(dict(enumerate(graph.adjacency_masks)), v)
+    return frozenset(rows.g), frozenset(rows.sides)
 
 
 def test_neighborhoods_path():
@@ -76,7 +78,7 @@ def test_neighborhoods_isolated_vertex():
 
 def test_neighborhoods_out_of_range():
     with pytest.raises(ValueError):
-        neighborhoods(bf.Graph(3), 3)
+        build_aux_bundle(bf.ColoredGraph(3), 3)
 
 
 def test_neighborhoods_accepts_colored_graph():
@@ -318,12 +320,8 @@ def test_first_bad_edge_names_the_error():
 def test_normal_input_is_kept_as_it_stands():
     edges = COLORED_INPUTS["normal"]
     assert bf.ColoredGraph(5, edges).colored_edges is edges
-    pairs = GRAPH_INPUTS["normal"]
-    assert bf.Graph(5, pairs).edges is pairs
     built = bf.build_embedded_graph(bf.Hypergraph(9, (frozenset(range(9)), {0, 1, 5, 8})))
     assert bf.ColoredGraph(9, built.colored_edges).colored_edges is built.colored_edges
-    projection = built.simple_projection
-    assert bf.Graph(9, projection.edges).edges is projection.edges
 
 
 def test_seeded_edge_lists_match_the_per_edge_loop():
