@@ -2,11 +2,11 @@
 
 A Berge cycle of length k alternates k distinct vertices and k distinct
 hyperedges v1,h1,v2,h2,...,vk,hk with {v_i, v_{i+1}} inside h_i and
-{v_k, v_1} inside h_k.  Detection walks candidate vertex cycles on the
-shadow graph, one representative per dihedral class (v1 is the minimum
-vertex, oriented so v2 < vk), and asks whether the k pair-slots admit k
-distinct covering hyperedges: a system of distinct representatives over
-the slot-to-hyperedge bipartite graph.
+{v_k, v_1} inside h_k.  The witness is the first vertex cycle, one
+representative per dihedral class (v1 is the minimum vertex, oriented so
+v2 < vk), in lexicographic order, whose k pair-slots admit k distinct
+covering hyperedges: a system of distinct representatives over the
+slot-to-hyperedge bipartite graph.
 
 One closed-walk search (_closed_walk) answers every question of the form
 "is there a Berge-Ck whose least class is a?", in two steps.  Both read one
@@ -30,17 +30,18 @@ reaches, over only the hyperedges near where the walk starts.
    Yuster and Zwick, "Finding and counting given length cycles",
    Algorithmica 1997), a triangle through a class of two or more members,
    two hyperedges shared with a neighbour above it (counted on the id
-   tuples), or four or more members.  The walk from that class alone
-   decides it.  A free blow-up has none of these, so it builds no
-   hyperedge mask and needs no Hall test.
-2. Witness.  When the gate finds a cycle, the same walk runs on one class
-   per vertex, from the smallest member of the least class with a cycle
-   alone, on shadow rows built for the vertices it reaches and on the
-   masks over the hyperedges near that class with which the gate found
-   it.  distinct_representatives,
-   run once on the slot masks of the walk it returns, picks the hyperedges
-   with _hall, the one SDR engine.  That is the first cycle of the
-   enumeration above, so witnesses do not depend on the gate.
+   tuples), or four or more members in four or more hyperedges.  The walk
+   from that class alone decides it.  A free blow-up has none of these, so
+   it builds no hyperedge mask and needs no Hall test.
+2. Witness.  When the gate finds a cycle, the same walk runs again from
+   the least class with a cycle alone, on the masks with which the gate
+   found it, each depth trying its classes in the order of the member each
+   would take next.  In the canonical cycle each position holds the least
+   member of its class that no earlier position holds (a smaller twin
+   swapped in keeps the hyperedges and gives a smaller cycle, reversed if
+   vk falls below v2), so the first such walk is that cycle, and witnesses
+   do not depend on the gate.  distinct_representatives, run once on its
+   slot masks, picks the hyperedges with _hall, the one SDR engine.
 
 One mask engine serves the exact search and the greedy generator:
 _closing_pairs finds, from vertex masks and their spreads (bit a*n for each
@@ -65,11 +66,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, permutations
+from itertools import permutations
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .core import Graph, Hypergraph, _mask, iter_bits
+from .core import Graph, Hypergraph, iter_bits
 
 
 @dataclass(frozen=True)
@@ -142,14 +143,13 @@ def find_berge_cycle(hypergraph: Hypergraph, k: int) -> Optional[BergeCycleWitne
     minimum vertex first and v2 < vk; sequences are generated
     lexicographically, so the returned witness is deterministic.  The twin
     classes decide freeness first, and only an input they find a cycle in
-    is walked vertex by vertex, from the smallest member of the least class
-    with a cycle.  Both read one incidence, each vertex's list of
-    hyperedge ids (_vertex_ids), through the twin classes it gives.  The
-    vertex walk reads the shadow rows of the vertices it reaches
-    (_ShadowRows) and, a vertex taking its class's, the hyperedge masks
-    with which the gate found the class (_walk_masks), over only the
-    hyperedges near its start.  distinct_representatives picks the
-    hyperedges from the slot masks of the cycle it returns.
+    is walked again, from the least class with a cycle alone, on the
+    hyperedge masks with which the gate found it (_walk_masks), in member
+    order (_closed_walk); each class of that walk gives out its members in
+    order, and the vertices are the canonical cycle.  Both read one
+    incidence, each vertex's list of hyperedge ids (_vertex_ids), through
+    the twin classes it gives.  distinct_representatives picks the
+    hyperedges from the walk's slot masks.
     """
     if k < 2:
         raise ValueError(f"Berge cycle length must be >= 2, got {k}")
@@ -159,12 +159,11 @@ def find_berge_cycle(hypergraph: Hypergraph, k: int) -> Optional[BergeCycleWitne
     found = _twin_quotient_has_cycle(classes, k)
     if found is None:
         return None
-    a, class_masks, near = found
-    first = classes.members[a][0]
-    masks = list(map(class_masks.__getitem__, classes.of_vertex))
-    cycle = _closed_walk(masks, [1] * hypergraph.n, _ShadowRows(classes), k,
-                         range(first, first + 1))
-    slots = [masks[u] & masks[v] for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+    a, masks, near = found
+    walk = _closed_walk(masks, classes.sizes, classes.adj, k, (a,), classes.members)
+    given = {c: iter(classes.members[c]) for c in walk}
+    cycle = tuple(next(given[c]) for c in walk)
+    slots = [masks[c] & masks[d] for c, d in zip(walk, walk[1:] + walk[:1])]
     witness = BergeCycleWitness(cycle, tuple(near[i] for i in distinct_representatives(slots)))
     validate_witness(hypergraph, witness)
     return witness
@@ -292,13 +291,14 @@ def _c4_starts(classes: _TwinClasses) -> Iterator[int]:
       hyperedges shared by a and a neighbour b above it, counted on the id
       tuples and only when meets[a] exceeds a's number of neighbours, that
       is when a shares two hyperedges with some class;
-    - a-a-a-a, on a class of four or more members.
+    - a-a-a-a, on a class of four or more members in four or more
+      hyperedges; a larger class in fewer falls through to the others.
     A free blow-up has none of these, so the gate builds no hyperedge mask.
     """
     keys, _, sizes, adj, meets, _ = classes
     free = [row & ~(1 << i) for i, row in enumerate(adj)]
     for a, row in enumerate(free):
-        if sizes[a] >= 4:
+        if sizes[a] >= 4 and len(keys[a]) >= 4:
             yield a
             continue
         first = a + 1
@@ -341,8 +341,7 @@ def _walk_masks(classes: _TwinClasses, starts: int, k: int) -> tuple[list[int], 
     """Hyperedge masks for the closed k-walks from the starts (a mask of
     classes), over only the hyperedges near them, and those hyperedge ids,
     ascending: bit i of entry c is set when the i-th of them lies in
-    keys[c].  One more entry at the end, the entry of -1, which of_vertex
-    gives a vertex in no class, is 0.
+    keys[c].
 
     The hyperedges near the starts are those of the classes within
     (k - 1) // 2 of a start.  A closed walk from a start runs through
@@ -356,7 +355,7 @@ def _walk_masks(classes: _TwinClasses, starts: int, k: int) -> tuple[list[int], 
     """
     keys, adj = classes.keys, classes.adj
     inner = _ball(adj, starts, (k - 1) // 2)
-    masks = [0] * (len(keys) + 1)
+    masks = [0] * len(keys)
     if inner == (1 << len(keys)) - 1:  # every hyperedge is near: bits are ids
         for c, key in enumerate(keys):
             mask = 0
@@ -376,32 +375,9 @@ def _walk_masks(classes: _TwinClasses, starts: int, k: int) -> tuple[list[int], 
     return masks, near
 
 
-class _ShadowRows(dict):
-    """Shadow adjacency rows of the vertices, each built on first use: bit
-    v of entry u is set when u and v lie in a common hyperedge, and so is
-    u's own bit, which a walk never takes, since u is on it already.  Twins
-    share every hyperedge, so a row is built once per class, from its
-    members and those of its neighbours; a vertex in no hyperedge has 0."""
-
-    def __init__(self, classes: _TwinClasses):
-        super().__init__()
-        self.classes = classes
-        self.by_class: dict[int, int] = {-1: 0}
-
-    def __missing__(self, u: int) -> int:
-        members, adj, of_vertex = self.classes.members, self.classes.adj, self.classes.of_vertex
-        c = of_vertex[u]
-        row = self.by_class.get(c)
-        if row is None:
-            row = self.by_class[c] = _mask(chain(members[c], *map(members.__getitem__,
-                                                                  iter_bits(adj[c]))),
-                                           len(of_vertex) // 8 + 1)
-        self[u] = row
-        return row
-
-
-def _closed_walk(masks: Sequence[int], sizes: Sequence[int], adj: Mapping[int, int], k: int,
-                 starts: Iterable[int]) -> Optional[tuple[int, ...]]:
+def _closed_walk(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int], k: int,
+                 starts: Iterable[int],
+                 members: Optional[Sequence[Sequence[int]]] = None) -> Optional[tuple[int, ...]]:
     """The first closed k-walk that lifts to a Berge-Ck, from the first
     start in starts that has one, or None.
 
@@ -418,13 +394,29 @@ def _closed_walk(masks: Sequence[int], sizes: Sequence[int], adj: Mapping[int, i
     it has slots is cut, and a closed walk is kept when its slots pass
     Hall's test (_hall).  It is the gate's one decider: from every class
     for k != 4, and for k = 4 from each class _c4_starts yields, alone.
-    On one class of one member per vertex, with the shadow adjacency, a
-    walk is a vertex cycle, minimum first and v2 < vk, and the first one is
-    the canonical cycle from that minimum.
+
+    Given the classes' members, ascending, each occurrence of a class
+    takes its next member, each depth tries its classes in the order of
+    the member each would take next, and the last depth keeps only
+    vk > v2 on those members: the first walk is then the canonical cycle,
+    whose every position holds the least member of its class not held
+    earlier (a smaller twin swapped in keeps the hyperedges and gives a
+    smaller cycle, reversed if vk falls below v2).
     """
     walk = [0] * k
     slots = [0] * k
     count = [0] * len(sizes)
+
+    if members is None:
+        order = iter_bits
+    else:
+        def order(candidates: int) -> list[int]:
+            # the classes with a member left, by the member each would take next
+            return sorted((c for c in iter_bits(candidates) if count[c] < sizes[c]),
+                          key=lambda c: members[c][count[c]])
+
+    on_classes = k > 2 and members is None  # k = 2 has one direction
+    on_members = k > 2 and members is not None
 
     def extend(depth: int, not_below: int, union: int) -> bool:
         # walk[0..depth-1] fixed; slots[0..depth-2] hold its slots, union their union.
@@ -434,10 +426,15 @@ def _closed_walk(masks: Sequence[int], sizes: Sequence[int], adj: Mapping[int, i
         if depth == k - 1:
             a = walk[0]
             candidates &= adj[a]  # the last class closes the walk
-            if k > 2:
+            if on_classes:
                 candidates &= -1 << walk[1]  # orientation: keep only c2 <= ck
+            elif on_members:  # orientation: keep only v2 < vk
+                v2 = members[walk[1]][walk[1] == a]  # a's second member when c2 is a
+                for c in iter_bits(candidates):
+                    if count[c] < sizes[c] and members[c][count[c]] < v2:
+                        candidates ^= 1 << c
             mask_a = masks[a]
-            for c in iter_bits(candidates):
+            for c in order(candidates):
                 if count[c] == sizes[c]:
                     continue
                 slot = mask_last & masks[c]
@@ -450,7 +447,7 @@ def _closed_walk(masks: Sequence[int], sizes: Sequence[int], adj: Mapping[int, i
                     walk[depth] = c
                     return True
             return False
-        for c in iter_bits(candidates):
+        for c in order(candidates):
             if count[c] == sizes[c]:
                 continue
             slot = mask_last & masks[c]

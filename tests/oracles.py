@@ -958,8 +958,9 @@ def last_trigger_by_masks(masks: Sequence[int], sizes: Sequence[int], free: Sequ
 def has_trigger_by_masks(masks: Sequence[int], sizes: Sequence[int], free: Sequence[int],
                          u: int) -> bool:
     """Whether class u is the least class of a trigger, with the shared
-    hyperedges of each class edge counted by a full-width AND."""
-    if sizes[u] >= 4:
+    hyperedges of each class edge counted by a full-width AND; a class of
+    four or more members is one when it lies in four or more hyperedges."""
+    if sizes[u] >= 4 and masks[u].bit_count() >= 4:
         return True
     above = free[u] >> (u + 1) << (u + 1)
     twinned = sizes[u] >= 2

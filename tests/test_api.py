@@ -16,13 +16,15 @@ MODULES = ("bergefree",) + tuple(
 # patterns and errors, statistics only tests used, the hyperedge-id alias of
 # the removed pair_cover, the per-vertex bundle with its bipartite graph
 # type, the search's row of theoretical_bounds, and the neighbourhood masks
-# that only tests called (embedding._vertex_rows owns N1 and N2);
-# tests/oracles.py keeps what the tests still need of them.
+# that only tests called (embedding._vertex_rows owns N1 and N2), and the
+# per-vertex shadow rows of the second, vertex-level witness walk (the
+# witness now comes from the class walk); tests/oracles.py keeps what the
+# tests still need of them.
 REMOVED = ("SearchState", "incremental_c4_check", "Digraph", "Pattern", "F1", "F2",
            "contains_pattern", "build_D", "NonNeighborError", "SharedColorError",
            "shadow", "neighborhoods", "neighborhood_masks", "degree_stats", "HyperedgeId",
            "AuxBundle", "build_aux_bundle", "BipartiteGraph",
-           "compare_to_bounds", "BoundsRow")
+           "compare_to_bounds", "BoundsRow", "_ShadowRows")
 
 
 def test_hypergraph_has_no_pair_cover():

@@ -358,15 +358,26 @@ def _assert_c4_starts_agree(classes, masks, sizes, adj) -> None:
     assert list(berge._c4_starts(classes)) == c4_starts_by_masks(masks, sizes, adj)
 
 
+def _assert_least_free_members(classes, witness) -> None:
+    """Each position of the witness holds the least member of its class
+    that no earlier position holds, as in every canonical cycle."""
+    used = set()
+    for v in witness.vertices:
+        members = classes.members[classes.of_vertex[v]]
+        assert v == min(set(members) - used), (witness, members)
+        used.add(v)
+
+
 def _assert_quotient_agrees(h: bf.Hypergraph, k: int = 4, oracle: bool = False) -> bool:
     """The gate on the twin classes agrees with the vertex-level reference,
     which runs a class gate on one class per vertex (for k = 4 the pairing
     oracle c4_class_by_path_pairs, which must also report the gate's least
     class on the twin classes), and the smallest member of the least class
     it reports is the first vertex of the reference's witness, which
-    find_berge_cycle returns.  The twin classes, the least class and the
-    witness are also those of the gate on full-width incidence masks
-    (twin_classes_by_masks, quotient_class_by_masks and
+    find_berge_cycle returns, each of its positions holding the least
+    member of its class not held earlier.  The twin classes, the least
+    class and the witness are also those of the gate on full-width
+    incidence masks (twin_classes_by_masks, quotient_class_by_masks and
     find_berge_cycle_by_masks).  With oracle the witness also equals the
     canonical enumerator's and, up to 7 vertices, the verdict
     naive_berge_oracle's.  Returns whether h has a Berge-Ck."""
@@ -383,6 +394,7 @@ def _assert_quotient_agrees(h: bf.Hypergraph, k: int = 4, oracle: bool = False) 
         _assert_c4_starts_agree(classes, masks, sizes, adj)
     if a is not None:
         assert firsts[a] == expected.vertices[0], (k, h)
+        _assert_least_free_members(classes, expected)
     assert bf.find_berge_cycle(h, k) == expected == find_berge_cycle_by_masks(h, k), (k, h)
     if oracle:
         assert canonical_cycle_by_enumeration(h, k) == expected, (k, h)
@@ -523,6 +535,43 @@ def test_quotient_on_seeded_planted_twins():
             oracle = h.n <= oracle_n and len(h.hyperedges) <= 12
             verdicts[_assert_quotient_agrees(h, k, oracle=oracle)] += 1
         assert min(verdicts.values()) > runs // 5, k  # both verdicts well represented
+
+
+@pytest.mark.parametrize("k", CYCLE_LENGTHS)
+def test_witness_walk_matches_the_vertex_walk_on_twin_rich_inputs(k):
+    """Two to four classes of up to five members with shuffled labels, under
+    repeated unions of one or two classes, so that cycles repeat classes,
+    and a few hyperedges on arbitrary vertices that split classes: the
+    witness the class walk takes in member order is the vertex walk's
+    (find_berge_cycle_by_masks, on one class per vertex), and each of its
+    positions holds the least member of its class not held earlier.  For
+    k >= 3 many witnesses order two of their classes one way and those
+    classes' vertices the other, which tells walks in member order from
+    walks in class order."""
+    rng = random.Random(20261019 + k)
+    verdicts = {False: 0, True: 0}
+    reordered = 0
+    for _ in range(300):
+        base_n = rng.randint(2, 4)
+        sizes = [rng.randint(1, 5) for _ in range(base_n)]
+        base = [rng.sample(range(base_n), rng.randint(1, 2))
+                for _ in range(rng.randint(k - 1, k + 3))]
+        h = _blow_classes(sizes, base, rng, isolated=rng.randint(0, 1))
+        h = bf.Hypergraph(h.n, h.hyperedges + tuple(
+            frozenset(rng.sample(range(h.n), min(h.n, rng.randint(2, 3))))
+            for _ in range(rng.randint(0, 2))))
+        witness = bf.find_berge_cycle(h, k)
+        assert witness == find_berge_cycle_by_masks(h, k), (k, h)
+        if witness is not None:
+            classes = twin_classes(h)
+            _assert_least_free_members(classes, witness)
+            placed = [(classes.of_vertex[v], v) for v in witness.vertices]
+            reordered += any((c < d) != (u < v)
+                             for (c, u), (d, v) in combinations(placed, 2) if c != d)
+        verdicts[witness is not None] += 1
+    assert min(verdicts.values()) > 50, verdicts
+    if k >= 3:
+        assert reordered > 20, reordered
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -676,10 +725,11 @@ def test_gate_on_the_q31_blowup_stays_under_a_memory_bound():
 def _watch_the_k4_gate(monkeypatch):
     """Patch berge so that the k = 4 gate raises when it walks from any
     class but the last one its start filter (_c4_starts) yielded, or from
-    that class twice, or tests Hall's condition outside a walk, and
-    records the classes it walks from, in the returned list, which each
-    run of the gate empties first.  Walks outside the gate, for the
-    witness, are neither refused nor recorded."""
+    that class twice, or in the order of the classes' members, or tests
+    Hall's condition outside a walk, and records the classes it walks from,
+    in the returned list, which each run of the gate empties first.  Walks
+    outside the gate, such as the witness walk, which alone runs in member
+    order, are neither refused nor recorded."""
     gate, starts_of = berge._twin_quotient_has_cycle, berge._c4_starts
     walk, hall = berge._closed_walk, berge._hall
     inside = []
@@ -692,15 +742,17 @@ def _watch_the_k4_gate(monkeypatch):
             yielded.append(a)
             yield a
 
-    def watched_walk(masks, sizes, adj, k, starts):
+    def watched_walk(masks, sizes, adj, k, starts, members=None):
         if inside:
             if tuple(starts) != tuple(yielded[-1:]) or len(walked) == len(yielded):
                 raise AssertionError(f"the k = 4 gate walked from {tuple(starts)}, "
                                      f"which its start filter did not just yield")
+            if members is not None:
+                raise AssertionError("the k = 4 gate walked in member order")
             walked.append(yielded[-1])
         in_walk.append(True)
         try:
-            return walk(masks, sizes, adj, k, starts)
+            return walk(masks, sizes, adj, k, starts, members)
         finally:
             in_walk.pop()
 
@@ -805,25 +857,42 @@ def test_each_repeated_class_walk_is_found(walk, prefix, monkeypatch):
     assert _assert_quotient_agrees(h, 4)
 
 
+@pytest.mark.parametrize("copies", range(1, 6))
+def test_large_class_starts_a_walk_by_its_size_only_in_four_hyperedges(copies):
+    """The a-a-a-a walk on a class of four or more members needs four
+    hyperedges of its key, so the start filter yields such a class by its
+    size only when it lies in four or more; with fewer it falls through to
+    the other conditions, here two hyperedges shared with the class of
+    vertex 5 when that vertex is added to two of the copies."""
+    h = bf.Hypergraph(6, (frozenset(range(5)),) * copies)
+    assert list(berge._c4_starts(twin_classes(h))) == ([0] if copies >= 4 else [])
+    assert _assert_quotient_agrees(h, 4, oracle=True) == (copies >= 4)
+    if copies >= 3:
+        shared = bf.Hypergraph(6, (frozenset(range(6)),) * 2 + h.hyperedges[2:])
+        assert list(berge._c4_starts(twin_classes(shared))) == [0]
+        assert _assert_quotient_agrees(shared, 4, oracle=True) == (copies >= 4)
+
+
 # -- where the twin gate runs ----------------------------------------------
 
 @pytest.mark.parametrize("k", CYCLE_LENGTHS)
 def test_twin_free_input_enters_the_class_search(k, monkeypatch):
     """Inputs without twins go through the class search, on classes of one
-    member each (the fold for k = 4, a closed walk from every class
-    otherwise), and only an input with a cycle is walked again, from the
-    first vertex of its witness alone; find_berge_cycle returns the
-    canonical witness: the loose cycles, whose only cycle is known, and
-    seeded random inputs, checked against the canonical enumerator up to 9
-    vertices and the naive oracle up to 12."""
+    member each (the fold for k = 4, a closed walk from every class in
+    class order otherwise), and only an input with a cycle is walked again,
+    in member order, from the class of the first vertex of its witness
+    alone; find_berge_cycle returns the canonical witness: the loose
+    cycles, whose only cycle is known, and seeded random inputs, checked
+    against the canonical enumerator up to 9 vertices and the naive oracle
+    up to 12."""
     entered = []
     in_k4_gate = []
     walk, quotient = berge._closed_walk, berge._twin_quotient_has_cycle
 
-    def counted_walk(*args):
+    def counted_walk(masks, sizes, adj, k, starts, members=None):
         if not in_k4_gate:  # a walk inside the k = 4 gate is part of the gate
-            entered.append(("_closed_walk", args[4]))
-        return walk(*args)
+            entered.append(("_closed_walk", starts, members is not None))
+        return walk(masks, sizes, adj, k, starts, members)
 
     def counted_quotient(classes, k):
         if k != 4:
@@ -845,12 +914,12 @@ def test_twin_free_input_enters_the_class_search(k, monkeypatch):
         witness = bf.find_berge_cycle(h, k)
         if k <= len(h.hyperedges):  # else there is nothing to search
             gate = (("k = 4 gate",) if k == 4
-                    else ("_closed_walk", range(len(classes.keys))))
+                    else ("_closed_walk", range(len(classes.keys)), False))
             if witness is None:
                 assert entered == [gate]
             else:
-                first = witness.vertices[0]
-                assert entered == [gate, ("_closed_walk", range(first, first + 1))]
+                first = classes.of_vertex[witness.vertices[0]]
+                assert entered == [gate, ("_closed_walk", (first,), True)]
         if h.n <= 9:
             assert witness == canonical_cycle_by_enumeration(h, k), (k, h)
         elif h.n <= 12:
@@ -884,22 +953,25 @@ FREE_BLOWUP_HALL_TESTS = {(4, 2): 0, (4, 3): 0, (4, 5): 0, (5, 2): 63, (5, 3): 3
 @pytest.mark.parametrize("q", [2, 3, 5])
 @pytest.mark.parametrize("k", [4, 5])
 def test_free_blowup_never_reaches_the_vertex_search(q, k, monkeypatch):
-    """A free blow-up is decided by the gate alone; at k = 4 it has no
+    """A free blow-up is decided by the gate alone, and the witness walk,
+    the one that runs in member order, never starts; at k = 4 it has no
     trigger and no two 2-paths of classes share both ends, so the gate
     neither walks from a class nor tests Hall's condition; at k = 5 every
     Hall test of the walk fails, and there are exactly as many as closed
     walks whose slots cover five hyperedges."""
-    def refuse(*args):
-        raise AssertionError("the vertex-level search ran on a free blow-up")
-
     walked = _watch_the_k4_gate(monkeypatch)
-    hall, hall_results = berge._hall, []
+    walk, hall, hall_results = berge._closed_walk, berge._hall, []
+
+    def refuse_the_witness_walk(masks, sizes, adj, k, starts, members=None):
+        if members is not None:
+            raise AssertionError("the witness walk ran on a free blow-up")
+        return walk(masks, sizes, adj, k, starts)
 
     def counted_hall(slots):
         hall_results.append(hall(slots))
         return hall_results[-1]
 
-    monkeypatch.setattr(berge, "_ShadowRows", refuse)
+    monkeypatch.setattr(berge, "_closed_walk", refuse_the_witness_walk)
     monkeypatch.setattr(berge, "_hall", counted_hall)
     h = bf.blow_up(bf.projective_plane_incidence(q).graph(), 3)
     assert bf.find_berge_cycle(h, k) is None
@@ -909,10 +981,11 @@ def test_free_blowup_never_reaches_the_vertex_search(q, k, monkeypatch):
 
 @pytest.mark.parametrize("k", [4, 5])
 def test_twinned_cycle_search_tries_one_start_vertex(k, monkeypatch):
-    """On a twinned input with a cycle, the vertex-level search runs from
-    one v1, the smallest member of the least class the gate reports: it
-    never looks up a vertex below that v1, and returns the witness of the
-    vertex-level reference, which finds v1 on one class per vertex."""
+    """On a twinned input with a cycle, the witness walk runs once, from the
+    least class the gate reports alone, whose smallest member is v1, on the
+    hyperedge masks with which the gate found it and in the order of the
+    classes' members; it returns the witness of the vertex-level reference,
+    which finds v1 on one class per vertex."""
     base = bf.projective_plane_incidence(2).graph()
     rng = random.Random(k)
     relabel = rng.sample(range(42), 42)
@@ -923,13 +996,22 @@ def test_twinned_cycle_search_tries_one_start_vertex(k, monkeypatch):
                                 for e in edges))
     expected = first_cycle_by_vertex_classes(h, k)
     assert expected is not None and expected.vertices[0] > 0
-    looked_up = set()
+    gate, walk = berge._twin_quotient_has_cycle, berge._closed_walk
+    found, witness_walks = [], []
 
-    class Recorded(berge._ShadowRows):
-        def __missing__(self, v):  # a row is built on its first lookup
-            looked_up.add(v)
-            return super().__missing__(v)
+    def recorded_gate(classes, k):
+        found.append(gate(classes, k))
+        return found[-1]
 
-    monkeypatch.setattr(berge, "_ShadowRows", Recorded)
+    def recorded_walk(masks, sizes, adj, k, starts, members=None):
+        if members is not None:
+            witness_walks.append((masks, tuple(starts), members))
+        return walk(masks, sizes, adj, k, starts, members)
+
+    monkeypatch.setattr(berge, "_twin_quotient_has_cycle", recorded_gate)
+    monkeypatch.setattr(berge, "_closed_walk", recorded_walk)
     assert bf.find_berge_cycle(h, k) == expected
-    assert min(looked_up) == expected.vertices[0]
+    [(a, masks, _)] = found
+    [(walked_masks, starts, members)] = witness_walks
+    assert walked_masks is masks and starts == (a,)
+    assert members[a][0] == expected.vertices[0]

@@ -9,8 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bergefree as bf
-from bergefree.berge import _ShadowRows, _twin_classes, _vertex_ids
-from bergefree.core import iter_bits
+from bergefree.berge import _twin_classes, _vertex_ids
 from bergefree.embedding import _vertex_rows
 from conftest import graphs, hypergraphs
 from oracles import (
@@ -101,12 +100,18 @@ def test_neighborhoods_match_bfs_distance_classes(g, data):
 
 
 # ---------------------------------------------------------------------------
-# shadow: the detector's shadow adjacency masks
+# shadow: the detector's shadow adjacency, read off the twin classes
 # ---------------------------------------------------------------------------
 
 def shadow_edges(hypergraph):
-    adj = _ShadowRows(_twin_classes(hypergraph, _vertex_ids(hypergraph)))
-    return frozenset((u, v) for u in range(hypergraph.n) for v in iter_bits(adj[u]) if u < v)
+    """The shadow adjacency the closed walk reads, on the twin classes: u
+    and v != u are adjacent when bit of_vertex[v] of adj[of_vertex[u]] is
+    set (twins through the class's loop bit)."""
+    classes = _twin_classes(hypergraph, _vertex_ids(hypergraph))
+    adj, of_vertex = classes.adj, classes.of_vertex
+    return frozenset((u, v) for u in range(hypergraph.n) for v in range(u + 1, hypergraph.n)
+                     if of_vertex[u] >= 0 and of_vertex[v] >= 0
+                     and adj[of_vertex[u]] >> of_vertex[v] & 1)
 
 
 def test_shadow_single_hyperedge_is_clique():
