@@ -23,16 +23,21 @@ reaches, over only the hyperedges near where the walk starts.
    as it has members, and every such walk whose slots pass Hall's test
    (_hall, on the slot masks) lifts back to a Berge-Ck, so walking the
    classes decides freeness without walking each twin's copy of every
-   vertex path.  For k != 4 the walk runs from every class.  For k = 4 it
-   runs only from each class that one pass over its upper neighbours
-   (_c4_starts) finds able to start one: a class with an end above it seen
-   twice in a seen/dup fold over its class 2-paths (the C4 case of Alon,
-   Yuster and Zwick, "Finding and counting given length cycles",
-   Algorithmica 1997), a triangle through a class of two or more members,
-   two hyperedges shared with a neighbour above it (counted on the id
-   tuples), or four or more members in four or more hyperedges.  The walk
-   from that class alone decides it.  A free blow-up has none of these, so
-   it builds no hyperedge mask and needs no Hall test.
+   vertex path.  The walk runs only from the classes a start filter finds
+   able to start one.  For k = 4 that is one pass over a class's upper
+   neighbours (_c4_starts): an end above it seen twice in a seen/dup fold
+   over its class 2-paths (the C4 case of Alon, Yuster and Zwick, "Finding
+   and counting given length cycles", Algorithmica 1997), a triangle
+   through a class of two or more members, two hyperedges shared with a
+   neighbour above it (counted on the id tuples), or four or more members
+   in four or more hyperedges; the walk from that class alone decides it.
+   For every other k it is one breadth-first pass over the ball of radius
+   k // 2 around the class, on the classes not below it (_ck_starts): a
+   ball that is not a tree, a class in it that shares two or more
+   hyperedges with a neighbour, or k or more members in k or more
+   hyperedges; one walk runs over the classes it yields, in order.  A
+   free blow-up has none of these at k = 4 or 5, so it builds no hyperedge
+   mask and needs no Hall test.
 2. Witness.  When the gate finds a cycle, the same walk runs again from
    the least class with a cycle alone, on the masks with which the gate
    found it, each depth trying its classes in the order of the member each
@@ -66,7 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations
+from itertools import chain, permutations
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -255,9 +260,11 @@ def _twin_quotient_has_cycle(classes: _TwinClasses, k: int) -> Optional[_Found]:
     closed walk.  A walk from a lifts to a Berge-Ck on classes not below a,
     whose minimum is the smallest member of a; and the least class c of any
     Berge-Ck's walk has a walk, so a <= c and no Berge-Ck has a smaller
-    minimum.  For k != 4 the walk runs from every class, on one set of
-    masks.  For k = 4 it runs from each class _c4_starts yields alone, on
-    masks over the hyperedges near it, and every other class has no walk.
+    minimum.  Only the classes a start filter yields can have a walk.  For
+    k = 4 the walk runs from each class _c4_starts yields alone, on masks
+    over the hyperedges near it.  For k != 4 it runs once over the classes
+    _ck_starts yields, taken lazily, on masks over every hyperedge built
+    when the first is yielded; with none, no mask is built.
 
     a comes with the class masks and near hyperedges with which it was
     found (_walk_masks), which hold every slot of a closed k-walk from a.
@@ -269,9 +276,12 @@ def _twin_quotient_has_cycle(classes: _TwinClasses, k: int) -> Optional[_Found]:
             if _closed_walk(masks, sizes, adj, 4, (a,)) is not None:
                 return a, masks, near
         return None
-    starts = range(len(sizes))
-    masks, near = _walk_masks(classes, (1 << len(starts)) - 1, k)
-    walk = _closed_walk(masks, sizes, adj, k, starts)
+    starts = _ck_starts(classes, k)
+    first = next(starts, None)
+    if first is None:
+        return None
+    masks, near = _walk_masks(classes, (1 << len(sizes)) - 1, k)
+    walk = _closed_walk(masks, sizes, adj, k, chain((first,), starts))
     return None if walk is None else (walk[0], masks, near)
 
 
@@ -319,6 +329,76 @@ def _c4_starts(classes: _TwinClasses) -> Iterator[int]:
         else:
             if dup >> first:
                 yield a
+
+
+def _ck_starts(classes: _TwinClasses, k: int) -> Iterator[int]:
+    """The classes a, ascending, that can be the least class of a closed
+    k-walk that lifts to a Berge-Ck (see _closed_walk), for k != 4: those
+    with one of these in the ball of radius k // 2 around a, in the
+    loop-free class graph on the classes not below a:
+    (i) a cycle: a breadth-first pass from a reaches a class from two
+        classes of the level before it, or finds an edge inside one level
+        (the last level's included);
+    (ii) a class that shares two or more hyperedges with one neighbour,
+        counted on all its neighbours: meets[c] exceeds their number;
+    (iii) a itself, with k or more members in k or more hyperedges.
+    Every other class has no such walk.  A closed k-walk from its least
+    class a runs through classes not below a, each within k // 2 steps of
+    a along the walk one way or the other, so inside that ball.  Drop its
+    loop steps (two members of one class in a row) and take the graph H of
+    the class pairs it steps between.  If H has no edge the walk is a, a,
+    ..., a, whose k slots need k distinct hyperedges of a's key: (iii).
+    If H is a forest, the closed walk crosses each of its edges an even
+    number of times, so some pair c, d of the ball is crossed twice, and
+    its two slots need two hyperedges that both hold c and d: (ii).
+    Otherwise H has a cycle on classes of the ball, so the ball is not a
+    tree: (i).  A free blow-up of a plane, whose class graph has girth 6
+    and whose classes of three members share one hyperedge with each
+    neighbour, has no start at k = 5, so the gate builds no hyperedge mask
+    and walks from no class.
+    """
+    keys, _, sizes, adj, meets, _ = classes
+    free = [row & ~(1 << i) for i, row in enumerate(adj)]
+    doubled = 0
+    for c, row in enumerate(free):
+        if meets[c] > row.bit_count():
+            doubled |= 1 << c
+    for a in range(len(free)):
+        if sizes[a] >= k and len(keys[a]) >= k or not _plain_tree(free, doubled, a, k // 2):
+            yield a
+
+
+def _plain_tree(free: Sequence[int], doubled: int, a: int, radius: int) -> bool:
+    """True when the ball of this radius around a, in the loop-free class
+    graph with rows free on the classes not below a, is a tree that holds
+    no class of the mask doubled: one breadth-first pass, a level at a
+    time, with a seen/dup fold over each level's rows for the classes of
+    the next level reached twice."""
+    outside = -2 << a  # the classes above a outside the ball
+    level = 1 << a
+    for _ in range(radius):
+        if level & doubled:
+            return False
+        seen = dup = 0
+        for c in iter_bits(level):
+            row = free[c]
+            if row & level:
+                return False  # an edge inside the level
+            ends = row & outside
+            dup |= seen & ends
+            seen |= ends
+        if dup:
+            return False  # a class of the next level with two parents
+        if not seen:
+            return True
+        outside ^= seen
+        level = seen
+    if level & doubled:
+        return False
+    for c in iter_bits(level):
+        if free[c] & level:
+            return False
+    return True
 
 
 def _ball(adj: Sequence[int], centre: int, radius: int) -> int:
@@ -392,8 +472,9 @@ def _closed_walk(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int],
     walk runs through classes not below a; walks from a are tried in
     lexicographic order.  A prefix whose slots cover fewer hyperedges than
     it has slots is cut, and a closed walk is kept when its slots pass
-    Hall's test (_hall).  It is the gate's one decider: from every class
-    for k != 4, and for k = 4 from each class _c4_starts yields, alone.
+    Hall's test (_hall).  It is the gate's one decider: for k != 4 from the
+    classes _ck_starts yields, and for k = 4 from each class _c4_starts
+    yields, alone.
 
     Given the classes' members, ascending, each occurrence of a class
     takes its next member, each depth tries its classes in the order of
@@ -463,13 +544,16 @@ def _closed_walk(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int],
                 return True
         return False
 
+    found = None
     for a in starts:
         walk[0] = a
         count[a] = 1
         if extend(1, -1 << a, 0):
-            return tuple(walk)
+            found = tuple(walk)
+            break
         count[a] = 0
-    return None
+    del extend  # its closure holds it: unbound, it is freed without the cycle collector
+    return found
 
 
 def _hall(slots: Sequence[int]) -> bool:

@@ -1,5 +1,6 @@
 """Berge cycle detection: examples, oracle agreement, and witness validity."""
 
+import gc
 import random
 from itertools import combinations, combinations_with_replacement, permutations, product
 
@@ -358,6 +359,19 @@ def _assert_c4_starts_agree(classes, masks, sizes, adj) -> None:
     assert list(berge._c4_starts(classes)) == c4_starts_by_masks(masks, sizes, adj)
 
 
+def _assert_ck_starts_cover_walks(classes, k: int) -> None:
+    """The k != 4 gate's start filter (_ck_starts) yields classes in
+    ascending order, among them every class from which _closed_walk alone
+    finds a closed k-walk on the masks over every hyperedge."""
+    starts = list(berge._ck_starts(classes, k))
+    assert starts == sorted(set(starts)), (k, starts)
+    sizes, adj = classes.sizes, classes.adj
+    masks, _ = berge._walk_masks(classes, (1 << len(sizes)) - 1, k)
+    walks = [a for a in range(len(sizes))
+             if berge._closed_walk(masks, sizes, adj, k, (a,)) is not None]
+    assert set(walks) <= set(starts), (k, walks, starts)
+
+
 def _assert_least_free_members(classes, witness) -> None:
     """Each position of the witness holds the least member of its class
     that no earlier position holds, as in every canonical cycle."""
@@ -372,7 +386,8 @@ def _assert_quotient_agrees(h: bf.Hypergraph, k: int = 4, oracle: bool = False) 
     """The gate on the twin classes agrees with the vertex-level reference,
     which runs a class gate on one class per vertex (for k = 4 the pairing
     oracle c4_class_by_path_pairs, which must also report the gate's least
-    class on the twin classes), and the smallest member of the least class
+    class on the twin classes; for k != 4 the start filter must yield
+    every class with a walk), and the smallest member of the least class
     it reports is the first vertex of the reference's witness, which
     find_berge_cycle returns, each of its positions holding the least
     member of its class not held earlier.  The twin classes, the least
@@ -392,6 +407,8 @@ def _assert_quotient_agrees(h: bf.Hypergraph, k: int = 4, oracle: bool = False) 
     if k == 4:
         assert a == c4_class_by_path_pairs(masks, sizes, adj), h
         _assert_c4_starts_agree(classes, masks, sizes, adj)
+    else:
+        _assert_ck_starts_cover_walks(classes, k)
     if a is not None:
         assert firsts[a] == expected.vertices[0], (k, h)
         _assert_least_free_members(classes, expected)
@@ -503,7 +520,7 @@ def _class_family(largest, counts, fewest_vertices):
 
 
 @pytest.mark.parametrize("k, largest, counts", [
-    (2, 2, range(5)), (3, 3, range(5)), (5, 3, (5,)), (6, 3, (6,))])
+    (2, 2, range(5)), (3, 3, range(5)), (5, 3, (5,)), (6, 3, (6,)), (7, 3, (7,))])
 def test_quotient_walks_on_exhaustive_class_family(k, largest, counts):
     """The family above at the other cycle lengths, up to renaming the
     classes: classes of 1 to largest members (a Berge-Ck uses a class at
@@ -873,13 +890,89 @@ def test_large_class_starts_a_walk_by_its_size_only_in_four_hyperedges(copies):
         assert _assert_quotient_agrees(shared, 4, oracle=True) == (copies >= 4)
 
 
+OTHER_LENGTHS = (2, 3, 5, 6, 7)
+
+
+@pytest.mark.parametrize("k", OTHER_LENGTHS)
+def test_ck_starts_yield_the_least_class_of_each_kind_of_walk(k):
+    """One input per condition of the k != 4 start filter, each with a
+    Berge-Ck whose least class is class 0 and that meets no other of the
+    conditions there:
+    (i) the graph cycle C_k, one class per vertex, one hyperedge per
+        neighbour pair: the ball of radius k // 2 around class 0 holds the
+        whole cycle, which a ball of radius k // 2 - 1 misses;
+    (ii) classes A of ceil(k/2) and B of floor(k/2) members in k shared
+        hyperedges, and one more on A alone: the walk alternates them (with
+        one A-A step when k is odd), and the ball {A, B} is a tree;
+    (iii) one class of k members in k copies of one hyperedge (in k - 1 it
+        has no Berge-Ck, and no start)."""
+    if k >= 3:
+        cycle = bf.Hypergraph(k, tuple(frozenset({i, (i + 1) % k}) for i in range(k)))
+        assert list(berge._ck_starts(twin_classes(cycle), k)) == [0]
+        assert _assert_quotient_agrees(cycle, k)
+        shorter = bf.Hypergraph(k, cycle.hyperedges[1:])  # a path: no start
+        assert list(berge._ck_starts(twin_classes(shorter), k)) == []
+        assert not _assert_quotient_agrees(shorter, k)
+    half = (k + 1) // 2
+    pair = bf.Hypergraph(k, (frozenset(range(k)),) * k + (frozenset(range(half)),))
+    classes = twin_classes(pair)
+    assert classes.sizes == [half, k - half] and classes.meets[0] > 1
+    assert list(berge._ck_starts(classes, k))[:1] == [0]
+    assert _assert_quotient_agrees(pair, k)
+    for copies in (k - 1, k):
+        copied = bf.Hypergraph(k, (frozenset(range(k)),) * copies)
+        assert list(berge._ck_starts(twin_classes(copied), k)) == [0] * (copies == k)
+        assert _assert_quotient_agrees(copied, k) == (copies == k)
+
+
+@pytest.mark.parametrize("k", OTHER_LENGTHS)
+def test_ck_starts_cover_every_walk_on_seeded_twin_rich_inputs(k):
+    """Up to six classes of up to seven members under hyperedges on one
+    to three classes, some repeated, and a few on arbitrary vertices that
+    split classes: the k != 4 start filter yields every class from which
+    the closed walk alone finds a walk, and the gate's least class and
+    the witness are the vertex-level reference's (_assert_quotient_agrees)."""
+    rng = random.Random(20261020 + k)
+    verdicts = {False: 0, True: 0}
+    for _ in range(150):
+        base_n = rng.randint(2, 6)
+        sizes = [rng.choice((1, 1, 2, 3, 4, 7)) for _ in range(base_n)]
+        base = [rng.sample(range(base_n), rng.randint(1, min(base_n, 3)))
+                for _ in range(rng.randint(1, k + 3))]
+        base += rng.sample(base, rng.randint(0, len(base) // 2))  # repeats
+        h = _blow_classes(sizes, base, rng, isolated=rng.randint(0, 2))
+        h = bf.Hypergraph(h.n, h.hyperedges + tuple(
+            frozenset(rng.sample(range(h.n), min(h.n, rng.randint(2, 3))))
+            for _ in range(rng.randint(0, 2))))
+        verdicts[_assert_quotient_agrees(h, k)] += 1
+    assert min(verdicts.values()) > 25, verdicts
+
+
+def test_a_gate_and_witness_call_leaves_nothing_for_the_cycle_collector():
+    """With the cycle collector off, detection frees everything it built
+    by reference counting alone: no closure of the walk holds itself, at
+    every length, with a cycle found and without."""
+    loose = bf.Hypergraph(10, tuple(frozenset({i, (i + 1) % 5, 5 + i}) for i in range(5)))
+    twinned = bf.blow_up(bf.projective_plane_incidence(2).graph(), 3)
+    gc.collect()
+    gc.disable()
+    try:
+        for h in (loose, twinned):
+            for k in range(2, 8):
+                bf.find_berge_cycle(h, k)
+                assert gc.collect() == 0, k
+    finally:
+        gc.enable()
+
+
 # -- where the twin gate runs ----------------------------------------------
 
 @pytest.mark.parametrize("k", CYCLE_LENGTHS)
 def test_twin_free_input_enters_the_class_search(k, monkeypatch):
     """Inputs without twins go through the class search, on classes of one
-    member each (the fold for k = 4, a closed walk from every class in
-    class order otherwise), and only an input with a cycle is walked again,
+    member each (the fold for k = 4, otherwise a closed walk in class order
+    from the classes the start filter _ck_starts yields, and no walk when
+    it yields none), and only an input with a cycle is walked again,
     in member order, from the class of the first vertex of its witness
     alone; find_berge_cycle returns the canonical witness: the loose
     cycles, whose only cycle is known, and seeded random inputs, checked
@@ -891,6 +984,7 @@ def test_twin_free_input_enters_the_class_search(k, monkeypatch):
 
     def counted_walk(masks, sizes, adj, k, starts, members=None):
         if not in_k4_gate:  # a walk inside the k = 4 gate is part of the gate
+            starts = list(starts)
             entered.append(("_closed_walk", starts, members is not None))
         return walk(masks, sizes, adj, k, starts, members)
 
@@ -913,13 +1007,16 @@ def test_twin_free_input_enters_the_class_search(k, monkeypatch):
         entered.clear()
         witness = bf.find_berge_cycle(h, k)
         if k <= len(h.hyperedges):  # else there is nothing to search
-            gate = (("k = 4 gate",) if k == 4
-                    else ("_closed_walk", range(len(classes.keys)), False))
+            if k == 4:
+                gate = [("k = 4 gate",)]
+            else:
+                starts = list(berge._ck_starts(classes, k))
+                gate = [("_closed_walk", starts, False)] if starts else []
             if witness is None:
-                assert entered == [gate]
+                assert entered == gate
             else:
                 first = classes.of_vertex[witness.vertices[0]]
-                assert entered == [gate, ("_closed_walk", (first,), True)]
+                assert entered == gate + [("_closed_walk", [first], True)]
         if h.n <= 9:
             assert witness == canonical_cycle_by_enumeration(h, k), (k, h)
         elif h.n <= 12:
@@ -944,39 +1041,36 @@ def test_twin_free_input_enters_the_class_search(k, monkeypatch):
     assert min(verdicts.values()) > 0, verdicts
 
 
-# Hall tests on free blow-ups: none in the k = 4 gate; at k = 5, one per
-# closed class 5-walk whose slots cover five hyperedges, as many as the
-# SDR calls of the walk gate before it tested Hall's condition on masks.
-FREE_BLOWUP_HALL_TESTS = {(4, 2): 0, (4, 3): 0, (4, 5): 0, (5, 2): 63, (5, 3): 390, (5, 5): 3720}
-
-
 @pytest.mark.parametrize("q", [2, 3, 5])
 @pytest.mark.parametrize("k", [4, 5])
 def test_free_blowup_never_reaches_the_vertex_search(q, k, monkeypatch):
-    """A free blow-up is decided by the gate alone, and the witness walk,
-    the one that runs in member order, never starts; at k = 4 it has no
-    trigger and no two 2-paths of classes share both ends, so the gate
-    neither walks from a class nor tests Hall's condition; at k = 5 every
-    Hall test of the walk fails, and there are exactly as many as closed
-    walks whose slots cover five hyperedges."""
+    """A free blow-up is decided by the gate's start filter alone: no walk
+    runs, neither the gate's nor the witness walk, and no Hall test.  At
+    k = 4 it has no trigger and no two 2-paths of classes share both ends;
+    at k = 5 its classes have three members, share one hyperedge with each
+    neighbour, and the class graph has girth 6, so every ball of radius 2
+    is a tree.  Neither start filter yields a class, so no hyperedge mask
+    is built either."""
     walked = _watch_the_k4_gate(monkeypatch)
-    walk, hall, hall_results = berge._closed_walk, berge._hall, []
+    hall, hall_results = berge._hall, []
 
-    def refuse_the_witness_walk(masks, sizes, adj, k, starts, members=None):
-        if members is not None:
-            raise AssertionError("the witness walk ran on a free blow-up")
-        return walk(masks, sizes, adj, k, starts)
+    def refuse_the_walk(masks, sizes, adj, k, starts, members=None):
+        raise AssertionError(f"a walk ran on a free blow-up (members: {members is not None})")
+
+    def refuse_the_masks(*args):
+        raise AssertionError("the gate built hyperedge masks on a free blow-up")
 
     def counted_hall(slots):
         hall_results.append(hall(slots))
         return hall_results[-1]
 
-    monkeypatch.setattr(berge, "_closed_walk", refuse_the_witness_walk)
+    monkeypatch.setattr(berge, "_closed_walk", refuse_the_walk)
+    monkeypatch.setattr(berge, "_walk_masks", refuse_the_masks)
     monkeypatch.setattr(berge, "_hall", counted_hall)
     h = bf.blow_up(bf.projective_plane_incidence(q).graph(), 3)
     assert bf.find_berge_cycle(h, k) is None
     assert walked == []
-    assert hall_results == [False] * FREE_BLOWUP_HALL_TESTS[k, q]
+    assert hall_results == []
 
 
 @pytest.mark.parametrize("k", [4, 5])

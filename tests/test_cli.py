@@ -378,6 +378,35 @@ def test_verify_decides_the_q7_blowup_c5_free(tmp_path, capsys):
     assert "Berge-C5-free" in captured.err
 
 
+def test_verify_decides_the_q13_construction_c5_free_without_a_hall_test(
+        tmp_path, capsys, monkeypatch):
+    """verify --k 5 on the file construct --q 13 writes: the start filter
+    of the k != 4 gate yields no class, so the gate decides it free with no
+    closed walk and no Hall test."""
+    import bergefree.berge as berge
+    out = tmp_path / "q13.json"
+    assert main(["construct", "--q", "13", "-o", str(out)]) == 0
+    capsys.readouterr()
+    calls = {"walks": 0, "hall": 0}
+    walk, hall = berge._closed_walk, berge._hall
+
+    def counted_walk(*args):
+        calls["walks"] += 1
+        return walk(*args)
+
+    def counted_hall(slots):
+        calls["hall"] += 1
+        return hall(slots)
+
+    monkeypatch.setattr(berge, "_closed_walk", counted_walk)
+    monkeypatch.setattr(berge, "_hall", counted_hall)
+    assert main(["verify", "-i", str(out), "--k", "5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Berge-C5-free" in captured.err
+    assert calls == {"walks": 0, "hall": 0}
+
+
 def test_verify_missing_file(tmp_path, capsys):
     assert main(["verify", "-i", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err
