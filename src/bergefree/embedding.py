@@ -17,18 +17,20 @@ that multigraph:
     B, B'    the 2-path bipartite graph between N1(v) and N2(v), and its
              subgraph of edges whose N2 endpoint has a second N1 neighbor
 
-as adjacency rows of the simple projection, plus verifiers that replay,
-on concrete instances, every structural statement the objects are
-supposed to satisfy.  The lemma suite reads the projection's rows straight
-off the hyperedges through the placements (_projection), for the vertices
-on a placed edge only, with no colored graph; build_embedded_graph keeps
-the colored graph for the embed command and the tests.  Observation 1
-holds by construction: the suite checks it once per hyperedge size, on the
-placement, and verify_observation1 checks a whole colored graph, looking
-only at the colors whose edges share a vertex.  K_{2,7} runs the 2-path
-ladder of the patterns module on the rows.  All freeness and counting
-checks run on the simple projection; parallel colored edges on a pair are
-legal and only multiplicity-blind statements are asserted about them.
+as counts on the adjacency rows of the simple projection, plus verifiers
+that replay, on concrete instances, every structural statement the
+objects are supposed to satisfy, each vertex in one pass over N1(v) and
+one over N2(v) (_vertex_checks).  The lemma suite reads the projection's
+rows straight off the hyperedges through the placements (_projection),
+for the vertices on a placed edge only, with no colored graph;
+build_embedded_graph keeps the colored graph for the embed command and
+the tests.  Observation 1 holds by construction: the suite checks it once
+per hyperedge size, on the placement, and verify_observation1 checks a
+whole colored graph, looking only at the colors whose edges share a
+vertex.  K_{2,7} runs the 2-path ladder of the patterns module on the
+rows.  All freeness and counting checks run on the simple projection;
+parallel colored edges on a pair are legal and only multiplicity-blind
+statements are asserted about them.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, Optional
 
 from .berge import BergeCycleWitness, find_berge_cycle
-from .core import ColoredGraph, Hypergraph, _mask, iter_bits
+from .core import WIDE_MASK_BITS, ColoredGraph, Hypergraph, _mask, iter_bits, iter_wide_bits
 from .patterns import _kst_in_rows
 
 
@@ -222,61 +224,6 @@ def verify_observation1(colored_graph: ColoredGraph) -> ObservationReport:
 
 
 # ---------------------------------------------------------------------------
-# the proof objects around one vertex
-# ---------------------------------------------------------------------------
-
-class _VertexRows(NamedTuple):
-    """The proof objects around v as adjacency rows of the simple projection.
-
-    For x in N1(v), in ascending order, g[x], aux[x] and gap[x] are x's full
-    rows (neighbours below and above x) in G, G_aux and G'_aux.  For y in
-    N2(v), in ascending order, sides[y] = N(y) & N1(v) is y's row in B; its
-    edges are in B' when it has two bits or more.
-    """
-
-    g: dict[int, int]
-    aux: dict[int, int]
-    gap: dict[int, int]
-    sides: dict[int, int]
-
-
-def _vertex_rows(rows: Mapping[int, int], v: int) -> _VertexRows:
-    """The one owner of the G, G_aux, G'_aux, B and B' definitions, on the
-    adjacency rows of the simple projection (rows[x] is x's neighbour mask;
-    a vertex missing from rows has none).
-
-    N1(v) is v's row and N2(v) the union of the rows of N1(v) outside N1(v)
-    and v.  G_aux is gathered from the N2 side: the N1 neighbours of each y
-    in N2(v) are pairwise joined.
-    """
-    n1_mask = rows.get(v, 0)
-    n2_mask = 0
-    for x in iter_bits(n1_mask):
-        n2_mask |= rows[x]
-    n2_mask &= ~n1_mask
-    if n2_mask >> v & 1:  # v lies on an edge, so no wider int is made
-        n2_mask ^= 1 << v
-    shared = dict.fromkeys(iter_bits(n1_mask), 0)
-    sides = {}
-    for y in iter_bits(n2_mask):
-        side = sides[y] = rows[y] & n1_mask
-        if side & (side - 1):
-            for x in iter_bits(side):
-                shared[x] |= side
-    aux = {x: row & ~(1 << x) for x, row in shared.items()}
-    g = {x: rows[x] & n1_mask for x in aux}
-    gap = {x: row & ~rows[x] for x, row in aux.items()}
-    return _VertexRows(g, aux, gap, sides)
-
-
-def _upper_edges(rows: dict[int, int]):
-    """Edges (x, y), x < y, of symmetric rows, in ascending order."""
-    for x, row in rows.items():
-        for y in iter_bits(row & -(2 << x)):
-            yield x, y
-
-
-# ---------------------------------------------------------------------------
 # the lemma suite
 # ---------------------------------------------------------------------------
 
@@ -373,61 +320,93 @@ def _vertex_checks(
     v: int,
     spokes: dict[int, list[int]],
 ) -> tuple[dict, list[dict]]:
-    """v's row and violations, on the adjacency rows of the simple
-    projection; spokes[x] lists the colors of the spoke (v, x) in ascending
-    order (_projection)."""
-    rows = _vertex_rows(proj_rows, v)
-    d = len(rows.g)
-    violations: list[dict] = []
-    checks: dict[str, bool] = {}
-
-    g_count = sum(map(int.bit_count, rows.g.values())) // 2
-    checks["g_size_vs_degree"] = g_count <= 3 * d
-    if not checks["g_size_vs_degree"]:
-        violations.append({"check": "g_size_vs_degree", "v": v,
-                           "g_edges": g_count, "bound": 3 * d})
-
-    gap_count = sum(map(int.bit_count, rows.gap.values())) // 2
-    k55 = _kst_in_rows(rows.gap, gap_count, 5, 5)
-    checks["k55_freeness"] = k55 is None
-    if k55 is not None:
-        violations.append({"check": "k55_freeness", "v": v,
-                           "parts": [list(k55[0]), list(k55[1])]})
-    checks["g_aux_prime_bound"] = d < 1 or gap_count < math.pow(d, 9 / 5)
-    if not checks["g_aux_prime_bound"]:
-        violations.append({"check": "g_aux_prime_bound", "v": v,
-                           "g_aux_prime_edges": gap_count,
-                           "bound": math.pow(d, 9 / 5)})
-
-    checks["inclusion"] = True
-    for x, y in _upper_edges(rows.gap):
-        cx = spokes[x]
-        cy = spokes[y]
-        admissible = [(hx, hy) for hx in cx for hy in cy if hx != hy]
-        if not admissible:
-            checks["inclusion"] = False
-            violations.append({"check": "inclusion_no_distinct_colors", "v": v,
-                               "edge": [x, y], "colors_x": list(cx),
-                               "colors_y": list(cy)})
-        elif not any(x in hypergraph.hyperedges[hy] or y in hypergraph.hyperedges[hx]
-                     for hx, hy in admissible):
-            checks["inclusion"] = False
-            violations.append({"check": "inclusion", "v": v, "edge": [x, y],
-                               "colors_x": list(cx), "colors_y": list(cy)})
+    """v's row and violations on the projection's rows (proj_rows[x] is x's
+    neighbour mask, none when missing) and on the colors of v's spokes
+    (spokes[x] ascending, _projection): the one owner of the G, G_aux,
+    G'_aux, B and B' definitions.  A pass over N1(v) gives the N2 mask,
+    twice |G| and the 2-path sum of the degrees; a pass over N2(v), by
+    binary digits above WIDE_MASK_BITS, counts |B| and |B'| from each side
+    N(y) & N1(v) and applies the one-loose-edge rule to it.  Only a side of
+    two or more bits adds to G_aux, so the G_aux and G'_aux rows, and the
+    K_{5,5} and inclusion checks on G'_aux, wait for one.
+    """
+    n1_mask = proj_rows.get(v, 0)
+    n1 = list(iter_bits(n1_mask))
+    d = len(n1)
+    n2_mask = g_twice = two_paths = 0
+    for x in n1:
+        row = proj_rows[x]
+        n2_mask |= row
+        g_twice += (row & n1_mask).bit_count()
+        two_paths += row.bit_count() - 1
+    n2_mask &= ~n1_mask
+    if n2_mask >> v & 1:  # v lies on an edge, so no wider int is made
+        n2_mask ^= 1 << v
+    g_count = g_twice // 2
 
     b_count = b_prime_count = 0
-    checks["b_minus_bprime_degree"] = True
-    for y, side in rows.sides.items():
+    joining_sides: list[int] = []
+    loose: list[dict] = []
+    bits = iter_bits if n2_mask.bit_length() <= WIDE_MASK_BITS else iter_wide_bits
+    for y in bits(n2_mask):
+        side = proj_rows[y] & n1_mask
         incident = side.bit_count()
         in_b_prime = incident if incident > 1 else 0
         b_count += incident
         b_prime_count += in_b_prime
         if incident - in_b_prime > 1:
-            checks["b_minus_bprime_degree"] = False
-            violations.append({"check": "b_minus_bprime_degree", "v": v,
-                               "n2_vertex": y, "incident": incident - in_b_prime})
-    two_paths = sum(proj_rows[x].bit_count() - 1 for x in rows.g)
-    checks["two_path_count"] = b_count + 2 * g_count == two_paths
+            loose.append({"check": "b_minus_bprime_degree", "v": v,
+                          "n2_vertex": y, "incident": incident - in_b_prime})
+        if in_b_prime:
+            joining_sides.append(side)
+
+    aux_count = gap_count = 0
+    k55 = None
+    unincluded: list[dict] = []
+    if joining_sides:
+        shared = dict.fromkeys(n1, 0)
+        for side in joining_sides:
+            for x in iter_bits(side):
+                shared[x] |= side
+        gap = {}
+        for x, row in shared.items():
+            row &= ~(1 << x)
+            aux_count += row.bit_count()
+            gap[x] = row = row & ~proj_rows[x]
+            gap_count += row.bit_count()
+        aux_count //= 2
+        gap_count //= 2
+        k55 = _kst_in_rows(gap, gap_count, 5, 5)
+        for x, row in gap.items():  # each G'_aux edge (x, y), x < y, ascending
+            for y in iter_bits(row & -(2 << x)):
+                cx, cy = spokes[x], spokes[y]
+                admissible = [(hx, hy) for hx in cx for hy in cy if hx != hy]
+                if not any(x in hypergraph.hyperedges[hy] or y in hypergraph.hyperedges[hx]
+                           for hx, hy in admissible):
+                    unincluded.append({
+                        "check": "inclusion" if admissible else "inclusion_no_distinct_colors",
+                        "v": v, "edge": [x, y], "colors_x": list(cx), "colors_y": list(cy)})
+
+    checks = {
+        "g_size_vs_degree": g_count <= 3 * d,
+        "k55_freeness": k55 is None,
+        "g_aux_prime_bound": d < 1 or gap_count < math.pow(d, 9 / 5),
+        "inclusion": not unincluded,
+        "b_minus_bprime_degree": not loose,
+        "two_path_count": b_count + 2 * g_count == two_paths,
+    }
+    violations: list[dict] = []
+    if not checks["g_size_vs_degree"]:
+        violations.append({"check": "g_size_vs_degree", "v": v,
+                           "g_edges": g_count, "bound": 3 * d})
+    if k55 is not None:
+        violations.append({"check": "k55_freeness", "v": v,
+                           "parts": [list(k55[0]), list(k55[1])]})
+    if not checks["g_aux_prime_bound"]:
+        violations.append({"check": "g_aux_prime_bound", "v": v,
+                           "g_aux_prime_edges": gap_count,
+                           "bound": math.pow(d, 9 / 5)})
+    violations += unincluded + loose
     if not checks["two_path_count"]:
         violations.append({"check": "two_path_count", "v": v,
                            "b_edges": b_count, "g_edges": g_count,
@@ -437,7 +416,7 @@ def _vertex_checks(
         "v": v,
         "d": d,
         "g_edges": g_count,
-        "g_aux_edges": sum(map(int.bit_count, rows.aux.values())) // 2,
+        "g_aux_edges": aux_count,
         "g_aux_prime_edges": gap_count,
         "b_edges": b_count,
         "b_prime_edges": b_prime_count,
@@ -467,13 +446,13 @@ def verify_lemma_suite(
     would give.
 
     The projection's rows are sized by the vertices that lie on a placed
-    edge, not by the declared n.  Each vertex is checked on those rows
-    (_vertex_rows), with no Graph built for it, and on its spokes' colors,
-    gathered in the same pass for every checked vertex.  The last two
-    rules hold by the definitions of B and B' (two_path_count and
-    b_minus_bprime_degree).  They stay as cross-checks: |G| is counted on
-    the N1(v) rows, |B| and |B'| from the N2(v) side, and the identity ties
-    the two to the degrees.
+    edge, not by the declared n.  Each vertex is checked on those rows in
+    one pass over N1(v) and one over N2(v) (_vertex_checks), with no Graph
+    built for it, and on its spokes' colors, gathered in the same pass for
+    every checked vertex.  The last two rules hold by the definitions of B
+    and B' (two_path_count and b_minus_bprime_degree).  They stay as
+    cross-checks: |G| is counted on the N1(v) rows, |B| and |B'| from the
+    N2(v) sides, and the identity ties the two to the degrees.
     """
     cycle = find_berge_cycle(hypergraph, 4)
     if cycle is not None:

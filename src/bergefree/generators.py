@@ -32,15 +32,18 @@ def random_greedy_hypergraph(
         raise ValueError(f"need 2 <= lo <= hi <= n, got {size_range} with n={n}")
     if isinstance(rng, int):
         rng = random.Random(rng)
+    population = range(n)
+    bit = [1 << v for v in population]
+    spread_bit = [1 << (v * n) for v in population]
     kept: list[list[int]] = []
     masks: list[int] = []
     spreads: list[int] = []
     closing = 0
     for _ in range(trials):
         size = rng.randint(lo, hi)
-        candidate = rng.sample(range(n), size)
-        mask = sum(1 << v for v in candidate)
-        spread = sum(1 << (v * n) for v in candidate)
+        candidate = rng.sample(population, size)
+        mask = sum(map(bit.__getitem__, candidate))
+        spread = sum(map(spread_bit.__getitem__, candidate))
         if spread * mask & closing:
             continue
         kept.append(candidate)

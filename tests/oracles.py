@@ -14,11 +14,12 @@ container they are matched in.  The lemma suite's per-vertex checks
 before they ran on adjacency rows are kept here as edge sets
 (aux_bundle_by_pair_scan, vertex_checks_on_bundle), with a set-based
 first K_{s,t} (first_kst_by_neighbor_sets) in place of the row engine;
-the bundle read off the suite's rows (AuxBundle, build_aux_bundle) left
-the package for here, and so did the whole-graph pair-color index that
-ColoredGraph kept before the suite read only its checked vertices' spokes
-(pair_colors, colors_of).  The whole-graph phase before its linear passes is
-kept too: the builder that decomposes every hyperedge
+the bundle (AuxBundle, build_aux_bundle) and the whole rows it is read
+off (_VertexRows, _vertex_rows, _upper_edges), which the suite built for
+every vertex before it counted them in one pass, left the package for
+here, and so did the whole-graph pair-color index that ColoredGraph kept
+before the suite read only its checked vertices' spokes (pair_colors,
+colors_of).  The whole-graph phase before its linear passes is kept too: the builder that decomposes every hyperedge
 (embedded_graph_by_decomposition), observation 1 on every color
 (observation1_by_incidence) and the K_{s,t} row engine that tries every
 s-subset of the candidates (kst_by_subset_enumeration).  So are the
@@ -41,9 +42,8 @@ closing-pair mask does not use, and, in max_weight_by_index_scan (the
 exact search's walk before its candidates became bits, which must reach
 the same nodes in the same order), the candidate universe and the
 closing-pair mask engine; embedded_graph_by_decomposition calls
-decompose_hyperedge, build_aux_bundle reads embedding._vertex_rows, and
-kst_by_subset_enumeration checks its witness with the library's
-_check_kst_witness.
+decompose_hyperedge, and kst_by_subset_enumeration checks its witness
+with the library's _check_kst_witness.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, compress, permutations, product
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from bergefree import (
     BergeCycleWitness,
@@ -72,8 +72,6 @@ from bergefree.berge import (
 from bergefree.core import iter_bits
 from bergefree.embedding import (
     ObservationReport,
-    _upper_edges,
-    _vertex_rows,
     decompose_hyperedge,
 )
 from bergefree.patterns import _check_kst_witness
@@ -247,6 +245,60 @@ def first_kst_by_neighbor_sets(graph: Graph, s: int, t: int):
     return None
 
 
+def _upper_edges(rows: dict[int, int]):
+    """Edges (x, y), x < y, of symmetric rows, in ascending order."""
+    for x, row in rows.items():
+        for y in iter_bits(row & -(2 << x)):
+            yield x, y
+
+
+class _VertexRows(NamedTuple):
+    """The proof objects around v as adjacency rows of the simple projection.
+
+    For x in N1(v), in ascending order, g[x], aux[x] and gap[x] are x's full
+    rows (neighbours below and above x) in G, G_aux and G'_aux.  For y in
+    N2(v), in ascending order, sides[y] = N(y) & N1(v) is y's row in B; its
+    edges are in B' when it has two bits or more.
+    """
+
+    g: dict[int, int]
+    aux: dict[int, int]
+    gap: dict[int, int]
+    sides: dict[int, int]
+
+
+def _vertex_rows(rows: Mapping[int, int], v: int) -> _VertexRows:
+    """G, G_aux, G'_aux, B and B' around v as whole rows, every row built
+    for every vertex: the rows the lemma suite's per-vertex checks read
+    before embedding._vertex_checks counted them in one pass over N1(v) and
+    one over N2(v), building the G_aux rows only when some side has two
+    bits.  rows[x] is x's neighbour mask; a vertex missing from rows has
+    none.
+
+    N1(v) is v's row and N2(v) the union of the rows of N1(v) outside N1(v)
+    and v.  G_aux is gathered from the N2 side: the N1 neighbours of each y
+    in N2(v) are pairwise joined.
+    """
+    n1_mask = rows.get(v, 0)
+    n2_mask = 0
+    for x in iter_bits(n1_mask):
+        n2_mask |= rows[x]
+    n2_mask &= ~n1_mask
+    if n2_mask >> v & 1:
+        n2_mask ^= 1 << v
+    shared = dict.fromkeys(iter_bits(n1_mask), 0)
+    sides = {}
+    for y in iter_bits(n2_mask):
+        side = sides[y] = rows[y] & n1_mask
+        if side & (side - 1):
+            for x in iter_bits(side):
+                shared[x] |= side
+    aux = {x: row & ~(1 << x) for x, row in shared.items()}
+    g = {x: rows[x] & n1_mask for x in aux}
+    gap = {x: row & ~rows[x] for x, row in aux.items()}
+    return _VertexRows(g, aux, gap, sides)
+
+
 @dataclass(frozen=True)
 class AuxBundle:
     """The proof objects around one vertex v as edge sets: G, G_aux and
@@ -264,9 +316,8 @@ class AuxBundle:
 
 
 def build_aux_bundle(colored_graph: ColoredGraph, v: int) -> AuxBundle:
-    """The bundle read off the rows the lemma suite checks
-    (embedding._vertex_rows).  Raises ValueError for a vertex outside
-    0..n-1."""
+    """The bundle read off whole rows (_vertex_rows).  Raises ValueError
+    for a vertex outside 0..n-1."""
     proj = colored_graph.simple_projection
     if not 0 <= v < proj.n:
         raise ValueError(f"vertex {v} out of range for n={proj.n}")

@@ -15,16 +15,18 @@ MODULES = ("bergefree",) + tuple(
 # The path-walk Berge-C4 state and check, the membership digraph D with its
 # patterns and errors, statistics only tests used, the hyperedge-id alias of
 # the removed pair_cover, the per-vertex bundle with its bipartite graph
-# type, the search's row of theoretical_bounds, and the neighbourhood masks
-# that only tests called (embedding._vertex_rows owns N1 and N2), and the
-# per-vertex shadow rows of the second, vertex-level witness walk (the
-# witness now comes from the class walk); tests/oracles.py keeps what the
-# tests still need of them.
+# type, the search's row of theoretical_bounds, the neighbourhood masks
+# that only tests called, the per-vertex shadow rows of the second,
+# vertex-level witness walk (the witness now comes from the class walk),
+# and the whole per-vertex rows the lemma checks read before they counted
+# N1(v) and N2(v) in one pass each (embedding._vertex_checks owns N1 and
+# N2); tests/oracles.py keeps what the tests still need of them.
 REMOVED = ("SearchState", "incremental_c4_check", "Digraph", "Pattern", "F1", "F2",
            "contains_pattern", "build_D", "NonNeighborError", "SharedColorError",
            "shadow", "neighborhoods", "neighborhood_masks", "degree_stats", "HyperedgeId",
            "AuxBundle", "build_aux_bundle", "BipartiteGraph",
-           "compare_to_bounds", "BoundsRow", "_ShadowRows")
+           "compare_to_bounds", "BoundsRow", "_ShadowRows", "_VertexRows", "_vertex_rows",
+           "_upper_edges")
 
 
 def test_hypergraph_has_no_pair_cover():

@@ -480,6 +480,19 @@ def test_lemmas_report_bytes_are_pinned(tmp_path, capsys, q, sample, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_lemmas_report_bytes_are_pinned_where_g_aux_has_edges(tmp_path, capsys):
+    """A greedy input on which some vertex has G_aux and G'_aux edges, so
+    the K_{5,5} check and the inclusion rule run; the sha256 must not
+    drift."""
+    h = bf.random_greedy_hypergraph(20, (4, 8), 60, 28)
+    src = write_hypergraph(tmp_path, "greedy.json", h)
+    assert main(["lemmas", "-i", src]) == 0
+    out = capsys.readouterr().out
+    assert any(row["g_aux_prime_edges"] for row in json.loads(out)["lemma_suite"]["rows"])
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "1c7dae74a25a664b5f082932b88661f51cd8ee8c2d30e48a5c932d8dda015664"
+
+
 def _run_in_process(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 import bergefree as bf
 from bergefree.berge import _twin_classes, _vertex_ids
-from bergefree.embedding import _vertex_rows
+from bergefree.core import WIDE_MASK_BITS, iter_bits, iter_wide_bits
 from conftest import graphs, hypergraphs
 from oracles import (
+    _vertex_rows,
     bfs_neighborhoods,
     build_aux_bundle,
     colored_edges_by_loop,
@@ -56,11 +57,26 @@ def test_weight_equals_clamped_sum_for_big_hyperedges(h):
 
 
 # ---------------------------------------------------------------------------
+# bit iteration
+# ---------------------------------------------------------------------------
+
+def test_both_bit_iterators_list_the_set_bits_lowest_first():
+    rng = random.Random(0)
+    masks = [0, 1, 2, 3, 1 << WIDE_MASK_BITS, (1 << WIDE_MASK_BITS + 1) - 1]
+    for width in (1, 7, 64, 65, WIDE_MASK_BITS, 5000):
+        for density in (0.01, 0.2, 0.9):
+            masks.append(sum(1 << b for b in range(width) if rng.random() < density))
+    for mask in masks:
+        want = [b for b in range(mask.bit_length()) if mask >> b & 1]
+        assert list(iter_bits(mask)) == list(iter_wide_bits(mask)) == want
+
+
+# ---------------------------------------------------------------------------
 # neighborhoods
 # ---------------------------------------------------------------------------
 
 def neighborhoods(graph, v):
-    """N1(v) and N2(v) as the lemma suite reads them (embedding._vertex_rows)."""
+    """N1(v) and N2(v) off the whole rows around v (oracles._vertex_rows)."""
     rows = _vertex_rows(dict(enumerate(graph.adjacency_masks)), v)
     return frozenset(rows.g), frozenset(rows.sides)
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 import bergefree as bf
 import bergefree.embedding
+from bergefree.core import WIDE_MASK_BITS
 from bergefree.embedding import _observation1_by_size, _placement, _projection, _vertex_checks
 from conftest import hypergraphs
 from oracles import (
@@ -472,6 +473,102 @@ def test_lemma_suite_builds_no_graph_per_checked_vertex(monkeypatch):
     report = bf.verify_lemma_suite(h)
     assert len(report.rows) == h.n == 78
     assert built == unchecked
+
+
+def _suite_reports(hypergraph, checked=None):
+    """Each checked vertex's row and violations (every vertex's by
+    default) from _vertex_checks on the suite's own rows and spokes
+    (_projection) and from the bundle oracle, each as JSON text."""
+    checked = range(hypergraph.n) if checked is None else checked
+    rows, spokes = _projection(hypergraph, checked)
+    cg = bf.build_embedded_graph(hypergraph)
+    masks = cg.simple_projection.adjacency_masks
+    for v in checked:
+        yield (json.dumps(_vertex_checks(hypergraph, rows, v, spokes[v])),
+               json.dumps(vertex_checks_on_bundle(hypergraph, cg, masks, v)))
+
+
+def _padded_blowup_subset(q, seed):
+    """A hyperedge subset of the q blow-up, padded with isolated vertices
+    to 40..100 vertices, relabelled into them and shuffled."""
+    rng = random.Random(seed)
+    base = bf.blow_up(bf.projective_plane_incidence(q).graph(), 3)
+    fraction = rng.uniform(0.3, 0.9)
+    kept = [h for h in base.hyperedges if rng.random() < fraction]
+    n = rng.randint(max(40, base.n), 100)
+    image = rng.sample(range(n), base.n)
+    hyperedges = [sorted(image[v] for v in h) for h in kept]
+    rng.shuffle(hyperedges)
+    return bf.Hypergraph(n, hyperedges)
+
+
+def test_vertex_checks_match_bundle_oracle_on_greedy_and_padded_inputs():
+    inputs = [bf.random_greedy_hypergraph(8 + seed % 23, ((2, 4), (4, 8))[seed % 2], 60,
+                                          rng=seed) for seed in range(200)]
+    inputs += [_padded_blowup_subset(2 + seed % 2, seed) for seed in range(12)]
+    aux_rows = isolated = 0
+    for h in inputs:
+        for fast, oracle in _suite_reports(h):
+            assert fast == oracle
+            row = json.loads(fast)[0]
+            aux_rows += row["g_aux_edges"] > 0
+            isolated += row["d"] == 0
+    # both sides of the lazy G_aux rows are reached
+    assert aux_rows and isolated
+
+
+def test_vertex_checks_match_bundle_oracle_past_the_wide_mask_width():
+    # the q = 3 blow-up relabelled into 3 * WIDE_MASK_BITS vertices, so
+    # some N2 masks are wider than WIDE_MASK_BITS and are read digit by
+    # digit; the vertices on a placed edge are checked
+    h = _relabelled_blowup(3, 7)
+    n = 3 * WIDE_MASK_BITS
+    image = random.Random(7).sample(range(n), h.n)
+    h = bf.Hypergraph(n, [[image[v] for v in e] for e in h.hyperedges])
+    rows, _ = _projection(h, [])
+    assert any(row.bit_length() > WIDE_MASK_BITS for row in rows.values())
+    for fast, oracle in _suite_reports(h, list(rows)):
+        assert fast == oracle
+
+
+def test_vertex_checks_on_either_side_of_the_lazy_g_aux_rows():
+    # v = 0 with N1 = {1, 2}: no N2 vertex sees both, then one (the hub 3)
+    for build, aux in ((lambda: _pair_hypergraph(5, [(0, 1, 0), (0, 2, 1), (1, 3, 2),
+                                                      (2, 4, 3)]), 0),
+                       (lambda: _hub_n1(2), 1)):
+        h, cg = build()
+        fast, oracle = _vertex_reports(h, cg, 0)
+        assert fast == oracle
+        row, violations = json.loads(fast)
+        assert (row["g_aux_edges"], row["g_aux_prime_edges"], row["b_edges"],
+                row["b_prime_edges"]) == (aux, aux, 2, 2 * aux)
+        # the hub's two spokes are pair hyperedges that miss each other's ends
+        assert [v["check"] for v in violations] == ["inclusion"] * aux
+
+
+def test_isolated_vertex_row_is_pinned():
+    h = bf.Hypergraph(5, ({0, 1, 2, 3},))
+    rows, spokes = _projection(h, [4])
+    row, violations = _vertex_checks(h, rows, 4, spokes[4])
+    assert json.dumps(row) == json.dumps({
+        "v": 4, "d": 0, "g_edges": 0, "g_aux_edges": 0, "g_aux_prime_edges": 0,
+        "b_edges": 0, "b_prime_edges": 0,
+        "checks": {"g_size_vs_degree": True, "k55_freeness": True,
+                   "g_aux_prime_bound": True, "inclusion": True,
+                   "b_minus_bprime_degree": True, "two_path_count": True},
+        "ok": True})
+    assert violations == []
+
+
+def test_two_path_count_compares_the_n1_rows_with_the_n2_sides():
+    """|G| and the 2-path sum come from N1(v)'s rows and |B| from the N2(v)
+    sides, so rows that disagree (1 sees 2, 2 does not see 1) break the
+    identity."""
+    rows = {0: 0b10, 1: 0b101, 2: 0}
+    row, violations = _vertex_checks(bf.Hypergraph(3), rows, 0, {1: [0]})
+    assert violations == [{"check": "two_path_count", "v": 0, "b_edges": 0,
+                           "g_edges": 0, "two_paths": 1}]
+    assert not row["checks"]["two_path_count"] and not row["ok"]
 
 
 def _spokes_by_pair_colors(colored_graph, checked):
