@@ -38,20 +38,6 @@ def iter_bits(mask: int):
         mask ^= low
 
 
-# iter_bits costs three whole-int operations per bit, iter_wide_bits one pass
-# over the digits: on random masks, the faster above about this width.
-WIDE_MASK_BITS = 1024
-
-
-def iter_wide_bits(mask: int):
-    """iter_bits read off the binary digits: one str.find per set bit."""
-    digits = bin(mask)[:1:-1]
-    b = digits.find("1")
-    while b >= 0:
-        yield b
-        b = digits.find("1", b + 1)
-
-
 def _mask(bits: Iterable[int], width: int) -> int:
     """The int with these bits set, all below 8 * width, set in a
     bytearray, so that it costs one pass, not one wide int per bit."""

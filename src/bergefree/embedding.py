@@ -44,7 +44,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
 from .berge import BergeCycleWitness, find_berge_cycle
-from .core import WIDE_MASK_BITS, ColoredGraph, Hypergraph, _mask, iter_bits, iter_wide_bits
+from .core import ColoredGraph, Hypergraph, _mask, iter_bits
 from .patterns import _kst_in_rows
 
 
@@ -324,11 +324,12 @@ def _vertex_checks(
     neighbour mask, none when missing) and on the colors of v's spokes
     (spokes[x] ascending, _projection): the one owner of the G, G_aux,
     G'_aux, B and B' definitions.  A pass over N1(v) gives the N2 mask,
-    twice |G| and the 2-path sum of the degrees; a pass over N2(v), by
-    binary digits above WIDE_MASK_BITS, counts |B| and |B'| from each side
-    N(y) & N1(v) and applies the one-loose-edge rule to it.  Only a side of
-    two or more bits adds to G_aux, so the G_aux and G'_aux rows, and the
-    K_{5,5} and inclusion checks on G'_aux, wait for one.
+    twice |G| and the 2-path sum of the degrees; a pass over N2(v), read
+    off the mask's binary digits with one str.find per vertex, counts |B|
+    and |B'| from each side N(y) & N1(v) and applies the one-loose-edge
+    rule to it.  Only a side of two or more bits adds to G_aux, so the
+    G_aux and G'_aux rows, and the K_{5,5} and inclusion checks on G'_aux,
+    wait for one.
     """
     n1_mask = proj_rows.get(v, 0)
     n1 = list(iter_bits(n1_mask))
@@ -347,8 +348,9 @@ def _vertex_checks(
     b_count = b_prime_count = 0
     joining_sides: list[int] = []
     loose: list[dict] = []
-    bits = iter_bits if n2_mask.bit_length() <= WIDE_MASK_BITS else iter_wide_bits
-    for y in bits(n2_mask):
+    digits = bin(n2_mask)[:1:-1]  # N2(v) by its binary digits, lowest first
+    y = digits.find("1")
+    while y >= 0:
         side = proj_rows[y] & n1_mask
         incident = side.bit_count()
         in_b_prime = incident if incident > 1 else 0
@@ -359,6 +361,7 @@ def _vertex_checks(
                           "n2_vertex": y, "incident": incident - in_b_prime})
         if in_b_prime:
             joining_sides.append(side)
+        y = digits.find("1", y + 1)
 
     aux_count = gap_count = 0
     k55 = None

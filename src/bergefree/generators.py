@@ -34,7 +34,6 @@ def random_greedy_hypergraph(
         rng = random.Random(rng)
     population = range(n)
     bit = [1 << v for v in population]
-    spread_bit = [1 << (v * n) for v in population]
     kept: list[list[int]] = []
     masks: list[int] = []
     spreads: list[int] = []
@@ -43,7 +42,7 @@ def random_greedy_hypergraph(
         size = rng.randint(lo, hi)
         candidate = rng.sample(population, size)
         mask = sum(map(bit.__getitem__, candidate))
-        spread = sum(map(spread_bit.__getitem__, candidate))
+        spread = sum(1 << (v * n) for v in candidate)
         if spread * mask & closing:
             continue
         kept.append(candidate)

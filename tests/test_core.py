@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import bergefree as bf
 from bergefree.berge import _twin_classes, _vertex_ids
-from bergefree.core import WIDE_MASK_BITS, iter_bits, iter_wide_bits
 from conftest import graphs, hypergraphs
 from oracles import (
     _vertex_rows,
@@ -54,21 +53,6 @@ def test_weight_equals_clamped_sum_for_big_hyperedges(h):
     if any(len(e) < 3 for e in h.hyperedges):  # tiny n clamps the strategy
         return
     assert bf.weight(h) == sum(max(0, len(e) - 3) for e in h.hyperedges)
-
-
-# ---------------------------------------------------------------------------
-# bit iteration
-# ---------------------------------------------------------------------------
-
-def test_both_bit_iterators_list_the_set_bits_lowest_first():
-    rng = random.Random(0)
-    masks = [0, 1, 2, 3, 1 << WIDE_MASK_BITS, (1 << WIDE_MASK_BITS + 1) - 1]
-    for width in (1, 7, 64, 65, WIDE_MASK_BITS, 5000):
-        for density in (0.01, 0.2, 0.9):
-            masks.append(sum(1 << b for b in range(width) if rng.random() < density))
-    for mask in masks:
-        want = [b for b in range(mask.bit_length()) if mask >> b & 1]
-        assert list(iter_bits(mask)) == list(iter_wide_bits(mask)) == want
 
 
 # ---------------------------------------------------------------------------

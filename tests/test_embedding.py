@@ -9,7 +9,6 @@ from hypothesis import given, settings
 
 import bergefree as bf
 import bergefree.embedding
-from bergefree.core import WIDE_MASK_BITS
 from bergefree.embedding import _observation1_by_size, _placement, _projection, _vertex_checks
 from conftest import hypergraphs
 from oracles import (
@@ -517,16 +516,16 @@ def test_vertex_checks_match_bundle_oracle_on_greedy_and_padded_inputs():
     assert aux_rows and isolated
 
 
-def test_vertex_checks_match_bundle_oracle_past_the_wide_mask_width():
-    # the q = 3 blow-up relabelled into 3 * WIDE_MASK_BITS vertices, so
-    # some N2 masks are wider than WIDE_MASK_BITS and are read digit by
-    # digit; the vertices on a placed edge are checked
+def test_vertex_checks_match_bundle_oracle_on_a_sparse_wide_relabelling():
+    # the q = 3 blow-up relabelled into 3,000 vertices, so the N2 masks are
+    # a few set digits among thousands; the vertices on a placed edge are
+    # checked
     h = _relabelled_blowup(3, 7)
-    n = 3 * WIDE_MASK_BITS
+    n = 3000
     image = random.Random(7).sample(range(n), h.n)
     h = bf.Hypergraph(n, [[image[v] for v in e] for e in h.hyperedges])
     rows, _ = _projection(h, [])
-    assert any(row.bit_length() > WIDE_MASK_BITS for row in rows.values())
+    assert any(row.bit_length() > 2000 for row in rows.values())
     for fast, oracle in _suite_reports(h, list(rows)):
         assert fast == oracle
 
