@@ -52,14 +52,16 @@ One mask engine serves the exact search and the greedy generator:
 _closing_pairs finds, from vertex masks and their spreads (bit a*n for each
 vertex a), the pairs {a, b} that close a Berge-C4 with a triple (X, Y, Z) of
 distinct hyperedges through the newest one (b in X, a in Z, room for v3 in
-X & Y and v4 in Y & Z, distinct and outside {a, b}); a caller ORs them into
-its running mask and tests each candidate with one AND.  Two index loops
-visit each such triple once, the newest hyperedge as its middle or as an
-end, and each triple is one straight-line call of _triple_pairs, which
-sets the triple's pairs both ways round.  There is no loop over vertices:
-the a of a triple fall into four classes by whether they lie in X, Y and
-Z, every a of a class has the same b, and one product of the class's
-spread with those b sets all of its rows of the n x n pair matrix.
+X & Y and v4 in Y & Z, distinct and outside {a, b}).  The search ORs them
+into its running mask and tests each candidate with one AND; the generator
+folds them into one row of n bits per vertex a and tests a draw against the
+rows of its vertices.  Two index loops visit each such triple once, the
+newest hyperedge as its middle or as an end, and each triple is one
+straight-line call of _triple_pairs, which sets the triple's pairs both
+ways round.  There is no loop over vertices: the a of a triple fall into
+four classes by whether they lie in X, Y and Z, every a of a class has the
+same b, and one product of the class's spread with those b sets all of its
+rows of the n x n pair matrix.
 With exactly three hyperedges the loops reduce to three triples; the
 search's third level takes them inline, with the product of a triple's
 ends in place of the call when no exclusion is forced.
@@ -596,8 +598,10 @@ def _closing_pairs(masks: Sequence[int], spreads: Sequence[int], n: int) -> int:
     vertex masks and spreads (spreads[i] has bit a*n for each bit a of
     masks[i]): bits a*n + b and b*n + a (a != b) are set iff a hyperedge
     holding a and b closes one.  ORed into the pairs the earlier masks
-    close alone, it gives every closing pair, and a candidate is tested
-    with one AND of its pairs (a < b) against that.
+    close alone, it gives every closing pair: the search tests a
+    candidate with one AND of its pairs (a < b) against that, and the
+    generator splits it into rows of n bits, one per vertex a, and tests a
+    draw's vertex mask against the row of each of its vertices.
 
     A triple (X, Y, Z) closes pairs only when Y meets both ends, so two
     index loops visit each triple through the last mask once: the last

@@ -19,34 +19,41 @@ def random_greedy_hypergraph(
 
     Draws `trials` candidate hyperedges (size uniform in size_range,
     vertices a uniform sample) and keeps each one that leaves the running
-    hypergraph Berge-C4-free: none of its pairs a != b may hold bit a*n + b
-    of the kept hyperedges' closing-pair mask (berge._closing_pairs of
-    their vertex masks and spreads), which grows after each keep.  A draw
-    is tested with one product, spread * mask & closing: spread * mask
-    sets bit a*n + b for every a and b of the draw, a = b too.  That is
-    exact because the closing mask is symmetric (a*n + b with b*n + a) and
-    its diagonal bits a*n + a are clear.  Deterministic for a fixed seed.
+    hypergraph Berge-C4-free: no two of its vertices may form a closing
+    pair of the kept hyperedges (berge._closing_pairs of their vertex masks
+    and spreads).  Each keep folds its new pairs, n bits at a time, into n
+    rows, rows[a] the mask of the b for which {a, b} closes, and a draw is
+    rejected when the row of one of its vertices meets its vertex mask.
+    That is exact because the closing pairs are symmetric and no row a
+    holds bit a.  A spread (bit v*n per vertex v) is built only for a kept
+    draw.  At corpus sizes about 60% of a call is the stdlib draws (randint
+    and sample), which the seed fixes.  Deterministic for a fixed seed.
     """
     lo, hi = size_range
     if not 2 <= lo <= hi <= n:
         raise ValueError(f"need 2 <= lo <= hi <= n, got {size_range} with n={n}")
     if isinstance(rng, int):
         rng = random.Random(rng)
-    population = range(n)
+    population = list(range(n))  # sample checks, copies and indexes a list faster
     bit = [1 << v for v in population]
+    full = (1 << n) - 1
     kept: list[list[int]] = []
     masks: list[int] = []
     spreads: list[int] = []
-    closing = 0
+    rows = [0] * n
     for _ in range(trials):
         size = rng.randint(lo, hi)
         candidate = rng.sample(population, size)
         mask = sum(map(bit.__getitem__, candidate))
-        spread = sum(1 << (v * n) for v in candidate)
-        if spread * mask & closing:
+        if any(map(mask.__and__, map(rows.__getitem__, candidate))):
             continue
         kept.append(candidate)
         masks.append(mask)
-        spreads.append(spread)
-        closing |= _closing_pairs(masks, spreads, n)
+        spreads.append(sum(1 << (v * n) for v in candidate))
+        pairs = _closing_pairs(masks, spreads, n)
+        a = 0
+        while pairs:
+            rows[a] |= pairs & full
+            pairs >>= n
+            a += 1
     return Hypergraph(n, kept)

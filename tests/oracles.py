@@ -4,8 +4,10 @@ Most of this is deliberately naive: breadth-first distance classes,
 quadratic pair scans, full subset/permutation enumeration, and multiset
 enumeration.  It also owns the path-walk Berge-C4 state (SearchState,
 _closes_c4, _pair_closes, incremental_c4_check), the oracle for the
-library's closing-pair mask and greedy generator, the same mask built
-one shifted row per end vertex a (closing_pairs_by_vertex_loop, which the
+library's closing-pair mask and greedy generator, the generator's draw
+test before it read per-vertex rows, one product of the draw's spread
+against one n^2-bit closing mask (greedy_by_spread_product), the same
+mask built one shifted row per end vertex a (closing_pairs_by_vertex_loop, which the
 library's class products must equal bit for bit), the exact search's
 third level as three calls of _triple_pairs (closing_pairs_of_three),
 and the directed patterns F1 and F2 of the K_{5,5} argument's endgame
@@ -1171,6 +1173,31 @@ def greedy_by_full_recheck(n: int, size_range: tuple[int, int], trials: int, rng
         candidate = frozenset(rng.sample(range(n), size))
         if is_berge_c4_free(Hypergraph(n, kept + (candidate,))):
             kept += (candidate,)
+    return Hypergraph(n, kept)
+
+
+def greedy_by_spread_product(n: int, size_range: tuple[int, int], trials: int, rng) -> Hypergraph:
+    """The greedy generator's draws, each tested with one product against
+    one running closing-pair mask, as the generator did before it held
+    the mask as per-vertex rows: spread * mask sets bit a*n + b for every
+    a and b of the draw (a = b too, but the mask's diagonal is clear), and
+    each keep ORs in _closing_pairs of the kept masks and spreads."""
+    bit = [1 << v for v in range(n)]
+    kept: list[list[int]] = []
+    masks: list[int] = []
+    spreads: list[int] = []
+    closing = 0
+    for _ in range(trials):
+        size = rng.randint(*size_range)
+        candidate = rng.sample(range(n), size)
+        mask = sum(map(bit.__getitem__, candidate))
+        spread = sum(1 << (v * n) for v in candidate)
+        if spread * mask & closing:
+            continue
+        kept.append(candidate)
+        masks.append(mask)
+        spreads.append(spread)
+        closing |= _closing_pairs(masks, spreads, n)
     return Hypergraph(n, kept)
 
 

@@ -1,10 +1,13 @@
 """Random greedy instance generation."""
 
+import random
 import tracemalloc
 
 import pytest
 
 import bergefree as bf
+from bergefree.core import dumps_canonical
+from oracles import greedy_by_spread_product
 
 
 def test_greedy_instances_are_berge_c4_free():
@@ -35,10 +38,38 @@ def test_greedy_rejects_bad_size_range():
         bf.random_greedy_hypergraph(10, (6, 4), trials=1, rng=0)
 
 
+SPREAD_PRODUCT_CASES = {
+    # The benchmark corpus: n = 20..60, sizes 4..8, 150 trials.
+    "corpus": [(n, (4, 8), 150, n) for n in range(20, 61)],
+    # One row of one bit each: every draw is the pair {0, 1}, in either order.
+    "n2": [(2, (2, 2), 20, seed) for seed in range(10)],
+    # Every draw is the whole vertex set, so its vertices read every row.
+    # Below four vertices nothing closes, so every draw is kept and each
+    # keep walks all the earlier ones: 30 trials keep the case fast.
+    "whole": [(n, (n, n), 30, seed) for n in range(3, 13) for seed in range(5)],
+    # Pairs and triples on few vertices: many keeps, rows filled densely.
+    "pairs_triples": [(n, (2, 3), 40, seed) for n in range(3, 13) for seed in range(5)],
+}
+
+
+@pytest.mark.parametrize("case", SPREAD_PRODUCT_CASES)
+def test_greedy_generator_matches_spread_product_oracle(case):
+    """Testing each draw against the per-vertex closing rows keeps exactly
+    what one product against one n^2-bit closing mask keeps, byte for
+    byte, on the corpus parameters and on the small n where the rows hold
+    the fewest bits and the draws cover the most of them."""
+    for n, size_range, trials, seed in SPREAD_PRODUCT_CASES[case]:
+        expected = greedy_by_spread_product(n, size_range, trials, random.Random(seed))
+        got = bf.random_greedy_hypergraph(n, size_range, trials=trials, rng=seed)
+        assert got == expected, (n, size_range, seed)
+        assert dumps_canonical(got.to_json_dict()) == dumps_canonical(expected.to_json_dict())
+
+
 def test_greedy_memory_grows_with_the_kept_hyperedges_not_with_n_cubed():
-    """A draw's spread has bit v*n per vertex v, n^2 bits wide; the
-    generator holds one per kept hyperedge and a few more n^2-bit ints,
-    never a spread for every vertex (n^3 / 2 bits, 62 MB at n = 1,000)."""
+    """The generator holds n rows of n bits (the closing pairs), plus one
+    vertex mask and one n^2-bit spread (bit v*n per vertex v) per kept
+    hyperedge, never a spread for every vertex (n^3 / 2 bits, 62 MB at
+    n = 1,000)."""
     n = 1000
     tracemalloc.start()
     try:
