@@ -38,15 +38,14 @@ reaches, over only the hyperedges near where the walk starts.
    hyperedges; one walk runs over the classes it yields, in order.  A
    free blow-up has none of these at k = 4 or 5, so it builds no hyperedge
    mask and needs no Hall test.
-2. Witness.  When the gate finds a cycle, the same walk runs again from
-   the least class with a cycle alone, on the masks with which the gate
-   found it, each depth trying its classes in the order of the member each
-   would take next.  In the canonical cycle each position holds the least
-   member of its class that no earlier position holds (a smaller twin
-   swapped in keeps the hyperedges and gives a smaller cycle, reversed if
-   vk falls below v2), so the first such walk is that cycle, and witnesses
-   do not depend on the gate.  distinct_representatives, run once on its
-   slot masks, picks the hyperedges with _hall, the one SDR engine.
+2. Witness.  The gate's walk is the witness.  Each depth tries its classes
+   in the order of the member each would take next, so the first walk from
+   the least class with a cycle is the canonical cycle: each position holds
+   the least member of its class that no earlier position holds (a smaller
+   twin swapped in keeps the hyperedges and gives a smaller cycle, reversed
+   if vk falls below v2).  Each class of the walk gives out its members in
+   order, and distinct_representatives, run once on its slot masks, picks
+   the hyperedges with _hall, the one SDR engine.
 
 One mask engine serves the exact search and the greedy generator:
 _closing_pairs finds, from vertex masks and their spreads (bit a*n for each
@@ -149,14 +148,13 @@ def find_berge_cycle(hypergraph: Hypergraph, k: int) -> Optional[BergeCycleWitne
     Canonical order: cycles are keyed by their vertex sequence with the
     minimum vertex first and v2 < vk; sequences are generated
     lexicographically, so the returned witness is deterministic.  The twin
-    classes decide freeness first, and only an input they find a cycle in
-    is walked again, from the least class with a cycle alone, on the
-    hyperedge masks with which the gate found it (_walk_masks), in member
-    order (_closed_walk); each class of that walk gives out its members in
-    order, and the vertices are the canonical cycle.  Both read one
-    incidence, each vertex's list of hyperedge ids (_vertex_ids), through
-    the twin classes it gives.  distinct_representatives picks the
-    hyperedges from the walk's slot masks.
+    classes decide (_twin_quotient_has_cycle), reading one incidence, each
+    vertex's list of hyperedge ids (_vertex_ids), and the walk with which
+    they find a cycle is the witness: each of its classes gives out its
+    members in order, and the vertices are the canonical cycle.
+    distinct_representatives picks the hyperedges from the walk's slot
+    masks, on the hyperedge masks with which the gate found it
+    (_walk_masks).
     """
     if k < 2:
         raise ValueError(f"Berge cycle length must be >= 2, got {k}")
@@ -166,8 +164,7 @@ def find_berge_cycle(hypergraph: Hypergraph, k: int) -> Optional[BergeCycleWitne
     found = _twin_quotient_has_cycle(classes, k)
     if found is None:
         return None
-    a, masks, near = found
-    walk = _closed_walk(masks, classes.sizes, classes.adj, k, (a,), classes.members)
+    walk, masks, near = found
     given = {c: iter(classes.members[c]) for c in walk}
     cycle = tuple(next(given[c]) for c in walk)
     slots = [masks[c] & masks[d] for c, d in zip(walk, walk[1:] + walk[:1])]
@@ -252,39 +249,43 @@ def _twin_classes(hypergraph: Hypergraph, ids: Sequence[Optional[list[int]]]) ->
     return _TwinClasses(list(index), members, sizes, adj, meets, of_vertex)
 
 
-_Found = tuple[int, list[int], Sequence[int]]
+_Found = tuple[tuple[int, ...], list[int], Sequence[int]]
 
 
 def _twin_quotient_has_cycle(classes: _TwinClasses, k: int) -> Optional[_Found]:
-    """The least class a whose smallest member is the minimum of a Berge-Ck
-    of the hypergraph with these twin classes, or None: the closed-walk
-    search, which decides each a in ascending order as the least class of a
-    closed walk.  A walk from a lifts to a Berge-Ck on classes not below a,
-    whose minimum is the smallest member of a; and the least class c of any
-    Berge-Ck's walk has a walk, so a <= c and no Berge-Ck has a smaller
-    minimum.  Only the classes a start filter yields can have a walk.  For
-    k = 4 the walk runs from each class _c4_starts yields alone, on masks
-    over the hyperedges near it.  For k != 4 it runs once over the classes
-    _ck_starts yields, taken lazily, on masks over every hyperedge built
-    when the first is yielded; with none, no mask is built.
+    """The first closed walk (_closed_walk) from the least class a whose
+    smallest member is the minimum of a Berge-Ck of the hypergraph with
+    these twin classes, or None: the closed-walk search, which decides each
+    a in ascending order as the least class of a closed walk.  A walk from
+    a lifts to a Berge-Ck on classes not below a, whose minimum is the
+    smallest member of a; and the least class c of any Berge-Ck's walk has
+    a walk, so a <= c and no Berge-Ck has a smaller minimum.  Only the
+    classes a start filter yields can have a walk.  For k = 4 the walk runs
+    from each class _c4_starts yields alone, on masks over the hyperedges
+    near it.  For k != 4 it runs once over the classes _ck_starts yields,
+    taken lazily, on masks over every hyperedge built when the first is
+    yielded; with none, no mask is built.
 
-    a comes with the class masks and near hyperedges with which it was
-    found (_walk_masks), which hold every slot of a closed k-walk from a.
+    Returns (walk, masks, near): the walk, which runs on the classes'
+    members and so is the canonical cycle's, with the class masks and near
+    hyperedges with which it was found (_walk_masks), which hold every slot
+    of a closed k-walk from a.
     """
-    sizes, adj = classes.sizes, classes.adj
+    sizes, adj, members = classes.sizes, classes.adj, classes.members
     if k == 4:
         for a in _c4_starts(classes):
             masks, near = _walk_masks(classes, 1 << a, 4)
-            if _closed_walk(masks, sizes, adj, 4, (a,)) is not None:
-                return a, masks, near
+            walk = _closed_walk(masks, sizes, adj, 4, (a,), members)
+            if walk is not None:
+                return walk, masks, near
         return None
     starts = _ck_starts(classes, k)
     first = next(starts, None)
     if first is None:
         return None
     masks, near = _walk_masks(classes, (1 << len(sizes)) - 1, k)
-    walk = _closed_walk(masks, sizes, adj, k, chain((first,), starts))
-    return None if walk is None else (walk[0], masks, near)
+    walk = _closed_walk(masks, sizes, adj, k, chain((first,), starts), members)
+    return None if walk is None else (walk, masks, near)
 
 
 def _c4_starts(classes: _TwinClasses) -> Iterator[int]:
@@ -459,7 +460,7 @@ def _walk_masks(classes: _TwinClasses, starts: int, k: int) -> tuple[list[int], 
 
 def _closed_walk(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int], k: int,
                  starts: Iterable[int],
-                 members: Optional[Sequence[Sequence[int]]] = None) -> Optional[tuple[int, ...]]:
+                 members: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
     """The first closed k-walk that lifts to a Berge-Ck, from the first
     start in starts that has one, or None.
 
@@ -469,37 +470,35 @@ def _closed_walk(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int],
     masks of both ends of slot i.  Conversely distinct members can be given
     to the occurrences of each class.  The slot mask of two classes is
     masks[i] & masks[j], which for two members of one class is masks[i]
-    (reached through the loop bit of adj).  Rotated so that its least class
-    a comes first, and of its two directions the one with c2 <= ck, the
-    walk runs through classes not below a; walks from a are tried in
-    lexicographic order.  A prefix whose slots cover fewer hyperedges than
-    it has slots is cut, and a closed walk is kept when its slots pass
-    Hall's test (_hall).  It is the gate's one decider: for k != 4 from the
-    classes _ck_starts yields, and for k = 4 from each class _c4_starts
-    yields, alone.
+    (reached through the loop bit of adj).  Each occurrence of a class
+    takes its next member (members lists them ascending).  Rotated so that
+    its least class a comes first, and of its two directions the one with
+    v2 < vk on those members, the walk runs through classes not below a.
+    Each depth tries its classes in the order of the member each would
+    take next; a prefix whose slots cover fewer hyperedges than it has
+    slots is cut, and a closed walk is kept when its slots pass Hall's
+    test (_hall).
 
-    Given the classes' members, ascending, each occurrence of a class
-    takes its next member, each depth tries its classes in the order of
-    the member each would take next, and the last depth keeps only
-    vk > v2 on those members: the first walk is then the canonical cycle,
-    whose every position holds the least member of its class not held
-    earlier (a smaller twin swapped in keeps the hyperedges and gives a
-    smaller cycle, reversed if vk falls below v2).
+    Whether a start has a walk depends neither on the order in which
+    candidates are tried nor on which direction of a closed walk is kept,
+    so the first start with one is the least class a of a Berge-Ck among
+    the starts.  From a, walks are tried in the lexicographic order of
+    their vertices, so the first is the canonical cycle: each of its
+    positions holds the least member of its class that no earlier position
+    holds (a smaller twin swapped in keeps the hyperedges and gives a
+    smaller cycle, reversed if vk falls below v2).  It is the gate's one
+    decider, and its walk is the witness: for k != 4 from the classes
+    _ck_starts yields, and for k = 4 from each class _c4_starts yields,
+    alone.
     """
     walk = [0] * k
     slots = [0] * k
     count = [0] * len(sizes)
 
-    if members is None:
-        order = iter_bits
-    else:
-        def order(candidates: int) -> list[int]:
-            # the classes with a member left, by the member each would take next
-            return sorted((c for c in iter_bits(candidates) if count[c] < sizes[c]),
-                          key=lambda c: members[c][count[c]])
-
-    on_classes = k > 2 and members is None  # k = 2 has one direction
-    on_members = k > 2 and members is not None
+    def order(candidates: int) -> list[int]:
+        # the classes with a member left, by the member each would take next
+        return sorted((c for c in iter_bits(candidates) if count[c] < sizes[c]),
+                      key=lambda c: members[c][count[c]])
 
     def extend(depth: int, not_below: int, union: int) -> bool:
         # walk[0..depth-1] fixed; slots[0..depth-2] hold its slots, union their union.
@@ -508,17 +507,12 @@ def _closed_walk(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int],
         candidates = adj[last] & not_below
         if depth == k - 1:
             a = walk[0]
-            candidates &= adj[a]  # the last class closes the walk
-            if on_classes:
-                candidates &= -1 << walk[1]  # orientation: keep only c2 <= ck
-            elif on_members:  # orientation: keep only v2 < vk
-                v2 = members[walk[1]][walk[1] == a]  # a's second member when c2 is a
-                for c in iter_bits(candidates):
-                    if count[c] < sizes[c] and members[c][count[c]] < v2:
-                        candidates ^= 1 << c
             mask_a = masks[a]
-            for c in order(candidates):
-                if count[c] == sizes[c]:
+            # orientation: keep only vk > v2, which is a's second member when c2
+            # is a (k = 2 has one direction)
+            v2 = members[walk[1]][walk[1] == a] if k > 2 else -1
+            for c in order(candidates & adj[a]):  # the last class closes the walk
+                if members[c][count[c]] < v2:
                     continue
                 slot = mask_last & masks[c]
                 closing = masks[c] & mask_a
@@ -531,8 +525,6 @@ def _closed_walk(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int],
                     return True
             return False
         for c in order(candidates):
-            if count[c] == sizes[c]:
-                continue
             slot = mask_last & masks[c]
             new_union = union | slot
             if new_union.bit_count() < depth:

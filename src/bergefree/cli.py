@@ -13,7 +13,8 @@ Exit status is the only success/failure channel: 0 means free/pass,
 or an argument too large to answer (a plane order above MAX_PLANE_ORDER,
 a search n above CEILING_MAX_N, a bounds n beyond the proven range of
 is_prime, a lemmas n above LEMMAS_MAX_N without --sample, or a declared
-size whose allocation raises MemoryError, caught once in main).
+size whose allocation raises MemoryError, or OverflowError when it is
+2^63 or more and cannot index a list or range, each caught once in main).
 """
 
 from __future__ import annotations
@@ -326,6 +327,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return globals()[f"cmd_{args.command}"](args)
     except MemoryError:
         return _fail(f"{args.command} ran out of memory: the declared size is too large")
+    except OverflowError:
+        return _fail(f"{args.command}: the declared size is too large to index")
 
 
 if __name__ == "__main__":

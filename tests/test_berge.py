@@ -342,9 +342,10 @@ def twin_classes(h: bf.Hypergraph):
 
 
 def least_class(classes, k: int):
-    """The least class the gate reports, or None."""
+    """The least class the gate reports, the first class of its walk, or
+    None."""
     found = _twin_quotient_has_cycle(classes, k)
-    return None if found is None else found[0]
+    return None if found is None else found[0][0]
 
 
 def key_masks(classes) -> list[int]:
@@ -368,7 +369,7 @@ def _assert_ck_starts_cover_walks(classes, k: int) -> None:
     sizes, adj = classes.sizes, classes.adj
     masks, _ = berge._walk_masks(classes, (1 << len(sizes)) - 1, k)
     walks = [a for a in range(len(sizes))
-             if berge._closed_walk(masks, sizes, adj, k, (a,)) is not None]
+             if berge._closed_walk(masks, sizes, adj, k, (a,), classes.members) is not None]
     assert set(walks) <= set(starts), (k, walks, starts)
 
 
@@ -474,6 +475,26 @@ def test_quotient_walks_two_members_of_one_class_in_a_row(hyperedges, classes):
     built = twin_classes(h)
     assert (key_masks(built), built.sizes) == classes
     assert _assert_quotient_agrees(h, 3, oracle=True)
+
+
+def test_walk_tests_a_closing_in_one_direction_only(monkeypatch):
+    """The triangle 0, 1, 2 covers three hyperedges, but its slots {0, 1}
+    and {1, 2} both lie only in {0, 1, 2}, so it fails Hall's test.  The
+    walk from class 0 tests it once, as 0, 1, 2: at the closing depth the
+    reverse direction 0, 2, 1 has v3 = 1 below v2 = 2 and is skipped before
+    Hall's test.  (Both directions have the same slots, so the skip changes
+    no verdict and no witness, only the work.)"""
+    hall, tested = berge._hall, []
+
+    def counted_hall(slots):
+        tested.append(list(slots))
+        return hall(slots)
+
+    monkeypatch.setattr(berge, "_hall", counted_hall)
+    h = bf.Hypergraph(4, tuple(map(frozenset, ({0, 1, 2}, {0, 2}, {0, 2}, {0, 3}))))
+    assert twin_classes(h).members == [[0], [1], [2], [3]]
+    assert bf.find_berge_cycle(h, 3) is None
+    assert tested == [[0b001, 0b001, 0b111]]
 
 
 def test_quotient_on_exhaustive_class_family():
@@ -742,11 +763,10 @@ def test_gate_on_the_q31_blowup_stays_under_a_memory_bound():
 def _watch_the_k4_gate(monkeypatch):
     """Patch berge so that the k = 4 gate raises when it walks from any
     class but the last one its start filter (_c4_starts) yielded, or from
-    that class twice, or in the order of the classes' members, or tests
+    that class twice, or on members other than its classes', or tests
     Hall's condition outside a walk, and records the classes it walks from,
     in the returned list, which each run of the gate empties first.  Walks
-    outside the gate, such as the witness walk, which alone runs in member
-    order, are neither refused nor recorded."""
+    outside the gate are neither refused nor recorded."""
     gate, starts_of = berge._twin_quotient_has_cycle, berge._c4_starts
     walk, hall = berge._closed_walk, berge._hall
     inside = []
@@ -759,13 +779,13 @@ def _watch_the_k4_gate(monkeypatch):
             yielded.append(a)
             yield a
 
-    def watched_walk(masks, sizes, adj, k, starts, members=None):
+    def watched_walk(masks, sizes, adj, k, starts, members):
         if inside:
             if tuple(starts) != tuple(yielded[-1:]) or len(walked) == len(yielded):
                 raise AssertionError(f"the k = 4 gate walked from {tuple(starts)}, "
                                      f"which its start filter did not just yield")
-            if members is not None:
-                raise AssertionError("the k = 4 gate walked in member order")
+            if members is not inside[-1].members:
+                raise AssertionError("the k = 4 gate walked without its classes' members")
             walked.append(yielded[-1])
         in_walk.append(True)
         try:
@@ -783,7 +803,7 @@ def _watch_the_k4_gate(monkeypatch):
             return gate(classes, k)
         yielded.clear()
         walked.clear()
-        inside.append(True)
+        inside.append(classes)
         try:
             return gate(classes, k)
         finally:
@@ -821,7 +841,7 @@ def test_fold_alone_decides_linear_twin_free_inputs(monkeypatch):
         free = [row & ~(1 << i) for i, row in enumerate(adj)]
         found = berge._twin_quotient_has_cycle(classes, 4)
         assert all(dup_ends_by_masks(free, c) for c in walked), h
-        assert (None if found is None else found[0]) == c4_class_by_mask_fold(masks, sizes, adj), h
+        assert (None if found is None else found[0][0]) == c4_class_by_mask_fold(masks, sizes, adj), h
         walks += len(walked)
         witness = bf.find_berge_cycle(h, 4)
         assert witness == canonical_c4_by_enumeration(h), h
@@ -868,7 +888,7 @@ def test_each_repeated_class_walk_is_found(walk, prefix, monkeypatch):
     assert classes.members[a][0] == 4
     letters = walk.split("-")  # one class per letter, in order from a
     assert classes.sizes[a:] == [letters.count(x) for x in sorted(set(letters))], walk
-    assert berge._twin_quotient_has_cycle(classes, 4)[0] == a == walked[-1]
+    assert berge._twin_quotient_has_cycle(classes, 4)[0][0] == a == walked[-1]
     witness = bf.find_berge_cycle(h, 4)
     assert witness == canonical_c4_by_enumeration(h) and witness.vertices[0] == 4
     assert _assert_quotient_agrees(h, 4)
@@ -970,33 +990,33 @@ def test_a_gate_and_witness_call_leaves_nothing_for_the_cycle_collector():
 @pytest.mark.parametrize("k", CYCLE_LENGTHS)
 def test_twin_free_input_enters_the_class_search(k, monkeypatch):
     """Inputs without twins go through the class search, on classes of one
-    member each (the fold for k = 4, otherwise a closed walk in class order
-    from the classes the start filter _ck_starts yields, and no walk when
-    it yields none), and only an input with a cycle is walked again,
-    in member order, from the class of the first vertex of its witness
-    alone; find_berge_cycle returns the canonical witness: the loose
-    cycles, whose only cycle is known, and seeded random inputs, checked
-    against the canonical enumerator up to 9 vertices and the naive oracle
-    up to 12."""
+    member each (the fold for k = 4, otherwise one closed walk from the
+    classes the start filter _ck_starts yields, and no walk when it yields
+    none), and nothing is walked after it: the walk the gate returns holds
+    the classes of the witness, in order.  find_berge_cycle returns the
+    canonical witness: the loose cycles, whose only cycle is known, and
+    seeded random inputs, checked against the canonical enumerator up to 9
+    vertices and the naive oracle up to 12."""
     entered = []
+    returned = []
     in_k4_gate = []
     walk, quotient = berge._closed_walk, berge._twin_quotient_has_cycle
 
-    def counted_walk(masks, sizes, adj, k, starts, members=None):
+    def counted_walk(masks, sizes, adj, k, starts, members):
         if not in_k4_gate:  # a walk inside the k = 4 gate is part of the gate
             starts = list(starts)
-            entered.append(("_closed_walk", starts, members is not None))
+            entered.append(("_closed_walk", starts))
         return walk(masks, sizes, adj, k, starts, members)
 
     def counted_quotient(classes, k):
-        if k != 4:
-            return quotient(classes, k)
-        entered.append(("k = 4 gate",))
-        in_k4_gate.append(True)
+        if k == 4:
+            entered.append(("k = 4 gate",))
+            in_k4_gate.append(True)
         try:
-            return quotient(classes, k)
+            returned.append(quotient(classes, k))
         finally:
-            in_k4_gate.pop()
+            in_k4_gate.clear()
+        return returned[-1]
 
     monkeypatch.setattr(berge, "_closed_walk", counted_walk)
     monkeypatch.setattr(berge, "_twin_quotient_has_cycle", counted_quotient)
@@ -1005,18 +1025,20 @@ def test_twin_free_input_enters_the_class_search(k, monkeypatch):
         classes = twin_classes(h)
         assert classes.sizes == [1] * len(classes.sizes)
         entered.clear()
+        returned.clear()
         witness = bf.find_berge_cycle(h, k)
         if k <= len(h.hyperedges):  # else there is nothing to search
             if k == 4:
                 gate = [("k = 4 gate",)]
             else:
                 starts = list(berge._ck_starts(classes, k))
-                gate = [("_closed_walk", starts, False)] if starts else []
+                gate = [("_closed_walk", starts)] if starts else []
+            assert entered == gate
+            [found] = returned
             if witness is None:
-                assert entered == gate
+                assert found is None
             else:
-                first = classes.of_vertex[witness.vertices[0]]
-                assert entered == gate + [("_closed_walk", [first], True)]
+                assert found[0] == tuple(map(classes.of_vertex.__getitem__, witness.vertices))
         if h.n <= 9:
             assert witness == canonical_cycle_by_enumeration(h, k), (k, h)
         elif h.n <= 12:
@@ -1045,7 +1067,7 @@ def test_twin_free_input_enters_the_class_search(k, monkeypatch):
 @pytest.mark.parametrize("k", [4, 5])
 def test_free_blowup_never_reaches_the_vertex_search(q, k, monkeypatch):
     """A free blow-up is decided by the gate's start filter alone: no walk
-    runs, neither the gate's nor the witness walk, and no Hall test.  At
+    runs and no Hall test.  At
     k = 4 it has no trigger and no two 2-paths of classes share both ends;
     at k = 5 its classes have three members, share one hyperedge with each
     neighbour, and the class graph has girth 6, so every ball of radius 2
@@ -1054,8 +1076,8 @@ def test_free_blowup_never_reaches_the_vertex_search(q, k, monkeypatch):
     walked = _watch_the_k4_gate(monkeypatch)
     hall, hall_results = berge._hall, []
 
-    def refuse_the_walk(masks, sizes, adj, k, starts, members=None):
-        raise AssertionError(f"a walk ran on a free blow-up (members: {members is not None})")
+    def refuse_the_walk(*args):
+        raise AssertionError("a walk ran on a free blow-up")
 
     def refuse_the_masks(*args):
         raise AssertionError("the gate built hyperedge masks on a free blow-up")
@@ -1073,39 +1095,110 @@ def test_free_blowup_never_reaches_the_vertex_search(q, k, monkeypatch):
     assert hall_results == []
 
 
-@pytest.mark.parametrize("k", [4, 5])
-def test_twinned_cycle_search_tries_one_start_vertex(k, monkeypatch):
-    """On a twinned input with a cycle, the witness walk runs once, from the
-    least class the gate reports alone, whose smallest member is v1, on the
-    hyperedge masks with which the gate found it and in the order of the
-    classes' members; it returns the witness of the vertex-level reference,
-    which finds v1 on one class per vertex."""
+def _planted_q2_blowup(k: int) -> bf.Hypergraph:
+    """The relabelled blow-up of the Fano plane, Berge-C4- and C5-free,
+    with one more hyperedge on the classes of points 0 and 1, which share a
+    line: that closes both."""
     base = bf.projective_plane_incidence(2).graph()
     rng = random.Random(k)
     relabel = rng.sample(range(42), 42)
-    # the blow-up is Berge-C4- and C5-free; points 0 and 1 of the plane
-    # share a line, so one more hyperedge on their classes closes both
     edges = sorted(base.edges) + [(0, 1)]
-    h = bf.Hypergraph(42, tuple(frozenset(relabel[3 * x + i] for x in e for i in range(3))
-                                for e in edges))
+    return bf.Hypergraph(42, tuple(frozenset(relabel[3 * x + i] for x in e for i in range(3))
+                                   for e in edges))
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_twinned_cycle_search_tries_one_start_vertex(k, monkeypatch):
+    """On a twinned input with a cycle, the walk that finds it draws no
+    start after the least class the gate reports, whose smallest member is
+    v1, and nothing is walked after the gate: the classes of the gate's
+    walk, each giving out its members in order, are the witness of the
+    vertex-level reference, which finds v1 on one class per vertex, and
+    the hyperedges come from the masks with which the gate found it."""
+    h = _planted_q2_blowup(k)
     expected = first_cycle_by_vertex_classes(h, k)
     assert expected is not None and expected.vertices[0] > 0
     gate, walk = berge._twin_quotient_has_cycle, berge._closed_walk
-    found, witness_walks = [], []
+    found, drawn, walked_masks = [], [], []
 
     def recorded_gate(classes, k):
         found.append(gate(classes, k))
         return found[-1]
 
-    def recorded_walk(masks, sizes, adj, k, starts, members=None):
-        if members is not None:
-            witness_walks.append((masks, tuple(starts), members))
-        return walk(masks, sizes, adj, k, starts, members)
+    def recorded_walk(masks, sizes, adj, k, starts, members):
+        tried = []
+        drawn.append(tried)
+        walked_masks.append(masks)
+
+        def drawing():
+            for a in starts:
+                tried.append(a)
+                yield a
+        return walk(masks, sizes, adj, k, drawing(), members)
 
     monkeypatch.setattr(berge, "_twin_quotient_has_cycle", recorded_gate)
     monkeypatch.setattr(berge, "_closed_walk", recorded_walk)
     assert bf.find_berge_cycle(h, k) == expected
-    [(a, masks, _)] = found
-    [(walked_masks, starts, members)] = witness_walks
-    assert walked_masks is masks and starts == (a,)
-    assert members[a][0] == expected.vertices[0]
+    [(cycle, masks, _)] = found
+    assert walked_masks[-1] is masks and drawn[-1][-1] == cycle[0]
+    classes = twin_classes(h)
+    assert classes.members[cycle[0]][0] == expected.vertices[0]
+    assert tuple(map(classes.of_vertex.__getitem__, expected.vertices)) == cycle
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_detection_walks_only_inside_the_gate_and_on_members(k, monkeypatch):
+    """find_berge_cycle runs _closed_walk only inside
+    _twin_quotient_has_cycle, always on the members of the twin classes
+    the gate was given, and the walk the gate returns holds the classes of
+    the witness, in order, each position the least member of its class not
+    held earlier: on the loose cycles, the planted q = 2 blow-up and seeded
+    twin-rich inputs."""
+    gate, walk = berge._twin_quotient_has_cycle, berge._closed_walk
+    inside, returned = [], []
+    walks = 0
+
+    def watched_gate(classes, k):
+        inside.append(classes)
+        try:
+            returned.append(gate(classes, k))
+        finally:
+            inside.pop()
+        return returned[-1]
+
+    def watched_walk(masks, sizes, adj, k, starts, members=None):
+        nonlocal walks
+        if not inside:
+            raise AssertionError("a closed walk ran outside the gate")
+        if members is not inside[-1].members:
+            raise AssertionError("the gate walked without its classes' members")
+        walks += 1
+        return walk(masks, sizes, adj, k, starts, members)
+
+    monkeypatch.setattr(berge, "_twin_quotient_has_cycle", watched_gate)
+    monkeypatch.setattr(berge, "_closed_walk", watched_walk)
+    inputs = [bf.Hypergraph(2 * length, tuple(
+        frozenset({i, (i + 1) % length, length + i}) for i in range(length)))
+        for length in range(3, 9)]
+    inputs.append(_planted_q2_blowup(k))
+    rng = random.Random(20261021 + k)
+    for _ in range(100):
+        base_n = rng.randint(2, 5)
+        sizes = [rng.randint(1, 4) for _ in range(base_n)]
+        base = [rng.sample(range(base_n), rng.randint(1, 2))
+                for _ in range(rng.randint(k - 1, k + 3))]
+        h = _blow_classes(sizes, base, rng, isolated=rng.randint(0, 1))
+        inputs.append(bf.Hypergraph(h.n, h.hyperedges + tuple(
+            frozenset(rng.sample(range(h.n), min(h.n, rng.randint(2, 3))))
+            for _ in range(rng.randint(0, 2)))))
+    verdicts = {False: 0, True: 0}
+    for h in inputs:
+        returned.clear()
+        witness = bf.find_berge_cycle(h, k)
+        verdicts[witness is not None] += 1
+        if witness is not None:
+            classes = twin_classes(h)
+            [(cycle, _, _)] = returned
+            assert tuple(map(classes.of_vertex.__getitem__, witness.vertices)) == cycle, (k, h)
+            _assert_least_free_members(classes, witness)
+    assert min(verdicts.values()) > 10 and walks > verdicts[True], (verdicts, walks)

@@ -655,6 +655,22 @@ def test_out_of_memory_maps_to_exit_two(tmp_path, capsys, monkeypatch):
     assert captured.err == message.format("search")
 
 
+@pytest.mark.parametrize("n", [2**63, 10**30])
+def test_a_declared_n_too_large_to_index_maps_to_exit_two(tmp_path, capsys, n):
+    """A declared n of 2^63 or more cannot size a list (verify's id lists)
+    or a range (lemmas --sample's draw): each raises OverflowError before it
+    allocates anything, and exits 2 with one stderr line and nothing on
+    stdout."""
+    src = tmp_path / "h.json"
+    src.write_text(f'{{"n": {n}, "hyperedges": [[0,1],[1,2],[2,3],[3,0]]}}')
+    for argv, command in ((["verify", "-i", str(src), "--k", "4"], "verify"),
+                          (["lemmas", "-i", str(src), "--sample", "3"], "lemmas")):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {command}: the declared size is too large to index\n"
+
+
 @pytest.mark.parametrize("n, sample, refused", [
     (10**6, [], True),
     (57_043, [], True),
@@ -831,6 +847,7 @@ malformed_files = st.one_of(
         b'{"n": 3, "hyperedges": {"0": [0, 1]}}', b'{"n": 3, "hyperedges": [7]}',
         b'{"n": "3", "hyperedges": []}', b'{"n": 3, "hyperedges": [[0, 1]]',
         b"\xff\xfe{", b"[" * 5000 + b"]" * 5000,
+        b'{"n": 1000000000000000000000000000000, "hyperedges": [[0,1],[1,2],[2,3],[3,0]]}',
     ]),
 )
 valid_files = hypergraphs(max_n=7, max_m=5, min_size=2, max_size=5).map(
