@@ -30,13 +30,14 @@ reaches, over only the hyperedges near where the walk starts.
    and counting given length cycles", Algorithmica 1997), a triangle
    through a class of two or more members, two hyperedges shared with a
    neighbour above it (counted on the id tuples), or four or more members
-   in four or more hyperedges; the walk from that class alone decides it.
-   For every other k it is one breadth-first pass over the ball of radius
-   k // 2 around the class, on the classes not below it (_ck_starts): a
-   ball that is not a tree, a class in it that shares two or more
-   hyperedges with a neighbour, or k or more members in k or more
-   hyperedges; one walk runs over the classes it yields, in order.  A
-   free blow-up has none of these at k = 4 or 5, so it builds no hyperedge
+   in four or more hyperedges.  For every other k it is one breadth-first
+   pass over the ball of radius k // 2 around the class, on the classes
+   not below it (_ck_starts): a ball that is not a tree, a class in it
+   that shares two or more hyperedges with a neighbour, or k or more
+   members in k or more hyperedges.  For every k the walk runs from each
+   class the filter yields, alone, on masks over only the hyperedges near
+   that class (_walk_masks), and the first class with a walk decides it.
+   A free blow-up has no start at k = 4 or 5, so it builds no hyperedge
    mask and needs no Hall test.
 2. Witness.  The gate's walk is the witness.  Each depth tries its classes
    in the order of the member each would take next, so the first walk from
@@ -44,8 +45,9 @@ reaches, over only the hyperedges near where the walk starts.
    the least member of its class that no earlier position holds (a smaller
    twin swapped in keeps the hyperedges and gives a smaller cycle, reversed
    if vk falls below v2).  Each class of the walk gives out its members in
-   order, and distinct_representatives, run once on its slot masks, picks
-   the hyperedges with _hall, the one SDR engine.
+   order, and distinct_representatives, run once on its slot masks over
+   the hyperedges near its first class, picks the hyperedges with _hall,
+   the one SDR engine.
 
 One mask engine serves the exact search and the greedy generator:
 _closing_pairs finds, from vertex masks and their spreads (bit a*n for each
@@ -72,9 +74,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, permutations
-from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from itertools import permutations
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .core import Graph, Hypergraph, iter_bits
 
@@ -249,7 +250,7 @@ def _twin_classes(hypergraph: Hypergraph, ids: Sequence[Optional[list[int]]]) ->
     return _TwinClasses(list(index), members, sizes, adj, meets, of_vertex)
 
 
-_Found = tuple[tuple[int, ...], list[int], Sequence[int]]
+_Found = tuple[tuple[int, ...], list[int], list[int]]
 
 
 def _twin_quotient_has_cycle(classes: _TwinClasses, k: int) -> Optional[_Found]:
@@ -260,11 +261,10 @@ def _twin_quotient_has_cycle(classes: _TwinClasses, k: int) -> Optional[_Found]:
     a lifts to a Berge-Ck on classes not below a, whose minimum is the
     smallest member of a; and the least class c of any Berge-Ck's walk has
     a walk, so a <= c and no Berge-Ck has a smaller minimum.  Only the
-    classes a start filter yields can have a walk.  For k = 4 the walk runs
-    from each class _c4_starts yields alone, on masks over the hyperedges
-    near it.  For k != 4 it runs once over the classes _ck_starts yields,
-    taken lazily, on masks over every hyperedge built when the first is
-    yielded; with none, no mask is built.
+    classes a start filter yields can have a walk: _c4_starts for k = 4,
+    _ck_starts for every other k.  The walk runs from each class it yields,
+    alone, on masks over the hyperedges near that class (_walk_masks);
+    with no class yielded, no mask is built.
 
     Returns (walk, masks, near): the walk, which runs on the classes'
     members and so is the canonical cycle's, with the class masks and near
@@ -272,20 +272,12 @@ def _twin_quotient_has_cycle(classes: _TwinClasses, k: int) -> Optional[_Found]:
     of a closed k-walk from a.
     """
     sizes, adj, members = classes.sizes, classes.adj, classes.members
-    if k == 4:
-        for a in _c4_starts(classes):
-            masks, near = _walk_masks(classes, 1 << a, 4)
-            walk = _closed_walk(masks, sizes, adj, 4, (a,), members)
-            if walk is not None:
-                return walk, masks, near
-        return None
-    starts = _ck_starts(classes, k)
-    first = next(starts, None)
-    if first is None:
-        return None
-    masks, near = _walk_masks(classes, (1 << len(sizes)) - 1, k)
-    walk = _closed_walk(masks, sizes, adj, k, chain((first,), starts), members)
-    return None if walk is None else (walk, masks, near)
+    for a in _c4_starts(classes) if k == 4 else _ck_starts(classes, k):
+        masks, near = _walk_masks(classes, a, k)
+        walk = _closed_walk(masks, sizes, adj, k, a, members)
+        if walk is not None:
+            return walk, masks, near
+    return None
 
 
 def _c4_starts(classes: _TwinClasses) -> Iterator[int]:
@@ -420,32 +412,23 @@ def _ball(adj: Sequence[int], centre: int, radius: int) -> int:
     return ball
 
 
-def _walk_masks(classes: _TwinClasses, starts: int, k: int) -> tuple[list[int], Sequence[int]]:
-    """Hyperedge masks for the closed k-walks from the starts (a mask of
-    classes), over only the hyperedges near them, and those hyperedge ids,
-    ascending: bit i of entry c is set when the i-th of them lies in
-    keys[c].
+def _walk_masks(classes: _TwinClasses, a: int, k: int) -> tuple[list[int], list[int]]:
+    """Hyperedge masks for the closed k-walks from class a, over only the
+    hyperedges near it, and those hyperedge ids, ascending: bit i of entry
+    c is set when the i-th of them lies in keys[c].
 
-    The hyperedges near the starts are those of the classes within
-    (k - 1) // 2 of a start.  A closed walk from a start runs through
-    classes within k // 2 of it, and each of its slots has an end within
-    (k - 1) // 2, so its slot masks are whole; a walk that cannot close may
-    lose hyperedges and be cut, which is the verdict it gets anyway.  Only
-    classes one step further out can hold a near hyperedge, so only they
-    get a mask.  The bits keep the order of the ids, so _hall and
-    distinct_representatives decide and pick as they would on masks over
-    every id.
+    The hyperedges near a are those of the classes within (k - 1) // 2 of
+    it.  A closed walk from a runs through classes within k // 2 of it, and
+    each of its slots has an end within (k - 1) // 2, so its slot masks are
+    whole; a walk that cannot close may lose hyperedges and be cut, which
+    is the verdict it gets anyway.  Only classes one step further out can
+    hold a near hyperedge, so only they get a mask.  The bits keep the
+    order of the ids, so _hall and distinct_representatives decide and
+    pick as they would on masks over every id.
     """
     keys, adj = classes.keys, classes.adj
-    inner = _ball(adj, starts, (k - 1) // 2)
+    inner = _ball(adj, 1 << a, (k - 1) // 2)
     masks = [0] * len(keys)
-    if inner == (1 << len(keys)) - 1:  # every hyperedge is near: bits are ids
-        for c, key in enumerate(keys):
-            mask = 0
-            for hid in key:
-                mask |= 1 << hid
-            masks[c] = mask
-        return masks, range(max(map(itemgetter(-1), keys), default=-1) + 1)
     near = sorted(set().union(*map(keys.__getitem__, iter_bits(inner))))
     index = {hid: i for i, hid in enumerate(near)}.get
     for c in iter_bits(_ball(adj, inner, 1)):
@@ -459,10 +442,9 @@ def _walk_masks(classes: _TwinClasses, starts: int, k: int) -> tuple[list[int], 
 
 
 def _closed_walk(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int], k: int,
-                 starts: Iterable[int],
-                 members: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
-    """The first closed k-walk that lifts to a Berge-Ck, from the first
-    start in starts that has one, or None.
+                 a: int, members: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
+    """The first closed k-walk from class a that lifts to a Berge-Ck, or
+    None.
 
     A Berge-Ck is a closed walk c1, ..., ck on the classes that uses each
     class at most as often as it has members, whose slots admit distinct
@@ -479,34 +461,32 @@ def _closed_walk(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int],
     slots is cut, and a closed walk is kept when its slots pass Hall's
     test (_hall).
 
-    Whether a start has a walk depends neither on the order in which
-    candidates are tried nor on which direction of a closed walk is kept,
-    so the first start with one is the least class a of a Berge-Ck among
-    the starts.  From a, walks are tried in the lexicographic order of
-    their vertices, so the first is the canonical cycle: each of its
-    positions holds the least member of its class that no earlier position
-    holds (a smaller twin swapped in keeps the hyperedges and gives a
-    smaller cycle, reversed if vk falls below v2).  It is the gate's one
-    decider, and its walk is the witness: for k != 4 from the classes
-    _ck_starts yields, and for k = 4 from each class _c4_starts yields,
-    alone.
+    Whether a has a walk depends neither on the order in which candidates
+    are tried nor on which direction of a closed walk is kept, so the gate,
+    which walks from the classes its start filter yields in ascending
+    order, finds the least class of a Berge-Ck among them.  From a, walks
+    are tried in the lexicographic order of their vertices, so the first
+    is the canonical cycle: each of its positions holds the least member of
+    its class that no earlier position holds (a smaller twin swapped in
+    keeps the hyperedges and gives a smaller cycle, reversed if vk falls
+    below v2).  It is the gate's one decider, and its walk is the witness.
     """
     walk = [0] * k
     slots = [0] * k
     count = [0] * len(sizes)
+    not_below = -1 << a
 
     def order(candidates: int) -> list[int]:
         # the classes with a member left, by the member each would take next
         return sorted((c for c in iter_bits(candidates) if count[c] < sizes[c]),
                       key=lambda c: members[c][count[c]])
 
-    def extend(depth: int, not_below: int, union: int) -> bool:
+    def extend(depth: int, union: int) -> bool:
         # walk[0..depth-1] fixed; slots[0..depth-2] hold its slots, union their union.
         last = walk[depth - 1]
         mask_last = masks[last]
         candidates = adj[last] & not_below
         if depth == k - 1:
-            a = walk[0]
             mask_a = masks[a]
             # orientation: keep only vk > v2, which is a's second member when c2
             # is a (k = 2 has one direction)
@@ -532,20 +512,15 @@ def _closed_walk(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int],
             walk[depth] = c
             slots[depth - 1] = slot
             count[c] += 1
-            found = extend(depth + 1, not_below, new_union)
+            found = extend(depth + 1, new_union)
             count[c] -= 1
             if found:
                 return True
         return False
 
-    found = None
-    for a in starts:
-        walk[0] = a
-        count[a] = 1
-        if extend(1, -1 << a, 0):
-            found = tuple(walk)
-            break
-        count[a] = 0
+    walk[0] = a
+    count[a] = 1
+    found = tuple(walk) if extend(1, 0) else None
     del extend  # its closure holds it: unbound, it is freed without the cycle collector
     return found
 

@@ -9,12 +9,12 @@ Commands:
     bounds    --n a,b,c
 
 Exit status is the only success/failure channel: 0 means free/pass,
-1 means a cycle or violation was found, 2 means an I/O or format problem
-or an argument too large to answer (a plane order above MAX_PLANE_ORDER,
-a search n above CEILING_MAX_N, a bounds n beyond the proven range of
+1 means a cycle or violation was found, 2 means an I/O or format problem,
+an argument too large to answer (a plane order above MAX_PLANE_ORDER, a
+search n above CEILING_MAX_N, a bounds n beyond the proven range of
 is_prime, a lemmas n above LEMMAS_MAX_N without --sample, or a declared
-size whose allocation raises MemoryError, or OverflowError when it is
-2^63 or more and cannot index a list or range, each caught once in main).
+size of 2^63 or more, which cannot index a list or range: OverflowError)
+or a run out of memory (MemoryError), both errors caught once in main.
 """
 
 from __future__ import annotations
@@ -326,7 +326,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # looked up at each call, so the parser holds no command function
         return globals()[f"cmd_{args.command}"](args)
     except MemoryError:
-        return _fail(f"{args.command} ran out of memory: the declared size is too large")
+        return _fail(f"{args.command} ran out of memory")
     except OverflowError:
         return _fail(f"{args.command}: the declared size is too large to index")
 

@@ -362,14 +362,14 @@ def _assert_c4_starts_agree(classes, masks, sizes, adj) -> None:
 
 def _assert_ck_starts_cover_walks(classes, k: int) -> None:
     """The k != 4 gate's start filter (_ck_starts) yields classes in
-    ascending order, among them every class from which _closed_walk alone
-    finds a closed k-walk on the masks over every hyperedge."""
+    ascending order, among them every class from which _closed_walk finds
+    a closed k-walk on the masks over every hyperedge (key_masks)."""
     starts = list(berge._ck_starts(classes, k))
     assert starts == sorted(set(starts)), (k, starts)
     sizes, adj = classes.sizes, classes.adj
-    masks, _ = berge._walk_masks(classes, (1 << len(sizes)) - 1, k)
+    masks = key_masks(classes)
     walks = [a for a in range(len(sizes))
-             if berge._closed_walk(masks, sizes, adj, k, (a,), classes.members) is not None]
+             if berge._closed_walk(masks, sizes, adj, k, a, classes.members) is not None]
     assert set(walks) <= set(starts), (k, walks, starts)
 
 
@@ -746,18 +746,29 @@ Q31_PEAK_BOUND = 14 << 20
 
 
 def test_gate_on_the_q31_blowup_stays_under_a_memory_bound():
+    """At k = 4 (free) and k = 3 (three twins of a point in three of its
+    lines) the two detectors give the same answer, and the one on id lists
+    peaks under the bound, which the mask detector exceeds.  At k = 3 the
+    walk's masks cover only the hyperedges near its start class, so the
+    peak stays within 1 MB of the k = 4 one, which builds no mask at all;
+    masks over every hyperedge would add about 4.7 MB."""
     import tracemalloc
     h = bf.blow_up(bf.projective_plane_incidence(31).graph(), 3)
-    peaks = []
-    for detector in (bf.find_berge_cycle, find_berge_cycle_by_masks):
-        tracemalloc.start()
-        try:
-            assert detector(h, 4) is None
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    fast, masks = peaks
-    assert fast < Q31_PEAK_BOUND < masks, (fast, masks)
+    fast_peaks = {}
+    for k in (4, 3):
+        answers, peaks = [], []
+        for detector in (bf.find_berge_cycle, find_berge_cycle_by_masks):
+            tracemalloc.start()
+            try:
+                answers.append(detector(h, k))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        fast, masks = peaks
+        assert answers[0] == answers[1] and (answers[0] is None) == (k == 4), (k, answers)
+        assert fast < Q31_PEAK_BOUND < masks, (k, fast, masks)
+        fast_peaks[k] = fast
+    assert fast_peaks[3] < fast_peaks[4] + (1 << 20), fast_peaks
 
 
 def _watch_the_k4_gate(monkeypatch):
@@ -779,17 +790,17 @@ def _watch_the_k4_gate(monkeypatch):
             yielded.append(a)
             yield a
 
-    def watched_walk(masks, sizes, adj, k, starts, members):
+    def watched_walk(masks, sizes, adj, k, a, members):
         if inside:
-            if tuple(starts) != tuple(yielded[-1:]) or len(walked) == len(yielded):
-                raise AssertionError(f"the k = 4 gate walked from {tuple(starts)}, "
+            if yielded[-1:] != [a] or len(walked) == len(yielded):
+                raise AssertionError(f"the k = 4 gate walked from {a}, "
                                      f"which its start filter did not just yield")
             if members is not inside[-1].members:
                 raise AssertionError("the k = 4 gate walked without its classes' members")
             walked.append(yielded[-1])
         in_walk.append(True)
         try:
-            return walk(masks, sizes, adj, k, starts, members)
+            return walk(masks, sizes, adj, k, a, members)
         finally:
             in_walk.pop()
 
@@ -990,36 +1001,28 @@ def test_a_gate_and_witness_call_leaves_nothing_for_the_cycle_collector():
 @pytest.mark.parametrize("k", CYCLE_LENGTHS)
 def test_twin_free_input_enters_the_class_search(k, monkeypatch):
     """Inputs without twins go through the class search, on classes of one
-    member each (the fold for k = 4, otherwise one closed walk from the
-    classes the start filter _ck_starts yields, and no walk when it yields
-    none), and nothing is walked after it: the walk the gate returns holds
-    the classes of the witness, in order.  find_berge_cycle returns the
-    canonical witness: the loose cycles, whose only cycle is known, and
-    seeded random inputs, checked against the canonical enumerator up to 9
-    vertices and the naive oracle up to 12."""
+    member each: one closed walk from each class the start filter yields
+    (_c4_starts for k = 4, _ck_starts otherwise), in order, up to the
+    first that finds a cycle, and no walk when it yields none; nothing is
+    walked after it: the walk the gate returns holds the classes of the
+    witness, in order.  find_berge_cycle returns the canonical witness:
+    the loose cycles, whose only cycle is known, and seeded random inputs,
+    checked against the canonical enumerator up to 9 vertices and the
+    naive oracle up to 12."""
     entered = []
     returned = []
-    in_k4_gate = []
     walk, quotient = berge._closed_walk, berge._twin_quotient_has_cycle
 
-    def counted_walk(masks, sizes, adj, k, starts, members):
-        if not in_k4_gate:  # a walk inside the k = 4 gate is part of the gate
-            starts = list(starts)
-            entered.append(("_closed_walk", starts))
-        return walk(masks, sizes, adj, k, starts, members)
+    def counted_walk(masks, sizes, adj, k, a, members):
+        entered.append(a)
+        return walk(masks, sizes, adj, k, a, members)
 
-    def counted_quotient(classes, k):
-        if k == 4:
-            entered.append(("k = 4 gate",))
-            in_k4_gate.append(True)
-        try:
-            returned.append(quotient(classes, k))
-        finally:
-            in_k4_gate.clear()
+    def recorded_quotient(classes, k):
+        returned.append(quotient(classes, k))
         return returned[-1]
 
     monkeypatch.setattr(berge, "_closed_walk", counted_walk)
-    monkeypatch.setattr(berge, "_twin_quotient_has_cycle", counted_quotient)
+    monkeypatch.setattr(berge, "_twin_quotient_has_cycle", recorded_quotient)
 
     def assert_canonical(h):
         classes = twin_classes(h)
@@ -1028,17 +1031,14 @@ def test_twin_free_input_enters_the_class_search(k, monkeypatch):
         returned.clear()
         witness = bf.find_berge_cycle(h, k)
         if k <= len(h.hyperedges):  # else there is nothing to search
-            if k == 4:
-                gate = [("k = 4 gate",)]
-            else:
-                starts = list(berge._ck_starts(classes, k))
-                gate = [("_closed_walk", starts)] if starts else []
-            assert entered == gate
+            starts = list(berge._c4_starts(classes) if k == 4 else berge._ck_starts(classes, k))
             [found] = returned
             if witness is None:
                 assert found is None
+                assert entered == starts
             else:
                 assert found[0] == tuple(map(classes.of_vertex.__getitem__, witness.vertices))
+                assert entered == starts[:starts.index(found[0][0]) + 1]
         if h.n <= 9:
             assert witness == canonical_cycle_by_enumeration(h, k), (k, h)
         elif h.n <= 12:
@@ -1109,38 +1109,34 @@ def _planted_q2_blowup(k: int) -> bf.Hypergraph:
 
 @pytest.mark.parametrize("k", [4, 5])
 def test_twinned_cycle_search_tries_one_start_vertex(k, monkeypatch):
-    """On a twinned input with a cycle, the walk that finds it draws no
-    start after the least class the gate reports, whose smallest member is
-    v1, and nothing is walked after the gate: the classes of the gate's
-    walk, each giving out its members in order, are the witness of the
-    vertex-level reference, which finds v1 on one class per vertex, and
-    the hyperedges come from the masks with which the gate found it."""
+    """On a twinned input with a cycle, the gate walks from one class at a
+    time, in ascending order, the last of them the least class it reports,
+    whose smallest member is v1, and nothing is walked after the gate: the
+    classes of the gate's walk, each giving out its members in order, are
+    the witness of the vertex-level reference, which finds v1 on one class
+    per vertex, and the hyperedges come from the masks with which the
+    gate's last walk found it."""
     h = _planted_q2_blowup(k)
     expected = first_cycle_by_vertex_classes(h, k)
     assert expected is not None and expected.vertices[0] > 0
     gate, walk = berge._twin_quotient_has_cycle, berge._closed_walk
-    found, drawn, walked_masks = [], [], []
+    found, walked = [], []
 
     def recorded_gate(classes, k):
         found.append(gate(classes, k))
         return found[-1]
 
-    def recorded_walk(masks, sizes, adj, k, starts, members):
-        tried = []
-        drawn.append(tried)
-        walked_masks.append(masks)
-
-        def drawing():
-            for a in starts:
-                tried.append(a)
-                yield a
-        return walk(masks, sizes, adj, k, drawing(), members)
+    def recorded_walk(masks, sizes, adj, k, a, members):
+        walked.append((a, masks))
+        return walk(masks, sizes, adj, k, a, members)
 
     monkeypatch.setattr(berge, "_twin_quotient_has_cycle", recorded_gate)
     monkeypatch.setattr(berge, "_closed_walk", recorded_walk)
     assert bf.find_berge_cycle(h, k) == expected
     [(cycle, masks, _)] = found
-    assert walked_masks[-1] is masks and drawn[-1][-1] == cycle[0]
+    starts = [a for a, _ in walked]
+    assert starts == sorted(set(starts)) and starts[-1] == cycle[0]
+    assert walked[-1][1] is masks
     classes = twin_classes(h)
     assert classes.members[cycle[0]][0] == expected.vertices[0]
     assert tuple(map(classes.of_vertex.__getitem__, expected.vertices)) == cycle
@@ -1153,7 +1149,10 @@ def test_detection_walks_only_inside_the_gate_and_on_members(k, monkeypatch):
     the gate was given, and the walk the gate returns holds the classes of
     the witness, in order, each position the least member of its class not
     held earlier: on the loose cycles, the planted q = 2 blow-up and seeded
-    twin-rich inputs."""
+    twin-rich inputs.  Some of those carry rows with no vertex, whose ids
+    lie in no class key, so the near hyperedges skip them; the witness,
+    hyperedge ids included, is the full-width mask detector's
+    (find_berge_cycle_by_masks)."""
     gate, walk = berge._twin_quotient_has_cycle, berge._closed_walk
     inside, returned = [], []
     walks = 0
@@ -1166,14 +1165,14 @@ def test_detection_walks_only_inside_the_gate_and_on_members(k, monkeypatch):
             inside.pop()
         return returned[-1]
 
-    def watched_walk(masks, sizes, adj, k, starts, members=None):
+    def watched_walk(masks, sizes, adj, k, a, members):
         nonlocal walks
         if not inside:
             raise AssertionError("a closed walk ran outside the gate")
         if members is not inside[-1].members:
             raise AssertionError("the gate walked without its classes' members")
         walks += 1
-        return walk(masks, sizes, adj, k, starts, members)
+        return walk(masks, sizes, adj, k, a, members)
 
     monkeypatch.setattr(berge, "_twin_quotient_has_cycle", watched_gate)
     monkeypatch.setattr(berge, "_closed_walk", watched_walk)
@@ -1188,13 +1187,17 @@ def test_detection_walks_only_inside_the_gate_and_on_members(k, monkeypatch):
         base = [rng.sample(range(base_n), rng.randint(1, 2))
                 for _ in range(rng.randint(k - 1, k + 3))]
         h = _blow_classes(sizes, base, rng, isolated=rng.randint(0, 1))
-        inputs.append(bf.Hypergraph(h.n, h.hyperedges + tuple(
+        rows = list(h.hyperedges) + [
             frozenset(rng.sample(range(h.n), min(h.n, rng.randint(2, 3))))
-            for _ in range(rng.randint(0, 2)))))
+            for _ in range(rng.randint(0, 2))]
+        for _ in range(rng.randint(0, 2)):
+            rows.insert(rng.randint(0, len(rows)), frozenset())
+        inputs.append(bf.Hypergraph(h.n, tuple(rows)))
     verdicts = {False: 0, True: 0}
     for h in inputs:
         returned.clear()
         witness = bf.find_berge_cycle(h, k)
+        assert witness == find_berge_cycle_by_masks(h, k), (k, h)
         verdicts[witness is not None] += 1
         if witness is not None:
             classes = twin_classes(h)

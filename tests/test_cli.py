@@ -628,7 +628,7 @@ def test_out_of_memory_maps_to_exit_two(tmp_path, capsys, monkeypatch):
     import bergefree.search
     big = tmp_path / "big.json"
     big.write_text('{"n":99999999999,"hyperedges":[]}')
-    message = "error: {} ran out of memory: the declared size is too large\n"
+    message = "error: {} ran out of memory\n"
 
     reached = tmp_path / "reached"
     root = Path(__file__).resolve().parent.parent
