@@ -27,13 +27,15 @@ for n in (4, 5, 6):
           f"{elapsed:>7.2f}s   {witness}")
 
 # Work counters: every node is counted, but only nodes with a surviving
-# open candidate are entered; each closing mask computed decides one child,
-# and the distinct masks are the size of the search's survivors cache.
-print(f"\n{'n':>2} {'nodes':>7} {'expanded':>8} {'masks':>7} {'distinct':>8}")
+# open candidate are entered; each closing mask tested decides one child,
+# the wide leaves are the third-level children decided by the pairs of
+# their wide triples alone, and the distinct masks (whole masks and wide
+# parts) are the size of the search's survivors cache.
+print(f"\n{'n':>2} {'nodes':>7} {'expanded':>8} {'masks':>7} {'wide':>5} {'distinct':>8}")
 for n in (4, 5, 6):
     result = bf.max_weight_exact(n)
     print(f"{n:>2} {result.nodes_explored:>7} {result.expanded:>8} "
-          f"{result.closing_masks:>7} {result.distinct_closings:>8}")
+          f"{result.closing_masks:>7} {result.wide_leaves:>5} {result.distinct_closings:>8}")
 
 # Pruning only skips provably dominated branches: same values either way.
 for n in (4, 5):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -192,9 +193,20 @@ def cmd_lemmas(args: argparse.Namespace) -> int:
     return EXIT_OK if observation.ok and suite.ok else EXIT_FOUND
 
 
+def _check_appendable(path: str) -> None:
+    """Raise OSError unless path opens for appending.  A file this creates
+    is removed again, so a run that fails later leaves none behind."""
+    existed = os.path.lexists(path)
+    open(path, "a", encoding="utf-8").close()
+    if not existed:
+        os.remove(path)
+
+
 def cmd_search(args: argparse.Namespace) -> int:
     try:
         check_size(args.n, args.allow_large, "--allow-large")
+        # an unwritable -o is found before the search, not after it
+        _check_appendable(args.output)
         start = time.perf_counter()
         result = max_weight_exact(
             args.n,
@@ -203,7 +215,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             allow_large=args.allow_large,
         )
         elapsed = time.perf_counter() - start
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         return _fail(str(exc))
     record = {
         "n": result.n,
@@ -223,7 +235,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     print(f"n={result.n} best_weight={result.best_weight} "
           f"nodes={result.nodes_explored} expanded={result.expanded} "
           f"closing_masks={result.closing_masks} "
-          f"distinct_closings={result.distinct_closings} ({elapsed:.3f}s) -> {args.output}",
+          f"distinct_closings={result.distinct_closings} wide_leaves={result.wide_leaves} "
+          f"({elapsed:.3f}s) -> {args.output}",
           file=sys.stderr)
     return EXIT_OK
 

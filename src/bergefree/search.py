@@ -13,9 +13,11 @@ and a v3 in X & Y and a v4 in Y & Z that are distinct and outside {a, b}.
 That set of closing pairs does not depend on the candidate, so it is one
 mask per node: its parent's mask ORed with the pairs closed by triples
 through its own hyperedge (berge._closing_pairs).  The candidates whose
-pairs all miss a closing mask form one bitmask over the universe, built
-once per distinct mask and kept for the call (a search meets far fewer
-distinct masks than nodes).
+pairs all miss a closing mask, its survivors, form one bitmask over the
+universe: every candidate but those that hold one of its pairs, the OR
+over its pairs a < b of a per-pair mask of the candidates holding both a
+and b.  They are built once per distinct mask and kept for the call (a
+search meets far fewer distinct masks than nodes).
 Each node is handed its live set: its open candidates (from the last
 chosen index on, that index only while copies are left) ANDed with the
 survivors of its closing mask, and it walks the set bits in ascending
@@ -28,15 +30,21 @@ Fewer than three hyperedges close nothing, so the first two levels skip
 the mask.  The third hyperedge C closes pairs through three triples of
 it and the chosen A and B, with C, A or B as the middle.  A node with
 two chosen hyperedges computes A & B and the product of A and B once,
-for all its children, and each child's mask is built inline: a triple
-whose middle meets each end in 3 or more vertices, and the two ends
-together in 4 or more, forces no exclusion, so its pairs are the product
-of its two ends (more than half of the triples at n <= 7), and only the
-other triples call berge._triple_pairs.  Deeper masks come from the two
-index loops of berge._closing_pairs.  Every candidate's pair bits, vertex
-mask and spread (bit a*n for each vertex a, which the kernels multiply by
-vertex masks to fill rows of the pair matrix) are computed once, before
-the walk.
+for all its children, and each child's mask is built inline.  A triple
+is wide when its middle meets each end in 3 or more vertices, and the
+two ends together in 4 or more: it forces no exclusion, so its pairs are
+the product of its two ends (more than half of the triples at n <= 7).
+The child first ORs its wide triples alone.  When some triple is narrow
+(its middle meets both ends, but it is not wide), the child looks up the
+survivors of that wide part: they hold every survivor of the whole mask,
+which only adds pairs, so when no open candidate is among them the child
+is a leaf, decided without a berge._triple_pairs call (about 35-40% of
+the third-level children at n = 6 and 7).  Otherwise the narrow triples
+call berge._triple_pairs and are ORed in.  Deeper masks come from the
+two index loops of berge._closing_pairs.  Every candidate's vertex mask
+and spread (bit a*n for each vertex a, which the kernels multiply by
+vertex masks to fill rows of the pair matrix) and the per-pair masks are
+computed once, before the walk.
 The first optimum reached in this preorder is the lexicographically least
 one under the canonical order, so results and witnesses are deterministic.
 """
@@ -47,7 +55,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .berge import _closing_pairs, _diagonal, _triple_pairs, is_berge_c4_free
-from .core import Hypergraph
+from .core import Hypergraph, _mask
 
 
 GUARD_MAX_N = 7  # largest n max_weight_exact searches without allow_large
@@ -58,11 +66,14 @@ CEILING_MAX_N = 16  # largest n it searches at all: a universe of 64,839 sets
 class SearchResult:
     """Optimum weight with a revalidated witness for one vertex count.
 
-    The last three fields count the search's work, deterministically:
-    closing_masks counts the child closing masks computed, expanded the
-    nodes entered with an open surviving candidate (the root among them),
-    and distinct_closings the closing masks whose survivors were built,
-    which is the size of the call's survivors cache.
+    The last four fields count the search's work, deterministically:
+    closing_masks counts the children whose closing masks were tested,
+    expanded the nodes entered with an open surviving candidate (the root
+    among them), distinct_closings the masks whose survivors were built,
+    which is the size of the call's survivors cache (whole closing masks,
+    and the wide parts of third-level children), and wide_leaves the
+    third-level children that the survivors of their wide part alone
+    showed to be leaves, whose whole mask was never built.
     """
 
     n: int
@@ -72,6 +83,7 @@ class SearchResult:
     closing_masks: int = 0
     expanded: int = 0
     distinct_closings: int = 0
+    wide_leaves: int = 0
 
 
 def check_size(n: int, allow_large: bool, override: str = "allow_large=True") -> None:
@@ -94,6 +106,42 @@ def candidate_universe(n: int) -> list[tuple[int, ...]]:
     for size in range(n, 3, -1):
         out.extend(combinations(range(n), size))
     return out
+
+
+class _Survivors(dict):
+    """Closing mask -> the candidates that hold none of its pairs, as bits
+    over the universe, built at a mask's first lookup and kept for the
+    call.  holders[a*n + b] (a < b) marks the candidates that hold both a
+    and b: the AND of the candidate masks of a and of b, each built in one
+    pass over the universe (core._mask), so the set-up stays linear in it.
+    A mask's survivors are every candidate but the holders of its pairs."""
+
+    def __init__(self, cands: list[tuple[int, ...]], n: int) -> None:
+        holding: list[list[int]] = [[] for _ in range(n)]
+        for i, c in enumerate(cands):
+            for v in c:
+                holding[v].append(i)
+        width = (len(cands) >> 3) + 1
+        has = [_mask(ids, width) for ids in holding]
+        self.holders = [0] * (n * n)
+        self.upper = 0  # the bits a*n + b with a < b
+        for a, b in combinations(range(n), 2):
+            self.holders[a * n + b] = has[a] & has[b]
+            self.upper |= 1 << (a * n + b)
+        self.every = (1 << len(cands)) - 1
+        # every candidate misses the empty mask, which the first levels keep
+        super().__init__({0: self.every} if cands else {})
+
+    def __missing__(self, closing: int) -> int:
+        holders = self.holders
+        pairs = closing & self.upper
+        held = 0
+        while pairs:
+            low = pairs & -pairs
+            held |= holders[low.bit_length() - 1]
+            pairs ^= low
+        survivors = self[closing] = self.every ^ held
+        return survivors
 
 
 def max_weight_exact(
@@ -122,9 +170,12 @@ def max_weight_exact(
     survivors, and pushes and enters the child only with a non-empty live
     set.  With three hyperedges the mask is the child's three triples,
     built inline from what its parent computed once for all its children
-    (A & B, its size, and the product of A and B); a triple that forces no
-    exclusion takes the product of its two ends in place of
-    berge._triple_pairs (see the module docstring).
+    (A & B, its size, and the product of A and B); a wide triple takes the
+    product of its two ends in place of berge._triple_pairs, and when some
+    triple is narrow, the survivors of the wide triples alone are looked up
+    first and may show the child to be a leaf (see the module docstring).
+    The survivors of a mask come from per-pair masks of the candidates,
+    built in time linear in the universe (_Survivors).
     first_level_orbit_reps restricts the first (canonically smallest)
     candidate to one representative per size class -- a relabeling argument
     shows some optimum survives; the best weight is unchanged but the
@@ -135,7 +186,6 @@ def max_weight_exact(
         raise ValueError(f"max_mult must be >= 1, got {max_mult}")
 
     cands = candidate_universe(n)
-    pair_bits = [sum(1 << (a * n + b) for a, b in combinations(c, 2)) for c in cands]
     vertex_masks = [sum(1 << v for v in c) for c in cands]
     spreads = [sum(1 << (v * n) for v in c) for c in cands]
     weights = [len(c) - 3 for c in cands]
@@ -143,10 +193,9 @@ def max_weight_exact(
     suffix = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] + max_mult * weights[i]
-    every = (1 << m) - 1
+    survivors_of = _Survivors(cands, n)
+    every = survivors_of.every
     off_diagonal = ~_diagonal(n)
-    # every candidate misses the empty mask, which the first levels keep
-    survivors_of: dict[int, int] = {0: every} if m else {}
 
     used = [0] * m
     chosen: list[int] = []
@@ -154,16 +203,16 @@ def max_weight_exact(
     chosen_spreads: list[int] = []
     best_weight = 0
     best_multiset: tuple[int, ...] = ()
-    nodes = closing_masks = expanded = 0
+    nodes = closing_masks = expanded = wide_leaves = 0
 
     def walk(live: int, current_weight: int, closing: int) -> None:
         # live: the candidates the node may add that miss its closing mask
-        nonlocal nodes, closing_masks, expanded, best_weight, best_multiset
+        nonlocal nodes, closing_masks, expanded, wide_leaves, best_weight, best_multiset
         expanded += 1
         depth = len(chosen) + 1  # hyperedges chosen at each child
         if depth == 3:
             # shared by every child C: the ends A and B, A & B, and the
-            # pairs of the triple (A, C, B) when it forces no exclusion
+            # pairs of the triple (A, C, B) when it is wide
             mask_a, mask_b = chosen_masks
             spread_a, spread_b = chosen_spreads
             meet_ab = mask_a & mask_b
@@ -191,47 +240,55 @@ def max_weight_exact(
                 child = 0  # two hyperedges close nothing
                 child_live = open_
             else:
+                closing_masks += 1
                 if depth == 3:
                     # the triples with C, A or B as the middle, each when its
-                    # middle meets both ends.  A middle that meets each end
-                    # in 3 or more vertices, and the two ends together in 4
-                    # or more, forces no exclusion, and the triple's pairs
-                    # are the product of its ends (berge._triple_pairs)
+                    # middle meets both ends.  A wide triple's pairs are the
+                    # product of its ends; the narrow ones, set in narrow,
+                    # wait until the wide part has failed to decide C
                     meet_ac = mask_a & mask_c
                     meet_bc = mask_b & mask_c
                     ac_wide = meet_ac.bit_count() >= 3
                     bc_wide = meet_bc.bit_count() >= 3
-                    child = 0
+                    child = narrow = 0
                     if meet_ac and meet_bc:
                         if ac_wide and bc_wide and (meet_ac | meet_bc).bit_count() >= 4:
                             child = pairs_ab
                         else:
-                            child = _triple_pairs(mask_a, spread_a, mask_c, spread_c,
-                                                  mask_b, spread_b)
+                            narrow = 1
                     if meet_ab:
                         if meet_ac:
                             if ab_wide and ac_wide and (meet_ac | meet_ab).bit_count() >= 4:
                                 child |= spread_b * mask_c | spread_c * mask_b
                             else:
-                                child |= _triple_pairs(mask_c, spread_c, mask_a, spread_a,
-                                                       mask_b, spread_b)
+                                narrow |= 2
                         if meet_bc:
                             if ab_wide and bc_wide and (meet_bc | meet_ab).bit_count() >= 4:
                                 child |= spread_a * mask_c | spread_c * mask_a
                             else:
-                                child |= _triple_pairs(mask_c, spread_c, mask_b, spread_b,
-                                                       mask_a, spread_a)
+                                narrow |= 4
                     child &= off_diagonal
+                    if narrow:
+                        # the wide part is a subset of the whole mask, so
+                        # when no open candidate survives it, none survives
+                        # the whole mask and C is a leaf
+                        if not survivors_of[child] & open_:
+                            wide_leaves += 1
+                            continue
+                        if narrow & 1:
+                            child |= _triple_pairs(mask_a, spread_a, mask_c, spread_c,
+                                                   mask_b, spread_b)
+                        if narrow & 2:
+                            child |= _triple_pairs(mask_c, spread_c, mask_a, spread_a,
+                                                   mask_b, spread_b)
+                        if narrow & 4:
+                            child |= _triple_pairs(mask_c, spread_c, mask_b, spread_b,
+                                                   mask_a, spread_a)
+                        child &= off_diagonal
                 else:
                     child = closing | _closing_pairs([*chosen_masks, mask_c],
                                                      [*chosen_spreads, spread_c], n)
-                closing_masks += 1
-                survivors = survivors_of.get(child)
-                if survivors is None:
-                    survivors = sum(1 << i for i, bits in enumerate(pair_bits)
-                                    if not bits & child)
-                    survivors_of[child] = survivors
-                child_live = survivors & open_
+                child_live = survivors_of[child] & open_
                 if not child_live:
                     continue
             used[j] += 1
@@ -261,5 +318,6 @@ def max_weight_exact(
         closing_masks=closing_masks,
         expanded=expanded,
         distinct_closings=len(survivors_of),
+        wide_leaves=wide_leaves,
     )
 

@@ -10,8 +10,10 @@ against one n^2-bit closing mask (greedy_by_spread_product), the same
 mask built one shifted row per end vertex a (closing_pairs_by_vertex_loop, which the
 library's class products must equal bit for bit), the exact search's
 third level as three calls of _triple_pairs (closing_pairs_of_three),
-and the directed patterns F1 and F2 of the K_{5,5} argument's endgame
-with the arc
+the pairs of its wide triples set pair by pair (wide_pairs), the scan of
+every candidate's pair bits that built its survivors before they were read
+off per-pair masks (survivors_by_candidate_scan), and the directed
+patterns F1 and F2 of the K_{5,5} argument's endgame with the arc
 container they are matched in.  The lemma suite's per-vertex checks
 before they ran on adjacency rows are kept here as edge sets
 (aux_bundle_by_pair_scan, vertex_checks_on_bundle), with a set-based
@@ -605,10 +607,17 @@ def max_weight_by_index_scan(n: int, max_mult: int = 3, pruned: bool = True,
     A dict passed as counts receives the search's work counters as this
     walk sees them: closing_masks, the nodes of three or more hyperedges
     that compute a mask; expanded, the nodes that compute one and have an
-    open candidate, bound or not, that misses it; distinct_closings, the
-    distinct masks computed."""
+    open candidate, bound or not, that misses it; wide_leaves, the nodes
+    of three hyperedges with a narrow triple (one whose middle meets both
+    ends, but not in 3 and 3 and 4 vertices) where no open candidate
+    misses the pairs of their wide triples alone (wide_pairs);
+    narrow_triples, the narrow triples of the other nodes of three
+    hyperedges, which the search hands to berge._triple_pairs; and
+    distinct_closings, the distinct masks whose survivors the search
+    builds: those wide parts, and every computed mask but those of the
+    nodes they decide."""
     cands = candidate_universe(n)
-    pair_bits = [sum(1 << (a * n + b) for a, b in combinations(sorted(c), 2)) for c in cands]
+    pair_bits = candidate_pair_bits(n)
     vertex_masks = [sum(1 << v for v in c) for c in cands]
     spreads = [sum(1 << (v * n) for v in c) for c in cands]
     weights = [len(c) - 3 for c in cands]
@@ -624,7 +633,7 @@ def max_weight_by_index_scan(n: int, max_mult: int = 3, pruned: bool = True,
     chosen_spreads: list[int] = []
     best = {"weight": 0, "multiset": ()}
     nodes = 0
-    tally = {"closing_masks": 0, "expanded": 0}
+    tally = {"closing_masks": 0, "expanded": 0, "wide_leaves": 0, "narrow_triples": 0}
     masks_seen = set()
 
     def is_open(j: int) -> bool:
@@ -644,7 +653,15 @@ def max_weight_by_index_scan(n: int, max_mult: int = 3, pruned: bool = True,
                 tally["closing_masks"] += len(chosen) >= 3
                 tally["expanded"] += any(is_open(i) and not pair_bits[i] & closing
                                          for i in range(min_idx, m))
-                masks_seen.add(closing)
+                wide, narrow = wide_pairs(chosen_masks, n) if len(chosen) == 3 else (0, 0)
+                if narrow:
+                    masks_seen.add(wide)
+                if narrow and not any(is_open(i) and not pair_bits[i] & wide
+                                      for i in range(min_idx, m)):
+                    tally["wide_leaves"] += 1  # the search builds no survivors of closing
+                else:
+                    masks_seen.add(closing)
+                    tally["narrow_triples"] += narrow
             if pair_bits[j] & closing:
                 continue
             nodes += 1
@@ -666,6 +683,44 @@ def max_weight_by_index_scan(n: int, max_mult: int = 3, pruned: bool = True,
     if counts is not None:
         counts.update(tally, distinct_closings=len(masks_seen))
     return best["weight"], nodes, tuple(tuple(sorted(cands[j])) for j in best["multiset"])
+
+
+def wide_pairs(masks: Sequence[int], n: int) -> tuple[int, int]:
+    """(wide, narrow) for three hyperedges: wide has bits a*n + b and
+    b*n + a (a != b) for a in one end and b in the other of each wide
+    triple, one whose middle meets each end in 3 or more vertices and the
+    two ends together in 4 or more; narrow counts the other triples whose
+    middle meets both of its ends.  Each of the three is the middle once."""
+    wide = 0
+    narrow = 0
+    for mid in range(3):
+        y = masks[mid]
+        x, z = (masks[i] for i in range(3) if i != mid)
+        p, q = x & y, y & z
+        if not (p and q):
+            continue
+        if p.bit_count() >= 3 and q.bit_count() >= 3 and (p | q).bit_count() >= 4:
+            for a, b in product(iter_bits(x), iter_bits(z)):
+                if a != b:
+                    wide |= 1 << (a * n + b) | 1 << (b * n + a)
+        else:
+            narrow += 1
+    return wide, narrow
+
+
+def candidate_pair_bits(n: int) -> list[int]:
+    """Each candidate of candidate_universe(n) as the bits a*n + b of its
+    pairs a < b."""
+    return [sum(1 << (a * n + b) for a, b in combinations(sorted(c), 2))
+            for c in candidate_universe(n)]
+
+
+def survivors_by_candidate_scan(pair_bits: Sequence[int], closing: int) -> int:
+    """The candidates, as bits over the universe, that hold no pair of a
+    closing mask: each candidate's pair bits (candidate_pair_bits) tested
+    against the mask with one AND, as the exact search built its survivors
+    before it read them off per-pair masks."""
+    return sum(1 << i for i, bits in enumerate(pair_bits) if not bits & closing)
 
 
 def distinct_representatives_by_backtracking(slot_candidates: Sequence[Sequence[int]]):

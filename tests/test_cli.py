@@ -563,10 +563,35 @@ def test_search_counters_go_to_stderr_only(tmp_path, capsys):
     assert main(["search", "--n", "6", "-o", str(out)]) == 0
     err = capsys.readouterr().err
     assert err.startswith("n=6 best_weight=9 nodes=1808 expanded=229 closing_masks=1580 "
-                          "distinct_closings=85 (")
+                          "distinct_closings=92 wide_leaves=639 (")
     record = json.loads(out.read_text())
     assert sorted(record) == ["best_weight", "exhaustive", "max_mult", "n", "nodes_explored",
                               "pruned", "wall_time_s", "witness"]
+
+
+def test_search_unwritable_output_exits_two_before_the_search(tmp_path, capsys, monkeypatch):
+    """An -o that cannot be opened for appending (here a directory) exits 2
+    with one line on stderr before the search starts (max_weight_exact is
+    patched to fail if it is reached).  A bad --n or --max-mult still exits
+    2 and leaves no file at a writable -o."""
+    import bergefree.cli
+
+    def searched(*args, **kwargs):
+        pytest.fail("the search ran before -o was checked")
+
+    monkeypatch.setattr(bergefree.cli, "max_weight_exact", searched)
+    for argv in (["--n", "5"], ["--n", "9", "--allow-large"]):
+        assert main(["search", *argv, "-o", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert "Is a directory" in captured.err and captured.err.count("\n") == 1
+    monkeypatch.undo()
+    results = tmp_path / "r.jsonl"
+    for argv in (["--n", "8"], ["--n", "-1"], ["--n", "5", "--max-mult", "0"]):
+        assert main(["search", *argv, "-o", str(results)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert not results.exists()
 
 
 def test_search_guard_maps_to_exit_two(tmp_path, capsys):

@@ -22,7 +22,10 @@ from oracles import (
     greedy_by_search_state,
     incremental_c4_check,
     max_weight_by_index_scan,
+    candidate_pair_bits,
     max_weight_by_multisets,
+    survivors_by_candidate_scan,
+    wide_pairs,
 )
 
 
@@ -343,10 +346,18 @@ def _check_rich_triples(triples, n):
     |(X | Z) & Y| >= 4, _triple_pairs and the product of the two ends,
     which the search's third level takes in its place, agree off the
     diagonal, and both hold exactly the pairs Hall's condition admits.
-    Returns the number of such triples."""
+    Read as three hyperedges, each triple's wide part (the pairs of its
+    rich triples, each of the three the middle once) lies inside its
+    closing mask, and equals it when no triple is narrow: the premise of
+    the search's wide-part leaf test.  Returns the number of rich triples."""
     off_diagonal = ~_diagonal(n)
     rich = 0
-    for mask_x, mask_y, mask_z in triples:
+    for triple in triples:
+        wide, narrow = wide_pairs(triple, n)
+        closing = _closing(triple, n)
+        assert not wide & ~closing, (n, triple)
+        assert narrow or wide == closing, (n, triple)
+        mask_x, mask_y, mask_z = triple
         p_all = mask_x & mask_y
         q_all = mask_y & mask_z
         if p_all.bit_count() < 3 or q_all.bit_count() < 3 or (p_all | q_all).bit_count() < 4:
@@ -507,31 +518,37 @@ def test_search_pinned_n7(max_mult, orbit_reps):
 
 
 # (n, max_mult, pruned, first_level_orbit_reps) -> (closing_masks, expanded,
-# distinct_closings): the work counters pin which nodes are entered and
-# which masks are computed, not only the nodes counted.
+# distinct_closings, wide_leaves): the work counters pin which nodes are
+# entered, which masks are computed and which children their wide part
+# decides, not only the nodes counted.
 PINNED_SEARCH_COUNTS = {
-    (5, 1, True, False): (7, 7, 2),
-    (5, 1, False, False): (10, 16, 2),
-    (5, 2, True, False): (28, 16, 2),
-    (5, 2, False, False): (45, 27, 2),
-    (5, 3, True, False): (35, 19, 5),
-    (5, 3, False, False): (55, 28, 6),
-    (6, 1, True, False): (809, 144, 17),
-    (6, 1, False, False): (1330, 232, 24),
-    (6, 2, True, False): (1431, 209, 68),
-    (6, 2, False, False): (1981, 275, 87),
-    (6, 3, True, False): (1580, 229, 85),
-    (6, 3, False, False): (2023, 276, 102),
-    (7, 1, True, True): (4738, 193, 93),
-    (7, 2, True, True): (5653, 213, 183),
-    (7, 3, True, True): (5847, 227, 192),
-    (7, 3, True, False): (40784, 2294, 1010),
-    (8, 3, True, True): (48725, 2037, 1524),
+    (5, 1, True, False): (7, 7, 2, 0),
+    (5, 1, False, False): (10, 16, 2, 0),
+    (5, 2, True, False): (28, 16, 2, 9),
+    (5, 2, False, False): (45, 27, 2, 16),
+    (5, 3, True, False): (35, 19, 5, 12),
+    (5, 3, False, False): (55, 28, 6, 20),
+    (6, 1, True, False): (809, 144, 55, 281),
+    (6, 1, False, False): (1330, 232, 77, 521),
+    (6, 2, True, False): (1431, 209, 77, 589),
+    (6, 2, False, False): (1981, 275, 88, 843),
+    (6, 3, True, False): (1580, 229, 92, 639),
+    (6, 3, False, False): (2023, 276, 102, 855),
+    (7, 1, True, True): (4738, 193, 581, 1596),
+    (7, 2, True, True): (5653, 213, 658, 1927),
+    (7, 3, True, True): (5847, 227, 683, 2021),
+    (7, 3, True, False): (40784, 2294, 1108, 16322),
+    (8, 3, True, True): (48725, 2037, 5588, 8797),
 }
 
 
 def _counts(result):
-    return result.closing_masks, result.expanded, result.distinct_closings
+    return result.closing_masks, result.expanded, result.distinct_closings, result.wide_leaves
+
+
+def _oracle_counts(counts):
+    return (counts["closing_masks"], counts["expanded"], counts["distinct_closings"],
+            counts["wide_leaves"])
 
 
 @pytest.mark.parametrize("n,max_mult,pruned,orbit_reps", sorted(PINNED_SEARCH_COUNTS))
@@ -540,7 +557,42 @@ def test_search_pinned_counters(n, max_mult, pruned, orbit_reps):
                                  first_level_orbit_reps=orbit_reps, allow_large=True)
     assert _counts(result) == PINNED_SEARCH_COUNTS[n, max_mult, pruned, orbit_reps]
     assert result.expanded <= result.nodes_explored + 1
-    assert result.closing_masks <= result.nodes_explored
+    assert result.wide_leaves <= result.closing_masks <= result.nodes_explored
+
+
+def test_survivors_match_the_candidate_scan(monkeypatch):
+    """The survivors cache, read off the per-pair masks, holds what the
+    every-candidate scan gives on each mask that the searches of
+    PINNED_SEARCH_COUNTS look up (the cache is kept from each search by a
+    subclass patched in), and on seeded symmetric masks at n = 9..12, the
+    diagonal set or not, from the empty mask to nearly full ones."""
+    caches = []
+
+    class Kept(bergefree.search._Survivors):
+        def __init__(self, *args):
+            super().__init__(*args)
+            caches.append(self)
+
+    monkeypatch.setattr(bergefree.search, "_Survivors", Kept)
+    for n, max_mult, pruned, orbit_reps in sorted(PINNED_SEARCH_COUNTS):
+        result = bf.max_weight_exact(n, max_mult=max_mult, pruned=pruned,
+                                     first_level_orbit_reps=orbit_reps, allow_large=True)
+        (cache,) = caches
+        caches.clear()
+        assert len(cache) == result.distinct_closings
+        pair_bits = candidate_pair_bits(n)
+        for closing, survivors in cache.items():
+            assert survivors == survivors_by_candidate_scan(pair_bits, closing), (n, closing)
+    rng = random.Random(20261021)
+    for n in range(9, 13):
+        cache = bergefree.search._Survivors(candidate_universe(n), n)
+        pair_bits = candidate_pair_bits(n)
+        for k in range(40):
+            closing = _diagonal(n) if k % 2 else 0
+            for a, b in combinations(range(n), 2):
+                if rng.random() < k / 200:
+                    closing |= 1 << (a * n + b) | 1 << (b * n + a)
+            assert cache[closing] == survivors_by_candidate_scan(pair_bits, closing), (n, k)
 
 
 def test_search_pinned_n8_orbit_reps():
@@ -548,31 +600,48 @@ def test_search_pinned_n8_orbit_reps():
     assert _summary(result) == (15, 49387, (tuple(range(8)),) * 3)
 
 
+def _count_triple_pairs_calls(monkeypatch):
+    """Patch the search's _triple_pairs, which only its third level calls
+    (deeper masks call it from berge._closing_pairs), to count its calls
+    in the list returned: a child that its wide part decides makes none."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _triple_pairs(*args)
+
+    monkeypatch.setattr(bergefree.search, "_triple_pairs", counted)
+    return calls
+
+
 @pytest.mark.parametrize("n", range(7))
-def test_bitset_walk_matches_index_scan_oracle(n):
+def test_bitset_walk_matches_index_scan_oracle(n, monkeypatch):
     """The walk over candidate bits reaches the nodes the index scan
     reaches, in the same order: the same best weight, node count and
     witness for every max_mult, with and without the bound and the
     first-level orbit reps.  n < 4 has an empty universe and n = 4 one
     candidate, so the last chosen index is the universe's last."""
+    calls = _count_triple_pairs_calls(monkeypatch)
     for max_mult, pruned, orbit_reps in product((1, 2, 3), (True, False), (False, True)):
+        calls.clear()
         result = bf.max_weight_exact(n, max_mult=max_mult, pruned=pruned,
                                      first_level_orbit_reps=orbit_reps)
         counts = {}
         assert _summary(result) == max_weight_by_index_scan(
             n, max_mult, pruned, orbit_reps, counts), (n, max_mult, pruned, orbit_reps)
-        assert _counts(result) == (counts["closing_masks"], counts["expanded"],
-                                   counts["distinct_closings"]), (n, max_mult, pruned, orbit_reps)
+        assert _counts(result) == _oracle_counts(counts), (n, max_mult, pruned, orbit_reps)
+        assert len(calls) == counts["narrow_triples"], (n, max_mult, pruned, orbit_reps)
 
 
 @pytest.mark.parametrize("max_mult", (1, 2, 3))
-def test_bitset_walk_matches_index_scan_oracle_n7_orbit_reps(max_mult):
+def test_bitset_walk_matches_index_scan_oracle_n7_orbit_reps(max_mult, monkeypatch):
+    calls = _count_triple_pairs_calls(monkeypatch)
     result = bf.max_weight_exact(7, max_mult=max_mult, first_level_orbit_reps=True)
     counts = {}
     expected = max_weight_by_index_scan(7, max_mult, True, True, counts)
     assert _summary(result) == expected == PINNED_N7_SEARCHES[max_mult, True]
-    assert _counts(result) == (counts["closing_masks"], counts["expanded"],
-                               counts["distinct_closings"])
+    assert _counts(result) == _oracle_counts(counts)
+    assert len(calls) == counts["narrow_triples"]
 
 
 def test_ceiling_checked_before_the_universe(monkeypatch):
