@@ -28,9 +28,10 @@ for n in (4, 5, 6):
 
 # Work counters: every node is counted, but only nodes with a surviving
 # open candidate are entered; each closing mask tested decides one child,
-# the wide leaves are the third-level children decided by the pairs of
-# their wide triples alone, and the distinct masks (whole masks and wide
-# parts) are the size of the search's survivors cache.
+# the wide leaves are the children decided by the pairs of wide triples
+# alone (most of them the wide middles of two chosen hyperedges), and the
+# distinct masks (whole masks and wide parts) are the size of the
+# search's survivors cache.
 print(f"\n{'n':>2} {'nodes':>7} {'expanded':>8} {'masks':>7} {'wide':>5} {'distinct':>8}")
 for n in (4, 5, 6):
     result = bf.max_weight_exact(n)

@@ -565,10 +565,11 @@ def _closing_pairs(masks: Sequence[int], spreads: Sequence[int], n: int) -> int:
     vertex masks and spreads (spreads[i] has bit a*n for each bit a of
     masks[i]): bits a*n + b and b*n + a (a != b) are set iff a hyperedge
     holding a and b closes one.  ORed into the pairs the earlier masks
-    close alone, it gives every closing pair: the search tests a
-    candidate with one AND of its pairs (a < b) against that, and the
-    generator splits it into rows of n bits, one per vertex a, and tests a
-    draw's vertex mask against the row of each of its vertices.
+    close alone, it gives every closing pair: the search reads the
+    candidates that hold none of its pairs off per-pair masks of the
+    candidates holding each pair (search._Survivors), and the generator
+    splits it into rows of n bits, one per vertex a, and tests a draw's
+    vertex mask against the row of each of its vertices.
 
     A triple (X, Y, Z) closes pairs only when Y meets both ends, so two
     index loops visit each triple through the last mask once: the last

@@ -27,24 +27,30 @@ closing mask and looks up its survivors, and pushes and enters the child
 only when some open candidate survives, so a node with no child is
 counted but never entered (most children at depth 3 are such leaves).
 Fewer than three hyperedges close nothing, so the first two levels skip
-the mask.  The third hyperedge C closes pairs through three triples of
-it and the chosen A and B, with C, A or B as the middle.  A node with
-two chosen hyperedges computes A & B and the product of A and B once,
-for all its children, and each child's mask is built inline.  A triple
-is wide when its middle meets each end in 3 or more vertices, and the
-two ends together in 4 or more: it forces no exclusion, so its pairs are
-the product of its two ends (more than half of the triples at n <= 7).
-The child first ORs its wide triples alone.  When some triple is narrow
-(its middle meets both ends, but it is not wide), the child looks up the
-survivors of that wide part: they hold every survivor of the whole mask,
-which only adds pairs, so when no open candidate is among them the child
-is a leaf, decided without a berge._triple_pairs call (about 35-40% of
-the third-level children at n = 6 and 7).  Otherwise the narrow triples
-call berge._triple_pairs and are ORed in.  Deeper masks come from the
-two index loops of berge._closing_pairs.  Every candidate's vertex mask
-and spread (bit a*n for each vertex a, which the kernels multiply by
-vertex masks to fill rows of the pair matrix) and the per-pair masks are
-computed once, before the walk.
+the mask.  A triple is wide when its middle meets each end in 3 or more
+vertices, and the two ends together in 4 or more: it forces no
+exclusion, so its pairs are the product of its two ends (more than half
+of the triples at n <= 7).  The survivors of any part of a child's mask
+hold every survivor of the whole mask, which only adds pairs, so when no
+open candidate is among them the child is a leaf, decided without its
+whole mask.  A child C that is the wide middle of two chosen hyperedges
+X and Z has the node's mask ORed with the product of X and Z as such a
+part, the same for every such child, so the node looks up its survivors
+once per pair (X, Z) and tests each such child with one AND before
+anything else.  The third hyperedge C closes pairs through three
+triples of it and the chosen A and B, with C, A or B as the middle.  A
+node with two chosen hyperedges computes A & B, the product of A and B
+and that product's survivors once, for all its children, and each
+child's mask is built inline: the child first ORs its wide triples
+alone, and when some triple is narrow (its middle meets both ends, but
+it is not wide), it looks up the survivors of that wide part before
+berge._triple_pairs is called for the narrow ones.  At n = 6, and at
+n = 7 with orbit reps, the product of A and B decides about 57% of the
+third-level children and the wide parts a further 30%.  Deeper masks
+come from the two index loops of berge._closing_pairs.  Every
+candidate's vertex mask and spread (bit a*n for each vertex a, which
+the kernels multiply by vertex masks to fill rows of the pair matrix)
+and the per-pair masks are computed once, before the walk.
 The first optimum reached in this preorder is the lexicographically least
 one under the canonical order, so results and witnesses are deterministic.
 """
@@ -71,9 +77,11 @@ class SearchResult:
     expanded the nodes entered with an open surviving candidate (the root
     among them), distinct_closings the masks whose survivors were built,
     which is the size of the call's survivors cache (whole closing masks,
-    and the wide parts of third-level children), and wide_leaves the
-    third-level children that the survivors of their wide part alone
-    showed to be leaves, whose whole mask was never built.
+    and the wide parts of children), and wide_leaves the children that
+    the survivors of a wide part alone showed to be leaves, whose whole
+    mask was never built: the wide middles of two chosen hyperedges at
+    any depth, and at the third level the children whose wide triples
+    together leave no open candidate.
     """
 
     n: int
@@ -168,12 +176,15 @@ def max_weight_exact(
     child's closing mask, its own mask ORed with berge._closing_pairs of the
     chosen hyperedges' vertex masks and spreads, looks up the mask's
     survivors, and pushes and enters the child only with a non-empty live
-    set.  With three hyperedges the mask is the child's three triples,
-    built inline from what its parent computed once for all its children
-    (A & B, its size, and the product of A and B); a wide triple takes the
-    product of its two ends in place of berge._triple_pairs, and when some
-    triple is narrow, the survivors of the wide triples alone are looked up
-    first and may show the child to be a leaf (see the module docstring).
+    set.  A child that is the wide middle of two chosen hyperedges is
+    first tested against the survivors of its parent's mask ORed with
+    their product.  With three hyperedges the mask is the child's three
+    triples, built inline from what its parent computed once for all its
+    children (A & B, its size, and the product of A and B); a wide triple
+    takes the product of its two ends in place of berge._triple_pairs, and
+    when some triple is narrow, the survivors of the wide triples alone
+    are looked up first and may show the child to be a leaf (see the
+    module docstring).
     The survivors of a mask come from per-pair masks of the candidates,
     built in time linear in the universe (_Survivors).
     first_level_orbit_reps restricts the first (canonically smallest)
@@ -205,6 +216,25 @@ def max_weight_exact(
     best_multiset: tuple[int, ...] = ()
     nodes = closing_masks = expanded = wide_leaves = 0
 
+    def middle_leaf(middles: dict[tuple[int, int], int], closing: int, mask_c: int,
+                    open_: int) -> bool:
+        # whether C is the middle of a wide triple (X, C, Z) of chosen X and
+        # Z whose pairs, ORed into the node's closing mask, leave no open
+        # candidate; middles keeps the node's survivors per pair (X, Z)
+        rich = [x for x, mask in enumerate(chosen_masks) if (mask & mask_c).bit_count() >= 3]
+        for x, z in combinations(rich, 2):
+            mask_x = chosen_masks[x]
+            mask_z = chosen_masks[z]
+            if ((mask_x | mask_z) & mask_c).bit_count() >= 4:
+                survivors = middles.get((x, z))
+                if survivors is None:
+                    survivors = middles[x, z] = survivors_of[
+                        (closing | chosen_spreads[z] * mask_x | chosen_spreads[x] * mask_z)
+                        & off_diagonal]
+                if not survivors & open_:
+                    return True
+        return False
+
     def walk(live: int, current_weight: int, closing: int) -> None:
         # live: the candidates the node may add that miss its closing mask
         nonlocal nodes, closing_masks, expanded, wide_leaves, best_weight, best_multiset
@@ -218,6 +248,10 @@ def max_weight_exact(
             meet_ab = mask_a & mask_b
             ab_wide = meet_ab.bit_count() >= 3
             pairs_ab = spread_b * mask_a | spread_a * mask_b
+            # the survivors of those pairs, for every C that is a wide middle
+            survivors_ab = survivors_of[pairs_ab & off_diagonal]
+        elif depth > 3:
+            middles: dict[tuple[int, int], int] = {}  # survivors per pair (X, Z)
         while live:
             low = live & -live
             live ^= low
@@ -253,6 +287,9 @@ def max_weight_exact(
                     child = narrow = 0
                     if meet_ac and meet_bc:
                         if ac_wide and bc_wide and (meet_ac | meet_bc).bit_count() >= 4:
+                            if not survivors_ab & open_:
+                                wide_leaves += 1  # (A, C, B)'s pairs alone decide C
+                                continue
                             child = pairs_ab
                         else:
                             narrow = 1
@@ -286,6 +323,9 @@ def max_weight_exact(
                                                    mask_a, spread_a)
                         child &= off_diagonal
                 else:
+                    if middle_leaf(middles, closing, mask_c, open_):
+                        wide_leaves += 1
+                        continue
                     child = closing | _closing_pairs([*chosen_masks, mask_c],
                                                      [*chosen_spreads, spread_c], n)
                 child_live = survivors_of[child] & open_

@@ -607,15 +607,22 @@ def max_weight_by_index_scan(n: int, max_mult: int = 3, pruned: bool = True,
     A dict passed as counts receives the search's work counters as this
     walk sees them: closing_masks, the nodes of three or more hyperedges
     that compute a mask; expanded, the nodes that compute one and have an
-    open candidate, bound or not, that misses it; wide_leaves, the nodes
+    open candidate, bound or not, that misses it; middle_leaves, the nodes
+    (chosen indices, open candidates as bits) of three or more hyperedges
+    whose last, C, is the middle of a wide triple (X, C, Z) of two earlier
+    ones (is_wide) where no open candidate misses the parent's mask ORed
+    with the pairs of X and Z (end_pairs), the pairs tried in index order
+    up to the first that decides; wide_leaves, those and the other nodes
     of three hyperedges with a narrow triple (one whose middle meets both
     ends, but not in 3 and 3 and 4 vertices) where no open candidate
     misses the pairs of their wide triples alone (wide_pairs);
-    narrow_triples, the narrow triples of the other nodes of three
-    hyperedges, which the search hands to berge._triple_pairs; and
-    distinct_closings, the distinct masks whose survivors the search
-    builds: those wide parts, and every computed mask but those of the
-    nodes they decide."""
+    narrow_triples, the narrow triples of the nodes of three hyperedges
+    that neither decides, which the search hands to berge._triple_pairs;
+    and distinct_closings, the distinct masks whose survivors the search
+    builds: the pairs of A and B at each node of two hyperedges A, B that
+    computes a mask, each of those ORed masks tried, the wide parts looked
+    up, and every computed mask but those of the nodes decided without
+    it."""
     cands = candidate_universe(n)
     pair_bits = candidate_pair_bits(n)
     vertex_masks = [sum(1 << v for v in c) for c in cands]
@@ -634,6 +641,7 @@ def max_weight_by_index_scan(n: int, max_mult: int = 3, pruned: bool = True,
     best = {"weight": 0, "multiset": ()}
     nodes = 0
     tally = {"closing_masks": 0, "expanded": 0, "wide_leaves": 0, "narrow_triples": 0}
+    middle_leaves = []
     masks_seen = set()
 
     def is_open(j: int) -> bool:
@@ -650,16 +658,31 @@ def max_weight_by_index_scan(n: int, max_mult: int = 3, pruned: bool = True,
                 continue
             if closing is None:
                 closing = parent | _closing_pairs(chosen_masks, chosen_spreads, n)
+                open_ = [i for i in range(min_idx, m) if is_open(i)]
                 tally["closing_masks"] += len(chosen) >= 3
-                tally["expanded"] += any(is_open(i) and not pair_bits[i] & closing
-                                         for i in range(min_idx, m))
+                tally["expanded"] += any(not pair_bits[i] & closing for i in open_)
+                if len(chosen) == 2:
+                    masks_seen.add(end_pairs(*chosen_masks, n))
+                middle_leaf = False
+                if len(chosen) >= 3:
+                    *ends, mask_c = chosen_masks
+                    for mask_x, mask_z in combinations(ends, 2):
+                        if is_wide(mask_x, mask_c, mask_z):
+                            middle = parent | end_pairs(mask_x, mask_z, n)
+                            masks_seen.add(middle)
+                            if not any(not pair_bits[i] & middle for i in open_):
+                                middle_leaf = True
+                                break
                 wide, narrow = wide_pairs(chosen_masks, n) if len(chosen) == 3 else (0, 0)
-                if narrow:
-                    masks_seen.add(wide)
-                if narrow and not any(is_open(i) and not pair_bits[i] & wide
-                                      for i in range(min_idx, m)):
+                if middle_leaf:
+                    middle_leaves.append((tuple(chosen), sum(1 << i for i in open_)))
                     tally["wide_leaves"] += 1  # the search builds no survivors of closing
+                elif narrow and not any(not pair_bits[i] & wide for i in open_):
+                    masks_seen.add(wide)
+                    tally["wide_leaves"] += 1
                 else:
+                    if narrow:
+                        masks_seen.add(wide)
                     masks_seen.add(closing)
                     tally["narrow_triples"] += narrow
             if pair_bits[j] & closing:
@@ -681,28 +704,41 @@ def max_weight_by_index_scan(n: int, max_mult: int = 3, pruned: bool = True,
 
     walk(0, 0, 0)
     if counts is not None:
-        counts.update(tally, distinct_closings=len(masks_seen))
+        counts.update(tally, distinct_closings=len(masks_seen), middle_leaves=middle_leaves)
     return best["weight"], nodes, tuple(tuple(sorted(cands[j])) for j in best["multiset"])
 
 
+def is_wide(x: int, y: int, z: int) -> bool:
+    """Whether the triple (X, Y, Z) of vertex masks is wide: its middle Y
+    meets each end in 3 or more vertices and the two ends together in 4 or
+    more."""
+    p, q = x & y, y & z
+    return p.bit_count() >= 3 and q.bit_count() >= 3 and (p | q).bit_count() >= 4
+
+
+def end_pairs(x: int, z: int, n: int) -> int:
+    """Bits a*n + b and b*n + a (a != b) for a in X and b in Z, set pair by
+    pair: the pairs of a wide triple with ends X and Z."""
+    pairs = 0
+    for a, b in product(iter_bits(x), iter_bits(z)):
+        if a != b:
+            pairs |= 1 << (a * n + b) | 1 << (b * n + a)
+    return pairs
+
+
 def wide_pairs(masks: Sequence[int], n: int) -> tuple[int, int]:
-    """(wide, narrow) for three hyperedges: wide has bits a*n + b and
-    b*n + a (a != b) for a in one end and b in the other of each wide
-    triple, one whose middle meets each end in 3 or more vertices and the
-    two ends together in 4 or more; narrow counts the other triples whose
+    """(wide, narrow) for three hyperedges: wide is the OR of end_pairs of
+    each wide triple (is_wide); narrow counts the other triples whose
     middle meets both of its ends.  Each of the three is the middle once."""
     wide = 0
     narrow = 0
     for mid in range(3):
         y = masks[mid]
         x, z = (masks[i] for i in range(3) if i != mid)
-        p, q = x & y, y & z
-        if not (p and q):
+        if not (x & y and y & z):
             continue
-        if p.bit_count() >= 3 and q.bit_count() >= 3 and (p | q).bit_count() >= 4:
-            for a, b in product(iter_bits(x), iter_bits(z)):
-                if a != b:
-                    wide |= 1 << (a * n + b) | 1 << (b * n + a)
+        if is_wide(x, y, z):
+            wide |= end_pairs(x, z, n)
         else:
             narrow += 1
     return wide, narrow

@@ -522,23 +522,23 @@ def test_search_pinned_n7(max_mult, orbit_reps):
 # entered, which masks are computed and which children their wide part
 # decides, not only the nodes counted.
 PINNED_SEARCH_COUNTS = {
-    (5, 1, True, False): (7, 7, 2, 0),
-    (5, 1, False, False): (10, 16, 2, 0),
-    (5, 2, True, False): (28, 16, 2, 9),
-    (5, 2, False, False): (45, 27, 2, 16),
-    (5, 3, True, False): (35, 19, 5, 12),
-    (5, 3, False, False): (55, 28, 6, 20),
-    (6, 1, True, False): (809, 144, 55, 281),
-    (6, 1, False, False): (1330, 232, 77, 521),
-    (6, 2, True, False): (1431, 209, 77, 589),
-    (6, 2, False, False): (1981, 275, 88, 843),
-    (6, 3, True, False): (1580, 229, 92, 639),
-    (6, 3, False, False): (2023, 276, 102, 855),
-    (7, 1, True, True): (4738, 193, 581, 1596),
-    (7, 2, True, True): (5653, 213, 658, 1927),
-    (7, 3, True, True): (5847, 227, 683, 2021),
-    (7, 3, True, False): (40784, 2294, 1108, 16322),
-    (8, 3, True, True): (48725, 2037, 5588, 8797),
+    (5, 1, True, False): (7, 7, 2, 7),
+    (5, 1, False, False): (10, 16, 2, 10),
+    (5, 2, True, False): (28, 16, 5, 28),
+    (5, 2, False, False): (45, 27, 6, 45),
+    (5, 3, True, False): (35, 19, 5, 35),
+    (5, 3, False, False): (55, 28, 7, 55),
+    (6, 1, True, False): (809, 144, 55, 769),
+    (6, 1, False, False): (1330, 232, 77, 1158),
+    (6, 2, True, False): (1431, 209, 88, 1279),
+    (6, 2, False, False): (1981, 275, 102, 1682),
+    (6, 3, True, False): (1580, 229, 92, 1381),
+    (6, 3, False, False): (2023, 276, 103, 1718),
+    (7, 1, True, True): (4738, 193, 591, 4381),
+    (7, 2, True, True): (5653, 213, 659, 5090),
+    (7, 3, True, True): (5847, 227, 683, 5236),
+    (7, 3, True, False): (40784, 2294, 1108, 30942),
+    (8, 3, True, True): (48725, 2037, 5588, 32477),
 }
 
 
@@ -558,6 +558,30 @@ def test_search_pinned_counters(n, max_mult, pruned, orbit_reps):
     assert _counts(result) == PINNED_SEARCH_COUNTS[n, max_mult, pruned, orbit_reps]
     assert result.expanded <= result.nodes_explored + 1
     assert result.wide_leaves <= result.closing_masks <= result.nodes_explored
+
+
+def test_wide_middle_leaves_have_no_survivor_of_their_whole_mask():
+    """A child C that is the middle of a wide triple (X, C, Z) of chosen
+    hyperedges is a leaf when no open candidate misses the pairs of X and Z
+    ORed into its parent's mask.  On every PINNED_SEARCH_COUNTS
+    configuration, the index scan derives those children from its own walk
+    with the pinned counters, and no open candidate of any of them misses
+    its whole mask, folded over its prefixes, each built one row per end
+    vertex (closing_pairs_by_vertex_loop)."""
+    for key in sorted(PINNED_SEARCH_COUNTS):
+        counts = {}
+        max_weight_by_index_scan(*key, counts)
+        assert _oracle_counts(counts) == PINNED_SEARCH_COUNTS[key], key
+        assert counts["middle_leaves"], key
+        n = key[0]
+        pair_bits = candidate_pair_bits(n)
+        masks = [sum(1 << v for v in c) for c in candidate_universe(n)]
+        for chosen, open_ in set(counts["middle_leaves"]):
+            whole = 0
+            for depth in range(3, len(chosen) + 1):
+                whole |= closing_pairs_by_vertex_loop([masks[j] for j in chosen[:depth]], n)
+            assert not survivors_by_candidate_scan(pair_bits, whole) & open_, (key, chosen)
+    assert max(len(chosen) for chosen, _ in counts["middle_leaves"]) > 3
 
 
 def test_survivors_match_the_candidate_scan(monkeypatch):
