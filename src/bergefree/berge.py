@@ -78,6 +78,7 @@ from itertools import permutations
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .core import Graph, Hypergraph, iter_bits
+from .patterns import _kst_in_rows
 
 
 @dataclass(frozen=True)
@@ -289,7 +290,7 @@ def _c4_starts(classes: _TwinClasses) -> Iterator[int]:
     - a walk on four distinct classes, whose c is an end above a that two
       of those b reach: a dup bit of the seen/dup fold over their rows (the
       C4 case of Alon, Yuster and Zwick, "Finding and counting given length
-      cycles", Algorithmica 1997, as in find_c4_in_graph);
+      cycles", Algorithmica 1997, as in find_c4_in_graph's K_{2,2} ladder);
     - a-a-c-d, a-b-b-d or a-b-c-c, a triangle through a and a class of two
       or more members, which is a or one of the two b on it;
     - a-b-a-d, a-b-c-b, a-a-c-c or a-a-a-d, whose slots hold two
@@ -722,25 +723,16 @@ def find_c4_in_graph(graph: Graph) -> Optional[tuple[int, int, int, int]]:
 
     x is the least vertex that has a partner y > x with two common
     neighbors, y the least such partner, and a < b the two least common
-    neighbors.  A pair x < y closes a C4 exactly when two 2-paths x-a-y and
-    x-b-y share both ends, so one pass over the neighbors of x collects the
-    far ends above x seen once (seen) and twice (dup), shifted down by
-    x + 1: 2|E| mask operations in all, not n^2/2 vertex-pair tests.
+    neighbors.  A C4 is a K_{2,2}, S = (x, y) and T = (a, b), so this is
+    patterns._kst_in_rows with s = t = 2: its two-rung ladder is the
+    seen/dup fold of x's 2-paths (far ends above x seen once and twice),
+    2|E| mask operations in all, not n^2/2 vertex-pair tests.
     """
-    masks = graph.adjacency_masks
-    for x in range(graph.n):
-        seen = dup = 0
-        for a in iter_bits(masks[x]):
-            ends = masks[a] >> (x + 1)
-            dup |= seen & ends
-            seen |= ends
-        if dup:
-            y = x + (dup & -dup).bit_length()
-            it = iter_bits(masks[x] & masks[y])
-            a = next(it)
-            b = next(it)
-            return (x, a, y, b)
-    return None
+    witness = _kst_in_rows(dict(enumerate(graph.adjacency_masks)), len(graph.edges), 2, 2)
+    if witness is None:
+        return None
+    (x, y), (a, b) = witness
+    return (x, a, y, b)
 
 
 def find_triangle(graph: Graph) -> Optional[tuple[int, int, int]]:

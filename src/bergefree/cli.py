@@ -13,8 +13,15 @@ Exit status is the only success/failure channel: 0 means free/pass,
 an argument too large to answer (a plane order above MAX_PLANE_ORDER, a
 search n above CEILING_MAX_N, a bounds n beyond the proven range of
 is_prime, a lemmas n above LEMMAS_MAX_N without --sample, or a declared
-size of 2^63 or more, which cannot index a list or range: OverflowError)
-or a run out of memory (MemoryError), both errors caught once in main.
+size of 2^63 or more, which cannot index a list or range: OverflowError),
+a walk deeper than the interpreter's stack (RecursionError: the closed walk
+recurses once per step, so a --k near 1000 can reach it) or a run out of
+memory (MemoryError).  The commands are straight-line code: main is the one
+place that turns OSError, ValueError (FormatError included), RecursionError,
+MemoryError and OverflowError into exit 2 with one stderr line.  The
+argument checks that word their own message (bounds' --n, lemmas' --sample
+and LEMMAS_MAX_N) return exit 2 themselves, and an AssertionError from a
+library self-check stays a traceback: it is a bug, not an input error.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from .constructions import (
     projective_plane_incidence,
     theoretical_bounds,
 )
-from .core import FormatError, Hypergraph, dumps_canonical, load_hypergraph, loads_document
+from .core import Hypergraph, dumps_canonical, load_hypergraph, loads_document
 from .embedding import NotBergeC4FreeError, build_embedded_graph, verify_lemma_suite
 from .search import CEILING_MAX_N, GUARD_MAX_N, check_size, max_weight_exact
 
@@ -104,11 +111,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
     line index is below N = q^2 + q + 1, so every plane vertex u is below
     2N and every copy 3u + 2 below 6N <= n.
     """
-    try:
-        q = _plane_order(args)
-        plane = projective_plane_incidence(q)
-    except ValueError as exc:
-        return _fail(str(exc))
+    q = _plane_order(args)
+    plane = projective_plane_incidence(q)
     n = 6 * len(plane.points) if args.n is None else args.n  # isolated padding
     pieces = plane_blow_up_json(plane, n)
     if args.certify:
@@ -122,11 +126,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
                 print("detector disagrees with certificate", file=sys.stderr)
                 return EXIT_FOUND
             print("detector: Berge-C4-free confirmed", file=sys.stderr)
-    try:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
-    except OSError as exc:
-        return _fail(str(exc))
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.writelines(pieces)
     edges = sum(map(len, plane.lines_through))
     print(f"wrote n={n} hyperedges={edges} weight={3 * edges} (q={q}) to {args.output}",
           file=sys.stderr)
@@ -134,11 +135,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        hypergraph = load_hypergraph(args.input)
-        witness = find_berge_cycle(hypergraph, args.k)
-    except (OSError, FormatError, ValueError) as exc:
-        return _fail(str(exc))
+    witness = find_berge_cycle(load_hypergraph(args.input), args.k)
     if witness is None:
         print(f"Berge-C{args.k}-free", file=sys.stderr)
         return EXIT_OK
@@ -147,16 +144,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    try:
-        hypergraph = load_hypergraph(args.input)
-    except (OSError, FormatError) as exc:
-        return _fail(str(exc))
-    colored = build_embedded_graph(hypergraph)
-    try:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(dumps_canonical(colored.to_json_dict()))
-    except OSError as exc:
-        return _fail(str(exc))
+    colored = build_embedded_graph(load_hypergraph(args.input))
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write(dumps_canonical(colored.to_json_dict()))
     print(f"wrote {len(colored.colored_edges)} colored edges to {args.output}",
           file=sys.stderr)
     return EXIT_OK
@@ -165,10 +155,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
 def cmd_lemmas(args: argparse.Namespace) -> int:
     if args.sample is not None and args.sample < 0:
         return _fail(f"--sample must be >= 0, got {args.sample}")
-    try:
-        hypergraph = load_hypergraph(args.input)
-    except (OSError, FormatError) as exc:
-        return _fail(str(exc))
+    hypergraph = load_hypergraph(args.input)
     if args.sample is None and hypergraph.n > LEMMAS_MAX_N:
         return _fail(f"n={hypergraph.n} is above {LEMMAS_MAX_N}, the largest n construct "
                      f"writes; check a sample of vertices with --sample")
@@ -203,20 +190,17 @@ def _check_appendable(path: str) -> None:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    try:
-        check_size(args.n, args.allow_large, "--allow-large")
-        # an unwritable -o is found before the search, not after it
-        _check_appendable(args.output)
-        start = time.perf_counter()
-        result = max_weight_exact(
-            args.n,
-            max_mult=args.max_mult,
-            pruned=not args.unpruned,
-            allow_large=args.allow_large,
-        )
-        elapsed = time.perf_counter() - start
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc))
+    check_size(args.n, args.allow_large, "--allow-large")
+    # an unwritable -o is found before the search, not after it
+    _check_appendable(args.output)
+    start = time.perf_counter()
+    result = max_weight_exact(
+        args.n,
+        max_mult=args.max_mult,
+        pruned=not args.unpruned,
+        allow_large=args.allow_large,
+    )
+    elapsed = time.perf_counter() - start
     record = {
         "n": result.n,
         "best_weight": result.best_weight,
@@ -227,11 +211,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         "pruned": not args.unpruned,
         "wall_time_s": round(elapsed, 6),
     }
-    try:
-        with open(args.output, "a", encoding="utf-8") as fh:
-            fh.write(dumps_canonical(record))
-    except OSError as exc:
-        return _fail(str(exc))
+    with open(args.output, "a", encoding="utf-8") as fh:
+        fh.write(dumps_canonical(record))
     print(f"n={result.n} best_weight={result.best_weight} "
           f"nodes={result.nodes_explored} expanded={result.expanded} "
           f"closing_masks={result.closing_masks} "
@@ -338,6 +319,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         # looked up at each call, so the parser holds no command function
         return globals()[f"cmd_{args.command}"](args)
+    except (OSError, ValueError) as exc:  # FormatError is a ValueError
+        return _fail(str(exc))
+    except RecursionError:
+        return _fail(f"{args.command}: the search went deeper than the interpreter's stack allows")
     except MemoryError:
         return _fail(f"{args.command} ran out of memory")
     except OverflowError:

@@ -4,7 +4,9 @@ The K_{2,7} and K_{5,5} freeness checks ask whether a simple graph
 contains a K_{s,t}.  Containment is non-induced: any occurrence violates
 the freeness claims, induced or not.  Both checks run one engine over
 adjacency rows: the global check on a Graph's adjacency masks, the
-per-vertex check on the G'_aux rows the lemma suite computes.
+per-vertex check on the G'_aux rows the lemma suite computes.  A C4 is a
+K_{2,2}, so berge.find_c4_in_graph, the graph scan of the blow-up
+certificate, runs the same engine with s = t = 2.
 
 The engine takes the candidates (vertices of degree >= t) in ascending
 order.  For each candidate x it folds the rows of x's neighbours into a

@@ -86,7 +86,10 @@ def test_construct_by_target_n(tmp_path):
 
 def test_construct_rejects_non_prime(tmp_path, capsys):
     assert main(["construct", "--q", "4", "-o", str(tmp_path / "x.json")]) == 2
-    assert "prime" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "prime" in captured.err
+    assert captured.err == "error: q must be prime (prime powers unsupported), got 4\n"
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("q", ["4", "9"])
@@ -410,6 +413,13 @@ def test_verify_decides_the_q13_construction_c5_free_without_a_hall_test(
 def test_verify_missing_file(tmp_path, capsys):
     assert main(["verify", "-i", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err
+    # every command that reads -i words a missing file the same way
+    missing = tmp_path / "nope.json"
+    for argv in (["verify"], ["embed", "-o", str(tmp_path / "out.json")], ["lemmas"]):
+        assert main([*argv, "-i", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+        assert captured.err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
 def test_verify_malformed_json(tmp_path, capsys):
@@ -420,6 +430,39 @@ def test_verify_malformed_json(tmp_path, capsys):
     trailing = tmp_path / "trailing.json"
     trailing.write_text('{"n": 3,')
     assert main(["verify", "-i", str(trailing)]) == 2
+
+
+# Each case is an exception a command raises and main turns into exit 2:
+# argv with IN (a valid input), BAD (a malformed one), OUT (a writable
+# output) and NODIR (an output in a missing directory), and the one
+# stderr line, with {} standing for the NODIR path.
+RAISED_TO_MAIN = [
+    (["construct", "--q", "2", "-o", "NODIR"], "[Errno 2] No such file or directory: '{}'"),
+    (["verify", "-i", "BAD"], "hyperedges[0]: repeated vertex in [0, 0]"),
+    (["verify", "-i", "IN", "--k", "1"], "Berge cycle length must be >= 2, got 1"),
+    (["embed", "-i", "IN", "-o", "NODIR"], "[Errno 2] No such file or directory: '{}'"),
+    (["lemmas", "-i", "BAD"], "hyperedges[0]: repeated vertex in [0, 0]"),
+    (["search", "--n", "4", "--max-mult", "0", "-o", "OUT"], "max_mult must be >= 1, got 0"),
+    (["search", "--n", "4", "-o", "NODIR"], "[Errno 2] No such file or directory: '{}'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", RAISED_TO_MAIN,
+                         ids=[" ".join(argv[:1] + argv[-2:]) for argv, _ in RAISED_TO_MAIN])
+def test_raised_errors_exit_two_with_one_line(tmp_path, capsys, argv, message):
+    """A load, format, argument or write error raised inside a command
+    exits 2 with its own message on one stderr line, nothing on stdout and
+    no output file (missing inputs and a non-prime --q have their own
+    tests above)."""
+    (tmp_path / "in.json").write_text('{"n": 4, "hyperedges": [[0, 1, 2, 3]]}')
+    (tmp_path / "bad.json").write_text('{"n": 3, "hyperedges": [[0, 0]]}')
+    paths = {"IN": tmp_path / "in.json", "BAD": tmp_path / "bad.json",
+             "OUT": tmp_path / "out.json", "NODIR": tmp_path / "no" / "out.json"}
+    before = sorted(tmp_path.iterdir())
+    assert main([str(paths.get(a, a)) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and sorted(tmp_path.iterdir()) == before
+    assert captured.err == f"error: {message.format(paths['NODIR'])}\n"
 
 
 def test_embed_writes_colored_graph(tmp_path, capsys):
@@ -694,6 +737,29 @@ def test_a_declared_n_too_large_to_index_maps_to_exit_two(tmp_path, capsys, n):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {command}: the declared size is too large to index\n"
+
+
+@pytest.mark.parametrize("cycle", [False, True], ids=["free", "loose_cycle"])
+def test_a_walk_deeper_than_the_stack_maps_to_exit_two(tmp_path, capsys, cycle):
+    """verify --k 1000 on 1,000 hyperedges: a loose 1000-cycle, or a
+    999-cycle whose first hyperedge holds a third vertex plus one hyperedge
+    apart, which has no Berge-C1000.  Both walk deeper than the
+    interpreter's stack allows (the closed walk recurses once per step),
+    and each exits 2 with one stderr line and nothing on stdout instead of
+    a RecursionError."""
+    if cycle:
+        doc = {"n": 1000, "hyperedges": [[i, (i + 1) % 1000] for i in range(1000)]}
+    else:
+        doc = {"n": 1002, "hyperedges": [[0, 1, 2], *([i, i + 1] for i in range(2, 999)),
+                                         [999, 0], [1000, 1001]]}
+    assert len(doc["hyperedges"]) == 1000
+    src = tmp_path / "h.json"
+    src.write_text(json.dumps(doc))
+    assert main(["verify", "-i", str(src), "--k", "1000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: verify: the search went deeper than the "
+                            "interpreter's stack allows\n")
 
 
 @pytest.mark.parametrize("n, sample, refused", [
