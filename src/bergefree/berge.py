@@ -64,8 +64,9 @@ four classes by whether they lie in X, Y and Z, every a of a class has the
 same b, and one product of the class's spread with those b sets all of its
 rows of the n x n pair matrix.
 With exactly three hyperedges the loops reduce to three triples; the
-search's third level takes them inline, with the product of a triple's
-ends in place of the call when no exclusion is forced.
+search's third level, a loop of its own, takes them inline, with the
+product of a triple's ends in place of the call when no exclusion is
+forced.
 Every witness a search returns is re-validated against the definition
 before it is handed out.
 """
@@ -567,10 +568,11 @@ def _closing_pairs(masks: Sequence[int], spreads: Sequence[int], n: int) -> int:
     masks[i]): bits a*n + b and b*n + a (a != b) are set iff a hyperedge
     holding a and b closes one.  ORed into the pairs the earlier masks
     close alone, it gives every closing pair: the search reads the
-    candidates that hold none of its pairs off per-pair masks of the
-    candidates holding each pair (search._Survivors), and the generator
-    splits it into rows of n bits, one per vertex a, and tests a draw's
-    vertex mask against the row of each of its vertices.
+    candidates that hold none of its pairs off per-row tables of the
+    candidates holding each subset of a chunk of a row's pairs
+    (search._Survivors), and the generator splits it into rows of n bits,
+    one per vertex a, and tests a draw's vertex mask against the row of
+    each of its vertices.
 
     A triple (X, Y, Z) closes pairs only when Y meets both ends, so two
     index loops visit each triple through the last mask once: the last

@@ -14,10 +14,13 @@ That set of closing pairs does not depend on the candidate, so it is one
 mask per node: its parent's mask ORed with the pairs closed by triples
 through its own hyperedge (berge._closing_pairs).  The candidates whose
 pairs all miss a closing mask, its survivors, form one bitmask over the
-universe: every candidate but those that hold one of its pairs, the OR
-over its pairs a < b of a per-pair mask of the candidates holding both a
-and b.  They are built once per distinct mask and kept for the call (a
-search meets far fewer distinct masks than nodes).
+universe: every candidate but those that hold one of its pairs.  Those
+holders are read off per-row tables: for each vertex a and each chunk of
+at most six later vertices b, one entry per subset of the chunk holds the
+OR over the subset's b of the candidates holding a and b, so a mask costs
+one entry per chunk (n - 1 at n <= 7), not one OR per pair.  Survivors
+are built once per distinct mask and kept for the call (a search meets
+far fewer distinct masks than nodes).
 Each node is handed its live set: its open candidates (from the last
 chosen index on, that index only while copies are left) ANDed with the
 survivors of its closing mask, and it walks the set bits in ascending
@@ -39,18 +42,22 @@ part, the same for every such child, so the node looks up its survivors
 once per pair (X, Z) and tests each such child with one AND before
 anything else.  The third hyperedge C closes pairs through three
 triples of it and the chosen A and B, with C, A or B as the middle.  A
-node with two chosen hyperedges computes A & B, the product of A and B
-and that product's survivors once, for all its children, and each
-child's mask is built inline: the child first ORs its wide triples
-alone, and when some triple is narrow (its middle meets both ends, but
-it is not wide), it looks up the survivors of that wide part before
-berge._triple_pairs is called for the narrow ones.  At n = 6, and at
+node with two chosen hyperedges runs its own loop, third_level (its
+children are most of the nodes counted, 5,831 of 6,058 at n = 7 with
+orbit reps): it keeps the counters and the best weight in locals, writes
+them back before it enters a child and when it returns, and reads a
+child's bound at suffix[j] or suffix[j + 1] directly.  It computes A & B,
+the product of A and B and that product's survivors once, for all its
+children, and each child's mask is built inline: the child first ORs
+its wide triples alone, and when some triple is narrow (its middle meets
+both ends, but it is not wide), it looks up the survivors of that wide
+part before berge._triple_pairs is called for the narrow ones.  At n = 6, and at
 n = 7 with orbit reps, the product of A and B decides about 57% of the
 third-level children and the wide parts a further 30%.  Deeper masks
 come from the two index loops of berge._closing_pairs.  Every
 candidate's vertex mask and spread (bit a*n for each vertex a, which
 the kernels multiply by vertex masks to fill rows of the pair matrix)
-and the per-pair masks are computed once, before the walk.
+and the per-row tables are computed once, before the walk.
 The first optimum reached in this preorder is the lexicographically least
 one under the canonical order, so results and witnesses are deterministic.
 """
@@ -119,10 +126,18 @@ def candidate_universe(n: int) -> list[tuple[int, ...]]:
 class _Survivors(dict):
     """Closing mask -> the candidates that hold none of its pairs, as bits
     over the universe, built at a mask's first lookup and kept for the
-    call.  holders[a*n + b] (a < b) marks the candidates that hold both a
-    and b: the AND of the candidate masks of a and of b, each built in one
-    pass over the universe (core._mask), so the set-up stays linear in it.
-    A mask's survivors are every candidate but the holders of its pairs."""
+    call.  The holders of a pair {a, b} are the AND of the candidate masks
+    of a and of b, each built in one pass over the universe (core._mask).
+    The pairs a < b of a row a are cut into chunks of at most ROW_CHUNK
+    later vertices b, and each chunk has a table of 2^w entries: the OR of
+    the holders of {a, b} over each subset of its w vertices, indexed by
+    that subset's w bits of the mask (bits a*n + b).  A mask's survivors
+    are every candidate but the holders of its pairs, the OR of one entry
+    per chunk (n - 1 entries at n <= 7, where each row is one chunk).  The
+    chunks keep the set-up at the ceiling in tens of MB; whole rows would
+    take about half a GB."""
+
+    ROW_CHUNK = 6
 
     def __init__(self, cands: list[tuple[int, ...]], n: int) -> None:
         holding: list[list[int]] = [[] for _ in range(n)]
@@ -131,23 +146,22 @@ class _Survivors(dict):
                 holding[v].append(i)
         width = (len(cands) >> 3) + 1
         has = [_mask(ids, width) for ids in holding]
-        self.holders = [0] * (n * n)
-        self.upper = 0  # the bits a*n + b with a < b
-        for a, b in combinations(range(n), 2):
-            self.holders[a * n + b] = has[a] & has[b]
-            self.upper |= 1 << (a * n + b)
+        self.chunks: list[tuple[int, int, list[int]]] = []  # (shift, w bits, table)
+        for a in range(n):
+            for low in range(a + 1, n, self.ROW_CHUNK):
+                table = [0]
+                for b in range(low, min(low + self.ROW_CHUNK, n)):
+                    pair = has[a] & has[b]
+                    table += [held | pair for held in table]
+                self.chunks.append((a * n + low, len(table) - 1, table))
         self.every = (1 << len(cands)) - 1
         # every candidate misses the empty mask, which the first levels keep
         super().__init__({0: self.every} if cands else {})
 
     def __missing__(self, closing: int) -> int:
-        holders = self.holders
-        pairs = closing & self.upper
         held = 0
-        while pairs:
-            low = pairs & -pairs
-            held |= holders[low.bit_length() - 1]
-            pairs ^= low
+        for shift, bits, table in self.chunks:
+            held |= table[closing >> shift & bits]
         survivors = self[closing] = self.every ^ held
         return survivors
 
@@ -185,8 +199,13 @@ def max_weight_exact(
     when some triple is narrow, the survivors of the wide triples alone
     are looked up first and may show the child to be a leaf (see the
     module docstring).
-    The survivors of a mask come from per-pair masks of the candidates,
-    built in time linear in the universe (_Survivors).
+    Nodes with two chosen hyperedges, whose children are most of the
+    nodes counted, run their own loop with the counters in locals.
+    The survivors of a mask are read off per-row tables, one entry per
+    chunk of at most six vertices of a row (_Survivors), which peak at
+    about 15 MB at n = CEILING_MAX_N.  The search's closures are unbound
+    on return, also when the walk raises, so the survivors cache is freed
+    then and not left to the cycle collector.
     first_level_orbit_reps restricts the first (canonically smallest)
     candidate to one representative per size class -- a relabeling argument
     shows some optimum survives; the best weight is unchanged but the
@@ -236,22 +255,12 @@ def max_weight_exact(
         return False
 
     def walk(live: int, current_weight: int, closing: int) -> None:
-        # live: the candidates the node may add that miss its closing mask
+        # live: the candidates the node may add that miss its closing mask;
+        # a node with two chosen hyperedges runs third_level instead
         nonlocal nodes, closing_masks, expanded, wide_leaves, best_weight, best_multiset
         expanded += 1
         depth = len(chosen) + 1  # hyperedges chosen at each child
-        if depth == 3:
-            # shared by every child C: the ends A and B, A & B, and the
-            # pairs of the triple (A, C, B) when it is wide
-            mask_a, mask_b = chosen_masks
-            spread_a, spread_b = chosen_spreads
-            meet_ab = mask_a & mask_b
-            ab_wide = meet_ab.bit_count() >= 3
-            pairs_ab = spread_b * mask_a | spread_a * mask_b
-            # the survivors of those pairs, for every C that is a wide middle
-            survivors_ab = survivors_of[pairs_ab & off_diagonal]
-        elif depth > 3:
-            middles: dict[tuple[int, int], int] = {}  # survivors per pair (X, Z)
+        middles: dict[tuple[int, int], int] = {}  # survivors per pair (X, Z)
         while live:
             low = live & -live
             live ^= low
@@ -275,59 +284,11 @@ def max_weight_exact(
                 child_live = open_
             else:
                 closing_masks += 1
-                if depth == 3:
-                    # the triples with C, A or B as the middle, each when its
-                    # middle meets both ends.  A wide triple's pairs are the
-                    # product of its ends; the narrow ones, set in narrow,
-                    # wait until the wide part has failed to decide C
-                    meet_ac = mask_a & mask_c
-                    meet_bc = mask_b & mask_c
-                    ac_wide = meet_ac.bit_count() >= 3
-                    bc_wide = meet_bc.bit_count() >= 3
-                    child = narrow = 0
-                    if meet_ac and meet_bc:
-                        if ac_wide and bc_wide and (meet_ac | meet_bc).bit_count() >= 4:
-                            if not survivors_ab & open_:
-                                wide_leaves += 1  # (A, C, B)'s pairs alone decide C
-                                continue
-                            child = pairs_ab
-                        else:
-                            narrow = 1
-                    if meet_ab:
-                        if meet_ac:
-                            if ab_wide and ac_wide and (meet_ac | meet_ab).bit_count() >= 4:
-                                child |= spread_b * mask_c | spread_c * mask_b
-                            else:
-                                narrow |= 2
-                        if meet_bc:
-                            if ab_wide and bc_wide and (meet_bc | meet_ab).bit_count() >= 4:
-                                child |= spread_a * mask_c | spread_c * mask_a
-                            else:
-                                narrow |= 4
-                    child &= off_diagonal
-                    if narrow:
-                        # the wide part is a subset of the whole mask, so
-                        # when no open candidate survives it, none survives
-                        # the whole mask and C is a leaf
-                        if not survivors_of[child] & open_:
-                            wide_leaves += 1
-                            continue
-                        if narrow & 1:
-                            child |= _triple_pairs(mask_a, spread_a, mask_c, spread_c,
-                                                   mask_b, spread_b)
-                        if narrow & 2:
-                            child |= _triple_pairs(mask_c, spread_c, mask_a, spread_a,
-                                                   mask_b, spread_b)
-                        if narrow & 4:
-                            child |= _triple_pairs(mask_c, spread_c, mask_b, spread_b,
-                                                   mask_a, spread_a)
-                        child &= off_diagonal
-                else:
-                    if middle_leaf(middles, closing, mask_c, open_):
-                        wide_leaves += 1
-                        continue
-                    child = closing | _closing_pairs([*chosen_masks, mask_c],
-                                                     [*chosen_spreads, spread_c], n)
+                if middle_leaf(middles, closing, mask_c, open_):
+                    wide_leaves += 1
+                    continue
+                child = closing | _closing_pairs([*chosen_masks, mask_c],
+                                                 [*chosen_spreads, spread_c], n)
                 child_live = survivors_of[child] & open_
                 if not child_live:
                     continue
@@ -335,18 +296,124 @@ def max_weight_exact(
             chosen.append(j)
             chosen_masks.append(mask_c)
             chosen_spreads.append(spread_c)
-            walk(child_live, new_weight, child)
+            if depth == 2:
+                third_level(child_live, new_weight)
+            else:
+                walk(child_live, new_weight, child)
             chosen_spreads.pop()
             chosen_masks.pop()
             chosen.pop()
             used[j] -= 1
 
+    def third_level(live: int, current_weight: int) -> None:
+        # walk for a node with two chosen hyperedges A and B, whose children
+        # are mostly leaves: its counters and the best weight stay in
+        # locals, written back before a child is entered and on return
+        nonlocal nodes, closing_masks, expanded, wide_leaves, best_weight, best_multiset
+        expanded += 1
+        # shared by every child C: the ends A and B, A & B, and the pairs
+        # of the triple (A, C, B) when it is wide
+        mask_a, mask_b = chosen_masks
+        spread_a, spread_b = chosen_spreads
+        meet_ab = mask_a & mask_b
+        ab_wide = meet_ab.bit_count() >= 3
+        pairs_ab = spread_b * mask_a | spread_a * mask_b
+        # the survivors of those pairs, for every C that is a wide middle
+        survivors_ab = survivors_of[pairs_ab & off_diagonal]
+        counted, tested, leaves, best = nodes, closing_masks, wide_leaves, best_weight
+        while live:
+            low = live & -live
+            live ^= low
+            j = low.bit_length() - 1
+            if pruned and current_weight + suffix[j] <= best:
+                break
+            counted += 1
+            new_weight = current_weight + weights[j]
+            if new_weight > best:
+                best = new_weight
+                best_multiset = (*chosen, j)
+            # the child's open candidates, from j or from j + 1 on
+            if used[j] + 1 < max_mult:
+                open_ = every & -low
+                bound = suffix[j]
+            else:
+                open_ = every & -low << 1
+                bound = suffix[j + 1]
+            if not open_ or (pruned and new_weight + bound <= best):
+                continue
+            tested += 1
+            mask_c = vertex_masks[j]
+            spread_c = spreads[j]
+            # the triples with C, A or B as the middle, each when its middle
+            # meets both ends.  A wide triple's pairs are the product of its
+            # ends; the narrow ones, set in narrow, wait until the wide part
+            # has failed to decide C
+            meet_ac = mask_a & mask_c
+            meet_bc = mask_b & mask_c
+            ac_wide = meet_ac.bit_count() >= 3
+            bc_wide = meet_bc.bit_count() >= 3
+            child = narrow = 0
+            if meet_ac and meet_bc:
+                if ac_wide and bc_wide and (meet_ac | meet_bc).bit_count() >= 4:
+                    if not survivors_ab & open_:
+                        leaves += 1  # (A, C, B)'s pairs alone decide C
+                        continue
+                    child = pairs_ab
+                else:
+                    narrow = 1
+            if meet_ab:
+                if meet_ac:
+                    if ab_wide and ac_wide and (meet_ac | meet_ab).bit_count() >= 4:
+                        child |= spread_b * mask_c | spread_c * mask_b
+                    else:
+                        narrow |= 2
+                if meet_bc:
+                    if ab_wide and bc_wide and (meet_bc | meet_ab).bit_count() >= 4:
+                        child |= spread_a * mask_c | spread_c * mask_a
+                    else:
+                        narrow |= 4
+            child &= off_diagonal
+            if narrow:
+                # the wide part is a subset of the whole mask, so when no
+                # open candidate survives it, none survives the whole mask
+                # and C is a leaf
+                if not survivors_of[child] & open_:
+                    leaves += 1
+                    continue
+                if narrow & 1:
+                    child |= _triple_pairs(mask_a, spread_a, mask_c, spread_c, mask_b, spread_b)
+                if narrow & 2:
+                    child |= _triple_pairs(mask_c, spread_c, mask_a, spread_a, mask_b, spread_b)
+                if narrow & 4:
+                    child |= _triple_pairs(mask_c, spread_c, mask_b, spread_b, mask_a, spread_a)
+                child &= off_diagonal
+            child_live = survivors_of[child] & open_
+            if not child_live:
+                continue
+            used[j] += 1
+            chosen.append(j)
+            chosen_masks.append(mask_c)
+            chosen_spreads.append(spread_c)
+            nodes, closing_masks, wide_leaves, best_weight = counted, tested, leaves, best
+            walk(child_live, new_weight, child)
+            counted, tested, leaves, best = nodes, closing_masks, wide_leaves, best_weight
+            chosen_spreads.pop()
+            chosen_masks.pop()
+            chosen.pop()
+            used[j] -= 1
+        nodes, closing_masks, wide_leaves, best_weight = counted, tested, leaves, best
+
     if first_level_orbit_reps:
         root = sum(1 << j for j, c in enumerate(cands) if c == tuple(range(len(c))))
     else:
         root = every
-    if root:
-        walk(root, 0, 0)  # the root's mask is empty, and every weight is positive
+    try:
+        if root:
+            walk(root, 0, 0)  # the root's mask is empty, and every weight is positive
+    finally:
+        # walk and third_level call each other: unbound, they and the
+        # survivors cache are freed now, not by the cycle collector
+        del walk, third_level, middle_leaf
     witness = Hypergraph(n, tuple(cands[j] for j in best_multiset))
     if not is_berge_c4_free(witness):
         raise AssertionError("search produced a witness with a Berge-C4")

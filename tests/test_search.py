@@ -1,9 +1,11 @@
 """Exact extremal search: frozen small values, oracle equality, determinism."""
 
 import copy
+import gc
 import json
 import random
 from itertools import combinations, permutations, product
+import tracemalloc
 
 import pytest
 
@@ -589,7 +591,9 @@ def test_survivors_match_the_candidate_scan(monkeypatch):
     every-candidate scan gives on each mask that the searches of
     PINNED_SEARCH_COUNTS look up (the cache is kept from each search by a
     subclass patched in), and on seeded symmetric masks at n = 9..12, the
-    diagonal set or not, from the empty mask to nearly full ones."""
+    diagonal set or not, from the empty mask to nearly full ones, at
+    n = 4..12: up to n = 7 each row of pairs is one chunk of the tables,
+    and n = 8 is the first n whose rows span two."""
     caches = []
 
     class Kept(bergefree.search._Survivors):
@@ -608,7 +612,7 @@ def test_survivors_match_the_candidate_scan(monkeypatch):
         for closing, survivors in cache.items():
             assert survivors == survivors_by_candidate_scan(pair_bits, closing), (n, closing)
     rng = random.Random(20261021)
-    for n in range(9, 13):
+    for n in range(4, 13):
         cache = bergefree.search._Survivors(candidate_universe(n), n)
         pair_bits = candidate_pair_bits(n)
         for k in range(40):
@@ -617,6 +621,58 @@ def test_survivors_match_the_candidate_scan(monkeypatch):
                 if rng.random() < k / 200:
                     closing |= 1 << (a * n + b) | 1 << (b * n + a)
             assert cache[closing] == survivors_by_candidate_scan(pair_bits, closing), (n, k)
+
+
+def test_survivors_set_up_at_the_ceiling_stays_in_tens_of_mb():
+    """The per-row tables of the survivors cache, cut into chunks of at
+    most six later vertices, peak at about 15 MB at n = CEILING_MAX_N.
+    Chunks of eight would peak at about 28 MB, and tables over whole rows
+    would take about half a GB."""
+    cands = candidate_universe(CEILING_MAX_N)
+    tracemalloc.start()
+    try:
+        cache = bergefree.search._Survivors(cands, CEILING_MAX_N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, peak
+    assert cache[0] == cache.every == (1 << len(cands)) - 1
+
+
+class _Raised(Exception):
+    pass
+
+
+def test_a_search_leaves_nothing_for_the_cycle_collector(monkeypatch):
+    """With the cycle collector off, a search frees everything it built,
+    its survivors cache among them, by reference counting alone: no
+    closure of the walk is left holding itself, for several n, max_mult
+    and modes, and also when the walk raises at the third level or
+    deeper."""
+    gc.collect()
+    gc.disable()
+    try:
+        for n, max_mult, pruned, orbit_reps in [
+                (0, 3, True, False), (4, 3, True, False), (5, 1, False, False),
+                (5, 3, True, True), (6, 2, True, False), (6, 3, False, True),
+                (7, 1, True, True), (7, 3, True, True), (8, 3, True, True)]:
+            bf.max_weight_exact(n, max_mult=max_mult, pruned=pruned,
+                                first_level_orbit_reps=orbit_reps, allow_large=True)
+            assert gc.collect() == 0, (n, max_mult, pruned, orbit_reps)
+        for name in ("_triple_pairs", "_closing_pairs"):
+            with monkeypatch.context() as patch:
+                def raise_(*args):
+                    raise _Raised(name)
+                patch.setattr(bergefree.search, name, raise_)
+                try:
+                    bf.max_weight_exact(7, first_level_orbit_reps=True)
+                except _Raised:
+                    pass
+                else:
+                    raise AssertionError(f"{name} never called")
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
 
 
 def test_search_pinned_n8_orbit_reps():
