@@ -40,30 +40,45 @@ whole mask.  A child C that is the wide middle of two chosen hyperedges
 X and Z has the node's mask ORed with the product of X and Z as such a
 part, the same for every such child, so the node looks up its survivors
 once per pair (X, Z) and tests each such child with one AND before
-anything else.  The third hyperedge C closes pairs through three
-triples of it and the chosen A and B, with C, A or B as the middle.  A
-node with two chosen hyperedges runs its own loop, third_level (its
-children are most of the nodes counted, 5,831 of 6,058 at n = 7 with
-orbit reps): it keeps the counters and the best weight in locals, writes
-them back before it enters a child and when it returns, and reads a
-child's bound at suffix[j] or suffix[j + 1] directly.  It computes A & B,
-the product of A and B and that product's survivors once, for all its
-children, and each child's mask is built inline: the child first ORs
-its wide triples alone, and when some triple is narrow (its middle meets
-both ends, but it is not wide), it looks up the survivors of that wide
-part before berge._triple_pairs is called for the narrow ones.  At n = 6, and at
-n = 7 with orbit reps, the product of A and B decides about 57% of the
-third-level children and the wide parts a further 30%.  Deeper masks
-come from the two index loops of berge._closing_pairs.  Every
-candidate's vertex mask and spread (bit a*n for each vertex a, which
-the kernels multiply by vertex masks to fill rows of the pair matrix)
-and the per-row tables are computed once, before the walk.
+anything else (the third level decides them all with one mask, below).
+The third hyperedge C closes pairs through three triples of it and the
+chosen A and B, with C, A or B as the middle.  A node with two chosen
+hyperedges runs its own loop, third_level (its children are most of the
+nodes counted, 5,831 of 6,058 at n = 7 with orbit reps), with the
+counters and the best weight in locals, written back before it enters a
+child and when it returns.  It tests no child's bound, weight or copies
+one by one: past the first child, no child's own weight can raise best
+(weights never grow with the index), and its own bound is never below
+the node's, suffix[j], which never grows with j.  So for one best the
+children counted are those below one threshold (a bisect over suffix),
+those tested are all of them with an open candidate, and the counters
+grow by popcounts; both sets are taken again only after an entered child
+returns.  The first child keeps its best update, and its own bound when
+it is B with no copy left.  No wide middle of A and B is among the
+survivors of their product (it holds a pair of it), and those past that
+set's top bit are leaves: one mask counts them without a walk, the
+candidates holding 3 or more vertices of A and of B and 4 or more of
+their union, from a bit-sliced counter over the per-vertex candidate
+masks, kept per vertex mask for the call (_Holding).  The node computes
+A & B, the product of A and B and that product's survivors once, for all
+its children, and each other child's mask is built inline: the child
+first ORs its wide triples alone, and when some triple is narrow (its
+middle meets both ends, but it is not wide), it looks up the survivors
+of that wide part before berge._triple_pairs is called for the narrow
+ones.  At n = 6, and at n = 7 with orbit reps, the product of A and B
+decides about 57% of the third-level children and the wide parts a
+further 30%.  Deeper masks come from the two index loops of
+berge._closing_pairs.  Every candidate's vertex mask and spread (bit a*n
+for each vertex a, which the kernels multiply by vertex masks to fill
+rows of the pair matrix) and the per-row tables are computed once,
+before the walk.
 The first optimum reached in this preorder is the lexicographically least
 one under the canonical order, so results and witnesses are deterministic.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -135,7 +150,8 @@ class _Survivors(dict):
     are every candidate but the holders of its pairs, the OR of one entry
     per chunk (n - 1 entries at n <= 7, where each row is one chunk).  The
     chunks keep the set-up at the ceiling in tens of MB; whole rows would
-    take about half a GB."""
+    take about half a GB.  The per-vertex candidate masks stay on as has,
+    for the third level's wide-middle holders (_Holding)."""
 
     ROW_CHUNK = 6
 
@@ -145,7 +161,7 @@ class _Survivors(dict):
             for v in c:
                 holding[v].append(i)
         width = (len(cands) >> 3) + 1
-        has = [_mask(ids, width) for ids in holding]
+        has = self.has = [_mask(ids, width) for ids in holding]
         self.chunks: list[tuple[int, int, list[int]]] = []  # (shift, w bits, table)
         for a in range(n):
             for low in range(a + 1, n, self.ROW_CHUNK):
@@ -164,6 +180,31 @@ class _Survivors(dict):
             held |= table[closing >> shift & bits]
         survivors = self[closing] = self.every ^ held
         return survivors
+
+
+class _Holding(dict):
+    """Vertex mask -> (the candidates holding 3 or more of its vertices,
+    those holding 4 or more), as bits over the universe, built at a mask's
+    first lookup by a bit-sliced counter over the per-vertex candidate
+    masks (_Survivors's has) and kept for the call.  The masks looked up,
+    candidates' and unions of two, are all candidates' vertex masks, so
+    it holds at most m entries."""
+
+    def __init__(self, has: list[int]) -> None:
+        super().__init__()
+        self.has = has
+
+    def __missing__(self, vertices: int) -> tuple[int, int]:
+        # the candidates holding 1 or more, 2 or more, ... of those seen
+        one = two = three = four = 0
+        for v, held in enumerate(self.has):
+            if vertices >> v & 1:
+                four |= three & held
+                three |= two & held
+                two |= one & held
+                one |= held
+        holders = self[vertices] = three, four
+        return holders
 
 
 def max_weight_exact(
@@ -200,7 +241,12 @@ def max_weight_exact(
     are looked up first and may show the child to be a leaf (see the
     module docstring).
     Nodes with two chosen hyperedges, whose children are most of the
-    nodes counted, run their own loop with the counters in locals.
+    nodes counted, run their own loop with the counters in locals; it
+    counts and tests its children by popcounts of bitmasks taken for the
+    current best, and counts the wide middles of A and B that are leaves
+    by one mask.  That mask's holders are cached lazily per vertex mask
+    (_Holding), never at set-up: at most m entries of two m-bit masks, so
+    m^2/4 bytes (0.8 MB at n = 11, about 1 GB if ever filled at n = 16).
     The survivors of a mask are read off per-row tables, one entry per
     chunk of at most six vertices of a row (_Survivors), which peak at
     about 15 MB at n = CEILING_MAX_N.  The search's closures are unbound
@@ -223,8 +269,15 @@ def max_weight_exact(
     suffix = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] + max_mult * weights[i]
+    rising = [-bound for bound in suffix]  # ascending, for bisect
     survivors_of = _Survivors(cands, n)
     every = survivors_of.every
+    holding = _Holding(survivors_of.has)
+    # a third-level child j past the first is open from j on, or from
+    # j + 1 at max_mult 1, when the universe's last candidate has no open
+    # candidate
+    shift = 0 if max_mult > 1 else 1
+    with_open = every >> shift
     off_diagonal = ~_diagonal(n)
 
     used = [0] * m
@@ -321,86 +374,123 @@ def max_weight_exact(
         # the survivors of those pairs, for every C that is a wide middle
         survivors_ab = survivors_of[pairs_ab & off_diagonal]
         counted, tested, leaves, best = nodes, closing_masks, wide_leaves, best_weight
-        while live:
-            low = live & -live
-            live ^= low
-            j = low.bit_length() - 1
-            if pruned and current_weight + suffix[j] <= best:
-                break
-            counted += 1
-            new_weight = current_weight + weights[j]
-            if new_weight > best:
-                best = new_weight
-                best_multiset = (*chosen, j)
-            # the child's open candidates, from j or from j + 1 on
-            if used[j] + 1 < max_mult:
-                open_ = every & -low
-                bound = suffix[j]
+        # the first child is the only one whose own weight can raise best
+        # (weights never grow with the index), and the only one that can be
+        # B, whose copies may run out at it
+        first = live & -live
+        j = first.bit_length() - 1
+        if pruned and current_weight + suffix[j] <= best:
+            return
+        new_weight = current_weight + weights[j]
+        if new_weight > best:
+            best = new_weight
+            best_multiset = (*chosen, j)
+        openable = every  # every candidate but the first child's when its copies run out
+        testable = with_open  # the children to be tested, for any best
+        if used[j] + 1 >= max_mult:
+            openable ^= first
+            if j + 1 == m or pruned and new_weight + suffix[j + 1] <= best:
+                testable &= ~first
+        # the wide middles of A and B past the top bit of survivors_ab,
+        # leaves as no open candidate of theirs is among those; no wide
+        # middle is (it holds a vertex of A and another of B), so those
+        # before that bit keep it open
+        bulk = live & -(1 << survivors_ab.bit_length())
+        if bulk:
+            bulk &= holding[mask_a][0] & holding[mask_b][0] & holding[mask_a | mask_b][1]
+        rest = live  # the children not yet counted
+        while True:
+            # for this best, which only an entered child can raise: reach,
+            # the children counted, those before the node breaks at the
+            # least j with current_weight + suffix[j] <= best (and the
+            # first, which passed that test before its own weight raised
+            # best); seg, those tested, all of reach that has an open
+            # candidate (past the first, a child's own bound, weights[j] +
+            # suffix[j + shift], is never below the node's, suffix[j]); and
+            # bulk_seg, the wide-middle leaves of seg, counted unwalked
+            if pruned:
+                reach = rest & ((1 << bisect_left(rising, current_weight - best)) - 1 | first)
             else:
-                open_ = every & -low << 1
-                bound = suffix[j + 1]
-            if not open_ or (pruned and new_weight + bound <= best):
-                continue
-            tested += 1
-            mask_c = vertex_masks[j]
-            spread_c = spreads[j]
-            # the triples with C, A or B as the middle, each when its middle
-            # meets both ends.  A wide triple's pairs are the product of its
-            # ends; the narrow ones, set in narrow, wait until the wide part
-            # has failed to decide C
-            meet_ac = mask_a & mask_c
-            meet_bc = mask_b & mask_c
-            ac_wide = meet_ac.bit_count() >= 3
-            bc_wide = meet_bc.bit_count() >= 3
-            child = narrow = 0
-            if meet_ac and meet_bc:
-                if ac_wide and bc_wide and (meet_ac | meet_bc).bit_count() >= 4:
-                    if not survivors_ab & open_:
-                        leaves += 1  # (A, C, B)'s pairs alone decide C
-                        continue
-                    child = pairs_ab
-                else:
-                    narrow = 1
-            if meet_ab:
-                if meet_ac:
-                    if ab_wide and ac_wide and (meet_ac | meet_ab).bit_count() >= 4:
-                        child |= spread_b * mask_c | spread_c * mask_b
+                reach = rest
+            seg = reach & testable
+            bulk_seg = seg & bulk
+            todo = seg ^ bulk_seg
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                j = low.bit_length() - 1
+                open_ = openable & -low << shift
+                mask_c = vertex_masks[j]
+                spread_c = spreads[j]
+                # the triples with C, A or B as the middle, each when its
+                # middle meets both ends.  A wide triple's pairs are the
+                # product of its ends; the narrow ones, set in narrow, wait
+                # until the wide part has failed to decide C
+                meet_ac = mask_a & mask_c
+                meet_bc = mask_b & mask_c
+                ac_wide = meet_ac.bit_count() >= 3
+                bc_wide = meet_bc.bit_count() >= 3
+                child = narrow = 0
+                if meet_ac and meet_bc:
+                    if ac_wide and bc_wide and (meet_ac | meet_bc).bit_count() >= 4:
+                        # not in bulk, so before the top bit of
+                        # survivors_ab, which C leaves open
+                        child = pairs_ab
                     else:
-                        narrow |= 2
-                if meet_bc:
-                    if ab_wide and bc_wide and (meet_bc | meet_ab).bit_count() >= 4:
-                        child |= spread_a * mask_c | spread_c * mask_a
-                    else:
-                        narrow |= 4
-            child &= off_diagonal
-            if narrow:
-                # the wide part is a subset of the whole mask, so when no
-                # open candidate survives it, none survives the whole mask
-                # and C is a leaf
-                if not survivors_of[child] & open_:
-                    leaves += 1
-                    continue
-                if narrow & 1:
-                    child |= _triple_pairs(mask_a, spread_a, mask_c, spread_c, mask_b, spread_b)
-                if narrow & 2:
-                    child |= _triple_pairs(mask_c, spread_c, mask_a, spread_a, mask_b, spread_b)
-                if narrow & 4:
-                    child |= _triple_pairs(mask_c, spread_c, mask_b, spread_b, mask_a, spread_a)
+                        narrow = 1
+                if meet_ab:
+                    if meet_ac:
+                        if ab_wide and ac_wide and (meet_ac | meet_ab).bit_count() >= 4:
+                            child |= spread_b * mask_c | spread_c * mask_b
+                        else:
+                            narrow |= 2
+                    if meet_bc:
+                        if ab_wide and bc_wide and (meet_bc | meet_ab).bit_count() >= 4:
+                            child |= spread_a * mask_c | spread_c * mask_a
+                        else:
+                            narrow |= 4
                 child &= off_diagonal
-            child_live = survivors_of[child] & open_
-            if not child_live:
-                continue
-            used[j] += 1
-            chosen.append(j)
-            chosen_masks.append(mask_c)
-            chosen_spreads.append(spread_c)
-            nodes, closing_masks, wide_leaves, best_weight = counted, tested, leaves, best
-            walk(child_live, new_weight, child)
-            counted, tested, leaves, best = nodes, closing_masks, wide_leaves, best_weight
-            chosen_spreads.pop()
-            chosen_masks.pop()
-            chosen.pop()
-            used[j] -= 1
+                if narrow:
+                    # the wide part is a subset of the whole mask, so when
+                    # no open candidate survives it, none survives the
+                    # whole mask and C is a leaf
+                    if not survivors_of[child] & open_:
+                        leaves += 1
+                        continue
+                    if narrow & 1:
+                        child |= _triple_pairs(mask_a, spread_a, mask_c, spread_c, mask_b, spread_b)
+                    if narrow & 2:
+                        child |= _triple_pairs(mask_c, spread_c, mask_a, spread_a, mask_b, spread_b)
+                    if narrow & 4:
+                        child |= _triple_pairs(mask_c, spread_c, mask_b, spread_b, mask_a, spread_a)
+                    child &= off_diagonal
+                child_live = survivors_of[child] & open_
+                if not child_live:
+                    continue
+                # C is entered: count the children up to it, and take the
+                # sets again for the best it returns
+                upto = (low << 1) - 1
+                counted += (reach & upto).bit_count()
+                tested += (seg & upto).bit_count()
+                leaves += (bulk_seg & upto).bit_count()
+                rest &= ~upto
+                used[j] += 1
+                chosen.append(j)
+                chosen_masks.append(mask_c)
+                chosen_spreads.append(spread_c)
+                nodes, closing_masks, wide_leaves, best_weight = counted, tested, leaves, best
+                walk(child_live, current_weight + weights[j], child)
+                counted, tested, leaves, best = nodes, closing_masks, wide_leaves, best_weight
+                chosen_spreads.pop()
+                chosen_masks.pop()
+                chosen.pop()
+                used[j] -= 1
+                break
+            else:
+                counted += reach.bit_count()
+                tested += seg.bit_count()
+                leaves += bulk_seg.bit_count()
+                break
         nodes, closing_masks, wide_leaves, best_weight = counted, tested, leaves, best
 
     if first_level_orbit_reps:

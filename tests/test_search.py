@@ -14,6 +14,7 @@ from bergefree.berge import _closing_pairs, _diagonal, _triple_pairs
 from bergefree.cli import main
 from bergefree.core import iter_bits
 import bergefree.search
+import oracles
 from bergefree.search import CEILING_MAX_N, candidate_universe, check_size
 from oracles import (
     SearchState,
@@ -722,6 +723,42 @@ def test_bitset_walk_matches_index_scan_oracle_n7_orbit_reps(max_mult, monkeypat
     assert _summary(result) == expected == PINNED_N7_SEARCHES[max_mult, True]
     assert _counts(result) == _oracle_counts(counts)
     assert len(calls) == counts["narrow_triples"]
+
+
+@pytest.mark.parametrize("max_mult", (1, 2, 3))
+def test_bitset_walk_matches_index_scan_oracle_n7_canonical_root(max_mult, monkeypatch):
+    """At n = 7 from the canonical root, where best rises inside many
+    third-level subtrees, so the third level takes its counted, tested and
+    wide-middle leaf sets again after many entered children, the walk
+    matches the index scan's summary, counters and narrow triples."""
+    calls = _count_triple_pairs_calls(monkeypatch)
+    result = bf.max_weight_exact(7, max_mult=max_mult)
+    counts = {}
+    assert _summary(result) == max_weight_by_index_scan(7, max_mult, True, False, counts)
+    assert _counts(result) == _oracle_counts(counts)
+    assert len(calls) == counts["narrow_triples"]
+
+
+@pytest.mark.parametrize("max_mult", (1, 2, 3))
+def test_bitset_walk_matches_index_scan_oracle_when_best_rises_deeper(max_mult, monkeypatch):
+    """The search's own universes reach their optimum at the first
+    third-level child, so best never rises after it.  On the 4-sets alone
+    at n = 7 the optimum takes four or more hyperedges: best rises inside
+    an entered third-level child, and the third level must take its
+    counted, tested and wide-middle leaf sets again for the children after
+    it.  The walk matches the index scan on that universe too."""
+    def four_sets(n):
+        return list(combinations(range(n), 4))
+
+    monkeypatch.setattr(bergefree.search, "candidate_universe", four_sets)
+    monkeypatch.setattr(oracles, "candidate_universe", four_sets)
+    calls = _count_triple_pairs_calls(monkeypatch)
+    result = bf.max_weight_exact(7, max_mult=max_mult)
+    counts = {}
+    assert _summary(result) == max_weight_by_index_scan(7, max_mult, True, False, counts)
+    assert _counts(result) == _oracle_counts(counts)
+    assert len(calls) == counts["narrow_triples"]
+    assert len(result.witness.hyperedges) > 3
 
 
 def test_ceiling_checked_before_the_universe(monkeypatch):
