@@ -31,7 +31,8 @@ for n in (4, 5, 6):
 # the wide leaves are the children decided by the pairs of wide triples
 # alone (most of them the wide middles of two chosen hyperedges), and the
 # distinct masks (whole masks and wide parts) are the size of the
-# search's survivors cache.
+# search's survivors cache; the third-level children decided in bulk by
+# one mask look up no mask, so they are not among the distinct ones.
 print(f"\n{'n':>2} {'nodes':>7} {'expanded':>8} {'masks':>7} {'wide':>5} {'distinct':>8}")
 for n in (4, 5, 6):
     result = bf.max_weight_exact(n)

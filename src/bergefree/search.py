@@ -59,19 +59,26 @@ survivors of their product (it holds a pair of it), and those past that
 set's top bit are leaves: one mask counts them without a walk, the
 candidates holding 3 or more vertices of A and of B and 4 or more of
 their union, from a bit-sliced counter over the per-vertex candidate
-masks, kept per vertex mask for the call (_Holding).  The node computes
-A & B, the product of A and B and that product's survivors once, for all
-its children, and each other child's mask is built inline: the child
-first ORs its wide triples alone, and when some triple is narrow (its
-middle meets both ends, but it is not wide), it looks up the survivors
-of that wide part before berge._triple_pairs is called for the narrow
-ones.  At n = 6, and at n = 7 with orbit reps, the product of A and B
-decides about 57% of the third-level children and the wide parts a
-further 30%.  Deeper masks come from the two index loops of
-berge._closing_pairs.  Every candidate's vertex mask and spread (bit a*n
-for each vertex a, which the kernels multiply by vertex masks to fill
-rows of the pair matrix) and the per-row tables are computed once,
-before the walk.
+masks, kept per vertex mask for the call (_Holding).  When |A & B| >= 3
+the mask also takes the children C with a narrow (A, C, B) and a wide
+(C, A, B), whose pairs K(B, C) (B's pairs with C) are part of C's wide
+part.  A candidate misses K(B, C) only when it misses B or C, or meets
+both in one same vertex, which _Holding.end_leaves rules out for every
+open candidate of C at once; the same with A and B swapped for a wide
+(C, B, A).  At n = 7 with orbit reps and max_mult 3 the loop then walks
+601 of the 2,523 children it walked before, the all-narrow ones.  The
+node computes A & B, the product of A and B and that product's
+survivors once, for all its children, and each other child's mask is
+built inline: the child first ORs its wide triples alone, and when some
+triple is narrow (its middle meets both ends, but it is not wide), it
+looks up the survivors of that wide part before berge._triple_pairs is
+called for the narrow ones.  At n = 6, and at n = 7 with orbit reps, the
+product of A and B decides about 57% of the third-level children and
+the wide parts a further 30%.  Deeper masks come from the two index
+loops of berge._closing_pairs.  Every candidate's vertex mask and spread
+(bit a*n for each vertex a, which the kernels multiply by vertex masks
+to fill rows of the pair matrix) and the per-row tables are computed
+once, before the walk.
 The first optimum reached in this preorder is the lexicographically least
 one under the canonical order, so results and witnesses are deterministic.
 """
@@ -99,10 +106,11 @@ class SearchResult:
     expanded the nodes entered with an open surviving candidate (the root
     among them), distinct_closings the masks whose survivors were built,
     which is the size of the call's survivors cache (whole closing masks,
-    and the wide parts of children), and wide_leaves the children that
-    the survivors of a wide part alone showed to be leaves, whose whole
-    mask was never built: the wide middles of two chosen hyperedges at
-    any depth, and at the third level the children whose wide triples
+    and the wide parts of children, but not of the third-level children
+    decided in bulk, which look up nothing), and wide_leaves the children
+    that the survivors of a wide part alone showed to be leaves, whose
+    whole mask was never built: the wide middles of two chosen hyperedges
+    at any depth, and at the third level the children whose wide triples
     together leave no open candidate.
     """
 
@@ -183,18 +191,25 @@ class _Survivors(dict):
 
 
 class _Holding(dict):
-    """Vertex mask -> (the candidates holding 3 or more of its vertices,
-    those holding 4 or more), as bits over the universe, built at a mask's
-    first lookup by a bit-sliced counter over the per-vertex candidate
-    masks (_Survivors's has) and kept for the call.  The masks looked up,
-    candidates' and unions of two, are all candidates' vertex masks, so
-    it holds at most m entries."""
+    """Vertex mask -> (the candidates holding 1 or more of its vertices,
+    2 or more, 3 or more, 4 or more), as bits over the universe, built at
+    a mask's first lookup by a bit-sliced counter over the per-vertex
+    candidate masks (_Survivors's has) and kept for the call.  The masks
+    looked up, candidates' and unions of two, are all candidates' vertex
+    masks, so it holds at most m entries of four m-bit masks.  The
+    candidates meeting a smaller set, which end_leaves asks for, are not
+    kept."""
 
-    def __init__(self, has: list[int]) -> None:
+    def __init__(self, has: list[int], vertex_masks: list[int]) -> None:
         super().__init__()
         self.has = has
+        self.vertex_masks = vertex_masks
+        self.every = (1 << len(vertex_masks)) - 1
+        # the candidates of n - 3 or more vertices, a prefix of the
+        # canonical order: every candidate meets each of them
+        self.big = (1 << sum(mask.bit_count() >= len(has) - 3 for mask in vertex_masks)) - 1
 
-    def __missing__(self, vertices: int) -> tuple[int, int]:
+    def __missing__(self, vertices: int) -> tuple[int, int, int, int]:
         # the candidates holding 1 or more, 2 or more, ... of those seen
         one = two = three = four = 0
         for v, held in enumerate(self.has):
@@ -203,8 +218,38 @@ class _Holding(dict):
                 three |= two & held
                 two |= one & held
                 one |= held
-        holders = self[vertices] = three, four
+        holders = self[vertices] = one, two, three, four
         return holders
+
+    def meeting(self, vertices: int) -> int:
+        """The candidates holding 1 or more of these vertices, not kept."""
+        one = 0
+        while vertices:
+            low = vertices & -vertices
+            vertices ^= low
+            one |= self.has[low.bit_length() - 1]
+        return one
+
+    def end_leaves(self, mask_x: int, mask_y: int, children: int) -> int:
+        """For chosen X and Y with |X & Y| >= 3, the children C (bits) that
+        have a wide (C, X, Y) and whose pairs with Y, K(Y, C), no candidate
+        from C on misses.  A candidate D misses K(Y, C) only when D & Y or
+        D & C is empty, or both are one vertex x.  So C lies past the last
+        candidate that misses Y, has n - 3 or more vertices (no candidate
+        of 4 or more is disjoint from it), and meets D - Y for every D from
+        the first child on that meets Y once."""
+        one_y, two_y, _, _ = self[mask_y]
+        once = one_y & ~two_y & -(children & -children)
+        ends = children & self[mask_x][2] & self.big & -(1 << (self.every ^ one_y).bit_length())
+        meet = mask_x & mask_y
+        if ends and meet.bit_count() == 3:
+            # (C & X) | meet holds 4 or more only when C meets X - Y
+            ends &= self.meeting(mask_x ^ meet)
+        while ends and once:
+            d = once & -once
+            once ^= d
+            ends &= self.meeting(self.vertex_masks[d.bit_length() - 1] & ~mask_y)
+        return ends
 
 
 def max_weight_exact(
@@ -243,10 +288,16 @@ def max_weight_exact(
     Nodes with two chosen hyperedges, whose children are most of the
     nodes counted, run their own loop with the counters in locals; it
     counts and tests its children by popcounts of bitmasks taken for the
-    current best, and counts the wide middles of A and B that are leaves
-    by one mask.  That mask's holders are cached lazily per vertex mask
-    (_Holding), never at set-up: at most m entries of two m-bit masks, so
-    m^2/4 bytes (0.8 MB at n = 11, about 1 GB if ever filled at n = 16).
+    current best, and counts by one mask the leaves it can tell without
+    a lookup: the wide middles of A and B past the top bit of their
+    product's survivors, and, when |A & B| >= 3, the children whose wide
+    part holds K(B, C) or K(A, C) and that no open candidate can miss
+    (_Holding.end_leaves).  That mask's holders are cached lazily per
+    candidate vertex mask (_Holding), never at set-up: at most m entries
+    of four m-bit masks, so m^2/2 bytes (0.57 MB under tracemalloc when
+    filled at n = 10, 1.6 MB at n = 11, about 2 GB if ever filled at
+    n = 16); the smaller sets the rule asks about, A - B and D - B, are
+    not kept.
     The survivors of a mask are read off per-row tables, one entry per
     chunk of at most six vertices of a row (_Survivors), which peak at
     about 15 MB at n = CEILING_MAX_N.  The search's closures are unbound
@@ -272,7 +323,7 @@ def max_weight_exact(
     rising = [-bound for bound in suffix]  # ascending, for bisect
     survivors_of = _Survivors(cands, n)
     every = survivors_of.every
-    holding = _Holding(survivors_of.has)
+    holding = _Holding(survivors_of.has, vertex_masks)
     # a third-level child j past the first is open from j on, or from
     # j + 1 at max_mult 1, when the universe's last candidate has no open
     # candidate
@@ -395,9 +446,15 @@ def max_weight_exact(
         # leaves as no open candidate of theirs is among those; no wide
         # middle is (it holds a vertex of A and another of B), so those
         # before that bit keep it open
-        bulk = live & -(1 << survivors_ab.bit_length())
-        if bulk:
-            bulk &= holding[mask_a][0] & holding[mask_b][0] & holding[mask_a | mask_b][1]
+        middles = holding[mask_a][2] & holding[mask_b][2] & holding[mask_a | mask_b][3]
+        bulk = live & -(1 << survivors_ab.bit_length()) & middles
+        if ab_wide and live & ~middles:
+            # and the children with a narrow (A, C, B) whose wide (C, A, B)
+            # or (C, B, A) leaves no open candidate: their wide part holds
+            # K(B, C) or K(A, C).  end_leaves's C meet A and B, so leaving
+            # out the wide middles leaves a narrow (A, C, B)
+            bulk |= ~middles & (holding.end_leaves(mask_a, mask_b, live)
+                                | holding.end_leaves(mask_b, mask_a, live))
         rest = live  # the children not yet counted
         while True:
             # for this best, which only an entered child can raise: reach,

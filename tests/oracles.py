@@ -621,8 +621,9 @@ def max_weight_by_index_scan(n: int, max_mult: int = 3, pruned: bool = True,
     and distinct_closings, the distinct masks whose survivors the search
     builds: the pairs of A and B at each node of two hyperedges A, B that
     computes a mask, each of those ORed masks tried, the wide parts looked
-    up, and every computed mask but those of the nodes decided without
-    it."""
+    up but those of the end leaves (is_end_leaf, which the search decides
+    in bulk), and every computed mask but those of the nodes decided
+    without it."""
     cands = candidate_universe(n)
     pair_bits = candidate_pair_bits(n)
     vertex_masks = [sum(1 << v for v in c) for c in cands]
@@ -643,13 +644,14 @@ def max_weight_by_index_scan(n: int, max_mult: int = 3, pruned: bool = True,
     tally = {"closing_masks": 0, "expanded": 0, "wide_leaves": 0, "narrow_triples": 0}
     middle_leaves = []
     masks_seen = set()
+    first_child = 0  # of the last node of two hyperedges
 
     def is_open(j: int) -> bool:
         return used[j] < max_mult and not (first_level_orbit_reps and not chosen
                                            and not is_rep[j])
 
     def walk(min_idx: int, current_weight: int, parent: int) -> None:
-        nonlocal nodes
+        nonlocal nodes, first_child
         closing = None
         for j in range(min_idx, m):
             if pruned and current_weight + suffix[j] <= best["weight"]:
@@ -663,6 +665,7 @@ def max_weight_by_index_scan(n: int, max_mult: int = 3, pruned: bool = True,
                 tally["expanded"] += any(not pair_bits[i] & closing for i in open_)
                 if len(chosen) == 2:
                     masks_seen.add(end_pairs(*chosen_masks, n))
+                    first_child = j
                 middle_leaf = False
                 if len(chosen) >= 3:
                     *ends, mask_c = chosen_masks
@@ -678,7 +681,8 @@ def max_weight_by_index_scan(n: int, max_mult: int = 3, pruned: bool = True,
                     middle_leaves.append((tuple(chosen), sum(1 << i for i in open_)))
                     tally["wide_leaves"] += 1  # the search builds no survivors of closing
                 elif narrow and not any(not pair_bits[i] & wide for i in open_):
-                    masks_seen.add(wide)
+                    if not is_end_leaf(cands, n, *chosen, first_child):
+                        masks_seen.add(wide)
                     tally["wide_leaves"] += 1
                 else:
                     if narrow:
@@ -714,6 +718,32 @@ def is_wide(x: int, y: int, z: int) -> bool:
     more."""
     p, q = x & y, y & z
     return p.bit_count() >= 3 and q.bit_count() >= 3 and (p | q).bit_count() >= 4
+
+
+def is_end_leaf(cands: Sequence[Sequence[int]], n: int, a: int, b: int, c: int,
+                first: int) -> bool:
+    """Whether the third-level child c of chosen a and b (candidate
+    indices), at a node whose first child is first, is one whose wide part
+    the search never looks up: (A, C, B) is narrow, and for (X, Y) = (A, B)
+    or (B, A) the triple (C, X, Y) is wide, every candidate from C on
+    meets Y, C has n - 3 or more vertices, and C meets D - Y for every
+    candidate D from first on that meets Y in one vertex.  Then no
+    candidate from C on misses the pairs of Y and C, a part of C's wide
+    part, so C is a leaf."""
+    mask_a, mask_b, mask_c = (sum(1 << v for v in cands[i]) for i in (a, b, c))
+    if not (mask_a & mask_c and mask_c & mask_b) or is_wide(mask_a, mask_c, mask_b):
+        return False
+    set_c = set(cands[c])
+    if len(set_c) < n - 3:
+        return False
+    for x, y in ((mask_a, mask_b), (mask_b, mask_a)):
+        set_y = set(iter_bits(y))
+        if (is_wide(mask_c, x, y)
+                and all(set_y & set(d) for d in cands[c:])
+                and all(set_c & (set(d) - set_y) for d in cands[first:]
+                        if len(set_y & set(d)) == 1)):
+            return True
+    return False
 
 
 def end_pairs(x: int, z: int, n: int) -> int:

@@ -26,6 +26,8 @@ from oracles import (
     incremental_c4_check,
     max_weight_by_index_scan,
     candidate_pair_bits,
+    end_pairs,
+    is_wide,
     max_weight_by_multisets,
     survivors_by_candidate_scan,
     wide_pairs,
@@ -531,17 +533,17 @@ PINNED_SEARCH_COUNTS = {
     (5, 2, False, False): (45, 27, 6, 45),
     (5, 3, True, False): (35, 19, 5, 35),
     (5, 3, False, False): (55, 28, 7, 55),
-    (6, 1, True, False): (809, 144, 55, 769),
+    (6, 1, True, False): (809, 144, 40, 769),
     (6, 1, False, False): (1330, 232, 77, 1158),
     (6, 2, True, False): (1431, 209, 88, 1279),
     (6, 2, False, False): (1981, 275, 102, 1682),
-    (6, 3, True, False): (1580, 229, 92, 1381),
+    (6, 3, True, False): (1580, 229, 91, 1381),
     (6, 3, False, False): (2023, 276, 103, 1718),
-    (7, 1, True, True): (4738, 193, 591, 4381),
-    (7, 2, True, True): (5653, 213, 659, 5090),
-    (7, 3, True, True): (5847, 227, 683, 5236),
-    (7, 3, True, False): (40784, 2294, 1108, 30942),
-    (8, 3, True, True): (48725, 2037, 5588, 32477),
+    (7, 1, True, True): (4738, 193, 165, 4381),
+    (7, 2, True, True): (5653, 213, 196, 5090),
+    (7, 3, True, True): (5847, 227, 202, 5236),
+    (7, 3, True, False): (40784, 2294, 1101, 30942),
+    (8, 3, True, True): (48725, 2037, 5326, 32477),
 }
 
 
@@ -638,6 +640,72 @@ def test_survivors_set_up_at_the_ceiling_stays_in_tens_of_mb():
         tracemalloc.stop()
     assert peak < 24 * 2**20, peak
     assert cache[0] == cache.every == (1 << len(cands)) - 1
+
+
+@pytest.mark.parametrize("n", range(6, 10))
+def test_end_leaves_leave_no_candidate_open(n):
+    """The third-level children that _Holding.end_leaves marks, at seeded
+    nodes of chosen A and B (|A & B| >= 3) and seeded children from B's
+    index on, each have a wide (C, X, Y) for (X, Y) = (A, B) or (B, A),
+    and no candidate from C on misses the pairs of Y and C (the
+    every-candidate scan).  From n = 8 on, some children fail only the
+    n - 3 size prefix."""
+    rng = random.Random(20261020 + n)
+    cands = candidate_universe(n)
+    masks = [sum(1 << v for v in c) for c in cands]
+    m = len(cands)
+    pair_bits = candidate_pair_bits(n)
+    holding = bergefree.search._Holding(bergefree.search._Survivors(cands, n).has, masks)
+    nodes = marked = 0
+    while nodes < 150:
+        a, b = sorted(rng.choices(range(m), k=2))
+        if (masks[a] & masks[b]).bit_count() < 3:
+            continue
+        nodes += 1
+        low = rng.randrange(b, m)
+        children = sum(1 << j for j in range(low, m) if rng.random() < 0.8) | 1 << low
+        for x, y in ((masks[a], masks[b]), (masks[b], masks[a])):
+            ends = holding.end_leaves(x, y, children)
+            assert not ends & ~children, (n, a, b)
+            for c in iter_bits(ends):
+                marked += 1
+                assert is_wide(masks[c], x, y), (n, a, b, c)
+                missing = survivors_by_candidate_scan(pair_bits, end_pairs(y, masks[c], n))
+                assert not missing >> c, (n, a, b, c)
+    assert marked >= 50, marked
+    assert all(key.bit_count() >= 4 for key in holding), n
+
+
+def test_holding_at_n10_keeps_one_entry_per_candidate():
+    """_Holding keeps at most one entry per candidate's vertex mask (the
+    search looks up candidates and unions of two), four m-bit masks each,
+    so about m^2/2 bytes of masks.  At n = 10 (m = 848), filled for every
+    candidate and asked for the end leaves of seeded nodes, whose smaller
+    sets (A - B, D - B) it does not keep, it holds m entries and peaks
+    near 0.57 MB, under m^2 bytes."""
+    n = 10
+    cands = candidate_universe(n)
+    masks = [sum(1 << v for v in c) for c in cands]
+    m = len(cands)
+    has = bergefree.search._Survivors(cands, n).has
+    rng = random.Random(20261020)
+    tracemalloc.start()
+    try:
+        holding = bergefree.search._Holding(has, masks)
+        for mask in masks:
+            holding[mask]
+        nodes = 0
+        while nodes < 300:
+            a, b = sorted(rng.choices(range(m), k=2))
+            if (masks[a] & masks[b]).bit_count() >= 3:
+                nodes += 1
+                holding.end_leaves(masks[a], masks[b], holding.every)
+                holding.end_leaves(masks[b], masks[a], holding.every)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(holding) == m
+    assert peak < m * m, peak
 
 
 class _Raised(Exception):
