@@ -64,9 +64,8 @@ four classes by whether they lie in X, Y and Z, every a of a class has the
 same b, and one product of the class's spread with those b sets all of its
 rows of the n x n pair matrix.
 With exactly three hyperedges the loops reduce to three triples; the
-search's third level, a loop of its own, takes them inline, with the
-product of a triple's ends in place of the call when no exclusion is
-forced.
+search's third level, a loop of its own, makes those three guarded calls
+inline.
 Every witness a search returns is re-validated against the definition
 before it is handed out.
 """

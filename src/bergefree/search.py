@@ -60,22 +60,18 @@ set's top bit are leaves: one mask counts them without a walk, the
 candidates holding 3 or more vertices of A and of B and 4 or more of
 their union, from a bit-sliced counter over the per-vertex candidate
 masks, kept per vertex mask for the call (_Holding).  When |A & B| >= 3
-the mask also takes the children C with a narrow (A, C, B) and a wide
-(C, A, B), whose pairs K(B, C) (B's pairs with C) are part of C's wide
-part.  A candidate misses K(B, C) only when it misses B or C, or meets
-both in one same vertex, which _Holding.end_leaves rules out for every
-open candidate of C at once; the same with A and B swapped for a wide
-(C, B, A).  At n = 7 with orbit reps and max_mult 3 the loop then walks
-601 of the 2,523 children it walked before, the all-narrow ones.  The
+the mask also takes the children C with a narrow (A, C, B) (its middle
+meets both ends, but it is not wide) and a wide (C, A, B), whose pairs
+K(B, C) (B's pairs with C) are part of C's closing mask.  A candidate
+misses K(B, C) only when it misses B or C, or meets both in one same
+vertex, which _Holding.end_leaves rules out for every open candidate of
+C at once; the same with A and B swapped for a wide (C, B, A).  The
 node computes A & B, the product of A and B and that product's
 survivors once, for all its children, and each other child's mask is
-built inline: the child first ORs its wide triples alone, and when some
-triple is narrow (its middle meets both ends, but it is not wide), it
-looks up the survivors of that wide part before berge._triple_pairs is
-called for the narrow ones.  At n = 6, and at n = 7 with orbit reps, the
-product of A and B decides about 57% of the third-level children and
-the wide parts a further 30%.  Deeper masks come from the two index
-loops of berge._closing_pairs.  Every candidate's vertex mask and spread
+three guarded calls of berge._triple_pairs, one per triple whose middle
+meets both ends, the calls berge._closing_pairs makes for three
+hyperedges.  Deeper masks come from the two index loops of
+berge._closing_pairs.  Every candidate's vertex mask and spread
 (bit a*n for each vertex a, which the kernels multiply by vertex masks
 to fill rows of the pair matrix) and the per-row tables are computed
 once, before the walk.
@@ -106,12 +102,13 @@ class SearchResult:
     expanded the nodes entered with an open surviving candidate (the root
     among them), distinct_closings the masks whose survivors were built,
     which is the size of the call's survivors cache (whole closing masks,
-    and the wide parts of children, but not of the third-level children
-    decided in bulk, which look up nothing), and wide_leaves the children
-    that the survivors of a wide part alone showed to be leaves, whose
-    whole mask was never built: the wide middles of two chosen hyperedges
-    at any depth, and at the third level the children whose wide triples
-    together leave no open candidate.
+    and the node's mask ORed with the product of two chosen hyperedges,
+    tried for their wide middles), and wide_leaves the children that the
+    pairs of one wide triple alone showed to be leaves, whose whole mask
+    was never built: the wide middles of two chosen hyperedges at any
+    depth, and at the third level the children C with a wide (C, A, B)
+    or (C, B, A) whose pairs, K(B, C) or K(A, C), no open candidate can
+    miss (_Holding.end_leaves).
     """
 
     n: int
@@ -279,12 +276,9 @@ def max_weight_exact(
     set.  A child that is the wide middle of two chosen hyperedges is
     first tested against the survivors of its parent's mask ORed with
     their product.  With three hyperedges the mask is the child's three
-    triples, built inline from what its parent computed once for all its
-    children (A & B, its size, and the product of A and B); a wide triple
-    takes the product of its two ends in place of berge._triple_pairs, and
-    when some triple is narrow, the survivors of the wide triples alone
-    are looked up first and may show the child to be a leaf (see the
-    module docstring).
+    triples, one guarded berge._triple_pairs call each, next to what its
+    parent computed once for all its children (A & B, and the product of
+    A and B with its survivors; see the module docstring).
     Nodes with two chosen hyperedges, whose children are most of the
     nodes counted, run their own loop with the counters in locals; it
     counts and tests its children by popcounts of bitmasks taken for the
@@ -416,13 +410,12 @@ def max_weight_exact(
         nonlocal nodes, closing_masks, expanded, wide_leaves, best_weight, best_multiset
         expanded += 1
         # shared by every child C: the ends A and B, A & B, and the pairs
-        # of the triple (A, C, B) when it is wide
+        # of the triple (A, C, B) when it is wide, with their survivors
         mask_a, mask_b = chosen_masks
         spread_a, spread_b = chosen_spreads
         meet_ab = mask_a & mask_b
         ab_wide = meet_ab.bit_count() >= 3
         pairs_ab = spread_b * mask_a | spread_a * mask_b
-        # the survivors of those pairs, for every C that is a wide middle
         survivors_ab = survivors_of[pairs_ab & off_diagonal]
         counted, tested, leaves, best = nodes, closing_masks, wide_leaves, best_weight
         # the first child is the only one whose own weight can raise best
@@ -450,9 +443,9 @@ def max_weight_exact(
         bulk = live & -(1 << survivors_ab.bit_length()) & middles
         if ab_wide and live & ~middles:
             # and the children with a narrow (A, C, B) whose wide (C, A, B)
-            # or (C, B, A) leaves no open candidate: their wide part holds
-            # K(B, C) or K(A, C).  end_leaves's C meet A and B, so leaving
-            # out the wide middles leaves a narrow (A, C, B)
+            # or (C, B, A) leaves no open candidate: C's mask holds its
+            # pairs, K(B, C) or K(A, C).  end_leaves's C meet A and B, so
+            # leaving out the wide middles leaves a narrow (A, C, B)
             bulk |= ~middles & (holding.end_leaves(mask_a, mask_b, live)
                                 | holding.end_leaves(mask_b, mask_a, live))
         rest = live  # the children not yet counted
@@ -480,47 +473,18 @@ def max_weight_exact(
                 mask_c = vertex_masks[j]
                 spread_c = spreads[j]
                 # the triples with C, A or B as the middle, each when its
-                # middle meets both ends.  A wide triple's pairs are the
-                # product of its ends; the narrow ones, set in narrow, wait
-                # until the wide part has failed to decide C
+                # middle meets both ends: berge._closing_pairs of A, B, C
                 meet_ac = mask_a & mask_c
                 meet_bc = mask_b & mask_c
-                ac_wide = meet_ac.bit_count() >= 3
-                bc_wide = meet_bc.bit_count() >= 3
-                child = narrow = 0
+                child = 0
                 if meet_ac and meet_bc:
-                    if ac_wide and bc_wide and (meet_ac | meet_bc).bit_count() >= 4:
-                        # not in bulk, so before the top bit of
-                        # survivors_ab, which C leaves open
-                        child = pairs_ab
-                    else:
-                        narrow = 1
+                    child = _triple_pairs(mask_a, spread_a, mask_c, spread_c, mask_b, spread_b)
                 if meet_ab:
                     if meet_ac:
-                        if ab_wide and ac_wide and (meet_ac | meet_ab).bit_count() >= 4:
-                            child |= spread_b * mask_c | spread_c * mask_b
-                        else:
-                            narrow |= 2
-                    if meet_bc:
-                        if ab_wide and bc_wide and (meet_bc | meet_ab).bit_count() >= 4:
-                            child |= spread_a * mask_c | spread_c * mask_a
-                        else:
-                            narrow |= 4
-                child &= off_diagonal
-                if narrow:
-                    # the wide part is a subset of the whole mask, so when
-                    # no open candidate survives it, none survives the
-                    # whole mask and C is a leaf
-                    if not survivors_of[child] & open_:
-                        leaves += 1
-                        continue
-                    if narrow & 1:
-                        child |= _triple_pairs(mask_a, spread_a, mask_c, spread_c, mask_b, spread_b)
-                    if narrow & 2:
                         child |= _triple_pairs(mask_c, spread_c, mask_a, spread_a, mask_b, spread_b)
-                    if narrow & 4:
+                    if meet_bc:
                         child |= _triple_pairs(mask_c, spread_c, mask_b, spread_b, mask_a, spread_a)
-                    child &= off_diagonal
+                child &= off_diagonal
                 child_live = survivors_of[child] & open_
                 if not child_live:
                     continue

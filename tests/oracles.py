@@ -10,7 +10,8 @@ against one n^2-bit closing mask (greedy_by_spread_product), the same
 mask built one shifted row per end vertex a (closing_pairs_by_vertex_loop, which the
 library's class products must equal bit for bit), the exact search's
 third level as three calls of _triple_pairs (closing_pairs_of_three),
-the pairs of its wide triples set pair by pair (wide_pairs), the scan of
+the pairs of its wide triples set pair by pair (wide_pairs), the count
+of its calls (meeting_triples), the scan of
 every candidate's pair bits that built its survivors before they were read
 off per-pair masks (survivors_by_candidate_scan), and the directed
 patterns F1 and F2 of the K_{5,5} argument's endgame with the arc
@@ -612,18 +613,14 @@ def max_weight_by_index_scan(n: int, max_mult: int = 3, pruned: bool = True,
     whose last, C, is the middle of a wide triple (X, C, Z) of two earlier
     ones (is_wide) where no open candidate misses the parent's mask ORed
     with the pairs of X and Z (end_pairs), the pairs tried in index order
-    up to the first that decides; wide_leaves, those and the other nodes
-    of three hyperedges with a narrow triple (one whose middle meets both
-    ends, but not in 3 and 3 and 4 vertices) where no open candidate
-    misses the pairs of their wide triples alone (wide_pairs);
-    narrow_triples, the narrow triples of the nodes of three hyperedges
-    that neither decides, which the search hands to berge._triple_pairs;
-    and distinct_closings, the distinct masks whose survivors the search
-    builds: the pairs of A and B at each node of two hyperedges A, B that
-    computes a mask, each of those ORed masks tried, the wide parts looked
-    up but those of the end leaves (is_end_leaf, which the search decides
-    in bulk), and every computed mask but those of the nodes decided
-    without it."""
+    up to the first that decides; wide_leaves, those and the end leaves
+    (is_end_leaf) among the nodes of three hyperedges; triple_calls, for
+    each node of three hyperedges that neither decides, its triples whose
+    middle meets both ends (meeting_triples), one berge._triple_pairs call
+    each in the search; and distinct_closings, the distinct masks whose
+    survivors the search builds: the pairs of A and B at each node of two
+    hyperedges A, B that computes a mask, each of those ORed masks tried,
+    and every computed mask but those of the nodes decided without it."""
     cands = candidate_universe(n)
     pair_bits = candidate_pair_bits(n)
     vertex_masks = [sum(1 << v for v in c) for c in cands]
@@ -641,7 +638,7 @@ def max_weight_by_index_scan(n: int, max_mult: int = 3, pruned: bool = True,
     chosen_spreads: list[int] = []
     best = {"weight": 0, "multiset": ()}
     nodes = 0
-    tally = {"closing_masks": 0, "expanded": 0, "wide_leaves": 0, "narrow_triples": 0}
+    tally = {"closing_masks": 0, "expanded": 0, "wide_leaves": 0, "triple_calls": 0}
     middle_leaves = []
     masks_seen = set()
     first_child = 0  # of the last node of two hyperedges
@@ -676,19 +673,15 @@ def max_weight_by_index_scan(n: int, max_mult: int = 3, pruned: bool = True,
                             if not any(not pair_bits[i] & middle for i in open_):
                                 middle_leaf = True
                                 break
-                wide, narrow = wide_pairs(chosen_masks, n) if len(chosen) == 3 else (0, 0)
                 if middle_leaf:
                     middle_leaves.append((tuple(chosen), sum(1 << i for i in open_)))
                     tally["wide_leaves"] += 1  # the search builds no survivors of closing
-                elif narrow and not any(not pair_bits[i] & wide for i in open_):
-                    if not is_end_leaf(cands, n, *chosen, first_child):
-                        masks_seen.add(wide)
+                elif len(chosen) == 3 and is_end_leaf(cands, n, *chosen, first_child):
                     tally["wide_leaves"] += 1
                 else:
-                    if narrow:
-                        masks_seen.add(wide)
                     masks_seen.add(closing)
-                    tally["narrow_triples"] += narrow
+                    if len(chosen) == 3:
+                        tally["triple_calls"] += meeting_triples(chosen_masks)
             if pair_bits[j] & closing:
                 continue
             nodes += 1
@@ -723,13 +716,13 @@ def is_wide(x: int, y: int, z: int) -> bool:
 def is_end_leaf(cands: Sequence[Sequence[int]], n: int, a: int, b: int, c: int,
                 first: int) -> bool:
     """Whether the third-level child c of chosen a and b (candidate
-    indices), at a node whose first child is first, is one whose wide part
-    the search never looks up: (A, C, B) is narrow, and for (X, Y) = (A, B)
+    indices), at a node whose first child is first, is one the search
+    decides in bulk: (A, C, B) is narrow, and for (X, Y) = (A, B)
     or (B, A) the triple (C, X, Y) is wide, every candidate from C on
     meets Y, C has n - 3 or more vertices, and C meets D - Y for every
     candidate D from first on that meets Y in one vertex.  Then no
-    candidate from C on misses the pairs of Y and C, a part of C's wide
-    part, so C is a leaf."""
+    candidate from C on misses the pairs of Y and C, a part of C's
+    closing mask, so C is a leaf."""
     mask_a, mask_b, mask_c = (sum(1 << v for v in cands[i]) for i in (a, b, c))
     if not (mask_a & mask_c and mask_c & mask_b) or is_wide(mask_a, mask_c, mask_b):
         return False
@@ -772,6 +765,19 @@ def wide_pairs(masks: Sequence[int], n: int) -> tuple[int, int]:
         else:
             narrow += 1
     return wide, narrow
+
+
+def meeting_triples(masks: Sequence[int]) -> int:
+    """For three hyperedges, the triples whose middle meets both of its
+    ends, each of the three the middle once: the _triple_pairs calls the
+    exact search's third level makes for a child it does not decide in
+    bulk."""
+    count = 0
+    for mid in range(3):
+        y = masks[mid]
+        x, z = (masks[i] for i in range(3) if i != mid)
+        count += bool(x & y and y & z)
+    return count
 
 
 def candidate_pair_bits(n: int) -> list[int]:
@@ -1517,9 +1523,8 @@ def closing_pairs_of_three(mask_a: int, spread_a: int, mask_b: int, spread_b: in
     off_diagonal = ~_diagonal(n) passed in.  The two index loops there
     reduce to three triples: C as the middle with ends A and B, and A or B
     as the middle with C and the other as ends, each when its middle meets
-    both ends.  This is the exact search's third level as one call of
-    _triple_pairs per triple, before that level took the shared A & B and
-    the rich triples' products inline.
+    both ends.  The exact search's third level makes the same three
+    guarded calls inline.
     """
     closing = 0
     meet_ab = mask_a & mask_b
