@@ -570,8 +570,8 @@ def _closing_pairs(masks: Sequence[int], spreads: Sequence[int], n: int) -> int:
     candidates that hold none of its pairs off per-row tables of the
     candidates holding each subset of a chunk of a row's pairs
     (search._Survivors), and the generator splits it into rows of n bits,
-    one per vertex a, and tests a draw's vertex mask against the row of
-    each of its vertices.
+    one per vertex a, and tests a draw's vertex mask against the OR of its
+    vertices' rows.
 
     A triple (X, Y, Z) closes pairs only when Y meets both ends, so two
     index loops visit each triple through the last mask once: the last

@@ -294,8 +294,12 @@ def weight(hypergraph: Hypergraph) -> int:
 # ---------------------------------------------------------------------------
 
 def dumps_canonical(doc: dict) -> str:
-    """Single-line canonical JSON, trailing newline; byte-stable."""
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    """Single-line canonical JSON, trailing newline; byte-stable.
+
+    Every document the package encodes is built fresh from dicts, lists,
+    strings and numbers and never contains itself, so the encoder skips
+    its reference-cycle check (the bytes are the same)."""
+    return json.dumps(doc, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def loads_document(text: str) -> object:

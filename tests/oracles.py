@@ -1293,7 +1293,8 @@ def is_prime_by_trial_division(q: int, primes: list[int]) -> bool:
 def greedy_by_full_recheck(n: int, size_range: tuple[int, int], trials: int, rng) -> Hypergraph:
     """The greedy generator's draws, keeping each candidate only when the
     whole hypergraph with it added passes a full Berge-C4 check by the
-    detector."""
+    detector.  It draws with rng.randint and rng.sample, which the
+    generator's getrandbits draws must equal call for call."""
     kept: tuple[frozenset[int], ...] = ()
     for _ in range(trials):
         size = rng.randint(*size_range)
@@ -1308,7 +1309,9 @@ def greedy_by_spread_product(n: int, size_range: tuple[int, int], trials: int, r
     one running closing-pair mask, as the generator did before it held
     the mask as per-vertex rows: spread * mask sets bit a*n + b for every
     a and b of the draw (a = b too, but the mask's diagonal is clear), and
-    each keep ORs in _closing_pairs of the kept masks and spreads."""
+    each keep ORs in _closing_pairs of the kept masks and spreads.  It
+    draws with rng.randint and rng.sample, which the generator's
+    getrandbits draws must equal call for call."""
     bit = [1 << v for v in range(n)]
     kept: list[list[int]] = []
     masks: list[int] = []
@@ -1541,7 +1544,8 @@ def closing_pairs_of_three(mask_a: int, spread_a: int, mask_b: int, spread_b: in
 def greedy_by_search_state(n: int, size_range: tuple[int, int], trials: int, rng) -> Hypergraph:
     """The greedy generator's draws, keeping each candidate that no pair
     of its closes with three kept hyperedges by the path walk of
-    _closes_c4 on a SearchState."""
+    _closes_c4 on a SearchState.  It draws with rng.randint and rng.sample,
+    which the generator's getrandbits draws must equal call for call."""
     state = SearchState(n)
     for _ in range(trials):
         size = rng.randint(*size_range)

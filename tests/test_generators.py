@@ -65,6 +65,40 @@ def test_greedy_generator_matches_spread_product_oracle(case):
         assert dumps_canonical(got.to_json_dict()) == dumps_canonical(expected.to_json_dict())
 
 
+# (n, size_range, trials) around each branch of the stdlib's draws.  sample
+# swaps through a pool when n <= setsize, else redraws into a set: setsize is
+# 21 for sizes up to 5 and 85 for sizes 6..8.  randint redraws getrandbits
+# at the width's bit length, so a width of 4 (a power of two) rejects half
+# its draws and a width of 5 three eighths.
+STDLIB_DRAW_CASES = {
+    "pool_n21": (21, (2, 5), 60),
+    "set_n22": (22, (2, 5), 60),
+    "pool_size6_n85": (85, (6, 6), 40),
+    "set_size6_n86": (86, (6, 6), 40),
+    "lo_eq_hi": (30, (5, 5), 40),
+    "width4": (40, (4, 7), 60),
+    "width5": (40, (4, 8), 60),
+    "three_trials": (50, (2, 50), 3),  # three draws are always kept
+    "no_trials": (30, (4, 8), 0),
+}
+
+
+@pytest.mark.parametrize("case", STDLIB_DRAW_CASES)
+def test_greedy_draws_equal_randint_and_sample(case):
+    """The generator draws from rng.getrandbits alone, but keeps the rows a
+    twin random.Random drawing with randint + sample keeps, and leaves the
+    rng it was passed in the twin's state: the same getrandbits calls, in
+    the same order."""
+    n, size_range, trials = STDLIB_DRAW_CASES[case]
+    for seed in range(6):
+        rng, twin = random.Random(seed), random.Random(seed)
+        got = bf.random_greedy_hypergraph(n, size_range, trials=trials, rng=rng)
+        expected = greedy_by_spread_product(n, size_range, trials, twin)
+        assert got.hyperedges == expected.hyperedges, (case, seed)
+        assert rng.getstate() == twin.getstate(), (case, seed)
+        assert got == bf.random_greedy_hypergraph(n, size_range, trials=trials, rng=seed)
+
+
 def test_greedy_memory_grows_with_the_kept_hyperedges_not_with_n_cubed():
     """The generator holds n rows of n bits (the closing pairs), plus one
     vertex mask and one n^2-bit spread (bit v*n per vertex v) per kept
