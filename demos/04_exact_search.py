@@ -28,9 +28,8 @@ for n in (4, 5, 6):
 
 # Work counters: every node is counted, but only nodes with a surviving
 # open candidate are entered; each closing mask tested decides one child,
-# the wide leaves are the children decided by the pairs of one wide triple
-# alone (most of them the wide middles of two chosen hyperedges, the
-# third level's counted by one mask), and the distinct masks (whole masks,
+# the wide leaves are the children in a node's bulk-leaf mask, decided by
+# the pairs of one wide triple alone, and the distinct masks (whole masks,
 # and a node's mask plus the pairs of two chosen hyperedges, tried for
 # their wide middles) are the size of the search's survivors cache.
 print(f"\n{'n':>2} {'nodes':>7} {'expanded':>8} {'masks':>7} {'wide':>5} {'distinct':>8}")

@@ -50,22 +50,20 @@ reaches, over only the hyperedges near where the walk starts.
    the one SDR engine.
 
 One mask engine serves the exact search and the greedy generator:
-_closing_pairs finds, from vertex masks and their spreads (bit a*n for each
-vertex a), the pairs {a, b} that close a Berge-C4 with a triple (X, Y, Z) of
-distinct hyperedges through the newest one (b in X, a in Z, room for v3 in
-X & Y and v4 in Y & Z, distinct and outside {a, b}).  The search ORs them
-into its running mask and tests each candidate with one AND; the generator
-folds them into one row of n bits per vertex a and tests a draw against the
-rows of its vertices.  Two index loops visit each such triple once, the
-newest hyperedge as its middle or as an end, and each triple is one
-straight-line call of _triple_pairs, which sets the triple's pairs both
-ways round.  There is no loop over vertices: the a of a triple fall into
-four classes by whether they lie in X, Y and Z, every a of a class has the
-same b, and one product of the class's spread with those b sets all of its
-rows of the n x n pair matrix.
-With exactly three hyperedges the loops reduce to three triples; the
-search's third level, a loop of its own, makes those three guarded calls
-inline.
+_triple_pairs finds, from the vertex masks and spreads (bit a*n for each
+vertex a) of a triple (X, Y, Z) of distinct hyperedges, the pairs {a, b}
+that close a Berge-C4 with it (b in X, a in Z, room for v3 in X & Y and
+v4 in Y & Z, distinct and outside {a, b}), both ways round.  There is no
+loop over vertices: the a of a triple fall into four classes by whether
+they lie in X, Y and Z, every a of a class has the same b, and one
+product of the class's spread with those b sets all of its rows of the
+n x n pair matrix.  _closing_pairs ORs the triples through the newest
+hyperedge, visited once each by two index loops, the newest as the
+middle or as an end.  Only the generator calls it: it folds the pairs
+into one row of n bits per vertex a and tests a draw against the rows of
+its vertices.  The search makes the same _triple_pairs calls itself, per
+pair of chosen hyperedges, ORs them into its running mask and tests each
+candidate with one AND; the tests check its masks against _closing_pairs.
 Every witness a search returns is re-validated against the definition
 before it is handed out.
 """
@@ -566,12 +564,12 @@ def _closing_pairs(masks: Sequence[int], spreads: Sequence[int], n: int) -> int:
     vertex masks and spreads (spreads[i] has bit a*n for each bit a of
     masks[i]): bits a*n + b and b*n + a (a != b) are set iff a hyperedge
     holding a and b closes one.  ORed into the pairs the earlier masks
-    close alone, it gives every closing pair: the search reads the
-    candidates that hold none of its pairs off per-row tables of the
-    candidates holding each subset of a chunk of a row's pairs
-    (search._Survivors), and the generator splits it into rows of n bits,
-    one per vertex a, and tests a draw's vertex mask against the OR of its
-    vertices' rows.
+    close alone, it gives every closing pair.  The greedy generator is its
+    one caller: it splits the mask into rows of n bits, one per vertex a,
+    and tests a draw's vertex mask against the OR of its vertices' rows.
+    The exact search makes the same _triple_pairs calls per pair of chosen
+    hyperedges in its own loop, and the tests use this function as the
+    reference for the search's masks.
 
     A triple (X, Y, Z) closes pairs only when Y meets both ends, so two
     index loops visit each triple through the last mask once: the last

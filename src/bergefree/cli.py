@@ -18,10 +18,9 @@ a walk deeper than the interpreter's stack (RecursionError: the closed walk
 recurses once per step, so a --k near 1000 can reach it) or a run out of
 memory (MemoryError).  The commands are straight-line code: main is the one
 place that turns OSError, ValueError (FormatError included), RecursionError,
-MemoryError and OverflowError into exit 2 with one stderr line.  The
-argument checks that word their own message (bounds' --n, lemmas' --sample
-and LEMMAS_MAX_N) return exit 2 themselves, and an AssertionError from a
-library self-check stays a traceback: it is a bug, not an input error.
+MemoryError and OverflowError into exit 2 with one stderr line.  An
+AssertionError from a library self-check stays a traceback: it is a bug,
+not an input error.
 """
 
 from __future__ import annotations
@@ -154,11 +153,11 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 def cmd_lemmas(args: argparse.Namespace) -> int:
     if args.sample is not None and args.sample < 0:
-        return _fail(f"--sample must be >= 0, got {args.sample}")
+        raise ValueError(f"--sample must be >= 0, got {args.sample}")
     hypergraph = load_hypergraph(args.input)
     if args.sample is None and hypergraph.n > LEMMAS_MAX_N:
-        return _fail(f"n={hypergraph.n} is above {LEMMAS_MAX_N}, the largest n construct "
-                     f"writes; check a sample of vertices with --sample")
+        raise ValueError(f"n={hypergraph.n} is above {LEMMAS_MAX_N}, the largest n construct "
+                         f"writes; check a sample of vertices with --sample")
     vertices = None
     if args.sample is not None:
         rng = random.Random(args.seed)
@@ -245,18 +244,18 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     try:
         values = [int(part) for part in args.n.split(",") if part != ""]
     except ValueError:
-        return _fail(f"--n wants a comma-separated integer list, got {args.n!r}")
+        raise ValueError(f"--n wants a comma-separated integer list, got {args.n!r}") from None
     if not values:
-        return _fail(f"--n wants at least one vertex count, got {args.n!r}")
+        raise ValueError(f"--n wants at least one vertex count, got {args.n!r}")
     for n in values:
         if n < 0:
-            return _fail(f"n must be >= 0, got {n}")
+            raise ValueError(f"n must be >= 0, got {n}")
     rows = []
     for n in values:  # every row is computed before anything is printed
         try:
             rows.append(_bounds_row(n))
         except ValueError as exc:
-            return _fail(f"n={n}: {exc}")
+            raise ValueError(f"n={n}: {exc}") from None
     print("asymptotic comparators (o(1) terms dropped)", file=sys.stderr)
     header = f"{'n':>6} {'upper':>12} {'lower':>12} {'exact':>7} {'construction':>13} {'ratio':>8}"
     print(header)

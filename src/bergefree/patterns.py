@@ -3,8 +3,9 @@
 The K_{2,7} and K_{5,5} freeness checks ask whether a simple graph
 contains a K_{s,t}.  Containment is non-induced: any occurrence violates
 the freeness claims, induced or not.  Both checks run one engine over
-adjacency rows: the global check on a Graph's adjacency masks, the
-per-vertex check on the G'_aux rows the lemma suite computes.  A C4 is a
+adjacency rows (_kst_in_rows): the global K_{2,7} check on the
+projection's row dict (embedding._projection), the per-vertex K_{5,5}
+check on the G'_aux rows the lemma suite computes.  A C4 is a
 K_{2,2}, so berge.find_c4_in_graph, the graph scan of the blow-up
 certificate, runs the same engine with s = t = 2.
 

@@ -12,9 +12,9 @@ ordered triple (X, Y, Z) of distinct chosen hyperedges has b in X, a in Z,
 and a v3 in X & Y and a v4 in Y & Z that are distinct and outside {a, b}.
 That set of closing pairs does not depend on the candidate, so it is one
 mask per node: its parent's mask ORed with the pairs closed by triples
-through its own hyperedge (berge._closing_pairs).  The candidates whose
-pairs all miss a closing mask, its survivors, form one bitmask over the
-universe: every candidate but those that hold one of its pairs.  Those
+through its own hyperedge.  The candidates whose pairs all miss a closing
+mask, its survivors, form one bitmask over the universe: every candidate
+but those that hold one of its pairs.  Those
 holders are read off per-row tables: for each vertex a and each chunk of
 at most six later vertices b, one entry per subset of the chunk holds the
 OR over the subset's b of the candidates holding a and b, so a mask costs
@@ -29,52 +29,52 @@ pushed: the parent runs the child's bound test, computes the child's
 closing mask and looks up its survivors, and pushes and enters the child
 only when some open candidate survives, so a node with no child is
 counted but never entered (most children at depth 3 are such leaves).
-Fewer than three hyperedges close nothing, so the first two levels skip
-the mask.  A triple is wide when its middle meets each end in 3 or more
-vertices, and the two ends together in 4 or more: it forces no
-exclusion, so its pairs are the product of its two ends (more than half
-of the triples at n <= 7).  The survivors of any part of a child's mask
-hold every survivor of the whole mask, which only adds pairs, so when no
-open candidate is among them the child is a leaf, decided without its
-whole mask.  A child C that is the wide middle of two chosen hyperedges
-X and Z has the node's mask ORed with the product of X and Z as such a
-part, the same for every such child, so the node looks up its survivors
-once per pair (X, Z) and tests each such child with one AND before
-anything else (the third level decides them all with one mask, below).
-The third hyperedge C closes pairs through three triples of it and the
-chosen A and B, with C, A or B as the middle.  A node with two chosen
-hyperedges runs its own loop, third_level (its children are most of the
-nodes counted, 5,831 of 6,058 at n = 7 with orbit reps), with the
-counters and the best weight in locals, written back before it enters a
-child and when it returns.  It tests no child's bound, weight or copies
-one by one: past the first child, no child's own weight can raise best
-(weights never grow with the index), and its own bound is never below
-the node's, suffix[j], which never grows with j.  So for one best the
-children counted are those below one threshold (a bisect over suffix),
-those tested are all of them with an open candidate, and the counters
-grow by popcounts; both sets are taken again only after an entered child
-returns.  The first child keeps its best update, and its own bound when
-it is B with no copy left.  No wide middle of A and B is among the
-survivors of their product (it holds a pair of it), and those past that
-set's top bit are leaves: one mask counts them without a walk, the
-candidates holding 3 or more vertices of A and of B and 4 or more of
-their union, from a bit-sliced counter over the per-vertex candidate
-masks, kept per vertex mask for the call (_Holding).  When |A & B| >= 3
-the mask also takes the children C with a narrow (A, C, B) (its middle
-meets both ends, but it is not wide) and a wide (C, A, B), whose pairs
-K(B, C) (B's pairs with C) are part of C's closing mask.  A candidate
-misses K(B, C) only when it misses B or C, or meets both in one same
-vertex, which _Holding.end_leaves rules out for every open candidate of
-C at once; the same with A and B swapped for a wide (C, B, A).  The
-node computes A & B, the product of A and B and that product's
-survivors once, for all its children, and each other child's mask is
-three guarded calls of berge._triple_pairs, one per triple whose middle
-meets both ends, the calls berge._closing_pairs makes for three
-hyperedges.  Deeper masks come from the two index loops of
-berge._closing_pairs.  Every candidate's vertex mask and spread
-(bit a*n for each vertex a, which the kernels multiply by vertex masks
-to fill rows of the pair matrix) and the per-row tables are computed
-once, before the walk.
+Fewer than three hyperedges close nothing, so the root and the first
+level (walk) skip the mask.  Every node with two or more chosen
+hyperedges runs one loop (node); its children are most of the nodes
+counted (5,831 of 6,058 at n = 7 with orbit reps).  Its parent hands it
+its closing mask and its chosen pairs, (X, spread X, Z, spread Z, X & Z,
+the wide middles of X and Z) for each two chosen hyperedges X before Z,
+and an entered child appends (X, C) for each earlier X.  Per pair (X, Z), a child C closes pairs
+through three triples, each when its middle meets both ends: (X, C, Z)
+when C meets X and Z, and (C, X, Z) / (C, Z, X) when X meets Z and C
+meets X / Z.  These are the triples berge._closing_pairs visits, so C's
+closing mask is the node's ORed with three guarded berge._triple_pairs
+calls per pair.
+The loop keeps its counters and the best weight in locals, written back
+before it enters a child and when it returns.  It tests no child's
+bound, weight or copies one by one: past the first child, no child's own
+weight can raise best (weights never grow with the index), and its own
+bound is never below the node's, suffix[j], which never grows with j.
+So for one best the children counted are those below one threshold (a
+bisect over suffix), those tested are all of them with an open
+candidate, and the counters grow by popcounts; both sets are taken again
+only after an entered child returns.  The first child keeps its best
+update, and its own bound when it is the last chosen hyperedge with no
+copy left.
+A triple is wide when its middle meets each end in 3 or more vertices,
+and the two ends together in 4 or more: it forces no exclusion, so its
+pairs are the product of its two ends.  The survivors of any part of a
+child's mask hold every survivor of the whole mask, which only adds
+pairs, so when no open candidate is among them the child is a leaf,
+decided without its whole mask.  Per pair (X, Z), the node ORs two sets
+of such leaves into one bulk-leaf mask, counted without a walk:
+- The wide middles of X and Z past the top bit of the survivors of the
+  node's mask ORed with the product of X and Z.  No wide middle is among
+  those survivors (it holds a pair of the product), so past that bit none
+  has an open survivor.  The wide middles are the candidates holding 3 or
+  more vertices of X and of Z and 4 or more of their union, from a
+  bit-sliced counter over the per-vertex candidate masks, kept per vertex
+  mask for the call (_Holding).
+- When |X & Z| >= 3, the children C with a narrow (X, C, Z) (its middle
+  meets both ends, but it is not wide) and a wide (C, X, Z), whose pairs
+  K(Z, C) (Z's pairs with C) are part of C's closing mask.  A candidate
+  misses K(Z, C) only when it misses Z or C, or meets both in one same
+  vertex, which _Holding.end_leaves rules out for every open candidate of
+  C at once; the same with X and Z swapped for a wide (C, Z, X).
+Every candidate's vertex mask and spread (bit a*n for each vertex a,
+which the kernels multiply by vertex masks to fill rows of the pair
+matrix) and the per-row tables are computed once, before the walk.
 The first optimum reached in this preorder is the lexicographically least
 one under the canonical order, so results and witnesses are deterministic.
 """
@@ -85,7 +85,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
-from .berge import _closing_pairs, _diagonal, _triple_pairs, is_berge_c4_free
+from .berge import _diagonal, _triple_pairs, is_berge_c4_free
 from .core import Hypergraph, _mask
 
 
@@ -102,13 +102,13 @@ class SearchResult:
     expanded the nodes entered with an open surviving candidate (the root
     among them), distinct_closings the masks whose survivors were built,
     which is the size of the call's survivors cache (whole closing masks,
-    and the node's mask ORed with the product of two chosen hyperedges,
-    tried for their wide middles), and wide_leaves the children that the
-    pairs of one wide triple alone showed to be leaves, whose whole mask
-    was never built: the wide middles of two chosen hyperedges at any
-    depth, and at the third level the children C with a wide (C, A, B)
-    or (C, B, A) whose pairs, K(B, C) or K(A, C), no open candidate can
-    miss (_Holding.end_leaves).
+    and a node's mask ORed with the product of two chosen hyperedges of
+    which a live child is a wide middle), and wide_leaves the children in
+    a node's bulk-leaf mask: those that the pairs of one wide triple alone
+    showed to be leaves, whose whole mask was never built (the wide
+    middles of two chosen hyperedges, and the children whose wide part
+    K(Z, C) or K(X, C) no open candidate can miss; see the module
+    docstring).
     """
 
     n: int
@@ -156,7 +156,7 @@ class _Survivors(dict):
     per chunk (n - 1 entries at n <= 7, where each row is one chunk).  The
     chunks keep the set-up at the ceiling in tens of MB; whole rows would
     take about half a GB.  The per-vertex candidate masks stay on as has,
-    for the third level's wide-middle holders (_Holding)."""
+    for the bulk-leaf rule's holders (_Holding)."""
 
     ROW_CHUNK = 6
 
@@ -265,33 +265,20 @@ def max_weight_exact(
     an empty universe and answers trivially.  pruned=False disables the
     admissible remaining-weight bound and enumerates every Berge-C4-free
     multiset, which serves as the cross-check oracle at small n.
-    A node receives its live set, the open candidates that miss its closing
-    mask, and walks it in ascending order; each candidate taken counts as a
-    node.  The parent decides the child before pushing it: when the child
-    has no open candidate, or the least fails the bound (which never grows
-    with the index), the child is done.  Otherwise the parent computes the
-    child's closing mask, its own mask ORed with berge._closing_pairs of the
-    chosen hyperedges' vertex masks and spreads, looks up the mask's
-    survivors, and pushes and enters the child only with a non-empty live
-    set.  A child that is the wide middle of two chosen hyperedges is
-    first tested against the survivors of its parent's mask ORed with
-    their product.  With three hyperedges the mask is the child's three
-    triples, one guarded berge._triple_pairs call each, next to what its
-    parent computed once for all its children (A & B, and the product of
-    A and B with its survivors; see the module docstring).
-    Nodes with two chosen hyperedges, whose children are most of the
-    nodes counted, run their own loop with the counters in locals; it
-    counts and tests its children by popcounts of bitmasks taken for the
-    current best, and counts by one mask the leaves it can tell without
-    a lookup: the wide middles of A and B past the top bit of their
-    product's survivors, and, when |A & B| >= 3, the children whose wide
-    part holds K(B, C) or K(A, C) and that no open candidate can miss
-    (_Holding.end_leaves).  That mask's holders are cached lazily per
-    candidate vertex mask (_Holding), never at set-up: at most m entries
-    of four m-bit masks, so m^2/2 bytes (0.57 MB under tracemalloc when
-    filled at n = 10, 1.6 MB at n = 11, about 2 GB if ever filled at
-    n = 16); the smaller sets the rule asks about, A - B and D - B, are
-    not kept.
+    Each node walks its live set, the open candidates that miss its
+    closing mask, in ascending order, and each candidate taken counts as a
+    node.  The parent decides a child before pushing it: a child with no
+    open candidate, or whose least fails the bound, is done, and so is one
+    in the node's bulk-leaf mask; any other child's closing mask is built
+    (three guarded berge._triple_pairs calls per pair of chosen
+    hyperedges), and the child is entered only with a non-empty live set.
+    walk serves the root and the first level, and node every node with two
+    or more chosen hyperedges (see the module docstring).
+    The bulk-leaf rule's holders are cached lazily per candidate vertex
+    mask (_Holding), never at set-up: at most m entries of four m-bit
+    masks, so m^2/2 bytes (0.57 MB under tracemalloc when filled at
+    n = 10, 1.6 MB at n = 11, about 2 GB if ever filled at n = 16); the
+    smaller sets end_leaves asks about are not kept.
     The survivors of a mask are read off per-row tables, one entry per
     chunk of at most six vertices of a row (_Survivors), which peak at
     about 15 MB at n = CEILING_MAX_N.  The search's closures are unbound
@@ -318,7 +305,8 @@ def max_weight_exact(
     survivors_of = _Survivors(cands, n)
     every = survivors_of.every
     holding = _Holding(survivors_of.has, vertex_masks)
-    # a third-level child j past the first is open from j on, or from
+    big = holding.big
+    # a masked node's child j past the first is open from j on, or from
     # j + 1 at max_mult 1, when the universe's last candidate has no open
     # candidate
     shift = 0 if max_mult > 1 else 1
@@ -327,38 +315,15 @@ def max_weight_exact(
 
     used = [0] * m
     chosen: list[int] = []
-    chosen_masks: list[int] = []
-    chosen_spreads: list[int] = []
     best_weight = 0
     best_multiset: tuple[int, ...] = ()
     nodes = closing_masks = expanded = wide_leaves = 0
 
-    def middle_leaf(middles: dict[tuple[int, int], int], closing: int, mask_c: int,
-                    open_: int) -> bool:
-        # whether C is the middle of a wide triple (X, C, Z) of chosen X and
-        # Z whose pairs, ORed into the node's closing mask, leave no open
-        # candidate; middles keeps the node's survivors per pair (X, Z)
-        rich = [x for x, mask in enumerate(chosen_masks) if (mask & mask_c).bit_count() >= 3]
-        for x, z in combinations(rich, 2):
-            mask_x = chosen_masks[x]
-            mask_z = chosen_masks[z]
-            if ((mask_x | mask_z) & mask_c).bit_count() >= 4:
-                survivors = middles.get((x, z))
-                if survivors is None:
-                    survivors = middles[x, z] = survivors_of[
-                        (closing | chosen_spreads[z] * mask_x | chosen_spreads[x] * mask_z)
-                        & off_diagonal]
-                if not survivors & open_:
-                    return True
-        return False
-
-    def walk(live: int, current_weight: int, closing: int) -> None:
-        # live: the candidates the node may add that miss its closing mask;
-        # a node with two chosen hyperedges runs third_level instead
-        nonlocal nodes, closing_masks, expanded, wide_leaves, best_weight, best_multiset
+    def walk(live: int, current_weight: int) -> None:
+        # the root and the first level, whose children close nothing;
+        # live: the candidates the node may add
+        nonlocal nodes, expanded, best_weight, best_multiset
         expanded += 1
-        depth = len(chosen) + 1  # hyperedges chosen at each child
-        middles: dict[tuple[int, int], int] = {}  # survivors per pair (X, Z)
         while live:
             low = live & -live
             live ^= low
@@ -375,52 +340,36 @@ def max_weight_exact(
             if not open_ or (pruned and new_weight
                              + suffix[(open_ & -open_).bit_length() - 1] <= best_weight):
                 continue
-            mask_c = vertex_masks[j]
-            spread_c = spreads[j]
-            if depth < 3:
-                child = 0  # two hyperedges close nothing
-                child_live = open_
-            else:
-                closing_masks += 1
-                if middle_leaf(middles, closing, mask_c, open_):
-                    wide_leaves += 1
-                    continue
-                child = closing | _closing_pairs([*chosen_masks, mask_c],
-                                                 [*chosen_spreads, spread_c], n)
-                child_live = survivors_of[child] & open_
-                if not child_live:
-                    continue
             used[j] += 1
             chosen.append(j)
-            chosen_masks.append(mask_c)
-            chosen_spreads.append(spread_c)
-            if depth == 2:
-                third_level(child_live, new_weight)
+            if len(chosen) == 1:
+                walk(open_, new_weight)
             else:
-                walk(child_live, new_weight, child)
-            chosen_spreads.pop()
-            chosen_masks.pop()
+                node(open_, new_weight, 0, [pair(chosen[0], j)])
             chosen.pop()
             used[j] -= 1
 
-    def third_level(live: int, current_weight: int) -> None:
-        # walk for a node with two chosen hyperedges A and B, whose children
-        # are mostly leaves: its counters and the best weight stay in
-        # locals, written back before a child is entered and on return
+    def pair(x: int, z: int) -> tuple[int, int, int, int, int, int]:
+        # chosen candidates x and z as (X, spread X, Z, spread Z, X & Z,
+        # the wide middles of X and Z), built once for the node that
+        # chooses z and all its descendants
+        mask_x = vertex_masks[x]
+        mask_z = vertex_masks[z]
+        return (mask_x, spreads[x], mask_z, spreads[z], mask_x & mask_z,
+                holding[mask_x][2] & holding[mask_z][2] & holding[mask_x | mask_z][3])
+
+    def node(live: int, current_weight: int, closing: int,
+             pairs: list[tuple[int, int, int, int, int, int]]) -> None:
+        # a node with two or more chosen hyperedges: live, the candidates
+        # it may add that miss its closing mask; pairs, one pair() for each
+        # two of them.  Its counters and the best weight stay in locals,
+        # written back before a child is entered and on return
         nonlocal nodes, closing_masks, expanded, wide_leaves, best_weight, best_multiset
         expanded += 1
-        # shared by every child C: the ends A and B, A & B, and the pairs
-        # of the triple (A, C, B) when it is wide, with their survivors
-        mask_a, mask_b = chosen_masks
-        spread_a, spread_b = chosen_spreads
-        meet_ab = mask_a & mask_b
-        ab_wide = meet_ab.bit_count() >= 3
-        pairs_ab = spread_b * mask_a | spread_a * mask_b
-        survivors_ab = survivors_of[pairs_ab & off_diagonal]
         counted, tested, leaves, best = nodes, closing_masks, wide_leaves, best_weight
         # the first child is the only one whose own weight can raise best
         # (weights never grow with the index), and the only one that can be
-        # B, whose copies may run out at it
+        # a chosen hyperedge, whose copies may run out at it
         first = live & -live
         j = first.bit_length() - 1
         if pruned and current_weight + suffix[j] <= best:
@@ -435,19 +384,25 @@ def max_weight_exact(
             openable ^= first
             if j + 1 == m or pruned and new_weight + suffix[j + 1] <= best:
                 testable &= ~first
-        # the wide middles of A and B past the top bit of survivors_ab,
-        # leaves as no open candidate of theirs is among those; no wide
-        # middle is (it holds a vertex of A and another of B), so those
-        # before that bit keep it open
-        middles = holding[mask_a][2] & holding[mask_b][2] & holding[mask_a | mask_b][3]
-        bulk = live & -(1 << survivors_ab.bit_length()) & middles
-        if ab_wide and live & ~middles:
-            # and the children with a narrow (A, C, B) whose wide (C, A, B)
-            # or (C, B, A) leaves no open candidate: C's mask holds its
-            # pairs, K(B, C) or K(A, C).  end_leaves's C meet A and B, so
-            # leaving out the wide middles leaves a narrow (A, C, B)
-            bulk |= ~middles & (holding.end_leaves(mask_a, mask_b, live)
-                                | holding.end_leaves(mask_b, mask_a, live))
+        bulk = 0  # the children decided by the pairs of one wide triple
+        for mask_x, spread_x, mask_z, spread_z, meet, middles in pairs:
+            # the wide middles of X and Z past the top bit of the survivors
+            # of the node's mask ORed with the product of X and Z, leaves as
+            # no open candidate of theirs is among those; no wide middle is
+            # (it holds a vertex of X and another of Z), so those before
+            # that bit keep it open
+            if live & middles:
+                survivors = survivors_of[(closing | spread_z * mask_x | spread_x * mask_z)
+                                         & off_diagonal]
+                bulk |= live & -(1 << survivors.bit_length()) & middles
+            if meet.bit_count() >= 3 and live & big & ~middles:
+                # and the children with a narrow (X, C, Z) whose wide
+                # (C, X, Z) or (C, Z, X) leaves no open candidate: C's mask
+                # holds its pairs, K(Z, C) or K(X, C).  end_leaves's C meet
+                # X and Z, so leaving out the wide middles leaves a narrow
+                # (X, C, Z)
+                bulk |= ~middles & (holding.end_leaves(mask_x, mask_z, live)
+                                    | holding.end_leaves(mask_z, mask_x, live))
         rest = live  # the children not yet counted
         while True:
             # for this best, which only an entered child can raise: reach,
@@ -457,7 +412,7 @@ def max_weight_exact(
             # best); seg, those tested, all of reach that has an open
             # candidate (past the first, a child's own bound, weights[j] +
             # suffix[j + shift], is never below the node's, suffix[j]); and
-            # bulk_seg, the wide-middle leaves of seg, counted unwalked
+            # bulk_seg, the bulk leaves of seg, counted unwalked
             if pruned:
                 reach = rest & ((1 << bisect_left(rising, current_weight - best)) - 1 | first)
             else:
@@ -472,18 +427,23 @@ def max_weight_exact(
                 open_ = openable & -low << shift
                 mask_c = vertex_masks[j]
                 spread_c = spreads[j]
-                # the triples with C, A or B as the middle, each when its
-                # middle meets both ends: berge._closing_pairs of A, B, C
-                meet_ac = mask_a & mask_c
-                meet_bc = mask_b & mask_c
-                child = 0
-                if meet_ac and meet_bc:
-                    child = _triple_pairs(mask_a, spread_a, mask_c, spread_c, mask_b, spread_b)
-                if meet_ab:
-                    if meet_ac:
-                        child |= _triple_pairs(mask_c, spread_c, mask_a, spread_a, mask_b, spread_b)
-                    if meet_bc:
-                        child |= _triple_pairs(mask_c, spread_c, mask_b, spread_b, mask_a, spread_a)
+                # the node's mask ORed with the triples through C, each
+                # when its middle meets both ends: per pair (X, Z), C as
+                # the middle, and X or Z as the middle with C as an end
+                child = closing
+                for mask_x, spread_x, mask_z, spread_z, meet, _ in pairs:
+                    meet_xc = mask_x & mask_c
+                    meet_zc = mask_z & mask_c
+                    if meet_xc and meet_zc:
+                        child |= _triple_pairs(mask_x, spread_x, mask_c, spread_c,
+                                               mask_z, spread_z)
+                    if meet:
+                        if meet_xc:
+                            child |= _triple_pairs(mask_c, spread_c, mask_x, spread_x,
+                                                   mask_z, spread_z)
+                        if meet_zc:
+                            child |= _triple_pairs(mask_c, spread_c, mask_z, spread_z,
+                                                   mask_x, spread_x)
                 child &= off_diagonal
                 child_live = survivors_of[child] & open_
                 if not child_live:
@@ -495,15 +455,12 @@ def max_weight_exact(
                 tested += (seg & upto).bit_count()
                 leaves += (bulk_seg & upto).bit_count()
                 rest &= ~upto
+                child_pairs = pairs + [pair(x, j) for x in chosen]
                 used[j] += 1
                 chosen.append(j)
-                chosen_masks.append(mask_c)
-                chosen_spreads.append(spread_c)
                 nodes, closing_masks, wide_leaves, best_weight = counted, tested, leaves, best
-                walk(child_live, current_weight + weights[j], child)
+                node(child_live, current_weight + weights[j], child, child_pairs)
                 counted, tested, leaves, best = nodes, closing_masks, wide_leaves, best_weight
-                chosen_spreads.pop()
-                chosen_masks.pop()
                 chosen.pop()
                 used[j] -= 1
                 break
@@ -520,11 +477,11 @@ def max_weight_exact(
         root = every
     try:
         if root:
-            walk(root, 0, 0)  # the root's mask is empty, and every weight is positive
+            walk(root, 0)  # every weight is positive
     finally:
-        # walk and third_level call each other: unbound, they and the
-        # survivors cache are freed now, not by the cycle collector
-        del walk, third_level, middle_leaf
+        # walk and node call each other: unbound, they and the survivors
+        # cache are freed now, not by the cycle collector
+        del walk, node
     witness = Hypergraph(n, tuple(cands[j] for j in best_multiset))
     if not is_berge_c4_free(witness):
         raise AssertionError("search produced a witness with a Berge-C4")

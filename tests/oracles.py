@@ -9,7 +9,8 @@ test before it read per-vertex rows, one product of the draw's spread
 against one n^2-bit closing mask (greedy_by_spread_product), the same
 mask built one shifted row per end vertex a (closing_pairs_by_vertex_loop, which the
 library's class products must equal bit for bit), the exact search's
-third level as three calls of _triple_pairs (closing_pairs_of_three),
+mask of three hyperedges as three calls of _triple_pairs
+(closing_pairs_of_three),
 the pairs of its wide triples set pair by pair (wide_pairs), the count
 of its calls (meeting_triples), the scan of
 every candidate's pair bits that built its survivors before they were read
@@ -608,19 +609,22 @@ def max_weight_by_index_scan(n: int, max_mult: int = 3, pruned: bool = True,
     A dict passed as counts receives the search's work counters as this
     walk sees them: closing_masks, the nodes of three or more hyperedges
     that compute a mask; expanded, the nodes that compute one and have an
-    open candidate, bound or not, that misses it; middle_leaves, the nodes
+    open candidate, bound or not, that misses it; bulk_leaves, the nodes
     (chosen indices, open candidates as bits) of three or more hyperedges
-    whose last, C, is the middle of a wide triple (X, C, Z) of two earlier
-    ones (is_wide) where no open candidate misses the parent's mask ORed
-    with the pairs of X and Z (end_pairs), the pairs tried in index order
-    up to the first that decides; wide_leaves, those and the end leaves
-    (is_end_leaf) among the nodes of three hyperedges; triple_calls, for
-    each node of three hyperedges that neither decides, its triples whose
-    middle meets both ends (meeting_triples), one berge._triple_pairs call
-    each in the search; and distinct_closings, the distinct masks whose
-    survivors the search builds: the pairs of A and B at each node of two
-    hyperedges A, B that computes a mask, each of those ORed masks tried,
-    and every computed mask but those of the nodes decided without it."""
+    that their parent decides in bulk, and wide_leaves their count.  The
+    last, C, is a bulk leaf when, for two earlier ones X and Z, it is the
+    middle of a wide (X, C, Z) (is_wide) and no open candidate misses the
+    parent's mask ORed with the pairs of X and Z (end_pairs), or when
+    (X, C, Z) is narrow and C is an end leaf (is_end_leaf) of the parent's
+    first child.  triple_calls counts, for each node of three or more
+    hyperedges that is not a bulk leaf, its triples through C whose middle
+    meets both ends (meeting_triples), one berge._triple_pairs call each
+    in the search.  distinct_closings counts the distinct masks whose
+    survivors the search builds: every computed mask but those of the bulk
+    leaves, and at each node of two or more hyperedges that has a live
+    candidate (open, missing its mask) whose least passes the bound, its
+    mask ORed with the pairs of each two chosen X and Z of which a live
+    candidate is a wide middle."""
     cands = candidate_universe(n)
     pair_bits = candidate_pair_bits(n)
     vertex_masks = [sum(1 << v for v in c) for c in cands]
@@ -639,16 +643,29 @@ def max_weight_by_index_scan(n: int, max_mult: int = 3, pruned: bool = True,
     best = {"weight": 0, "multiset": ()}
     nodes = 0
     tally = {"closing_masks": 0, "expanded": 0, "wide_leaves": 0, "triple_calls": 0}
-    middle_leaves = []
+    bulk_leaves = []
     masks_seen = set()
-    first_child = 0  # of the last node of two hyperedges
 
     def is_open(j: int) -> bool:
         return used[j] < max_mult and not (first_level_orbit_reps and not chosen
                                            and not is_rep[j])
 
-    def walk(min_idx: int, current_weight: int, parent: int) -> None:
-        nonlocal nodes, first_child
+    def is_bulk_leaf(parent: int, first: int, open_: list[int]) -> bool:
+        *ends, c = chosen
+        mask_c = vertex_masks[c]
+        for x, z in combinations(ends, 2):
+            mask_x, mask_z = vertex_masks[x], vertex_masks[z]
+            if is_wide(mask_x, mask_c, mask_z):
+                middle = parent | end_pairs(mask_x, mask_z, n)
+                if not any(not pair_bits[i] & middle for i in open_):
+                    return True
+            elif is_end_leaf(cands, n, x, z, c, first):
+                return True
+        return False
+
+    def walk(min_idx: int, current_weight: int, parent: int, first: int) -> None:
+        # first: the parent's least live candidate
+        nonlocal nodes
         closing = None
         for j in range(min_idx, m):
             if pruned and current_weight + suffix[j] <= best["weight"]:
@@ -658,30 +675,21 @@ def max_weight_by_index_scan(n: int, max_mult: int = 3, pruned: bool = True,
             if closing is None:
                 closing = parent | _closing_pairs(chosen_masks, chosen_spreads, n)
                 open_ = [i for i in range(min_idx, m) if is_open(i)]
+                live = [i for i in open_ if not pair_bits[i] & closing]
                 tally["closing_masks"] += len(chosen) >= 3
-                tally["expanded"] += any(not pair_bits[i] & closing for i in open_)
-                if len(chosen) == 2:
-                    masks_seen.add(end_pairs(*chosen_masks, n))
-                    first_child = j
-                middle_leaf = False
-                if len(chosen) >= 3:
-                    *ends, mask_c = chosen_masks
-                    for mask_x, mask_z in combinations(ends, 2):
-                        if is_wide(mask_x, mask_c, mask_z):
-                            middle = parent | end_pairs(mask_x, mask_z, n)
-                            masks_seen.add(middle)
-                            if not any(not pair_bits[i] & middle for i in open_):
-                                middle_leaf = True
-                                break
-                if middle_leaf:
-                    middle_leaves.append((tuple(chosen), sum(1 << i for i in open_)))
+                tally["expanded"] += bool(live)
+                if len(chosen) >= 3 and is_bulk_leaf(parent, first, open_):
+                    bulk_leaves.append((tuple(chosen), sum(1 << i for i in open_)))
                     tally["wide_leaves"] += 1  # the search builds no survivors of closing
-                elif len(chosen) == 3 and is_end_leaf(cands, n, *chosen, first_child):
-                    tally["wide_leaves"] += 1
                 else:
                     masks_seen.add(closing)
-                    if len(chosen) == 3:
+                    if len(chosen) >= 3:
                         tally["triple_calls"] += meeting_triples(chosen_masks)
+                if len(chosen) >= 2 and live and not (
+                        pruned and current_weight + suffix[live[0]] <= best["weight"]):
+                    for mask_x, mask_z in combinations(chosen_masks, 2):
+                        if any(is_wide(mask_x, vertex_masks[i], mask_z) for i in live):
+                            masks_seen.add(closing | end_pairs(mask_x, mask_z, n))
             if pair_bits[j] & closing:
                 continue
             nodes += 1
@@ -693,15 +701,15 @@ def max_weight_by_index_scan(n: int, max_mult: int = 3, pruned: bool = True,
             if new_weight > best["weight"]:
                 best["weight"] = new_weight
                 best["multiset"] = tuple(chosen)
-            walk(j, new_weight, closing)
+            walk(j, new_weight, closing, live[0] if live else m)
             chosen_spreads.pop()
             chosen_masks.pop()
             chosen.pop()
             used[j] -= 1
 
-    walk(0, 0, 0)
+    walk(0, 0, 0, m)
     if counts is not None:
-        counts.update(tally, distinct_closings=len(masks_seen), middle_leaves=middle_leaves)
+        counts.update(tally, distinct_closings=len(masks_seen), bulk_leaves=bulk_leaves)
     return best["weight"], nodes, tuple(tuple(sorted(cands[j])) for j in best["multiset"])
 
 
@@ -715,9 +723,9 @@ def is_wide(x: int, y: int, z: int) -> bool:
 
 def is_end_leaf(cands: Sequence[Sequence[int]], n: int, a: int, b: int, c: int,
                 first: int) -> bool:
-    """Whether the third-level child c of chosen a and b (candidate
-    indices), at a node whose first child is first, is one the search
-    decides in bulk: (A, C, B) is narrow, and for (X, Y) = (A, B)
+    """Whether the child c of a node with a and b among its chosen
+    hyperedges (candidate indices), whose first child is first, is one the
+    search decides in bulk by the pair (a, b): (A, C, B) is narrow, and for (X, Y) = (A, B)
     or (B, A) the triple (C, X, Y) is wide, every candidate from C on
     meets Y, C has n - 3 or more vertices, and C meets D - Y for every
     candidate D from first on that meets Y in one vertex.  Then no
@@ -768,15 +776,14 @@ def wide_pairs(masks: Sequence[int], n: int) -> tuple[int, int]:
 
 
 def meeting_triples(masks: Sequence[int]) -> int:
-    """For three hyperedges, the triples whose middle meets both of its
-    ends, each of the three the middle once: the _triple_pairs calls the
-    exact search's third level makes for a child it does not decide in
-    bulk."""
+    """The triples through the last hyperedge C whose middle meets both of
+    its ends: per two earlier X and Z, (X, C, Z), (C, X, Z) and (C, Z, X),
+    the triples berge._closing_pairs visits.  These are the _triple_pairs
+    calls the exact search makes for a child it does not decide in bulk."""
+    *ends, c = masks
     count = 0
-    for mid in range(3):
-        y = masks[mid]
-        x, z = (masks[i] for i in range(3) if i != mid)
-        count += bool(x & y and y & z)
+    for x, z in combinations(ends, 2):
+        count += bool(x & c and c & z) + bool(c & x and x & z) + bool(c & z and z & x)
     return count
 
 
@@ -1526,8 +1533,8 @@ def closing_pairs_of_three(mask_a: int, spread_a: int, mask_b: int, spread_b: in
     off_diagonal = ~_diagonal(n) passed in.  The two index loops there
     reduce to three triples: C as the middle with ends A and B, and A or B
     as the middle with C and the other as ends, each when its middle meets
-    both ends.  The exact search's third level makes the same three
-    guarded calls inline.
+    both ends.  The exact search makes the same three guarded calls per
+    pair of chosen hyperedges.
     """
     closing = 0
     meet_ab = mask_a & mask_b

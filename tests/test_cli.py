@@ -606,7 +606,7 @@ def test_search_counters_go_to_stderr_only(tmp_path, capsys):
     assert main(["search", "--n", "6", "-o", str(out)]) == 0
     err = capsys.readouterr().err
     assert err.startswith("n=6 best_weight=9 nodes=1808 expanded=229 closing_masks=1580 "
-                          "distinct_closings=91 wide_leaves=1381 (")
+                          "distinct_closings=89 wide_leaves=1381 (")
     record = json.loads(out.read_text())
     assert sorted(record) == ["best_weight", "exhaustive", "max_mult", "n", "nodes_explored",
                               "pruned", "wall_time_s", "witness"]

@@ -4,6 +4,7 @@ import copy
 import gc
 import json
 import random
+import sys
 from itertools import combinations, permutations, product
 import tracemalloc
 
@@ -530,21 +531,21 @@ def test_search_pinned_n7(max_mult, orbit_reps):
 PINNED_SEARCH_COUNTS = {
     (5, 1, True, False): (7, 7, 2, 7),
     (5, 1, False, False): (10, 16, 2, 10),
-    (5, 2, True, False): (28, 16, 5, 28),
-    (5, 2, False, False): (45, 27, 6, 45),
+    (5, 2, True, False): (28, 16, 2, 28),
+    (5, 2, False, False): (45, 27, 2, 45),
     (5, 3, True, False): (35, 19, 5, 35),
     (5, 3, False, False): (55, 28, 7, 55),
-    (6, 1, True, False): (809, 144, 40, 769),
-    (6, 1, False, False): (1330, 232, 77, 1158),
-    (6, 2, True, False): (1431, 209, 88, 1279),
-    (6, 2, False, False): (1981, 275, 102, 1682),
-    (6, 3, True, False): (1580, 229, 91, 1381),
+    (6, 1, True, False): (809, 144, 38, 769),
+    (6, 1, False, False): (1330, 232, 68, 1158),
+    (6, 2, True, False): (1431, 209, 74, 1279),
+    (6, 2, False, False): (1981, 275, 88, 1682),
+    (6, 3, True, False): (1580, 229, 89, 1381),
     (6, 3, False, False): (2023, 276, 103, 1718),
-    (7, 1, True, True): (4738, 193, 165, 4381),
-    (7, 2, True, True): (5653, 213, 196, 5090),
-    (7, 3, True, True): (5847, 227, 202, 5236),
-    (7, 3, True, False): (40784, 2294, 1101, 30942),
-    (8, 3, True, True): (48725, 2037, 1597, 25668),
+    (7, 1, True, True): (4738, 193, 148, 4381),
+    (7, 2, True, True): (5653, 213, 186, 5090),
+    (7, 3, True, True): (5847, 227, 194, 5236),
+    (7, 3, True, False): (40784, 2294, 1034, 30942),
+    (8, 3, True, True): (48725, 2037, 1551, 25668),
 }
 
 
@@ -566,28 +567,31 @@ def test_search_pinned_counters(n, max_mult, pruned, orbit_reps):
     assert result.wide_leaves <= result.closing_masks <= result.nodes_explored
 
 
-def test_wide_middle_leaves_have_no_survivor_of_their_whole_mask():
-    """A child C that is the middle of a wide triple (X, C, Z) of chosen
-    hyperedges is a leaf when no open candidate misses the pairs of X and Z
-    ORed into its parent's mask.  On every PINNED_SEARCH_COUNTS
-    configuration, the index scan derives those children from its own walk
+def test_bulk_leaves_have_no_survivor_of_their_whole_mask():
+    """A node decides in bulk, without their whole masks, the children C
+    that are the middle of a wide triple (X, C, Z) of chosen hyperedges
+    whose pairs, ORed into its mask, no open candidate misses, and those
+    with a narrow (X, C, Z) whose wide part K(Z, C) or K(X, C) no open
+    candidate misses.  On every PINNED_SEARCH_COUNTS configuration, the
+    index scan derives those children at every depth from its own walk
     with the pinned counters, and no open candidate of any of them misses
     its whole mask, folded over its prefixes, each built one row per end
-    vertex (closing_pairs_by_vertex_loop)."""
+    vertex (closing_pairs_by_vertex_loop).  The deepest have four or more
+    chosen hyperedges."""
     for key in sorted(PINNED_SEARCH_COUNTS):
         counts = {}
         max_weight_by_index_scan(*key, counts)
         assert _oracle_counts(counts) == PINNED_SEARCH_COUNTS[key], key
-        assert counts["middle_leaves"], key
+        assert counts["bulk_leaves"], key
         n = key[0]
         pair_bits = candidate_pair_bits(n)
         masks = [sum(1 << v for v in c) for c in candidate_universe(n)]
-        for chosen, open_ in set(counts["middle_leaves"]):
+        for chosen, open_ in set(counts["bulk_leaves"]):
             whole = 0
             for depth in range(3, len(chosen) + 1):
                 whole |= closing_pairs_by_vertex_loop([masks[j] for j in chosen[:depth]], n)
             assert not survivors_by_candidate_scan(pair_bits, whole) & open_, (key, chosen)
-    assert max(len(chosen) for chosen, _ in counts["middle_leaves"]) > 3
+    assert max(len(chosen) for chosen, _ in counts["bulk_leaves"]) > 3
 
 
 def test_survivors_match_the_candidate_scan(monkeypatch):
@@ -718,7 +722,8 @@ def test_a_search_leaves_nothing_for_the_cycle_collector(monkeypatch):
     its survivors cache among them, by reference counting alone: no
     closure of the walk is left holding itself, for several n, max_mult
     and modes, and also when the walk raises at the third level or
-    deeper."""
+    below it (a _triple_pairs call for a node of three or more chosen
+    hyperedges, which hands its child two or more pairs)."""
     gc.collect()
     gc.disable()
     try:
@@ -729,18 +734,20 @@ def test_a_search_leaves_nothing_for_the_cycle_collector(monkeypatch):
             bf.max_weight_exact(n, max_mult=max_mult, pruned=pruned,
                                 first_level_orbit_reps=orbit_reps, allow_large=True)
             assert gc.collect() == 0, (n, max_mult, pruned, orbit_reps)
-        for name in ("_triple_pairs", "_closing_pairs"):
+        for least_pairs in (1, 2):
             with monkeypatch.context() as patch:
                 def raise_(*args):
-                    raise _Raised(name)
-                patch.setattr(bergefree.search, name, raise_)
+                    if len(sys._getframe(1).f_locals["pairs"]) >= least_pairs:
+                        raise _Raised(least_pairs)
+                    return _triple_pairs(*args)
+                patch.setattr(bergefree.search, "_triple_pairs", raise_)
                 try:
                     bf.max_weight_exact(7, first_level_orbit_reps=True)
                 except _Raised:
                     pass
                 else:
-                    raise AssertionError(f"{name} never called")
-            assert gc.collect() == 0, name
+                    raise AssertionError(f"no _triple_pairs call at {least_pairs} pairs")
+            assert gc.collect() == 0, least_pairs
     finally:
         gc.enable()
 
@@ -750,20 +757,43 @@ def test_search_pinned_n8_orbit_reps():
     assert _summary(result) == (15, 49387, (tuple(range(8)),) * 3)
 
 
+# max_mult -> (best_weight, nodes_explored, witness, closing_masks,
+# expanded, wide_leaves) at n = 8 with orbit reps; distinct_closings is left
+# out, as it counts a cache whose lookups a change of rule may move.
+PINNED_N8_ORBIT_REPS = {
+    1: (13, 43324, ((0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 2, 3, 4, 5, 6), (0, 1, 2, 3, 4, 5, 7)),
+        42699, 749, 23582),
+    2: (14, 48021, ((0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 2, 3, 4, 5, 6)),
+        47367, 1638, 25120),
+}
+
+
+@pytest.mark.parametrize("max_mult", sorted(PINNED_N8_ORBIT_REPS))
+def test_search_pinned_n8_orbit_reps_below_max_mult_3(max_mult):
+    """n = 8 with orbit reps at max_mult 1 and 2, where nodes of three or
+    more chosen hyperedges decide children in the one masked loop; the
+    n <= 7 pins reach few of them."""
+    result = bf.max_weight_exact(8, max_mult=max_mult, first_level_orbit_reps=True,
+                                 allow_large=True)
+    assert (*_summary(result), result.closing_masks, result.expanded,
+            result.wide_leaves) == PINNED_N8_ORBIT_REPS[max_mult]
+
+
 def test_search_pinned_n9_orbit_reps():
-    """n = 9 with orbit reps, where the wide middles at depth 4 or more
-    decide 26,934 children (6 at n = 7), along with the third level's bulk
-    leaves: no n <= 7 pin shows those rules at work.  The index scan is
-    too slow here, so the counters are pinned, not checked against it."""
+    """n = 9 with orbit reps, where the wide middles of nodes with three or
+    more chosen hyperedges decide 26,934 children (6 at n = 7), along with
+    the bulk leaves of nodes with two: no n <= 7 pin shows those rules at
+    work.  The index scan is too slow here, so the counters are pinned,
+    not checked against it."""
     result = bf.max_weight_exact(9, first_level_orbit_reps=True, allow_large=True)
     assert _summary(result) == (18, 383384, (tuple(range(9)),) * 3)
-    assert _counts(result) == (381556, 46009, 12918, 146943)
+    assert _counts(result) == (381556, 46009, 12757, 146943)
 
 
 def _count_triple_pairs_calls(monkeypatch):
-    """Patch the search's _triple_pairs, which only its third level calls
-    (deeper masks call it from berge._closing_pairs), to count its calls
-    in the list returned: a child decided in bulk makes none."""
+    """Patch the search's _triple_pairs, which builds every child's mask,
+    to count its calls in the list returned: a child decided in bulk makes
+    none."""
     calls = []
 
     def counted(*args):
