@@ -23,22 +23,20 @@ reaches, over only the hyperedges near where the walk starts.
    as it has members, and every such walk whose slots pass Hall's test
    (_hall, on the slot masks) lifts back to a Berge-Ck, so walking the
    classes decides freeness without walking each twin's copy of every
-   vertex path.  The walk runs only from the classes a start filter finds
-   able to start one.  For k = 4 that is one pass over a class's upper
-   neighbours (_c4_starts): an end above it seen twice in a seen/dup fold
-   over its class 2-paths (the C4 case of Alon, Yuster and Zwick, "Finding
-   and counting given length cycles", Algorithmica 1997), a triangle
-   through a class of two or more members, two hyperedges shared with a
-   neighbour above it (counted on the id tuples), or four or more members
-   in four or more hyperedges.  For every other k it is one breadth-first
+   vertex path.  The walk runs only from the classes one start filter
+   finds able to start one (_ck_starts), for every k: one breadth-first
    pass over the ball of radius k // 2 around the class, on the classes
-   not below it (_ck_starts): a ball that is not a tree, a class in it
-   that shares two or more hyperedges with a neighbour, or k or more
-   members in k or more hyperedges.  For every k the walk runs from each
-   class the filter yields, alone, on masks over only the hyperedges near
-   that class (_walk_masks), and the first class with a walk decides it.
-   A free blow-up has no start at k = 4 or 5, so it builds no hyperedge
-   mask and needs no Hall test.
+   not below it, that finds a ball that is not a tree, a class in it that
+   shares two or more hyperedges with a neighbour, or k or more members in
+   k or more hyperedges.  When k is even no step of the walk lies inside
+   the ball's last level, so the pass leaves that level untested; at
+   k = 4 it is one seen/dup fold over the class's upper neighbours (the
+   C4 case of Alon, Yuster and Zwick, "Finding and counting given length
+   cycles", Algorithmica 1997).  The walk runs from each class the filter
+   yields, alone, on masks over only the hyperedges near that class
+   (_walk_masks), and the first class with a walk decides it.  A free
+   blow-up has no start at k = 4 or 5, so it builds no hyperedge mask and
+   needs no Hall test.
 2. Witness.  The gate's walk is the witness.  Each depth tries its classes
    in the order of the member each would take next, so the first walk from
    the least class with a cycle is the canonical cycle: each position holds
@@ -76,7 +74,7 @@ from itertools import permutations
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .core import Graph, Hypergraph, iter_bits
-from .patterns import _kst_in_rows
+from .patterns import contains_kst
 
 
 @dataclass(frozen=True)
@@ -260,10 +258,11 @@ def _twin_quotient_has_cycle(classes: _TwinClasses, k: int) -> Optional[_Found]:
     a lifts to a Berge-Ck on classes not below a, whose minimum is the
     smallest member of a; and the least class c of any Berge-Ck's walk has
     a walk, so a <= c and no Berge-Ck has a smaller minimum.  Only the
-    classes a start filter yields can have a walk: _c4_starts for k = 4,
-    _ck_starts for every other k.  The walk runs from each class it yields,
-    alone, on masks over the hyperedges near that class (_walk_masks);
-    with no class yielded, no mask is built.
+    classes the start filter _ck_starts yields can have a walk, for every
+    k.  The walk runs from each class it yields, alone, on masks over the
+    hyperedges near that class (_walk_masks); with no class yielded, no
+    mask is built.  Any sound filter gives the same answer: the least
+    class with a walk is yielded, and its walk is the first one found.
 
     Returns (walk, masks, near): the walk, which runs on the classes'
     members and so is the canonical cycle's, with the class masks and near
@@ -271,7 +270,7 @@ def _twin_quotient_has_cycle(classes: _TwinClasses, k: int) -> Optional[_Found]:
     of a closed k-walk from a.
     """
     sizes, adj, members = classes.sizes, classes.adj, classes.members
-    for a in _c4_starts(classes) if k == 4 else _ck_starts(classes, k):
+    for a in _ck_starts(classes, k):
         masks, near = _walk_masks(classes, a, k)
         walk = _closed_walk(masks, sizes, adj, k, a, members)
         if walk is not None:
@@ -279,77 +278,38 @@ def _twin_quotient_has_cycle(classes: _TwinClasses, k: int) -> Optional[_Found]:
     return None
 
 
-def _c4_starts(classes: _TwinClasses) -> Iterator[int]:
-    """The classes a, ascending, that can be the least class of a closed
-    4-walk a, b, c, d that lifts to a Berge-C4 (see _closed_walk), each
-    found in one pass over the neighbours b of a above a in the loop-free
-    class graph.  Such a walk has b and d above a and next to it, and is
-    one of these:
-    - a walk on four distinct classes, whose c is an end above a that two
-      of those b reach: a dup bit of the seen/dup fold over their rows (the
-      C4 case of Alon, Yuster and Zwick, "Finding and counting given length
-      cycles", Algorithmica 1997, as in find_c4_in_graph's K_{2,2} ladder);
-    - a-a-c-d, a-b-b-d or a-b-c-c, a triangle through a and a class of two
-      or more members, which is a or one of the two b on it;
-    - a-b-a-d, a-b-c-b, a-a-c-c or a-a-a-d, whose slots hold two
-      hyperedges shared by a and a neighbour b above it, counted on the id
-      tuples and only when meets[a] exceeds a's number of neighbours, that
-      is when a shares two hyperedges with some class;
-    - a-a-a-a, on a class of four or more members in four or more
-      hyperedges; a larger class in fewer falls through to the others.
-    A free blow-up has none of these, so the gate builds no hyperedge mask.
-    """
-    keys, _, sizes, adj, meets, _ = classes
-    free = [row & ~(1 << i) for i, row in enumerate(adj)]
-    for a, row in enumerate(free):
-        if sizes[a] >= 4 and len(keys[a]) >= 4:
-            yield a
-            continue
-        first = a + 1
-        uppers = row >> first  # iterated shifted: a narrower int on wide inputs
-        above = uppers << first
-        twinned = sizes[a] >= 2
-        ids = set(keys[a]) if meets[a] > row.bit_count() else ()
-        seen = dup = 0
-        for b in iter_bits(uppers):
-            b += first
-            ends = free[b]
-            if ((twinned or sizes[b] >= 2) and ends & above
-                    or ids and len(ids.intersection(keys[b])) >= 2):
-                yield a
-                break
-            dup |= seen & ends
-            seen |= ends
-        else:
-            if dup >> first:
-                yield a
-
-
 def _ck_starts(classes: _TwinClasses, k: int) -> Iterator[int]:
     """The classes a, ascending, that can be the least class of a closed
-    k-walk that lifts to a Berge-Ck (see _closed_walk), for k != 4: those
-    with one of these in the ball of radius k // 2 around a, in the
-    loop-free class graph on the classes not below a:
+    k-walk that lifts to a Berge-Ck (see _closed_walk): those with one of
+    these in the ball of radius r = k // 2 around a, in the loop-free class
+    graph on the classes not below a:
     (i) a cycle: a breadth-first pass from a reaches a class from two
         classes of the level before it, or finds an edge inside one level
-        (the last level's included);
-    (ii) a class that shares two or more hyperedges with one neighbour,
-        counted on all its neighbours: meets[c] exceeds their number;
+        (the last level's only when k is odd);
+    (ii) a class within radius r - 1, or r when k is odd, that shares two
+        or more hyperedges with one neighbour, counted on all its
+        neighbours: meets[c] exceeds their number;
     (iii) a itself, with k or more members in k or more hyperedges.
     Every other class has no such walk.  A closed k-walk from its least
-    class a runs through classes not below a, each within k // 2 steps of
-    a along the walk one way or the other, so inside that ball.  Drop its
-    loop steps (two members of one class in a row) and take the graph H of
-    the class pairs it steps between.  If H has no edge the walk is a, a,
-    ..., a, whose k slots need k distinct hyperedges of a's key: (iii).
-    If H is a forest, the closed walk crosses each of its edges an even
-    number of times, so some pair c, d of the ball is crossed twice, and
-    its two slots need two hyperedges that both hold c and d: (ii).
-    Otherwise H has a cycle on classes of the ball, so the ball is not a
-    tree: (i).  A free blow-up of a plane, whose class graph has girth 6
-    and whose classes of three members share one hyperedge with each
-    neighbour, has no start at k = 5, so the gate builds no hyperedge mask
-    and walks from no class.
+    class a runs through classes not below a, each within r steps of a
+    along the walk one way or the other, so inside that ball.  Each step
+    of it has an end within r - 1 steps of a when k = 2r is even (only the
+    middle position is r steps away), and within r when k is odd.  Drop
+    its loop steps (two members of one class in a row) and take the graph
+    H of the class pairs it steps between; for even k no edge of H lies
+    inside the last level.  If H has no edge the walk is a, a, ..., a,
+    whose k slots need k distinct hyperedges of a's key: (iii).  If H is a
+    forest, the closed walk crosses each of its edges an even number of
+    times, so some pair c, d is crossed twice, and its two slots need two
+    hyperedges that both hold c and d, the end of the pair nearer a
+    included: (ii).  Otherwise H has a cycle on classes of the ball and
+    on edges the pass tests: (i).  At k = 4 the pass is one seen/dup fold
+    over the rows of a's upper neighbours, the C4 case of Alon, Yuster and
+    Zwick, "Finding and counting given length cycles", Algorithmica 1997.
+    A free blow-up of a plane, whose class graph has girth 6 and whose
+    classes of three members share one hyperedge with each neighbour, has
+    no start at k = 4 or 5, so the gate builds no hyperedge mask and walks
+    from no class.
     """
     keys, _, sizes, adj, meets, _ = classes
     free = [row & ~(1 << i) for i, row in enumerate(adj)]
@@ -358,21 +318,25 @@ def _ck_starts(classes: _TwinClasses, k: int) -> Iterator[int]:
         if meets[c] > row.bit_count():
             doubled |= 1 << c
     for a in range(len(free)):
-        if sizes[a] >= k and len(keys[a]) >= k or not _plain_tree(free, doubled, a, k // 2):
+        if (sizes[a] >= k and len(keys[a]) >= k or doubled >> a & 1
+                or not _plain_tree(free, doubled, a, k)):
             yield a
 
 
-def _plain_tree(free: Sequence[int], doubled: int, a: int, radius: int) -> bool:
-    """True when the ball of this radius around a, in the loop-free class
-    graph with rows free on the classes not below a, is a tree that holds
-    no class of the mask doubled: one breadth-first pass, a level at a
-    time, with a seen/dup fold over each level's rows for the classes of
-    the next level reached twice."""
+def _plain_tree(free: Sequence[int], doubled: int, a: int, k: int) -> bool:
+    """True when the ball of radius k // 2 around a, in the loop-free class
+    graph with rows free on the classes not below a, is a tree (not
+    counting the edges inside its last level when k is even) none of whose
+    classes but a, up to radius k // 2 - 1 (k // 2 when k is odd), is in
+    the mask doubled: one breadth-first pass from a's upper neighbours, a
+    level at a time, with a seen/dup fold over each level's rows for the
+    classes of the next level reached twice."""
     outside = -2 << a  # the classes above a outside the ball
-    level = 1 << a
-    for _ in range(radius):
+    level = free[a] & outside
+    for _ in range(k // 2 - 1):
         if level & doubled:
             return False
+        outside ^= level
         seen = dup = 0
         for c in iter_bits(level):
             row = free[c]
@@ -383,15 +347,13 @@ def _plain_tree(free: Sequence[int], doubled: int, a: int, radius: int) -> bool:
             seen |= ends
         if dup:
             return False  # a class of the next level with two parents
-        if not seen:
-            return True
-        outside ^= seen
         level = seen
-    if level & doubled:
-        return False
-    for c in iter_bits(level):
-        if free[c] & level:
+    if k % 2:  # a step of the walk may join two classes of the last level
+        if level & doubled:
             return False
+        for c in iter_bits(level):
+            if free[c] & level:
+                return False
     return True
 
 
@@ -723,11 +685,11 @@ def find_c4_in_graph(graph: Graph) -> Optional[tuple[int, int, int, int]]:
     x is the least vertex that has a partner y > x with two common
     neighbors, y the least such partner, and a < b the two least common
     neighbors.  A C4 is a K_{2,2}, S = (x, y) and T = (a, b), so this is
-    patterns._kst_in_rows with s = t = 2: its two-rung ladder is the
+    patterns.contains_kst with s = t = 2: its two-rung ladder is the
     seen/dup fold of x's 2-paths (far ends above x seen once and twice),
     2|E| mask operations in all, not n^2/2 vertex-pair tests.
     """
-    witness = _kst_in_rows(dict(enumerate(graph.adjacency_masks)), len(graph.edges), 2, 2)
+    witness = contains_kst(graph, 2, 2)
     if witness is None:
         return None
     (x, y), (a, b) = witness

@@ -1124,16 +1124,6 @@ def dup_ends_by_masks(free: Sequence[int], u: int) -> int:
     return dup
 
 
-def c4_starts_by_masks(masks: Sequence[int], sizes: Sequence[int],
-                       adj: Sequence[int]) -> list[int]:
-    """The classes the k = 4 gate walks from, ascending, on full-width
-    masks: each that is the least class of a trigger (has_trigger_by_masks)
-    or has an end seen twice (dup_ends_by_masks)."""
-    free = [row & ~(1 << i) for i, row in enumerate(adj)]
-    return [u for u in range(len(masks))
-            if has_trigger_by_masks(masks, sizes, free, u) or dup_ends_by_masks(free, u)]
-
-
 def last_trigger_by_masks(masks: Sequence[int], sizes: Sequence[int], free: Sequence[int]) -> int:
     """The largest least class of a trigger, or -1."""
     for u in range(len(masks) - 1, -1, -1):
