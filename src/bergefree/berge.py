@@ -10,8 +10,8 @@ slot-to-hyperedge bipartite graph.
 
 One closed-walk search (_closed_walk) answers every question of the form
 "is there a Berge-Ck whose least class is a?", in two steps.  Both read one
-incidence: each vertex's list of hyperedge ids (_vertex_ids), built in one
-pass over the sorted rows.  No structure holds a bit per hyperedge for
+incidence: each vertex's list of hyperedge ids, built by _twin_classes in
+one pass over the sorted rows.  No structure holds a bit per hyperedge for
 every vertex; hyperedge masks are built only for the classes a walk
 reaches, over only the hyperedges near where the walk starts.
 
@@ -146,10 +146,10 @@ def find_berge_cycle(hypergraph: Hypergraph, k: int) -> Optional[BergeCycleWitne
     Canonical order: cycles are keyed by their vertex sequence with the
     minimum vertex first and v2 < vk; sequences are generated
     lexicographically, so the returned witness is deterministic.  The twin
-    classes decide (_twin_quotient_has_cycle), reading one incidence, each
-    vertex's list of hyperedge ids (_vertex_ids), and the walk with which
-    they find a cycle is the witness: each of its classes gives out its
-    members in order, and the vertices are the canonical cycle.
+    classes (_twin_classes, keyed by each vertex's list of hyperedge ids)
+    decide (_twin_quotient_has_cycle), and the walk with which they find a
+    cycle is the witness: each of its classes gives out its members in
+    order, and the vertices are the canonical cycle.
     distinct_representatives picks the hyperedges from the walk's slot
     masks, on the hyperedge masks with which the gate found it
     (_walk_masks).
@@ -158,7 +158,7 @@ def find_berge_cycle(hypergraph: Hypergraph, k: int) -> Optional[BergeCycleWitne
         raise ValueError(f"Berge cycle length must be >= 2, got {k}")
     if k > hypergraph.n or k > len(hypergraph.hyperedges):
         return None
-    classes = _twin_classes(hypergraph, _vertex_ids(hypergraph))
+    classes = _twin_classes(hypergraph)
     found = _twin_quotient_has_cycle(classes, k)
     if found is None:
         return None
@@ -169,21 +169,6 @@ def find_berge_cycle(hypergraph: Hypergraph, k: int) -> Optional[BergeCycleWitne
     witness = BergeCycleWitness(cycle, tuple(near[i] for i in distinct_representatives(slots)))
     validate_witness(hypergraph, witness)
     return witness
-
-
-def _vertex_ids(hypergraph: Hypergraph) -> list[Optional[list[int]]]:
-    """The incidence as id lists: entry v lists the ids of the hyperedges
-    through v, ascending, and is None for a vertex in none.  One pass over
-    the rows, in id order, appends each id to its vertices."""
-    ids: list[Optional[list[int]]] = [None] * hypergraph.n
-    for hid, row in enumerate(hypergraph.hyperedges):
-        for v in row:
-            held = ids[v]
-            if held is None:
-                ids[v] = [hid]
-            else:
-                held.append(hid)
-    return ids
 
 
 class _TwinClasses(NamedTuple):
@@ -210,11 +195,21 @@ class _TwinClasses(NamedTuple):
     of_vertex: list[int]
 
 
-def _twin_classes(hypergraph: Hypergraph, ids: Sequence[Optional[list[int]]]) -> _TwinClasses:
-    """The twin classes, keyed by the vertices' id lists.  The rows come
-    from the hyperedges: each ORs the mask of the distinct classes it meets
-    into each of their rows and adds the number of the others to each of
-    their meets."""
+def _twin_classes(hypergraph: Hypergraph) -> _TwinClasses:
+    """The twin classes, keyed by the vertices' id lists: one pass over the
+    rows, in id order, appends each id to the list of each of its vertices
+    (None for a vertex in no hyperedge).  The class rows come from the
+    hyperedges: each ORs the mask of the distinct classes it meets into
+    each of their rows and adds the number of the others to each of their
+    meets."""
+    ids: list[Optional[list[int]]] = [None] * hypergraph.n
+    for hid, row in enumerate(hypergraph.hyperedges):
+        for v in row:
+            held = ids[v]
+            if held is None:
+                ids[v] = [hid]
+            else:
+                held.append(hid)
     index: dict[tuple[int, ...], int] = {}
     members: list[list[int]] = []
     of_vertex = [-1] * hypergraph.n
@@ -357,22 +352,6 @@ def _plain_tree(free: Sequence[int], doubled: int, a: int, k: int) -> bool:
     return True
 
 
-def _ball(adj: Sequence[int], centre: int, radius: int) -> int:
-    """The mask of the classes within radius of the classes of the mask
-    centre in the class graph whose rows are adj."""
-    everything = (1 << len(adj)) - 1
-    ball = frontier = centre
-    for _ in range(radius):
-        if ball == everything:
-            break
-        grown = 0
-        for c in iter_bits(frontier):
-            grown |= adj[c]
-        frontier = grown & ~ball
-        ball |= frontier
-    return ball
-
-
 def _walk_masks(classes: _TwinClasses, a: int, k: int) -> tuple[list[int], list[int]]:
     """Hyperedge masks for the closed k-walks from class a, over only the
     hyperedges near it, and those hyperedge ids, ascending: bit i of entry
@@ -383,16 +362,28 @@ def _walk_masks(classes: _TwinClasses, a: int, k: int) -> tuple[list[int], list[
     each of its slots has an end within (k - 1) // 2, so its slot masks are
     whole; a walk that cannot close may lose hyperedges and be cut, which
     is the verdict it gets anyway.  Only classes one step further out can
-    hold a near hyperedge, so only they get a mask.  The bits keep the
-    order of the ids, so _hall and distinct_representatives decide and
-    pick as they would on masks over every id.
+    hold a near hyperedge, so only they get a mask.  One breadth-first pass
+    from a grows the ball of radius (k - 1) // 2 a level at a time, and the
+    masked classes are that ball with the neighbours of its last level: a
+    class nearer a has all its neighbours in the ball already.  The bits
+    keep the order of the ids, so _hall and distinct_representatives
+    decide and pick as they would on masks over every id.
     """
     keys, adj = classes.keys, classes.adj
-    inner = _ball(adj, 1 << a, (k - 1) // 2)
+    inner = level = 1 << a
+    for _ in range((k - 1) // 2):
+        grown = 0
+        for c in iter_bits(level):
+            grown |= adj[c]
+        level = grown & ~inner
+        inner |= level
+    reached = inner
+    for c in iter_bits(level):
+        reached |= adj[c]
     masks = [0] * len(keys)
     near = sorted(set().union(*map(keys.__getitem__, iter_bits(inner))))
     index = {hid: i for i, hid in enumerate(near)}.get
-    for c in iter_bits(_ball(adj, inner, 1)):
+    for c in iter_bits(reached):
         mask = 0
         for hid in keys[c]:
             i = index(hid)

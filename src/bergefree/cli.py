@@ -63,8 +63,8 @@ MAX_PLANE_ORDER = 97
 # lemmas without --sample refuses a declared n above that of the largest file
 # construct writes: the suite sizes by the vertices on a placed edge, but the
 # report has a row per vertex, and its Berge-C4 precondition
-# (find_berge_cycle) allocates two lists per declared vertex, the id lists
-# (_vertex_ids) and the vertex classes (of_vertex).
+# (find_berge_cycle) allocates two lists per declared vertex in
+# berge._twin_classes, the id lists and the vertex classes.
 LEMMAS_MAX_N = 6 * (MAX_PLANE_ORDER * MAX_PLANE_ORDER + MAX_PLANE_ORDER + 1)
 
 

@@ -262,9 +262,10 @@ def max_weight_exact(
     grows as 2^n and the search is exponential on top of that), and to
     n <= CEILING_MAX_N (16) always, checked (check_size) before the
     universe is built, whose set-up stays in tens of MB there.  n < 4 has
-    an empty universe and answers trivially.  pruned=False disables the
-    admissible remaining-weight bound and enumerates every Berge-C4-free
-    multiset, which serves as the cross-check oracle at small n.
+    an empty universe and answers trivially.  pruned=False sets each
+    candidate's remaining-weight bound above every multiset's weight, a
+    bound no test fires on, so every Berge-C4-free multiset is
+    enumerated: the cross-check oracle at small n.
     Each node walks its live set, the open candidates that miss its
     closing mask, in ascending order, and each candidate taken counts as a
     node.  The parent decides a child before pushing it: a child with no
@@ -301,6 +302,8 @@ def max_weight_exact(
     suffix = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] + max_mult * weights[i]
+    if not pruned:
+        suffix[:m] = [suffix[0] + 1] * m
     rising = [-bound for bound in suffix]  # ascending, for bisect
     survivors_of = _Survivors(cands, n)
     every = survivors_of.every
@@ -328,7 +331,7 @@ def max_weight_exact(
             low = live & -live
             live ^= low
             j = low.bit_length() - 1
-            if pruned and current_weight + suffix[j] <= best_weight:
+            if current_weight + suffix[j] <= best_weight:
                 break
             nodes += 1
             new_weight = current_weight + weights[j]
@@ -337,8 +340,8 @@ def max_weight_exact(
                 best_multiset = (*chosen, j)
             # the child's open candidates: from j on, j itself while copies are left
             open_ = every & (-low if used[j] + 1 < max_mult else -low << 1)
-            if not open_ or (pruned and new_weight
-                             + suffix[(open_ & -open_).bit_length() - 1] <= best_weight):
+            if not open_ or (new_weight + suffix[(open_ & -open_).bit_length() - 1]
+                             <= best_weight):
                 continue
             used[j] += 1
             chosen.append(j)
@@ -372,7 +375,7 @@ def max_weight_exact(
         # a chosen hyperedge, whose copies may run out at it
         first = live & -live
         j = first.bit_length() - 1
-        if pruned and current_weight + suffix[j] <= best:
+        if current_weight + suffix[j] <= best:
             return
         new_weight = current_weight + weights[j]
         if new_weight > best:
@@ -382,7 +385,7 @@ def max_weight_exact(
         testable = with_open  # the children to be tested, for any best
         if used[j] + 1 >= max_mult:
             openable ^= first
-            if j + 1 == m or pruned and new_weight + suffix[j + 1] <= best:
+            if j + 1 == m or new_weight + suffix[j + 1] <= best:
                 testable &= ~first
         bulk = 0  # the children decided by the pairs of one wide triple
         for mask_x, spread_x, mask_z, spread_z, meet, middles in pairs:
@@ -413,10 +416,7 @@ def max_weight_exact(
             # candidate (past the first, a child's own bound, weights[j] +
             # suffix[j + shift], is never below the node's, suffix[j]); and
             # bulk_seg, the bulk leaves of seg, counted unwalked
-            if pruned:
-                reach = rest & ((1 << bisect_left(rising, current_weight - best)) - 1 | first)
-            else:
-                reach = rest
+            reach = rest & ((1 << bisect_left(rising, current_weight - best)) - 1 | first)
             seg = reach & testable
             bulk_seg = seg & bulk
             todo = seg ^ bulk_seg

@@ -1,9 +1,11 @@
 """Independent recomputations used to cross-check the library.
 
-Most of this is deliberately naive: breadth-first distance classes,
-quadratic pair scans, full subset/permutation enumeration, and multiset
-enumeration.  It also owns the path-walk Berge-C4 state (SearchState,
-_closes_c4, _pair_closes, incremental_c4_check), the oracle for the
+Most of this is deliberately naive: breadth-first distance classes (and
+distances over the twin classes for the gate's hyperedge masks,
+walk_masks_by_distance), quadratic pair scans, full subset/permutation
+enumeration, and multiset enumeration.  It also owns the path-walk
+Berge-C4 state (SearchState, _closes_c4, _pair_closes,
+incremental_c4_check), the oracle for the
 library's closing-pair mask and greedy generator, the generator's draw
 test before it read per-vertex rows, one product of the draw's spread
 against one n^2-bit closing mask (greedy_by_spread_product), the same
@@ -1183,6 +1185,30 @@ def c4_class_by_path_pairs(masks: Sequence[int], sizes: Sequence[int],
                             and _slots_pass_hall((ab, bc, cd, da))):
                         return a
     return None
+
+
+def walk_masks_by_distance(classes, a: int, k: int) -> tuple[list[int], list[int]]:
+    """berge._walk_masks from breadth-first distances to class a over the
+    class rows (classes.adj) taken as sets: near is the sorted ids in the
+    keys of the classes within (k - 1) // 2 of a, and each class within
+    (k - 1) // 2 + 1 gets bit i for each near[i] in its key; every other
+    class gets 0."""
+    radius = (k - 1) // 2
+    neighbours = [set(iter_bits(row)) for row in classes.adj]
+    distance = {a: 0}
+    queue = deque([a])
+    while queue:
+        c = queue.popleft()
+        for d in neighbours[c] - distance.keys():
+            distance[d] = distance[c] + 1
+            queue.append(d)
+    near = sorted({hid for c, dist in distance.items() if dist <= radius
+                   for hid in classes.keys[c]})
+    masks = [0] * len(classes.keys)
+    for c, dist in distance.items():
+        if dist <= radius + 1:
+            masks[c] = sum(1 << i for i, hid in enumerate(near) if hid in classes.keys[c])
+    return masks, near
 
 
 def _slots_pass_hall(slots: Sequence[int]) -> bool:

@@ -26,7 +26,7 @@ REMOVED = ("SearchState", "incremental_c4_check", "Digraph", "Pattern", "F1", "F
            "shadow", "neighborhoods", "neighborhood_masks", "degree_stats", "HyperedgeId",
            "AuxBundle", "build_aux_bundle", "BipartiteGraph",
            "compare_to_bounds", "BoundsRow", "_ShadowRows", "_VertexRows", "_vertex_rows",
-           "_upper_edges")
+           "_upper_edges", "_ball", "_vertex_ids")
 
 
 def test_hypergraph_has_no_pair_cover():

@@ -14,7 +14,6 @@ from bergefree.berge import (
     _hall,
     _twin_classes,
     _twin_quotient_has_cycle,
-    _vertex_ids,
     distinct_representatives,
 )
 from bergefree.core import iter_bits
@@ -35,6 +34,7 @@ from oracles import (
     quotient_class_by_masks,
     triangle_by_sorted_edges,
     twin_classes_by_masks,
+    walk_masks_by_distance,
 )
 
 
@@ -337,7 +337,7 @@ CYCLE_LENGTHS = (2, 3, 4, 5, 6)
 
 
 def twin_classes(h: bf.Hypergraph):
-    return _twin_classes(h, _vertex_ids(h))
+    return _twin_classes(h)
 
 
 def least_class(classes, k: int):
@@ -666,7 +666,7 @@ def test_quotient_on_relabelled_q7_blowups_with_planted_hyperedges():
 
 
 def _planted_blowup(q, rng, planted):
-    """The q = 7..13 blow-up, relabelled and shuffled, with planted extra
+    """The q blow-up, relabelled and shuffled, with planted extra
     hyperedges: a copy of a hyperedge (two classes then share two), the
     union of two whole classes, a few random vertices that split their
     classes, or a whole class with one vertex of another."""
@@ -959,15 +959,11 @@ def test_ck_starts_yield_the_least_class_of_each_kind_of_walk(k):
         assert _assert_quotient_agrees(copied, k) == (copies == k)
 
 
-@pytest.mark.parametrize("k", WALK_LENGTHS)
-def test_ck_starts_cover_every_walk_on_seeded_twin_rich_inputs(k):
-    """Up to six classes of up to seven members under hyperedges on one
-    to three classes, some repeated, and a few on arbitrary vertices that
-    split classes: the start filter yields every class from which
-    the closed walk alone finds a walk, and the gate's least class and
-    the witness are the vertex-level reference's (_assert_quotient_agrees)."""
+def _twin_rich_inputs(k: int):
+    """150 seeded inputs for length k: up to six classes of up to seven
+    members under hyperedges on one to three classes, some repeated, and a
+    few on arbitrary vertices that split classes."""
     rng = random.Random(20261020 + k)
-    verdicts = {False: 0, True: 0}
     for _ in range(150):
         base_n = rng.randint(2, 6)
         sizes = [rng.choice((1, 1, 2, 3, 4, 7)) for _ in range(base_n)]
@@ -975,11 +971,35 @@ def test_ck_starts_cover_every_walk_on_seeded_twin_rich_inputs(k):
                 for _ in range(rng.randint(1, k + 3))]
         base += rng.sample(base, rng.randint(0, len(base) // 2))  # repeats
         h = _blow_classes(sizes, base, rng, isolated=rng.randint(0, 2))
-        h = bf.Hypergraph(h.n, h.hyperedges + tuple(
+        yield bf.Hypergraph(h.n, h.hyperedges + tuple(
             frozenset(rng.sample(range(h.n), min(h.n, rng.randint(2, 3))))
             for _ in range(rng.randint(0, 2))))
+
+
+@pytest.mark.parametrize("k", WALK_LENGTHS)
+def test_ck_starts_cover_every_walk_on_seeded_twin_rich_inputs(k):
+    """On the seeded twin-rich inputs (_twin_rich_inputs) the start filter
+    yields every class from which the closed walk alone finds a walk, and
+    the gate's least class and the witness are the vertex-level
+    reference's (_assert_quotient_agrees)."""
+    verdicts = {False: 0, True: 0}
+    for h in _twin_rich_inputs(k):
         verdicts[_assert_quotient_agrees(h, k)] += 1
     assert min(verdicts.values()) > 25, verdicts
+
+
+@pytest.mark.parametrize("k", WALK_LENGTHS)
+def test_walk_masks_match_breadth_first_distances(k):
+    """The gate's hyperedge masks and near ids (_walk_masks) from every
+    class equal the reference from breadth-first distances over the class
+    rows (walk_masks_by_distance), on the seeded twin-rich inputs and on
+    relabelled q = 3 blow-ups with planted hyperedges."""
+    rng = random.Random(3000 + k)
+    inputs = [*_twin_rich_inputs(k), *(_planted_blowup(3, rng, 1 + i % 3) for i in range(6))]
+    for h in inputs:
+        classes = twin_classes(h)
+        for a in range(len(classes.keys)):
+            assert berge._walk_masks(classes, a, k) == walk_masks_by_distance(classes, a, k), (k, a)
 
 
 def test_a_gate_and_witness_call_leaves_nothing_for_the_cycle_collector():

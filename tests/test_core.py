@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bergefree as bf
-from bergefree.berge import _twin_classes, _vertex_ids
+from bergefree.berge import _twin_classes
 from conftest import graphs, hypergraphs
 from oracles import (
     _vertex_rows,
@@ -107,7 +107,7 @@ def shadow_edges(hypergraph):
     """The shadow adjacency the closed walk reads, on the twin classes: u
     and v != u are adjacent when bit of_vertex[v] of adj[of_vertex[u]] is
     set (twins through the class's loop bit)."""
-    classes = _twin_classes(hypergraph, _vertex_ids(hypergraph))
+    classes = _twin_classes(hypergraph)
     adj, of_vertex = classes.adj, classes.of_vertex
     return frozenset((u, v) for u in range(hypergraph.n) for v in range(u + 1, hypergraph.n)
                      if of_vertex[u] >= 0 and of_vertex[v] >= 0
