@@ -21,6 +21,11 @@ place that turns OSError, ValueError (FormatError included), RecursionError,
 MemoryError and OverflowError into exit 2 with one stderr line.  An
 AssertionError from a library self-check stays a traceback: it is a bug,
 not an input error.
+
+Each call is parsed once (_parse): an argv that starts with a command goes
+straight to that command's parser.  An empty argv, one whose first word is
+no command, one holding "--" and one with words left over take the full
+parse of the top-level parser, which prints the help, usage and errors.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import random
 import sys
 import time
 from functools import cache
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .berge import find_berge_cycle, is_berge_c4_free
 from .constructions import (
@@ -265,9 +270,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The `berge` parser, built once per process: parse_args keeps no
-    state between calls and returns a new namespace each time."""
+def _parsers() -> tuple[argparse.ArgumentParser, Mapping[str, argparse.ArgumentParser]]:
+    """The `berge` parser and its command parsers by name, the map
+    add_subparsers returns as its choices, built once per process:
+    parse_args keeps no state between calls and returns a new namespace
+    each time."""
     parser = argparse.ArgumentParser(
         prog="berge",
         description="Construct, detect, and verify Berge-C4-free hypergraphs.",
@@ -310,11 +317,33 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="tabulate asymptotic comparators per n")
     p.add_argument("--n", required=True, help="comma-separated vertex counts")
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The `berge` parser, built once per process."""
+    return _parsers()[0]
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """argv parsed once, by the parser of the command it starts with: the
+    top-level parser would hand that parser the same words.  An empty
+    argv, a first word that is no command, an argv holding "--" (whose
+    handling moved between Python versions) and one the command's parser
+    leaves words over from take the full parse_args instead, so help,
+    usage and every error keep their bytes."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv and "--" not in argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         # looked up at each call, so the parser holds no command function
         return globals()[f"cmd_{args.command}"](args)

@@ -25,9 +25,9 @@ rows straight off the hyperedges through the placements (_projection),
 for the vertices on a placed edge only, with no colored graph;
 build_embedded_graph keeps the colored graph for the embed command and
 the tests.  Observation 1 holds by construction: the suite checks it once
-per hyperedge size, on the placement, and verify_observation1 checks a
-whole colored graph, looking only at the colors whose edges share a
-vertex.  K_{2,7} runs the 2-path ladder of the patterns module on the
+per hyperedge size per process, on the placement, and verify_observation1
+checks a whole colored graph, looking only at the colors whose edges share
+a vertex.  K_{2,7} runs the 2-path ladder of the patterns module on the
 rows.  All freeness and counting checks run on the simple projection;
 parallel colored edges on a pair are legal and only multiplicity-blind
 statements are asserted about them.
@@ -290,9 +290,18 @@ def _projection(hypergraph: Hypergraph, checked: Iterable[int]) -> tuple[dict[in
     return rows, spokes
 
 
+@lru_cache(maxsize=None)
+def _check_observation1(s: int) -> None:
+    """Raise AssertionError unless the placement of size s, as one color,
+    keeps observation 1; checked once per size per process."""
+    placed = ColoredGraph(s, tuple((a, b, 0) for a, b in _placement(s)))
+    if not verify_observation1(placed).ok:
+        raise AssertionError(f"the placement of size {s} breaks observation 1")
+
+
 def _observation1_by_size(hypergraph: Hypergraph) -> ObservationReport:
     """verify_observation1(build_embedded_graph(hypergraph)), checked once
-    per hyperedge size.
+    per hyperedge size (_check_observation1).
 
     Each color's edges are one hyperedge's placement (_placement(s)) mapped
     through its sorted, distinct vertices, and both rules of observation 1
@@ -304,9 +313,7 @@ def _observation1_by_size(hypergraph: Hypergraph) -> ObservationReport:
     """
     sizes = {len(h) for h in hypergraph.hyperedges if len(h) > 3}
     for s in sorted(sizes):
-        placed = ColoredGraph(s, tuple((a, b, 0) for a, b in _placement(s)))
-        if not verify_observation1(placed).ok:
-            raise AssertionError(f"the placement of size {s} breaks observation 1")
+        _check_observation1(s)
     return ObservationReport(
         n=hypergraph.n,
         colored_edge_count=sum(len(h) - 3 for h in hypergraph.hyperedges if len(h) > 3),

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -576,6 +577,65 @@ def test_calls_in_one_process_match_calls_alone(tmp_path):
     assert [code for code, _, _ in in_process] == [0, 0, 2, 1, 2, 0]
     for argv, got in zip(calls, in_process):
         assert got == _run_alone(argv, tmp_path), argv
+
+
+# Every branch of cli._parse: the command's own parser, and the full parse
+# for an empty argv, a first word that is no command, "--" and words left
+# over.  Each row is an argv, its exit code and a piece of its stdout or
+# stderr; F is an input with a Berge-C3 and no Berge-C4, P a search output.
+DISPATCH_ARGVS = [
+    (["verify", "-i", "F"], 0, "Berge-C4-free"),
+    (["verify", "-i", "F", "--k", "3"], 1, '{"vertices":[0,1,2],"hyperedges":[0,1,2]}'),
+    ([], 2, "berge: error: the following arguments are required: command"),
+    (["-h"], 0, "usage: berge [-h] {construct,verify,"),
+    (["verify", "-h"], 0, "usage: berge verify [-h] -i INPUT [--k K]"),
+    (["verify", "-i", "F", "-h"], 0, "usage: berge verify [-h] -i INPUT [--k K]"),
+    (["verif", "-i", "F"], 2, "berge: error: argument command: invalid choice: 'verif'"),
+    (["verify", "-i", "F", "--bogus"], 2, "berge: error: unrecognized arguments: --bogus"),
+    (["lemmas", "-i", "F", "--sam", "3"], 0, '"seed":0,"sample":3,'),
+    (["search", "--n", "5", "--max", "2", "-o", "P"], 0, "n=5 best_weight=5 nodes=43"),
+    (["verify", "--", "-i", "F"], 2,
+     "berge verify: error: the following arguments are required: -i/--input"),
+    (["verify", "-i"], 2, "berge verify: error: argument -i/--input: expected one argument"),
+    (["verify", "-i", "F", "--k", "x"], 2, "berge verify: error: argument --k: invalid int"),
+    (["-x", "verify"], 2, "berge verify: error: the following arguments are required"),
+]
+
+
+@pytest.mark.parametrize("argv, code, text", DISPATCH_ARGVS,
+                         ids=[" ".join(argv) for argv, _, _ in DISPATCH_ARGVS])
+def test_each_parse_branch_matches_the_call_alone(tmp_path, monkeypatch, argv, code, text):
+    """Help, usage, errors and results come out with the same exit code,
+    stdout and stderr in process as in a process of their own.  The help
+    is wrapped at 80 columns on both sides; search's elapsed time is
+    masked, as it differs run to run."""
+    monkeypatch.setenv("COLUMNS", "80")
+    src = write_hypergraph(tmp_path, "h.json", bf.lower_bound_construction(42).hypergraph)
+    names = {"F": src, "P": str(tmp_path / "search.jsonl")}
+    argv = [names.get(a, a) for a in argv]
+
+    def masked(run):
+        code, out, err = run
+        return code, out, re.sub(r"\(\d+\.\d{3}s\)", "(elapsed)", err)
+    got = masked(_run_in_process(argv))
+    assert got[0] == code and text in got[1] + got[2]
+    assert got == masked(_run_alone(argv, tmp_path))
+
+
+def test_a_valid_call_is_parsed_once(tmp_path, monkeypatch, capsys):
+    """A call that starts with a command is parsed by that command's parser
+    alone; the top-level parser does not classify it first."""
+    src = write_hypergraph(tmp_path, "h.json", bf.lower_bound_construction(42).hypergraph)
+    parsed = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert main(["verify", "-i", src]) == 0
+    assert parsed == ["berge verify"]
+    assert capsys.readouterr().err == "Berge-C4-free\n"
 
 
 def test_lemmas_rejects_negative_sample(tmp_path, capsys):

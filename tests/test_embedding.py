@@ -9,7 +9,13 @@ from hypothesis import given, settings
 
 import bergefree as bf
 import bergefree.embedding
-from bergefree.embedding import _observation1_by_size, _placement, _projection, _vertex_checks
+from bergefree.embedding import (
+    _check_observation1,
+    _observation1_by_size,
+    _placement,
+    _projection,
+    _vertex_checks,
+)
 from conftest import hypergraphs
 from oracles import (
     F1,
@@ -623,6 +629,44 @@ def test_observation1_by_size_matches_incidence_oracle(h):
     assert _observation1_by_size(h) == want
     if bf.is_berge_c4_free(h):
         assert bf.verify_lemma_suite(h, vertices=[]).observation1 == want
+
+
+def test_observation1_is_checked_once_per_size(monkeypatch):
+    checked = []
+    original = bf.verify_observation1
+
+    def counting(colored_graph):
+        checked.append(colored_graph.n)
+        return original(colored_graph)
+    monkeypatch.setattr(bergefree.embedding, "verify_observation1", counting)
+    _check_observation1.cache_clear()
+    h = bf.Hypergraph(30, tuple(frozenset(range(start, start + size))
+                                for size in (4, 6, 9, 6, 3, 4, 9, 12, 6)
+                                for start in (0, 11)))
+    try:
+        want = _observation1_by_size(h)
+        assert sorted(checked) == [4, 6, 9, 12]
+        assert _observation1_by_size(h) == want
+        assert sorted(checked) == [4, 6, 9, 12]
+    finally:
+        _check_observation1.cache_clear()
+    assert want == observation1_by_incidence(bf.build_embedded_graph(h))
+
+
+def test_a_placement_that_breaks_observation1_raises(monkeypatch):
+    """Two same-colored edges at a vertex with no third to close them break
+    observation 1; the failed size is not cached, so each call raises."""
+    placement = bergefree.embedding._placement
+    monkeypatch.setattr(bergefree.embedding, "_placement",
+                        lambda s: ((0, 1), (1, 2)) if s == 5 else placement(s))
+    _check_observation1.cache_clear()
+    h = bf.Hypergraph(8, ({0, 1, 2, 3}, {3, 4, 5, 6, 7}))
+    try:
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="placement of size 5 breaks"):
+                bf.verify_lemma_suite(h, vertices=[])
+    finally:
+        _check_observation1.cache_clear()
 
 
 @pytest.mark.parametrize("h", _lemma_inputs())
