@@ -24,11 +24,11 @@ one over N2(v) (_vertex_checks).  The lemma suite reads the projection's
 rows straight off the hyperedges through the placements (_projection),
 for the vertices on a placed edge only, with no colored graph;
 build_embedded_graph keeps the colored graph for the embed command and
-the tests.  Observation 1 holds by construction: the suite checks it once
-per hyperedge size per process, on the placement, and verify_observation1
-checks a whole colored graph, looking only at the colors whose edges share
-a vertex.  K_{2,7} runs the 2-path ladder of the patterns module on the
-rows.  All freeness and counting checks run on the simple projection;
+the tests.  Observation 1 holds by construction, since a color's edges
+are vertex-disjoint triangles and single edges (decompose_hyperedge), so
+the suite reports it without a check; verify_observation1 checks a whole
+colored graph.  K_{2,7} runs the 2-path ladder of the patterns module on
+the rows.  All freeness and counting checks run on the simple projection;
 parallel colored edges on a pair are legal and only multiplicity-blind
 statements are asserted about them.
 """
@@ -36,11 +36,9 @@ statements are asserted about them.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
 from .berge import BergeCycleWitness, find_berge_cycle
@@ -108,6 +106,12 @@ def decompose_hyperedge(hyperedge: Iterable[int]) -> Decomposition:
     m = s-3-3t single edges, assigning vertices in ascending order: the
     first 3t form consecutive triples, the next 2m consecutive pairs.
     Hyperedges with s <= 3 embed nothing.
+
+    The parts are vertex-disjoint (Decomposition checks it), so a vertex
+    of the hyperedge lies on at most one of them: on no placed edge, on
+    one single edge, or on two edges of one triangle, whose third edge
+    closes them.  So every placement, taken as one color, keeps
+    Observation 1.
     """
     verts = sorted(set(hyperedge))
     s = len(verts)
@@ -180,25 +184,13 @@ class ObservationReport:
 def verify_observation1(colored_graph: ColoredGraph) -> ObservationReport:
     """Check per vertex x and color h: at most two incident edges carry h,
     and two same-colored edges xy, xz force the same-colored edge yz.
-
-    Both rules are about two edges of one color at one vertex, so a color
-    whose edges form a matching can break neither.  One count of the
-    (vertex, color) ends finds the colors with a shared vertex, and only
-    their edges enter the per-vertex check.  The skipped (vertex, color)
-    pairs add no violation, so the report is the same, in the same sorted
-    order, as a check of every color.
-    """
-    edges = colored_graph.colored_edges
-    ends = Counter(zip(map(itemgetter(0), edges), map(itemgetter(2), edges)))
-    ends.update(zip(map(itemgetter(1), edges), map(itemgetter(2), edges)))
-    shared = {color for (_, color), count in ends.items() if count > 1}
+    Violations come sorted by (vertex, color)."""
     incident: dict[tuple[int, int], list[int]] = {}
     present = set()
-    for u, v, color in edges:
-        if color in shared:
-            incident.setdefault((u, color), []).append(v)
-            incident.setdefault((v, color), []).append(u)
-            present.add((u, v, color))
+    for u, v, color in colored_graph.colored_edges:
+        incident.setdefault((u, color), []).append(v)
+        incident.setdefault((v, color), []).append(u)
+        present.add((u, v, color))
     violations: list[dict] = []
     for (x, color), others in sorted(incident.items()):
         if len(others) > 2:
@@ -231,9 +223,12 @@ def verify_observation1(colored_graph: ColoredGraph) -> ObservationReport:
 class LemmaSuiteReport:
     """Per-vertex counts plus any violated structural assertion.
 
-    observation1 is the same-color check of the embedded graph, as
-    verify_observation1 would report it (_observation1_by_size); it has its
-    own verdict and is left out of ok and to_json_dict.
+    observation1 is the report verify_observation1 would give on the
+    embedded graph: its placed edges and no violation.  Each color's edges
+    are one hyperedge's placement mapped through its distinct vertices, and
+    both rules of Observation 1 concern the edges of one color at one
+    vertex, so they hold because they hold for every placement
+    (decompose_hyperedge).  It is left out of ok and to_json_dict.
     """
 
     n: int
@@ -261,7 +256,8 @@ class LemmaSuiteReport:
         }
 
 
-def _projection(hypergraph: Hypergraph, checked: Iterable[int]) -> tuple[dict[int, int], dict]:
+def _projection(hypergraph: Hypergraph,
+                checked: Iterable[int]) -> tuple[dict[int, int], dict, int]:
     """The simple projection of the embedded graph, read straight off the
     hyperedges, with no colored graph built.
 
@@ -269,15 +265,18 @@ def _projection(hypergraph: Hypergraph, checked: Iterable[int]) -> tuple[dict[in
     its size (_placement), in id order, as build_embedded_graph does.  It
     gives the adjacency rows of the projection, keyed ascending by the
     vertices that lie on a placed edge, each set in one pass over its
-    neighbours (core._mask); and the colors of every spoke (v, x) of each
+    neighbours (core._mask); the colors of every spoke (v, x) of each
     checked vertex v, as spokes[v][x], ascending since hyperedges come in
-    id order.
+    id order; and the number of placed edges, parallel ones included.
     """
     neighbours: dict[int, list[int]] = {}
     spokes: dict[int, dict[int, list[int]]] = {v: {} for v in checked}
+    placed = 0
     for hid, h in enumerate(hypergraph.hyperedges):
         if len(h) > 3:
-            for a, b in _placement(len(h)):
+            placement = _placement(len(h))
+            placed += len(placement)
+            for a, b in placement:
                 u, w = h[a], h[b]
                 neighbours.setdefault(u, []).append(w)
                 neighbours.setdefault(w, []).append(u)
@@ -287,38 +286,7 @@ def _projection(hypergraph: Hypergraph, checked: Iterable[int]) -> tuple[dict[in
                     spokes[w].setdefault(u, []).append(hid)
     width = max(neighbours, default=0) // 8 + 1
     rows = {v: _mask(neighbours[v], width) for v in sorted(neighbours)}
-    return rows, spokes
-
-
-@lru_cache(maxsize=None)
-def _check_observation1(s: int) -> None:
-    """Raise AssertionError unless the placement of size s, as one color,
-    keeps observation 1; checked once per size per process."""
-    placed = ColoredGraph(s, tuple((a, b, 0) for a, b in _placement(s)))
-    if not verify_observation1(placed).ok:
-        raise AssertionError(f"the placement of size {s} breaks observation 1")
-
-
-def _observation1_by_size(hypergraph: Hypergraph) -> ObservationReport:
-    """verify_observation1(build_embedded_graph(hypergraph)), checked once
-    per hyperedge size (_check_observation1).
-
-    Each color's edges are one hyperedge's placement (_placement(s)) mapped
-    through its sorted, distinct vertices, and both rules of observation 1
-    concern the edges of one color at one vertex, so they hold for the
-    whole graph exactly when they hold for the placement of every size
-    that occurs.  They always do, since the placement is vertex-disjoint
-    triangles and single edges (validate_decomposition), so a size that
-    breaks them raises AssertionError.
-    """
-    sizes = {len(h) for h in hypergraph.hyperedges if len(h) > 3}
-    for s in sorted(sizes):
-        _check_observation1(s)
-    return ObservationReport(
-        n=hypergraph.n,
-        colored_edge_count=sum(len(h) - 3 for h in hypergraph.hyperedges if len(h) > 3),
-        violations=(),
-    )
+    return rows, spokes, placed
 
 
 def _vertex_checks(
@@ -451,9 +419,8 @@ def verify_lemma_suite(
     the color-inclusion rule on G'_aux edges, the one-loose-edge rule on
     N2(v), and the 2-path count identity |B| + 2|G| = sum over x in N1(v)
     of (d(x) - 1).  A checked vertex outside 0..n-1 raises ValueError.
-    Observation 1 is checked once per hyperedge size
-    (_observation1_by_size), with the report the whole colored graph
-    would give.
+    Observation 1 holds by construction (LemmaSuiteReport), so its report
+    is the projection's count of placed edges with no violation.
 
     The projection's rows are sized by the vertices that lie on a placed
     edge, not by the declared n.  Each vertex is checked on those rows in
@@ -472,7 +439,7 @@ def verify_lemma_suite(
     for v in checked:
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} out of range for n={n}")
-    rows, spokes = _projection(hypergraph, checked)
+    rows, spokes, placed = _projection(hypergraph, checked)
 
     k27 = _kst_in_rows(rows, sum(map(int.bit_count, rows.values())) // 2, 2, 7)
     violations: list[dict] = []
@@ -491,6 +458,6 @@ def verify_lemma_suite(
         k27_free=k27 is None,
         k27_witness=k27,
         rows=tuple(report_rows),
-        observation1=_observation1_by_size(hypergraph),
+        observation1=ObservationReport(n, placed, ()),
         violations=tuple(violations),
     )

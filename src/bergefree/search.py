@@ -50,8 +50,9 @@ So for one best the children counted are those below one threshold (a
 bisect over suffix), those tested are all of them with an open
 candidate, and the counters grow by popcounts; both sets are taken again
 only after an entered child returns.  The first child keeps its best
-update, and its own bound when it is the last chosen hyperedge with no
-copy left.
+update; when it is the universe's last candidate with no copy left it
+has no open candidate and is not tested.  Its own bound never fails
+before that (see node).
 A triple is wide when its middle meets each end in 3 or more vertices,
 and the two ends together in 4 or more: it forces no exclusion, so its
 pairs are the product of its two ends.  The survivors of any part of a
@@ -384,8 +385,18 @@ def max_weight_exact(
         openable = every  # every candidate but the first child's when its copies run out
         testable = with_open  # the children to be tested, for any best
         if used[j] + 1 >= max_mult:
+            # the first child then opens candidates from j + 1 on, none at
+            # the universe's last.  Before that its own bound,
+            # new_weight + suffix[j + 1], never fails, so it is tested like
+            # any other child: max_mult - 1 copies of it are taken, the last
+            # chosen; with W the weight without them, a node bound let the
+            # first copy in with best < W + suffix[j], and since then only
+            # these copies, each a first child, raised best, to at most
+            # new_weight.  Both are below new_weight + suffix[j + 1], which
+            # is at least W + suffix[j] (equal when pruned) and, as
+            # suffix[j + 1] > 0, above new_weight
             openable ^= first
-            if j + 1 == m or new_weight + suffix[j + 1] <= best:
+            if j + 1 == m:
                 testable &= ~first
         bulk = 0  # the children decided by the pairs of one wide triple
         for mask_x, spread_x, mask_z, spread_z, meet, middles in pairs:

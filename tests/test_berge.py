@@ -487,6 +487,55 @@ def test_walk_tests_a_closing_in_one_direction_only(monkeypatch):
     assert tested == [[0b001, 0b001, 0b111]]
 
 
+# every vertex is a class of its own in both, and the k = 4 start filter
+# yields class 0 only, for the edge 1-2 among its upper neighbours
+PLANTED_CUTS = [
+    # the 4-cycle 0, 1, 3, 4 beside h0 = {0, 1, 2}: the prefixes 0, 1, 0
+    # (no member left) and 0, 1, 2 have slots in h0 alone, so the dead-prefix
+    # cut drops 0, 1, 2; 0, 1, 3 closes through 4 and passes Hall's test
+    (({0, 1, 2}, {1, 3}, {3, 4}, {0, 4}), 1, 3, ([0, 1, 3, 4], [0, 1, 2, 3])),
+    # free: 0, 1, 2, 3 has the slots h0, h1, h2, h2, three hyperedges, and
+    # the closing cut drops it before Hall's test; 0, 2, 3 and 0, 3, 2 have
+    # both their slots in h2, and the dead-prefix cut drops them
+    (({0, 1}, {1, 2}, {0, 2, 3}, {3, 4}), 0, 7, None),
+]
+
+
+@pytest.mark.parametrize("hyperedges, hall_tests, extended, witness", PLANTED_CUTS,
+                         ids=["cycle", "free"])
+def test_closed_walk_cuts_dead_prefixes_and_short_closings(
+        hyperedges, hall_tests, extended, witness, monkeypatch):
+    """The walk's two cuts only save work, so the counts pin them: the Hall
+    tests at a closing (a closing whose slots cover fewer than k hyperedges
+    is cut before one) and the prefixes extended (a prefix whose slots
+    cover fewer hyperedges than it has slots is cut before it is; each
+    extended prefix orders its candidates with one iter_bits call), both
+    counted inside _closed_walk only."""
+    counts = {"hall": 0, "extended": 0}
+    hall, walk, bits = berge._hall, berge._closed_walk, berge.iter_bits
+
+    def counted_hall(slots):
+        counts["hall"] += 1
+        return hall(slots)
+
+    def counted_bits(mask):
+        counts["extended"] += 1
+        return bits(mask)
+
+    def counted_walk(*args):
+        with monkeypatch.context() as inside:
+            inside.setattr(berge, "_hall", counted_hall)
+            inside.setattr(berge, "iter_bits", counted_bits)
+            return walk(*args)
+
+    monkeypatch.setattr(berge, "_closed_walk", counted_walk)
+    h = bf.Hypergraph(5, tuple(map(frozenset, hyperedges)))
+    found = bf.find_berge_cycle(h, 4)
+    assert (None if found is None else found.to_json_dict()) == (
+        None if witness is None else {"vertices": witness[0], "hyperedges": witness[1]})
+    assert counts == {"hall": hall_tests, "extended": extended}
+
+
 def test_quotient_on_exhaustive_class_family():
     """Up to 3 twin classes of 1-4 members (at most 8 vertices) under every
     multiset of up to 4 hyperedges drawn from the 7 unions of classes, so a

@@ -10,8 +10,6 @@ from hypothesis import given, settings
 import bergefree as bf
 import bergefree.embedding
 from bergefree.embedding import (
-    _check_observation1,
-    _observation1_by_size,
     _placement,
     _projection,
     _vertex_checks,
@@ -485,7 +483,7 @@ def _suite_reports(hypergraph, checked=None):
     default) from _vertex_checks on the suite's own rows and spokes
     (_projection) and from the bundle oracle, each as JSON text."""
     checked = range(hypergraph.n) if checked is None else checked
-    rows, spokes = _projection(hypergraph, checked)
+    rows, spokes, _ = _projection(hypergraph, checked)
     cg = bf.build_embedded_graph(hypergraph)
     masks = cg.simple_projection.adjacency_masks
     for v in checked:
@@ -530,7 +528,7 @@ def test_vertex_checks_match_bundle_oracle_on_a_sparse_wide_relabelling():
     n = 3000
     image = random.Random(7).sample(range(n), h.n)
     h = bf.Hypergraph(n, [[image[v] for v in e] for e in h.hyperedges])
-    rows, _ = _projection(h, [])
+    rows, _, _ = _projection(h, [])
     assert any(row.bit_length() > 2000 for row in rows.values())
     for fast, oracle in _suite_reports(h, list(rows)):
         assert fast == oracle
@@ -553,7 +551,7 @@ def test_vertex_checks_on_either_side_of_the_lazy_g_aux_rows():
 
 def test_isolated_vertex_row_is_pinned():
     h = bf.Hypergraph(5, ({0, 1, 2, 3},))
-    rows, spokes = _projection(h, [4])
+    rows, spokes, _ = _projection(h, [4])
     row, violations = _vertex_checks(h, rows, 4, spokes[4])
     assert json.dumps(row) == json.dumps({
         "v": 4, "d": 0, "g_edges": 0, "g_aux_edges": 0, "g_aux_prime_edges": 0,
@@ -622,62 +620,75 @@ def _lemma_inputs():
 
 @pytest.mark.parametrize("h", _lemma_inputs())
 def test_observation1_by_size_matches_incidence_oracle(h):
-    """Observation 1 checked once per hyperedge size reports what the
-    whole-graph oracle reports on the embedded graph, and on a free input
-    the suite carries that report."""
+    """The whole-graph oracle finds no violation on the embedded graph of
+    any input, and on a free input the suite's Observation 1 report, which
+    it takes from the placements without a check, is the oracle's; the
+    suite refuses the others."""
     want = observation1_by_incidence(bf.build_embedded_graph(h))
-    assert _observation1_by_size(h) == want
+    assert want.ok
     if bf.is_berge_c4_free(h):
         assert bf.verify_lemma_suite(h, vertices=[]).observation1 == want
+    else:
+        with pytest.raises(bf.NotBergeC4FreeError):
+            bf.verify_lemma_suite(h, vertices=[])
 
 
-def test_observation1_is_checked_once_per_size(monkeypatch):
-    checked = []
-    original = bf.verify_observation1
-
-    def counting(colored_graph):
-        checked.append(colored_graph.n)
-        return original(colored_graph)
-    monkeypatch.setattr(bergefree.embedding, "verify_observation1", counting)
-    _check_observation1.cache_clear()
-    h = bf.Hypergraph(30, tuple(frozenset(range(start, start + size))
-                                for size in (4, 6, 9, 6, 3, 4, 9, 12, 6)
-                                for start in (0, 11)))
-    try:
-        want = _observation1_by_size(h)
-        assert sorted(checked) == [4, 6, 9, 12]
-        assert _observation1_by_size(h) == want
-        assert sorted(checked) == [4, 6, 9, 12]
-    finally:
-        _check_observation1.cache_clear()
-    assert want == observation1_by_incidence(bf.build_embedded_graph(h))
+def test_every_placement_keeps_observation1():
+    """Observation 1 holds by construction: for every size s from 4 to
+    200 (s <= 6 has no triangle, and beyond it each residue mod 3 comes
+    up), the parts of the decomposition of range(s) are vertex-disjoint,
+    they place 3t + m = s - 3 edges, and those edges as one color pass
+    the observation check."""
+    for s in range(4, 201):
+        dec = bf.decompose_hyperedge(range(s))
+        parts = (*dec.triangles, *dec.single_edges)
+        used = [v for part in parts for v in part]
+        assert len(used) == len(set(used)), s
+        assert 3 * len(dec.triangles) + len(dec.single_edges) == s - 3, s
+        edges = dec.edges()
+        assert len(edges) == s - 3 and edges == _placement(s), s
+        report = bf.verify_observation1(bf.ColoredGraph(s, tuple((u, v, 0) for u, v in edges)))
+        assert report.ok and report.colored_edge_count == s - 3, s
 
 
-def test_a_placement_that_breaks_observation1_raises(monkeypatch):
-    """Two same-colored edges at a vertex with no third to close them break
-    observation 1; the failed size is not cached, so each call raises."""
+def test_lemma_suite_maps_each_hyperedge_once_and_runs_no_observation_check(monkeypatch):
+    """The suite reads the projection, the spokes and the placed-edge count
+    in one pass over the hyperedges: one placement lookup per hyperedge of
+    four or more vertices, and no observation check."""
+    looked_up = []
     placement = bergefree.embedding._placement
-    monkeypatch.setattr(bergefree.embedding, "_placement",
-                        lambda s: ((0, 1), (1, 2)) if s == 5 else placement(s))
-    _check_observation1.cache_clear()
-    h = bf.Hypergraph(8, ({0, 1, 2, 3}, {3, 4, 5, 6, 7}))
-    try:
-        for _ in range(2):
-            with pytest.raises(AssertionError, match="placement of size 5 breaks"):
-                bf.verify_lemma_suite(h, vertices=[])
-    finally:
-        _check_observation1.cache_clear()
+
+    def counting(s):
+        looked_up.append(s)
+        return placement(s)
+
+    def refuse(colored_graph):
+        raise AssertionError("the lemma suite ran an observation check")
+    monkeypatch.setattr(bergefree.embedding, "_placement", counting)
+    monkeypatch.setattr(bergefree.embedding, "verify_observation1", refuse)
+    sizes = (4, 6, 9, 3, 12, 4, 6, 9, 12)
+    petals = [sum(sizes[:i]) - i + 1 for i in range(len(sizes) + 1)]
+    # a sunflower on vertex 0, which has no cycle
+    h = bf.Hypergraph(petals[-1], tuple({0, *range(petals[i], petals[i + 1])}
+                                        for i in range(len(sizes))))
+    assert sorted(map(len, h.hyperedges)) == sorted(sizes) and bf.is_berge_c4_free(h)
+    report = bf.verify_lemma_suite(h, vertices=[0, 11, 20])
+    assert sorted(looked_up) == [4, 4, 6, 6, 9, 9, 12, 12]
+    assert report.ok and report.observation1 == bf.ObservationReport(h.n, 38, ())
 
 
 @pytest.mark.parametrize("h", _lemma_inputs())
 def test_projection_rows_are_the_simple_projection(h):
     """The suite's rows, read straight off the hyperedges, are the adjacency
     masks of the embedded graph's simple projection, keyed ascending by
-    the vertices on a placed edge."""
-    rows, _ = _projection(h, [])
-    masks = bf.build_embedded_graph(h).simple_projection.adjacency_masks
+    the vertices on a placed edge, and its count of placed edges is the
+    embedded graph's, parallel edges included."""
+    rows, _, placed = _projection(h, [])
+    embedded = bf.build_embedded_graph(h)
+    masks = embedded.simple_projection.adjacency_masks
     assert rows == {v: row for v, row in enumerate(masks) if row}
     assert list(rows) == sorted(rows)
+    assert placed == len(embedded.colored_edges)
 
 
 def test_lemma_suite_on_a_huge_declared_n_allocates_by_the_used_vertices():
