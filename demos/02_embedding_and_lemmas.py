@@ -2,11 +2,12 @@
 
 Each hyperedge h contributes |h|-3 edges, placed as vertex-disjoint
 triangles and single edges and colored by the hyperedge id.  The resulting
-colored multigraph satisfies two structural facts that the verifiers here
-replay on concrete inputs:
+colored multigraph satisfies two structural facts, which the lemma suite
+reports on concrete inputs:
 
   * per vertex and color, at most two incident edges, and two same-colored
-    edges at a vertex close into a same-colored triangle;
+    edges at a vertex close into a same-colored triangle (Observation 1,
+    which holds by construction, so the report carries no check);
   * around every vertex v of a Berge-C4-free input, the auxiliary graphs
     G, G_aux, G'_aux, B, B' obey the counting and freeness rules that
     drive the upper bound (K_{2,7}/K_{5,5}-freeness, |G| <= 3 d(v),
@@ -31,7 +32,7 @@ for size in (4, 5, 6, 7, 9, 10):
 h = bf.Hypergraph(6, ({0, 1, 2, 3}, {0, 1, 4, 5}))
 cg = bf.build_embedded_graph(h)
 print("\ncolored edges:", cg.colored_edges)
-print("observation check:", bf.verify_observation1(cg).to_json_dict())
+print("observation 1:", bf.verify_lemma_suite(h).observation1.to_json_dict())
 
 # The full lemma suite on the q=2 plane blow-up (42 vertices, weight 63).
 blowup = bf.blow_up(bf.projective_plane_incidence(2).graph(), 3)

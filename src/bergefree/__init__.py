@@ -40,7 +40,6 @@ from .embedding import (
     decompose_hyperedge,
     validate_decomposition,
     verify_lemma_suite,
-    verify_observation1,
 )
 from .generators import random_greedy_hypergraph
 from .patterns import contains_kst
@@ -90,6 +89,5 @@ __all__ = [
     "validate_decomposition",
     "validate_witness",
     "verify_lemma_suite",
-    "verify_observation1",
     "weight",
 ]

@@ -427,82 +427,101 @@ def _closed_walk(masks: Sequence[int], sizes: Sequence[int], adj: Sequence[int],
     slots = [0] * k
     count = [0] * len(sizes)
     not_below = -1 << a
+    mask_a = masks[a]
 
     def order(candidates: int) -> list[int]:
         # the classes with a member left, by the member each would take next
         return sorted((c for c in iter_bits(candidates) if count[c] < sizes[c]),
                       key=lambda c: members[c][count[c]])
 
-    def extend(depth: int, union: int) -> bool:
-        # walk[0..depth-1] fixed; slots[0..depth-2] hold its slots, union their union.
-        last = walk[depth - 1]
+    def close(union: int) -> bool:
+        # walk[0..k-2] fixed; slots[0..k-3] hold its slots, union their union.
+        last = walk[k - 2]
         mask_last = masks[last]
-        candidates = adj[last] & not_below
-        if depth == k - 1:
-            mask_a = masks[a]
-            # orientation: keep only vk > v2, which is a's second member when c2
-            # is a (k = 2 has one direction)
-            v2 = members[walk[1]][walk[1] == a] if k > 2 else -1
-            for c in order(candidates & adj[a]):  # the last class closes the walk
-                if members[c][count[c]] < v2:
-                    continue
-                slot = mask_last & masks[c]
-                closing = masks[c] & mask_a
-                if (union | slot | closing).bit_count() < k:
-                    continue
-                slots[depth - 1] = slot
-                slots[depth] = closing
-                if _hall(slots):
-                    walk[depth] = c
-                    return True
-            return False
-        for c in order(candidates):
+        # orientation: keep only vk > v2, which is a's second member when c2
+        # is a (k = 2 has one direction)
+        v2 = members[walk[1]][walk[1] == a] if k > 2 else -1
+        for c in order(adj[last] & not_below & adj[a]):  # the last class closes the walk
+            if members[c][count[c]] < v2:
+                continue
             slot = mask_last & masks[c]
-            new_union = union | slot
-            if new_union.bit_count() < depth:
-                continue  # fewer distinct hyperedges than slots: dead prefix
-            walk[depth] = c
-            slots[depth - 1] = slot
-            count[c] += 1
-            found = extend(depth + 1, new_union)
-            count[c] -= 1
-            if found:
+            closing = masks[c] & mask_a
+            if (union | slot | closing).bit_count() < k:
+                continue
+            slots[k - 2] = slot
+            slots[k - 1] = closing
+            if _hall(slots):
+                walk[k - 1] = c
                 return True
         return False
 
     walk[0] = a
     count[a] = 1
-    found = tuple(walk) if extend(1, 0) else None
-    del extend  # its closure holds it: unbound, it is freed without the cycle collector
-    return found
+    if k == 2:
+        return tuple(walk) if close(0) else None
+    # An explicit stack, so a walk of any length fits: at each depth below
+    # k - 1, tries[depth] runs through the candidates ordered on entry and
+    # unions[depth] is the union of slots[0..depth-2].
+    tries = [iter(order(adj[a] & not_below))] * (k - 1)
+    unions = [0] * (k - 1)
+    depth = 1
+    while depth:
+        mask_last = masks[walk[depth - 1]]
+        for c in tries[depth]:
+            slot = mask_last & masks[c]
+            new_union = unions[depth] | slot
+            if new_union.bit_count() < depth:
+                continue  # fewer distinct hyperedges than slots: dead prefix
+            walk[depth] = c
+            slots[depth - 1] = slot
+            count[c] += 1
+            if depth == k - 2:
+                if close(new_union):
+                    return tuple(walk)
+                count[c] -= 1
+                continue
+            depth += 1
+            tries[depth] = iter(order(adj[c] & not_below))
+            unions[depth] = new_union
+            break
+        else:
+            depth -= 1
+            count[walk[depth]] -= 1
+    return None
 
 
 def _hall(slots: Sequence[int]) -> bool:
     """True iff slots with these hyperedge masks admit distinct
     representatives.  By Hall's theorem that holds iff every j of the slots
     cover at least j hyperedges; it is decided by placing the slots one by
-    one along augmenting paths (_augment), in time polynomial in the number
-    of slots, not one union per subset of them."""
+    one along augmenting paths (Kuhn's), in time polynomial in the number
+    of slots, not one union per subset of them.  A slot with a hyperedge
+    no slot holds takes it; otherwise its path is searched depth first on
+    an explicit stack, each slot on it stepping to the holder of a
+    hyperedge no step has tried, until one has a hyperedge no slot holds."""
     holder: dict[int, int] = {}  # hyperedge bit -> the slot that holds it
-    for i in range(len(slots)):
-        if not _augment(slots, i, holder, [0]):
-            return False
+    held = 0  # the union of holder's bits
+    for i, mask in enumerate(slots):
+        if not (spare := mask & ~held):
+            # path[t] would take the hyperedge tried[t] from path[t + 1]
+            path, tried, seen = [i], [], 0
+            while not (spare := slots[path[-1]] & ~held):
+                if free := slots[path[-1]] & ~seen:
+                    bit = free & -free
+                    seen |= bit
+                    tried.append(bit)
+                    path.append(holder[bit])
+                else:  # no augmenting path through path[-1]
+                    path.pop()
+                    if not path:
+                        return False
+                    tried.pop()
+            holder.update(zip(tried, path))
+            i = path[-1]
+        bit = spare & -spare
+        holder[bit] = i
+        held |= bit
     return True
-
-
-def _augment(slots: Sequence[int], i: int, holder: dict[int, int], seen: list[int]) -> bool:
-    """Give slot i one of its hyperedges outside seen[0], moving the slot
-    that holds it on to another in turn (Kuhn's augmenting path); False
-    when no path ends at a hyperedge no slot holds.  seen[0] collects the
-    hyperedges the search has tried."""
-    while free := slots[i] & ~seen[0]:
-        bit = free & -free
-        seen[0] |= bit
-        j = holder.get(bit)
-        if j is None or _augment(slots, j, holder, seen):
-            holder[bit] = i
-            return True
-    return False
 
 
 @cache

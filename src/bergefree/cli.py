@@ -14,11 +14,12 @@ an argument too large to answer (a plane order above MAX_PLANE_ORDER, a
 search n above CEILING_MAX_N, a bounds n beyond the proven range of
 is_prime, a lemmas n above LEMMAS_MAX_N without --sample, or a declared
 size of 2^63 or more, which cannot index a list or range: OverflowError),
-a walk deeper than the interpreter's stack (RecursionError: the closed walk
-recurses once per step, so a --k near 1000 can reach it) or a run out of
-memory (MemoryError).  The commands are straight-line code: main is the one
-place that turns OSError, ValueError (FormatError included), RecursionError,
-MemoryError and OverflowError into exit 2 with one stderr line.  An
+a search deeper than the interpreter's stack (RecursionError: verify's
+closed walk runs on an explicit stack, but the exact search recurses once
+per chosen hyperedge) or a run out of memory (MemoryError).  The commands
+are straight-line code: main is the one place that turns OSError,
+ValueError (FormatError included), RecursionError, MemoryError and
+OverflowError into exit 2 with one stderr line.  An
 AssertionError from a library self-check stays a traceback: it is a bug,
 not an input error.
 

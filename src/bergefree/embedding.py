@@ -26,11 +26,11 @@ for the vertices on a placed edge only, with no colored graph;
 build_embedded_graph keeps the colored graph for the embed command and
 the tests.  Observation 1 holds by construction, since a color's edges
 are vertex-disjoint triangles and single edges (decompose_hyperedge), so
-the suite reports it without a check; verify_observation1 checks a whole
-colored graph.  K_{2,7} runs the 2-path ladder of the patterns module on
-the rows.  All freeness and counting checks run on the simple projection;
-parallel colored edges on a pair are legal and only multiplicity-blind
-statements are asserted about them.
+the suite reports it without a check and the library has no checker for
+it.  K_{2,7} runs the 2-path ladder of the patterns module on the rows.
+All freeness and counting checks run on the simple projection; parallel
+colored edges on a pair are legal and only multiplicity-blind statements
+are asserted about them.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Mapping, Optional
 
 from .berge import BergeCycleWitness, find_berge_cycle
@@ -157,12 +156,14 @@ def build_embedded_graph(hypergraph: Hypergraph) -> ColoredGraph:
 
 
 # ---------------------------------------------------------------------------
-# observation check: at most 2 same-colored edges per vertex, closed to a triangle
+# the lemma suite
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ObservationReport:
-    """Outcome of the same-color degree/closure check on a colored graph."""
+    """Observation 1 on a colored graph: per vertex and color at most two
+    incident edges, and two of them, xy and xz, closed by yz in that color.
+    The lemma suite's report, with its placed edges, has no violation."""
 
     n: int
     colored_edge_count: int
@@ -181,53 +182,15 @@ class ObservationReport:
         }
 
 
-def verify_observation1(colored_graph: ColoredGraph) -> ObservationReport:
-    """Check per vertex x and color h: at most two incident edges carry h,
-    and two same-colored edges xy, xz force the same-colored edge yz.
-    Violations come sorted by (vertex, color)."""
-    incident: dict[tuple[int, int], list[int]] = {}
-    present = set()
-    for u, v, color in colored_graph.colored_edges:
-        incident.setdefault((u, color), []).append(v)
-        incident.setdefault((v, color), []).append(u)
-        present.add((u, v, color))
-    violations: list[dict] = []
-    for (x, color), others in sorted(incident.items()):
-        if len(others) > 2:
-            violations.append({
-                "check": "color_multiplicity",
-                "vertex": x,
-                "color": color,
-                "incident_count": len(others),
-            })
-        for y, z in combinations(sorted(others), 2):
-            if (min(y, z), max(y, z), color) not in present:
-                violations.append({
-                    "check": "triangle_closure",
-                    "vertex": x,
-                    "color": color,
-                    "missing_edge": [min(y, z), max(y, z)],
-                })
-    return ObservationReport(
-        n=colored_graph.n,
-        colored_edge_count=len(colored_graph.colored_edges),
-        violations=tuple(violations),
-    )
-
-
-# ---------------------------------------------------------------------------
-# the lemma suite
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class LemmaSuiteReport:
     """Per-vertex counts plus any violated structural assertion.
 
-    observation1 is the report verify_observation1 would give on the
-    embedded graph: its placed edges and no violation.  Each color's edges
-    are one hyperedge's placement mapped through its distinct vertices, and
-    both rules of Observation 1 concern the edges of one color at one
-    vertex, so they hold because they hold for every placement
+    observation1 reports Observation 1 on the embedded graph without a
+    check: its placed edges and no violation.  Each color's edges are one
+    hyperedge's placement mapped through its distinct vertices, and both
+    rules of Observation 1 concern the edges of one color at one vertex,
+    so they hold because they hold for every placement
     (decompose_hyperedge).  It is left out of ok and to_json_dict.
     """
 

@@ -29,7 +29,8 @@ here, and so did the whole-graph pair-color index that ColoredGraph kept
 before the suite read only its checked vertices' spokes (pair_colors,
 colors_of).  The whole-graph phase before its linear passes is kept too: the builder that decomposes every hyperedge
 (embedded_graph_by_decomposition), observation 1 on every color
-(observation1_by_incidence) and the K_{s,t} row engine that tries every
+(observation1_by_incidence, now the one checker of it: the library
+reports it by construction) and the K_{s,t} row engine that tries every
 s-subset of the candidates (kst_by_subset_enumeration).  So are the
 per-edge loops that normalised Graph and ColoredGraph input
 (graph_edges_by_loop, colored_edges_by_loop), and the detector's vertex

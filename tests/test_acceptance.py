@@ -14,7 +14,12 @@ from itertools import combinations, combinations_with_replacement
 
 import bergefree as bf
 from bergefree.cli import main
-from oracles import degree_stats, has_c4_by_common_neighbors, max_weight_by_multisets
+from oracles import (
+    degree_stats,
+    has_c4_by_common_neighbors,
+    max_weight_by_multisets,
+    observation1_by_incidence,
+)
 
 LISTED_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -95,13 +100,13 @@ def test_criterion_4_lemma_suite_zero_violations():
     for q in (2, 3):
         blown = bf.blow_up(bf.projective_plane_incidence(q).graph(), 3)
         suite = bf.verify_lemma_suite(blown)
-        observation = bf.verify_observation1(bf.build_embedded_graph(blown))
+        observation = observation1_by_incidence(bf.build_embedded_graph(blown))
         assert suite.ok and suite.violations == ()
         assert observation.ok
     checked = 0
     for seed in range(500):
         h = bf.random_greedy_hypergraph(30, (4, 8), trials=150, rng=seed)
-        observation = bf.verify_observation1(bf.build_embedded_graph(h))
+        observation = observation1_by_incidence(bf.build_embedded_graph(h))
         assert observation.ok, f"seed {seed}: {observation.violations}"
         suite = bf.verify_lemma_suite(h)
         assert suite.ok, f"seed {seed}: {suite.violations}"

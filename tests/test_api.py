@@ -21,15 +21,16 @@ MODULES = ("bergefree",) + tuple(
 # and the whole per-vertex rows the lemma checks read before they counted
 # N1(v) and N2(v) in one pass each (embedding._vertex_checks owns N1 and
 # N2), and the lemma suite's Observation 1 check once per hyperedge size
-# (it holds by construction); tests/oracles.py keeps what the tests still
-# need of them.
+# and the whole-graph Observation 1 check (it holds by construction, and
+# the tests' observation1_by_incidence was the same code); tests/oracles.py
+# keeps what the tests still need of them.
 REMOVED = ("SearchState", "incremental_c4_check", "Digraph", "Pattern", "F1", "F2",
            "contains_pattern", "build_D", "NonNeighborError", "SharedColorError",
            "shadow", "neighborhoods", "neighborhood_masks", "degree_stats", "HyperedgeId",
            "AuxBundle", "build_aux_bundle", "BipartiteGraph",
            "compare_to_bounds", "BoundsRow", "_ShadowRows", "_VertexRows", "_vertex_rows",
            "_upper_edges", "_ball", "_vertex_ids", "_check_observation1",
-           "_observation1_by_size")
+           "_observation1_by_size", "verify_observation1")
 
 
 def test_hypergraph_has_no_pair_cover():

@@ -800,13 +800,13 @@ def test_a_declared_n_too_large_to_index_maps_to_exit_two(tmp_path, capsys, n):
 
 
 @pytest.mark.parametrize("cycle", [False, True], ids=["free", "loose_cycle"])
-def test_a_walk_deeper_than_the_stack_maps_to_exit_two(tmp_path, capsys, cycle):
+def test_a_walk_deeper_than_the_stack_is_answered(tmp_path, capsys, cycle):
     """verify --k 1000 on 1,000 hyperedges: a loose 1000-cycle, or a
     999-cycle whose first hyperedge holds a third vertex plus one hyperedge
-    apart, which has no Berge-C1000.  Both walk deeper than the
-    interpreter's stack allows (the closed walk recurses once per step),
-    and each exits 2 with one stderr line and nothing on stdout instead of
-    a RecursionError."""
+    apart, which has no Berge-C1000.  Both walk 1,000 steps deep, more than
+    the interpreter's stack has frames; the walk and its Hall tests run on
+    explicit stacks, so the cycle exits 1 with its checked witness and the
+    other input exits 0."""
     if cycle:
         doc = {"n": 1000, "hyperedges": [[i, (i + 1) % 1000] for i in range(1000)]}
     else:
@@ -815,10 +815,32 @@ def test_a_walk_deeper_than_the_stack_maps_to_exit_two(tmp_path, capsys, cycle):
     assert len(doc["hyperedges"]) == 1000
     src = tmp_path / "h.json"
     src.write_text(json.dumps(doc))
-    assert main(["verify", "-i", str(src), "--k", "1000"]) == 2
+    code = main(["verify", "-i", str(src), "--k", "1000"])
+    captured = capsys.readouterr()
+    if cycle:
+        assert code == 1 and captured.err == ""
+        found = json.loads(captured.out)
+        assert found["vertices"] == list(range(1000))
+        bf.validate_witness(bf.Hypergraph.from_json_dict(doc),
+                            bf.BergeCycleWitness(tuple(found["vertices"]),
+                                                 tuple(found["hyperedges"])))
+    else:
+        assert code == 0 and captured.out == ""
+        assert captured.err == "Berge-C1000-free\n"
+
+
+def test_a_search_deeper_than_the_stack_maps_to_exit_two(tmp_path, capsys, monkeypatch):
+    """The exact search recurses once per chosen hyperedge; a RecursionError
+    from it (patched in here) exits 2 with one stderr line and nothing on
+    stdout, not a traceback."""
+    def too_deep(*args, **kwargs):
+        raise RecursionError
+
+    monkeypatch.setattr(bf.cli, "max_weight_exact", too_deep)
+    assert main(["search", "--n", "5", "-o", str(tmp_path / "r.jsonl")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: verify: the search went deeper than the "
+    assert captured.err == ("error: search: the search went deeper than the "
                             "interpreter's stack allows\n")
 
 

@@ -1,4 +1,5 @@
-"""Edge embedding, the observation/lemma verifiers, and the proof bundles."""
+"""Edge embedding, Observation 1 on its oracle, the lemma verifiers, and the
+proof bundles."""
 
 import json
 import random
@@ -173,8 +174,7 @@ def test_placement_matches_decomposition_oracle_on_mixed_sizes():
 def test_placement_matches_decomposition_oracle_on_relabelled_blowups(q):
     h = _relabelled_blowup(q, q)
     _assert_same_embedding(h)
-    cg = bf.build_embedded_graph(h)
-    assert bf.verify_observation1(cg) == observation1_by_incidence(cg)
+    assert observation1_by_incidence(bf.build_embedded_graph(h)).ok
 
 
 def test_each_placement_is_validated_once_per_size(monkeypatch):
@@ -200,28 +200,29 @@ def test_each_placement_is_validated_once_per_size(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# observation check
+# Observation 1, on the incidence oracle (the library has no checker: it
+# holds by construction)
 # ---------------------------------------------------------------------------
 
 def test_observation_passes_on_single_edge():
-    report = bf.verify_observation1(bf.ColoredGraph(2, ((0, 1, 0),)))
+    report = observation1_by_incidence(bf.ColoredGraph(2, ((0, 1, 0),)))
     assert report.ok and report.violations == ()
 
 
 def test_observation_passes_on_triangle_decomposition():
     cg = bf.build_embedded_graph(bf.Hypergraph(9, (frozenset(range(9)),)))
-    report = bf.verify_observation1(cg)
+    report = observation1_by_incidence(cg)
     assert report.ok
 
 
 @given(hypergraphs(max_n=10, max_size=9))
 def test_observation_passes_on_every_built_graph(h):
-    assert bf.verify_observation1(bf.build_embedded_graph(h)).ok
+    assert observation1_by_incidence(bf.build_embedded_graph(h)).ok
 
 
 def test_observation_flags_three_same_colored_edges_at_a_vertex():
     cg = bf.ColoredGraph(4, ((0, 1, 7), (0, 2, 7), (0, 3, 7), (1, 2, 7)))
-    report = bf.verify_observation1(cg)
+    report = observation1_by_incidence(cg)
     assert not report.ok
     assert any(v["check"] == "color_multiplicity" and v["vertex"] == 0
                for v in report.violations)
@@ -229,7 +230,7 @@ def test_observation_flags_three_same_colored_edges_at_a_vertex():
 
 def test_observation_flags_missing_triangle_closure():
     cg = bf.ColoredGraph(3, ((0, 1, 4), (0, 2, 4)))
-    report = bf.verify_observation1(cg)
+    report = observation1_by_incidence(cg)
     assert any(v["check"] == "triangle_closure" and v["missing_edge"] == [1, 2]
                for v in report.violations)
 
@@ -262,25 +263,50 @@ def test_observation_on_shared_colors_matches_incidence_oracle():
         ("color_multiplicity", 1, 7), ("triangle_closure", 1, 7),
         ("triangle_closure", 6, 4)}
     for _ in range(40):
-        cg = bf.ColoredGraph(10, _shuffled(HAND_BUILT, rng))
-        report = bf.verify_observation1(cg)
-        assert report == observation1_by_incidence(cg)
+        report = observation1_by_incidence(bf.ColoredGraph(10, _shuffled(HAND_BUILT, rng)))
         assert report.to_json_dict() == want
+
+
+def _colors_are_edges_and_triangles(colored_graph):
+    """Observation 1 read off each color class as a graph: every connected
+    component of a color's edges is a single edge or a triangle."""
+    by_color: dict[int, dict[int, set[int]]] = {}
+    for u, v, color in colored_graph.colored_edges:
+        adjacency = by_color.setdefault(color, {})
+        adjacency.setdefault(u, set()).add(v)
+        adjacency.setdefault(v, set()).add(u)
+    for adjacency in by_color.values():
+        unseen = set(adjacency)
+        while unseen:
+            component, stack = set(), [unseen.pop()]
+            while stack:
+                x = stack.pop()
+                component.add(x)
+                stack.extend(adjacency[x] - component)
+            unseen -= component
+            edges = sum(len(adjacency[x]) for x in component) // 2
+            if (len(component), edges) not in ((2, 1), (3, 3)):
+                return False
+    return True
 
 
 def test_observation_matches_incidence_oracle_on_seeded_colorings():
     rng = random.Random(77)
+    verdicts = Counter()
     for _ in range(200):
         n = rng.randint(2, 9)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         chosen = {(u, v, rng.randrange(4)) for u, v in rng.sample(
             pairs, rng.randint(0, min(len(pairs), 14)))}
         cg = bf.ColoredGraph(n, _shuffled(sorted(chosen), rng))
-        assert bf.verify_observation1(cg) == observation1_by_incidence(cg)
+        ok = observation1_by_incidence(cg).ok
+        assert ok == _colors_are_edges_and_triangles(cg), cg
+        verdicts[ok] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_observation_report_json_shape():
-    doc = bf.verify_observation1(bf.ColoredGraph(2, ((0, 1, 0),))).to_json_dict()
+    doc = observation1_by_incidence(bf.ColoredGraph(2, ((0, 1, 0),))).to_json_dict()
     assert doc["ok"] is True and doc["colored_edges"] == 1
 
 
@@ -413,6 +439,12 @@ def _dense_g_under_hub():
     return _hub_n1(12, g_edges)
 
 
+def _g_at_three_d_under_hub():
+    # the same hub with G joining 1..6 to 7..12 only: |G| = 36 = 3d, the
+    # most that g_size_vs_degree lets pass
+    return _hub_n1(12, [(x, y) for x in range(1, 7) for y in range(7, 13)])
+
+
 def _k55_in_gap():
     # v = 0, N1 = 1..10; each even x has its own N2 hub seeing x and every odd
     # vertex, so G'_aux is K_{5,5} between odds and evens plus K_5 on the odds
@@ -450,6 +482,15 @@ def test_vertex_checks_match_bundle_oracle_on_each_violation(build, kind):
     row, violations = json.loads(fast)
     assert kind in {violation["check"] for violation in violations}
     assert not row["ok"]
+
+
+def test_vertex_checks_match_bundle_oracle_at_g_size_three_d():
+    h, cg = _g_at_three_d_under_hub()
+    fast, oracle = _vertex_reports(h, cg, 0)
+    assert fast == oracle
+    row, _ = json.loads(fast)
+    assert (row["d"], row["g_edges"]) == (12, 36)
+    assert row["checks"]["g_size_vs_degree"]
 
 
 def test_k55_check_reads_g_aux_prime_and_names_the_first_witness():
@@ -647,25 +688,23 @@ def test_every_placement_keeps_observation1():
         assert 3 * len(dec.triangles) + len(dec.single_edges) == s - 3, s
         edges = dec.edges()
         assert len(edges) == s - 3 and edges == _placement(s), s
-        report = bf.verify_observation1(bf.ColoredGraph(s, tuple((u, v, 0) for u, v in edges)))
+        report = observation1_by_incidence(
+            bf.ColoredGraph(s, tuple((u, v, 0) for u, v in edges)))
         assert report.ok and report.colored_edge_count == s - 3, s
 
 
 def test_lemma_suite_maps_each_hyperedge_once_and_runs_no_observation_check(monkeypatch):
     """The suite reads the projection, the spokes and the placed-edge count
     in one pass over the hyperedges: one placement lookup per hyperedge of
-    four or more vertices, and no observation check."""
+    four or more vertices, and no observation check (the library has no
+    checker to run, test_api)."""
     looked_up = []
     placement = bergefree.embedding._placement
 
     def counting(s):
         looked_up.append(s)
         return placement(s)
-
-    def refuse(colored_graph):
-        raise AssertionError("the lemma suite ran an observation check")
     monkeypatch.setattr(bergefree.embedding, "_placement", counting)
-    monkeypatch.setattr(bergefree.embedding, "verify_observation1", refuse)
     sizes = (4, 6, 9, 3, 12, 4, 6, 9, 12)
     petals = [sum(sizes[:i]) - i + 1 for i in range(len(sizes) + 1)]
     # a sunflower on vertex 0, which has no cycle
