@@ -12,7 +12,7 @@ reports on concrete inputs:
     G, G_aux, G'_aux, B, B' obey the counting and freeness rules that
     drive the upper bound (K_{2,7}/K_{5,5}-freeness, |G| <= 3 d(v),
     |G'_aux| < d(v)^{9/5}, the color-inclusion rule, and the one-loose-edge
-    rule on second neighbors).
+    rule on second neighbors, which holds by the definition of B').
 
 Run with:  python demos/02_embedding_and_lemmas.py
 """

@@ -279,9 +279,8 @@ class _VertexRows(NamedTuple):
 def _vertex_rows(rows: Mapping[int, int], v: int) -> _VertexRows:
     """G, G_aux, G'_aux, B and B' around v as whole rows, every row built
     for every vertex: the rows the lemma suite's per-vertex checks read
-    before embedding._vertex_checks counted them in one pass over N1(v) and
-    one over N2(v), building the G_aux rows only when some side has two
-    bits.  rows[x] is x's neighbour mask; a vertex missing from rows has
+    before embedding._vertex_checks counted them on the N1(v) rows,
+    building the G_aux rows only when some side has two bits.  rows[x] is x's neighbour mask; a vertex missing from rows has
     none.
 
     N1(v) is v's row and N2(v) the union of the rows of N1(v) outside N1(v)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 import bergefree as bf
 import bergefree.embedding
+from bergefree.core import iter_bits
 from bergefree.embedding import (
     _placement,
     _projection,
@@ -546,12 +547,25 @@ def _padded_blowup_subset(q, seed):
     return bf.Hypergraph(n, hyperedges)
 
 
-def test_vertex_checks_match_bundle_oracle_on_greedy_and_padded_inputs():
+def _greedy_and_padded_inputs():
+    """200 seeded greedy inputs and 12 padded blow-up subsets."""
     inputs = [bf.random_greedy_hypergraph(8 + seed % 23, ((2, 4), (4, 8))[seed % 2], 60,
                                           rng=seed) for seed in range(200)]
-    inputs += [_padded_blowup_subset(2 + seed % 2, seed) for seed in range(12)]
+    return inputs + [_padded_blowup_subset(2 + seed % 2, seed) for seed in range(12)]
+
+
+def _sparse_wide_relabelling():
+    """The q = 3 blow-up relabelled into 3,000 vertices, so the N2 masks
+    are a few set digits among thousands."""
+    h = _relabelled_blowup(3, 7)
+    n = 3000
+    image = random.Random(7).sample(range(n), h.n)
+    return bf.Hypergraph(n, [[image[v] for v in e] for e in h.hyperedges])
+
+
+def test_vertex_checks_match_bundle_oracle_on_greedy_and_padded_inputs():
     aux_rows = isolated = 0
-    for h in inputs:
+    for h in _greedy_and_padded_inputs():
         for fast, oracle in _suite_reports(h):
             assert fast == oracle
             row = json.loads(fast)[0]
@@ -562,13 +576,8 @@ def test_vertex_checks_match_bundle_oracle_on_greedy_and_padded_inputs():
 
 
 def test_vertex_checks_match_bundle_oracle_on_a_sparse_wide_relabelling():
-    # the q = 3 blow-up relabelled into 3,000 vertices, so the N2 masks are
-    # a few set digits among thousands; the vertices on a placed edge are
-    # checked
-    h = _relabelled_blowup(3, 7)
-    n = 3000
-    image = random.Random(7).sample(range(n), h.n)
-    h = bf.Hypergraph(n, [[image[v] for v in e] for e in h.hyperedges])
+    # the vertices on a placed edge are checked
+    h = _sparse_wide_relabelling()
     rows, _, _ = _projection(h, [])
     assert any(row.bit_length() > 2000 for row in rows.values())
     for fast, oracle in _suite_reports(h, list(rows)):
@@ -604,15 +613,77 @@ def test_isolated_vertex_row_is_pinned():
     assert violations == []
 
 
-def test_two_path_count_compares_the_n1_rows_with_the_n2_sides():
-    """|G| and the 2-path sum come from N1(v)'s rows and |B| from the N2(v)
-    sides, so rows that disagree (1 sees 2, 2 does not see 1) break the
-    identity."""
-    rows = {0: 0b10, 1: 0b101, 2: 0}
+def test_two_path_count_fails_on_an_n1_row_that_misses_v():
+    """|G|, |B| and the 2-path sum all come from N1(v)'s rows, |B| from
+    each row cut to the vertices outside N1(v) and v, so the identity
+    breaks when a row of N1(v) misses v (0 sees 1, 1 does not see 0)."""
+    rows = {0: 0b10, 1: 0b100, 2: 0b10}
     row, violations = _vertex_checks(bf.Hypergraph(3), rows, 0, {1: [0]})
-    assert violations == [{"check": "two_path_count", "v": 0, "b_edges": 0,
-                           "g_edges": 0, "two_paths": 1}]
+    assert violations == [{"check": "two_path_count", "v": 0, "b_edges": 1,
+                           "g_edges": 0, "two_paths": 0}]
     assert not row["checks"]["two_path_count"] and not row["ok"]
+
+
+class _CountingRows(dict):
+    """Projection rows that record every key looked up."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def test_each_vertex_reads_only_v_n1_and_the_n2_vertices_hit_twice():
+    """On every vertex of a relabelled q = 7 blow-up the checks read the
+    rows of v, of N1(v) and of the N2(v) vertices with two or more
+    neighbours in N1(v), and no other: the rest of N2(v) is counted from
+    the N1(v) rows alone."""
+    h = _relabelled_blowup(7, 67)
+    plain, spokes, _ = _projection(h, range(h.n))
+    hit_once = hit_twice = 0
+    for v in range(h.n):
+        rows = _CountingRows(plain)
+        n1 = plain.get(v, 0)
+        n2 = 0
+        for x in iter_bits(n1):
+            n2 |= plain[x]
+        n2 &= ~(n1 | 1 << v)
+        twice = {y for y in iter_bits(n2) if (plain[y] & n1).bit_count() > 1}
+        hit_once += n2.bit_count() - len(twice)
+        _vertex_checks(h, rows, v, spokes[v])
+        assert rows.read <= {v, *iter_bits(n1), *twice}, v
+        hit_twice += len(rows.read & twice)
+    # both kinds of N2 vertex occur, and the ones hit twice are read
+    assert hit_once and hit_twice
+
+
+def _symmetric_pairs(rows):
+    """The (x, y) with y in x's row, checked to be closed under swapping."""
+    pairs = {(x, y) for x, row in rows.items() for y in iter_bits(row)}
+    assert pairs == {(y, x) for x, y in pairs}
+    return pairs
+
+
+@pytest.mark.parametrize("h", [_relabelled_blowup(q, 80 + q) for q in (2, 3, 5, 7)]
+                         + [_sparse_wide_relabelling()])
+def test_projection_rows_are_symmetric(h):
+    """_projection appends each placed edge at both ends, so x sees y
+    exactly when y sees x; the checks count B from the N1(v) rows alone,
+    which is |B| only on symmetric rows."""
+    assert _symmetric_pairs(_projection(h, [])[0])
+
+
+def test_projection_rows_are_symmetric_on_greedy_and_padded_inputs():
+    assert sum(len(_symmetric_pairs(_projection(h, [])[0]))
+               for h in _greedy_and_padded_inputs())
+
 
 
 def _spokes_by_pair_colors(colored_graph, checked):
